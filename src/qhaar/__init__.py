@@ -58,8 +58,10 @@ from .qsu2rep import (
     eigvec_norm_sq,
     eigvec_poly,
     element,
+    haar_moments,
     haar_trace,
     haar_trace_samples,
+    moment_trace,
     op_D,
     spectral_trace,
     verify_structure,
@@ -128,8 +130,10 @@ __all__ = [
     "build_rep",
     "element",
     "op_D",
+    "haar_moments",
     "haar_trace",
     "haar_trace_samples",
+    "moment_trace",
     "EigenBasisEntry",
     "eigen_basis",
     "eigvec_poly",

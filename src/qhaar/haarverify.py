@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .orthopoly import (
     AWParams,
-    MeasureSpec,
+    _as_callable,
     asc_mass_poisson_tq,
     asc_poisson,
     aw_h0,
@@ -38,7 +38,16 @@ from .orthopoly import (
     aw_theta_weight,
 )
 from .qseries import QContext, q_integral, qpoch, qpoch_prod, w87
-from .qsu2rep import SphericalParams, build_rep, element, haar_trace, spectral_trace
+from .qsu2rep import (
+    SphericalParams,
+    _poly_degree,
+    build_rep,
+    element,
+    haar_moments,
+    haar_trace,
+    moment_trace,
+    spectral_trace,
+)
 from .spectral import check_truncation
 
 __all__ = [
@@ -151,11 +160,6 @@ class VerifyReport:
         return max((r.rel_err for r in self.rows), default=0.0)
 
 
-def _poly_degree(coeffs: np.ndarray) -> int:
-    nz = np.nonzero(coeffs)[0]
-    return int(nz[-1]) if nz.size else 0
-
-
 def _poly_label(coeffs: np.ndarray) -> str:
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
@@ -170,13 +174,6 @@ def _as_coeffs(p) -> np.ndarray | None:
     if callable(p):
         return None
     return np.atleast_1d(np.asarray(p, dtype=float))
-
-
-def _as_callable(p):
-    if callable(p):
-        return p
-    coeffs = np.atleast_1d(np.asarray(p, dtype=float))
-    return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
 def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
@@ -242,7 +239,7 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
     spec = aw_measure(thm6_params(tau, sigma, ctx))
-    return aw_integrate(spec, _as_callable(p))
+    return aw_integrate(spec, p)
 
 
 def gamma_measure(p, ctx: QContext) -> float:
@@ -255,60 +252,40 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     """Compare trace and measure sides for every polynomial in cfg.poly_set.
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
-    4, 5, 6 are accepted as aliases).
+    4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
+    at the largest degree serves the trace side of every polynomial.
     """
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     ctx = cfg.ctx
-    phi_count = cfg.phi_points if cfg.phi_points else None
-    trace_route = f"phase-averaged weighted trace, N={cfg.N}"
-    rows = []
-    spec: MeasureSpec | None = None
-    if theorem == "thm6":
+    if theorem == "thm4":
+        name, params = "cocentral", None
+        measure = thm4_measure
+        measure_route = "semicircle, Chebyshev-2 quadrature"
+    elif theorem == "thm5":
+        name, params = "rho_tau_inf", SphericalParams(tau=cfg.tau)
+        measure = lambda c: thm5_measure(c, cfg.tau, ctx)
+        measure_route = f"Jackson q^2-integral over [-1, q^(2*{cfg.tau:g})]"
+    elif theorem == "thm6":
+        name, params = "rho_tau_sigma", SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
         spec = aw_measure(thm6_params(cfg.tau, cfg.sigma, ctx))
-    for coeffs_t in cfg.poly_set:
-        coeffs = np.asarray(coeffs_t)
-        if theorem == "thm4":
-            trace = haar_trace(ctx, "cocentral", coeffs, cfg.N, tol=cfg.tol, phi_count=phi_count)
-            meas = thm4_measure(coeffs)
-            measure_route = "semicircle, Chebyshev-2 quadrature"
-        elif theorem == "thm5":
-            trace = haar_trace(
-                ctx,
-                "rho_tau_inf",
-                coeffs,
-                cfg.N,
-                SphericalParams(tau=cfg.tau),
-                tol=cfg.tol,
-                phi_count=phi_count,
-            )
-            meas = thm5_measure(coeffs, cfg.tau, ctx)
-            measure_route = f"Jackson q^2-integral over [-1, q^(2*{cfg.tau:g})]"
-        elif theorem == "thm6":
-            trace = haar_trace(
-                ctx,
-                "rho_tau_sigma",
-                coeffs,
-                cfg.N,
-                SphericalParams(tau=cfg.tau, sigma=cfg.sigma),
-                tol=cfg.tol,
-                phi_count=phi_count,
-            )
-            meas = aw_integrate(spec, _as_callable(coeffs))
-            measure_route = (
-                f"Askey-Wilson q^2 measure, {len(spec.masses)} mass point(s)"
-            )
-        else:
-            trace = haar_trace(
-                ctx, "gamma_star_gamma", coeffs, cfg.N, tol=cfg.tol, phi_count=phi_count
-            )
-            meas = gamma_measure(coeffs, ctx)
-            measure_route = "Jackson q^2-integral over [0, 1]"
-        rows.append(
-            _row(_poly_label(coeffs), coeffs, trace, meas, cfg.tol, trace_route, measure_route)
-        )
-    return VerifyReport(theorem=theorem, config=cfg, rows=tuple(rows))
+        measure = lambda c: aw_integrate(spec, c)
+        measure_route = f"Askey-Wilson q^2 measure, {len(spec.masses)} mass point(s)"
+    else:
+        name, params = "gamma_star_gamma", None
+        measure = lambda c: gamma_measure(c, ctx)
+        measure_route = "Jackson q^2-integral over [0, 1]"
+    moments = haar_moments(
+        ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol, phi_count=cfg.phi_points or None
+    )
+    trace_route = f"phase-averaged weighted trace, N={cfg.N}"
+    rows = tuple(
+        _row(_poly_label(c), c, moment_trace(c, moments), measure(c), cfg.tol,
+             trace_route, measure_route)
+        for c in map(np.asarray, cfg.poly_set)
+    )
+    return VerifyReport(theorem=theorem, config=cfg, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -563,17 +563,6 @@ class MeasureSpec:
     theta_weights: np.ndarray = field(repr=False)
     total_mass: float = 1.0
 
-    def weight(self, x) -> float:
-        """Continuous density w.r.t. dx at x in (-1,1), normalized by 1/(2 pi h0)
-        and carrying the 1/sqrt(1-x^2) Jacobian of x = cos theta."""
-        xx = np.asarray(x, dtype=float)
-        if np.any(np.abs(xx) >= 1.0):
-            raise DomainError("continuous weight lives on (-1, 1)")
-        a, b, c, d = self.params.as_tuple()
-        w = aw_theta_weight(np.arccos(xx), a, b, c, d, self.params.ctx)
-        out = w / (2.0 * math.pi * self.h0 * np.sqrt(1.0 - xx * xx))
-        return out if out.shape else float(out)
-
 
 def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
     """Gauss-Legendre rule in theta for (2 pi h0)^{-1} int_0^pi . w d theta."""

@@ -48,8 +48,10 @@ __all__ = [
     "ELEMENT_NAMES",
     "element",
     "op_D",
+    "haar_moments",
     "haar_trace",
     "haar_trace_samples",
+    "moment_trace",
     "EigenBasisEntry",
     "eigen_basis",
     "eigvec_poly",
@@ -161,6 +163,49 @@ def _poly_degree(coeffs: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
+def haar_moments(
+    ctx: QContext,
+    name: str,
+    degree: int,
+    size: int,
+    params: SphericalParams | None = None,
+    tol: float = 1e-9,
+    phi_count: int | None = None,
+    phi_offset: float = 0.0,
+) -> np.ndarray:
+    """Weighted moments (1 - q^2) tr(D element^k), k = 0..degree, per phase.
+
+    Returns a complex array of shape (phi_count, degree + 1).  The Haar
+    functional is linear, so every polynomial of degree at most ``degree``
+    has the samples ``moments @ coeffs``: the element is built once per
+    angle and its powers are shared, up to the degree cap of 16.  The
+    default grid is the 4*degree + 4 uniform angles starting at
+    ``phi_offset``.  The truncation size is checked against the
+    geometric-tail policy before any work happens.
+    """
+    if degree > 16:
+        raise DomainError("polynomial degree capped at 16 for matrix functional calculus")
+    if name not in ELEMENT_NAMES:
+        raise DomainError(f"unknown element {name!r}")
+    check_truncation(size, _ELEMENT_REACH[name] * degree, tol, ctx.q)
+    if phi_count is None:
+        phi_count = 4 * degree + 4
+    if phi_count < 1:
+        raise DomainError("phi_count must be positive")
+    weights = (1.0 - ctx.q**2) * op_D(ctx, size)
+    moments = np.empty((phi_count, degree + 1), dtype=complex)
+    moments[:, 0] = weights.sum()
+    for j in range(phi_count):
+        phi = phi_offset + 2.0 * math.pi * j / phi_count
+        E = element(build_rep(ctx, phi, size), name, params)
+        P = E
+        for k in range(1, degree + 1):
+            if k > 1:
+                P = P @ E
+            moments[j, k] = weights @ np.diagonal(P)
+    return moments
+
+
 def haar_trace_samples(
     ctx: QContext,
     name: str,
@@ -173,11 +218,10 @@ def haar_trace_samples(
 ) -> np.ndarray:
     """Weighted traces (1 - q^2) tr(D p(element)) at each phase grid point.
 
-    ``coeffs`` are polynomial coefficients in ascending order; p(element)
-    is built by explicit matrix powers (Horner), capped at degree 16.  The
-    default grid is the 4*deg(p) + 4 uniform angles starting at
-    ``phi_offset``.  The truncation size is checked against the
-    geometric-tail policy before any work happens.
+    ``coeffs`` are polynomial coefficients in ascending order; the samples
+    are ``coeffs`` applied to :func:`haar_moments` at the degree of p, so
+    the degree cap, default grid 4*deg(p) + 4 and truncation policy are
+    the ones documented there.
 
     For cocentral, gamma_star_gamma and rho_tau_inf the samples are
     phase-independent up to roundoff (diagonal phase unitaries carry one
@@ -188,28 +232,22 @@ def haar_trace_samples(
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     deg = _poly_degree(coeffs)
-    if deg > 16:
-        raise DomainError("polynomial degree capped at 16 for matrix functional calculus")
-    if name not in ELEMENT_NAMES:
-        raise DomainError(f"unknown element {name!r}")
-    check_truncation(size, _ELEMENT_REACH[name] * deg, tol, ctx.q)
-    if phi_count is None:
-        phi_count = 4 * deg + 4
-    if phi_count < 1:
-        raise DomainError("phi_count must be positive")
-    weights = op_D(ctx, size)
-    eye = np.eye(size + 1, dtype=complex)
-    samples = np.empty(phi_count, dtype=complex)
-    for j in range(phi_count):
-        phi = phi_offset + 2.0 * math.pi * j / phi_count
-        rep = build_rep(ctx, phi, size)
-        E = element(rep, name, params)
-        P = coeffs[-1] * eye
-        for c in coeffs[-2::-1]:
-            P = P @ E
-            P += c * eye
-        samples[j] = (1.0 - ctx.q**2) * np.sum(weights * np.diagonal(P))
-    return samples
+    moments = haar_moments(ctx, name, deg, size, params, tol, phi_count, phi_offset)
+    return moments @ coeffs[: deg + 1]
+
+
+def moment_trace(coeffs, moments: np.ndarray) -> float:
+    """Haar functional of p(element): the phase average of its samples.
+
+    ``moments`` comes from :func:`haar_moments` at no less than the degree
+    of p.  The average of a self-adjoint element's traces is real; an
+    imaginary residue means the grid did not resolve it.
+    """
+    coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    total = complex(np.mean(moments[:, : coeffs.size] @ coeffs))
+    if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
+        raise ConvergenceError(f"phase average left imaginary residue {total.imag:g}")
+    return float(total.real)
 
 
 def haar_trace(
@@ -227,11 +265,9 @@ def haar_trace(
     polynomial of degree at most 2*deg(p), so the default grid integrates
     it exactly.
     """
-    samples = haar_trace_samples(ctx, name, coeffs, size, params, tol, phi_count)
-    total = complex(np.mean(samples))
-    if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
-        raise ConvergenceError(f"phase average left imaginary residue {total.imag:g}")
-    return float(total.real)
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    moments = haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol, phi_count)
+    return moment_trace(coeffs, moments)
 
 
 def _branch_lambda(branch: int, k: int, tau: float, q: float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, TruncationPolicyError
 
@@ -52,12 +51,7 @@ class JacobiCoeffs:
 
     def dense(self, size: int) -> np.ndarray:
         d, e = self.arrays(size)
-        mat = np.diag(d)
-        if size > 1:
-            idx = np.arange(size - 1)
-            mat[idx, idx + 1] = e
-            mat[idx + 1, idx] = e
-        return mat
+        return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 @dataclass(frozen=True)
@@ -123,14 +117,11 @@ def spectral_data(
     eigenvector matrix; otherwise only eigenvalues are computed and the
     weights come from the equivalent recurrence route 1 / sum_n p_n(x_i)^2.
     """
-    d, e = coeffs.arrays(size)
-    if size == 1:
-        vecs = np.ones((1, 1)) if full_vectors else None
-        return SpectralData(nodes=d.copy(), weights=np.ones(1), vectors=vecs)
+    mat = coeffs.dense(size)
     if full_vectors:
-        nodes, vecs = eigh_tridiagonal(d, e)
+        nodes, vecs = np.linalg.eigh(mat)
         return SpectralData(nodes=nodes, weights=vecs[0] ** 2, vectors=vecs)
-    nodes = eigh_tridiagonal(d, e, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(mat)
     return SpectralData(
         nodes=nodes, weights=_weights_by_recurrence(coeffs, nodes, size), vectors=None
     )

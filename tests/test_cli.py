@@ -4,6 +4,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,22 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self) -> None:
+        # scipy is a test-only dependency; loading it would more than double
+        # the cold-start time of every command
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, qhaar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestExitCodes:

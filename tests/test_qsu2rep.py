@@ -14,6 +14,7 @@ from qhaar import (
     QContext,
     SphericalParams,
     TruncationPolicyError,
+    VerifyConfig,
     build_rep,
     d_coeff,
     eigen_basis,
@@ -23,11 +24,14 @@ from qhaar import (
     element,
     haar_trace,
     haar_trace_samples,
+    monomials,
     op_D,
     qpoch,
     spectral_trace,
+    verify,
     verify_structure,
 )
+from qhaar import qsu2rep
 
 TAU = 0.4
 SIGMA = 1.5
@@ -183,6 +187,69 @@ class TestHaarTrace:
             ctx, "cocentral", p2, 60, tol=1e-6
         )
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+
+def horner_samples(ctx, name, coeffs, size, params=None, phi_count=None, phi_offset=0.0):
+    """Reference per-angle traces: p(element) built densely by Horner's rule."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if phi_count is None:
+        phi_count = 4 * (len(coeffs) - 1) + 4
+    weights = op_D(ctx, size)
+    eye = np.eye(size + 1, dtype=complex)
+    out = np.empty(phi_count, dtype=complex)
+    for j in range(phi_count):
+        rep = build_rep(ctx, phi_offset + 2.0 * math.pi * j / phi_count, size)
+        E = element(rep, name, params)
+        P = coeffs[-1] * eye
+        for c in coeffs[-2::-1]:
+            P = P @ E + c * eye
+        out[j] = (1.0 - ctx.q**2) * np.sum(weights * np.diagonal(P))
+    return out
+
+
+ELEMENT_CASES = (
+    ("cocentral", None),
+    ("gamma_star_gamma", None),
+    ("rho_tau_inf", SphericalParams(tau=TAU)),
+    ("rho_tau_sigma", SphericalParams(tau=TAU, sigma=SIGMA)),
+)
+
+
+class TestSharedMoments:
+    """The one-pass moment route against a per-polynomial Horner reference."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.8])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    @pytest.mark.parametrize("grid", [{}, {"phi_count": 9}, {"phi_offset": 0.37}])
+    def test_samples_match_horner(self, q, name, params, grid, rng) -> None:
+        ctx = QContext(q)
+        for deg in range(7):
+            coeffs = rng.uniform(-2.0, 2.0, deg + 1)
+            coeffs[-1] = math.copysign(0.5 + abs(coeffs[-1]), coeffs[-1])
+            got = haar_trace_samples(ctx, name, coeffs, 80, params, **grid)
+            ref = horner_samples(ctx, name, coeffs, 80, params, **grid)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_trailing_zeros_keep_degree_grid(self, ctx: QContext) -> None:
+        got = haar_trace_samples(ctx, "cocentral", [0.5, -1.0, 2.0, 0.0, 0.0], 60)
+        ref = horner_samples(ctx, "cocentral", [0.5, -1.0, 2.0], 60)
+        assert got.shape == (12,)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_verify_builds_element_once_per_angle(self, ctx: QContext, monkeypatch) -> None:
+        calls = []
+        real = qsu2rep.element
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qsu2rep, "element", counting)
+        report = verify("thm6", VerifyConfig(ctx=ctx, poly_set=monomials(6)))
+        assert report.all_passed
+        # the default exact grid for degree 6 has 4*6 + 4 angles
+        assert calls == ["rho_tau_sigma"] * 28
 
 
 def mp_two_phi_one_form(n: int, form: int, branch: int, k: int, tau) -> float:
