@@ -40,6 +40,7 @@ from .orthopoly import (
 from .qseries import QContext, q_integral, qpoch, qpoch_prod, w87
 from .qsu2rep import (
     SphericalParams,
+    _check_phase_grid,
     _poly_degree,
     build_rep,
     element,
@@ -253,7 +254,9 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
     4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
-    at the largest degree serves the trace side of every polynomial.
+    at the largest degree serves the trace side of every polynomial.  An
+    explicit ``phi_points`` grid too coarse for the phase average of
+    rho_tau_sigma at that degree is refused with DomainError.
     """
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
@@ -276,8 +279,10 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
         name, params = "gamma_star_gamma", None
         measure = lambda c: gamma_measure(c, ctx)
         measure_route = "Jackson q^2-integral over [0, 1]"
+    phi_count = cfg.phi_points or None
+    _check_phase_grid(name, cfg.max_degree, phi_count)
     moments = haar_moments(
-        ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol, phi_count=cfg.phi_points or None
+        ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol, phi_count=phi_count
     )
     trace_route = f"phase-averaged weighted trace, N={cfg.N}"
     rows = tuple(

@@ -15,6 +15,12 @@ of the weighted trace with density diag(q^{2p}), scaled by (1 - q^2).
 Everything here works with the leading (size+1)-dimensional block, so the
 last rows of products are boundary-corrupted and get excluded from checks.
 
+Both generators are a shift times a diagonal, so every distinguished element
+has at most five nonzero diagonals.  The elements are built in band storage,
+one diagonal per offset over a whole vector of phase angles, and their
+powers stay in band storage; ``element`` densifies one angle for the callers
+that need a full matrix.
+
 Distinguished self-adjoint elements:
 
 ``cocentral``
@@ -37,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, TruncationPolicyError
 from .qseries import QContext, SeriesSpec, phi_rs, qpoch
-from .spectral import check_truncation
+from .spectral import check_truncation, min_truncation
 
 __all__ = [
     "SphericalParams",
@@ -115,15 +121,67 @@ def build_rep(ctx: QContext, phi: float, size: int) -> TruncRep:
     return TruncRep(ctx=ctx, phi=phi, size=size, alpha=alpha, gamma=gamma)
 
 
-def element(rep: TruncRep, name: str, params: SphericalParams | None = None) -> np.ndarray:
-    """Matrix of a distinguished self-adjoint element, symmetrized.
+class _Band(dict):
+    """Truncated (size+1)-square matrices stored by diagonals.
+
+    ``band[o][..., i]`` is ``M[i, i + o]``, exactly zero where ``i + o``
+    leaves 0..size; the leading axis holds one matrix per phase angle and
+    broadcasts.  Those zeros let the shifts below wrap around, and make
+    products sum over the indices 0..size only, so they equal the truncated
+    dense products, boundary rows included.
+    """
+
+    def __add__(self, other: _Band) -> _Band:
+        out = _Band(self)
+        for o, v in other.items():
+            out[o] = out[o] + v if o in out else v
+        return out
+
+    def __sub__(self, other: _Band) -> _Band:
+        return self + -1.0 * other
+
+    def __rmul__(self, c) -> _Band:
+        return _Band({o: c * v for o, v in self.items()})
+
+    def __matmul__(self, other: _Band) -> _Band:
+        # (XY)[i, i + a + b] collects X[i, i + a] Y[i + a, i + a + b]
+        out = _Band()
+        for a, x in self.items():
+            for b, y in other.items():
+                c = a + b
+                if abs(c) < x.shape[-1]:
+                    term = x * np.roll(y, -a, axis=-1)
+                    out[c] = out[c] + term if c in out else term
+        return out
+
+    @property
+    def H(self) -> _Band:
+        # M*[i, i - o] = conj(M[i - o, i])
+        return _Band({-o: np.roll(v.conj(), o, axis=-1) for o, v in self.items()})
+
+    def dense(self) -> np.ndarray:
+        """The matrix at the first angle."""
+        n = next(iter(self.values())).shape[-1]
+        out = np.zeros((n, n), dtype=complex)
+        for o, v in self.items():
+            i = np.arange(max(0, -o), min(n, n - o))
+            out[i, i + o] = v[0, i]
+        return out
+
+
+def _element_band(
+    ctx: QContext, name: str, params: SphericalParams | None, phi: np.ndarray, size: int
+) -> _Band:
+    """Diagonals of a distinguished element at each angle in ``phi``, symmetrized.
 
     The (M + M*)/2 symmetrization removes the boundary asymmetry that
     truncation introduces in the formally self-adjoint combinations.
     """
-    q = rep.ctx.q
-    A, C = rep.alpha, rep.gamma
-    Ah, Ch = A.conj().T, C.conj().T
+    q = ctx.q
+    n = np.arange(size + 1)
+    A = _Band({1: np.append(np.sqrt(1.0 - q ** (2 * n[1:])), 0.0)[None, :]})
+    C = _Band({0: np.exp(1j * phi)[:, None] * q**n})
+    Ah, Ch = A.H, C.H
     if name == "cocentral":
         M = 0.5 * (A + Ah)
     elif name == "gamma_star_gamma":
@@ -150,7 +208,12 @@ def element(rep: TruncRep, name: str, params: SphericalParams | None = None) -> 
         )
     else:
         raise DomainError(f"unknown element {name!r}")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + M.H)
+
+
+def element(rep: TruncRep, name: str, params: SphericalParams | None = None) -> np.ndarray:
+    """Dense matrix of a distinguished self-adjoint element at the angle of ``rep``."""
+    return _element_band(rep.ctx, name, params, np.array([rep.phi]), rep.size).dense()
 
 
 def op_D(ctx: QContext, size: int) -> np.ndarray:
@@ -177,32 +240,43 @@ def haar_moments(
 
     Returns a complex array of shape (phi_count, degree + 1).  The Haar
     functional is linear, so every polynomial of degree at most ``degree``
-    has the samples ``moments @ coeffs``: the element is built once per
-    angle and its powers are shared, up to the degree cap of 16.  The
-    default grid is the 4*degree + 4 uniform angles starting at
+    has the samples ``moments @ coeffs``.  The element is built once in
+    band storage for the whole grid and its powers E^k = E^{k-1} E stay
+    there, the half-bandwidth growing by the element's reach per power, so
+    the cost is O(phi_count * size * degree^2).  The degree is capped at
+    16.  The default grid is the 4*degree + 4 uniform angles starting at
     ``phi_offset``.  The truncation size is checked against the
-    geometric-tail policy before any work happens.
+    geometric-tail policy at the reach of degree-``degree`` powers before
+    any work happens.
     """
     if degree > 16:
-        raise DomainError("polynomial degree capped at 16 for matrix functional calculus")
+        raise DomainError("polynomial degree capped at 16")
     if name not in ELEMENT_NAMES:
         raise DomainError(f"unknown element {name!r}")
-    check_truncation(size, _ELEMENT_REACH[name] * degree, tol, ctx.q)
+    reach = _ELEMENT_REACH[name]
+    try:
+        check_truncation(size, reach * degree, tol, ctx.q)
+    except TruncationPolicyError:
+        raise TruncationPolicyError(
+            f"truncation size {size} below policy minimum "
+            f"{min_truncation(reach * degree, tol, ctx.q)} for {name} at degree {degree} "
+            f"(reach {reach}), tol {tol:g}, q {ctx.q:g}"
+        ) from None
     if phi_count is None:
         phi_count = 4 * degree + 4
     if phi_count < 1:
         raise DomainError("phi_count must be positive")
     weights = (1.0 - ctx.q**2) * op_D(ctx, size)
-    moments = np.empty((phi_count, degree + 1), dtype=complex)
+    phi = phi_offset + 2.0 * math.pi * np.arange(phi_count) / phi_count
+    E = _element_band(ctx, name, params, phi, size)
+    moments = np.zeros((phi_count, degree + 1), dtype=complex)
     moments[:, 0] = weights.sum()
-    for j in range(phi_count):
-        phi = phi_offset + 2.0 * math.pi * j / phi_count
-        E = element(build_rep(ctx, phi, size), name, params)
-        P = E
-        for k in range(1, degree + 1):
-            if k > 1:
-                P = P @ E
-            moments[j, k] = weights @ np.diagonal(P)
+    P = E
+    for k in range(1, degree + 1):
+        if k > 1:
+            P = P @ E
+        if 0 in P:  # odd powers of cocentral have no main diagonal
+            moments[:, k] = P[0] @ weights
     return moments
 
 
@@ -263,11 +337,28 @@ def haar_trace(
 
     The phase average is a trapezoid rule; the integrand is a trigonometric
     polynomial of degree at most 2*deg(p), so the default grid integrates
-    it exactly.
+    it exactly and an explicit grid too coarse for it is refused.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    moments = haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol, phi_count)
-    return moment_trace(coeffs, moments)
+    deg = _poly_degree(coeffs)
+    _check_phase_grid(name, deg, phi_count)
+    return moment_trace(coeffs, haar_moments(ctx, name, deg, size, params, tol, phi_count))
+
+
+def _check_phase_grid(name: str, degree: int, phi_count: int | None) -> None:
+    """Refuse an explicit grid whose phase average of degree-``degree`` traces is inexact.
+
+    Only rho_tau_sigma has phase-dependent traces; they hold the harmonics
+    e^{i m phi} for even |m| <= 2*degree, which a trapezoid grid of M points
+    integrates exactly iff lcm(M, 2) > 2*degree.
+    """
+    if name != "rho_tau_sigma" or phi_count is None or phi_count < 1:
+        return
+    if math.lcm(phi_count, 2) <= 2 * degree:
+        raise DomainError(
+            f"a phase grid of {phi_count} points aliases {name} at degree {degree}; "
+            f"lcm(points, 2) must exceed {2 * degree}"
+        )
 
 
 def _branch_lambda(branch: int, k: int, tau: float, q: float) -> float:

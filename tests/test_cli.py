@@ -57,6 +57,26 @@ class TestExitCodes:
         assert code == 3
         assert "non-convergence" in err
 
+    def test_coarse_phase_grid_is_two(self, capsys) -> None:
+        code, out, err = run_cli(capsys, "verify", "thm6", "--phi-points", "3")
+        assert code == 2
+        assert out == ""
+        assert "phase grid of 3 points" in err
+
+    def test_smallest_exact_phase_grid_passes(self, capsys) -> None:
+        code, out, _ = run_cli(capsys, "verify", "thm6", "--phi-points", "7")
+        assert code == 0
+        _, ref, _ = run_cli(capsys, "verify", "thm6")
+        rows = json.loads(out)["reports"][0]["rows"]
+        ref_rows = json.loads(ref)["reports"][0]["rows"]
+        for a, b in zip(rows, ref_rows):
+            assert a["trace_side"] == pytest.approx(b["trace_side"], rel=1e-13, abs=1e-15)
+
+    def test_policy_message_names_element_degree(self, capsys) -> None:
+        code, _, err = run_cli(capsys, "verify", "thm6", "--trunc-n", "20")
+        assert code == 3
+        assert "for rho_tau_sigma at degree 6 (reach 2)" in err
+
     def test_bad_threads_env_is_two(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("QHAAR_THREADS", "abc")
         code, _, _ = run_cli(capsys, "verify", "all", "--trunc-n", "80", "--max-degree", "2")

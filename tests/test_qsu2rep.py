@@ -145,6 +145,57 @@ class TestHaarTrace:
         with pytest.raises(TruncationPolicyError):
             haar_trace(ctx, "cocentral", coeffs, 10)
 
+    def test_truncation_message_names_element_degree_and_reach(self, ctx: QContext) -> None:
+        params = SphericalParams(tau=TAU, sigma=SIGMA)
+        with pytest.raises(
+            TruncationPolicyError,
+            match=r"policy minimum 24 for rho_tau_sigma at degree 6 \(reach 2\)",
+        ):
+            haar_trace(ctx, "rho_tau_sigma", [0.0] * 6 + [1.0], 20, params, tol=1e-7)
+
+    def test_coarse_phase_grid_refused(self, ctx: QContext) -> None:
+        # lcm(3, 2) = 6 does not exceed 2 * 6: the e^{6 i phi} harmonic aliases
+        params = SphericalParams(tau=TAU, sigma=SIGMA)
+        coeffs = [0.0] * 6 + [1.0]
+        with pytest.raises(DomainError, match="phase grid of 3 points"):
+            haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=3)
+        # the per-angle samples stay available, and their average is off
+        coarse = np.mean(haar_trace_samples(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=3))
+        exact = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params)
+        assert abs(coarse.real - exact) > 1e-3 * abs(exact)
+        # phase-independent elements are exact on any grid
+        got = haar_trace(ctx, "rho_tau_inf", [0.0] * 6 + [1.0], 80, params, phi_count=3)
+        ref = haar_trace(ctx, "rho_tau_inf", [0.0] * 6 + [1.0], 80, params)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_smallest_exact_phase_grid_accepted(self, ctx: QContext) -> None:
+        # lcm(7, 2) = 14 > 12 integrates every harmonic of a degree-6 trace
+        params = SphericalParams(tau=TAU, sigma=SIGMA)
+        coeffs = [0.0] * 6 + [1.0]
+        got = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=7)
+        ref = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_phase_grid_rule_is_harmonic_aliasing(self, degree: int) -> None:
+        # an M-point trapezoid grid misses the mean of e^{i m phi} iff M divides m
+        for points in range(1, 18):
+            aliased = any(m % points == 0 for m in range(2, 2 * degree + 1, 2))
+            if aliased:
+                with pytest.raises(DomainError):
+                    qsu2rep._check_phase_grid("rho_tau_sigma", degree, points)
+            else:
+                qsu2rep._check_phase_grid("rho_tau_sigma", degree, points)
+            qsu2rep._check_phase_grid("rho_tau_inf", degree, points)
+
+    def test_verify_refuses_coarse_phase_grid(self, ctx: QContext) -> None:
+        with pytest.raises(DomainError, match="phase grid"):
+            verify("thm6", VerifyConfig(ctx=ctx, phi_points=3))
+        coarse = verify("thm6", VerifyConfig(ctx=ctx, phi_points=7))
+        exact = verify("thm6", VerifyConfig(ctx=ctx))
+        for a, b in zip(coarse.rows, exact.rows):
+            assert a.trace_side == pytest.approx(b.trace_side, rel=1e-13, abs=1e-15)
+
     def test_phase_independence_of_covariant_elements(self, ctx: QContext) -> None:
         params = SphericalParams(tau=TAU)
         for name, p in (
@@ -189,6 +240,34 @@ class TestHaarTrace:
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 
+def dense_element(rep, name, params=None):
+    """Reference element: the defining formula in dense products of build_rep's generators."""
+    q = rep.ctx.q
+    A, C = rep.alpha, rep.gamma
+    Ah, Ch = A.conj().T, C.conj().T
+    if name == "cocentral":
+        M = 0.5 * (A + Ah)
+    elif name == "gamma_star_gamma":
+        M = Ch @ C
+    elif name == "rho_tau_inf":
+        t = params.tau
+        M = 1j * q**t * (Ah @ C - Ch @ A) - (1.0 - q ** (2 * t)) * (Ch @ C)
+    else:
+        t, s = params.tau, params.sigma
+        ts = q**-s - q**s
+        tt = q**-t - q**t
+        M = 0.5 * (
+            A @ A
+            + Ah @ Ah
+            + q * (C @ C)
+            + q * (Ch @ Ch)
+            + 1j * q * ts * (Ah @ C - Ch @ A)
+            - 1j * q * tt * (C @ A - Ah @ Ch)
+            - q * ts * tt * (Ch @ C)
+        )
+    return 0.5 * (M + M.conj().T)
+
+
 def horner_samples(ctx, name, coeffs, size, params=None, phi_count=None, phi_offset=0.0):
     """Reference per-angle traces: p(element) built densely by Horner's rule."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -199,7 +278,7 @@ def horner_samples(ctx, name, coeffs, size, params=None, phi_count=None, phi_off
     out = np.empty(phi_count, dtype=complex)
     for j in range(phi_count):
         rep = build_rep(ctx, phi_offset + 2.0 * math.pi * j / phi_count, size)
-        E = element(rep, name, params)
+        E = dense_element(rep, name, params)
         P = coeffs[-1] * eye
         for c in coeffs[-2::-1]:
             P = P @ E + c * eye
@@ -213,6 +292,26 @@ ELEMENT_CASES = (
     ("rho_tau_inf", SphericalParams(tau=TAU)),
     ("rho_tau_sigma", SphericalParams(tau=TAU, sigma=SIGMA)),
 )
+
+
+class TestBandElement:
+    """Band-storage elements against the dense reference formula."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 80])
+    @pytest.mark.parametrize("phi", [0.0, 0.37, 2.1])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_matches_dense_reference(self, q, size, phi, name, params) -> None:
+        rep = build_rep(QContext(q), phi, size)
+        got = element(rep, name, params)
+        assert got.shape == (size + 1, size + 1)
+        assert np.max(np.abs(got - dense_element(rep, name, params))) <= 1e-15
+
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_reach_is_largest_offset(self, ctx: QContext, name, params) -> None:
+        band = qsu2rep._element_band(ctx, name, params, np.array([0.0, 0.37, 2.1]), 40)
+        offsets = [o for o, v in band.items() if np.any(v != 0.0)]
+        assert max(abs(o) for o in offsets) == qsu2rep._ELEMENT_REACH[name]
 
 
 class TestSharedMoments:
@@ -237,19 +336,24 @@ class TestSharedMoments:
         assert got.shape == (12,)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
-    def test_verify_builds_element_once_per_angle(self, ctx: QContext, monkeypatch) -> None:
+    def test_verify_builds_band_element_once(self, ctx: QContext, monkeypatch) -> None:
         calls = []
-        real = qsu2rep.element
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(fn_name):
+            real = getattr(qsu2rep, fn_name)
 
-        monkeypatch.setattr(qsu2rep, "element", counting)
+            def wrapper(*args, **kwargs):
+                calls.append(fn_name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for fn_name in ("element", "_element_band"):
+            monkeypatch.setattr(qsu2rep, fn_name, counting(fn_name))
         report = verify("thm6", VerifyConfig(ctx=ctx, poly_set=monomials(6)))
         assert report.all_passed
-        # the default exact grid for degree 6 has 4*6 + 4 angles
-        assert calls == ["rho_tau_sigma"] * 28
+        # one band element serves the whole phase grid; no dense matrix is built
+        assert calls == ["_element_band"]
 
 
 def mp_two_phi_one_form(n: int, form: int, branch: int, k: int, tau) -> float:
