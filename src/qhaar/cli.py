@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .haarverify import (
     VerifyConfig,
+    _support_distance,
     bailey_raw_check,
     bailey_variant_residuals,
     mass_identity_check,
@@ -365,10 +366,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
             row["nearest_ladder"] = ladder
             row["ladder_distance"] = dist
         elif name == "rho_tau_sigma":
-            dist = max(abs(float(x)) - 1.0, 0.0)
-            for xm, _ in masses:
-                dist = min(dist, abs(float(x) - xm))
-            row["support_distance"] = dist
+            row["support_distance"] = _support_distance(float(x), masses)
         rows.append(row)
     report = {
         "schema": SCHEMA_VERSION,

@@ -518,13 +518,18 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     rep = build_rep(ctx, 0.0, size)
     M = element(rep, "rho_tau_sigma", SphericalParams(tau=tau, sigma=sigma))
     eigs = np.linalg.eigvalsh(M)
-    worst = 0.0
-    for x in eigs:
-        dist = max(abs(x) - 1.0, 0.0)
-        for xm, _ in spec.masses:
-            dist = min(dist, abs(x - xm))
-        worst = max(worst, dist)
-    return float(worst)
+    return float(max(_support_distance(float(x), spec.masses) for x in eigs))
+
+
+def _support_distance(x: float, masses) -> float:
+    """Distance from x to [-1, 1] together with the mass points of ``masses``.
+
+    ``masses`` holds the (point, weight) pairs of an Askey-Wilson measure.
+    """
+    dist = max(abs(x) - 1.0, 0.0)
+    for xm, _ in masses:
+        dist = min(dist, abs(x - xm))
+    return dist
 
 
 def sigma_limit_check(

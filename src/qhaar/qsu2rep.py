@@ -16,10 +16,12 @@ Everything here works with the leading (size+1)-dimensional block, so the
 last rows of products are boundary-corrupted and get excluded from checks.
 
 Both generators are a shift times a diagonal, so every distinguished element
-has at most five nonzero diagonals.  The elements are built in band storage,
-one diagonal per offset over a whole vector of phase angles, and their
-powers stay in band storage; ``element`` densifies one angle for the callers
-that need a full matrix.
+has at most five nonzero diagonals.  All operator arithmetic here runs in
+band storage, one diagonal per offset over a scalar angle or a whole vector
+of them: the elements and their powers, the structural checks and the
+ladder actions on eigenvectors.  ``element`` densifies the band at one angle
+for the callers that diagonalize it; ``build_rep`` keeps the dense
+generator matrices as the public dense view.
 
 Distinguished self-adjoint elements:
 
@@ -125,10 +127,10 @@ class _Band(dict):
     """Truncated (size+1)-square matrices stored by diagonals.
 
     ``band[o][..., i]`` is ``M[i, i + o]``, exactly zero where ``i + o``
-    leaves 0..size; the leading axis holds one matrix per phase angle and
-    broadcasts.  Those zeros let the shifts below wrap around, and make
-    products sum over the indices 0..size only, so they equal the truncated
-    dense products, boundary rows included.
+    leaves 0..size; a leading axis, where present, holds one matrix per
+    phase angle and broadcasts.  Those zeros let the shifts below wrap
+    around, and make products sum over the indices 0..size only, so they
+    equal the truncated dense products, boundary rows included.
     """
 
     def __add__(self, other: _Band) -> _Band:
@@ -143,7 +145,10 @@ class _Band(dict):
     def __rmul__(self, c) -> _Band:
         return _Band({o: c * v for o, v in self.items()})
 
-    def __matmul__(self, other: _Band) -> _Band:
+    def __matmul__(self, other: _Band | np.ndarray) -> _Band | np.ndarray:
+        if not isinstance(other, _Band):
+            # (Mv)[i] collects M[i, i + o] v[i + o]
+            return sum(x * np.roll(other, -o, axis=-1) for o, x in self.items())
         # (XY)[i, i + a + b] collects X[i, i + a] Y[i + a, i + a + b]
         out = _Band()
         for a, x in self.items():
@@ -160,27 +165,30 @@ class _Band(dict):
         return _Band({-o: np.roll(v.conj(), o, axis=-1) for o, v in self.items()})
 
     def dense(self) -> np.ndarray:
-        """The matrix at the first angle."""
+        """The matrix of a band at a single angle."""
         n = next(iter(self.values())).shape[-1]
         out = np.zeros((n, n), dtype=complex)
         for o, v in self.items():
             i = np.arange(max(0, -o), min(n, n - o))
-            out[i, i + o] = v[0, i]
+            out[i, i + o] = v[i]
         return out
 
 
-def _element_band(
-    ctx: QContext, name: str, params: SphericalParams | None, phi: np.ndarray, size: int
-) -> _Band:
-    """Diagonals of a distinguished element at each angle in ``phi``, symmetrized.
-
-    The (M + M*)/2 symmetrization removes the boundary asymmetry that
-    truncation introduces in the formally self-adjoint combinations.
-    """
+def _generators(ctx: QContext, phi: float | np.ndarray, size: int) -> tuple[_Band, _Band]:
+    """Bands of a and g on basis states 0..size at the angle or angles ``phi``."""
     q = ctx.q
     n = np.arange(size + 1)
-    A = _Band({1: np.append(np.sqrt(1.0 - q ** (2 * n[1:])), 0.0)[None, :]})
-    C = _Band({0: np.exp(1j * phi)[:, None] * q**n})
+    A = _Band({1: np.append(np.sqrt(1.0 - q ** (2 * n[1:])), 0.0)})
+    C = _Band({0: np.multiply.outer(np.exp(1j * phi), q**n)})
+    return A, C
+
+
+def _element_band(
+    ctx: QContext, name: str, params: SphericalParams | None, phi: float | np.ndarray, size: int
+) -> _Band:
+    """Diagonals of a distinguished element at the angle or angles ``phi``."""
+    q = ctx.q
+    A, C = _generators(ctx, phi, size)
     Ah, Ch = A.H, C.H
     if name == "cocentral":
         M = 0.5 * (A + Ah)
@@ -208,12 +216,12 @@ def _element_band(
         )
     else:
         raise DomainError(f"unknown element {name!r}")
-    return 0.5 * (M + M.H)
+    return M
 
 
 def element(rep: TruncRep, name: str, params: SphericalParams | None = None) -> np.ndarray:
     """Dense matrix of a distinguished self-adjoint element at the angle of ``rep``."""
-    return _element_band(rep.ctx, name, params, np.array([rep.phi]), rep.size).dense()
+    return _element_band(rep.ctx, name, params, rep.phi, rep.size).dense()
 
 
 def op_D(ctx: QContext, size: int) -> np.ndarray:
@@ -488,22 +496,27 @@ def eigen_basis(
     to describe the truncated vector, size must comfortably exceed the
     index where components fall below working precision.
     """
-    n = np.arange(size + 1)
-    phase = (1j**n) * np.exp(1j * n * phi)
     out = []
     for branch in branches:
         for k in range(k_max + 1):
-            p = eigvec_components(branch, k, tau, ctx, size)
             out.append(
                 EigenBasisEntry(
                     branch=branch,
                     k=k,
                     eigenvalue=_branch_lambda(branch, k, tau, ctx.q),
                     norm_sq=eigvec_norm_sq(branch, k, tau, ctx),
-                    vector=phase * p,
+                    vector=_phased_eigvec(branch, k, tau, ctx, size, phi),
                 )
             )
     return out
+
+
+def _phased_eigvec(
+    branch: int, k: int, tau: float, ctx: QContext, size: int, phi: float
+) -> np.ndarray:
+    """Components i^n e^{i n phi} p_n(lambda), n = 0..size, of a rho_tau_inf eigenvector."""
+    n = np.arange(size + 1)
+    return (1j**n) * np.exp(1j * n * phi) * eigvec_components(branch, k, tau, ctx, size)
 
 
 def d_coeff(ctx: QContext, tau: float, branch1: int, k1: int, branch2: int, k2: int) -> float:
@@ -591,11 +604,9 @@ class StructureReport:
         return max(self.relations, self.factorization, self.shifts, self.recursion)
 
 
-def _shift_ops(rep: TruncRep, t: float) -> tuple[np.ndarray, ...]:
+def _shift_ops(A: _Band, C: _Band, q: float, t: float) -> tuple[_Band, ...]:
     # ladder combinations moving the spectral parameter tau by one
-    q = rep.ctx.q
-    A, C = rep.alpha, rep.gamma
-    Ah, Ch = A.conj().T, C.conj().T
+    Ah, Ch = A.H, C.H
     al = q**0.5 * A + 1j * q ** (t + 0.5) * C
     be = 1j * q**0.5 * Ch + q ** (t - 0.5) * Ah
     ga = -(q ** (t + 0.5)) * A + 1j * q**0.5 * C
@@ -615,10 +626,9 @@ def verify_structure(
     if size < 40:
         raise DomainError("size too small for meaningful boundary margins")
     q = ctx.q
-    rep = build_rep(ctx, phi, size)
-    A, C = rep.alpha, rep.gamma
-    Ah, Ch = A.conj().T, C.conj().T
-    eye = np.eye(size + 1)
+    A, C = _generators(ctx, phi, size)
+    Ah, Ch = A.H, C.H
+    eye = _Band({0: np.ones(size + 1)})
 
     blk = slice(0, size - 3)  # rows 0..N-4 are exact for degree-2 products
     rel = 0.0
@@ -629,65 +639,51 @@ def verify_structure(
         Ah @ A + Ch @ C - eye,
         A @ Ah + q**2 * (Ch @ C) - eye,
     ):
-        rel = max(rel, float(np.max(np.abs(dev[blk, blk]))))
+        rel = max(rel, float(np.max(np.abs(dev.dense()[blk, blk]))))
 
     # factorization of the shifted rho_tau_sigma into tau-ladder operators
-    params = SphericalParams(tau=tau, sigma=sigma)
-    R = element(rep, "rho_tau_sigma", params)
-    al1, be1, _, _ = _shift_ops(rep, tau + 1.0)
-    _, _, ga0, de0 = _shift_ops(rep, tau)
+    R = _element_band(ctx, "rho_tau_sigma", SphericalParams(tau=tau, sigma=sigma), phi, size)
+    al1, be1, _, _ = _shift_ops(A, C, q, tau + 1.0)
+    _, _, ga0, de0 = _shift_ops(A, C, q, tau)
     lhs = 2.0 * q ** (tau + sigma) * R - (q ** (2 * sigma - 1) + q ** (2 * tau + 1)) * eye
     rhs = (be1 - q ** (sigma - 1) * al1) @ (ga0 + q**sigma * de0)
-    fac = float(np.max(np.abs((lhs - rhs)[blk, blk])))
+    fac = float(np.max(np.abs((lhs - rhs).dense()[blk, blk])))
 
     lead = slice(0, size - 19)
 
     def vec(branch: int, k: int, t: float) -> np.ndarray:
-        n = np.arange(size + 1)
-        return (1j**n) * np.exp(1j * n * phi) * eigvec_components(branch, k, t, ctx, size)
+        return _phased_eigvec(branch, k, t, ctx, size, phi)
 
     zero = np.zeros(size + 1, dtype=complex)
-    al, be, ga, de = _shift_ops(rep, tau)
+    al, be, ga, de = _shift_ops(A, C, q, tau)
+    ie_plus, ie_minus = np.exp(1j * phi) * 1j, np.exp(-1j * phi) * 1j
     shift = 0.0
     for branch in (1, -1):
         for k in range(k_max + 1):
             lam = _branch_lambda(branch, k, tau, q)
             v = vec(branch, k, tau)
             scale = float(np.linalg.norm(v))
-            tgt = vec(1, k, tau - 1) if branch == 1 else (vec(-1, k - 1, tau - 1) if k else zero)
-            shift = max(
-                shift,
-                float(
-                    np.linalg.norm(
-                        (al @ v - np.exp(1j * phi) * 1j * q ** (0.5 - tau) * (1 + lam) * tgt)[lead]
-                    )
-                )
-                / scale,
-            )
-            tgt = vec(1, k + 1, tau - 1) if branch == 1 else vec(-1, k, tau - 1)
-            shift = max(
-                shift,
-                float(np.linalg.norm((be @ v - np.exp(-1j * phi) * 1j * q**0.5 * tgt)[lead]))
-                / scale,
-            )
-            tgt = (vec(1, k - 1, tau + 1) if k else zero) if branch == 1 else vec(-1, k, tau + 1)
-            shift = max(
-                shift,
-                float(
-                    np.linalg.norm(
-                        (ga @ v - np.exp(1j * phi) * 1j * q**0.5 * (q ** (2 * tau) - lam) * tgt)[lead]
-                    )
-                )
-                / scale,
-            )
-            tgt = vec(1, k, tau + 1) if branch == 1 else vec(-1, k + 1, tau + 1)
-            shift = max(
-                shift,
-                float(
-                    np.linalg.norm((de @ v + np.exp(-1j * phi) * 1j * q ** (0.5 + tau) * tgt)[lead])
-                )
-                / scale,
-            )
+            pos = branch == 1
+            # each ladder carries v to a multiple of an eigenvector at tau -/+ 1
+            for op, c, tgt in (
+                (
+                    al,
+                    ie_plus * q ** (0.5 - tau) * (1 + lam),
+                    vec(1, k, tau - 1) if pos else (vec(-1, k - 1, tau - 1) if k else zero),
+                ),
+                (be, ie_minus * q**0.5, vec(1, k + 1, tau - 1) if pos else vec(-1, k, tau - 1)),
+                (
+                    ga,
+                    ie_plus * q**0.5 * (q ** (2 * tau) - lam),
+                    (vec(1, k - 1, tau + 1) if k else zero) if pos else vec(-1, k, tau + 1),
+                ),
+                (
+                    de,
+                    -ie_minus * q ** (0.5 + tau),
+                    vec(1, k, tau + 1) if pos else vec(-1, k + 1, tau + 1),
+                ),
+            ):
+                shift = max(shift, float(np.linalg.norm((op @ v - c * tgt)[lead])) / scale)
 
     rec = 0.0
     for branch, k in ((-1, 0), (-1, 1), (1, 0)):

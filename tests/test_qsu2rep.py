@@ -63,8 +63,12 @@ class TestBuildRep:
 
 
 class TestElement:
-    def test_all_hermitian(self, ctx: QContext) -> None:
-        rep = build_rep(ctx, 0.9, 40)
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("phi", [0.0, 0.9, 2.1])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40])
+    def test_all_hermitian(self, q, phi, size) -> None:
+        # the formulas are Hermitian on the truncation itself; nothing symmetrizes them
+        rep = build_rep(QContext(q), phi, size)
         params = SphericalParams(tau=TAU, sigma=SIGMA)
         for name in ("cocentral", "gamma_star_gamma", "rho_tau_inf", "rho_tau_sigma"):
             M = element(rep, name, params)
@@ -313,6 +317,19 @@ class TestBandElement:
         offsets = [o for o, v in band.items() if np.any(v != 0.0)]
         assert max(abs(o) for o in offsets) == qsu2rep._ELEMENT_REACH[name]
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 80])
+    def test_vector_product_matches_dense(self, size, rng) -> None:
+        n = size + 1
+        i = np.arange(n)
+        band = qsu2rep._Band()
+        for o in range(-2, 3):
+            diag = rng.normal(size=n) + 1j * rng.normal(size=n)
+            band[o] = np.where((i + o >= 0) & (i + o < n), diag, 0.0)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = band @ v
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - band.dense() @ v)) <= 1e-14
+
 
 class TestSharedMoments:
     """The one-pass moment route against a per-polynomial Horner reference."""
@@ -547,6 +564,35 @@ class TestVerifyStructure:
         assert report.shifts < 1e-10
         assert report.recursion < 1e-10
         assert report.max_deviation < 1e-10
+
+    def test_sees_the_production_generators(self, ctx: QContext, monkeypatch) -> None:
+        real = qsu2rep._generators
+
+        def perturbed(*args):
+            A, C = real(*args)
+            A[1][10] *= 1.0 + 1e-6
+            return A, C
+
+        monkeypatch.setattr(qsu2rep, "_generators", perturbed)
+        assert verify_structure(ctx, TAU, SIGMA, 60).relations > 1e-8
+
+    def test_builds_no_dense_generators(self, ctx: QContext, monkeypatch) -> None:
+        calls = []
+
+        def counting(fn_name):
+            real = getattr(qsu2rep, fn_name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(fn_name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for fn_name in ("build_rep", "element", "_element_band"):
+            monkeypatch.setattr(qsu2rep, fn_name, counting(fn_name))
+        assert verify_structure(ctx, TAU, SIGMA, 60).max_deviation < 1e-10
+        # rho_tau_sigma comes from its band; nothing is built as a dense matrix
+        assert calls == ["_element_band"]
 
     def test_small_size_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
