@@ -50,7 +50,7 @@ from .orthopoly import (
     cqh_poisson_series,
 )
 from .qseries import QContext, SeriesSpec, phi_rs
-from .qsu2rep import SphericalParams, build_rep, element, op_D
+from .qsu2rep import SphericalParams, _element_band, op_D
 
 __all__ = ["RunConfig", "main"]
 
@@ -350,8 +350,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         params = SphericalParams(tau=cfg.tau)
     elif name == "rho_tau_sigma":
         params = SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-    rep = build_rep(ctx, 0.0, cfg.trunc_n)
-    M = element(rep, name, params)
+    M = _element_band(ctx, name, params, 0.0, cfg.trunc_n).dense()
     eigvals, vecs = np.linalg.eigh(M)
     dens = op_D(ctx, cfg.trunc_n)
     weights = (1.0 - q * q) * ((np.abs(vecs) ** 2).T @ dens)

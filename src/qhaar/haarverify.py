@@ -41,9 +41,8 @@ from .qseries import QContext, q_integral, qpoch, qpoch_prod, w87
 from .qsu2rep import (
     SphericalParams,
     _check_phase_grid,
+    _element_band,
     _poly_degree,
-    build_rep,
-    element,
     haar_moments,
     haar_trace,
     moment_trace,
@@ -515,8 +514,8 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     truncation error.
     """
     spec = aw_measure(thm6_params(tau, sigma, ctx))
-    rep = build_rep(ctx, 0.0, size)
-    M = element(rep, "rho_tau_sigma", SphericalParams(tau=tau, sigma=sigma))
+    params = SphericalParams(tau=tau, sigma=sigma)
+    M = _element_band(ctx, "rho_tau_sigma", params, 0.0, size).dense()
     eigs = np.linalg.eigvalsh(M)
     return float(max(_support_distance(float(x), spec.masses) for x in eigs))
 

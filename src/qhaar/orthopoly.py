@@ -19,6 +19,7 @@ checks on the mass-weight formulas.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -545,7 +546,7 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     return float(val)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureSpec:
     """Quadrature-ready normalized measure: continuous part on (-1,1) plus
     discrete masses at |x| > 1.
@@ -554,6 +555,10 @@ class MeasureSpec:
     sum_i theta_weights[i] * f(cos(theta_nodes[i])) ~ (2 pi h0)^{-1}
     int_0^pi f(cos theta) w(cos theta) d theta.  ``masses`` holds
     (x_k, normalized weight) pairs.  Total mass is 1 within 1e-9.
+
+    Frozen, and the specs :func:`aw_measure` returns have read-only
+    arrays: it memoizes them, handing one spec to every caller with the
+    same parameters.
     """
 
     params: AWParams
@@ -564,9 +569,21 @@ class MeasureSpec:
     total_mass: float = 1.0
 
 
+@functools.lru_cache(maxsize=32)
+def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, built once per size.
+
+    Each rule is an n x n eigenproblem and depends on nothing but n.
+    """
+    t, wt = np.polynomial.legendre.leggauss(n_nodes)
+    t.setflags(write=False)
+    wt.setflags(write=False)
+    return t, wt
+
+
 def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
     """Gauss-Legendre rule in theta for (2 pi h0)^{-1} int_0^pi . w d theta."""
-    t, wt = np.polynomial.legendre.leggauss(n_nodes)
+    t, wt = _leggauss(n_nodes)
     theta = 0.5 * math.pi * (t + 1.0)
     a, b, c, d = params.as_tuple()
     wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
@@ -594,6 +611,7 @@ def _enumerate_masses(params: AWParams) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10) -> MeasureSpec:
     """Build the normalized Askey-Wilson measure for the given parameters.
 
@@ -601,6 +619,12 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
     stabilizes within ``mass_tol``; construction fails if the final total
     strays from 1 by more than 1e-9 (a strong joint check on h0, the
     weight, and the mass formula).
+
+    Memoized per parameter set: the last 16 ``(params, start_nodes,
+    mass_tol)`` keys keep their spec, and a repeated call returns that
+    same frozen spec with read-only arrays.  ``params`` carries its
+    QContext, so a different q, ``tail_tol`` or ``max_terms`` is a
+    different key.
     """
     h0 = aw_h0(*params.as_tuple(), params.ctx)
     raw_masses = _enumerate_masses(params)
@@ -617,6 +641,8 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
                 raise ConvergenceError(
                     f"total mass {total!r} deviates from 1 beyond 1e-9"
                 )
+            theta.setflags(write=False)
+            weights.setflags(write=False)
             return MeasureSpec(params, h0, masses, theta, weights, total)
         prev = total
         n *= 2
@@ -626,19 +652,27 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
 def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> float:
     """Integrate a function (or coefficient sequence) against the measure.
 
-    With ``refine_check`` set, the continuous part is re-evaluated on a
-    doubled node set and a ConvergenceError is raised if the two values
-    disagree by more than the given amount.
+    A coefficient sequence is evaluated at all nodes in one ``polyval``
+    call, a callable once per node.  With ``refine_check`` set, the
+    continuous part is re-evaluated on a doubled node set and a
+    ConvergenceError is raised if the two values disagree by more than
+    the given amount.
     """
     fn = _as_callable(f)
-    fx = np.array([fn(float(v)) for v in np.cos(spec.theta_nodes)])
-    cont = float(np.dot(spec.theta_weights, fx))
+
+    def continuous(theta: np.ndarray, weights: np.ndarray) -> float:
+        x = np.cos(theta)
+        if callable(f):
+            fx = np.array([f(float(v)) for v in x])
+        else:
+            fx = np.polynomial.polynomial.polyval(x, np.asarray(f, dtype=float))
+        return float(np.dot(weights, fx))
+
+    cont = continuous(spec.theta_nodes, spec.theta_weights)
     if refine_check is not None:
-        theta2, weights2 = _gl_continuous_rule(
-            spec.params, spec.h0, 2 * len(spec.theta_nodes)
+        cont2 = continuous(
+            *_gl_continuous_rule(spec.params, spec.h0, 2 * len(spec.theta_nodes))
         )
-        fx2 = np.array([fn(float(v)) for v in np.cos(theta2)])
-        cont2 = float(np.dot(weights2, fx2))
         if abs(cont2 - cont) > refine_check:
             raise ConvergenceError(
                 f"quadrature not converged: {cont!r} vs {cont2!r} on doubled nodes"

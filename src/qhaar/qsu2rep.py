@@ -176,6 +176,8 @@ class _Band(dict):
 
 def _generators(ctx: QContext, phi: float | np.ndarray, size: int) -> tuple[_Band, _Band]:
     """Bands of a and g on basis states 0..size at the angle or angles ``phi``."""
+    if size < 1:
+        raise DomainError("size must be at least 1")
     q = ctx.q
     n = np.arange(size + 1)
     A = _Band({1: np.append(np.sqrt(1.0 - q ** (2 * n[1:])), 0.0)})

@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qhaar import QContext, qpoch
+from qhaar import QContext, SphericalParams, build_rep, cli, element, qpoch, qsu2rep
 from qhaar.cli import main
 
 
@@ -217,6 +218,27 @@ class TestSpectrum:
         assert xs[0] == pytest.approx(-1.2009763571708807, rel=1e-10)
         assert xs[1] == pytest.approx(1.0024032270365502, rel=1e-10)
         assert max(r["support_distance"] for r in doc["rows"]) < 1e-4
+
+    def test_element_built_from_band(self, capsys, monkeypatch) -> None:
+        # same eigenvalues as the element of build_rep's dense view, which
+        # the command no longer fills
+        M = element(build_rep(QContext(0.5), 0.0, 80), "rho_tau_sigma", SphericalParams(0.4, 1.5))
+        calls = []
+        for module in (qsu2rep, cli):
+            for fn_name in ("build_rep", "element"):
+                monkeypatch.setattr(
+                    module, fn_name, lambda *a, n=fn_name: calls.append(n), raising=False
+                )
+        code, out, _ = run_cli(capsys, "spectrum", "rho-sigma", "--trunc-n", "80")
+        assert code == 0
+        assert calls == []
+        eigs = [r["eigenvalue"] for r in json.loads(out)["rows"]]
+        assert eigs == np.linalg.eigh(M)[0].tolist()
+
+    def test_zero_size_is_two(self, capsys) -> None:
+        code, _, err = run_cli(capsys, "spectrum", "cocentral", "--trunc-n", "0")
+        assert code == 2
+        assert "size must be at least 1" in err
 
     def test_cocentral_weights_normalized(self, capsys) -> None:
         code, out, _ = run_cli(capsys, "spectrum", "cocentral", "--trunc-n", "80")

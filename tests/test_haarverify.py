@@ -1,6 +1,7 @@
 """Dual-route closed-form checks and the supporting identity suite."""
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 from qhaar import (
     DomainError,
     QContext,
+    SphericalParams,
     TruncationPolicyError,
     VerifyConfig,
     aw_measure,
     bailey_check,
     bailey_raw_check,
     bailey_variant_residuals,
+    build_rep,
     cqh_poisson,
     cqh_weight,
+    element,
     gamma_measure,
     intermediate_check,
     mass_identity_check,
@@ -32,6 +36,7 @@ from qhaar import (
     thm6_params,
     verify,
 )
+from qhaar import haarverify, orthopoly, qsu2rep
 
 TAU = 0.4
 
@@ -122,6 +127,31 @@ class TestThm6Measure:
         weights = {round(x, 6): w for x, w in spec.masses}
         assert weights[-1.200976] == pytest.approx(0.30184977235412247, rel=1e-9)
         assert weights[1.002403] == pytest.approx(0.0314835609792108, rel=1e-9)
+
+    def test_one_build_per_parameter_set(self, monkeypatch, ctx: QContext) -> None:
+        builds = []
+        rules = collections.Counter()
+        real_h0 = orthopoly.aw_h0
+        real_leggauss = np.polynomial.legendre.leggauss
+
+        def counting_h0(*args):
+            builds.append(args)
+            return real_h0(*args)
+
+        def counting_leggauss(n):
+            rules[n] += 1
+            return real_leggauss(n)
+
+        monkeypatch.setattr(orthopoly, "aw_h0", counting_h0)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        orthopoly.aw_measure.cache_clear()
+        orthopoly._leggauss.cache_clear()
+        for sigma in (0.6, 1.5):
+            for p in monomials(12):
+                thm6_measure(p, TAU, sigma, ctx)
+        # one measure per (tau, sigma); each rule size is computed once
+        assert len(builds) == 2
+        assert rules and max(rules.values()) == 1
 
     def test_normalized(self, ctx: QContext) -> None:
         for sigma in (0.6, 1.5):
@@ -282,6 +312,27 @@ class TestSupport:
 
     def test_smaller_truncation_is_looser(self, ctx: QContext) -> None:
         assert support_check(TAU, 1.5, ctx, size=80) < 1e-4
+
+    def test_builds_no_dense_generators(self, monkeypatch, ctx: QContext) -> None:
+        # reference: the element densified from build_rep's view at phi = 0
+        M = element(build_rep(ctx, 0.0, 120), "rho_tau_sigma", SphericalParams(TAU, 1.5))
+        masses = aw_measure(thm6_params(TAU, 1.5, ctx)).masses
+        want = max(
+            min([max(abs(x) - 1.0, 0.0)] + [abs(x - xm) for xm, _ in masses])
+            for x in np.linalg.eigvalsh(M)
+        )
+        calls = []
+        for module in (qsu2rep, haarverify):
+            for fn_name in ("build_rep", "element"):
+                monkeypatch.setattr(
+                    module, fn_name, lambda *a, n=fn_name: calls.append(n), raising=False
+                )
+        assert support_check(TAU, 1.5, ctx, size=120) == want
+        assert calls == []
+
+    def test_size_zero_rejected(self, ctx: QContext) -> None:
+        with pytest.raises(DomainError):
+            support_check(TAU, 1.5, ctx, size=0)
 
 
 class TestSigmaLimit:

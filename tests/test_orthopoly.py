@@ -1,6 +1,7 @@
 """Polynomial families, Poisson kernels, and the Askey-Wilson measure."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -30,8 +31,15 @@ from qhaar import (
     moment_apply,
     q_charlier,
     qpoch,
+    thm6_params,
 )
-from qhaar.orthopoly import asc_mass_poisson_tq, asc_poisson_series, cqh_poisson_series
+from qhaar.orthopoly import (
+    _enumerate_masses,
+    asc_mass_poisson_tq,
+    asc_poisson_series,
+    aw_theta_weight,
+    cqh_poisson_series,
+)
 
 mp.mp.dps = 50
 
@@ -334,6 +342,90 @@ class TestAwMeasure:
         spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
         # smooth integrand: doubled rule agrees
         aw_integrate(spec, lambda x: x**4, refine_check=1e-10)
+
+    def test_refine_check_coefficients_match_callable(self, ctx2: QContext) -> None:
+        # a 16-node rule misses x^30 by about 1e-6 against its doubled rule
+        spec = aw_measure(AWParams(0.3, -0.2, 0.0, 0.0, ctx2), start_nodes=4, mass_tol=1e-3)
+        assert len(spec.theta_nodes) == 16
+        for coeffs in ((0.3, -1.0, 0.5, 2.0), (0.0,) * 30 + (1.0,)):
+            fn = lambda x, c=coeffs: float(np.polynomial.polynomial.polyval(x, c))
+            assert aw_integrate(spec, coeffs, refine_check=1e-5) == aw_integrate(
+                spec, fn, refine_check=1e-5
+            )
+        for f in ((0.0,) * 30 + (1.0,), lambda x: x**30):
+            with pytest.raises(ConvergenceError):
+                aw_integrate(spec, f, refine_check=1e-8)
+
+
+def reference_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10):
+    """aw_measure's doubling loop with no cache: numpy leggauss at every level."""
+    a, b, c, d = params.as_tuple()
+    h0 = aw_h0(a, b, c, d, params.ctx)
+    raw = _enumerate_masses(params)
+    mass_sum = sum(w for _, w in raw) / h0
+    masses = tuple((x, w / h0) for x, w in raw)
+    n, prev = start_nodes, None
+    while True:
+        t, wt = np.polynomial.legendre.leggauss(n)
+        theta = 0.5 * math.pi * (t + 1.0)
+        wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
+        weights = 0.5 * math.pi * wt * wvals / (2.0 * math.pi * h0)
+        total = float(np.sum(weights)) + mass_sum
+        if prev is not None and abs(total - prev) <= mass_tol:
+            return theta, weights, masses, total
+        prev = total
+        n *= 2
+
+
+def reference_integrate(theta, weights, masses, coeffs) -> float:
+    """Node-by-node evaluation of a coefficient sequence against a measure."""
+    fn = lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
+    fx = np.array([fn(float(v)) for v in np.cos(theta)])
+    return float(np.dot(weights, fx)) + sum(w * fn(x) for x, w in masses)
+
+
+class TestAwMeasureCache:
+    @pytest.mark.parametrize("sigma", [0.3, 1.5], ids=["no-mass", "masses"])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_matches_uncached_reference_bitwise(self, q: float, sigma: float) -> None:
+        params = thm6_params(0.4, sigma, QContext(q))
+        theta, weights, masses, total = reference_measure(params)
+        assert (len(masses) > 0) == (sigma == 1.5)
+        spec = aw_measure(params)
+        assert aw_measure(params) is spec
+        assert spec.theta_nodes.tobytes() == theta.tobytes()
+        assert spec.theta_weights.tobytes() == weights.tobytes()
+        assert spec.masses == masses
+        assert spec.total_mass == total
+        for k in range(13):
+            coeffs = (0.0,) * k + (1.0,)
+            got = aw_integrate(spec, coeffs)
+            assert got.hex() == reference_integrate(theta, weights, masses, coeffs).hex()
+
+    def test_spec_is_read_only(self, ctx2: QContext) -> None:
+        spec = aw_measure(AWParams(1.5, 0.3, 0.0, 0.0, ctx2))
+        with pytest.raises(ValueError):
+            spec.theta_nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            spec.theta_weights[:] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.masses = ()
+
+    def test_keys_do_not_share_entries(self) -> None:
+        aw_measure.cache_clear()
+        ctx = QContext(0.6)
+        params = AWParams(1.5, 0.3, -0.2, 0.1, ctx)
+        base = aw_measure(params)
+        variants = [
+            aw_measure(AWParams(1.5, 0.3, -0.2, 0.1, QContext(0.6, tail_tol=1e-13))),
+            aw_measure(params, start_nodes=32),
+            aw_measure(params, mass_tol=1e-11),
+        ]
+        assert aw_measure.cache_info().misses == 4
+        assert all(spec is not base for spec in variants)
+        assert len({id(spec) for spec in variants}) == 3
+        assert variants[0].params.ctx.tail_tol == 1e-13
+        assert aw_measure(params) is base
 
 
 class TestAscPoisson:
