@@ -611,7 +611,7 @@ def _enumerate_masses(params: AWParams) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10) -> MeasureSpec:
     """Build the normalized Askey-Wilson measure for the given parameters.
 
@@ -620,11 +620,11 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
     strays from 1 by more than 1e-9 (a strong joint check on h0, the
     weight, and the mass formula).
 
-    Memoized per parameter set: the last 16 ``(params, start_nodes,
-    mass_tol)`` keys keep their spec, and a repeated call returns that
-    same frozen spec with read-only arrays.  ``params`` carries its
-    QContext, so a different q, ``tail_tol`` or ``max_terms`` is a
-    different key.
+    Memoized for the most recent ``(params, start_nodes, mass_tol)``: a
+    repeated call with the same parameters returns the same frozen spec
+    with read-only arrays, so a run of integrals over one measure builds
+    it once.  ``params`` carries its QContext, so a different q,
+    ``tail_tol`` or ``max_terms`` is a different key.
     """
     h0 = aw_h0(*params.as_tuple(), params.ctx)
     raw_masses = _enumerate_masses(params)
@@ -652,21 +652,25 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
 def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> float:
     """Integrate a function (or coefficient sequence) against the measure.
 
-    A coefficient sequence is evaluated at all nodes in one ``polyval``
-    call, a callable once per node.  With ``refine_check`` set, the
-    continuous part is re-evaluated on a doubled node set and a
-    ConvergenceError is raised if the two values disagree by more than
-    the given amount.
+    A coefficient sequence is evaluated at all nodes, and at all mass
+    points, in one vectorized ``polyval`` call; a callable is called once
+    per point.  With ``refine_check`` set, the continuous part is
+    re-evaluated on a doubled node set and a ConvergenceError is raised if
+    the two values disagree by more than the given amount.
     """
-    fn = _as_callable(f)
+    if callable(f):
+
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            return np.array([f(float(v)) for v in x])
+
+    else:
+        coeffs = np.asarray(f, dtype=float)
+
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            return np.polynomial.polynomial.polyval(x, coeffs)
 
     def continuous(theta: np.ndarray, weights: np.ndarray) -> float:
-        x = np.cos(theta)
-        if callable(f):
-            fx = np.array([f(float(v)) for v in x])
-        else:
-            fx = np.polynomial.polynomial.polyval(x, np.asarray(f, dtype=float))
-        return float(np.dot(weights, fx))
+        return float(np.dot(weights, evaluate(np.cos(theta))))
 
     cont = continuous(spec.theta_nodes, spec.theta_weights)
     if refine_check is not None:
@@ -678,5 +682,6 @@ def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> flo
                 f"quadrature not converged: {cont!r} vs {cont2!r} on doubled nodes"
             )
         cont = cont2
-    disc = sum(w * fn(x) for x, w in spec.masses)
+    mass_values = evaluate(np.array([x for x, _ in spec.masses], dtype=float))
+    disc = sum(w * float(v) for (_, w), v in zip(spec.masses, mass_values))
     return cont + disc

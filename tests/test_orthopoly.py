@@ -412,20 +412,22 @@ class TestAwMeasureCache:
             spec.masses = ()
 
     def test_keys_do_not_share_entries(self) -> None:
-        aw_measure.cache_clear()
         ctx = QContext(0.6)
         params = AWParams(1.5, 0.3, -0.2, 0.1, ctx)
-        base = aw_measure(params)
         variants = [
-            aw_measure(AWParams(1.5, 0.3, -0.2, 0.1, QContext(0.6, tail_tol=1e-13))),
-            aw_measure(params, start_nodes=32),
-            aw_measure(params, mass_tol=1e-11),
+            ((AWParams(1.5, 0.3, -0.2, 0.1, QContext(0.6, tail_tol=1e-13)),), {}),
+            ((params,), {"start_nodes": 32}),
+            ((params,), {"mass_tol": 1e-11}),
         ]
-        assert aw_measure.cache_info().misses == 4
-        assert all(spec is not base for spec in variants)
-        assert len({id(spec) for spec in variants}) == 3
-        assert variants[0].params.ctx.tail_tol == 1e-13
-        assert aw_measure(params) is base
+        for args, kwargs in variants:
+            aw_measure.cache_clear()
+            base = aw_measure(params)
+            spec = aw_measure(*args, **kwargs)
+            assert aw_measure.cache_info().hits == 0
+            assert aw_measure.cache_info().misses == 2
+            assert spec is not base
+            assert aw_measure(*args, **kwargs) is spec
+        assert aw_measure(*variants[0][0]).params.ctx.tail_tol == 1e-13
 
 
 class TestAscPoisson:
