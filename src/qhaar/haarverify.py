@@ -48,7 +48,6 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
-from .spectral import check_truncation
 
 __all__ = [
     "VerifyConfig",
@@ -94,8 +93,10 @@ class VerifyConfig:
 
     ``poly_set`` holds ascending coefficient tuples; the default is the
     monomials through degree 6.  ``phi_points = 0`` lets the trace route
-    pick its exact phase grid.  Construction enforces the truncation policy
-    of the spectral module for the largest degree present.
+    pick its exact phase grid.  The truncation policy is enforced by the
+    trace route, which knows the element: ``N`` must cover the reach of
+    the largest power, so a too-small ``N`` raises TruncationPolicyError
+    from :func:`verify`, not from construction.
     """
 
     ctx: QContext
@@ -118,7 +119,6 @@ class VerifyConfig:
         object.__setattr__(
             self, "poly_set", tuple(tuple(float(c) for c in p) for p in self.poly_set)
         )
-        check_truncation(self.N, self.max_degree, self.tol, self.ctx.q)
 
     @property
     def max_degree(self) -> int:
@@ -377,22 +377,14 @@ def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> f
     e = q ** (1.0 + sigma - tau) * z
     f = e.conjugate()
     term1 = w87(a, b, c, d, e, f, ctx2, Q) / qpoch(b / a, ctx2)
-    pref = qpoch_prod(
-        (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f), ctx2
-    ) / qpoch_prod(
-        (
-            a * Q / c,
-            a * Q / d,
-            a * Q / e,
-            a * Q / f,
-            b * c / a,
-            b * d / a,
-            b * e / a,
-            b * f / a,
-            b * b * Q / a,
-        ),
+    # the eight denominator factorials shared by the second term and the rhs
+    den = qpoch_prod(
+        (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a),
         ctx2,
     )
+    pref = qpoch_prod(
+        (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f), ctx2
+    ) / (den * qpoch(b * b * Q / a, ctx2))
     term2 = (
         pref
         * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
@@ -409,32 +401,8 @@ def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> f
             a * Q / (e * f),
         ),
         ctx2,
-    ) / qpoch_prod(
-        (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a),
-        ctx2,
-    )
+    ) / den
     return abs(term1 + term2 - rhs) / abs(rhs)
-
-
-def _display_residual(
-    theta: float, tau: float, sigma: float, ctx: QContext, second_denom: float
-) -> float:
-    q = ctx.q
-    Q = q * q
-    ctx2 = ctx.squared()
-    (a1, b1), (a2, b2) = _asc_pair(tau, sigma, q)
-    p6 = thm6_params(tau, sigma, ctx)
-    params4 = (p6.a, p6.b, p6.c, p6.d)
-    x = math.cos(theta)
-    lhs = (1.0 - Q) * asc_poisson(Q, x, x, a1, b1, ctx2) * aw_theta_weight(
-        theta, a1, b1, 0.0, 0.0, ctx2
-    ) / ((1.0 + q ** (2.0 * tau)) * aw_h0(a1, b1, 0.0, 0.0, ctx2)) + (1.0 - Q) * asc_poisson(
-        Q, x, x, a2, b2, ctx2
-    ) * aw_theta_weight(theta, a2, b2, 0.0, 0.0, ctx2) / (
-        second_denom * aw_h0(a2, b2, 0.0, 0.0, ctx2)
-    )
-    rhs = aw_theta_weight(theta, *params4, ctx2) / aw_h0(*params4, ctx2)
-    return abs(lhs - rhs) / abs(rhs)
 
 
 def bailey_check(theta: float, tau: float, sigma: float, ctx: QContext) -> float:
@@ -449,9 +417,7 @@ def bailey_check(theta: float, tau: float, sigma: float, ctx: QContext) -> float
     is rejected because the variant prefactor 1/(1 - q^{-2 tau}) is
     singular there.
     """
-    if tau == 0.0:
-        raise DomainError("tau = 0 makes the variant prefactor 1/(1 - q^{-2 tau}) singular")
-    return _display_residual(theta, tau, sigma, ctx, 1.0 + ctx.q ** (-2.0 * tau))
+    return bailey_variant_residuals(theta, tau, sigma, ctx)[0]
 
 
 def bailey_variant_residuals(
@@ -463,14 +429,29 @@ def bailey_variant_residuals(
     variant divides by (1 - q^{-2 tau}).  Only one of them can agree with
     the four-parameter density; the caller should flag the discrepancy
     when the variant residual exceeds tolerance instead of silently
-    dropping the inconsistent form.
+    dropping the inconsistent form.  Both share one evaluation of the
+    kernels, weights and normalizations.
     """
     if tau == 0.0:
         raise DomainError("tau = 0 makes the variant prefactor 1/(1 - q^{-2 tau}) singular")
     q = ctx.q
-    return (
-        _display_residual(theta, tau, sigma, ctx, 1.0 + q ** (-2.0 * tau)),
-        _display_residual(theta, tau, sigma, ctx, 1.0 - q ** (-2.0 * tau)),
+    Q = q * q
+    ctx2 = ctx.squared()
+    (a1, b1), (a2, b2) = _asc_pair(tau, sigma, q)
+    p6 = thm6_params(tau, sigma, ctx)
+    params4 = (p6.a, p6.b, p6.c, p6.d)
+    x = math.cos(theta)
+    first = (1.0 - Q) * asc_poisson(Q, x, x, a1, b1, ctx2) * aw_theta_weight(
+        theta, a1, b1, 0.0, 0.0, ctx2
+    ) / ((1.0 + q ** (2.0 * tau)) * aw_h0(a1, b1, 0.0, 0.0, ctx2))
+    second = (1.0 - Q) * asc_poisson(Q, x, x, a2, b2, ctx2) * aw_theta_weight(
+        theta, a2, b2, 0.0, 0.0, ctx2
+    )
+    h0_2 = aw_h0(a2, b2, 0.0, 0.0, ctx2)
+    rhs = aw_theta_weight(theta, *params4, ctx2) / aw_h0(*params4, ctx2)
+    return tuple(
+        abs(first + second / (d * h0_2) - rhs) / abs(rhs)
+        for d in (1.0 + q ** (-2.0 * tau), 1.0 - q ** (-2.0 * tau))
     )
 
 

@@ -1,6 +1,7 @@
 """Dual-route closed-form checks and the supporting identity suite."""
 from __future__ import annotations
 
+import cmath
 import collections
 import math
 
@@ -28,6 +29,7 @@ from qhaar import (
     mass_identity_check,
     monomials,
     qpoch,
+    qpoch_prod,
     sigma_limit_check,
     support_check,
     thm4_measure,
@@ -35,8 +37,10 @@ from qhaar import (
     thm6_measure,
     thm6_params,
     verify,
+    w87,
 )
 from qhaar import haarverify, orthopoly, qsu2rep
+from qhaar.cli import BAILEY_THETAS
 
 TAU = 0.4
 
@@ -223,9 +227,16 @@ class TestVerifyConfig:
             VerifyConfig(ctx=ctx, poly_set=())
 
     def test_truncation_policy_trip(self) -> None:
-        # q close to 1 demands hundreds of basis states for degree 6
+        # q close to 1 demands hundreds of basis states for degree 6; the
+        # trace route enforces the policy at its element's reach
         with pytest.raises(TruncationPolicyError):
-            VerifyConfig(ctx=QContext(0.99), N=50)
+            verify("thm4", VerifyConfig(ctx=QContext(0.99), N=50))
+
+    def test_gamma_reach_zero_minimum(self) -> None:
+        # gamma* gamma is diagonal, so its policy minimum does not grow with
+        # the degree: N = 13 covers degree 6 at q = 0.5, tol 1e-7
+        report = verify("gamma", VerifyConfig(QContext(0.5), N=13))
+        assert report.all_passed
 
     def test_max_degree(self, ctx: QContext) -> None:
         cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((1.0,), (0.0, 0.0, 3.0)))
@@ -283,6 +294,93 @@ class TestBailey:
             bailey_check(1.0, 0.0, 0.6, ctx)
         with pytest.raises(DomainError):
             bailey_variant_residuals(1.0, 0.0, 0.6, ctx)
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+    def test_matches_separate_term_formulas(self, q: float) -> None:
+        ctx = QContext(q)
+        for tau in (0.2, 0.4, 1.0):
+            for sigma in (0.6, 1.5, 2.5):
+                for theta in BAILEY_THETAS:
+                    args = (theta, tau, sigma, ctx)
+                    cons, var = bailey_variant_residuals(*args)
+                    assert cons.hex() == _ref_display_residual(*args, 1.0 + q ** (-2.0 * tau)).hex()
+                    assert var.hex() == _ref_display_residual(*args, 1.0 - q ** (-2.0 * tau)).hex()
+                    assert bailey_check(*args).hex() == cons.hex()
+                    assert bailey_raw_check(*args).hex() == _ref_raw_check(*args).hex()
+
+    def test_each_kernel_evaluated_once(self, ctx: QContext, monkeypatch) -> None:
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(haarverify, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("asc_poisson", "aw_theta_weight", "aw_h0"):
+            monkeypatch.setattr(haarverify, name, counted(name))
+        bailey_variant_residuals(1.1, TAU, 1.5, ctx)
+        assert calls == {"asc_poisson": 2, "aw_theta_weight": 3, "aw_h0": 3}
+
+
+def _ref_display_residual(theta, tau, sigma, ctx, second_denom):
+    # the kernel-pair identity with every term written out per prefactor
+    q = ctx.q
+    Q = q * q
+    ctx2 = ctx.squared()
+    (a1, b1), (a2, b2) = haarverify._asc_pair(tau, sigma, q)
+    p6 = thm6_params(tau, sigma, ctx)
+    params4 = (p6.a, p6.b, p6.c, p6.d)
+    x = math.cos(theta)
+    lhs = (1.0 - Q) * orthopoly.asc_poisson(Q, x, x, a1, b1, ctx2) * orthopoly.aw_theta_weight(
+        theta, a1, b1, 0.0, 0.0, ctx2
+    ) / ((1.0 + q ** (2.0 * tau)) * orthopoly.aw_h0(a1, b1, 0.0, 0.0, ctx2)) + (
+        1.0 - Q
+    ) * orthopoly.asc_poisson(Q, x, x, a2, b2, ctx2) * orthopoly.aw_theta_weight(
+        theta, a2, b2, 0.0, 0.0, ctx2
+    ) / (second_denom * orthopoly.aw_h0(a2, b2, 0.0, 0.0, ctx2))
+    rhs = orthopoly.aw_theta_weight(theta, *params4, ctx2) / orthopoly.aw_h0(*params4, ctx2)
+    return abs(lhs - rhs) / abs(rhs)
+
+
+def _ref_raw_check(theta, tau, sigma, ctx):
+    # the two-term 8W7 relation with each denominator product formed in full
+    q = ctx.q
+    Q = q * q
+    ctx2 = ctx.squared()
+    a = -(q ** (2.0 - 2.0 * tau))
+    b = Q
+    z = cmath.exp(1j * theta)
+    c = -(q ** (1.0 - sigma - tau)) * z
+    d = c.conjugate()
+    e = q ** (1.0 + sigma - tau) * z
+    f = e.conjugate()
+    lower = (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a)
+    term1 = w87(a, b, c, d, e, f, ctx2, Q) / qpoch(b / a, ctx2)
+    pref = qpoch_prod(
+        (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f), ctx2
+    ) / qpoch_prod(lower + (b * b * Q / a,), ctx2)
+    term2 = (
+        pref
+        * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
+        / qpoch(a / b, ctx2)
+    )
+    rhs = qpoch_prod(
+        (
+            a * Q,
+            a * Q / (c * d),
+            a * Q / (c * e),
+            a * Q / (c * f),
+            a * Q / (d * e),
+            a * Q / (d * f),
+            a * Q / (e * f),
+        ),
+        ctx2,
+    ) / qpoch_prod(lower, ctx2)
+    return abs(term1 + term2 - rhs) / abs(rhs)
 
 
 class TestMassIdentity:
