@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -431,7 +432,9 @@ def _run_eval_series(args, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qhaar", description="Verify Haar-functional closed forms and q-series identities."
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .orthopoly import (
     aw_measure,
     aw_theta_weight,
 )
-from .qseries import QContext, q_integral, qpoch, qpoch_prod, w87
+from .qseries import QContext, q_integral, qpoch, w87
 from .qsu2rep import (
     SphericalParams,
     _check_phase_grid,
@@ -376,32 +377,28 @@ def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> f
     d = c.conjugate()
     e = q ** (1.0 + sigma - tau) * z
     f = e.conjugate()
-    term1 = w87(a, b, c, d, e, f, ctx2, Q) / qpoch(b / a, ctx2)
-    # the eight denominator factorials shared by the second term and the rhs
-    den = qpoch_prod(
-        (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a),
-        ctx2,
+    # the eight denominator factorials are shared by the second term and the rhs
+    lower = (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a)
+    upper = (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f)
+    rhs_upper = (
+        a * Q,
+        a * Q / (c * d),
+        a * Q / (c * e),
+        a * Q / (c * f),
+        a * Q / (d * e),
+        a * Q / (d * f),
+        a * Q / (e * f),
     )
-    pref = qpoch_prod(
-        (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f), ctx2
-    ) / (den * qpoch(b * b * Q / a, ctx2))
+    vals = iter(qpoch([b / a, *lower, *upper, b * b * Q / a, a / b, *rhs_upper], ctx2).tolist())
+    term1 = w87(a, b, c, d, e, f, ctx2, Q) / next(vals)
+    den = math.prod(islice(vals, len(lower)), start=1.0)
+    pref = math.prod(islice(vals, len(upper)), start=1.0) / (den * next(vals))
     term2 = (
         pref
         * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
-        / qpoch(a / b, ctx2)
+        / next(vals)
     )
-    rhs = qpoch_prod(
-        (
-            a * Q,
-            a * Q / (c * d),
-            a * Q / (c * e),
-            a * Q / (c * f),
-            a * Q / (d * e),
-            a * Q / (d * f),
-            a * Q / (e * f),
-        ),
-        ctx2,
-    ) / den
+    rhs = math.prod(vals, start=1.0) / den
     return abs(term1 + term2 - rhs) / abs(rhs)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qseries import QContext, SeriesSpec, phi_rs, qpoch, qpoch_prod, w87
+from .qseries import QContext, SeriesSpec, phi_rs, qpoch, w87
 
 __all__ = [
     "AWParams",
@@ -62,18 +62,11 @@ MASS_EDGE_TOL = 1e-12
 # continuous q-Hermite
 
 
-def cqh_all(n_max: int, x: float, ctx: QContext) -> np.ndarray:
-    """H_0..H_{n_max} at x via the recurrence 2x H_n = H_{n+1} + (1-q^n) H_{n-1}."""
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 2.0 * x
-    qn = ctx.q
-    for n in range(1, n_max):
-        out[n + 1] = 2.0 * x * out[n] - (1.0 - qn) * out[n - 1]
-        qn *= ctx.q
-    return out
+def cqh_all(n_max: int, x, ctx: QContext) -> np.ndarray:
+    """H_0..H_{n_max} at x (scalar or array) via the recurrence
+    2x H_n = H_{n+1} + (1-q^n) H_{n-1}: the Al-Salam-Chihara recurrence at
+    a = b = 0, where its extra terms are exact zeros and ones."""
+    return asc_all(n_max, x, 0.0, 0.0, ctx)
 
 
 def cqh(n: int, x: float, ctx: QContext) -> float:
@@ -97,8 +90,8 @@ def cqh_weight(x: float, ctx: QContext) -> float:
     if not -1.0 <= x <= 1.0:
         raise DomainError("cqh_weight needs x in [-1, 1]")
     z = _unit_circle_point(x)
-    val = qpoch(z * z, ctx) * qpoch(z.conjugate() * z.conjugate(), ctx)
-    return float(val.real)
+    w, w_bar = qpoch([z * z, z.conjugate() * z.conjugate()], ctx).tolist()
+    return float((w * w_bar).real)
 
 
 def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
@@ -112,17 +105,18 @@ def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
         raise DomainError("cqh_poisson needs |t| < 1")
     z1 = _unit_circle_point(x)
     z2 = _unit_circle_point(y)
+    *factors, top = qpoch(
+        [t * w for w in (z1 * z2, z1 / z2, z2 / z1, 1.0 / (z1 * z2))] + [t * t], ctx
+    ).tolist()
     denom = 1.0 + 0.0j
-    for w in (z1 * z2, z1 / z2, z2 / z1, 1.0 / (z1 * z2)):
-        denom *= qpoch(t * w, ctx)
-    val = qpoch(t * t, ctx) / denom
-    return float(val.real)
+    for v in factors:
+        denom *= v
+    return float((top / denom).real)
 
 
 def cqh_poisson_series(t: float, x: float, y: float, ctx: QContext, n_terms: int) -> float:
     """Defining sum sum_n t^n H_n(x) H_n(y) / (q;q)_n, truncated at n_terms."""
-    hx = cqh_all(n_terms, x, ctx)
-    hy = cqh_all(n_terms, y, ctx)
+    hx, hy = cqh_all(n_terms, np.array([x, y], dtype=float), ctx).T
     total = 0.0
     tn = 1.0
     poch = 1.0
@@ -289,21 +283,26 @@ def asc_all(n_max: int, x, a: float, b: float, ctx: QContext) -> np.ndarray:
     """p_0..p_{n_max} at x (scalar or array) via the three-term recurrence
 
         2x p_n = p_{n+1} + (a+b) q^n p_n + (1 - a b q^{n-1})(1 - q^n) p_{n-1}.
+
+    The result has shape (n_max + 1,) + shape(x).  Each point runs the
+    recurrence on Python floats: callers pass one or two points, where a
+    numpy step per term would cost several times more.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 2.0 * x - (a + b)
     q = ctx.q
-    qn = q
-    for n in range(1, n_max):
-        out[n + 1] = (2.0 * x - (a + b) * qn) * out[n] - (
-            1.0 - a * b * qn / q
-        ) * (1.0 - qn) * out[n - 1]
-        qn *= q
-    return out
+    cols = []
+    for xv in x.ravel().tolist():
+        x2 = 2.0 * xv
+        p_prev, p = 1.0, x2 - (a + b)
+        col = [p_prev, p]
+        qn = q
+        for _ in range(1, n_max):
+            p_prev, p = p, (x2 - (a + b) * qn) * p - (1.0 - a * b * qn / q) * (1.0 - qn) * p_prev
+            col.append(p)
+            qn *= q
+        cols.append(col[: n_max + 1])
+    out = np.array(cols, dtype=float).reshape(x.size, n_max + 1)
+    return out.T.reshape((n_max + 1,) + x.shape)
 
 
 def asc_orthonormal(n_max: int, x, s: float, t: float, ctx: QContext) -> np.ndarray:
@@ -327,8 +326,7 @@ def asc_poisson_series(
     t: float, x: float, y: float, a: float, b: float, ctx: QContext, n_terms: int
 ) -> float:
     """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k) truncated at n_terms."""
-    px = asc_all(n_terms, x, a, b, ctx)
-    py = asc_all(n_terms, y, a, b, ctx)
+    px, py = asc_all(n_terms, np.array([x, y], dtype=float), a, b, ctx).T
     q = ctx.q
     total = 0.0
     tk = 1.0
@@ -354,10 +352,13 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
                      * (q^{-k}, b q^{-k}/a, a^2 q^k; q)_k * q^k.
     """
     q = ctx.q
-    num = qpoch(a * b * q**k, ctx) * qpoch(b * q / a, ctx)
-    den = qpoch(a * b, ctx) * qpoch(q ** (1 - 2 * k) / (a * a), ctx)
-    fin = qpoch_prod((q ** (-k), b * q ** (-k) / a, a * a * q**k), ctx, k)
-    return float(num / den * fin * q**k)
+    n1, n2, d1, d2, f1, f2, f3 = qpoch(
+        [a * b * q**k, b * q / a, a * b, q ** (1 - 2 * k) / (a * a),
+         q ** (-k), b * q ** (-k) / a, a * a * q**k],
+        ctx,
+        [math.inf] * 4 + [k] * 3,
+    ).tolist()
+    return float(n1 * n2 / (d1 * d2) * (f1 * f2 * f3) * q**k)
 
 
 def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext) -> float:
@@ -391,12 +392,17 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
             raise DomainError("continuous regime needs |t| < 1")
         z1 = _unit_circle_point(x)
         z2 = _unit_circle_point(y)
+        vals = qpoch(
+            [a * t * z1, a * t / z1, b * t * z2, b * t / z2, t + 0.0j,
+             a * b * t + 0.0j, t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)],
+            ctx,
+        ).tolist()
         num = 1.0 + 0.0j
-        for w in (a * t * z1, a * t / z1, b * t * z2, b * t / z2, t + 0.0j):
-            num *= qpoch(w, ctx)
-        den = qpoch(a * b * t + 0.0j, ctx)
-        for w in (t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)):
-            den *= qpoch(w, ctx)
+        for v in vals[:5]:
+            num *= v
+        den = vals[5]
+        for v in vals[6:]:
+            den *= v
         val = num / den * w87(a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, ctx, t)
         return float(val.real)
 
@@ -416,13 +422,13 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
                     )
                 if abs(t - q) <= 1e-15:
                     return asc_mass_poisson_tq(k, e, other, ctx)
-                pref = qpoch_prod((e * e * q**k * t, t * q ** (-k)), ctx, k)
-                num = qpoch(e * other * t * q**k, ctx) * qpoch(
-                    other * t * q ** (-k) / e, ctx
-                )
-                den = qpoch(e * other * t, ctx) * qpoch(
-                    t * q ** (-2 * k) / (e * e), ctx
-                )
+                p1, p2, n1, n2, d1, d2 = qpoch(
+                    [e * e * q**k * t, t * q ** (-k), e * other * t * q**k,
+                     other * t * q ** (-k) / e, e * other * t, t * q ** (-2 * k) / (e * e)],
+                    ctx,
+                    [k, k] + [math.inf] * 4,
+                ).tolist()
+                pref, num, den = p1 * p2, n1 * n2, d1 * d2
                 w = w87(
                     e * other * t / q,
                     t,
@@ -475,26 +481,12 @@ class AWParams:
 
 def aw_h0(a: float, b: float, c: float, d: float, ctx: QContext) -> float:
     """Normalization h0 = (abcd;q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
-    num = qpoch(a * b * c * d, ctx)
-    den = qpoch(ctx.q, ctx)
-    for prod in (a * b, a * c, a * d, b * c, b * d, c * d):
-        den *= qpoch(prod, ctx)
+    num, den, *rest = qpoch(
+        [a * b * c * d, ctx.q, a * b, a * c, a * d, b * c, b * d, c * d], ctx
+    ).tolist()
+    for v in rest:
+        den *= v
     return float(num / den)
-
-
-def _qpoch_inf_array(z: np.ndarray, ctx: QContext) -> np.ndarray:
-    """(z;q)_inf elementwise for a complex array, shared truncation policy."""
-    q = ctx.q
-    threshold = ctx.tail_tol * (1.0 - q)
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    out = np.ones_like(z)
-    qi = 1.0
-    for _ in range(ctx.max_terms):
-        if zmax * qi < threshold:
-            return out
-        out *= 1.0 - z * qi
-        qi *= q
-    raise ConvergenceError("array q-Pochhammer did not reach tail_tol")
 
 
 def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext):
@@ -505,11 +497,11 @@ def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext
     """
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
-    num = np.abs(_qpoch_inf_array(z * z, ctx)) ** 2
+    vals = qpoch(np.stack([z * z] + [e * z for e in (a, b, c, d) if e != 0.0]), ctx)
+    num = np.abs(vals[0]) ** 2
     den = np.ones_like(num)
-    for e in (a, b, c, d):
-        if e != 0.0:
-            den *= np.abs(_qpoch_inf_array(e * z, ctx)) ** 2
+    for v in vals[1:]:
+        den *= np.abs(v) ** 2
     out = num / den
     return out if out.shape else float(out)
 
@@ -530,17 +522,21 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     to sum correctly.
     """
     q = ctx.q
-    c_inf = qpoch(e ** (-2.0), ctx) / qpoch(q, ctx)
-    for p in others:
-        if p != 0.0:
-            c_inf /= qpoch(e * p, ctx) * qpoch(p / e, ctx)
+    nonzero = [p for p in others if p != 0.0]
+    infinite = [e ** (-2.0), q] + [v for p in nonzero for v in (e * p, p / e)]
+    finite = [e * e, q] + [v for p in nonzero for v in (e * p, e * q / p)]
+    ks = [math.inf] * len(infinite) + [k] * len(finite)
+    vals = iter(qpoch(infinite + finite, ctx, ks).tolist())
+    c_inf = next(vals) / next(vals)
+    for p in nonzero:
+        c_inf /= next(vals) * next(vals)
     inv_e = 1.0 / e
     val = c_inf * (1.0 - e * e * q ** (2 * k)) / (1.0 - e * e)
-    val *= qpoch(e * e, ctx, k) / qpoch(q, ctx, k)
+    val *= next(vals) / next(vals)
     val *= q**k * inv_e**k
     for p in others:
         if p != 0.0:
-            val *= qpoch(e * p, ctx, k) / (qpoch(e * q / p, ctx, k) * p**k)
+            val *= next(vals) / (next(vals) * p**k)
         else:
             val *= (-1.0) ** k * inv_e**k * q ** (-0.5 * k * (k + 1))
     return float(val)

@@ -4,6 +4,11 @@ q-shifted factorials, basic hypergeometric sums r_phi_s, the very-well-poised
 8W7 combination, and Jackson q-integrals.  Everything is double precision;
 every infinite sum or product is truncated behind an explicit geometric tail
 bound controlled by ``QContext.tail_tol``.
+
+:func:`qpoch` also takes an array of parameters.  Each element keeps its own
+factor count, chosen by the same tail test as a scalar call, and its factors
+are multiplied in the same order, so every element equals the scalar call
+bit for bit.  Callers that need several factorials make one array call.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -26,6 +33,9 @@ __all__ = [
 
 #: relative tolerance used to decide whether a parameter equals q**-n exactly
 TERMINATION_RTOL = 1e-12
+
+#: entries in the largest temporary block the array path of qpoch allocates
+_QPOCH_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,15 @@ def qpoch(a, ctx: QContext, k=None):
     The infinite product stops at the first i with |a| q^i < tail_tol*(1-q);
     the discarded factors are 1 + eps_i with sum |eps_i| <= |a| q^i / (1-q)
     < tail_tol, so the relative truncation error is below ~tail_tol.
+
+    ``a`` may also be an array (or list), and ``k`` an array of integers and
+    infs that broadcasts against it; the result is then an array of that
+    shape.  Each element stops by the tail test above applied to its own
+    |a|, or after its own finite k, and multiplies its factors in the scalar
+    order, so it equals the scalar call bit for bit.
     """
+    if isinstance(a, (np.ndarray, list, tuple)) or isinstance(k, (np.ndarray, list, tuple)):
+        return _qpoch_array(a, ctx, k)
     q = ctx.q
     if k is not None and k != math.inf:
         if k < 0 or k != int(k):
@@ -105,12 +123,137 @@ def qpoch(a, ctx: QContext, k=None):
     )
 
 
+def _q_powers(q: float, n: int) -> np.ndarray:
+    """[0, 1, q, q^2, ..., q^{n-1}]: the powers by repeated multiplication, as
+    the scalar loop forms them (``multiply.accumulate`` is sequential), after
+    a leading 0 that gives each factor block a first column of 1 - a*0 = 1."""
+    out = np.full(n + 1, q)
+    out[0] = 0.0
+    if n:
+        out[1] = 1.0
+    np.multiply.accumulate(out[1:], out=out[1:])
+    return out
+
+
+def _tail_counts(mags: np.ndarray, powers: np.ndarray, threshold: float) -> np.ndarray:
+    """For each magnitude m, the number of leading i with m * powers[i] >= threshold.
+
+    The products fall with i and rise with m, so every count lies between
+    the counts of the smallest and the largest magnitude; only the powers
+    between those two are compared element by element.
+    """
+    ends = np.array([[mags.min()], [mags.max()]])
+    lo, hi = np.count_nonzero(ends * powers >= threshold, axis=1).tolist()
+    counts = np.full(mags.size, lo, dtype=np.intp)
+    window = powers[lo:hi]
+    cols = min(window.size, _QPOCH_BLOCK)
+    rows = _QPOCH_BLOCK // max(cols, 1)
+    for r0 in range(0, mags.size if cols else 0, rows):
+        col = mags[r0 : r0 + rows, None]
+        for c0 in range(0, window.size, cols):
+            counts[r0 : r0 + rows] += np.count_nonzero(
+                col * window[c0 : c0 + cols] >= threshold, axis=1
+            )
+    return counts
+
+
+def _qpoch_array(a, ctx: QContext, k):
+    """Array path of :func:`qpoch`: one factor count per element, one power table."""
+    a = np.asarray(a)
+    a = a.astype(complex if a.dtype.kind == "c" else float)
+    q = ctx.q
+    if k is None or (np.ndim(k) == 0 and k == math.inf):
+        shape, a = a.shape, a.ravel()
+        infinite = None  # every element
+        counts = np.zeros(a.size, dtype=np.intp)
+        n_powers = 0
+    else:
+        kk = np.asarray(k, dtype=float)
+        if np.any(np.isnan(kk) | (kk < 0) | (np.isfinite(kk) & (kk != np.floor(kk)))):
+            raise DomainError(f"k must be a nonnegative integer or inf, got {k!r}")
+        a, kk = np.broadcast_arrays(a, kk)
+        shape, a, kk = a.shape, a.ravel(), kk.ravel()
+        infinite = ~np.isfinite(kk)
+        counts = np.where(infinite, 0.0, kk).astype(np.intp)
+        n_powers = int(counts.max(initial=0))
+    powers = None
+    if infinite is None or infinite.any():
+        mags = np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
+        if infinite is not None:
+            mags = mags[infinite]
+        threshold = ctx.tail_tol * (1.0 - q)
+        top = float(mags.max(initial=0.0))
+        if not top < threshold:
+            if not math.isfinite(top):
+                _no_tail(top, ctx)
+            # a few spare powers past the largest count; the fallback to
+            # max_terms only runs if rounding defeats them
+            span = min(int((math.log(threshold) - math.log(top)) / math.log(q)) + 4, ctx.max_terms)
+            while True:
+                powers = _q_powers(q, max(span, n_powers))
+                tail = _tail_counts(mags, powers[1 : span + 1], threshold)
+                if tail.max() < span:
+                    break
+                if span == ctx.max_terms:
+                    _no_tail(top, ctx)
+                span = ctx.max_terms
+            if infinite is None:
+                counts = tail
+            else:
+                counts[infinite] = tail
+    if powers is None:
+        powers = _q_powers(q, n_powers)
+    return _factor_products(a, counts, powers, pad=infinite is not None).reshape(shape)
+
+
+def _no_tail(mag: float, ctx: QContext):
+    raise ConvergenceError(
+        f"(a;q)_inf with |a|={mag:.3g}, q={ctx.q} did not reach tail_tol "
+        f"within {ctx.max_terms} factors"
+    )
+
+
+def _factor_products(a: np.ndarray, counts: np.ndarray, powers: np.ndarray, pad: bool) -> np.ndarray:
+    """prod_{i < counts[j]} (1 - a[j] q^i) for each j, multiplied in order.
+
+    ``powers`` is the table from :func:`_q_powers`.  Rows are cut into
+    blocks of at most _QPOCH_BLOCK entries.  Column 0 of a block holds the
+    running product so far and the next factors follow it;
+    ``multiply.accumulate`` forms the partial products one factor at a time,
+    and each element's value is read at its own count.  With ``pad``,
+    factors past an element's count are set to 1, so a short finite product
+    next to a long one cannot overflow.
+    """
+    out = np.ones(a.size, dtype=a.dtype)
+    width = max(1, min(int(counts.max(initial=0)), _QPOCH_BLOCK - 1))
+    rows = _QPOCH_BLOCK // (width + 1)
+    for r0 in range(0, a.size, rows):
+        ar, cr = a[r0 : r0 + rows, None], counts[r0 : r0 + rows]
+        res = out[r0 : r0 + rows]
+        stop = int(cr.max())
+        pad_rows = pad and int(cr.min()) < stop
+        for c0 in range(0, stop, width):
+            c1 = min(c0 + width, stop)
+            # column 0 is 1 - a*0 = 1 in the first block, the carry after it
+            blk = np.multiply(ar, powers[c0 : c1 + 1])
+            np.subtract(1.0, blk, out=blk)
+            if c0:
+                blk[:, 0] = carry
+            if pad_rows:
+                np.copyto(blk[:, 1:], 1.0, where=np.arange(c0, c1) >= cr[:, None])
+            np.multiply.accumulate(blk, axis=1, out=blk)
+            if c0 == 0 and c1 == stop:
+                res[:] = blk[np.arange(cr.size), cr]
+            else:
+                ends = np.flatnonzero((cr >= c0) & (cr <= c1))
+                res[ends] = blk[ends, cr[ends] - c0]
+            carry = blk[:, -1]
+    return out
+
+
 def qpoch_prod(params: Sequence, ctx: QContext, k=None):
     """(a1, ..., ar; q)_k, the product of the individual factorials."""
-    out = 1.0
-    for a in params:
-        out = out * qpoch(a, ctx, k)
-    return out
+    return math.prod(qpoch(list(params), ctx, k).tolist(), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -246,37 +389,42 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
                 f"w87 denominator parameter {p!r} equals q^-{m} before termination"
             )
 
+    qb, qc, qd, qe, qf = denom
+    tol = ctx.tail_tol
+    one_a, qq = 1.0 - a, q * q
+    abs_z, abs_a, abs_1a = abs(z), abs(a), abs(one_a)
+    abs_numer = tuple(abs(p) for p in numer)
+    abs_denom = tuple(abs(p) for p in denom)
     total = 0.0 + 0.0j
     u = 1.0 + 0.0j  # term without the (1-aq^{2k})/(1-a) factor
     qk = 1.0
     q2k = 1.0  # q^{2k}
     for k in range(ctx.max_terms):
-        total += u * (1.0 - a * q2k) / (1.0 - a)
+        total += u * (1.0 - a * q2k) / one_a
         if n_terms is not None:
             if k + 1 >= n_terms:
                 break
         else:
-            ok = all(abs(p) * qk < 1.0 for p in denom)
-            if ok:
-                ratio = abs(z) * (1.0 + abs(a) * qk)
-                for p in numer:
-                    ratio *= 1.0 + abs(p) * qk
+            # stop once the term is below tail_tol and a geometric bound on
+            # the ratio of later terms keeps the tail below it too
+            tk = abs(u) * ((1.0 + abs_a * q2k) / abs_1a)
+            if tk <= tol and all(p * qk < 1.0 for p in abs_denom):
+                ratio = abs_z * (1.0 + abs_a * qk)
+                for p in abs_numer:
+                    ratio *= 1.0 + p * qk
                 ratio /= 1.0 - q * qk
-                for p in denom:
-                    ratio /= 1.0 - abs(p) * qk
-                vbound = (1.0 + abs(a) * q2k) / abs(1.0 - a)
-                tk = abs(u) * vbound
-                if ratio < 1.0 and tk <= ctx.tail_tol and tk * ratio / (1.0 - ratio) <= ctx.tail_tol:
+                for p in abs_denom:
+                    ratio /= 1.0 - p * qk
+                if ratio < 1.0 and tk * ratio / (1.0 - ratio) <= tol:
                     break
-        factor = z * (1.0 - a * qk)
-        for p in numer:
-            factor *= 1.0 - p * qk
-        factor /= 1.0 - q * qk
-        for p in denom:
-            factor /= 1.0 - p * qk
-        u *= factor
+        u *= (
+            z * (1.0 - a * qk) * (1.0 - b * qk) * (1.0 - c * qk) * (1.0 - d * qk)
+            * (1.0 - e * qk) * (1.0 - f * qk) / (1.0 - q * qk)
+            / (1.0 - qb * qk) / (1.0 - qc * qk) / (1.0 - qd * qk) / (1.0 - qe * qk)
+            / (1.0 - qf * qk)
+        )
         qk *= q
-        q2k *= q * q
+        q2k *= qq
     else:
         raise ConvergenceError(f"w87 did not converge within {ctx.max_terms} terms")
     return total

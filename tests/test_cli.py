@@ -90,6 +90,29 @@ class TestExitCodes:
         assert json.loads(out)["passed"] is True
 
 
+class TestParserCache:
+    def test_two_runs_build_one_parser(self, capsys) -> None:
+        cli._build_parser.cache_clear()
+        run_cli(capsys, "identity", "mass")
+        run_cli(capsys, "identity", "mass")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_fresh_defaults_after_argparse_error(self, capsys) -> None:
+        cli._build_parser.cache_clear()
+        code, fresh, _ = run_cli(capsys, "identity", "mass")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["identity", "mass", "--q", "0.3", "--tol", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, again, _ = run_cli(capsys, "identity", "mass")
+        assert code == 0
+        assert again == fresh
+        assert json.loads(again)["config"]["q"] == 0.5
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestJsonOutput:
     def test_schema_and_sorted_keys(self, capsys) -> None:
         code, out, _ = run_cli(capsys, "verify", "thm4", "--trunc-n", "80")

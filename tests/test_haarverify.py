@@ -326,6 +326,18 @@ class TestBailey:
         assert calls == {"asc_poisson": 2, "aw_theta_weight": 3, "aw_h0": 3}
 
 
+    def test_raw_check_one_qpoch_call(self, ctx: QContext, monkeypatch) -> None:
+        calls = []
+        real = haarverify.qpoch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(haarverify, "qpoch", counting)
+        bailey_raw_check(1.1, TAU, 1.5, ctx)
+        assert [len(a) for a in calls] == [27]
+
 def _ref_display_residual(theta, tau, sigma, ctx, second_denom):
     # the kernel-pair identity with every term written out per prefactor
     q = ctx.q

@@ -1,6 +1,7 @@
 """Polynomial families, Poisson kernels, and the Askey-Wilson measure."""
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -33,10 +34,12 @@ from qhaar import (
     qpoch,
     thm6_params,
 )
+from qhaar import orthopoly
 from qhaar.orthopoly import (
     _enumerate_masses,
     asc_mass_poisson_tq,
     asc_poisson_series,
+    aw_mass_weight,
     aw_theta_weight,
     cqh_poisson_series,
 )
@@ -482,6 +485,99 @@ class TestAscPoisson:
     def test_degenerate_parameters_rejected(self, ctx2: QContext) -> None:
         with pytest.raises(DomainError):
             asc_poisson(0.3, 0.2, 0.2, 0.0, 0.4, ctx2)
+
+
+MASS_X0 = (1.6 + 1 / 1.6) / 2  # the k = 0 mass point of a = 1.6
+
+
+class TestBatchedKernels:
+    """Each closed form asks for all of its q-shifted factorials in one call,
+    and its value is unchanged bit for bit."""
+
+    CASES = {
+        "asc_poisson continuous": lambda c: asc_poisson(0.25, 0.3, -0.2, 0.4, -0.3, c),
+        "asc_poisson mass point": lambda c: asc_poisson(0.2, MASS_X0, MASS_X0, 1.6, 0.3, c),
+        "asc_mass_poisson_tq": lambda c: asc_mass_poisson_tq(2, 3.0, 0.2, c),
+        "cqh_poisson": lambda c: cqh_poisson(0.4, 0.3, -0.6, c),
+        "cqh_weight": lambda c: cqh_weight(0.3, c),
+        "aw_h0": lambda c: aw_h0(0.5, -0.4, 0.3, 0.2, c),
+        "aw_theta_weight": lambda c: aw_theta_weight(0.7, 0.5, -0.4, 0.0, 0.2, c),
+        "aw_theta_weight grid": lambda c: aw_theta_weight(
+            np.linspace(0, 3, 7), 0.5, -0.4, 0.3, 0.2, c
+        ),
+        "aw_mass_weight": lambda c: aw_mass_weight(2.0, (0.3, 0.0, -0.25), 2, c),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_qpoch_call(self, name: str, ctx2: QContext, monkeypatch) -> None:
+        calls = []
+        real = orthopoly.qpoch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orthopoly, "qpoch", counting)
+        self.CASES[name](ctx2)
+        assert len(calls) == 1
+
+    def test_old_array_helper_gone(self) -> None:
+        assert not hasattr(orthopoly, "_qpoch_inf_array")
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+    def test_asc_poisson_matches_separate_calls(self, q: float) -> None:
+        ctx2 = QContext(q * q)
+        t, x, y, a, b = q * q, 0.35, -0.8, 0.45, -0.6
+        z1 = complex(x) + cmath.sqrt(complex(x * x - 1.0))
+        z2 = complex(y) + cmath.sqrt(complex(y * y - 1.0))
+        num = 1.0 + 0.0j
+        for w in (a * t * z1, a * t / z1, b * t * z2, b * t / z2, t + 0.0j):
+            num *= qpoch(w, ctx2)
+        den = qpoch(a * b * t + 0.0j, ctx2)
+        for w in (t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)):
+            den *= qpoch(w, ctx2)
+        w87_val = orthopoly.w87(a * b * t / ctx2.q, t, b * z1, b / z1, a * z2, a / z2, ctx2, t)
+        want = float((num / den * w87_val).real)
+        assert asc_poisson(t, x, y, a, b, ctx2).hex() == want.hex()
+
+    def test_theta_weight_truncates_each_element_like_scalar(self, ctx2: QContext) -> None:
+        theta = np.linspace(0.05, 3.0, 9)
+        params = (0.9, -0.5, 0.3, 0.0)
+        z = np.exp(1j * theta)
+        rows = [z * z] + [e * z for e in params if e != 0.0]
+        vals = np.array([[qpoch(complex(w), ctx2) for w in row] for row in rows])
+        want = np.abs(vals[0]) ** 2
+        den = np.ones_like(want)
+        for v in vals[1:]:
+            den *= np.abs(v) ** 2
+        got = aw_theta_weight(theta, *params, ctx2)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in (want / den).tolist()]
+
+    def test_poisson_series_match_separate_recurrences(self, ctx2: QContext) -> None:
+        t, x, y, a, b, n = 0.3, 0.2, -0.7, 0.4, -0.25, 50
+        px, py = asc_all(n, x, a, b, ctx2), asc_all(n, y, a, b, ctx2)
+        hx, hy = cqh_all(n, x, ctx2), cqh_all(n, y, ctx2)
+        asc_total = cqh_total = 0.0
+        tk = asc_poch = cqh_poch = 1.0
+        qk = 1.0
+        for k in range(n + 1):
+            if k > 0:
+                tk *= t
+                asc_poch *= (1.0 - qk) * (1.0 - a * b * qk / ctx2.q)
+                cqh_poch *= 1.0 - qk
+            asc_total += tk * px[k] * py[k] / asc_poch
+            cqh_total += tk * hx[k] * hy[k] / cqh_poch
+            qk *= ctx2.q
+        assert asc_poisson_series(t, x, y, a, b, ctx2, n).hex() == float(asc_total).hex()
+        assert cqh_poisson_series(t, x, y, ctx2, n).hex() == float(cqh_total).hex()
+
+    def test_cqh_all_array_matches_scalar(self, ctx: QContext) -> None:
+        xs = np.array([-0.9, 0.0, 0.35, 1.0])
+        got = cqh_all(12, xs, ctx)
+        assert got.shape == (13, 4)
+        for j, x in enumerate(xs.tolist()):
+            want = cqh_all(12, x, ctx)
+            assert [v.hex() for v in got[:, j].tolist()] == [v.hex() for v in want.tolist()]
 
 
 class TestGramIdentity:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +75,97 @@ class TestQPoch:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def hex_of(v) -> tuple[str, str]:
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def scalar_hex(values, ctx: QContext, ks) -> list[tuple[str, str]]:
+    return [hex_of(qpoch(x, ctx, k)) for x, k in zip(values, ks)]
+
+
+class TestArrayQpoch:
+    MAGNITUDES = (0.0, 1e-16, 0.3, 1.5)
+
+    def inputs(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        mags = np.tile(self.MAGNITUDES, 6) * rng.uniform(0.5, 2.0, 4 * 6)
+        signs = rng.choice((-1.0, 1.0), mags.size)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, mags.size))
+        return {"real": mags * signs, "complex": mags * phases}
+
+    @pytest.mark.parametrize("q", [0.09, 0.5, 0.81, 0.9025, 0.99])
+    @pytest.mark.parametrize("k", [None, math.inf, 0, 1, 7, 40])
+    def test_matches_scalar_bits(self, q: float, k, rng: np.random.Generator) -> None:
+        ctx = QContext(q)
+        for kind, a in self.inputs(rng).items():
+            got = qpoch(a, ctx, k)
+            assert got.shape == a.shape
+            assert got.dtype == (complex if kind == "complex" else float)
+            want = scalar_hex(a.tolist(), ctx, [k] * a.size)
+            assert [hex_of(v) for v in got.tolist()] == want
+
+    @pytest.mark.parametrize("q", [0.5, 0.9025])
+    def test_per_element_k(self, q: float, rng: np.random.Generator) -> None:
+        ctx = QContext(q)
+        a = self.inputs(rng)["complex"]
+        ks = [(math.inf, 0, 3, 25)[i % 4] for i in range(a.size)]
+        got = qpoch(a, ctx, np.array(ks, dtype=float))
+        assert [hex_of(v) for v in got.tolist()] == scalar_hex(a.tolist(), ctx, ks)
+
+    def test_products_longer_than_one_block(self) -> None:
+        # about 7.5k factors at q = 0.995 and a finite k of 5000: each row
+        # spans several column blocks and carries its product across them
+        ctx = QContext(0.995)
+        a = np.array([1.5, -0.7 + 0.2j, 1e-3j, 0.0])
+        for k in (None, 5000):
+            got = qpoch(a, ctx, k)
+            assert [hex_of(v) for v in got.tolist()] == scalar_hex(a.tolist(), ctx, [k] * 4)
+
+    def test_shape_and_sequence_input(self, ctx: QContext) -> None:
+        grid = np.linspace(-0.9, 0.9, 6).reshape(2, 3)
+        got = qpoch(grid, ctx)
+        assert got.shape == (2, 3)
+        assert qpoch([0.3, -0.5], ctx).tolist() == [qpoch(0.3, ctx), qpoch(-0.5, ctx)]
+        assert qpoch([], ctx).shape == (0,)
+
+    def test_short_finite_product_beside_long_one_stays_finite(self) -> None:
+        # a third factor of a = 1e150 would overflow the running product
+        ctx = QContext(0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = qpoch([1e150, 0.5], ctx, [2, math.inf])
+        assert [hex_of(v) for v in got.tolist()] == scalar_hex([1e150, 0.5], ctx, [2, None])
+
+    def test_convergence_error_like_scalar(self) -> None:
+        ctx = QContext(0.99, max_terms=10)
+        with pytest.raises(ConvergenceError):
+            qpoch(0.3, ctx)
+        with pytest.raises(ConvergenceError):
+            qpoch(np.array([0.0, 1e-16, 0.3]), ctx)
+        with pytest.raises(ConvergenceError):
+            qpoch(np.array([0.3, math.nan]), QContext(0.5))
+        # finite products ignore max_terms, as the scalar path does
+        assert qpoch(np.array([0.3]), ctx, 12)[0] == qpoch(0.3, ctx, 12)
+
+    def test_bad_k_rejected(self, ctx: QContext) -> None:
+        for k in ([1, -1], [0.5, 2], [math.nan, 1]):
+            with pytest.raises(DomainError):
+                qpoch(np.array([0.3, 0.4]), ctx, k)
+
+    def test_memory_stays_in_blocks(self) -> None:
+        ctx = QContext(0.9025)
+        theta = np.linspace(0.0, math.pi, 1024)
+        z = np.exp(1j * theta)
+        rows = np.stack([z * z] + [e * z for e in (0.9, -0.5, 0.3, 0.95)])
+        tracemalloc.start()
+        try:
+            qpoch(rows, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestPhiRs:
     def test_terminating_q_binomial(self, ctx: QContext) -> None:
         # 1phi0(q^-n; -; q, q^n x) = (x;q)_n at n=3, x=0.7
@@ -117,6 +210,49 @@ class TestPhiRs:
             phi_rs(SeriesSpec((0.3,), (), 1.2, ctx))
 
 
+def reference_w87(a, b, c, d, e, f, ctx: QContext, z):
+    """The 8W7 loop as first written: abs() and the stopping test every term."""
+    q = ctx.q
+    numer = (b, c, d, e, f)
+    denom = tuple(q * a / p for p in numer)
+    hits = [n + 1 for n in (neg_power_index(p, q) for p in (a,) + numer) if n is not None]
+    n_terms = min(hits) if hits else None
+    total = 0.0 + 0.0j
+    u = 1.0 + 0.0j
+    qk = 1.0
+    q2k = 1.0
+    for k in range(ctx.max_terms):
+        total += u * (1.0 - a * q2k) / (1.0 - a)
+        if n_terms is not None:
+            if k + 1 >= n_terms:
+                break
+        else:
+            ok = all(abs(p) * qk < 1.0 for p in denom)
+            if ok:
+                ratio = abs(z) * (1.0 + abs(a) * qk)
+                for p in numer:
+                    ratio *= 1.0 + abs(p) * qk
+                ratio /= 1.0 - q * qk
+                for p in denom:
+                    ratio /= 1.0 - abs(p) * qk
+                vbound = (1.0 + abs(a) * q2k) / abs(1.0 - a)
+                tk = abs(u) * vbound
+                if ratio < 1.0 and tk <= ctx.tail_tol and tk * ratio / (1.0 - ratio) <= ctx.tail_tol:
+                    break
+        factor = z * (1.0 - a * qk)
+        for p in numer:
+            factor *= 1.0 - p * qk
+        factor /= 1.0 - q * qk
+        for p in denom:
+            factor /= 1.0 - p * qk
+        u *= factor
+        qk *= q
+        q2k *= q * q
+    else:
+        raise ConvergenceError("reference w87 did not converge")
+    return total
+
+
 class TestW87:
     def test_matches_defining_series(self, ctx: QContext) -> None:
         # sum_j (a;q)_j (1-aq^{2j}) (b,c,d,e,f;q)_j z^j
@@ -134,6 +270,27 @@ class TestW87:
                 den *= mp.qp(a * q / p_, q, j)
             tot += num / den
         assert got.real == pytest.approx(float(tot), rel=1e-10)
+
+    def test_hex_identical_to_reference_loop(self, rng: np.random.Generator) -> None:
+        cases = []
+        # Poisson-kernel shapes: 8W7(abt/q; t, b z1, b/z1, a z2, a/z2; q, t)
+        for q in (0.09, 0.25, 0.5, 0.81, 0.9025):
+            for _ in range(12):
+                a, b = rng.uniform(-0.9, 0.9, 2)
+                t = rng.uniform(-0.8, 0.8)
+                z1, z2 = np.exp(1j * rng.uniform(0.0, math.pi, 2))
+                cases.append((q, (a * b * t / q, t, b * z1, b / z1, a * z2, a / z2), t))
+        # terminating through a = q^-2 and through b = q^-3
+        cases.append((0.5, (0.5**-2, 0.3, -0.2, 0.1 + 0.2j, 0.1 - 0.2j, 0.4), 0.7))
+        cases.append((0.5, (0.2, 0.5**-3, -0.25, 0.15, 0.12, -0.2), 0.35))
+        # the term bound drops below tail_tol by k = 2, but q a / b = 22.5 q
+        # keeps the ratio test closed until q^k < 1/22.5 (k = 5 at q = 0.5)
+        cases.append((0.5, (0.9, 0.02, 0.3, -0.4, 0.5 + 0.1j, 0.5 - 0.1j), 1e-9))
+        cases.append((0.81, (0.6, 0.01, 0.2, 0.3, -0.3, 0.25), 1e-8 + 1e-9j))
+        for q, params, z in cases:
+            ctx = QContext(q)
+            got = w87(*params, ctx, z)
+            assert hex_of(got) == hex_of(reference_w87(*params, ctx, z)), (q, params, z)
 
     def test_zero_at_pole_cancellation(self, ctx: QContext) -> None:
         # W(q^{-l-1}; z, b e^{it}, b e^{-it}, a e^{is}, a e^{-is}; z) with
