@@ -6,8 +6,8 @@ Layered modules:
                 poised 8W7, Jackson q-integrals
     orthopoly   continuous q-Hermite, q-Charlier, Al-Salam-Chihara and
                 Askey-Wilson families with their measures and Poisson kernels
-    spectral    three-term recurrences as Jacobi operators, spectral data,
-                truncation policy
+    spectral    three-term recurrences as Jacobi operators, their Gauss
+                rules, truncation policy
     qsu2rep     truncated generator representations, the weighted phase-trace
                 Haar functional, spherical-type elements and their eigenbases
     haarverify  dual-route verification of the closed-form expressions and
@@ -21,11 +21,10 @@ from .errors import ConvergenceError, DomainError, QHaarError, TruncationPolicyE
 from .qseries import QContext, SeriesSpec, phi_rs, q_integral, qpoch, qpoch_prod, w87
 from .spectral import (
     JacobiCoeffs,
-    SpectralData,
     check_truncation,
+    gauss_rule,
     min_truncation,
     orthonormal_polys,
-    spectral_data,
 )
 from .orthopoly import (
     AWParams,
@@ -37,6 +36,7 @@ from .orthopoly import (
     asc_poisson,
     aw_h0,
     aw_integrate,
+    aw_jacobi,
     aw_measure,
     cqh,
     cqh_all,
@@ -103,8 +103,7 @@ __all__ = [
     "w87",
     "q_integral",
     "JacobiCoeffs",
-    "SpectralData",
-    "spectral_data",
+    "gauss_rule",
     "orthonormal_polys",
     "min_truncation",
     "check_truncation",
@@ -122,6 +121,7 @@ __all__ = [
     "asc_orthonormal",
     "asc_poisson",
     "aw_h0",
+    "aw_jacobi",
     "aw_measure",
     "aw_integrate",
     "ELEMENT_NAMES",

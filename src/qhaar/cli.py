@@ -24,10 +24,9 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench patches it
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -117,19 +116,6 @@ def _config_from_sources(file_values: dict, flag_values: dict) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("QHAAR_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise DomainError("QHAAR_THREADS must be an integer") from exc
-        if cap < 1:
-            raise DomainError("QHAAR_THREADS must be at least 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -204,11 +190,7 @@ def _to_text(report: dict, rows: list[dict], wall: float) -> str:
 def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     vcfg = cfg.verify_config()
     targets = ("thm4", "thm5", "thm6") if target == "all" else (target,)
-    if target == "all" and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=min(_max_threads(), len(targets))) as pool:
-            reports = list(pool.map(lambda t: verify(t, vcfg), targets))
-    else:
-        reports = [verify(t, vcfg) for t in targets]
+    reports = [verify(t, vcfg) for t in targets]
     flat: list[dict] = []
     blocks = []
     for rep in reports:

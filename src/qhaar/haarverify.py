@@ -2,8 +2,8 @@
 
 Three closed forms are checked, each by computing both sides independently:
 the operator side as a phase-averaged weighted trace of p(element) on a
-truncated representation, and the measure side by quadrature against the
-claimed orthogonality measure.
+truncated representation, and the measure side on the Gauss rule of the
+claimed measure's Jacobi matrix, exact for polynomials, masses included.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -30,15 +30,17 @@ from .errors import DomainError
 from .orthopoly import (
     AWParams,
     _as_callable,
+    _mass_ladder,
     asc_mass_poisson_tq,
     asc_poisson,
     aw_h0,
     aw_integrate,
+    aw_jacobi,
     aw_mass_weight,
     aw_measure,
     aw_theta_weight,
 )
-from .qseries import QContext, q_integral, qpoch, w87
+from .qseries import QContext, qpoch, w87
 from .qsu2rep import (
     SphericalParams,
     _check_phase_grid,
@@ -49,6 +51,7 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
+from .spectral import JacobiCoeffs, _offdiag_sqrt, gauss_rule
 
 __all__ = [
     "VerifyConfig",
@@ -79,6 +82,10 @@ _THEOREM_ALIASES = {4: "thm4", 5: "thm5", 6: "thm6", "4": "thm4", "5": "thm5", "
 # smaller measure values than this make relative error meaningless; the
 # reported rel_err falls back to the absolute error there
 REL_ERR_FLOOR = 1e-6
+
+CALLABLE_NODES = 32  # Gauss rule size for a callable integrand, which has no degree
+
+_SEMICIRCLE = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)  # Chebyshev U
 
 
 def monomials(max_degree: int) -> tuple[tuple[float, ...], ...]:
@@ -196,33 +203,55 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def thm4_measure(p, n_nodes: int | None = None) -> float:
+def _integrate(jacobi: JacobiCoeffs, p) -> float:
+    """Integral of p on the Gauss rule of ``jacobi``: exact for coefficients."""
+    coeffs = _as_coeffs(p)
+    if coeffs is None:
+        nodes, weights = gauss_rule(jacobi, CALLABLE_NODES)
+        return float(weights @ np.array([float(p(x)) for x in nodes]))
+    nodes, weights = gauss_rule(jacobi, _poly_degree(coeffs) // 2 + 1)
+    return float(weights @ np.polynomial.polynomial.polyval(nodes, coeffs))
+
+
+def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
+    """Jacobi matrix of the normalized base-q^2 Jackson integral on [lo, hi]:
+    big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), d_n = s (1 - A_n - C_n),
+    e_n^2 = s^2 A_n C_{n+1}, C_0 = 0 (printed 0/0).  The integral is even in x, so the
+    endpoint far of larger modulus sets s = far/q^2 and c = near/far: |c| <= 1.
+    """
+    far, near = (lo, hi) if -lo > hi else (hi, lo)
+    Q = ctx.q**2
+    c = near / far
+    s = far / Q
+
+    def A(n: int) -> float:
+        num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
+        return num / ((1 - Q ** (2 * n + 1)) * (1 - Q ** (2 * n + 2)))
+
+    def C(n: int) -> float:
+        if n == 0:
+            return 0.0
+        num = (Q**n - c) * Q ** (n + 1) * (1 - Q**n) ** 2
+        return num / ((1 - Q ** (2 * n)) * (1 - Q ** (2 * n + 1)))
+
+    return JacobiCoeffs(
+        diag=lambda n: s * (1 - A(n) - C(n)),
+        offdiag=lambda n: _offdiag_sqrt(s * s * A(n) * C(n + 1), n),
+    )
+
+
+def thm4_measure(p) -> float:
     """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
 
     ``p`` is an ascending coefficient array or a continuous function on
-    [-1, 1].  Chebyshev quadrature of the second kind, exact for
-    polynomials of degree up to 2*n_nodes - 1.
+    [-1, 1]; the Gauss rule is that of Chebyshev U.
     """
-    coeffs = _as_coeffs(p)
-    if n_nodes is None:
-        n_nodes = 256 if coeffs is None else max(16, coeffs.shape[0])
-    i = np.arange(1, n_nodes + 1)
-    angles = i * math.pi / (n_nodes + 1)
-    nodes = np.cos(angles)
-    weights = math.pi / (n_nodes + 1) * np.sin(angles) ** 2
-    if coeffs is None:
-        vals = np.array([float(p(x)) for x in nodes])
-    else:
-        vals = np.polynomial.polynomial.polyval(nodes, coeffs)
-    return float(np.sum(weights * vals) * 2.0 / math.pi)
+    return _integrate(_SEMICIRCLE, p)
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    pf = _as_callable(p)
-    q = ctx.q
-    val = q_integral(lambda x: float(pf(x)), -1.0, q ** (2.0 * tau), ctx.squared())
-    return val / (1.0 + q ** (2.0 * tau))
+    return _integrate(_jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx), p)
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -239,14 +268,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    spec = aw_measure(thm6_params(tau, sigma, ctx))
-    return aw_integrate(spec, p)
+    return _integrate(aw_jacobi(thm6_params(tau, sigma, ctx)), p)
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    pf = _as_callable(p)
-    return q_integral(lambda x: float(pf(x)), 0.0, 1.0, ctx.squared())
+    return _integrate(_jackson_jacobi(0.0, 1.0, ctx), p)
 
 
 def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
@@ -254,31 +281,33 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
     4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
-    at the largest degree serves the trace side of every polynomial.  An
-    explicit ``phi_points`` grid too coarse for the phase average of
-    rho_tau_sigma at that degree is refused with DomainError.
+    at the largest degree serves the trace side of every polynomial, one
+    Gauss rule exact at that degree its measure side.  An explicit
+    ``phi_points`` grid too coarse for the phase average of rho_tau_sigma
+    at that degree is refused with DomainError.
     """
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     ctx = cfg.ctx
     if theorem == "thm4":
-        name, params = "cocentral", None
-        measure = thm4_measure
-        measure_route = "semicircle, Chebyshev-2 quadrature"
+        name, params, jacobi = "cocentral", None, _SEMICIRCLE
+        measure_route = "semicircle (Chebyshev U)"
     elif theorem == "thm5":
         name, params = "rho_tau_inf", SphericalParams(tau=cfg.tau)
-        measure = lambda c: thm5_measure(c, cfg.tau, ctx)
-        measure_route = f"Jackson q^2-integral over [-1, q^(2*{cfg.tau:g})]"
+        jacobi = _jackson_jacobi(-1.0, ctx.q ** (2.0 * cfg.tau), ctx)
+        measure_route = f"Jackson q^2-integral over [-1, q^(2*{cfg.tau:g})] (big q-Jacobi)"
     elif theorem == "thm6":
         name, params = "rho_tau_sigma", SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-        spec = aw_measure(thm6_params(cfg.tau, cfg.sigma, ctx))
-        measure = lambda c: aw_integrate(spec, c)
-        measure_route = f"Askey-Wilson q^2 measure, {len(spec.masses)} mass point(s)"
+        aw = thm6_params(cfg.tau, cfg.sigma, ctx)
+        jacobi = aw_jacobi(aw)
+        masses = sum(len(_mass_ladder(e, aw.ctx.q)) for e in aw.as_tuple())
+        measure_route = f"Askey-Wilson q^2 measure, {masses} mass point(s)"
     else:
-        name, params = "gamma_star_gamma", None
-        measure = lambda c: gamma_measure(c, ctx)
-        measure_route = "Jackson q^2-integral over [0, 1]"
+        name, params, jacobi = "gamma_star_gamma", None, _jackson_jacobi(0.0, 1.0, ctx)
+        measure_route = "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
+    nodes, weights = gauss_rule(jacobi, cfg.max_degree // 2 + 1)
+    measure_route += f", Gauss rule of {len(nodes)} node(s)"
     phi_count = cfg.phi_points or None
     _check_phase_grid(name, cfg.max_degree, phi_count)
     moments = haar_moments(
@@ -286,7 +315,8 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     )
     trace_route = f"phase-averaged weighted trace, N={cfg.N}"
     rows = tuple(
-        _row(_poly_label(c), c, moment_trace(c, moments), measure(c), cfg.tol,
+        _row(_poly_label(c), c, moment_trace(c, moments),
+             weights @ np.polynomial.polynomial.polyval(nodes, c), cfg.tol,
              trace_route, measure_route)
         for c in map(np.asarray, cfg.poly_set)
     )

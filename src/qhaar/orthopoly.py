@@ -9,7 +9,7 @@ Four interlocking pieces:
   Poisson kernel in closed very-well-poised form;
 * the Askey-Wilson measure: normalization constant, continuous weight,
   and discrete masses for parameters outside the unit disc, assembled
-  into a quadrature-ready MeasureSpec.
+  into a quadrature-ready MeasureSpec, and its Jacobi matrix.
 
 Measures are normalized so the total mass is 1; that normalization is
 re-verified at construction time and is one of the deeper consistency
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .qseries import QContext, SeriesSpec, phi_rs, qpoch, w87
+from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
     "AWParams",
@@ -49,6 +50,7 @@ __all__ = [
     "aw_h0",
     "aw_theta_weight",
     "aw_mass_weight",
+    "aw_jacobi",
     "aw_measure",
     "aw_integrate",
 ]
@@ -341,6 +343,14 @@ def asc_poisson_series(
     return total
 
 
+def _mass_ladder(e: float, q: float) -> range:
+    """Indices k of the discrete masses parameter e generates: |e| q^k > 1 + MASS_EDGE_TOL."""
+    k = 0
+    while abs(e) * q**k > 1.0 + MASS_EDGE_TOL:
+        k += 1
+    return range(k)
+
+
 def _asc_mass_location(e: float, k: int, q: float) -> float:
     return 0.5 * (e * q**k + 1.0 / (e * q**k))
 
@@ -410,10 +420,7 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
     if abs(x - y) > 1e-9 * (1.0 + abs(x)):
         raise DomainError("off-diagonal Poisson values outside [-1,1] are not supported")
     for e, other in ((a, b), (b, a)):
-        if abs(e) <= 1.0:
-            continue
-        k = 0
-        while abs(e) * q**k > 1.0 + MASS_EDGE_TOL:
+        for k in _mass_ladder(e, q):
             if abs(x - _asc_mass_location(e, k, q)) <= 1e-9 * (1.0 + abs(x)):
                 if not abs(t) < e * e * q ** (2 * k):
                     raise DomainError(
@@ -440,7 +447,6 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
                     t,
                 )
                 return float((pref * num / den * w).real)
-            k += 1
     raise DomainError(f"x={x!r} is not a discrete mass point of (a={a!r}, b={b!r})")
 
 
@@ -542,6 +548,36 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     return float(val)
 
 
+def aw_jacobi(params: AWParams) -> JacobiCoeffs:
+    """Jacobi matrix of the normalized Askey-Wilson measure (KLS 2010, eq. 14.1.5).
+
+    d_n = (a + 1/a - A_n - C_n) / 2, e_n^2 = A_n C_{n+1} / 4, C_0 = 0 (printed 0/0
+    at abcd = q^2).  The parameter of largest modulus plays a, so d_n does not
+    cancel a large 1/a (the smallest there costs thm6 2.8e-13 at q = 0.1).
+    """
+    a, b, c, d = sorted(params.as_tuple(), key=abs, reverse=True)
+    if a == 0.0:
+        raise DomainError("aw_jacobi needs a nonzero parameter")
+    Q = params.ctx.q
+    abcd = a * b * c * d
+
+    def A(n: int) -> float:
+        num = (1 - a * b * Q**n) * (1 - a * c * Q**n) * (1 - a * d * Q**n) * (1 - abcd * Q ** (n - 1))
+        return num / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
+
+    def C(n: int) -> float:
+        if n == 0:
+            return 0.0
+        num = a * (1 - Q**n) * (1 - b * c * Q ** (n - 1)) * (1 - b * d * Q ** (n - 1))
+        num *= 1 - c * d * Q ** (n - 1)
+        return num / ((1 - abcd * Q ** (2 * n - 2)) * (1 - abcd * Q ** (2 * n - 1)))
+
+    return JacobiCoeffs(
+        diag=lambda n: 0.5 * (a + 1.0 / a - A(n) - C(n)),
+        offdiag=lambda n: _offdiag_sqrt(0.25 * A(n) * C(n + 1), n),
+    )
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Quadrature-ready normalized measure: continuous part on (-1,1) plus
@@ -589,22 +625,12 @@ def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
 
 def _enumerate_masses(params: AWParams) -> list:
     q = params.ctx.q
-    out = []
-    for e, others in (
-        (params.a, (params.b, params.c, params.d)),
-        (params.b, (params.a, params.c, params.d)),
-        (params.c, (params.a, params.b, params.d)),
-        (params.d, (params.a, params.b, params.c)),
-    ):
-        if abs(e) <= 1.0 + MASS_EDGE_TOL:
-            continue
-        k = 0
-        while abs(e) * q**k > 1.0 + MASS_EDGE_TOL:
-            x_k = _asc_mass_location(e, k, q)
-            w_k = aw_mass_weight(e, others, k, params.ctx)
-            out.append((x_k, w_k))
-            k += 1
-    return out
+    vals = params.as_tuple()
+    return [
+        (_asc_mass_location(e, k, q), aw_mass_weight(e, vals[:i] + vals[i + 1 :], k, params.ctx))
+        for i, e in enumerate(vals)
+        for k in _mass_ladder(e, q)
+    ]
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,10 +1,11 @@
-"""Spectral data of truncated symmetric tridiagonal (Jacobi) operators.
+"""Gauss rules of truncated symmetric tridiagonal (Jacobi) operators.
 
-Bounded self-adjoint operators appear here through their tridiagonal matrix
-with respect to an orthonormal basis.  Truncating to the leading block and
-diagonalizing yields approximate spectral nodes together with weights
-(squared first components of the normalized eigenvectors), which converge
-to the orthogonality measure of the associated polynomial family.
+A measure's orthonormal polynomials satisfy a three-term recurrence, read
+off as a Jacobi matrix.  Diagonalizing its leading n x n block gives the
+n-point Gauss rule (Golub & Welsch, Math. Comp. 23, 1969): the eigenvalues
+are the nodes, the squared first components of the normalized eigenvectors
+the weights, and the rule is exact for polynomials of degree <= 2n - 1,
+discrete masses of the measure included.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .errors import DomainError, TruncationPolicyError
 
 __all__ = [
     "JacobiCoeffs",
-    "SpectralData",
-    "spectral_data",
+    "gauss_rule",
     "orthonormal_polys",
     "min_truncation",
     "check_truncation",
@@ -54,23 +54,17 @@ class JacobiCoeffs:
         return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen-decomposition summary of a truncated Jacobi matrix.
+def _offdiag_sqrt(e2: float, m: int) -> float:
+    """e_m from e_m^2, refused unless finite and positive as for a positive measure."""
+    if not (math.isfinite(e2) and e2 > 0.0):
+        raise DomainError(f"Jacobi off-diagonal square e_{m}^2 = {e2!r} is not finite and positive")
+    return math.sqrt(e2)
 
-    ``nodes`` are the eigenvalues in ascending order, ``weights`` the squared
-    first components of the orthonormal eigenvectors (they sum to 1 and
-    discretize the orthogonality measure).  ``vectors`` holds the full
-    eigenvector matrix, column i belonging to ``nodes[i]``, when requested.
-    """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    vectors: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[0]
+def gauss_rule(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights (summing to 1) of the n-point Gauss rule of ``coeffs``."""
+    nodes, vecs = np.linalg.eigh(coeffs.dense(n))
+    return nodes, vecs[0] ** 2
 
 
 def orthonormal_polys(coeffs: JacobiCoeffs, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -89,42 +83,10 @@ def orthonormal_polys(coeffs: JacobiCoeffs, n_max: int, x: np.ndarray) -> np.nda
     d, e = coeffs.arrays(n_max + 1)
     out = np.empty((n_max + 1, x.shape[0]))
     out[0] = 1.0
-    if n_max >= 1:
-        e0 = float(coeffs.offdiag(0))
-        out[1] = (x - d[0]) / e0
-        prev_e = e0
-        for m in range(1, n_max):
-            em = float(coeffs.offdiag(m))
-            out[m + 1] = ((x - d[m]) * out[m] - prev_e * out[m - 1]) / em
-            prev_e = em
+    for m in range(n_max):
+        prev = e[m - 1] * out[m - 1] if m else 0.0
+        out[m + 1] = ((x - d[m]) * out[m] - prev) / e[m]
     return out
-
-
-def _weights_by_recurrence(coeffs: JacobiCoeffs, nodes: np.ndarray, size: int) -> np.ndarray:
-    # Normalized eigenvector of the truncation at eigenvalue x_i is
-    # (p_0(x_i), ..., p_{size-1}(x_i)) / sqrt(sum p_n(x_i)^2), so the squared
-    # first component is 1 / sum_n p_n(x_i)^2.
-    polys = orthonormal_polys(coeffs, size - 1, nodes)
-    return 1.0 / np.sum(polys * polys, axis=0)
-
-
-def spectral_data(
-    coeffs: JacobiCoeffs, size: int, full_vectors: bool = False
-) -> SpectralData:
-    """Diagonalize the leading ``size`` x ``size`` truncation.
-
-    With ``full_vectors`` the weights are squared first rows of the
-    eigenvector matrix; otherwise only eigenvalues are computed and the
-    weights come from the equivalent recurrence route 1 / sum_n p_n(x_i)^2.
-    """
-    mat = coeffs.dense(size)
-    if full_vectors:
-        nodes, vecs = np.linalg.eigh(mat)
-        return SpectralData(nodes=nodes, weights=vecs[0] ** 2, vectors=vecs)
-    nodes = np.linalg.eigvalsh(mat)
-    return SpectralData(
-        nodes=nodes, weights=_weights_by_recurrence(coeffs, nodes, size), vectors=None
-    )
 
 
 def min_truncation(degree: int, tol: float, q: float) -> int:

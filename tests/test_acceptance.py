@@ -15,12 +15,12 @@ import pytest
 
 from qhaar import (
     AWParams,
-    JacobiCoeffs,
     QContext,
     SphericalParams,
     VerifyConfig,
     asc_orthonormal,
     asc_poisson,
+    aw_jacobi,
     aw_measure,
     bailey_check,
     build_rep,
@@ -156,39 +156,6 @@ def test_04_identity_suite() -> None:
         closed = asc_poisson(t, x, y, a, b, ctx2)
         series = asc_poisson_series(t, x, y, a, b, ctx2, 220)
         assert abs(series - closed) <= 1e-9 * (1.0 + abs(closed))
-
-
-def aw_jacobi(params: AWParams) -> JacobiCoeffs:
-    """Orthonormal three-term recurrence of the four-parameter family."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    Q = params.ctx.q
-    abcd = a * b * c * d
-
-    def A(n: int) -> float:
-        return (
-            (1 - a * b * Q**n)
-            * (1 - a * c * Q**n)
-            * (1 - a * d * Q**n)
-            * (1 - abcd * Q ** (n - 1))
-            / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
-        )
-
-    def C(n: int) -> float:
-        if n == 0:
-            return 0.0
-        return (
-            a
-            * (1 - Q**n)
-            * (1 - b * c * Q ** (n - 1))
-            * (1 - b * d * Q ** (n - 1))
-            * (1 - c * d * Q ** (n - 1))
-            / ((1 - abcd * Q ** (2 * n - 2)) * (1 - abcd * Q ** (2 * n - 1)))
-        )
-
-    return JacobiCoeffs(
-        diag=lambda n: 0.5 * (a + 1.0 / a - A(n) - C(n)),
-        offdiag=lambda n: 0.5 * math.sqrt(A(n) * C(n + 1)),
-    )
 
 
 def test_05_spectral_suite() -> None:

@@ -78,17 +78,6 @@ class TestExitCodes:
         assert code == 3
         assert "for rho_tau_sigma at degree 6 (reach 2)" in err
 
-    def test_bad_threads_env_is_two(self, capsys, monkeypatch) -> None:
-        monkeypatch.setenv("QHAAR_THREADS", "abc")
-        code, _, _ = run_cli(capsys, "verify", "all", "--trunc-n", "80", "--max-degree", "2")
-        assert code == 2
-
-    def test_threads_cap_respected(self, capsys, monkeypatch) -> None:
-        monkeypatch.setenv("QHAAR_THREADS", "2")
-        code, out, _ = run_cli(capsys, "verify", "all", "--trunc-n", "80", "--max-degree", "2")
-        assert code == 0
-        assert json.loads(out)["passed"] is True
-
 
 class TestParserCache:
     def test_two_runs_build_one_parser(self, capsys) -> None:

@@ -16,6 +16,7 @@ from qhaar import (
     SphericalParams,
     TruncationPolicyError,
     VerifyConfig,
+    aw_integrate,
     aw_measure,
     bailey_check,
     bailey_raw_check,
@@ -28,6 +29,7 @@ from qhaar import (
     intermediate_check,
     mass_identity_check,
     monomials,
+    q_integral,
     qpoch,
     qpoch_prod,
     sigma_limit_check,
@@ -39,7 +41,7 @@ from qhaar import (
     verify,
     w87,
 )
-from qhaar import haarverify, orthopoly, qsu2rep
+from qhaar import haarverify, orthopoly, qseries, qsu2rep
 from qhaar.cli import BAILEY_THETAS
 
 TAU = 0.4
@@ -152,7 +154,7 @@ class TestThm6Measure:
         orthopoly._leggauss.cache_clear()
         for sigma in (0.6, 1.5):
             for p in monomials(12):
-                thm6_measure(p, TAU, sigma, ctx)
+                aw_integrate(aw_measure(thm6_params(TAU, sigma, ctx)), p)
         # one measure per (tau, sigma); each rule size is computed once
         assert len(builds) == 2
         assert rules and max(rules.values()) == 1
@@ -160,6 +162,96 @@ class TestThm6Measure:
     def test_normalized(self, ctx: QContext) -> None:
         for sigma in (0.6, 1.5):
             assert thm6_measure([1.0], TAU, sigma, ctx) == pytest.approx(1.0, abs=1e-10)
+
+
+# the grid the Gauss-rule measure sides are cross-checked on, plus the two
+# draws at distance 5e-4 from a thm6 mass threshold (q = 0.9, tau = 0.3)
+GRID_Q = (0.3, 0.5, 0.7, 0.9, 0.95)
+GRID_TAU = (0.05, 0.4, 1.2)
+GRID_SIGMA = (0.3, 1.0, 1.5, 2.5)
+EDGE_DRAWS = ((0.9, 0.3, 0.704744424783136), (0.9, 0.3, 1.295253202411172))
+THM6_GRID = [(q, t, s) for q in GRID_Q for t in GRID_TAU for s in GRID_SIGMA] + list(EDGE_DRAWS)
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestGaussRuleMeasures:
+    """The measure sides against the explicit measure builders."""
+
+    @pytest.mark.parametrize("q", GRID_Q)
+    def test_thm6_against_aw_measure(self, q: float) -> None:
+        ctx = QContext(q)
+        for qq, tau, sigma in THM6_GRID:
+            if qq != q:
+                continue
+            spec = aw_measure(thm6_params(tau, sigma, ctx))
+            for p in monomials(12):
+                got = thm6_measure(p, tau, sigma, ctx)
+                want = aw_integrate(spec, p)
+                assert _close(got, want), (q, tau, sigma, p, got, want)
+
+    @pytest.mark.parametrize("q", GRID_Q)
+    def test_jackson_against_q_integral(self, q: float) -> None:
+        ctx = QContext(q)
+        ctx2 = ctx.squared()
+        for k, p in enumerate(monomials(12)):
+            want = q_integral(lambda x: x**k, 0.0, 1.0, ctx2)
+            assert _close(gamma_measure(p, ctx), want), (q, k)
+            for tau in GRID_TAU:
+                hi = q ** (2.0 * tau)
+                want = q_integral(lambda x: x**k, -1.0, hi, ctx2) / (1.0 + hi)
+                assert _close(thm5_measure(p, tau, ctx), want), (q, tau, k)
+
+    def test_thm5_right_endpoint_underflow(self, ctx: QContext) -> None:
+        # q^(2 tau) underflows to 0: the Jackson integral over [-1, 0]
+        Q = ctx.q**2
+        assert ctx.q ** (2.0 * 600.0) == 0.0
+        for k, p in enumerate(monomials(12)):
+            want = (-1.0) ** k * (1.0 - Q) / (1.0 - Q ** (k + 1))
+            assert _close(thm5_measure(p, 600.0, ctx), want), k
+
+    def test_route_label_counts_masses(self) -> None:
+        for q, tau, sigma in THM6_GRID:
+            ctx = QContext(q)
+            count = len(aw_measure(thm6_params(tau, sigma, ctx)).masses)
+            cfg = VerifyConfig(ctx=ctx, tau=tau, sigma=sigma, N=160, poly_set=((1.0,),))
+            route = verify("thm6", cfg).rows[0].measure_route
+            assert f"measure, {count} mass point(s)," in route, (q, tau, sigma, route)
+
+    def test_verify_leaves_aw_measure_cache(self, ctx: QContext) -> None:
+        orthopoly.aw_measure.cache_clear()
+        aw_measure(thm6_params(TAU, 0.6, ctx))
+        before = orthopoly.aw_measure.cache_info()
+        verify("thm6", VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=120))
+        assert orthopoly.aw_measure.cache_info() == before
+
+    def test_no_measure_builder_called(self, monkeypatch, ctx: QContext) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure builder called")
+
+        monkeypatch.setattr(orthopoly, "aw_measure", refuse)
+        monkeypatch.setattr(haarverify, "aw_measure", refuse)
+        monkeypatch.setattr(qseries, "q_integral", refuse)
+        monkeypatch.setattr(orthopoly, "_leggauss", refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        cfg = VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=120, tol=1e-6)
+        for theorem in ("thm4", "thm5", "thm6", "gamma"):
+            assert verify(theorem, cfg).all_passed
+        p = (0.0, 0.0, 1.0)
+        thm4_measure(p)
+        thm5_measure(p, TAU, ctx)
+        thm6_measure(p, TAU, 1.5, ctx)
+        gamma_measure(p, ctx)
+
+    def test_callable_rule_size(self, ctx: QContext) -> None:
+        # a callable is integrated on CALLABLE_NODES nodes: exact through
+        # degree 2 * 32 - 1, so x^40 matches its coefficient form
+        p = (0.0,) * 40 + (1.0,)
+        assert haarverify.CALLABLE_NODES == 32
+        got = thm6_measure(lambda x: x**40, TAU, 1.5, ctx)
+        assert got == pytest.approx(thm6_measure(p, TAU, 1.5, ctx), rel=1e-12)
 
 
 class TestVerify:

@@ -37,6 +37,7 @@ from qhaar import (
 from qhaar import orthopoly
 from qhaar.orthopoly import (
     _enumerate_masses,
+    _mass_ladder,
     asc_mass_poisson_tq,
     asc_poisson_series,
     aw_mass_weight,
@@ -303,6 +304,15 @@ class TestAwMeasure:
         # |e q^k| = 1 exactly is excluded: e = 1/q leaves only the k=0 mass
         spec = aw_measure(AWParams(1 / ctx.q, 0.0, 0.0, 0.0, ctx))
         assert len(spec.masses) == 1
+
+    def test_mass_ladder(self) -> None:
+        # k runs while |e| q^k > 1 + MASS_EDGE_TOL, whatever the sign of e
+        assert _mass_ladder(2.5, 0.5) == range(2)
+        assert _mass_ladder(-2.5, 0.5) == range(2)
+        assert _mass_ladder(0.9, 0.5) == range(0)
+        assert _mass_ladder(1.0 + 0.5 * orthopoly.MASS_EDGE_TOL, 0.5) == range(0)
+        assert _mass_ladder(1.0 + 2.0 * orthopoly.MASS_EDGE_TOL, 0.5) == range(1)
+        assert _mass_ladder(2.0, 0.5) == range(1)
 
     def test_total_mass_normalized_four_params(self, ctx2: QContext) -> None:
         q, tau, sigma = 0.5, 0.4, 0.6

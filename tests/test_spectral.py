@@ -1,4 +1,4 @@
-"""Truncated Jacobi operators: spectra, quadrature rules, truncation policy."""
+"""Truncated Jacobi operators: Gauss rules, builders, truncation policy."""
 from __future__ import annotations
 
 import math
@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 from qhaar import (
     AWParams,
     ConvergenceError,
+    DomainError,
     JacobiCoeffs,
     QContext,
     TruncationPolicyError,
     aw_integrate,
+    aw_jacobi,
     aw_measure,
     check_truncation,
+    gauss_rule,
     min_truncation,
     orthonormal_polys,
-    spectral_data,
 )
+from qhaar.haarverify import _jackson_jacobi
 from qhaar.qsu2rep import SphericalParams, build_rep, element
+from qhaar.spectral import _offdiag_sqrt
 
 
 def cocentral_coeffs(ctx: QContext) -> JacobiCoeffs:
@@ -50,8 +54,8 @@ class TestTruncate:
         # constant offdiag 1/2 is the Chebyshev-U operator; the 3x3
         # truncation has eigenvalues {-1/sqrt2, 0, 1/sqrt2}
         coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)
-        sd = spectral_data(coeffs, 3)
-        assert np.allclose(sd.nodes, [-1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)], atol=1e-14)
+        nodes, _ = gauss_rule(coeffs, 3)
+        assert np.allclose(nodes, [-1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)], atol=1e-14)
 
     def test_arrays_match_dense(self, ctx: QContext) -> None:
         coeffs = cocentral_coeffs(ctx)
@@ -61,43 +65,36 @@ class TestTruncate:
         assert np.allclose(np.diag(m, 1), off)
 
     def test_zero_offdiagonal_rejected(self) -> None:
-        from qhaar import DomainError
-
         coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: float(m))
         with pytest.raises(DomainError):
             coeffs.arrays(3)
 
 
 class TestSpectralData:
+    """The Gauss rule of a truncation is its spectral data at e_0."""
+
     def test_two_by_two_weights(self, ctx: QContext) -> None:
-        sd = spectral_data(cocentral_coeffs(ctx), 2)
-        assert np.allclose(sd.weights, [0.5, 0.5], atol=1e-14)
+        _, weights = gauss_rule(cocentral_coeffs(ctx), 2)
+        assert np.allclose(weights, [0.5, 0.5], atol=1e-14)
 
     def test_weight_normalization_and_mean(self) -> None:
         coeffs = JacobiCoeffs(diag=lambda m: 0.3 * 0.7**m, offdiag=lambda m: 0.4)
-        sd = spectral_data(coeffs, 12)
-        assert sd.weights.sum() == pytest.approx(1.0, abs=1e-13)
-        assert (sd.weights * sd.nodes).sum() == pytest.approx(coeffs.diag(0), abs=1e-13)
+        nodes, weights = gauss_rule(coeffs, 12)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+        assert (weights * nodes).sum() == pytest.approx(coeffs.diag(0), abs=1e-13)
 
     def test_weights_nonnegative_nodes_increasing(self, ctx: QContext) -> None:
-        sd = spectral_data(cocentral_coeffs(ctx), 40)
-        assert np.all(sd.weights >= -1e-15)
-        assert np.all(np.diff(sd.nodes) > 0)
-
-    def test_vector_and_recurrence_weights_agree(self, ctx: QContext) -> None:
-        coeffs = cocentral_coeffs(ctx)
-        a = spectral_data(coeffs, 25)
-        b = spectral_data(coeffs, 25, full_vectors=True)
-        assert np.allclose(a.weights, b.weights, atol=1e-12)
-        assert b.vectors is not None and a.vectors is None
+        nodes, weights = gauss_rule(cocentral_coeffs(ctx), 40)
+        assert np.all(weights >= -1e-15)
+        assert np.all(np.diff(nodes) > 0)
 
     def test_cocentral_moments_against_quadrature_measure(self, ctx: QContext, ctx2: QContext) -> None:
         # low moments of the size-80 spectral measure reproduce the continuum
         # weight with all four parameters zero
-        sd = spectral_data(cocentral_coeffs(ctx), 80)
+        nodes, weights = gauss_rule(cocentral_coeffs(ctx), 80)
         spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
         for m in range(5):
-            got = float((sd.weights * sd.nodes**m).sum())
+            got = float((weights * nodes**m).sum())
             want = aw_integrate(spec, lambda x: x**m)
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -111,19 +108,19 @@ class TestSpectralData:
         coeffs = cocentral_coeffs(ctx)
         size = 30
         m = coeffs.dense(size)
-        sd = spectral_data(coeffs, size)
+        nodes, weights = gauss_rule(coeffs, size)
         vals, vecs = np.linalg.eigh(m)
         e0 = np.zeros(size)
         e0[0] = 1.0
         for f in (np.exp, np.sin, lambda x: 1.0 / (2.0 + x)):
             lhs = vecs @ (f(vals) * (vecs.T @ e0))
-            assert lhs[0] == pytest.approx(float((sd.weights * f(sd.nodes)).sum()), abs=1e-11)
+            assert lhs[0] == pytest.approx(float((weights * f(nodes)).sum()), abs=1e-11)
 
     def test_eigenvalue_interlacing(self, ctx: QContext) -> None:
         coeffs = cocentral_coeffs(ctx)
         for size in (5, 11):
-            lo = spectral_data(coeffs, size).nodes
-            hi = spectral_data(coeffs, size + 1).nodes
+            lo, _ = gauss_rule(coeffs, size)
+            hi, _ = gauss_rule(coeffs, size + 1)
             assert np.all(hi[:-1] < lo + 1e-14)
             assert np.all(lo < hi[1:] + 1e-14)
 
@@ -134,8 +131,8 @@ class TestSpectralData:
             diag=lambda m: 0.2 * math.sin(1.7 * m),
             offdiag=lambda m: scale / (m + 1.0),
         )
-        lo = spectral_data(coeffs, size - 1).nodes
-        hi = spectral_data(coeffs, size).nodes
+        lo, _ = gauss_rule(coeffs, size - 1)
+        hi, _ = gauss_rule(coeffs, size)
         assert np.all(hi[:-1] <= lo + 1e-12)
         assert np.all(lo <= hi[1:] + 1e-12)
 
@@ -151,6 +148,53 @@ class TestSpectralData:
             vals[-3:], [q ** (2 * tau + 4), q ** (2 * tau + 2), q ** (2 * tau)], atol=1e-6
         )
 
+    def test_exact_to_degree_two_n_minus_one(self, ctx: QContext) -> None:
+        # an n-point rule has the moments of every larger truncation through
+        # degree 2n - 1, and misses degree 2n
+        coeffs = cocentral_coeffs(ctx)
+        ref_nodes, ref_weights = gauss_rule(coeffs, 20)
+        for n in (1, 3, 6):
+            nodes, weights = gauss_rule(coeffs, n)
+            for k in range(2 * n + 1):
+                got = float(weights @ nodes**k)
+                want = float(ref_weights @ ref_nodes**k)
+                if k < 2 * n:
+                    assert got == pytest.approx(want, abs=1e-14)
+                else:
+                    assert abs(got - want) > 1e-6
+
+
+class TestJacobiBuilders:
+    @pytest.mark.parametrize("e2", [0.0, -0.25, math.nan, math.inf])
+    def test_offdiag_square_refused(self, e2: float) -> None:
+        with pytest.raises(DomainError, match="finite and positive"):
+            _offdiag_sqrt(e2, 3)
+
+    def test_offdiag_sqrt(self) -> None:
+        assert _offdiag_sqrt(0.25, 0) == 0.5
+
+    def test_jackson_reversed_interval_refused(self) -> None:
+        # lo > hi makes c = lo/hi > 1 and e_0^2 = s^2 A_0 C_1 negative
+        with pytest.raises(DomainError, match="e_0"):
+            gauss_rule(_jackson_jacobi(2.0, 1.0, QContext(0.5)), 3)
+
+    def test_aw_overflowing_square_refused(self) -> None:
+        # 1/a overflows for a subnormal parameter: e_0^2 is inf, not a NaN row
+        params = AWParams(1e-320, 1e-320, 0.0, 0.0, QContext(0.25))
+        with pytest.raises(DomainError, match="e_0"):
+            gauss_rule(aw_jacobi(params), 3)
+
+    def test_aw_all_zero_refused(self, ctx2: QContext) -> None:
+        with pytest.raises(DomainError, match="nonzero"):
+            aw_jacobi(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
+
+    def test_aw_parameter_order_irrelevant(self, ctx2: QContext) -> None:
+        vals = (0.3, -0.6, 0.5, 0.1)
+        ref = gauss_rule(aw_jacobi(AWParams(*vals, ctx2)), 5)
+        for perm in ((0.1, 0.5, -0.6, 0.3), (-0.6, 0.1, 0.3, 0.5)):
+            got = gauss_rule(aw_jacobi(AWParams(*perm, ctx2)), 5)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
 
 class TestOrthonormalPolys:
     def test_degree_zero_and_one(self) -> None:
@@ -163,9 +207,9 @@ class TestOrthonormalPolys:
     def test_quadrature_exactness(self, ctx: QContext) -> None:
         # Gauss rule from the size-60 truncation integrates p_n p_m exactly
         coeffs = cocentral_coeffs(ctx)
-        sd = spectral_data(coeffs, 60)
-        vals = orthonormal_polys(coeffs, 30, sd.nodes)
-        gram = (vals * sd.weights) @ vals.T
+        nodes, weights = gauss_rule(coeffs, 60)
+        vals = orthonormal_polys(coeffs, 30, nodes)
+        gram = (vals * weights) @ vals.T
         assert np.max(np.abs(gram - np.eye(31))) < 1e-9
 
     def test_three_term_recurrence_residual(self, ctx: QContext) -> None:
