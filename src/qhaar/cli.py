@@ -323,6 +323,16 @@ def _poisson_terms(t: float) -> int:
 
 
 def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
+    """Eigenvalues and trace weights of the element truncated to 0..trunc_n at angle 0.
+
+    LAPACK gets the real symmetric gauge of the element's band
+    (``_Band.real_dense``), similar to it through a diagonal unitary, so
+    the eigenvalues are the element's and the weights
+    (1 - q^2) sum_n q^{2n} v_n^2 read the gauge-invariant |v_n|^2.
+    rho-inf rows name the nearest ladder point, rho-sigma rows the
+    distance to the Askey-Wilson support, whose mass points come from
+    ``aw_measure`` and are listed in the report.
+    """
     ctx = cfg.context()
     q = cfg.q
     name = {"cocentral": "cocentral", "rho-inf": "rho_tau_inf", "rho-sigma": "rho_tau_sigma"}[
@@ -333,10 +343,10 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         params = SphericalParams(tau=cfg.tau)
     elif name == "rho_tau_sigma":
         params = SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-    M = _element_band(ctx, name, params, 0.0, cfg.trunc_n).dense()
+    M = _element_band(ctx, name, params, 0.0, cfg.trunc_n).real_dense()
     eigvals, vecs = np.linalg.eigh(M)
     dens = op_D(ctx, cfg.trunc_n)
-    weights = (1.0 - q * q) * ((np.abs(vecs) ** 2).T @ dens)
+    weights = (1.0 - q * q) * ((vecs**2).T @ dens)
     rows = []
     masses: list[tuple[float, float]] = []
     if name == "rho_tau_sigma":
@@ -363,15 +373,33 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     return report, rows, True
 
 
+_LADDER_RUNGS = 2000  # rungs k = 0..1999 of each rho_tau_inf ladder are candidates
+
+
 def _nearest_ladder(x: float, q: float, tau: float) -> tuple[float, float]:
+    """Nearest point to x, and its distance, among 0 and the ladder rungs.
+
+    The rungs are -q^{2k} and q^{2 tau + 2k} for k < _LADDER_RUNGS.  Only
+    the ladder on the side of x can come closer than 0 does.  On it the
+    rungs bracketing x are k = floor(u) and floor(u) + 1, where
+    u = log(|x| / q^{2 tau}) / (2 log q) on the positive side and
+    u = log|x| / (2 log q) on the negative one.  Four rungs from
+    floor(u) - 1, moved inside 0.._LADDER_RUNGS - 1, cover any rounding
+    of u.  Equal distances go to the lower rung.  For tau >= 0 the result
+    equals a scan of every rung in increasing k, bit for bit.
+    """
     best, dist = 0.0, abs(x)
-    for k in range(2000):
-        for cand in (-(q ** (2 * k)), q ** (2 * tau + 2 * k)):
-            d = abs(x - cand)
-            if d < dist:
-                best, dist = cand, d
-        if q ** (2 * k) < 0.5 * dist:
-            break
+    if not 0.0 < dist < math.inf:
+        return best, dist
+    pos = x > 0.0
+    log_q = math.log(q)
+    u = (math.log(dist) - (2.0 * tau * log_q if pos else 0.0)) / (2.0 * log_q)
+    lo = min(max(math.floor(u) - 1, 0), _LADDER_RUNGS - 4)
+    for k in range(lo, lo + 4):
+        cand = q ** (2 * tau + 2 * k) if pos else -(q ** (2 * k))
+        d = abs(x - cand)
+        if d < dist:
+            best, dist = cand, d
     return best, dist
 
 

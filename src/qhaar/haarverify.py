@@ -519,11 +519,13 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     The support is [-1, 1] together with the mass points of the
     Askey-Wilson measure attached to rho_tau_sigma.  Eigenvalues of the
     truncated matrix should approach it from within roundoff plus
-    truncation error.
+    truncation error.  They are those of the real symmetric gauge of the
+    element's band at angle 0 (``_Band.real_dense``), a diagonal unitary
+    similarity, so LAPACK never sees a complex matrix.
     """
     spec = aw_measure(thm6_params(tau, sigma, ctx))
     params = SphericalParams(tau=tau, sigma=sigma)
-    M = _element_band(ctx, "rho_tau_sigma", params, 0.0, size).dense()
+    M = _element_band(ctx, "rho_tau_sigma", params, 0.0, size).real_dense()
     eigs = np.linalg.eigvalsh(M)
     return float(max(_support_distance(float(x), spec.masses) for x in eigs))
 

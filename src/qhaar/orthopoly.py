@@ -633,7 +633,7 @@ def _enumerate_masses(params: AWParams) -> list:
     ]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10) -> MeasureSpec:
     """Build the normalized Askey-Wilson measure for the given parameters.
 
@@ -642,11 +642,13 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
     strays from 1 by more than 1e-9 (a strong joint check on h0, the
     weight, and the mass formula).
 
-    Memoized for the most recent ``(params, start_nodes, mass_tol)``: a
-    repeated call with the same parameters returns the same frozen spec
-    with read-only arrays, so a run of integrals over one measure builds
-    it once.  ``params`` carries its QContext, so a different q,
-    ``tail_tol`` or ``max_terms`` is a different key.
+    Memoized for the two most recently used ``(params, start_nodes,
+    mass_tol)``: a repeated call with the same parameters returns the same
+    frozen spec with read-only arrays, so a run of integrals over one
+    measure, or over the pair of measures one identity alternates between
+    (``intermediate_check``), builds each once.  ``params`` carries its
+    QContext, so a different q, ``tail_tol`` or ``max_terms`` is a
+    different key.
     """
     h0 = aw_h0(*params.as_tuple(), params.ctx)
     raw_masses = _enumerate_masses(params)

@@ -20,8 +20,10 @@ has at most five nonzero diagonals.  All operator arithmetic here runs in
 band storage, one diagonal per offset over a scalar angle or a whole vector
 of them: the elements and their powers, the structural checks and the
 ladder actions on eigenvectors.  ``element`` densifies the band at one angle
-for the callers that diagonalize it; ``build_rep`` keeps the dense
-generator matrices as the public dense view.
+and ``build_rep`` keeps the dense generator matrices as the public dense
+view.  The diagonalizing callers take the band's real symmetric gauge
+instead: at angle 0 every element is similar to a real symmetric matrix
+through diag(c^n), c = 1 or i.
 
 Distinguished self-adjoint elements:
 
@@ -40,6 +42,7 @@ Distinguished self-adjoint elements:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,6 +126,10 @@ def build_rep(ctx: QContext, phi: float, size: int) -> TruncRep:
     return TruncRep(ctx=ctx, phi=phi, size=size, alpha=alpha, gamma=gamma)
 
 
+# i^o for o mod 4, exact: complex powers of 1j leave roundoff in the zero parts
+_QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
+
+
 class _Band(dict):
     """Truncated (size+1)-square matrices stored by diagonals.
 
@@ -166,9 +173,30 @@ class _Band(dict):
 
     def dense(self) -> np.ndarray:
         """The matrix of a band at a single angle."""
-        n = next(iter(self.values())).shape[-1]
-        out = np.zeros((n, n), dtype=complex)
-        for o, v in self.items():
+        return self._fill(self, complex)
+
+    def real_dense(self) -> np.ndarray:
+        """The real symmetric matrix D* M D, D = diag(c^n), of a Hermitian band at one angle.
+
+        D* M D multiplies diagonal o by c^o, an exact entry of the table
+        1, i, -1, -i, so the entries keep every bit.  The gauge c = 1 or
+        c = i is the one that leaves every imaginary part exactly zero; at
+        angle 0 each distinguished element has one.  D is unitary, so the
+        eigenvalues are those of M and |eigenvector entries| are unchanged.
+        A band that neither gauge makes real raises DomainError: no
+        imaginary part is ever dropped.
+        """
+        for turn in (0, 1):
+            gauged = {o: _QUARTER_TURNS[turn * o % 4] * v for o, v in self.items()}
+            if not any(np.any(v.imag) for v in gauged.values()):
+                return self._fill({o: v.real for o, v in gauged.items()}, float)
+        raise DomainError("band is not real in the gauge diag(c^n) for c = 1 or c = i")
+
+    @staticmethod
+    def _fill(diagonals: dict, dtype) -> np.ndarray:
+        n = next(iter(diagonals.values())).shape[-1]
+        out = np.zeros((n, n), dtype=dtype)
+        for o, v in diagonals.items():
             i = np.arange(max(0, -o), min(n, n - o))
             out[i, i + o] = v[i]
         return out
@@ -653,6 +681,8 @@ def verify_structure(
 
     lead = slice(0, size - 19)
 
+    # the shift targets and the recursion revisit eigenvectors: 26 distinct of 45
+    @functools.lru_cache(maxsize=None)
     def vec(branch: int, k: int, t: float) -> np.ndarray:
         return _phased_eigvec(branch, k, t, ctx, size, phi)
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -233,8 +235,12 @@ class TestSpectrum:
 
     def test_element_built_from_band(self, capsys, monkeypatch) -> None:
         # same eigenvalues as the element of build_rep's dense view, which
-        # the command no longer fills
+        # the command no longer fills, in the real gauge diag(i^n)* M diag(i^n)
         M = element(build_rep(QContext(0.5), 0.0, 80), "rho_tau_sigma", SphericalParams(0.4, 1.5))
+        n = np.arange(81)
+        M = np.array([1.0, 1j, -1.0, -1j])[(n[None, :] - n[:, None]) % 4] * M
+        assert not np.any(M.imag)
+        M = M.real
         calls = []
         for module in (qsu2rep, cli):
             for fn_name in ("build_rep", "element"):
@@ -247,6 +253,15 @@ class TestSpectrum:
         eigs = [r["eigenvalue"] for r in json.loads(out)["rows"]]
         assert eigs == np.linalg.eigh(M)[0].tolist()
 
+    def test_complex_band_is_two(self, capsys, monkeypatch) -> None:
+        # off angle 0 rho-inf has no real gauge; the command refuses it
+        real = cli._element_band
+        monkeypatch.setattr(cli, "_element_band", lambda *a: real(*a[:3], 0.7, a[4]))
+        code, out, err = run_cli(capsys, "spectrum", "rho-inf", "--trunc-n", "40")
+        assert code == 2
+        assert out == ""
+        assert "not real" in err
+
     def test_zero_size_is_two(self, capsys) -> None:
         code, _, err = run_cli(capsys, "spectrum", "cocentral", "--trunc-n", "0")
         assert code == 2
@@ -258,6 +273,56 @@ class TestSpectrum:
         doc = json.loads(out)
         total = sum(r["weight"] for r in doc["rows"])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def scanned_ladder(x: float, q: float, tau: float) -> tuple[float, float]:
+    """The former nearest-rung scan over k < 2000, kept as the reference."""
+    best, dist = 0.0, abs(x)
+    for k in range(2000):
+        for cand in (-(q ** (2 * k)), q ** (2 * tau + 2 * k)):
+            d = abs(x - cand)
+            if d < dist:
+                best, dist = cand, d
+        if q ** (2 * k) < 0.5 * dist:
+            break
+    return best, dist
+
+
+class TestNearestLadder:
+    def test_matches_scan(self) -> None:
+        rng = random.Random(20261018)
+        draws = 0
+
+        def rung(q, t):
+            k = rng.randrange(60)
+            return rng.choice((q ** (2 * t + 2 * k), -(q ** (2 * k))))
+
+        # (count, draw) per kind: the scan of a draw at distance 0 runs all
+        # 2000 rungs, 1 ms, so those kinds are rarer
+        kinds = (
+            (64_000, lambda q, t: rng.uniform(-1.5, 1.5)),
+            (25_000, lambda q, t: rung(q, t) * (1.0 + rng.choice((-1e-12, 1e-12)))),
+            (300, lambda q, t: rung(q, t)),
+            # above q^{2 tau} or below -1
+            (6_000, lambda q, t: rng.choice((q ** (2 * t) * rng.uniform(1.0, 3.0),
+                                             -rng.uniform(1.0, 3.0)))),
+            # any magnitude down to e^-60
+            (4_600, lambda q, t: rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-60.0, 0.0))),
+            (100, lambda q, t: rng.choice((0.0, -0.0))),
+        )
+        for count, draw in kinds:
+            for _ in range(count):
+                q, tau = rng.uniform(0.05, 0.99), rng.uniform(0.0, 3.0)
+                x = draw(q, tau)
+                assert cli._nearest_ladder(x, q, tau) == scanned_ladder(x, q, tau), (x, q, tau)
+                draws += 1
+        # the bracketing rungs lie past the scan's k < 2000
+        for _ in range(400):
+            q, tau = rng.uniform(0.9, 0.99), rng.uniform(0.0, 3.0)
+            x = rng.choice((-1.0, 1.0)) * q ** rng.uniform(3980.0, 4600.0)
+            assert cli._nearest_ladder(x, q, tau) == scanned_ladder(x, q, tau), (x, q, tau)
+            draws += 1
+        assert draws >= 100_000
 
 
 class TestEvalSeries:

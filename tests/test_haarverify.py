@@ -350,6 +350,13 @@ class TestIntermediate:
             assert rep.vs_trace < 1e-9
             assert rep.support_separation == pytest.approx(2.2033795842074308, rel=1e-6)
 
+    def test_builds_each_kernel_measure_once(self, ctx: QContext) -> None:
+        # the two kernel measures alternate in every call and share the cache
+        orthopoly.aw_measure.cache_clear()
+        for coeffs in monomials(6):
+            intermediate_check(coeffs, TAU, 1.5, ctx)
+        assert orthopoly.aw_measure.cache_info().misses == 2
+
     def test_tau_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
             intermediate_check([0.0, 1.0], 0.0, 0.6, ctx)
@@ -516,8 +523,13 @@ class TestSupport:
         assert support_check(TAU, 1.5, ctx, size=80) < 1e-4
 
     def test_builds_no_dense_generators(self, monkeypatch, ctx: QContext) -> None:
-        # reference: the element densified from build_rep's view at phi = 0
+        # reference: the element densified from build_rep's view at phi = 0,
+        # in the real gauge diag(i^n)* M diag(i^n)
         M = element(build_rep(ctx, 0.0, 120), "rho_tau_sigma", SphericalParams(TAU, 1.5))
+        n = np.arange(121)
+        M = np.array([1.0, 1j, -1.0, -1j])[(n[None, :] - n[:, None]) % 4] * M
+        assert not np.any(M.imag)
+        M = M.real
         masses = aw_measure(thm6_params(TAU, 1.5, ctx)).masses
         want = max(
             min([max(abs(x) - 1.0, 0.0)] + [abs(x - xm) for xm, _ in masses])

@@ -331,6 +331,48 @@ class TestBandElement:
         assert np.max(np.abs(got - band.dense() @ v)) <= 1e-14
 
 
+def cluster_sums(eigvals: np.ndarray, weights: np.ndarray, gap: float = 1e-9) -> np.ndarray:
+    """Weights summed over runs of ascending eigenvalues closer than ``gap`` (relative)."""
+    starts = np.flatnonzero(np.diff(eigvals) > gap * np.maximum(1.0, np.abs(eigvals[1:]))) + 1
+    return np.add.reduceat(weights, np.concatenate(([0], starts)))
+
+
+class TestRealGauge:
+    """The real symmetric gauge of a band against complex LAPACK on its dense matrix."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.9, 0.97])
+    @pytest.mark.parametrize("size", [1, 2, 40, 480])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_matches_complex_eigh(self, q, size, name, params) -> None:
+        ctx = QContext(q)
+        band = qsu2rep._element_band(ctx, name, params, 0.0, size)
+        Z = band.dense()
+        S = band.real_dense()
+        assert S.dtype == np.float64
+        # the same quarter turns applied to the dense matrix leave no imaginary part
+        i = np.arange(size + 1)
+        table = np.array([1.0, 1j, -1.0, -1j])
+        gauged = [table[(turn * (i[None, :] - i[:, None])) % 4] * Z for turn in (0, 1)]
+        real = [G for G in gauged if not np.any(G.imag)]
+        assert real and np.array_equal(real[0].real, S)
+        assert np.array_equal(S, S.T)
+
+        lam_c, vec_c = np.linalg.eigh(Z)
+        lam_r, vec_r = np.linalg.eigh(S)
+        assert np.all(np.abs(lam_r - lam_c) <= 1e-14 * np.maximum(1.0, np.abs(lam_c)))
+        dens = op_D(ctx, size)
+        w_c = (1.0 - q * q) * ((np.abs(vec_c) ** 2).T @ dens)
+        w_r = (1.0 - q * q) * ((vec_r**2).T @ dens)
+        # single weights of near-degenerate pairs are ill-conditioned; sums are not
+        assert np.max(np.abs(cluster_sums(lam_c, w_r) - cluster_sums(lam_c, w_c))) <= 1e-12
+
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES[2:])
+    def test_not_gaugeable_off_angle_zero(self, ctx: QContext, name, params) -> None:
+        band = qsu2rep._element_band(ctx, name, params, 0.7, 40)
+        with pytest.raises(DomainError, match="not real"):
+            band.real_dense()
+
+
 class TestSharedMoments:
     """The one-pass moment route against a per-polynomial Horner reference."""
 
@@ -597,3 +639,34 @@ class TestVerifyStructure:
     def test_small_size_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
             verify_structure(ctx, TAU, SIGMA, 30)
+
+    def test_builds_each_eigenvector_once(self, ctx: QContext, monkeypatch) -> None:
+        keys = []
+        real = qsu2rep.eigvec_components
+
+        def counting(branch, k, tau, ctx, size):
+            keys.append((branch, k, tau))
+            return real(branch, k, tau, ctx, size)
+
+        monkeypatch.setattr(qsu2rep, "eigvec_components", counting)
+        verify_structure(ctx, TAU, SIGMA, 60)
+        assert len(keys) == len(set(keys)) <= 26
+
+    # (relations, factorization, shifts, recursion) of the implementation that
+    # built every eigenvector afresh, x86-64 with numpy 2 and OpenBLAS
+    @pytest.mark.parametrize(
+        "q, want",
+        [
+            (0.5, ("0x1.0048309dd37d9p-53", "0x1.000e7e69d048ep-52",
+                   "0x1.896c97bd1ec83p-49", "0x1.1b69392d47fb7p-51")),
+            (0.9, ("0x1.01388fae2915bp-52", "0x1.0000000000007p-51",
+                   "0x1.5990fbad169dep-48", "0x1.55215da5c7415p-49")),
+        ],
+    )
+    def test_reuse_keeps_every_bit(self, q, want) -> None:
+        report = verify_structure(QContext(q), TAU, SIGMA, 480)
+        got = tuple(
+            float.hex(getattr(report, f))
+            for f in ("relations", "factorization", "shifts", "recursion")
+        )
+        assert got == want
