@@ -26,9 +26,9 @@ def bailey_table(ctx: QContext, taus: list[float], sigmas: list[float], points: 
     for tau in taus:
         cells = []
         for sigma in sigmas:
-            cons, variant = zip(*(bailey_variant_residuals(th, tau, sigma, ctx) for th in thetas))
-            cells.append(f"{max(cons):>10.1e}")
-            worst_variant = min(worst_variant, *variant)
+            cons, variant = bailey_variant_residuals(thetas, tau, sigma, ctx)
+            cells.append(f"{cons.max():>10.1e}")
+            worst_variant = min(worst_variant, variant.min())
         print(f"  {tau:<7g}" + "".join(cells))
     # the variant prefactor never gets close: it is an O(1) miss, not a tolerance issue
     print(f"  variant prefactor residual, best case: {worst_variant:.3e}")

@@ -35,7 +35,6 @@ from .errors import ConvergenceError, DomainError
 from .haarverify import (
     VerifyConfig,
     _support_distance,
-    bailey_raw_check,
     bailey_variant_residuals,
     mass_identity_check,
     monomials,
@@ -43,13 +42,14 @@ from .haarverify import (
     verify,
 )
 from .orthopoly import (
-    asc_poisson,
+    _asc_poisson_form,
+    _cqh_poisson_form,
+    _evaluate,
     asc_poisson_series,
     aw_measure,
-    cqh_poisson,
     cqh_poisson_series,
 )
-from .qseries import QContext, SeriesSpec, phi_rs
+from .qseries import Factorials, QContext, SeriesSpec, phi_rs
 from .qsu2rep import SphericalParams, _element_band, op_D
 
 __all__ = ["RunConfig", "main"]
@@ -234,64 +234,53 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     ctx = cfg.context()
     rows: list[dict] = []
     extra: dict = {}
+    # each command asks qpoch once, for every angle, case or kernel it checks
     if target == "bailey":
-        inconsistent = False
-        for theta in BAILEY_THETAS:
-            cons, variant = bailey_variant_residuals(theta, cfg.tau, cfg.sigma, ctx)
-            raw = bailey_raw_check(theta, cfg.tau, cfg.sigma, ctx)
-            ok = cons <= cfg.tol
-            inconsistent = inconsistent or variant > cfg.tol
+        cons, variant, raw = (
+            v.tolist()
+            for v in bailey_variant_residuals(BAILEY_THETAS, cfg.tau, cfg.sigma, ctx, raw=True)
+        )
+        for theta, c, v, r in zip(BAILEY_THETAS, cons, variant, raw):
             rows.append(
                 {
                     "theta": theta,
-                    "residual": cons,
-                    "variant_residual": variant,
-                    "raw_residual": raw,
-                    "passed": ok,
+                    "residual": c,
+                    "variant_residual": v,
+                    "raw_residual": r,
+                    "passed": c <= cfg.tol,
                 }
             )
         # the two printed prefactor forms cannot both hold; report which
         # one the numbers support instead of silently picking
-        extra["display_form_inconsistent"] = inconsistent
+        extra["display_form_inconsistent"] = any(v > cfg.tol for v in variant)
     elif target == "mass":
-        for a, b, k in MASS_CASES:
-            res = mass_identity_check(a, b, k, ctx)
+        residuals = mass_identity_check(*zip(*MASS_CASES), ctx).tolist()
+        for (a, b, k), res in zip(MASS_CASES, residuals):
             rows.append({"a": a, "b": b, "k": k, "residual": res, "passed": bool(res <= cfg.tol)})
     elif target == "poisson":
         rng = np.random.default_rng(cfg.seed)
-        for i in range(10):
-            t = float(rng.uniform(-0.8, 0.8))
-            x = float(rng.uniform(-0.99, 0.99))
-            y = float(rng.uniform(-0.99, 0.99))
-            n_terms = _poisson_terms(t)
-            closed = cqh_poisson(t, x, y, ctx)
-            series = cqh_poisson_series(t, x, y, ctx, n_terms)
-            res = float(abs(series - closed) / (1.0 + abs(closed)))
+        hermite = [_poisson_point(rng) + (0.0, 0.0) for _ in range(10)]
+        chihara = [
+            _poisson_point(rng) + (float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)))
+            for _ in range(10)
+        ]
+        closed = _evaluate(
+            Factorials.join(
+                [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
+                + [_asc_poisson_form(*p, ctx) for p in chihara]
+            ),
+            ctx,
+        )
+        kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
+        for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
+            if kind == "q-hermite":
+                series = cqh_poisson_series(t, x, y, ctx, _poisson_terms(t))
+            else:
+                series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t))
+            res = float(abs(series - value) / (1.0 + abs(value)))
             rows.append(
                 {
-                    "kind": "q-hermite",
-                    "t": t,
-                    "x": x,
-                    "y": y,
-                    "a": 0.0,
-                    "b": 0.0,
-                    "residual": res,
-                    "passed": bool(res <= cfg.tol),
-                }
-            )
-        for i in range(10):
-            t = float(rng.uniform(-0.8, 0.8))
-            x = float(rng.uniform(-0.99, 0.99))
-            y = float(rng.uniform(-0.99, 0.99))
-            a = float(rng.uniform(-0.95, 0.95))
-            b = float(rng.uniform(-0.95, 0.95))
-            n_terms = _poisson_terms(t)
-            closed = asc_poisson(t, x, y, a, b, ctx)
-            series = asc_poisson_series(t, x, y, a, b, ctx, n_terms)
-            res = float(abs(series - closed) / (1.0 + abs(closed)))
-            rows.append(
-                {
-                    "kind": "al-salam-chihara",
+                    "kind": kind,
                     "t": t,
                     "x": x,
                     "y": y,
@@ -314,6 +303,11 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     }
     report.update(extra)
     return report, rows, passed
+
+
+def _poisson_point(rng: np.random.Generator) -> tuple[float, float, float]:
+    """One draw of (t, x, y): t in (-0.8, 0.8), x and y in (-0.99, 0.99)."""
+    return tuple(float(rng.uniform(-lim, lim)) for lim in (0.8, 0.99, 0.99))
 
 
 def _poisson_terms(t: float) -> int:

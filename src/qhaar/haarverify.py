@@ -26,21 +26,22 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .orthopoly import (
     AWParams,
     _as_callable,
+    _asc_mass_poisson_tq_form,
+    _asc_poisson_form,
+    _aw_h0_form,
+    _aw_mass_weight_form,
+    _aw_theta_weight_form,
     _mass_ladder,
-    asc_mass_poisson_tq,
     asc_poisson,
-    aw_h0,
     aw_integrate,
     aw_jacobi,
-    aw_mass_weight,
     aw_measure,
-    aw_theta_weight,
 )
-from .qseries import QContext, qpoch, w87
+from .qseries import Factorials, QContext, qpoch, w87
 from .qsu2rep import (
     SphericalParams,
     _check_phase_grid,
@@ -389,14 +390,30 @@ def intermediate_check(
     )
 
 
-def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> float:
+def _shaped(values: list, shape: tuple):
+    """``values`` as an array of ``shape``, or its one value for shape ()."""
+    return values[0] if shape == () else np.array(values).reshape(shape)
+
+
+def _angles(theta) -> list[float]:
+    return np.asarray(theta, dtype=float).ravel().tolist()
+
+
+def bailey_raw_check(theta, tau: float, sigma: float, ctx: QContext):
     """Relative residual of the two-term very-well-poised 8W7 relation.
 
     Evaluated directly at the base-q^2 substitution attached to
     (theta, tau, sigma): a = -q^{2-2 tau}, b = q^2, and the two conjugate
     pairs c, d = -q^{1 -/+ sigma - tau} e^{+/- i theta} ... built from the
-    kernel parameters.
+    kernel parameters.  ``theta`` may be an array: the residuals then come
+    as an array of its shape, all factorials from one ``qpoch`` call; each
+    equals the scalar call at that angle bit for bit.
     """
+    form = Factorials.join([_bailey_raw_form(t, tau, sigma, ctx) for t in _angles(theta)])
+    return _shaped(form.assemble(qpoch(form.params, ctx.squared(), form.ks)), np.shape(theta))
+
+
+def _bailey_raw_form(theta: float, tau: float, sigma: float, ctx: QContext) -> Factorials:
     q = ctx.q
     Q = q * q
     ctx2 = ctx.squared()
@@ -407,6 +424,10 @@ def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> f
     d = c.conjugate()
     e = q ** (1.0 + sigma - tau) * z
     f = e.conjugate()
+    if 0.0 in (c, e, c * d, c * e, c * f, d * e, d * f, e * f):
+        raise ConvergenceError(
+            f"8W7 parameters at tau={tau!r}, sigma={sigma!r}, q={q!r} underflow to zero"
+        )
     # the eight denominator factorials are shared by the second term and the rhs
     lower = (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a)
     upper = (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f)
@@ -419,20 +440,24 @@ def bailey_raw_check(theta: float, tau: float, sigma: float, ctx: QContext) -> f
         a * Q / (d * f),
         a * Q / (e * f),
     )
-    vals = iter(qpoch([b / a, *lower, *upper, b * b * Q / a, a / b, *rhs_upper], ctx2).tolist())
-    term1 = w87(a, b, c, d, e, f, ctx2, Q) / next(vals)
-    den = math.prod(islice(vals, len(lower)), start=1.0)
-    pref = math.prod(islice(vals, len(upper)), start=1.0) / (den * next(vals))
-    term2 = (
-        pref
-        * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
-        / next(vals)
-    )
-    rhs = math.prod(vals, start=1.0) / den
-    return abs(term1 + term2 - rhs) / abs(rhs)
+
+    def assemble(vals: np.ndarray) -> float:
+        vals = iter(vals.tolist())
+        term1 = w87(a, b, c, d, e, f, ctx2, Q) / next(vals)
+        den = math.prod(islice(vals, len(lower)), start=1.0)
+        pref = math.prod(islice(vals, len(upper)), start=1.0) / (den * next(vals))
+        term2 = (
+            pref
+            * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
+            / next(vals)
+        )
+        rhs = math.prod(vals, start=1.0) / den
+        return abs(term1 + term2 - rhs) / abs(rhs)
+
+    return Factorials([b / a, *lower, *upper, b * b * Q / a, a / b, *rhs_upper], assemble)
 
 
-def bailey_check(theta: float, tau: float, sigma: float, ctx: QContext) -> float:
+def bailey_check(theta, tau: float, sigma: float, ctx: QContext):
     """Relative residual of the assembled kernel-pair density identity at theta.
 
     Pointwise on x = cos(theta): the two diagonal Poisson kernels times
@@ -447,9 +472,7 @@ def bailey_check(theta: float, tau: float, sigma: float, ctx: QContext) -> float
     return bailey_variant_residuals(theta, tau, sigma, ctx)[0]
 
 
-def bailey_variant_residuals(
-    theta: float, tau: float, sigma: float, ctx: QContext
-) -> tuple[float, float]:
+def bailey_variant_residuals(theta, tau: float, sigma: float, ctx: QContext, raw: bool = False):
     """Residuals (consistent, variant) of the two second-term prefactors.
 
     The consistent form divides the second term by (1 + q^{-2 tau}); the
@@ -458,6 +481,12 @@ def bailey_variant_residuals(
     when the variant residual exceeds tolerance instead of silently
     dropping the inconsistent form.  Both share one evaluation of the
     kernels, weights and normalizations.
+
+    ``theta`` may be an array: each residual is then an array of its
+    shape, and the three normalizations, which do not depend on theta, are
+    computed once.  With ``raw`` the :func:`bailey_raw_check` residuals at
+    the same angles come third.  Every factorial comes from one ``qpoch``
+    call, and each value equals the scalar call at its angle bit for bit.
     """
     if tau == 0.0:
         raise DomainError("tau = 0 makes the variant prefactor 1/(1 - q^{-2 tau}) singular")
@@ -467,22 +496,41 @@ def bailey_variant_residuals(
     (a1, b1), (a2, b2) = _asc_pair(tau, sigma, q)
     p6 = thm6_params(tau, sigma, ctx)
     params4 = (p6.a, p6.b, p6.c, p6.d)
-    x = math.cos(theta)
-    first = (1.0 - Q) * asc_poisson(Q, x, x, a1, b1, ctx2) * aw_theta_weight(
-        theta, a1, b1, 0.0, 0.0, ctx2
-    ) / ((1.0 + q ** (2.0 * tau)) * aw_h0(a1, b1, 0.0, 0.0, ctx2))
-    second = (1.0 - Q) * asc_poisson(Q, x, x, a2, b2, ctx2) * aw_theta_weight(
-        theta, a2, b2, 0.0, 0.0, ctx2
+    angles = _angles(theta)
+    kernels = [
+        Factorials.join([
+            _asc_poisson_form(Q, x, x, a1, b1, ctx2),
+            _aw_theta_weight_form(t, a1, b1, 0.0, 0.0),
+            _asc_poisson_form(Q, x, x, a2, b2, ctx2),
+            _aw_theta_weight_form(t, a2, b2, 0.0, 0.0),
+            _aw_theta_weight_form(t, *params4),
+        ])
+        for t, x in zip(angles, map(math.cos, angles))
+    ]
+    second_denoms = (1.0 + q ** (-2.0 * tau), 1.0 - q ** (-2.0 * tau))
+
+    def residuals(h0_1, h0_2, h0_4, *per_angle):
+        cons, variant = [], []
+        for k1, w1, k2, w2, w4 in per_angle:
+            first = (1.0 - Q) * k1 * w1 / ((1.0 + q ** (2.0 * tau)) * h0_1)
+            second = (1.0 - Q) * k2 * w2
+            rhs = w4 / h0_4
+            for out, d in zip((cons, variant), second_denoms):
+                out.append(abs(first + second / (d * h0_2) - rhs) / abs(rhs))
+        return _shaped(cons, np.shape(theta)), _shaped(variant, np.shape(theta))
+
+    variants = Factorials.join(
+        [_aw_h0_form(a1, b1, 0.0, 0.0, ctx2), _aw_h0_form(a2, b2, 0.0, 0.0, ctx2),
+         _aw_h0_form(*params4, ctx2), *kernels],
+        residuals,
     )
-    h0_2 = aw_h0(a2, b2, 0.0, 0.0, ctx2)
-    rhs = aw_theta_weight(theta, *params4, ctx2) / aw_h0(*params4, ctx2)
-    return tuple(
-        abs(first + second / (d * h0_2) - rhs) / abs(rhs)
-        for d in (1.0 + q ** (-2.0 * tau), 1.0 - q ** (-2.0 * tau))
-    )
+    raws = [_bailey_raw_form(t, tau, sigma, ctx) for t in angles] if raw else []
+    form = Factorials.join([variants, *raws])
+    (cons, variant), *raw_values = form.assemble(qpoch(form.params, ctx2, form.ks))
+    return (cons, variant, _shaped(raw_values, np.shape(theta))) if raw else (cons, variant)
 
 
-def mass_identity_check(a: float, b: float, k: int, ctx: QContext) -> float:
+def mass_identity_check(a, b, k, ctx: QContext):
     """Absolute deviation in the discrete-mass-weight matching identity.
 
     With x_k the mass point of parameter a (needs |a| > 1, |a q^k| > 1,
@@ -494,23 +542,44 @@ def mass_identity_check(a: float, b: float, k: int, ctx: QContext) -> float:
     The four-parameter side generally violates the bounds a measure
     requires, so the raw weight and normalization helpers are used; the
     identity itself is a meromorphic statement about the formulas.
+
+    ``a``, ``b`` and ``k`` may be arrays that broadcast together, one case
+    per element: the deviations then come as an array of that shape.
+    Every case is validated first (a DomainError names the case and q),
+    then all factorials come from one ``qpoch`` call.
     """
+    shape = np.broadcast(a, b, k).shape
+    cases = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (a, b, k)))
+    form = Factorials.join([_mass_identity_form(*case, ctx) for case in cases])
+    return _shaped(form.assemble(qpoch(form.params, ctx, form.ks)), shape)
+
+
+def _mass_identity_form(a: float, b: float, k: int, ctx: QContext) -> Factorials:
     q = ctx.q
+    case = f"mass case (a={a!r}, b={b!r}, k={k!r}) at q={q!r}"
     if abs(a) <= 1.0:
-        raise DomainError("mass parameter needs |a| > 1")
+        raise DomainError(f"{case}: mass parameter needs |a| > 1")
     if a * b >= 1.0:
-        raise DomainError("need signed ab < 1")
+        raise DomainError(f"{case}: need signed ab < 1")
     if k < 0 or abs(a) * q**k <= 1.0:
-        raise DomainError("index k beyond the mass ladder of a")
-    lhs = (
-        (1.0 - q)
-        / (1.0 - q / (a * b))
-        * asc_mass_poisson_tq(k, a, b, ctx)
-        * aw_mass_weight(a, (b, 0.0, 0.0), k, ctx)
-        / aw_h0(a, b, 0.0, 0.0, ctx)
+        raise DomainError(f"{case}: index k beyond the mass ladder of a")
+    if q / (a * b) == 1.0:
+        raise DomainError(f"{case}: q = ab makes the prefactor 1/(1 - q/(ab)) singular")
+
+    def residual(kernel, w2, h2, w4, h4):
+        lhs = (1.0 - q) / (1.0 - q / (a * b)) * kernel * w2 / h2
+        return abs(lhs - w4 / h4)
+
+    return Factorials.join(
+        [
+            _asc_mass_poisson_tq_form(k, a, b, ctx),
+            _aw_mass_weight_form(a, (b, 0.0, 0.0), k, ctx),
+            _aw_h0_form(a, b, 0.0, 0.0, ctx),
+            _aw_mass_weight_form(a, (b, q / a, q / b), k, ctx),
+            _aw_h0_form(a, b, q / a, q / b, ctx),
+        ],
+        residual,
     )
-    rhs = aw_mass_weight(a, (b, q / a, q / b), k, ctx) / aw_h0(a, b, q / a, q / b, ctx)
-    return abs(lhs - rhs)
 
 
 def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> float:

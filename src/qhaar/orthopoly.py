@@ -11,6 +11,11 @@ Four interlocking pieces:
   and discrete masses for parameters outside the unit disc, assembled
   into a quadrature-ready MeasureSpec, and its Jacobi matrix.
 
+Every closed form made of q-shifted factorials is built by a ``_*_form``
+function that returns a :class:`~qhaar.qseries.Factorials`; the public
+function evaluates that form alone, and a caller that needs several closed
+forms joins their forms and evaluates them with one ``qpoch`` call.
+
 Measures are normalized so the total mass is 1; that normalization is
 re-verified at construction time and is one of the deeper consistency
 checks on the mass-weight formulas.
@@ -27,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qseries import QContext, SeriesSpec, phi_rs, qpoch, w87
+from .qseries import Factorials, QContext, SeriesSpec, phi_rs, qpoch, w87
 from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
@@ -58,6 +63,11 @@ __all__ = [
 #: |e q^k| must exceed 1 by more than this to generate a discrete mass;
 #: values inside the band are treated as the (measure-zero) boundary case.
 MASS_EDGE_TOL = 1e-12
+
+
+def _evaluate(form: Factorials, ctx: QContext):
+    """Value of a closed form: all of its factorials from one ``qpoch`` call."""
+    return form.assemble(qpoch(form.params, ctx, form.ks))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +102,12 @@ def cqh_weight(x: float, ctx: QContext) -> float:
     if not -1.0 <= x <= 1.0:
         raise DomainError("cqh_weight needs x in [-1, 1]")
     z = _unit_circle_point(x)
-    w, w_bar = qpoch([z * z, z.conjugate() * z.conjugate()], ctx).tolist()
-    return float((w * w_bar).real)
+
+    def assemble(vals: np.ndarray) -> float:
+        w, w_bar = vals.tolist()
+        return float((w * w_bar).real)
+
+    return _evaluate(Factorials([z * z, z.conjugate() * z.conjugate()], assemble), ctx)
 
 
 def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
@@ -103,17 +117,25 @@ def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
 
     for x = cos theta, y = cos psi, |t| < 1.
     """
+    return _evaluate(_cqh_poisson_form(t, x, y), ctx)
+
+
+def _cqh_poisson_form(t: float, x: float, y: float) -> Factorials:
     if abs(t) >= 1.0:
         raise DomainError("cqh_poisson needs |t| < 1")
     z1 = _unit_circle_point(x)
     z2 = _unit_circle_point(y)
-    *factors, top = qpoch(
-        [t * w for w in (z1 * z2, z1 / z2, z2 / z1, 1.0 / (z1 * z2))] + [t * t], ctx
-    ).tolist()
-    denom = 1.0 + 0.0j
-    for v in factors:
-        denom *= v
-    return float((top / denom).real)
+
+    def assemble(vals: np.ndarray) -> float:
+        *factors, top = vals.tolist()
+        denom = 1.0 + 0.0j
+        for v in factors:
+            denom *= v
+        return float((top / denom).real)
+
+    return Factorials(
+        [t * w for w in (z1 * z2, z1 / z2, z2 / z1, 1.0 / (z1 * z2))] + [t * t], assemble
+    )
 
 
 def cqh_poisson_series(t: float, x: float, y: float, ctx: QContext, n_terms: int) -> float:
@@ -361,14 +383,22 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
         P_k(a;b|q) = (a b q^k, b q / a; q)_inf / ((ab, a^{-2} q^{1-2k}; q)_inf)
                      * (q^{-k}, b q^{-k}/a, a^2 q^k; q)_k * q^k.
     """
+    return _evaluate(_asc_mass_poisson_tq_form(k, a, b, ctx), ctx)
+
+
+def _asc_mass_poisson_tq_form(k: int, a: float, b: float, ctx: QContext) -> Factorials:
     q = ctx.q
-    n1, n2, d1, d2, f1, f2, f3 = qpoch(
+
+    def assemble(vals: np.ndarray) -> float:
+        n1, n2, d1, d2, f1, f2, f3 = vals.real.tolist()
+        return float(n1 * n2 / (d1 * d2) * (f1 * f2 * f3) * q**k)
+
+    return Factorials(
         [a * b * q**k, b * q / a, a * b, q ** (1 - 2 * k) / (a * a),
          q ** (-k), b * q ** (-k) / a, a * a * q**k],
-        ctx,
+        assemble,
         [math.inf] * 4 + [k] * 3,
-    ).tolist()
-    return float(n1 * n2 / (d1 * d2) * (f1 * f2 * f3) * q**k)
+    )
 
 
 def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext) -> float:
@@ -388,11 +418,17 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
       |t| < e^2 q^{2k}: a terminating evaluation; at t = q exactly it reduces
       to asc_mass_poisson_tq.
     """
+    return _evaluate(_asc_poisson_form(t, x, y, a, b, ctx), ctx)
+
+
+def _asc_poisson_form(
+    t: float, x: float, y: float, a: float, b: float, ctx: QContext
+) -> Factorials:
     q = ctx.q
     if a * b >= 1.0:
         raise DomainError("asc_poisson needs ab < 1")
     if t == 0.0:
-        return 1.0
+        return Factorials([], lambda vals: 1.0)
     if a == 0.0 or b == 0.0:
         # the very-well-poised form divides by a and b; the series route
         # still covers these degenerate subfamilies
@@ -402,19 +438,23 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
             raise DomainError("continuous regime needs |t| < 1")
         z1 = _unit_circle_point(x)
         z2 = _unit_circle_point(y)
-        vals = qpoch(
+
+        def continuous(vals: np.ndarray) -> float:
+            vals = vals.tolist()
+            num = 1.0 + 0.0j
+            for v in vals[:5]:
+                num *= v
+            den = vals[5]
+            for v in vals[6:]:
+                den *= v
+            val = num / den * w87(a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, ctx, t)
+            return float(val.real)
+
+        return Factorials(
             [a * t * z1, a * t / z1, b * t * z2, b * t / z2, t + 0.0j,
              a * b * t + 0.0j, t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)],
-            ctx,
-        ).tolist()
-        num = 1.0 + 0.0j
-        for v in vals[:5]:
-            num *= v
-        den = vals[5]
-        for v in vals[6:]:
-            den *= v
-        val = num / den * w87(a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, ctx, t)
-        return float(val.real)
+            continuous,
+        )
 
     # discrete regime: locate x among the masses of a or b
     if abs(x - y) > 1e-9 * (1.0 + abs(x)):
@@ -428,26 +468,36 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
                         f"{e * e * q ** (2 * k):.6g}"
                     )
                 if abs(t - q) <= 1e-15:
-                    return asc_mass_poisson_tq(k, e, other, ctx)
-                p1, p2, n1, n2, d1, d2 = qpoch(
-                    [e * e * q**k * t, t * q ** (-k), e * other * t * q**k,
-                     other * t * q ** (-k) / e, e * other * t, t * q ** (-2 * k) / (e * e)],
-                    ctx,
-                    [k, k] + [math.inf] * 4,
-                ).tolist()
-                pref, num, den = p1 * p2, n1 * n2, d1 * d2
-                w = w87(
-                    e * other * t / q,
-                    t,
-                    e * other * q**k,
-                    other * q ** (-k) / e,
-                    q ** (-k),
-                    e * e * q**k,
-                    ctx,
-                    t,
-                )
-                return float((pref * num / den * w).real)
+                    return _asc_mass_poisson_tq_form(k, e, other, ctx)
+                return _asc_mass_point_form(t, k, e, other, ctx)
     raise DomainError(f"x={x!r} is not a discrete mass point of (a={a!r}, b={b!r})")
+
+
+def _asc_mass_point_form(t: float, k: int, e: float, other: float, ctx: QContext) -> Factorials:
+    """Poisson kernel at the k-th discrete mass of parameter e, t != q."""
+    q = ctx.q
+
+    def assemble(vals: np.ndarray) -> float:
+        p1, p2, n1, n2, d1, d2 = vals.real.tolist()
+        pref, num, den = p1 * p2, n1 * n2, d1 * d2
+        w = w87(
+            e * other * t / q,
+            t,
+            e * other * q**k,
+            other * q ** (-k) / e,
+            q ** (-k),
+            e * e * q**k,
+            ctx,
+            t,
+        )
+        return float((pref * num / den * w).real)
+
+    return Factorials(
+        [e * e * q**k * t, t * q ** (-k), e * other * t * q**k,
+         other * t * q ** (-k) / e, e * other * t, t * q ** (-2 * k) / (e * e)],
+        assemble,
+        [k, k] + [math.inf] * 4,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +537,17 @@ class AWParams:
 
 def aw_h0(a: float, b: float, c: float, d: float, ctx: QContext) -> float:
     """Normalization h0 = (abcd;q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
-    num, den, *rest = qpoch(
-        [a * b * c * d, ctx.q, a * b, a * c, a * d, b * c, b * d, c * d], ctx
-    ).tolist()
-    for v in rest:
-        den *= v
-    return float(num / den)
+    return _evaluate(_aw_h0_form(a, b, c, d, ctx), ctx)
+
+
+def _aw_h0_form(a: float, b: float, c: float, d: float, ctx: QContext) -> Factorials:
+    def assemble(vals: np.ndarray) -> float:
+        num, den, *rest = vals.real.tolist()
+        for v in rest:
+            den *= v
+        return float(num / den)
+
+    return Factorials([a * b * c * d, ctx.q, a * b, a * c, a * d, b * c, b * d, c * d], assemble)
 
 
 def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext):
@@ -501,15 +556,24 @@ def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext
     w = |(e^{2 i theta};q)_inf|^2 / prod_e |(e e^{i theta};q)_inf|^2 for the
     real parameters e in {a,b,c,d}.
     """
+    return _evaluate(_aw_theta_weight_form(theta, a, b, c, d), ctx)
+
+
+def _aw_theta_weight_form(theta, a: float, b: float, c: float, d: float) -> Factorials:
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
-    vals = qpoch(np.stack([z * z] + [e * z for e in (a, b, c, d) if e != 0.0]), ctx)
-    num = np.abs(vals[0]) ** 2
-    den = np.ones_like(num)
-    for v in vals[1:]:
-        den *= np.abs(v) ** 2
-    out = num / den
-    return out if out.shape else float(out)
+    rows = np.stack([z * z] + [e * z for e in (a, b, c, d) if e != 0.0])
+
+    def assemble(vals: np.ndarray):
+        vals = vals.reshape(rows.shape)
+        num = np.abs(vals[0]) ** 2
+        den = np.ones_like(num)
+        for v in vals[1:]:
+            den *= np.abs(v) ** 2
+        out = num / den
+        return out if out.shape else float(out)
+
+    return Factorials(rows, assemble)
 
 
 def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> float:
@@ -527,25 +591,34 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     Includes the (1 - e^2 q^{2k})/(1 - e^2) factor required for the weights
     to sum correctly.
     """
+    return _evaluate(_aw_mass_weight_form(e, others, k, ctx), ctx)
+
+
+def _aw_mass_weight_form(e: float, others: Sequence[float], k: int, ctx: QContext) -> Factorials:
     q = ctx.q
     nonzero = [p for p in others if p != 0.0]
     infinite = [e ** (-2.0), q] + [v for p in nonzero for v in (e * p, p / e)]
     finite = [e * e, q] + [v for p in nonzero for v in (e * p, e * q / p)]
-    ks = [math.inf] * len(infinite) + [k] * len(finite)
-    vals = iter(qpoch(infinite + finite, ctx, ks).tolist())
-    c_inf = next(vals) / next(vals)
-    for p in nonzero:
-        c_inf /= next(vals) * next(vals)
-    inv_e = 1.0 / e
-    val = c_inf * (1.0 - e * e * q ** (2 * k)) / (1.0 - e * e)
-    val *= next(vals) / next(vals)
-    val *= q**k * inv_e**k
-    for p in others:
-        if p != 0.0:
-            val *= next(vals) / (next(vals) * p**k)
-        else:
-            val *= (-1.0) ** k * inv_e**k * q ** (-0.5 * k * (k + 1))
-    return float(val)
+
+    def assemble(vals: np.ndarray) -> float:
+        vals = iter(vals.real.tolist())
+        c_inf = next(vals) / next(vals)
+        for p in nonzero:
+            c_inf /= next(vals) * next(vals)
+        inv_e = 1.0 / e
+        val = c_inf * (1.0 - e * e * q ** (2 * k)) / (1.0 - e * e)
+        val *= next(vals) / next(vals)
+        val *= q**k * inv_e**k
+        for p in others:
+            if p != 0.0:
+                val *= next(vals) / (next(vals) * p**k)
+            else:
+                val *= (-1.0) ** k * inv_e**k * q ** (-0.5 * k * (k + 1))
+        return float(val)
+
+    return Factorials(
+        infinite + finite, assemble, [math.inf] * len(infinite) + [k] * len(finite)
+    )
 
 
 def aw_jacobi(params: AWParams) -> JacobiCoeffs:

@@ -9,6 +9,13 @@ bound controlled by ``QContext.tail_tol``.
 factor count, chosen by the same tail test as a scalar call, and its factors
 are multiplied in the same order, so every element equals the scalar call
 bit for bit.  Callers that need several factorials make one array call.
+
+A closed form that needs factorials is written as a :class:`Factorials`:
+the list of its factorials plus the rule that assembles its value from
+theirs.  A single call evaluates it as a batch of one, and
+:meth:`Factorials.join` gathers any number of forms (every angle, case or
+kernel of one identity check) into one form, so one :func:`qpoch` call
+serves them all.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QContext",
+    "Factorials",
     "SeriesSpec",
     "qpoch",
     "qpoch_prod",
@@ -249,6 +257,50 @@ def _factor_products(a: np.ndarray, counts: np.ndarray, powers: np.ndarray, pad:
                 res[ends] = blk[ends, cr[ends] - c0]
             carry = blk[:, -1]
     return out
+
+
+@dataclass(frozen=True)
+class Factorials:
+    """A closed form split into the q-shifted factorials it needs and the
+    rule that assembles its value from them.
+
+    ``params`` holds the bases a of the factorials (a;q)_k (raveled to one
+    dimension), ``ks`` their orders (None: all infinite), and ``assemble``
+    maps the array of their values, in the order of ``params``, to the
+    value of the form.  The value is ``assemble(qpoch(params, ctx, ks))``;
+    since each element of an array :func:`qpoch` call equals its scalar
+    call, the value does not depend on which forms share the call.
+    """
+
+    params: np.ndarray
+    assemble: Callable[[np.ndarray], object]
+    ks: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", np.ravel(np.asarray(self.params)))
+        if self.ks is not None:
+            ks = np.broadcast_to(np.asarray(self.ks, dtype=float), self.params.shape)
+            object.__setattr__(self, "ks", ks)
+
+    @staticmethod
+    def join(forms: Sequence["Factorials"], combine: Callable = lambda *values: list(values)):
+        """One form for all of ``forms``: its value is ``combine`` applied to
+        their values in order (by default, the list of them)."""
+        forms = list(forms)
+        ends = np.cumsum([f.params.size for f in forms]).tolist()
+        params = np.concatenate([f.params for f in forms]) if forms else np.zeros(0)
+        ks = None
+        if any(f.ks is not None for f in forms):
+            ks = np.concatenate(
+                [np.full(f.params.size, math.inf) if f.ks is None else f.ks for f in forms]
+            )
+
+        def assemble(vals: np.ndarray):
+            return combine(
+                *(f.assemble(vals[lo:hi]) for f, lo, hi in zip(forms, [0] + ends, ends))
+            )
+
+        return Factorials(params, assemble, ks)
 
 
 def qpoch_prod(params: Sequence, ctx: QContext, k=None):

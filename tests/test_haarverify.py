@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhaar import (
+    ConvergenceError,
     DomainError,
     QContext,
     SphericalParams,
@@ -41,8 +42,8 @@ from qhaar import (
     verify,
     w87,
 )
-from qhaar import haarverify, orthopoly, qseries, qsu2rep
-from qhaar.cli import BAILEY_THETAS
+from qhaar import cli, haarverify, orthopoly, qseries, qsu2rep
+from qhaar.cli import BAILEY_THETAS, MASS_CASES
 
 TAU = 0.4
 
@@ -419,10 +420,10 @@ class TestBailey:
 
             return wrapper
 
-        for name in ("asc_poisson", "aw_theta_weight", "aw_h0"):
+        for name in ("_asc_poisson_form", "_aw_theta_weight_form", "_aw_h0_form"):
             monkeypatch.setattr(haarverify, name, counted(name))
         bailey_variant_residuals(1.1, TAU, 1.5, ctx)
-        assert calls == {"asc_poisson": 2, "aw_theta_weight": 3, "aw_h0": 3}
+        assert calls == {"_asc_poisson_form": 2, "_aw_theta_weight_form": 3, "_aw_h0_form": 3}
 
 
     def test_raw_check_one_qpoch_call(self, ctx: QContext, monkeypatch) -> None:
@@ -436,6 +437,54 @@ class TestBailey:
         monkeypatch.setattr(haarverify, "qpoch", counting)
         bailey_raw_check(1.1, TAU, 1.5, ctx)
         assert [len(a) for a in calls] == [27]
+
+    @pytest.mark.parametrize("q", (0.05, 0.5, 0.9))
+    def test_array_theta_matches_scalar_calls(self, q: float) -> None:
+        ctx = QContext(q)
+        thetas = np.array([[0.1, 0.3, 0.9], [1.4, 2.2, 3.0]])
+        for tau, sigma in ((0.4, 1.5), (0.3, 0.7047), (1.2, 2.5)):
+            cons, var, raw = bailey_variant_residuals(thetas, tau, sigma, ctx, raw=True)
+            assert cons.shape == var.shape == raw.shape == thetas.shape
+            alone = bailey_raw_check(thetas, tau, sigma, ctx)
+            assert [v.hex() for v in alone.ravel().tolist()] == [
+                v.hex() for v in raw.ravel().tolist()
+            ]
+            got = zip(thetas.ravel().tolist(), cons.ravel().tolist(), var.ravel().tolist(),
+                      raw.ravel().tolist())
+            for theta, c, v, r in got:
+                want_c, want_v = bailey_variant_residuals(theta, tau, sigma, ctx)
+                assert (c.hex(), v.hex()) == (want_c.hex(), want_v.hex())
+                assert r.hex() == bailey_raw_check(theta, tau, sigma, ctx).hex()
+                assert r.hex() == _ref_raw_check(theta, tau, sigma, ctx).hex()
+
+    def test_scalar_theta_gives_floats(self, ctx: QContext) -> None:
+        values = bailey_variant_residuals(1.1, TAU, 1.5, ctx, raw=True)
+        assert [type(v) for v in values] == [float, float, float]
+        assert type(bailey_raw_check(1.1, TAU, 1.5, ctx)) is float
+        assert type(bailey_check(1.1, TAU, 1.5, ctx)) is float
+
+    def test_array_theta_one_qpoch_call_and_h0_once(self, ctx: QContext, monkeypatch) -> None:
+        qpoch_calls, h0_forms = [], []
+        real_qpoch, real_h0 = haarverify.qpoch, haarverify._aw_h0_form
+
+        def counting(*args, **kwargs):
+            qpoch_calls.append(len(args[0]))
+            return real_qpoch(*args, **kwargs)
+
+        monkeypatch.setattr(haarverify, "qpoch", counting)
+        monkeypatch.setattr(orthopoly, "qpoch", counting)
+        monkeypatch.setattr(haarverify, "_aw_h0_form", lambda *a: h0_forms.append(a) or real_h0(*a))
+        bailey_variant_residuals(BAILEY_THETAS, TAU, 1.5, ctx, raw=True)
+        # 3 normalizations of 8, then per angle 2 kernels of 10, weights of
+        # 3, 3 and 5 and the 27 factorials of the raw relation
+        assert qpoch_calls == [3 * 8 + len(BAILEY_THETAS) * (2 * 10 + 3 + 3 + 5 + 27)]
+        assert len(h0_forms) == 3
+
+    def test_underflowing_raw_parameters_refused(self, ctx: QContext) -> None:
+        # e f = q^{2 + 2 sigma - 2 tau} underflows; dividing by it used to
+        # raise ZeroDivisionError
+        with pytest.raises(ConvergenceError, match="underflow"):
+            bailey_raw_check(0.3, TAU, 1000.0, ctx)
 
 def _ref_display_residual(theta, tau, sigma, ctx, second_denom):
     # the kernel-pair identity with every term written out per prefactor
@@ -512,6 +561,182 @@ class TestMassIdentity:
             mass_identity_check(1.6, 0.7, 0, ctx)  # ab >= 1
         with pytest.raises(DomainError):
             mass_identity_check(1.6, 0.3, 1, ctx)  # |a q| <= 1
+
+    def test_cases_batched_like_scalar_calls(self, monkeypatch) -> None:
+        calls = []
+        real = haarverify.qpoch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(haarverify, "qpoch", counting)
+        for q in (0.3, 0.5, 0.95):
+            ctx = QContext(q)
+            sets = [(a, b, k) for a, b, k in self.SETS if abs(a) * q**k > 1.0]
+            a, b, k = (np.array(v) for v in zip(*sets))
+            calls.clear()
+            got = mass_identity_check(a, b, k, ctx)
+            assert len(calls) == 1 and got.shape == (len(sets),)
+            want = [mass_identity_check(*case, ctx) for case in sets]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            ref = [_ref_mass_residual(*case, ctx) for case in sets]
+            assert [v.hex() for v in want] == [v.hex() for v in ref]
+
+    def test_bad_case_named_before_any_factorial(self, monkeypatch) -> None:
+        monkeypatch.setattr(haarverify, "qpoch", lambda *a, **k: pytest.fail("qpoch called"))
+        ctx = QContext(0.05)
+        # the first case is fine; the second is past its mass ladder at q = 0.05
+        beyond = r"\(a=2\.5, b=-0\.2, k=1\) at q=0\.05: index k beyond"
+        with pytest.raises(DomainError, match=beyond):
+            mass_identity_check(*zip(*MASS_CASES), ctx)
+        with pytest.raises(DomainError, match=r"\(a=1\.6, b=0\.3, k=0\) at q=0\.48: q = ab"):
+            mass_identity_check(1.6, 0.3, 0, QContext(0.48))
+
+
+def _ref_mass_residual(a, b, k, ctx):
+    # the matching identity with each closed form evaluated on its own
+    q = ctx.q
+    lhs = (
+        (1.0 - q)
+        / (1.0 - q / (a * b))
+        * orthopoly.asc_mass_poisson_tq(k, a, b, ctx)
+        * orthopoly.aw_mass_weight(a, (b, 0.0, 0.0), k, ctx)
+        / orthopoly.aw_h0(a, b, 0.0, 0.0, ctx)
+    )
+    rhs = orthopoly.aw_mass_weight(a, (b, q / a, q / b), k, ctx) / orthopoly.aw_h0(
+        a, b, q / a, q / b, ctx
+    )
+    return abs(lhs - rhs)
+
+
+def _identity_stdout(target: str, rows: list, **config) -> str:
+    """The JSON line ``qhaar identity <target>`` prints for these rows."""
+    cfg = cli.RunConfig(**config)
+    report = {
+        "schema": cli.SCHEMA_VERSION,
+        "command": "identity",
+        "target": target,
+        "config": cfg.as_dict(),
+        "rows": rows,
+        "passed": all(r["passed"] for r in rows),
+    }
+    if target == "bailey":
+        report["display_form_inconsistent"] = any(r["variant_residual"] > cfg.tol for r in rows)
+    return cli._to_json(report) + "\n"
+
+
+class TestIdentityCommands:
+    """Each ``qhaar identity`` command prints what a row-by-row evaluation
+    with scalar calls gives, and asks ``qpoch`` once for all its factorials."""
+
+    def run(self, capsys, *argv: str) -> tuple[int, str]:
+        code = cli.main(["identity", *argv])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "q, tau, sigma",
+        [(q, 0.4, 1.5) for q in (0.05, 0.3, 0.5, 0.9, 0.95)]
+        + [(0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953)],
+    )
+    def test_bailey_stdout(self, capsys, q: float, tau: float, sigma: float) -> None:
+        ctx = QContext(q)
+        rows = []
+        for theta in BAILEY_THETAS:
+            cons = _ref_display_residual(theta, tau, sigma, ctx, 1.0 + q ** (-2.0 * tau))
+            variant = _ref_display_residual(theta, tau, sigma, ctx, 1.0 - q ** (-2.0 * tau))
+            rows.append(
+                {
+                    "theta": theta,
+                    "residual": cons,
+                    "variant_residual": variant,
+                    "raw_residual": _ref_raw_check(theta, tau, sigma, ctx),
+                    "passed": cons <= 1e-7,
+                }
+            )
+        argv = ("--q", repr(q), "--tau", repr(tau), "--sigma", repr(sigma))
+        code, out = self.run(capsys, "bailey", *argv)
+        assert out == _identity_stdout("bailey", rows, q=q, tau=tau, sigma=sigma)
+        assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+    @pytest.mark.parametrize("q", (0.5, 0.95))
+    def test_mass_stdout(self, capsys, q: float) -> None:
+        ctx = QContext(q)
+        rows = []
+        for a, b, k in MASS_CASES:
+            res = _ref_mass_residual(a, b, k, ctx)
+            rows.append({"a": a, "b": b, "k": k, "residual": res, "passed": res <= 1e-7})
+        code, out = self.run(capsys, "mass", "--q", repr(q))
+        assert out == _identity_stdout("mass", rows, q=q)
+        assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+    @pytest.mark.parametrize(
+        "q, seed", [(0.3, 1), (0.5, 7041), (0.5, 99), (0.8, 12345), (0.9, 2026)]
+    )
+    def test_poisson_stdout(self, capsys, q: float, seed: int) -> None:
+        ctx = QContext(q)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for kind in ["q-hermite"] * 10 + ["al-salam-chihara"] * 10:
+            t = float(rng.uniform(-0.8, 0.8))
+            x = float(rng.uniform(-0.99, 0.99))
+            y = float(rng.uniform(-0.99, 0.99))
+            n_terms = cli._poisson_terms(t)
+            if kind == "q-hermite":
+                a = b = 0.0
+                closed = orthopoly.cqh_poisson(t, x, y, ctx)
+                series = orthopoly.cqh_poisson_series(t, x, y, ctx, n_terms)
+            else:
+                a = float(rng.uniform(-0.95, 0.95))
+                b = float(rng.uniform(-0.95, 0.95))
+                closed = orthopoly.asc_poisson(t, x, y, a, b, ctx)
+                series = orthopoly.asc_poisson_series(t, x, y, a, b, ctx, n_terms)
+            res = float(abs(series - closed) / (1.0 + abs(closed)))
+            rows.append(
+                {"kind": kind, "t": t, "x": x, "y": y, "a": a, "b": b, "residual": res,
+                 "passed": res <= 1e-7}
+            )
+        code, out = self.run(capsys, "poisson", "--q", repr(q), "--seed", str(seed))
+        assert out == _identity_stdout("poisson", rows, q=q, seed=seed)
+        assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+    @pytest.mark.parametrize(
+        "argv, w87_calls",
+        [
+            (("bailey",), 4 * len(BAILEY_THETAS)),
+            (("bailey", "--q", "0.9", "--tau", "0.3", "--sigma", "0.7047"), 4 * len(BAILEY_THETAS)),
+            (("mass",), 0),
+            (("mass", "--q", "0.95"), 0),
+            (("poisson",), 10),
+            (("poisson", "--q", "0.9", "--seed", "3"), 10),
+        ],
+    )
+    def test_one_qpoch_call_per_command(self, capsys, monkeypatch, argv, w87_calls: int) -> None:
+        calls = collections.Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (orthopoly, haarverify):
+            counted(module, "qpoch")
+            counted(module, "w87")
+        code, out = self.run(capsys, *argv)
+        assert code in (0, 1) and out
+        assert calls["qpoch"] == 1
+        assert calls["w87"] == w87_calls
+
+    def test_mass_case_named_on_stderr(self, capsys) -> None:
+        code = cli.main(["identity", "mass", "--q", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "mass case (a=2.5, b=-0.2, k=1) at q=0.05" in captured.err
 
 
 class TestSupport:

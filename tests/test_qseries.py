@@ -22,7 +22,7 @@ from qhaar import (
     qpoch_prod,
     w87,
 )
-from qhaar.qseries import neg_power_index
+from qhaar.qseries import Factorials, neg_power_index
 
 mp.mp.dps = 40
 
@@ -82,6 +82,41 @@ def hex_of(v) -> tuple[str, str]:
 
 def scalar_hex(values, ctx: QContext, ks) -> list[tuple[str, str]]:
     return [hex_of(qpoch(x, ctx, k)) for x, k in zip(values, ks)]
+
+
+class TestFactorials:
+    @staticmethod
+    def value(form: Factorials, ctx: QContext):
+        return form.assemble(qpoch(form.params, ctx, form.ks))
+
+    def test_join_equals_separate_forms(self) -> None:
+        ctx = QContext(0.7)
+        real = Factorials(
+            [0.3, -1.4, 2.0], lambda v: math.prod(v.real.tolist(), start=1.0), [math.inf, 3, 0]
+        )
+        cplx = Factorials([0.5 + 0.2j, -0.1j], lambda v: v.tolist()[0] / v.tolist()[1])
+        grid = Factorials(np.full((2, 3), 0.25), lambda v: v.real.reshape(2, 3).sum(axis=0))
+        empty = Factorials([], lambda v: 1.0)
+        forms = [real, empty, cplx, grid]
+        joined = Factorials.join(forms)
+        assert joined.params.size == 3 + 0 + 2 + 6 and joined.params.dtype == complex
+        assert joined.ks.tolist() == [math.inf, 3, 0] + [math.inf] * 8
+        got = self.value(joined, ctx)
+        want = [self.value(f, ctx) for f in forms]
+        assert got[:3] == want[:3] and type(got[0]) is float
+        assert got[3].tolist() == want[3].tolist()
+        # combine receives the values in order
+        total = Factorials.join([real, empty], lambda x, y: x + y)
+        assert self.value(total, ctx) == want[0] + 1.0
+
+    def test_nested_join_and_no_forms(self) -> None:
+        ctx = QContext(0.4)
+        single = Factorials([0.2], lambda v: float(v[0].real))
+        inner = Factorials.join([single, single], lambda x, y: x * y)
+        outer = Factorials.join([inner, single])
+        got = self.value(outer, ctx)
+        assert got == [qpoch(0.2, ctx) * qpoch(0.2, ctx), qpoch(0.2, ctx)]
+        assert self.value(Factorials.join([]), ctx) == []
 
 
 class TestArrayQpoch:
