@@ -37,6 +37,7 @@ from .orthopoly import (
     aw_h0,
     aw_integrate,
     aw_jacobi,
+    aw_masses,
     aw_measure,
     cqh,
     cqh_all,
@@ -122,6 +123,7 @@ __all__ = [
     "asc_poisson",
     "aw_h0",
     "aw_jacobi",
+    "aw_masses",
     "aw_measure",
     "aw_integrate",
     "ELEMENT_NAMES",

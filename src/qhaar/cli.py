@@ -44,9 +44,8 @@ from .haarverify import (
 from .orthopoly import (
     _asc_poisson_form,
     _cqh_poisson_form,
-    _evaluate,
     asc_poisson_series,
-    aw_measure,
+    aw_masses,
     cqh_poisson_series,
 )
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
@@ -71,7 +70,6 @@ class RunConfig:
     tau: float = 0.4
     sigma: float = 1.5
     trunc_n: int = 160
-    phi_points: int = 0
     max_degree: int = 6
     tol: float = 1e-7
     output: str = "json"
@@ -97,7 +95,6 @@ class RunConfig:
             N=self.trunc_n,
             poly_set=monomials(self.max_degree),
             tol=self.tol,
-            phi_points=self.phi_points,
         )
 
 
@@ -264,13 +261,10 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
             _poisson_point(rng) + (float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)))
             for _ in range(10)
         ]
-        closed = _evaluate(
-            Factorials.join(
-                [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
-                + [_asc_poisson_form(*p, ctx) for p in chihara]
-            ),
-            ctx,
-        )
+        closed = Factorials.join(
+            [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
+            + [_asc_poisson_form(*p, ctx) for p in chihara]
+        ).evaluate(ctx)
         kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
         for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
             if kind == "q-hermite":
@@ -325,7 +319,8 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     (1 - q^2) sum_n q^{2n} v_n^2 read the gauge-invariant |v_n|^2.
     rho-inf rows name the nearest ladder point, rho-sigma rows the
     distance to the Askey-Wilson support, whose mass points come from
-    ``aw_measure`` and are listed in the report.
+    ``aw_masses`` alone (no quadrature rule is built) and are listed in
+    the report.
     """
     ctx = cfg.context()
     q = cfg.q
@@ -342,9 +337,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     dens = op_D(ctx, cfg.trunc_n)
     weights = (1.0 - q * q) * ((vecs**2).T @ dens)
     rows = []
-    masses: list[tuple[float, float]] = []
-    if name == "rho_tau_sigma":
-        masses = list(aw_measure(thm6_params(cfg.tau, cfg.sigma, ctx)).masses)
+    masses = aw_masses(thm6_params(cfg.tau, cfg.sigma, ctx)) if name == "rho_tau_sigma" else ()
     for i, (x, w) in enumerate(zip(eigvals, weights)):
         row = {"index": i, "eigenvalue": float(x), "weight": float(w)}
         if name == "rho_tau_inf":
@@ -450,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--sigma", type=float, default=None)
         p.add_argument("--trunc-n", dest="trunc_n", type=int, default=None)
-        p.add_argument("--phi-points", dest="phi_points", type=int, default=None)
         p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--output", choices=("json", "csv", "text"), default=None)
@@ -502,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
             file_values = loaded
         flag_values = {
             key: getattr(args, key)
-            for key in ("q", "tau", "sigma", "trunc_n", "phi_points", "max_degree", "tol", "output", "seed")
+            for key in ("q", "tau", "sigma", "trunc_n", "max_degree", "tol", "output", "seed")
         }
         cfg = _config_from_sources(file_values, flag_values)
 

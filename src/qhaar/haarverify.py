@@ -39,12 +39,12 @@ from .orthopoly import (
     asc_poisson,
     aw_integrate,
     aw_jacobi,
+    aw_masses,
     aw_measure,
 )
-from .qseries import Factorials, QContext, qpoch, w87
+from .qseries import Factorials, QContext, w87
 from .qsu2rep import (
     SphericalParams,
-    _check_phase_grid,
     _element_band,
     _poly_degree,
     haar_moments,
@@ -101,8 +101,7 @@ class VerifyConfig:
     """Shared knobs for a verification run.
 
     ``poly_set`` holds ascending coefficient tuples; the default is the
-    monomials through degree 6.  ``phi_points = 0`` lets the trace route
-    pick its exact phase grid.  The truncation policy is enforced by the
+    monomials through degree 6.  The truncation policy is enforced by the
     trace route, which knows the element: ``N`` must cover the reach of
     the largest power, so a too-small ``N`` raises TruncationPolicyError
     from :func:`verify`, not from construction.
@@ -114,15 +113,12 @@ class VerifyConfig:
     N: int = 160
     poly_set: tuple[tuple[float, ...], ...] = field(default_factory=lambda: monomials(6))
     tol: float = 1e-7
-    phi_points: int = 0
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise DomainError("N must be positive")
         if self.tol <= 0.0:
             raise DomainError("tol must be positive")
-        if self.phi_points < 0:
-            raise DomainError("phi_points must be nonnegative (0 = automatic)")
         if not self.poly_set:
             raise DomainError("poly_set must not be empty")
         object.__setattr__(
@@ -283,9 +279,7 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
     4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
     at the largest degree serves the trace side of every polynomial, one
-    Gauss rule exact at that degree its measure side.  An explicit
-    ``phi_points`` grid too coarse for the phase average of rho_tau_sigma
-    at that degree is refused with DomainError.
+    Gauss rule exact at that degree its measure side.
     """
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
@@ -309,11 +303,7 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
         measure_route = "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
     nodes, weights = gauss_rule(jacobi, cfg.max_degree // 2 + 1)
     measure_route += f", Gauss rule of {len(nodes)} node(s)"
-    phi_count = cfg.phi_points or None
-    _check_phase_grid(name, cfg.max_degree, phi_count)
-    moments = haar_moments(
-        ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol, phi_count=phi_count
-    )
+    moments = haar_moments(ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol)
     trace_route = f"phase-averaged weighted trace, N={cfg.N}"
     rows = tuple(
         _row(_poly_label(c), c, moment_trace(c, moments),
@@ -410,7 +400,7 @@ def bailey_raw_check(theta, tau: float, sigma: float, ctx: QContext):
     equals the scalar call at that angle bit for bit.
     """
     form = Factorials.join([_bailey_raw_form(t, tau, sigma, ctx) for t in _angles(theta)])
-    return _shaped(form.assemble(qpoch(form.params, ctx.squared(), form.ks)), np.shape(theta))
+    return _shaped(form.evaluate(ctx.squared()), np.shape(theta))
 
 
 def _bailey_raw_form(theta: float, tau: float, sigma: float, ctx: QContext) -> Factorials:
@@ -483,8 +473,8 @@ def bailey_variant_residuals(theta, tau: float, sigma: float, ctx: QContext, raw
     kernels, weights and normalizations.
 
     ``theta`` may be an array: each residual is then an array of its
-    shape, and the three normalizations, which do not depend on theta, are
-    computed once.  With ``raw`` the :func:`bailey_raw_check` residuals at
+    shape; each normalization is computed once and each weight is one
+    array form over every angle.  With ``raw`` the :func:`bailey_raw_check` residuals at
     the same angles come third.  Every factorial comes from one ``qpoch``
     call, and each value equals the scalar call at its angle bit for bit.
     """
@@ -498,20 +488,18 @@ def bailey_variant_residuals(theta, tau: float, sigma: float, ctx: QContext, raw
     params4 = (p6.a, p6.b, p6.c, p6.d)
     angles = _angles(theta)
     kernels = [
-        Factorials.join([
-            _asc_poisson_form(Q, x, x, a1, b1, ctx2),
-            _aw_theta_weight_form(t, a1, b1, 0.0, 0.0),
-            _asc_poisson_form(Q, x, x, a2, b2, ctx2),
-            _aw_theta_weight_form(t, a2, b2, 0.0, 0.0),
-            _aw_theta_weight_form(t, *params4),
-        ])
-        for t, x in zip(angles, map(math.cos, angles))
+        Factorials.join([_asc_poisson_form(Q, x, x, a, b, ctx2) for a, b in ((a1, b1), (a2, b2))])
+        for x in map(math.cos, angles)
+    ]
+    weights = [
+        _aw_theta_weight_form(np.array(angles), *params)
+        for params in ((a1, b1, 0.0, 0.0), (a2, b2, 0.0, 0.0), params4)
     ]
     second_denoms = (1.0 + q ** (-2.0 * tau), 1.0 - q ** (-2.0 * tau))
 
-    def residuals(h0_1, h0_2, h0_4, *per_angle):
+    def residuals(h0_1, h0_2, h0_4, w1s, w2s, w4s, *kernel_pairs):
         cons, variant = [], []
-        for k1, w1, k2, w2, w4 in per_angle:
+        for (k1, k2), w1, w2, w4 in zip(kernel_pairs, w1s.tolist(), w2s.tolist(), w4s.tolist()):
             first = (1.0 - Q) * k1 * w1 / ((1.0 + q ** (2.0 * tau)) * h0_1)
             second = (1.0 - Q) * k2 * w2
             rhs = w4 / h0_4
@@ -521,20 +509,19 @@ def bailey_variant_residuals(theta, tau: float, sigma: float, ctx: QContext, raw
 
     variants = Factorials.join(
         [_aw_h0_form(a1, b1, 0.0, 0.0, ctx2), _aw_h0_form(a2, b2, 0.0, 0.0, ctx2),
-         _aw_h0_form(*params4, ctx2), *kernels],
+         _aw_h0_form(*params4, ctx2), *weights, *kernels],
         residuals,
     )
     raws = [_bailey_raw_form(t, tau, sigma, ctx) for t in angles] if raw else []
-    form = Factorials.join([variants, *raws])
-    (cons, variant), *raw_values = form.assemble(qpoch(form.params, ctx2, form.ks))
+    (cons, variant), *raw_values = Factorials.join([variants, *raws]).evaluate(ctx2)
     return (cons, variant, _shaped(raw_values, np.shape(theta))) if raw else (cons, variant)
 
 
 def mass_identity_check(a, b, k, ctx: QContext):
     """Absolute deviation in the discrete-mass-weight matching identity.
 
-    With x_k the mass point of parameter a (needs |a| > 1, |a q^k| > 1,
-    signed ab < 1):
+    With x_k the mass point of parameter a (k on the mass ladder of a,
+    ``orthopoly._mass_ladder``; signed ab < 1):
 
         (1-q) / (1 - q/(ab)) * P_k(a; b) * w_k(a; b, 0, 0) / h0(a, b, 0, 0)
             = w_k(a; b, q/a, q/b) / h0(a, b, q/a, q/b).
@@ -551,17 +538,15 @@ def mass_identity_check(a, b, k, ctx: QContext):
     shape = np.broadcast(a, b, k).shape
     cases = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (a, b, k)))
     form = Factorials.join([_mass_identity_form(*case, ctx) for case in cases])
-    return _shaped(form.assemble(qpoch(form.params, ctx, form.ks)), shape)
+    return _shaped(form.evaluate(ctx), shape)
 
 
 def _mass_identity_form(a: float, b: float, k: int, ctx: QContext) -> Factorials:
     q = ctx.q
     case = f"mass case (a={a!r}, b={b!r}, k={k!r}) at q={q!r}"
-    if abs(a) <= 1.0:
-        raise DomainError(f"{case}: mass parameter needs |a| > 1")
     if a * b >= 1.0:
         raise DomainError(f"{case}: need signed ab < 1")
-    if k < 0 or abs(a) * q**k <= 1.0:
+    if k not in _mass_ladder(a, q):
         raise DomainError(f"{case}: index k beyond the mass ladder of a")
     if q / (a * b) == 1.0:
         raise DomainError(f"{case}: q = ab makes the prefactor 1/(1 - q/(ab)) singular")
@@ -585,18 +570,18 @@ def _mass_identity_form(a: float, b: float, k: int, ctx: QContext) -> Factorials
 def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> float:
     """Largest distance from a truncation eigenvalue to the spectral support.
 
-    The support is [-1, 1] together with the mass points of the
-    Askey-Wilson measure attached to rho_tau_sigma.  Eigenvalues of the
-    truncated matrix should approach it from within roundoff plus
-    truncation error.  They are those of the real symmetric gauge of the
+    The support is [-1, 1] together with the mass points (``aw_masses``; no
+    quadrature rule is built) of the Askey-Wilson measure attached to
+    rho_tau_sigma.  Eigenvalues of the truncated matrix should approach it
+    from within roundoff plus truncation error.  They are those of the real symmetric gauge of the
     element's band at angle 0 (``_Band.real_dense``), a diagonal unitary
     similarity, so LAPACK never sees a complex matrix.
     """
-    spec = aw_measure(thm6_params(tau, sigma, ctx))
+    masses = aw_masses(thm6_params(tau, sigma, ctx))
     params = SphericalParams(tau=tau, sigma=sigma)
     M = _element_band(ctx, "rho_tau_sigma", params, 0.0, size).real_dense()
     eigs = np.linalg.eigvalsh(M)
-    return float(max(_support_distance(float(x), spec.masses) for x in eigs))
+    return float(max(_support_distance(float(x), masses) for x in eigs))
 
 
 def _support_distance(x: float, masses) -> float:

@@ -55,6 +55,7 @@ __all__ = [
     "aw_h0",
     "aw_theta_weight",
     "aw_mass_weight",
+    "aw_masses",
     "aw_jacobi",
     "aw_measure",
     "aw_integrate",
@@ -63,11 +64,6 @@ __all__ = [
 #: |e q^k| must exceed 1 by more than this to generate a discrete mass;
 #: values inside the band are treated as the (measure-zero) boundary case.
 MASS_EDGE_TOL = 1e-12
-
-
-def _evaluate(form: Factorials, ctx: QContext):
-    """Value of a closed form: all of its factorials from one ``qpoch`` call."""
-    return form.assemble(qpoch(form.params, ctx, form.ks))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +103,7 @@ def cqh_weight(x: float, ctx: QContext) -> float:
         w, w_bar = vals.tolist()
         return float((w * w_bar).real)
 
-    return _evaluate(Factorials([z * z, z.conjugate() * z.conjugate()], assemble), ctx)
+    return Factorials([z * z, z.conjugate() * z.conjugate()], assemble).evaluate(ctx)
 
 
 def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
@@ -117,7 +113,7 @@ def cqh_poisson(t: float, x: float, y: float, ctx: QContext) -> float:
 
     for x = cos theta, y = cos psi, |t| < 1.
     """
-    return _evaluate(_cqh_poisson_form(t, x, y), ctx)
+    return _cqh_poisson_form(t, x, y).evaluate(ctx)
 
 
 def _cqh_poisson_form(t: float, x: float, y: float) -> Factorials:
@@ -383,7 +379,7 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
         P_k(a;b|q) = (a b q^k, b q / a; q)_inf / ((ab, a^{-2} q^{1-2k}; q)_inf)
                      * (q^{-k}, b q^{-k}/a, a^2 q^k; q)_k * q^k.
     """
-    return _evaluate(_asc_mass_poisson_tq_form(k, a, b, ctx), ctx)
+    return _asc_mass_poisson_tq_form(k, a, b, ctx).evaluate(ctx)
 
 
 def _asc_mass_poisson_tq_form(k: int, a: float, b: float, ctx: QContext) -> Factorials:
@@ -418,7 +414,7 @@ def asc_poisson(t: float, x: float, y: float, a: float, b: float, ctx: QContext)
       |t| < e^2 q^{2k}: a terminating evaluation; at t = q exactly it reduces
       to asc_mass_poisson_tq.
     """
-    return _evaluate(_asc_poisson_form(t, x, y, a, b, ctx), ctx)
+    return _asc_poisson_form(t, x, y, a, b, ctx).evaluate(ctx)
 
 
 def _asc_poisson_form(
@@ -537,7 +533,7 @@ class AWParams:
 
 def aw_h0(a: float, b: float, c: float, d: float, ctx: QContext) -> float:
     """Normalization h0 = (abcd;q)_inf / (q, ab, ac, ad, bc, bd, cd; q)_inf."""
-    return _evaluate(_aw_h0_form(a, b, c, d, ctx), ctx)
+    return _aw_h0_form(a, b, c, d, ctx).evaluate(ctx)
 
 
 def _aw_h0_form(a: float, b: float, c: float, d: float, ctx: QContext) -> Factorials:
@@ -554,14 +550,15 @@ def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext
     """Continuous weight w(cos theta; a,b,c,d | q) for theta scalar or array.
 
     w = |(e^{2 i theta};q)_inf|^2 / prod_e |(e e^{i theta};q)_inf|^2 for the
-    real parameters e in {a,b,c,d}.
+    real parameters e in {a,b,c,d}.  A scalar theta runs as an array of
+    one angle, so it gets the same last bits as inside any array.
     """
-    return _evaluate(_aw_theta_weight_form(theta, a, b, c, d), ctx)
+    return _aw_theta_weight_form(theta, a, b, c, d).evaluate(ctx)
 
 
 def _aw_theta_weight_form(theta, a: float, b: float, c: float, d: float) -> Factorials:
     th = np.asarray(theta, dtype=float)
-    z = np.exp(1j * th)
+    z = np.exp(1j * th.reshape(-1))
     rows = np.stack([z * z] + [e * z for e in (a, b, c, d) if e != 0.0])
 
     def assemble(vals: np.ndarray):
@@ -571,7 +568,7 @@ def _aw_theta_weight_form(theta, a: float, b: float, c: float, d: float) -> Fact
         for v in vals[1:]:
             den *= np.abs(v) ** 2
         out = num / den
-        return out if out.shape else float(out)
+        return out.reshape(th.shape) if th.shape else float(out[0])
 
     return Factorials(rows, assemble)
 
@@ -591,7 +588,7 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     Includes the (1 - e^2 q^{2k})/(1 - e^2) factor required for the weights
     to sum correctly.
     """
-    return _evaluate(_aw_mass_weight_form(e, others, k, ctx), ctx)
+    return _aw_mass_weight_form(e, others, k, ctx).evaluate(ctx)
 
 
 def _aw_mass_weight_form(e: float, others: Sequence[float], k: int, ctx: QContext) -> Factorials:
@@ -696,14 +693,21 @@ def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
     return theta, weights
 
 
-def _enumerate_masses(params: AWParams) -> list:
+def aw_masses(params: AWParams) -> tuple:
+    """Masses (x_k, w_k / h0) of the normalized measure, one per rung k of each
+    parameter's mass ladder: all factorials from one ``qpoch`` call, or none
+    when there is no mass."""
     q = params.ctx.q
     vals = params.as_tuple()
-    return [
-        (_asc_mass_location(e, k, q), aw_mass_weight(e, vals[:i] + vals[i + 1 :], k, params.ctx))
-        for i, e in enumerate(vals)
-        for k in _mass_ladder(e, q)
-    ]
+    ladder = [(e, i, k) for i, e in enumerate(vals) for k in _mass_ladder(e, q)]
+    if not ladder:
+        return ()
+
+    def normalize(h0, *weights):
+        return tuple((_asc_mass_location(e, k, q), w / h0) for (e, _, k), w in zip(ladder, weights))
+
+    forms = [_aw_mass_weight_form(e, vals[:i] + vals[i + 1 :], k, params.ctx) for e, i, k in ladder]
+    return Factorials.join([_aw_h0_form(*vals, params.ctx), *forms], normalize).evaluate(params.ctx)
 
 
 @functools.lru_cache(maxsize=2)
@@ -724,9 +728,8 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
     different key.
     """
     h0 = aw_h0(*params.as_tuple(), params.ctx)
-    raw_masses = _enumerate_masses(params)
-    mass_sum = sum(w for _, w in raw_masses) / h0
-    masses = tuple((x, w / h0) for x, w in raw_masses)
+    masses = aw_masses(params)
+    mass_sum = sum(w for _, w in masses)
 
     n = start_nodes
     prev = None

@@ -12,7 +12,7 @@ bit for bit.  Callers that need several factorials make one array call.
 
 A closed form that needs factorials is written as a :class:`Factorials`:
 the list of its factorials plus the rule that assembles its value from
-theirs.  A single call evaluates it as a batch of one, and
+theirs.  :meth:`Factorials.evaluate` evaluates it as a batch of one, and
 :meth:`Factorials.join` gathers any number of forms (every angle, case or
 kernel of one identity check) into one form, so one :func:`qpoch` call
 serves them all.
@@ -267,9 +267,10 @@ class Factorials:
     ``params`` holds the bases a of the factorials (a;q)_k (raveled to one
     dimension), ``ks`` their orders (None: all infinite), and ``assemble``
     maps the array of their values, in the order of ``params``, to the
-    value of the form.  The value is ``assemble(qpoch(params, ctx, ks))``;
-    since each element of an array :func:`qpoch` call equals its scalar
-    call, the value does not depend on which forms share the call.
+    value of the form.  :meth:`evaluate` alone forms the value
+    ``assemble(qpoch(params, ctx, ks))``; since each element of an array
+    :func:`qpoch` call equals its scalar call, the value does not depend on
+    which forms share the call.
     """
 
     params: np.ndarray
@@ -281,6 +282,24 @@ class Factorials:
         if self.ks is not None:
             ks = np.broadcast_to(np.asarray(self.ks, dtype=float), self.params.shape)
             object.__setattr__(self, "ks", ks)
+
+    def evaluate(self, ctx: QContext):
+        """The value of the form, every factorial from one :func:`qpoch` call.
+
+        ConvergenceError when a factorial is not finite or the assembly
+        divides by zero: near q = 1 a product of finite factorials underflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            vals = qpoch(self.params, ctx, self.ks)
+        if not np.isfinite(vals).all():
+            raise ConvergenceError(f"a q-shifted factorial at q={ctx.q!r} is not finite")
+        try:
+            with np.errstate(divide="raise"):
+                return self.assemble(vals)
+        except (ZeroDivisionError, FloatingPointError):
+            raise ConvergenceError(
+                f"a product of q-shifted factorials at q={ctx.q!r} underflows to zero"
+            ) from None
 
     @staticmethod
     def join(forms: Sequence["Factorials"], combine: Callable = lambda *values: list(values)):

@@ -281,14 +281,12 @@ def haar_moments(
     has the samples ``moments @ coeffs``.  The element is built once in
     band storage for the whole grid and its powers E^k = E^{k-1} E stay
     there, the half-bandwidth growing by the element's reach per power, so
-    the cost is O(phi_count * size * degree^2).  The degree is capped at
-    16.  The default grid is the 4*degree + 4 uniform angles starting at
-    ``phi_offset``.  The truncation size is checked against the
-    geometric-tail policy at the reach of degree-``degree`` powers before
-    any work happens.
+    the cost is O(phi_count * size * degree^2).  The default grid is the
+    4*degree + 4 uniform angles starting at ``phi_offset``.  The truncation
+    size is checked against the geometric-tail policy at the reach of
+    degree-``degree`` powers before any work happens; that policy is the
+    only limit on the degree.
     """
-    if degree > 16:
-        raise DomainError("polynomial degree capped at 16")
     if name not in ELEMENT_NAMES:
         raise DomainError(f"unknown element {name!r}")
     reach = _ELEMENT_REACH[name]
@@ -332,8 +330,8 @@ def haar_trace_samples(
 
     ``coeffs`` are polynomial coefficients in ascending order; the samples
     are ``coeffs`` applied to :func:`haar_moments` at the degree of p, so
-    the degree cap, default grid 4*deg(p) + 4 and truncation policy are
-    the ones documented there.
+    the default grid 4*deg(p) + 4 and truncation policy are the ones
+    documented there.
 
     For cocentral, gamma_star_gamma and rho_tau_inf the samples are
     phase-independent up to roundoff (diagonal phase unitaries carry one

@@ -260,3 +260,16 @@ def test_07_diagonal_element_moment_bridge() -> None:
     for row in report.rows:
         assert row.rel_err <= 1e-9, (row.label, row.rel_err)
     assert report.rows[0].trace_side == pytest.approx(1.0, abs=1e-12)
+
+
+def test_08_degree_24_trace_vs_measure() -> None:
+    # only the truncation policy limits the degree
+    start = time.perf_counter()
+    ctx = QContext(0.8)
+    cfg = VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=300, poly_set=monomials(24), tol=1e-7)
+    for theorem in ("thm4", "thm5", "thm6", "gamma"):
+        report = verify(theorem, cfg)
+        assert report.rows[-1].label == "x^24"
+        for row in report.rows:
+            assert row.rel_err <= 1e-7, (theorem, row.label, row.rel_err)
+    assert time.perf_counter() - start < 60.0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import json
 import math
 
 import numpy as np
@@ -294,6 +295,15 @@ class TestVerify:
         assert report.max_rel_err < 1e-9
         assert report.rows[0].trace_side == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_degree_24(self, q: float) -> None:
+        # only the truncation policy limits the degree
+        cfg = VerifyConfig(ctx=QContext(q), N=80, poly_set=monomials(24))
+        for theorem in ("thm4", "thm5", "thm6", "gamma"):
+            report = verify(theorem, cfg)
+            assert report.all_passed and report.max_rel_err < 1e-12, theorem
+            assert report.rows[-1].label == "x^24"
+
     def test_aliases(self, ctx: QContext) -> None:
         cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((1.0,),))
         assert verify(4, cfg).theorem == "thm4"
@@ -314,8 +324,6 @@ class TestVerifyConfig:
             VerifyConfig(ctx=ctx, N=0)
         with pytest.raises(DomainError):
             VerifyConfig(ctx=ctx, tol=0.0)
-        with pytest.raises(DomainError):
-            VerifyConfig(ctx=ctx, phi_points=-1)
         with pytest.raises(DomainError):
             VerifyConfig(ctx=ctx, poly_set=())
 
@@ -424,17 +432,22 @@ class TestBailey:
             monkeypatch.setattr(haarverify, name, counted(name))
         bailey_variant_residuals(1.1, TAU, 1.5, ctx)
         assert calls == {"_asc_poisson_form": 2, "_aw_theta_weight_form": 3, "_aw_h0_form": 3}
+        # an array of angles: two kernels per angle, each weight one array form
+        calls.clear()
+        bailey_variant_residuals(BAILEY_THETAS, TAU, 1.5, ctx)
+        assert len(BAILEY_THETAS) == 5
+        assert calls == {"_asc_poisson_form": 10, "_aw_theta_weight_form": 3, "_aw_h0_form": 3}
 
 
     def test_raw_check_one_qpoch_call(self, ctx: QContext, monkeypatch) -> None:
         calls = []
-        real = haarverify.qpoch
+        real = qseries.qpoch
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(haarverify, "qpoch", counting)
+        monkeypatch.setattr(qseries, "qpoch", counting)
         bailey_raw_check(1.1, TAU, 1.5, ctx)
         assert [len(a) for a in calls] == [27]
 
@@ -465,14 +478,13 @@ class TestBailey:
 
     def test_array_theta_one_qpoch_call_and_h0_once(self, ctx: QContext, monkeypatch) -> None:
         qpoch_calls, h0_forms = [], []
-        real_qpoch, real_h0 = haarverify.qpoch, haarverify._aw_h0_form
+        real_qpoch, real_h0 = qseries.qpoch, haarverify._aw_h0_form
 
         def counting(*args, **kwargs):
             qpoch_calls.append(len(args[0]))
             return real_qpoch(*args, **kwargs)
 
-        monkeypatch.setattr(haarverify, "qpoch", counting)
-        monkeypatch.setattr(orthopoly, "qpoch", counting)
+        monkeypatch.setattr(qseries, "qpoch", counting)
         monkeypatch.setattr(haarverify, "_aw_h0_form", lambda *a: h0_forms.append(a) or real_h0(*a))
         bailey_variant_residuals(BAILEY_THETAS, TAU, 1.5, ctx, raw=True)
         # 3 normalizations of 8, then per angle 2 kernels of 10, weights of
@@ -562,15 +574,24 @@ class TestMassIdentity:
         with pytest.raises(DomainError):
             mass_identity_check(1.6, 0.3, 1, ctx)  # |a q| <= 1
 
+    def test_ladder_edge_refused(self, ctx: QContext) -> None:
+        # |a| q^k in (1, 1 + MASS_EDGE_TOL]: no mass of the measure sits there
+        a = 2.0 * (1.0 + 0.5 * orthopoly.MASS_EDGE_TOL)
+        assert 1.0 < a * ctx.q <= 1.0 + orthopoly.MASS_EDGE_TOL
+        assert list(orthopoly._mass_ladder(a, ctx.q)) == [0]
+        with pytest.raises(DomainError, match="k=1.*beyond the mass ladder"):
+            mass_identity_check(a, 0.3, 1, ctx)
+        assert mass_identity_check(a, 0.3, 0, ctx) < 1e-9
+
     def test_cases_batched_like_scalar_calls(self, monkeypatch) -> None:
         calls = []
-        real = haarverify.qpoch
+        real = qseries.qpoch
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(haarverify, "qpoch", counting)
+        monkeypatch.setattr(qseries, "qpoch", counting)
         for q in (0.3, 0.5, 0.95):
             ctx = QContext(q)
             sets = [(a, b, k) for a, b, k in self.SETS if abs(a) * q**k > 1.0]
@@ -584,7 +605,7 @@ class TestMassIdentity:
             assert [v.hex() for v in want] == [v.hex() for v in ref]
 
     def test_bad_case_named_before_any_factorial(self, monkeypatch) -> None:
-        monkeypatch.setattr(haarverify, "qpoch", lambda *a, **k: pytest.fail("qpoch called"))
+        monkeypatch.setattr(qseries, "qpoch", lambda *a, **k: pytest.fail("qpoch called"))
         ctx = QContext(0.05)
         # the first case is fine; the second is past its mass ladder at q = 0.05
         beyond = r"\(a=2\.5, b=-0\.2, k=1\) at q=0\.05: index k beyond"
@@ -723,13 +744,22 @@ class TestIdentityCommands:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counted(qseries, "qpoch")
         for module in (orthopoly, haarverify):
-            counted(module, "qpoch")
             counted(module, "w87")
         code, out = self.run(capsys, *argv)
         assert code in (0, 1) and out
         assert calls["qpoch"] == 1
         assert calls["w87"] == w87_calls
+
+    @pytest.mark.parametrize("q", ["0.99", "0.995"])
+    def test_mass_near_one_refused(self, capsys, q: str) -> None:
+        # products of factorials under- (0.99) or overflow (0.995)
+        code = cli.main(["identity", "mass", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "non-convergence" in captured.err
 
     def test_mass_case_named_on_stderr(self, capsys) -> None:
         code = cli.main(["identity", "mass", "--q", "0.05"])
@@ -768,6 +798,22 @@ class TestSupport:
                 )
         assert support_check(TAU, 1.5, ctx, size=120) == want
         assert calls == []
+
+    def test_masses_without_quadrature_rule(self, capsys, monkeypatch) -> None:
+        # support_check and spectrum rho-sigma read the mass points alone
+        want = support_check(0.3, 0.704744424783136, QContext(0.9), size=160)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature rule built")
+
+        monkeypatch.setattr(orthopoly, "aw_measure", refuse)
+        monkeypatch.setattr(haarverify, "aw_measure", refuse)
+        monkeypatch.setattr(orthopoly, "_leggauss", refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert support_check(0.3, 0.704744424783136, QContext(0.9), size=160) == want
+        argv = ["spectrum", "rho-sigma", "--q", "0.9", "--tau", "0.3", "--sigma", "0.7047"]
+        assert cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["mass_points"]) == 1
 
     def test_size_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):

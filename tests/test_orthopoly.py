@@ -24,6 +24,7 @@ from qhaar import (
     asc_poisson,
     aw_h0,
     aw_integrate,
+    aw_masses,
     aw_measure,
     cqh,
     cqh_all,
@@ -34,9 +35,8 @@ from qhaar import (
     qpoch,
     thm6_params,
 )
-from qhaar import orthopoly
+from qhaar import orthopoly, qseries
 from qhaar.orthopoly import (
-    _enumerate_masses,
     _mass_ladder,
     asc_mass_poisson_tq,
     asc_poisson_series,
@@ -374,9 +374,8 @@ def reference_measure(params: AWParams, start_nodes: int = 64, mass_tol: float =
     """aw_measure's doubling loop with no cache: numpy leggauss at every level."""
     a, b, c, d = params.as_tuple()
     h0 = aw_h0(a, b, c, d, params.ctx)
-    raw = _enumerate_masses(params)
-    mass_sum = sum(w for _, w in raw) / h0
-    masses = tuple((x, w / h0) for x, w in raw)
+    masses = reference_masses(params)
+    mass_sum = sum(w for _, w in masses)
     n, prev = start_nodes, None
     while True:
         t, wt = np.polynomial.legendre.leggauss(n)
@@ -388,6 +387,21 @@ def reference_measure(params: AWParams, start_nodes: int = 64, mass_tol: float =
             return theta, weights, masses, total
         prev = total
         n *= 2
+
+
+def reference_masses(params: AWParams) -> tuple:
+    """Each mass point and weight from its own scalar closed-form calls."""
+    q = params.ctx.q
+    vals = params.as_tuple()
+    h0 = aw_h0(*vals, params.ctx)
+    return tuple(
+        (
+            0.5 * (e * q**k + 1.0 / (e * q**k)),
+            aw_mass_weight(e, vals[:i] + vals[i + 1 :], k, params.ctx) / h0,
+        )
+        for i, e in enumerate(vals)
+        for k in _mass_ladder(e, q)
+    )
 
 
 def reference_integrate(theta, weights, masses, coeffs) -> float:
@@ -441,6 +455,50 @@ class TestAwMeasureCache:
             assert spec is not base
             assert aw_measure(*args, **kwargs) is spec
         assert aw_measure(*variants[0][0]).params.ctx.tail_tol == 1e-13
+
+
+class TestAwMasses:
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.97])
+    def test_equal_to_aw_measure_masses(self, q: float) -> None:
+        ctx = QContext(q)
+        # sigma = 0.3 has no masses; the last two draws sit 5e-4 from a mass
+        # threshold at q = 0.9, tau = 0.3
+        draws = [
+            (0.4, 0.3), (0.4, 1.5), (1.2, 2.5), (0.3, 0.704744424783136), (0.3, 1.295253202411172)
+        ]
+        counts = []
+        for tau, sigma in draws:
+            params = thm6_params(tau, sigma, ctx)
+            got = aw_masses(params)
+            counts.append(len(got))
+            for want in (aw_measure(params).masses, reference_masses(params)):
+                assert [(x.hex(), w.hex()) for x, w in got] == [(x.hex(), w.hex()) for x, w in want]
+        assert counts[0] == 0 and max(counts) > 0
+
+    def test_builds_no_quadrature_rule(self, monkeypatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature rule built")
+
+        monkeypatch.setattr(orthopoly, "_leggauss", refuse)
+        monkeypatch.setattr(orthopoly, "aw_theta_weight", refuse)
+        masses = aw_masses(thm6_params(0.3, 0.704744424783136, QContext(0.9)))
+        assert len(masses) == 1
+
+    def test_no_factorials_without_masses(self, ctx2: QContext, monkeypatch) -> None:
+        monkeypatch.setattr(qseries, "qpoch", lambda *a, **k: pytest.fail("qpoch called"))
+        assert aw_masses(AWParams(0.5, -0.3, 0.2, 0.1, ctx2)) == ()
+
+
+class TestAwThetaWeight:
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.97])
+    def test_scalar_equals_array_element(self, q: float, rng: np.random.Generator) -> None:
+        ctx = QContext(q)
+        theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 500)])
+        for params in ((0.5, -0.3, 0.2, 0.1), (1.6, 0.3, 0.0, 0.0), (-0.95, 0.9, 0.4, -0.2)):
+            grid = aw_theta_weight(theta, *params, ctx)
+            got = [aw_theta_weight(t, *params, ctx) for t in theta.tolist()]
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in grid.tolist()]
 
 
 class TestAscPoisson:
@@ -521,13 +579,13 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_one_qpoch_call(self, name: str, ctx2: QContext, monkeypatch) -> None:
         calls = []
-        real = orthopoly.qpoch
+        real = qseries.qpoch
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(orthopoly, "qpoch", counting)
+        monkeypatch.setattr(qseries, "qpoch", counting)
         self.CASES[name](ctx2)
         assert len(calls) == 1
 

@@ -87,7 +87,7 @@ def scalar_hex(values, ctx: QContext, ks) -> list[tuple[str, str]]:
 class TestFactorials:
     @staticmethod
     def value(form: Factorials, ctx: QContext):
-        return form.assemble(qpoch(form.params, ctx, form.ks))
+        return form.evaluate(ctx)
 
     def test_join_equals_separate_forms(self) -> None:
         ctx = QContext(0.7)
@@ -117,6 +117,21 @@ class TestFactorials:
         got = self.value(outer, ctx)
         assert got == [qpoch(0.2, ctx) * qpoch(0.2, ctx), qpoch(0.2, ctx)]
         assert self.value(Factorials.join([]), ctx) == []
+
+    def test_evaluate_refuses_non_finite_factorial(self) -> None:
+        # (-1e300; q)_inf overflows after its first two factors
+        with pytest.raises(ConvergenceError, match="not finite"):
+            Factorials([0.2, -1e300], lambda v: 1.0).evaluate(QContext(0.5))
+
+    def test_evaluate_refuses_division_by_underflow(self) -> None:
+        # (q;q)_inf = 2.1e-70 at q = 0.99 is finite; five of them underflow
+        ctx = QContext(0.99)
+        assert qpoch(0.99, ctx) > 1e-71
+        scalar = Factorials([0.99] * 5, lambda v: 1.0 / math.prod(v.real.tolist()))
+        array = Factorials([0.99] * 5, lambda v: np.ones(2) / np.prod(v.real))
+        for form in (scalar, array):
+            with pytest.raises(ConvergenceError, match="underflows to zero"):
+                form.evaluate(ctx)
 
 
 class TestArrayQpoch:

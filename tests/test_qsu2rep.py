@@ -139,11 +139,6 @@ class TestHaarTrace:
     def test_cocentral_mean_vanishes(self, ctx: QContext) -> None:
         assert haar_trace(ctx, "cocentral", [0.0, 1.0], 80) == pytest.approx(0.0, abs=1e-12)
 
-    def test_degree_cap(self, ctx: QContext) -> None:
-        coeffs = [0.0] * 17 + [1.0]
-        with pytest.raises(DomainError):
-            haar_trace(ctx, "cocentral", coeffs, 300)
-
     def test_truncation_policy_trip(self, ctx: QContext) -> None:
         coeffs = [0.0] * 7 + [1.0]
         with pytest.raises(TruncationPolicyError):
@@ -191,14 +186,6 @@ class TestHaarTrace:
             else:
                 qsu2rep._check_phase_grid("rho_tau_sigma", degree, points)
             qsu2rep._check_phase_grid("rho_tau_inf", degree, points)
-
-    def test_verify_refuses_coarse_phase_grid(self, ctx: QContext) -> None:
-        with pytest.raises(DomainError, match="phase grid"):
-            verify("thm6", VerifyConfig(ctx=ctx, phi_points=3))
-        coarse = verify("thm6", VerifyConfig(ctx=ctx, phi_points=7))
-        exact = verify("thm6", VerifyConfig(ctx=ctx))
-        for a, b in zip(coarse.rows, exact.rows):
-            assert a.trace_side == pytest.approx(b.trace_side, rel=1e-13, abs=1e-15)
 
     def test_phase_independence_of_covariant_elements(self, ctx: QContext) -> None:
         params = SphericalParams(tau=TAU)
