@@ -492,10 +492,7 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(loaded, dict):
                 raise DomainError("config file must hold a flat JSON object")
             file_values = loaded
-        flag_values = {
-            key: getattr(args, key)
-            for key in ("q", "tau", "sigma", "trunc_n", "max_degree", "tol", "output", "seed")
-        }
+        flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = _config_from_sources(file_values, flag_values)
 
         start = time.perf_counter()

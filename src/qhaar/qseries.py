@@ -5,10 +5,12 @@ q-shifted factorials, basic hypergeometric sums r_phi_s, the very-well-poised
 every infinite sum or product is truncated behind an explicit geometric tail
 bound controlled by ``QContext.tail_tol``.
 
-:func:`qpoch` also takes an array of parameters.  Each element keeps its own
-factor count, chosen by the same tail test as a scalar call, and its factors
-are multiplied in the same order, so every element equals the scalar call
-bit for bit.  Callers that need several factorials make one array call.
+Each primitive has one implementation.  :func:`qpoch` works on arrays of
+parameters: each element keeps its own factor count, chosen by its own tail
+test, so its value does not depend on the rest of the batch, and a scalar
+call is a batch of one.  Callers that need several factorials make one array
+call.  :func:`phi_rs` and :func:`w87` share one term loop; 8W7 is the
+r_phi_s loop with the well-poised weight (1 - a q^{2k})/(1 - a) on each term.
 
 A closed form that needs factorials is written as a :class:`Factorials`:
 the list of its factorials plus the rule that assembles its value from
@@ -99,42 +101,22 @@ def qpoch(a, ctx: QContext, k=None):
     the discarded factors are 1 + eps_i with sum |eps_i| <= |a| q^i / (1-q)
     < tail_tol, so the relative truncation error is below ~tail_tol.
 
-    ``a`` may also be an array (or list), and ``k`` an array of integers and
+    ``a`` may be an array (or list), and ``k`` an array of integers and
     infs that broadcasts against it; the result is then an array of that
     shape.  Each element stops by the tail test above applied to its own
-    |a|, or after its own finite k, and multiplies its factors in the scalar
-    order, so it equals the scalar call bit for bit.
+    |a|, or after its own finite k, and multiplies its factors in order
+    from i = 0.  A scalar ``a`` with a scalar ``k`` runs as an array of
+    one element and comes back as a Python float (complex for complex a).
     """
     if isinstance(a, (np.ndarray, list, tuple)) or isinstance(k, (np.ndarray, list, tuple)):
         return _qpoch_array(a, ctx, k)
-    q = ctx.q
-    if k is not None and k != math.inf:
-        if k < 0 or k != int(k):
-            raise DomainError(f"k must be a nonnegative integer or inf, got {k!r}")
-        out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-        qi = 1.0
-        for _ in range(int(k)):
-            out *= 1.0 - a * qi
-            qi *= q
-        return out
-    threshold = ctx.tail_tol * (1.0 - q)
-    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-    qi = 1.0
-    for i in range(ctx.max_terms):
-        if abs(a) * qi < threshold:
-            return out
-        out *= 1.0 - a * qi
-        qi *= q
-    raise ConvergenceError(
-        f"(a;q)_inf with |a|={abs(a):.3g}, q={q} did not reach tail_tol "
-        f"within {ctx.max_terms} factors"
-    )
+    return _qpoch_array([a], ctx, k).tolist()[0]
 
 
 def _q_powers(q: float, n: int) -> np.ndarray:
-    """[0, 1, q, q^2, ..., q^{n-1}]: the powers by repeated multiplication, as
-    the scalar loop forms them (``multiply.accumulate`` is sequential), after
-    a leading 0 that gives each factor block a first column of 1 - a*0 = 1."""
+    """[0, 1, q, q^2, ..., q^{n-1}]: the powers by repeated multiplication
+    (``multiply.accumulate`` is sequential, q^{i+1} = q^i * q), after a
+    leading 0 that gives each factor block a first column of 1 - a*0 = 1."""
     out = np.full(n + 1, q)
     out[0] = 0.0
     if n:
@@ -166,7 +148,7 @@ def _tail_counts(mags: np.ndarray, powers: np.ndarray, threshold: float) -> np.n
 
 
 def _qpoch_array(a, ctx: QContext, k):
-    """Array path of :func:`qpoch`: one factor count per element, one power table."""
+    """:func:`qpoch` on an array: one factor count per element, one power table."""
     a = np.asarray(a)
     a = a.astype(complex if a.dtype.kind == "c" else float)
     q = ctx.q
@@ -268,9 +250,9 @@ class Factorials:
     dimension), ``ks`` their orders (None: all infinite), and ``assemble``
     maps the array of their values, in the order of ``params``, to the
     value of the form.  :meth:`evaluate` alone forms the value
-    ``assemble(qpoch(params, ctx, ks))``; since each element of an array
-    :func:`qpoch` call equals its scalar call, the value does not depend on
-    which forms share the call.
+    ``assemble(qpoch(params, ctx, ks))``; since each element of a
+    :func:`qpoch` call depends on its own base and order alone, the value
+    does not depend on which forms share the call.
     """
 
     params: np.ndarray
@@ -342,14 +324,9 @@ class SeriesSpec:
 
     def terminating_length(self):
         """Number of nonzero terms (n+1) when some upper parameter is q^-n."""
-        hits = [
-            n
-            for n in (neg_power_index(a, self.base.q) for a in self.upper)
-            if n is not None
-        ]
-        if not hits:
-            return None
-        return min(hits) + 1
+        q = self.base.q
+        hits = [n for a in self.upper if (n := neg_power_index(a, q)) is not None]
+        return min(hits) + 1 if hits else None
 
 
 def phi_rs(spec: SeriesSpec):
@@ -360,68 +337,7 @@ def phi_rs(spec: SeriesSpec):
     is summed exactly over its n+1 terms; otherwise partial sums run until
     both the current term and a geometric tail estimate drop below tail_tol.
     """
-    ctx = spec.base
-    q = ctx.q
-    r, s = len(spec.upper), len(spec.lower)
-    e = 1 + s - r  # exponent of the (-1)^k q^{k(k-1)/2} factor
-    n_terms = spec.terminating_length()
-
-    # Lower parameters of the form q^-m make term m+1 divide by zero, which
-    # is fine only if the series stops at or before term m.
-    for b in spec.lower:
-        m = neg_power_index(b, q)
-        if m is not None and (n_terms is None or n_terms > m + 1):
-            raise DomainError(
-                f"lower parameter {b!r} equals q^-{m}; series does not "
-                "terminate before the resulting zero denominator"
-            )
-    if e < 0 and n_terms is None:
-        raise DomainError(
-            f"{r}_phi_{s} with r > s+1 has zero radius of convergence unless "
-            "it terminates"
-        )
-
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    qk = 1.0  # q^k
-    for k in range(ctx.max_terms):
-        total += term
-        if n_terms is not None:
-            if k + 1 >= n_terms:
-                break
-        else:
-            # Conservative one-step ratio bound: |t_{j+1}/t_j| <= R for all
-            # j >= k.  Each factor below is decreasing in k (for |b| q^k < 1),
-            # so the tail is dominated by the geometric series with ratio R.
-            ok = all(abs(b) * qk < 1.0 for b in spec.lower)
-            if ok:
-                ratio = abs(spec.z) * (q ** (k * e) if e else 1.0)
-                for a in spec.upper:
-                    ratio *= 1.0 + abs(a) * qk
-                ratio /= 1.0 - q * qk  # the (q;q)_k update factor
-                for b in spec.lower:
-                    ratio /= 1.0 - abs(b) * qk
-                if (
-                    ratio < 1.0
-                    and abs(term) <= ctx.tail_tol
-                    and abs(term) * ratio / (1.0 - ratio) <= ctx.tail_tol
-                ):
-                    break
-        factor = spec.z
-        for a in spec.upper:
-            factor *= 1.0 - a * qk
-        factor /= 1.0 - q * qk
-        for b in spec.lower:
-            factor /= 1.0 - b * qk
-        if e:
-            factor *= (-qk) ** e
-        term *= factor
-        qk *= q
-    else:
-        raise ConvergenceError(
-            f"{r}_phi_{s} did not converge within {ctx.max_terms} terms"
-        )
-    return total
+    return _sum_terms(spec)
 
 
 def w87(a, b, c, d, e, f, ctx: QContext, z):
@@ -434,70 +350,102 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
     Term k reads
 
         (1 - a q^{2k})/(1 - a) * (a,b,c,d,e,f;q)_k
-        / ((q, aq/b, aq/c, aq/d, aq/e, aq/f; q)_k) * z^k.
+        / ((q, aq/b, aq/c, aq/d, aq/e, aq/f; q)_k) * z^k,
+
+    the 6_phi_5 term of (a,b,c,d,e,f; aq/b,...,aq/f; q, z) times the weight.
     """
-    q = ctx.q
     if a == 1:
         raise DomainError("w87 requires a != 1")
     numer = (b, c, d, e, f)
-    denom = tuple(q * a / p for p in numer)
+    spec = SeriesSpec((a,) + numer, tuple(ctx.q * a / p for p in numer), z, ctx)
+    return _sum_terms(spec, a)
 
-    # Termination: (a;q)_k dies for k > m when a = q^-m, and (p;q)_k dies
-    # for k > n when p = q^-n.
-    hits = []
-    na = neg_power_index(a, q)
-    if na is not None:
-        hits.append(na + 1)
-    for p in numer:
-        n = neg_power_index(p, q)
-        if n is not None:
-            hits.append(n + 1)
-    n_terms = min(hits) + 0 if hits else None
-    for p in denom:
-        m = neg_power_index(p, q)
+
+def _sum_terms(spec: SeriesSpec, a=None):
+    """The sum of the terms t_k of ``spec``, each times (1 - a q^{2k})/(1 - a)
+    when the well-poised ``a`` is given.
+
+    t_0 = 1 and t_{k+1} = t_k * factor_k, the factor's numerator and
+    denominator multiplied and divided in parameter order.  A series that
+    terminates through an upper parameter q^-n is summed over its n+1 terms;
+    a lower parameter q^-m is refused unless the series stops first.
+    Otherwise the loop stops once the bound B_k on the k-th summand (|t_k|,
+    times (1 + |a| q^{2k})/|1 - a| with ``a``) is below tail_tol and so is
+    the geometric tail B_k R/(1 - R), where R bounds |t_{j+1}/t_j| for all
+    j >= k: each factor of R decreases with k once every |b| q^k < 1.
+    """
+    ctx = spec.base
+    q, tol = ctx.q, ctx.tail_tol
+    upper, lower, z = spec.upper, spec.lower, spec.z
+    r, s = len(upper), len(lower)
+    e = 1 + s - r  # exponent of the (-1)^k q^{k(k-1)/2} factor
+    n_terms = spec.terminating_length()
+
+    # Lower parameters of the form q^-m make term m+1 divide by zero, which
+    # is fine only if the series stops at or before term m.
+    for b in lower:
+        m = neg_power_index(b, q)
         if m is not None and (n_terms is None or n_terms > m + 1):
             raise DomainError(
-                f"w87 denominator parameter {p!r} equals q^-{m} before termination"
+                f"lower parameter {b!r} equals q^-{m}; series does not "
+                "terminate before the resulting zero denominator"
             )
+    if e < 0 and n_terms is None:
+        raise DomainError(
+            f"{r}_phi_{s} with r > s+1 has zero radius of convergence unless "
+            "it terminates"
+        )
 
-    qb, qc, qd, qe, qf = denom
-    tol = ctx.tail_tol
-    one_a, qq = 1.0 - a, q * q
-    abs_z, abs_a, abs_1a = abs(z), abs(a), abs(one_a)
-    abs_numer = tuple(abs(p) for p in numer)
-    abs_denom = tuple(abs(p) for p in denom)
+    # the tail test in Python floats: exact, and cheaper than numpy scalars
+    abs_z = float(abs(z))
+    abs_upper = tuple(map(float, map(abs, upper)))
+    abs_lower = tuple(map(float, map(abs, lower)))
+    if a is not None:
+        one_a, abs_a = 1.0 - a, float(abs(a))
+        abs_1a = float(abs(one_a))
+    qq = q * q
     total = 0.0 + 0.0j
-    u = 1.0 + 0.0j  # term without the (1-aq^{2k})/(1-a) factor
-    qk = 1.0
+    term = 1.0 + 0.0j
+    qk = 1.0  # q^k
     q2k = 1.0  # q^{2k}
     for k in range(ctx.max_terms):
-        total += u * (1.0 - a * q2k) / one_a
+        if a is None:
+            total += term
+        else:
+            total += term * (1.0 - a * q2k) / one_a
         if n_terms is not None:
             if k + 1 >= n_terms:
                 break
         else:
-            # stop once the term is below tail_tol and a geometric bound on
-            # the ratio of later terms keeps the tail below it too
-            tk = abs(u) * ((1.0 + abs_a * q2k) / abs_1a)
-            if tk <= tol and all(p * qk < 1.0 for p in abs_denom):
-                ratio = abs_z * (1.0 + abs_a * qk)
-                for p in abs_numer:
+            try:
+                bound = abs(term)
+            except OverflowError:  # |t_k| past the float range: no stop at this k
+                bound = math.inf
+            if a is not None:
+                bound *= (1.0 + abs_a * q2k) / abs_1a
+            if bound <= tol and all(p * qk < 1.0 for p in abs_lower):
+                ratio = abs_z * (q ** (k * e) if e else 1.0)
+                for p in abs_upper:
                     ratio *= 1.0 + p * qk
-                ratio /= 1.0 - q * qk
-                for p in abs_denom:
+                ratio /= 1.0 - q * qk  # the (q;q)_k update factor
+                for p in abs_lower:
                     ratio /= 1.0 - p * qk
-                if ratio < 1.0 and tk * ratio / (1.0 - ratio) <= tol:
+                if ratio < 1.0 and bound * ratio / (1.0 - ratio) <= tol:
                     break
-        u *= (
-            z * (1.0 - a * qk) * (1.0 - b * qk) * (1.0 - c * qk) * (1.0 - d * qk)
-            * (1.0 - e * qk) * (1.0 - f * qk) / (1.0 - q * qk)
-            / (1.0 - qb * qk) / (1.0 - qc * qk) / (1.0 - qd * qk) / (1.0 - qe * qk)
-            / (1.0 - qf * qk)
-        )
+        factor = z
+        for p in upper:
+            factor *= 1.0 - p * qk
+        factor /= 1.0 - q * qk
+        for p in lower:
+            factor /= 1.0 - p * qk
+        if e:
+            factor *= (-qk) ** e
+        term *= factor
         qk *= q
         q2k *= qq
     else:
-        raise ConvergenceError(f"w87 did not converge within {ctx.max_terms} terms")
+        name = f"{r}_phi_{s}" if a is None else "8W7"
+        raise ConvergenceError(f"{name} did not converge within {ctx.max_terms} terms")
     return total
 
 

@@ -481,22 +481,13 @@ def eigvec_poly(
 def eigvec_norm_sq(branch: int, k: int, tau: float, ctx: QContext) -> float:
     """Closed form of sum_n p_n(lambda)^2 for the rho_tau_inf eigenvector."""
     q = ctx.q
-    Q = q * q
-    ctx2 = ctx.squared()
     _branch_lambda(branch, k, tau, q)
     if branch == 1:
-        return (
-            q ** (-2 * k)
-            * qpoch(Q, ctx2, k)
-            * qpoch(-(q ** (2 + 2 * tau)), ctx2, k)
-            * qpoch(-(q ** (-2 * tau)), ctx2)
-        )
-    return (
-        q ** (-2 * k)
-        * qpoch(Q, ctx2, k)
-        * qpoch(-(q ** (2 - 2 * tau)), ctx2, k)
-        * qpoch(-(q ** (2 * tau)), ctx2)
-    )
+        params = (q * q, -(q ** (2 + 2 * tau)), -(q ** (-2 * tau)))
+    else:
+        params = (q * q, -(q ** (2 - 2 * tau)), -(q ** (2 * tau)))
+    vals = qpoch(params, ctx.squared(), [k, k, math.inf]).tolist()
+    return math.prod(vals, start=q ** (-2 * k))
 
 
 @dataclass(frozen=True)
@@ -554,31 +545,16 @@ def d_coeff(ctx: QContext, tau: float, branch1: int, k1: int, branch2: int, k2: 
     eigenvectors; the phases cancel, so it does not depend on the angle.
     """
     q = ctx.q
-    Q = q * q
-    ctx2 = ctx.squared()
     _branch_lambda(branch1, k1, tau, q)
     _branch_lambda(branch2, k2, tau, q)
-    if branch1 == branch2 and k1 < k2:
-        k1, k2 = k2, k1
-    if branch1 == -1 and branch2 == -1:
-        return (
-            qpoch(-(q ** (2 * tau + 2)), ctx2)
-            * qpoch(Q, ctx2, k1)
-            * qpoch(-(q ** (2 - 2 * tau)), ctx2, k2)
-        )
-    if branch1 == 1 and branch2 == 1:
-        return (
-            qpoch(-(q ** (2 - 2 * tau)), ctx2)
-            * qpoch(Q, ctx2, k1)
-            * qpoch(-(q ** (2 + 2 * tau)), ctx2, k2)
-        )
-    if branch1 == 1:  # normalize to (negative, positive) order
+    if (branch1 == branch2 and k1 < k2) or branch1 > branch2:
+        # same branch: larger k first; mixed: (negative, positive) order
         branch1, k1, branch2, k2 = branch2, k2, branch1, k1
-    return (
-        qpoch(Q, ctx2)
-        * qpoch(-(q ** (2 - 2 * tau)), ctx2, k1)
-        * qpoch(-(q ** (2 + 2 * tau)), ctx2, k2)
-    )
+    neg, pos = -(q ** (2 - 2 * tau)), -(q ** (2 + 2 * tau))
+    # bases of (.;q^2)_inf, (.;q^2)_{k1} and (.;q^2)_{k2}, per branch pair
+    params = {(-1, -1): (pos, q * q, neg), (1, 1): (neg, q * q, pos), (-1, 1): (q * q, neg, pos)}
+    vals = qpoch(params[branch1, branch2], ctx.squared(), [math.inf, k1, k2]).tolist()
+    return math.prod(vals, start=1.0)
 
 
 def spectral_trace(ctx: QContext, tau: float, coeffs, tol: float = 1e-12) -> float:

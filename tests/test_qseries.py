@@ -75,13 +75,37 @@ class TestQPoch:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def reference_qpoch(a, ctx: QContext, k=None):
+    """(a;q)_k by the scalar loop: one factor at a time, in order from i = 0,
+    the infinite product cut at the first |a| q^i < tail_tol (1 - q)."""
+    q = ctx.q
+    if k is not None and k != math.inf:
+        if k < 0 or k != int(k):
+            raise DomainError(f"k must be a nonnegative integer or inf, got {k!r}")
+        out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
+        qi = 1.0
+        for _ in range(int(k)):
+            out *= 1.0 - a * qi
+            qi *= q
+        return out
+    threshold = ctx.tail_tol * (1.0 - q)
+    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
+    qi = 1.0
+    for i in range(ctx.max_terms):
+        if abs(a) * qi < threshold:
+            return out
+        out *= 1.0 - a * qi
+        qi *= q
+    raise ConvergenceError("reference (a;q)_inf did not reach tail_tol")
+
+
 def hex_of(v) -> tuple[str, str]:
     v = complex(v)
     return v.real.hex(), v.imag.hex()
 
 
 def scalar_hex(values, ctx: QContext, ks) -> list[tuple[str, str]]:
-    return [hex_of(qpoch(x, ctx, k)) for x, k in zip(values, ks)]
+    return [hex_of(reference_qpoch(x, ctx, k)) for x, k in zip(values, ks)]
 
 
 class TestFactorials:
@@ -153,6 +177,10 @@ class TestArrayQpoch:
             assert got.dtype == (complex if kind == "complex" else float)
             want = scalar_hex(a.tolist(), ctx, [k] * a.size)
             assert [hex_of(v) for v in got.tolist()] == want
+            # a scalar call is a batch of one and returns a Python number
+            alone = [qpoch(x, ctx, k) for x in a.tolist()]
+            assert [hex_of(v) for v in alone] == want
+            assert {type(v) for v in alone} == {complex if kind == "complex" else float}
 
     @pytest.mark.parametrize("q", [0.5, 0.9025])
     def test_per_element_k(self, q: float, rng: np.random.Generator) -> None:
@@ -194,13 +222,16 @@ class TestArrayQpoch:
             qpoch(np.array([0.0, 1e-16, 0.3]), ctx)
         with pytest.raises(ConvergenceError):
             qpoch(np.array([0.3, math.nan]), QContext(0.5))
-        # finite products ignore max_terms, as the scalar path does
+        # finite products ignore max_terms
         assert qpoch(np.array([0.3]), ctx, 12)[0] == qpoch(0.3, ctx, 12)
 
     def test_bad_k_rejected(self, ctx: QContext) -> None:
         for k in ([1, -1], [0.5, 2], [math.nan, 1]):
             with pytest.raises(DomainError):
                 qpoch(np.array([0.3, 0.4]), ctx, k)
+        for k in (-1, 0.5, math.nan):
+            with pytest.raises(DomainError):
+                qpoch(0.3, ctx, k)
 
     def test_memory_stays_in_blocks(self) -> None:
         ctx = QContext(0.9025)
@@ -258,6 +289,106 @@ class TestPhiRs:
     def test_nonterminating_divergent_raises(self, ctx: QContext) -> None:
         with pytest.raises(ConvergenceError):
             phi_rs(SeriesSpec((0.3,), (), 1.2, ctx))
+        # a complex term whose modulus overflows while both parts are finite
+        spec = SeriesSpec((-0.0725 - 0.6576j,), (), 0.6424 - 0.8344j, QContext(0.7361))
+        with pytest.raises(ConvergenceError):
+            phi_rs(spec)
+
+
+def reference_phi_rs(spec: SeriesSpec):
+    """The r_phi_s loop as first written: the ratio bound every term."""
+    ctx = spec.base
+    q = ctx.q
+    r, s = len(spec.upper), len(spec.lower)
+    e = 1 + s - r
+    n_terms = spec.terminating_length()
+    for b in spec.lower:
+        m = neg_power_index(b, q)
+        if m is not None and (n_terms is None or n_terms > m + 1):
+            raise DomainError("reference lower parameter pole")
+    if e < 0 and n_terms is None:
+        raise DomainError("reference zero radius of convergence")
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    qk = 1.0
+    for k in range(ctx.max_terms):
+        total += term
+        if n_terms is not None:
+            if k + 1 >= n_terms:
+                break
+        else:
+            ok = all(abs(b) * qk < 1.0 for b in spec.lower)
+            if ok:
+                ratio = abs(spec.z) * (q ** (k * e) if e else 1.0)
+                for a in spec.upper:
+                    ratio *= 1.0 + abs(a) * qk
+                ratio /= 1.0 - q * qk
+                for b in spec.lower:
+                    ratio /= 1.0 - abs(b) * qk
+                if (
+                    ratio < 1.0
+                    and abs(term) <= ctx.tail_tol
+                    and abs(term) * ratio / (1.0 - ratio) <= ctx.tail_tol
+                ):
+                    break
+        factor = spec.z
+        for a in spec.upper:
+            factor *= 1.0 - a * qk
+        factor /= 1.0 - q * qk
+        for b in spec.lower:
+            factor /= 1.0 - b * qk
+        if e:
+            factor *= (-qk) ** e
+        term *= factor
+        qk *= q
+    else:
+        raise ConvergenceError("reference phi_rs did not converge")
+    return total
+
+
+class TestPhiRsReference:
+    QS = (0.09, 0.3, 0.5, 0.81, 0.95)
+
+    def cases(self, rng: np.random.Generator) -> list[SeriesSpec]:
+        def u(lo: float, hi: float, n: int) -> tuple:
+            return tuple(rng.uniform(lo, hi, n).tolist())
+
+        specs = []
+        for q in self.QS:
+            ctx = QContext(q)
+            for _ in range(4):
+                # nonterminating 2phi1 and 3phi2, real and complex z
+                specs.append(SeriesSpec(u(-0.9, 0.9, 2), u(-0.9, 0.9, 1), u(-0.9, 0.9, 1)[0], ctx))
+                z = complex(*u(-0.6, 0.6, 2))
+                specs.append(SeriesSpec(u(-0.9, 0.9, 3), u(-0.9, 0.9, 2), z, ctx))
+                # e = 1: 1phi1 converges for every z
+                specs.append(SeriesSpec(u(-2.0, 2.0, 1), u(-0.9, 0.9, 1), complex(*u(-3.0, 3.0, 2)), ctx))
+                # termination through an upper q^-n, in a 2phi1 and (e = -1) a 3phi1
+                n = int(rng.integers(0, 8))
+                specs.append(SeriesSpec((q**-n,) + u(-0.9, 0.9, 1), u(-0.9, 0.9, 1), 2.5, ctx))
+                specs.append(
+                    SeriesSpec(u(-0.9, 0.9, 1) + (q**-n, 0.4 + 0.3j), u(-0.9, 0.9, 1), complex(*u(-2, 2, 2)), ctx)
+                )
+        return specs
+
+    def test_hex_identical_to_reference_loop(self, rng: np.random.Generator) -> None:
+        for spec in self.cases(rng):
+            assert hex_of(phi_rs(spec)) == hex_of(reference_phi_rs(spec)), spec
+
+    def test_domain_errors_like_reference(self, ctx: QContext) -> None:
+        # a lower q^-2 before an upper q^-4 ends the series; a 3phi1 that
+        # does not terminate has zero radius of convergence
+        for spec in (
+            SeriesSpec((0.5**-4, 0.3), (0.5**-2,), 0.7, ctx),
+            SeriesSpec((0.3, 0.2), (0.5**-1,), 0.7, ctx),
+            SeriesSpec((0.3, 0.2, 0.1), (0.4,), 0.7, ctx),
+        ):
+            for fn in (phi_rs, reference_phi_rs):
+                with pytest.raises(DomainError):
+                    fn(spec)
+        # a lower q^-2 is fine when an upper q^-1 ends the series first
+        spec = SeriesSpec((0.5**-1, 0.3), (0.5**-2,), 0.7, ctx)
+        assert hex_of(phi_rs(spec)) == hex_of(reference_phi_rs(spec))
 
 
 def reference_w87(a, b, c, d, e, f, ctx: QContext, z):
@@ -341,6 +472,12 @@ class TestW87:
             ctx = QContext(q)
             got = w87(*params, ctx, z)
             assert hex_of(got) == hex_of(reference_w87(*params, ctx, z)), (q, params, z)
+
+    def test_divergent_raises_convergence_error(self) -> None:
+        # |z| > 1: the terms grow until a modulus overflows with both parts finite
+        params = (-0.0156, -0.5777 - 0.6945j, 0.7550, 0.4916 + 0.2663j, -0.2477, -0.2698 - 0.3682j)
+        with pytest.raises(ConvergenceError, match="8W7"):
+            w87(*params, QContext(0.8853), -0.7869 - 0.7192j)
 
     def test_zero_at_pole_cancellation(self, ctx: QContext) -> None:
         # W(q^{-l-1}; z, b e^{it}, b e^{-it}, a e^{is}, a e^{-is}; z) with

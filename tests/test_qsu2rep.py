@@ -526,6 +526,28 @@ class TestDCoeff:
                             direct, rel=1e-9
                         )
 
+    def test_hex_identical_to_separate_factorials(self) -> None:
+        # one qpoch call per closed form, multiplied in the order of the
+        # three separate factorials it replaces
+        for q, tau in ((0.3, 0.0), (0.5, TAU), (0.9, 1.3)):
+            ctx, ctx2 = QContext(q), QContext(q * q)
+            neg, pos = -(q ** (2 - 2 * tau)), -(q ** (2 + 2 * tau))
+            for k1 in range(5):
+                for branch, a, b in ((1, pos, -(q ** (-2 * tau))), (-1, neg, -(q ** (2 * tau)))):
+                    want = q ** (-2 * k1) * qpoch(q * q, ctx2, k1) * qpoch(a, ctx2, k1) * qpoch(b, ctx2)
+                    assert eigvec_norm_sq(branch, k1, tau, ctx).hex() == want.hex()
+                for k2 in range(5):
+                    hi, lo = max(k1, k2), min(k1, k2)
+                    cases = {
+                        (-1, -1): (pos, q * q, neg, hi, lo),
+                        (1, 1): (neg, q * q, pos, hi, lo),
+                        (-1, 1): (q * q, neg, pos, k1, k2),
+                        (1, -1): (q * q, neg, pos, k2, k1),
+                    }
+                    for (b1, b2), (a0, a1, a2, m1, m2) in cases.items():
+                        want = qpoch(a0, ctx2) * qpoch(a1, ctx2, m1) * qpoch(a2, ctx2, m2)
+                        assert d_coeff(ctx, tau, b1, k1, b2, k2).hex() == want.hex()
+
     def test_diagonal_ratio_is_ladder_weight(self, ctx: QContext) -> None:
         q = ctx.q
         for branch in (1, -1):
