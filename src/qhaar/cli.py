@@ -49,7 +49,7 @@ from .orthopoly import (
     cqh_poisson_series,
 )
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
-from .qsu2rep import SphericalParams, _element_band, op_D
+from .qsu2rep import SphericalParams, _band_spectrum, _element_band
 
 __all__ = ["RunConfig", "main"]
 
@@ -124,13 +124,35 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _dict_json(obj: dict) -> str:
+    return "{" + ",".join(_json_key(k) + ":" + _to_json(v) for k, v in sorted(obj.items())) + "}"
+
+
+def _list_json(obj) -> str:
+    return "[" + ",".join(_to_json(v) for v in obj) + "]"
+
+
+# reports repeat a few dozen key names in every row
+_json_key = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
+
+# exact built-in types, looked up before the isinstance chain below
+_JSON_BY_TYPE = {
+    float: _fmt_float,
+    dict: _dict_json,
+    list: _list_json,
+    bool: lambda b: "true" if b else "false",
+    int: str,
+}
+
+
 def _to_json(obj) -> str:
+    encode = _JSON_BY_TYPE.get(type(obj))
+    if encode is not None:
+        return encode(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        inner = ",".join(f"{json.dumps(k)}:{_to_json(v)}" for k, v in items)
-        return "{" + inner + "}"
+        return _dict_json(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in obj) + "]"
+        return _list_json(obj)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
@@ -313,10 +335,14 @@ def _poisson_terms(t: float) -> int:
 def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     """Eigenvalues and trace weights of the element truncated to 0..trunc_n at angle 0.
 
-    LAPACK gets the real symmetric gauge of the element's band
-    (``_Band.real_dense``), similar to it through a diagonal unitary, so
-    the eigenvalues are the element's and the weights
+    ``_band_spectrum`` diagonalizes the real symmetric gauge of the
+    element's band, similar to it through a diagonal unitary, so the
+    eigenvalues are the element's and the weights
     (1 - q^2) sum_n q^{2n} v_n^2 read the gauge-invariant |v_n|^2.
+    LAPACK sees only the coupled head of the band: rho-inf entries carry
+    g and decay like q^n, so past n ~ 37 / ln(1/q) each index is its own
+    eigenpair (M[n, n], e_n) up to a perturbation of 2-norm eps * max|M|.
+    cocentral and rho-sigma never decouple and get the full matrix.
     rho-inf rows name the nearest ladder point, rho-sigma rows the
     distance to the Askey-Wilson support, whose mass points come from
     ``aw_masses`` alone (no quadrature rule is built) and are listed in
@@ -332,10 +358,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         params = SphericalParams(tau=cfg.tau)
     elif name == "rho_tau_sigma":
         params = SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-    M = _element_band(ctx, name, params, 0.0, cfg.trunc_n).real_dense()
-    eigvals, vecs = np.linalg.eigh(M)
-    dens = op_D(ctx, cfg.trunc_n)
-    weights = (1.0 - q * q) * ((vecs**2).T @ dens)
+    eigvals, weights = _band_spectrum(_element_band(ctx, name, params, 0.0, cfg.trunc_n), ctx)
     rows = []
     masses = aw_masses(thm6_params(cfg.tau, cfg.sigma, ctx)) if name == "rho_tau_sigma" else ()
     for i, (x, w) in enumerate(zip(eigvals, weights)):

@@ -45,6 +45,7 @@ from .orthopoly import (
 from .qseries import Factorials, QContext, w87
 from .qsu2rep import (
     SphericalParams,
+    _band_spectrum,
     _element_band,
     _poly_degree,
     haar_moments,
@@ -573,14 +574,15 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     The support is [-1, 1] together with the mass points (``aw_masses``; no
     quadrature rule is built) of the Askey-Wilson measure attached to
     rho_tau_sigma.  Eigenvalues of the truncated matrix should approach it
-    from within roundoff plus truncation error.  They are those of the real symmetric gauge of the
-    element's band at angle 0 (``_Band.real_dense``), a diagonal unitary
-    similarity, so LAPACK never sees a complex matrix.
+    from within roundoff plus truncation error.  ``_band_spectrum`` takes them
+    from the real symmetric gauge of the element's band at angle 0, a
+    diagonal unitary similarity, so LAPACK never sees a complex matrix.  It
+    splits off only entries below eps * max|M|, and the a^2 and a*^2
+    entries of rho_tau_sigma tend to 1/2, so LAPACK gets the whole matrix.
     """
     masses = aw_masses(thm6_params(tau, sigma, ctx))
     params = SphericalParams(tau=tau, sigma=sigma)
-    M = _element_band(ctx, "rho_tau_sigma", params, 0.0, size).real_dense()
-    eigs = np.linalg.eigvalsh(M)
+    eigs, _ = _band_spectrum(_element_band(ctx, "rho_tau_sigma", params, 0.0, size))
     return float(max(_support_distance(float(x), masses) for x in eigs))
 
 

@@ -21,9 +21,13 @@ band storage, one diagonal per offset over a scalar angle or a whole vector
 of them: the elements and their powers, the structural checks and the
 ladder actions on eigenvectors.  ``element`` densifies the band at one angle
 and ``build_rep`` keeps the dense generator matrices as the public dense
-view.  The diagonalizing callers take the band's real symmetric gauge
-instead: at angle 0 every element is similar to a real symmetric matrix
-through diag(c^n), c = 1 or i.
+view.  The diagonalizing callers go through ``_band_spectrum``: at angle 0
+every element is similar to a real symmetric matrix through diag(c^n),
+c = 1 or i, and LAPACK sees only the leading block of that gauge that
+carries an entry above eps * max|M| / (number of diagonals).  Past it the
+band is diagonal to working precision (entries carrying g decay like q^n),
+so each later index is its own eigenpair, and what is dropped has
+2-norm at most eps * max|M|.
 
 Distinguished self-adjoint elements:
 
@@ -175,21 +179,22 @@ class _Band(dict):
         """The matrix of a band at a single angle."""
         return self._fill(self, complex)
 
-    def real_dense(self) -> np.ndarray:
+    def real_dense(self, rows: int | None = None) -> np.ndarray:
         """The real symmetric matrix D* M D, D = diag(c^n), of a Hermitian band at one angle.
 
-        D* M D multiplies diagonal o by c^o, an exact entry of the table
-        1, i, -1, -i, so the entries keep every bit.  The gauge c = 1 or
-        c = i is the one that leaves every imaginary part exactly zero; at
-        angle 0 each distinguished element has one.  D is unitary, so the
-        eigenvalues are those of M and |eigenvector entries| are unchanged.
-        A band that neither gauge makes real raises DomainError: no
-        imaginary part is ever dropped.
+        Only its leading ``rows`` x ``rows`` block (all of it by default) is
+        filled.  D* M D multiplies diagonal o by c^o, an exact entry of the
+        table 1, i, -1, -i, so the entries keep every bit.  The gauge c = 1
+        or c = i is the one that leaves every imaginary part of the whole
+        band exactly zero; at angle 0 each distinguished element has one.
+        D is unitary, so the eigenvalues are those of M and |eigenvector
+        entries| are unchanged.  A band that neither gauge makes real
+        raises DomainError: no imaginary part is ever dropped.
         """
         for turn in (0, 1):
             gauged = {o: _QUARTER_TURNS[turn * o % 4] * v for o, v in self.items()}
             if not any(np.any(v.imag) for v in gauged.values()):
-                return self._fill({o: v.real for o, v in gauged.items()}, float)
+                return self._fill({o: v.real[:rows] for o, v in gauged.items()}, float)
         raise DomainError("band is not real in the gauge diag(c^n) for c = 1 or c = i")
 
     @staticmethod
@@ -200,6 +205,41 @@ class _Band(dict):
             i = np.arange(max(0, -o), min(n, n - o))
             out[i, i + o] = v[i]
         return out
+
+
+def _band_spectrum(M: _Band, ctx: QContext | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a Hermitian band at angle 0 and, given ``ctx``, their trace weights.
+
+    The weight of a unit eigenvector v is (1 - q^2) sum_n q^{2n} v_n^2.  The
+    coupled size m is one plus the largest index touched by an entry with
+    |entry| > eps * max|M| / (number of diagonals), read from the diagonals.
+    LAPACK (``eigh`` with weights, ``eigvalsh`` without) gets the leading
+    m x m block of the real gauge (``_Band.real_dense``).  Every index
+    n >= m is the eigenpair (M[n, n], e_n) with weight (1 - q^2) q^{2n}.
+    The dropped entries E satisfy ||E||_2 <= eps * max|M|, so the split adds
+    no error beyond LAPACK's own backward-error bound.  Head and tail merge
+    by a stable sort.  When nothing decouples (m is the whole order) it is
+    the same LAPACK call on the same matrix as a full diagonalization.
+    """
+    n = next(iter(M.values())).shape[-1]
+    mags = {o: np.abs(v) for o, v in M.items()}
+    cut = np.finfo(float).eps * max(float(a.max()) for a in mags.values()) / len(mags)
+    m = 0
+    for o, a in mags.items():
+        big = np.flatnonzero(a > cut)
+        if big.size:
+            m = max(m, int(big[-1]) + max(o, 0) + 1)
+    head = M.real_dense(m)
+    tail = M[0].real[m:] if 0 in M else np.zeros(n - m)
+    if ctx is None:
+        return np.sort(np.concatenate((np.linalg.eigvalsh(head), tail)), kind="stable"), None
+    vals, vecs = np.linalg.eigh(head)
+    dens = op_D(ctx, n - 1)
+    q = ctx.q
+    weights = (1.0 - q * q) * np.concatenate(((vecs**2).T @ dens[:m], dens[m:]))
+    vals = np.concatenate((vals, tail))
+    order = np.argsort(vals, kind="stable")
+    return vals[order], weights[order]
 
 
 def _generators(ctx: QContext, phi: float | np.ndarray, size: int) -> tuple[_Band, _Band]:
@@ -413,27 +453,30 @@ def eigvec_components(
     Stable per-branch evaluation: the terminating 2phi1 is summed over
     j <= min(n, k) with the n-dependent prefactor folded in iteratively.
     Once the prefactor underflows to exact zero the true component is far
-    below double range and is reported as 0.
+    below double range; it and every later component are reported as 0
+    without being evaluated.
     """
     q = ctx.q
     Q = q * q
     lam = _branch_lambda(branch, k, tau, q)
     Z = -(q**2) * lam if branch == 1 else q ** (2 - 2 * tau) * lam
-    out = np.zeros(size + 1)
+    # prefactors up to the first exact zero; every later one is 0 as well
+    pres = []
     pre = 1.0
     for n in range(size + 1):
-        if pre != 0.0:
-            s, c = 0.0, 1.0
-            for j in range(min(n, k) + 1):
-                s += c
-                c *= (
-                    (1.0 - q ** (-2 * n) * Q**j)
-                    * (1.0 - q ** (-2 * k) * Q**j)
-                    / (1.0 - Q ** (j + 1))
-                    * Z
-                )
-            out[n] = pre * s
+        if pre == 0.0:
+            break
+        pres.append(pre)
         pre *= (q**-tau if branch == 1 else -(q**tau)) * q**n / math.sqrt(1.0 - Q ** (n + 1))
+    # the j-sum for all n at once, term by term in the scalar order
+    qn = np.array([q ** (-2 * n) for n in range(len(pres))])
+    s = np.zeros(len(pres))
+    c = np.ones(len(pres))
+    for j in range(min(len(pres) - 1, k) + 1):
+        s[j:] += c[j:]
+        c[j:] *= (1.0 - qn[j:] * Q**j) * (1.0 - q ** (-2 * k) * Q**j) / (1.0 - Q ** (j + 1)) * Z
+    out = np.zeros(size + 1)
+    out[: len(pres)] = np.array(pres) * s
     return out
 
 

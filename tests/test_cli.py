@@ -120,6 +120,47 @@ class TestJsonOutput:
         assert doc["config"]["trunc_n"] == 80
 
 
+def reference_to_json(obj) -> str:
+    """The serializer as an isinstance chain, without the exact-type lookup."""
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(f"{json.dumps(k)}:{reference_to_json(v)}" for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_to_json(v) for v in obj) + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        return cli._fmt_float(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
+class TestJsonFastPath:
+    class Row(dict):
+        pass
+
+    def test_mixed_types(self) -> None:
+        obj = {
+            "b": [True, False, np.bool_(True), 0, 1, -7, np.int64(3), 2**70],
+            "a": (0.1, -0.0, 1e-300, np.float64(2.5), np.float32(0.1), math.nan, -math.inf),
+            "é \"q\"": None,
+            "s": ["x", "\u2203", {"z": 1, "y": [{}, []]}],
+            "row": self.Row(k=1.5, j=[np.float64(-1e20)]),
+        }
+        assert cli._to_json(obj) == reference_to_json(obj)
+        # keys that compare equal across types keep their own encoding
+        assert cli._to_json({1: 0}) == reference_to_json({1: 0})
+        assert cli._to_json({True: 0}) == reference_to_json({True: 0})
+
+    @pytest.mark.parametrize("target", ["cocentral", "rho-inf", "rho-sigma"])
+    def test_spectrum_reports(self, target) -> None:
+        report, _, _ = cli._run_spectrum(target, cli.RunConfig(trunc_n=120))
+        assert cli._to_json(report) == reference_to_json(report)
+
+
 class TestCsvOutput:
     def test_thm5_rows_and_closed_form(self, capsys, ctx: QContext) -> None:
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Truncated generator representation, Haar trace, and the spectral ladder basis."""
 from __future__ import annotations
 
+import collections
 import math
 
 import mpmath as mp
@@ -360,6 +361,99 @@ class TestRealGauge:
             band.real_dense()
 
 
+SPLIT_GRID = [
+    (q, tau, size)
+    for q in (0.05, 0.3, 0.5, 0.9, 0.97)
+    for tau in (0.0, 0.4, 1.2)
+    for size in (40, 160, 480)
+]
+
+
+def w_tail(ctx: QContext, size: int) -> np.ndarray:
+    return (1.0 - ctx.q * ctx.q) * op_D(ctx, size)
+
+
+def full_spectrum(band, ctx: QContext, size: int):
+    """The real gauge of a band, its full ``eigh`` eigenvalues and their trace weights."""
+    S = band.real_dense()
+    lam, vecs = np.linalg.eigh(S)
+    return S, lam, (1.0 - ctx.q * ctx.q) * ((vecs**2).T @ op_D(ctx, size))
+
+
+def recorded_spectrum(monkeypatch, band, ctx=None):
+    """``_band_spectrum`` of a band, with the shapes of the matrices LAPACK got."""
+    shapes = []
+    with monkeypatch.context() as patch:
+        for fn_name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, fn_name)
+
+            def recording(a, *args, real=real, **kwargs):
+                shapes.append(a.shape)
+                return real(a, *args, **kwargs)
+
+            patch.setattr(np.linalg, fn_name, recording)
+        vals, weights = qsu2rep._band_spectrum(band, ctx)
+    return vals, weights, shapes
+
+
+class TestBandSpectrum:
+    """The decoupled split against a full LAPACK call on the same real gauge."""
+
+    @pytest.mark.parametrize("q, tau, size", SPLIT_GRID)
+    def test_rho_inf_matches_full_eigh(self, monkeypatch, q, tau, size) -> None:
+        ctx = QContext(q)
+        band = qsu2rep._element_band(ctx, "rho_tau_inf", SphericalParams(tau), 0.0, size)
+        S, lam, w = full_spectrum(band, ctx, size)
+        got, weights, shapes = recorded_spectrum(monkeypatch, band, ctx)
+        assert len(shapes) == 1
+        m = shapes[0][0]
+        # couplings q^{tau + n} fall below eps near n = 37 / ln(1/q)
+        assert (m < size + 1) == (36.0 / math.log(1.0 / q) < size - 2)
+        eps, peak = np.finfo(float).eps, float(np.max(np.abs(S)))
+        # what the split drops: every coupling of an index n >= m
+        head = np.zeros_like(S)
+        head[:m, :m] = S[:m, :m]
+        dropped = S - head - np.diag(np.append(np.zeros(m), np.diagonal(S)[m:]))
+        assert np.linalg.norm(dropped, 2) <= eps * peak
+        assert got.shape == weights.shape == (size + 1,)
+        assert np.all(np.diff(got) >= 0.0)
+        # two LAPACK solves of different orders differ by their roundoff:
+        # 10.2 eps max|M| on this grid (q = 0.9, N = 480), where the full
+        # solve alone is 12 eps max|M| from the exact ladder values
+        assert np.max(np.abs(got - lam)) <= 16 * eps * peak
+        assert np.max(np.abs(weights - w)) <= 1e-14
+        if m == size + 1:
+            assert got.tobytes() == lam.tobytes() and weights.tobytes() == w.tobytes()
+        else:
+            # each tail index n >= m is (M[n, n], e_n), weight (1 - q^2) q^{2n}
+            tail = np.diagonal(S)[m:]
+            rows = collections.Counter(zip(got.tolist(), weights.tolist()))
+            want = collections.Counter(zip(tail.tolist(), w_tail(ctx, size)[m:].tolist()))
+            assert rows & want == want
+            if tau == 0.0:
+                assert not np.any(tail) and np.all(np.signbit(tail))
+
+    @pytest.mark.parametrize("q, tau, size", SPLIT_GRID)
+    @pytest.mark.parametrize("name", ["cocentral", "rho_tau_sigma"])
+    def test_no_split_is_the_full_call(self, monkeypatch, q, tau, size, name) -> None:
+        ctx = QContext(q)
+        params = SphericalParams(tau, 1.5) if name == "rho_tau_sigma" else None
+        band = qsu2rep._element_band(ctx, name, params, 0.0, size)
+        S, lam, w = full_spectrum(band, ctx, size)
+        got, weights, shapes = recorded_spectrum(monkeypatch, band, ctx)
+        assert shapes == [(size + 1, size + 1)]
+        assert got.tobytes() == lam.tobytes() and weights.tobytes() == w.tobytes()
+        got, none, shapes = recorded_spectrum(monkeypatch, band)
+        assert shapes == [(size + 1, size + 1)] and none is None
+        assert got.tobytes() == np.linalg.eigvalsh(S).tobytes()
+
+    def test_zero_band_is_all_tail(self) -> None:
+        band = qsu2rep._Band({0: np.zeros(5, dtype=complex), 1: np.zeros(5, dtype=complex)})
+        vals, weights = qsu2rep._band_spectrum(band, QContext(0.5))
+        assert vals.tolist() == [0.0] * 5
+        assert weights.tolist() == w_tail(QContext(0.5), 4).tolist()
+
+
 class TestSharedMoments:
     """The one-pass moment route against a per-polynomial Horner reference."""
 
@@ -424,6 +518,62 @@ def mp_two_phi_one_form(n: int, form: int, branch: int, k: int, tau) -> float:
             tot += term
             term *= (1 - Q ** (j - n)) * (1 - b_par * Q**j) / (1 - Q ** (j + 1)) * z
         return float(pre * tot)
+
+
+def reference_eigvec_components(
+    branch: int, k: int, tau: float, ctx: QContext, size: int
+) -> np.ndarray:
+    """p_0..p_size by the scalar loop: every n in turn, the j-sum term by term,
+    components whose prefactor has underflowed to exact zero left at 0."""
+    q = ctx.q
+    Q = q * q
+    lam = qsu2rep._branch_lambda(branch, k, tau, q)
+    Z = -(q**2) * lam if branch == 1 else q ** (2 - 2 * tau) * lam
+    out = np.zeros(size + 1)
+    pre = 1.0
+    for n in range(size + 1):
+        if pre != 0.0:
+            s, c = 0.0, 1.0
+            for j in range(min(n, k) + 1):
+                s += c
+                c *= (
+                    (1.0 - q ** (-2 * n) * Q**j)
+                    * (1.0 - q ** (-2 * k) * Q**j)
+                    / (1.0 - Q ** (j + 1))
+                    * Z
+                )
+            out[n] = pre * s
+        pre *= (q**-tau if branch == 1 else -(q**tau)) * q**n / math.sqrt(1.0 - Q ** (n + 1))
+    return out
+
+
+class TestEigvecComponentsReference:
+    def test_every_bit_of_the_scalar_loop(self) -> None:
+        rng = np.random.default_rng(20261018)
+        cases = [
+            (q, k, branch, tau, size)
+            for q in (0.05, 0.99)
+            for k in (0, 5)
+            for branch in (1, -1)
+            for tau in (-1.0, 2.0)
+            for size in (40, 480)
+        ]
+        for _ in range(300):
+            cases.append(
+                (
+                    float(rng.uniform(0.05, 0.99)),
+                    int(rng.integers(0, 6)),
+                    int(rng.choice((1, -1))),
+                    float(rng.uniform(-1.0, 2.0)),
+                    int(rng.integers(40, 481)),
+                )
+            )
+        for q, k, branch, tau, size in cases:
+            ctx = QContext(q)
+            got = eigvec_components(branch, k, tau, ctx, size)
+            want = reference_eigvec_components(branch, k, tau, ctx, size)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want], (
+                q, k, branch, tau, size)
 
 
 class TestEigenBasis:
