@@ -279,8 +279,11 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
     4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
-    at the largest degree serves the trace side of every polynomial, one
-    Gauss rule exact at that degree its measure side.
+    at the largest degree, on its smallest exact phase grid, serves the
+    trace side of every polynomial, one Gauss rule exact at that degree
+    its measure side.  Each row's ``trace_route`` names that grid: one
+    angle in the real gauge for the covariant elements, the least M with
+    lcm(M, 2) > 2*degree angles for rho_tau_sigma.
     """
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
@@ -305,7 +308,9 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     nodes, weights = gauss_rule(jacobi, cfg.max_degree // 2 + 1)
     measure_route += f", Gauss rule of {len(nodes)} node(s)"
     moments = haar_moments(ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol)
-    trace_route = f"phase-averaged weighted trace, N={cfg.N}"
+    angles = len(moments)
+    grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
+    trace_route = f"phase-averaged weighted trace, {grid}, N={cfg.N}"
     rows = tuple(
         _row(_poly_label(c), c, moment_trace(c, moments),
              weights @ np.polynomial.polynomial.polyval(nodes, c), cfg.tol,

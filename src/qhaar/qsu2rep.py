@@ -14,20 +14,27 @@ The Haar functional of a polynomial in the generators is the phase average
 of the weighted trace with density diag(q^{2p}), scaled by (1 - q^2).
 Everything here works with the leading (size+1)-dimensional block, so the
 last rows of products are boundary-corrupted and get excluded from checks.
+The average is a trapezoid rule, exact on any grid that resolves the
+trace's harmonics, and ``haar_moments`` takes the smallest such grid: the
+traces of the covariant elements (cocentral, gamma_star_gamma,
+rho_tau_inf) do not depend on the angle, so one angle, 0, in real
+arithmetic; those of rho_tau_sigma hold even harmonics up to 2*degree, so
+the least M with lcm(M, 2) > 2*degree.
 
 Both generators are a shift times a diagonal, so every distinguished element
 has at most five nonzero diagonals.  All operator arithmetic here runs in
 band storage, one diagonal per offset over a scalar angle or a whole vector
-of them: the elements and their powers, the structural checks and the
-ladder actions on eigenvectors.  ``element`` densifies the band at one angle
-and ``build_rep`` keeps the dense generator matrices as the public dense
-view.  The diagonalizing callers go through ``_band_spectrum``: at angle 0
-every element is similar to a real symmetric matrix through diag(c^n),
-c = 1 or i, and LAPACK sees only the leading block of that gauge that
-carries an entry above eps * max|M| / (number of diagonals).  Past it the
-band is diagonal to working precision (entries carrying g decay like q^n),
-so each later index is its own eigenpair, and what is dropped has
-2-norm at most eps * max|M|.
+of them: the elements and their powers (formed up to half the degree; each
+higher moment is the main diagonal of a product of two of them), the
+structural checks and the ladder actions on eigenvectors.  ``element``
+densifies the band at one angle and ``build_rep`` keeps the dense generator
+matrices as the public dense view.  The diagonalizing callers go through
+``_band_spectrum``: at angle 0 every element is similar to a real symmetric
+matrix through diag(c^n), c = 1 or i, and LAPACK sees only the leading
+block of that gauge that carries an entry above eps * max|M| / (number of
+diagonals).  Past it the band is diagonal to working precision (entries
+carrying g decay like q^n), so each later index is its own eigenpair, and
+what is dropped has 2-norm at most eps * max|M|.
 
 Distinguished self-adjoint elements:
 
@@ -47,6 +54,7 @@ Distinguished self-adjoint elements:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,23 +187,37 @@ class _Band(dict):
         """The matrix of a band at a single angle."""
         return self._fill(self, complex)
 
-    def real_dense(self, rows: int | None = None) -> np.ndarray:
-        """The real symmetric matrix D* M D, D = diag(c^n), of a Hermitian band at one angle.
+    def diag_of_product(self, other: _Band) -> np.ndarray | None:
+        """Main diagonal of ``self @ other`` without forming the product; None if it has none."""
+        # (XY)[i, i] collects X[i, i + a] Y[i + a, i]
+        terms = [x * np.roll(other[-a], -a, axis=-1) for a, x in self.items() if -a in other]
+        return sum(terms) if terms else None
 
-        Only its leading ``rows`` x ``rows`` block (all of it by default) is
-        filled.  D* M D multiplies diagonal o by c^o, an exact entry of the
-        table 1, i, -1, -i, so the entries keep every bit.  The gauge c = 1
-        or c = i is the one that leaves every imaginary part of the whole
-        band exactly zero; at angle 0 each distinguished element has one.
-        D is unitary, so the eigenvalues are those of M and |eigenvector
-        entries| are unchanged.  A band that neither gauge makes real
-        raises DomainError: no imaginary part is ever dropped.
+    def real_gauge(self) -> _Band:
+        """The real band D* M D, D = diag(c^n), of a band that has one.
+
+        D* M D multiplies diagonal o by c^o, an exact entry of the table
+        1, i, -1, -i, so the entries keep every bit.  The gauge c = 1 or
+        c = i is the one that leaves every imaginary part of the whole band
+        exactly zero; at angle 0 each distinguished element has one.  D is
+        unitary and diagonal, so eigenvalues, |eigenvector entries| and the
+        main diagonal of every power are those of M.  A band that neither
+        gauge makes real raises DomainError: no imaginary part is ever
+        dropped.
         """
         for turn in (0, 1):
             gauged = {o: _QUARTER_TURNS[turn * o % 4] * v for o, v in self.items()}
             if not any(np.any(v.imag) for v in gauged.values()):
-                return self._fill({o: v.real[:rows] for o, v in gauged.items()}, float)
+                return _Band({o: v.real for o, v in gauged.items()})
         raise DomainError("band is not real in the gauge diag(c^n) for c = 1 or c = i")
+
+    def real_dense(self, rows: int | None = None) -> np.ndarray:
+        """The real symmetric matrix of :meth:`real_gauge` for a Hermitian band at one angle.
+
+        Only its leading ``rows`` x ``rows`` block (all of it by default) is
+        filled.
+        """
+        return self._fill({o: v[:rows] for o, v in self.real_gauge().items()}, float)
 
     @staticmethod
     def _fill(diagonals: dict, dtype) -> np.ndarray:
@@ -318,14 +340,24 @@ def haar_moments(
 
     Returns a complex array of shape (phi_count, degree + 1).  The Haar
     functional is linear, so every polynomial of degree at most ``degree``
-    has the samples ``moments @ coeffs``.  The element is built once in
-    band storage for the whole grid and its powers E^k = E^{k-1} E stay
-    there, the half-bandwidth growing by the element's reach per power, so
-    the cost is O(phi_count * size * degree^2).  The default grid is the
-    4*degree + 4 uniform angles starting at ``phi_offset``.  The truncation
-    size is checked against the geometric-tail policy at the reach of
-    degree-``degree`` powers before any work happens; that policy is the
-    only limit on the degree.
+    has the samples ``moments @ coeffs``.  The grid is ``phi_count``
+    uniform angles starting at ``phi_offset``; by default it is the
+    smallest grid on which their average is exact
+    (:func:`_exact_phase_grid`): one angle for the three covariant
+    elements, whose traces do not depend on it, and the least M with
+    lcm(M, 2) > 2*degree for rho_tau_sigma (7 at degree 6).  A grid of
+    the single angle 0 runs in real arithmetic on the band's real gauge
+    (:meth:`_Band.real_gauge`), which leaves the main diagonal of every
+    power as it is; those moments have an exactly zero imaginary part.
+
+    The element is built once in band storage for the whole grid.  Its
+    powers E^k = E^{k-1} E stay there up to h = ceil(degree / 2), the
+    half-bandwidth growing by the element's reach per power, and each
+    later moment is read off the main diagonal of E^h E^{k-h} without
+    forming that product; the cost is O(phi_count * size * degree^2).
+    The truncation size is checked against the geometric-tail policy at
+    the reach of degree-``degree`` powers before any work happens; that
+    policy is the only limit on the degree.
     """
     if name not in ELEMENT_NAMES:
         raise DomainError(f"unknown element {name!r}")
@@ -339,20 +371,27 @@ def haar_moments(
             f"(reach {reach}), tol {tol:g}, q {ctx.q:g}"
         ) from None
     if phi_count is None:
-        phi_count = 4 * degree + 4
+        phi_count = _exact_phase_grid(name, degree)
     if phi_count < 1:
         raise DomainError("phi_count must be positive")
     weights = (1.0 - ctx.q**2) * op_D(ctx, size)
     phi = phi_offset + 2.0 * math.pi * np.arange(phi_count) / phi_count
     E = _element_band(ctx, name, params, phi, size)
+    if phi_count == 1 and phi_offset == 0.0:
+        E = E.real_gauge()
     moments = np.zeros((phi_count, degree + 1), dtype=complex)
     moments[:, 0] = weights.sum()
-    P = E
+    half = (degree + 1) // 2
+    powers = [None, E]
+    for k in range(2, half + 1):
+        powers.append(powers[-1] @ E)
     for k in range(1, degree + 1):
-        if k > 1:
-            P = P @ E
-        if 0 in P:  # odd powers of cocentral have no main diagonal
-            moments[:, k] = P[0] @ weights
+        if k <= half:
+            diag = powers[k].get(0)
+        else:
+            diag = powers[half].diag_of_product(powers[k - half])
+        if diag is not None:  # odd powers of cocentral have no main diagonal
+            moments[:, k] = diag @ weights
     return moments
 
 
@@ -370,8 +409,10 @@ def haar_trace_samples(
 
     ``coeffs`` are polynomial coefficients in ascending order; the samples
     are ``coeffs`` applied to :func:`haar_moments` at the degree of p, so
-    the default grid 4*deg(p) + 4 and truncation policy are the ones
-    documented there.
+    the truncation policy is the one documented there.  This is the view
+    for inspecting per-angle samples, so its default grid is the
+    4*deg(p) + 4 uniform angles starting at ``phi_offset``, not the
+    smallest exact grid that :func:`haar_moments` picks.
 
     For cocentral, gamma_star_gamma and rho_tau_inf the samples are
     phase-independent up to roundoff (diagonal phase unitaries carry one
@@ -382,6 +423,8 @@ def haar_trace_samples(
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     deg = _poly_degree(coeffs)
+    if phi_count is None:
+        phi_count = 4 * deg + 4
     moments = haar_moments(ctx, name, deg, size, params, tol, phi_count, phi_offset)
     return moments @ coeffs[: deg + 1]
 
@@ -390,10 +433,16 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
     """Haar functional of p(element): the phase average of its samples.
 
     ``moments`` comes from :func:`haar_moments` at no less than the degree
-    of p.  The average of a self-adjoint element's traces is real; an
-    imaginary residue means the grid did not resolve it.
+    of p; a polynomial of higher degree raises DomainError.  The average
+    of a self-adjoint element's traces is real; an imaginary residue means
+    the grid did not resolve it.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    if coeffs.size > moments.shape[-1]:
+        raise DomainError(
+            f"polynomial of degree {coeffs.size - 1} needs moments to at least that degree; "
+            f"these reach degree {moments.shape[-1] - 1}"
+        )
     total = complex(np.mean(moments[:, : coeffs.size] @ coeffs))
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
         raise ConvergenceError(f"phase average left imaginary residue {total.imag:g}")
@@ -412,8 +461,9 @@ def haar_trace(
     """Haar functional of p(element) by phase-averaged weighted trace.
 
     The phase average is a trapezoid rule; the integrand is a trigonometric
-    polynomial of degree at most 2*deg(p), so the default grid integrates
-    it exactly and an explicit grid too coarse for it is refused.
+    polynomial of degree at most 2*deg(p), so the default grid (the
+    smallest exact one, see :func:`haar_moments`) integrates it exactly
+    and an explicit grid too coarse for it is refused.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     deg = _poly_degree(coeffs)
@@ -421,16 +471,26 @@ def haar_trace(
     return moment_trace(coeffs, haar_moments(ctx, name, deg, size, params, tol, phi_count))
 
 
-def _check_phase_grid(name: str, degree: int, phi_count: int | None) -> None:
-    """Refuse an explicit grid whose phase average of degree-``degree`` traces is inexact.
+def _resolves(name: str, degree: int, points: int) -> bool:
+    """Whether the mean over ``points`` uniform angles of degree-``degree`` traces is exact.
 
     Only rho_tau_sigma has phase-dependent traces; they hold the harmonics
     e^{i m phi} for even |m| <= 2*degree, which a trapezoid grid of M points
     integrates exactly iff lcm(M, 2) > 2*degree.
     """
-    if name != "rho_tau_sigma" or phi_count is None or phi_count < 1:
+    return name != "rho_tau_sigma" or math.lcm(points, 2) > 2 * degree
+
+
+def _exact_phase_grid(name: str, degree: int) -> int:
+    """The smallest phase grid on which degree-``degree`` traces average exactly."""
+    return next(m for m in itertools.count(1) if _resolves(name, degree, m))
+
+
+def _check_phase_grid(name: str, degree: int, phi_count: int | None) -> None:
+    """Refuse an explicit grid whose phase average of degree-``degree`` traces is inexact."""
+    if phi_count is None or phi_count < 1:
         return
-    if math.lcm(phi_count, 2) <= 2 * degree:
+    if not _resolves(name, degree, phi_count):
         raise DomainError(
             f"a phase grid of {phi_count} points aliases {name} at degree {degree}; "
             f"lcm(points, 2) must exceed {2 * degree}"
@@ -558,6 +618,7 @@ def eigen_basis(
     to describe the truncated vector, size must comfortably exceed the
     index where components fall below working precision.
     """
+    phase = _eigvec_phase(size, phi)
     out = []
     for branch in branches:
         for k in range(k_max + 1):
@@ -567,18 +628,16 @@ def eigen_basis(
                     k=k,
                     eigenvalue=_branch_lambda(branch, k, tau, ctx.q),
                     norm_sq=eigvec_norm_sq(branch, k, tau, ctx),
-                    vector=_phased_eigvec(branch, k, tau, ctx, size, phi),
+                    vector=phase * eigvec_components(branch, k, tau, ctx, size),
                 )
             )
     return out
 
 
-def _phased_eigvec(
-    branch: int, k: int, tau: float, ctx: QContext, size: int, phi: float
-) -> np.ndarray:
-    """Components i^n e^{i n phi} p_n(lambda), n = 0..size, of a rho_tau_inf eigenvector."""
+def _eigvec_phase(size: int, phi: float) -> np.ndarray:
+    """Phases i^n e^{i n phi}, n = 0..size, of every rho_tau_inf eigenvector at one angle."""
     n = np.arange(size + 1)
-    return (1j**n) * np.exp(1j * n * phi) * eigvec_components(branch, k, tau, ctx, size)
+    return (1j**n) * np.exp(1j * n * phi)
 
 
 def d_coeff(ctx: QContext, tau: float, branch1: int, k1: int, branch2: int, k2: int) -> float:
@@ -697,11 +756,12 @@ def verify_structure(
     fac = float(np.max(np.abs((lhs - rhs).dense()[blk, blk])))
 
     lead = slice(0, size - 19)
+    phase = _eigvec_phase(size, phi)
 
     # the shift targets and the recursion revisit eigenvectors: 26 distinct of 45
     @functools.lru_cache(maxsize=None)
     def vec(branch: int, k: int, t: float) -> np.ndarray:
-        return _phased_eigvec(branch, k, t, ctx, size, phi)
+        return phase * eigvec_components(branch, k, t, ctx, size)
 
     zero = np.zeros(size + 1, dtype=complex)
     al, be, ga, de = _shift_ops(A, C, q, tau)

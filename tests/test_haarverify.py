@@ -314,8 +314,25 @@ class TestVerify:
     def test_routes_recorded(self, ctx: QContext) -> None:
         cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((0.0, 1.0),))
         row = verify("thm4", cfg).rows[0]
-        assert "trace" in row.trace_route
+        assert row.trace_route == "phase-averaged weighted trace, 1 angle (real gauge), N=80"
         assert "Chebyshev" in row.measure_route
+
+    @pytest.mark.parametrize(
+        "theorem, degree, grid",
+        [
+            ("thm4", 6, "1 angle (real gauge)"),
+            ("thm5", 6, "1 angle (real gauge)"),
+            ("gamma", 12, "1 angle (real gauge)"),
+            ("thm6", 1, "3 angles"),
+            ("thm6", 6, "7 angles"),
+            ("thm6", 7, "9 angles"),
+            ("thm6", 12, "13 angles"),
+        ],
+    )
+    def test_trace_route_names_the_phase_grid(self, ctx, theorem, degree, grid) -> None:
+        cfg = VerifyConfig(ctx=ctx, N=80, poly_set=monomials(degree))
+        routes = {r.trace_route for r in verify(theorem, cfg).rows}
+        assert routes == {f"phase-averaged weighted trace, {grid}, N=80"}
 
 
 class TestVerifyConfig:

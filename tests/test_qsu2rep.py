@@ -23,8 +23,10 @@ from qhaar import (
     eigvec_norm_sq,
     eigvec_poly,
     element,
+    haar_moments,
     haar_trace,
     haar_trace_samples,
+    moment_trace,
     monomials,
     op_D,
     qpoch,
@@ -494,6 +496,106 @@ class TestSharedMoments:
         assert report.all_passed
         # one band element serves the whole phase grid; no dense matrix is built
         assert calls == ["_element_band"]
+
+    def test_polynomial_above_moment_degree_refused(self, ctx: QContext) -> None:
+        moments = haar_moments(ctx, "cocentral", 3, 60)
+        assert moment_trace([0.0, 0.0, 0.0, 1.0, 0.0], moments) == moment_trace(
+            [0.0, 0.0, 0.0, 1.0], moments
+        )
+        with pytest.raises(DomainError, match="degree 4 .* reach degree 3"):
+            moment_trace([0.0, 0.0, 0.0, 0.0, 1.0], moments)
+
+
+EPS = np.finfo(float).eps
+EXACT_GRID_DEGREES = list(range(1, 9)) + [12, 24]
+
+
+def abs_moments(ctx, name, params, degree, size, phi_count):
+    """(1 - q^2) sum_n q^{2n} (|E|^k)_nn, k = 0..degree, for |E| the entrywise
+    maximum of |element| over ``phi_count`` uniform angles: the scale of the
+    rounding in any route's k-th moment."""
+    phi = 2.0 * math.pi * np.arange(phi_count) / phi_count
+    band = qsu2rep._element_band(ctx, name, params, phi, size)
+    E = qsu2rep._Band({o: np.abs(v).max(axis=tuple(range(v.ndim - 1))) for o, v in band.items()})
+    w = (1.0 - ctx.q**2) * op_D(ctx, size)
+    out = np.zeros(degree + 1)
+    out[0] = w.sum()
+    P = E
+    for k in range(1, degree + 1):
+        if k > 1:
+            P = P @ E
+        if 0 in P:
+            out[k] = P[0] @ w
+    return out
+
+
+def rounding_bound(A, points):
+    # k + 1 roundings per entry of the k-th power, plus up to ``points`` in the
+    # mean over a grid of that many angles
+    return EPS * A * (np.arange(A.size) + 1 + points)
+
+
+class TestExactPhaseGrid:
+    """The default grid of haar_moments: one real angle, or the least exact M."""
+
+    @pytest.mark.parametrize("name", qsu2rep.ELEMENT_NAMES)
+    def test_smallest_grid_check_accepts(self, name) -> None:
+        for degree in range(25):
+            m = qsu2rep._exact_phase_grid(name, degree)
+            qsu2rep._check_phase_grid(name, degree, m)
+            for smaller in range(1, m):
+                with pytest.raises(DomainError):
+                    qsu2rep._check_phase_grid(name, degree, smaller)
+        assert qsu2rep._exact_phase_grid(name, 6) == (7 if name == "rho_tau_sigma" else 1)
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_default_grid_matches_full_grid(self, q, name, params) -> None:
+        ctx = QContext(q)
+        for degree in EXACT_GRID_DEGREES:
+            size = qsu2rep._ELEMENT_REACH[name] * degree + 30
+            got = haar_moments(ctx, name, degree, size, params, tol=0.5)
+            assert got.shape == (qsu2rep._exact_phase_grid(name, degree), degree + 1)
+            if name != "rho_tau_sigma":
+                assert not np.any(got.imag)
+            full = 4 * degree + 4
+            ref = haar_moments(ctx, name, degree, size, params, tol=0.5, phi_count=full)
+            A = abs_moments(ctx, name, params, degree, size, full)
+            assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) <= rounding_bound(A, full))
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_default_grid_matches_horner(self, q, name, params) -> None:
+        # the reference grid is exact on its own terms: one angle off the real
+        # gauge for the covariant elements, 2 * degree + 1 for rho_tau_sigma
+        ctx = QContext(q)
+        rng = np.random.default_rng(14)
+        for degree in EXACT_GRID_DEGREES:
+            size = qsu2rep._ELEMENT_REACH[name] * degree + 10
+            coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+            points = 2 * degree + 1 if name == "rho_tau_sigma" else 1
+            got = moment_trace(coeffs, haar_moments(ctx, name, degree, size, params, tol=0.5))
+            ref = horner_samples(ctx, name, coeffs, size, params, points, phi_offset=0.37)
+            A = abs_moments(ctx, name, params, degree, size, points)
+            assert abs(got - np.mean(ref).real) <= np.abs(coeffs) @ rounding_bound(A, points)
+
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_samples_keep_full_grid(self, ctx: QContext, name, params) -> None:
+        for degree in (0, 1, 6):
+            samples = haar_trace_samples(ctx, name, [0.0] * degree + [1.0], 60, params)
+            assert samples.shape == (4 * degree + 4,)
+
+    @pytest.mark.parametrize("size", [3, 40])
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_diag_of_product(self, ctx: QContext, size, name, params) -> None:
+        phi = np.array([0.0, 0.9])
+        E = qsu2rep._element_band(ctx, name, params, phi, size)
+        for X, Y in ((E, E), (E @ E, E), (E @ E, E @ E)):
+            got = X.diag_of_product(Y)
+            if 0 in X @ Y:
+                assert np.array_equal(got, (X @ Y)[0])
+            else:
+                assert got is None
 
 
 def mp_two_phi_one_form(n: int, form: int, branch: int, k: int, tau) -> float:
