@@ -34,7 +34,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .haarverify import (
     VerifyConfig,
+    VerifyRow,
     _support_distance,
+    _theorem,
     bailey_variant_residuals,
     mass_identity_check,
     monomials,
@@ -49,7 +51,7 @@ from .orthopoly import (
     cqh_poisson_series,
 )
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
-from .qsu2rep import SphericalParams, _band_spectrum, _element_band
+from .qsu2rep import _band_spectrum, _element_band
 
 __all__ = ["RunConfig", "main"]
 
@@ -203,31 +205,23 @@ def _to_text(report: dict, rows: list[dict], wall: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report-dict, flat-rows, passed)
+# subcommand handlers: each returns (report body, flat rows, passed); main
+# adds the envelope: schema, command, target, config and passed
+
+# a verify row is its theorem, then the VerifyRow fields in declaration order
+_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow) if f.name != "coeffs")
 
 
 def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     vcfg = cfg.verify_config()
     targets = ("thm4", "thm5", "thm6") if target == "all" else (target,)
-    reports = [verify(t, vcfg) for t in targets]
     flat: list[dict] = []
     blocks = []
-    for rep in reports:
-        rows = []
-        for r in rep.rows:
-            rows.append(
-                {
-                    "theorem": rep.theorem,
-                    "label": r.label,
-                    "trace_side": r.trace_side,
-                    "measure_side": r.measure_side,
-                    "abs_err": r.abs_err,
-                    "rel_err": r.rel_err,
-                    "passed": r.passed,
-                    "trace_route": r.trace_route,
-                    "measure_route": r.measure_route,
-                }
-            )
+    for rep in [verify(t, vcfg) for t in targets]:
+        rows = [
+            {"theorem": rep.theorem, **{c: getattr(r, c) for c in _VERIFY_COLUMNS}}
+            for r in rep.rows
+        ]
         flat.extend(rows)
         blocks.append(
             {
@@ -237,22 +231,13 @@ def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
                 "max_rel_err": rep.max_rel_err,
             }
         )
-    passed = all(b["passed"] for b in blocks)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "target": target,
-        "config": cfg.as_dict(),
-        "reports": blocks,
-        "passed": passed,
-    }
-    return report, flat, passed
+    return {"reports": blocks}, flat, all(b["passed"] for b in blocks)
 
 
 def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     ctx = cfg.context()
     rows: list[dict] = []
-    extra: dict = {}
+    body: dict = {"rows": rows}
     # each command asks qpoch once, for every angle, case or kernel it checks
     if target == "bailey":
         cons, variant, raw = (
@@ -271,7 +256,7 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
             )
         # the two printed prefactor forms cannot both hold; report which
         # one the numbers support instead of silently picking
-        extra["display_form_inconsistent"] = any(v > cfg.tol for v in variant)
+        body["display_form_inconsistent"] = any(v > cfg.tol for v in variant)
     elif target == "mass":
         residuals = mass_identity_check(*zip(*MASS_CASES), ctx).tolist()
         for (a, b, k), res in zip(MASS_CASES, residuals):
@@ -289,10 +274,11 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         ).evaluate(ctx)
         kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
         for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
+            n_terms = _poisson_terms(t, a, b, ctx)
             if kind == "q-hermite":
-                series = cqh_poisson_series(t, x, y, ctx, _poisson_terms(t))
+                series = cqh_poisson_series(t, x, y, ctx, n_terms)
             else:
-                series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t))
+                series = asc_poisson_series(t, x, y, a, b, ctx, n_terms)
             res = float(abs(series - value) / (1.0 + abs(value)))
             rows.append(
                 {
@@ -308,17 +294,7 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
             )
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown identity {target!r}")
-    passed = all(r["passed"] for r in rows)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "identity",
-        "target": target,
-        "config": cfg.as_dict(),
-        "rows": rows,
-        "passed": passed,
-    }
-    report.update(extra)
-    return report, rows, passed
+    return body, rows, all(r["passed"] for r in rows)
 
 
 def _poisson_point(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -326,10 +302,35 @@ def _poisson_point(rng: np.random.Generator) -> tuple[float, float, float]:
     return tuple(float(rng.uniform(-lim, lim)) for lim in (0.8, 0.99, 0.99))
 
 
-def _poisson_terms(t: float) -> int:
-    if abs(t) < 1e-3:
-        return 16
-    return min(4000, int(math.log(1e-14) / math.log(abs(t))) + 8)
+def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
+    """Last index the series sum_k t^k p_k(x) p_k(y) / (q, ab; q)_k needs on [-1, 1].
+
+    Its generating function bounds |p_k(x; a, b)| by P_k = p_k(1; -|a|, -|b|)
+    (a = b = 0: q-Hermite), so term k is at most m_k = |t|^k P_k^2 / (q, |ab|; q)_k.
+    The recurrence at x = 1 keeps P_{k+1} / P_k >= 1 nonincreasing, hence also
+    rho_k = m_{k+1} / m_k, and the terms past n sum to at most m_n rho_n / (1 - rho_n):
+    the least n taking that below ctx.tail_tol is returned.  log m_n is carried,
+    as m_n passes the float range near q = 1.
+    """
+    q, log_tol, at = ctx.q, math.log(ctx.tail_tol), abs(t)
+    s, ab = abs(a) + abs(b), abs(a * b)
+    r = 2.0 + s  # P_1 / P_0
+    log_m, qn = 0.0, 1.0  # log m_n and q^n
+    for n in range(ctx.max_terms):
+        qn1 = qn * q
+        c = (1.0 - qn1) * (1.0 - ab * qn)
+        rho = at * r * r / c
+        if rho == 0.0:
+            return n
+        log_m_next = log_m + math.log(rho)
+        # the tail bound is m_{n+1} / (1 - rho_n): test the cheap factor first
+        if log_m_next < log_tol and rho < 1.0 and log_m_next - math.log1p(-rho) < log_tol:
+            return n
+        log_m, qn = log_m_next, qn1
+        r = 2.0 + s * qn - c / r
+    raise ConvergenceError(
+        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {ctx.max_terms} terms at q={q!r}"
+    )
 
 
 def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
@@ -350,15 +351,10 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     """
     ctx = cfg.context()
     q = cfg.q
-    name = {"cocentral": "cocentral", "rho-inf": "rho_tau_inf", "rho-sigma": "rho_tau_sigma"}[
-        target
-    ]
-    params = None
-    if name == "rho_tau_inf":
-        params = SphericalParams(tau=cfg.tau)
-    elif name == "rho_tau_sigma":
-        params = SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-    eigvals, weights = _band_spectrum(_element_band(ctx, name, params, 0.0, cfg.trunc_n), ctx)
+    theorem = {"cocentral": "thm4", "rho-inf": "thm5", "rho-sigma": "thm6"}[target]
+    pair = _theorem(theorem, ctx, cfg.tau, cfg.sigma)
+    name = pair.element
+    eigvals, weights = _band_spectrum(_element_band(ctx, name, pair.params, 0.0, cfg.trunc_n), ctx)
     rows = []
     masses = aw_masses(thm6_params(cfg.tau, cfg.sigma, ctx)) if name == "rho_tau_sigma" else ()
     for i, (x, w) in enumerate(zip(eigvals, weights)):
@@ -370,17 +366,10 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         elif name == "rho_tau_sigma":
             row["support_distance"] = _support_distance(float(x), masses)
         rows.append(row)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "spectrum",
-        "target": target,
-        "config": cfg.as_dict(),
-        "rows": rows,
-        "passed": True,
-    }
+    body: dict = {"rows": rows}
     if masses:
-        report["mass_points"] = [{"x": xm, "weight": wm} for xm, wm in masses]
-    return report, rows, True
+        body["mass_points"] = [{"x": xm, "weight": wm} for xm, wm in masses]
+    return body, rows, True
 
 
 _LADDER_RUNGS = 2000  # rungs k = 0..1999 of each rho_tau_inf ladder are candidates
@@ -434,19 +423,23 @@ def _run_eval_series(args, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     val = phi_rs(SeriesSpec(upper, lower, z, ctx))
     val = complex(val)
     rows = [{"value_re": val.real, "value_im": val.imag}]
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "eval-series",
-        "target": "",
-        "config": cfg.as_dict(),
+    body = {
         "upper": [[c.real, c.imag] for c in upper],
         "lower": [[c.real, c.imag] for c in lower],
         "z": [z.real, z.imag],
         "base": float(base),
         "rows": rows,
-        "passed": True,
     }
-    return report, rows, True
+    return body, rows, True
+
+
+# each handler maps (parsed arguments, config) to (report body, flat rows, passed)
+_HANDLERS = {
+    "verify": lambda args, cfg: _run_verify(args.target, cfg),
+    "identity": lambda args, cfg: _run_identity(args.target, cfg),
+    "spectrum": lambda args, cfg: _run_spectrum(args.target, cfg),
+    "eval-series": _run_eval_series,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, rows: list[dict], cfg: RunConfig, wall: float) -> None:
-    if cfg.output == "json":
-        sys.stdout.write(_to_json(report) + "\n")
-        print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
-    elif cfg.output == "csv":
-        sys.stdout.write(_to_csv(rows))
-        print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
-    else:
+    if cfg.output == "text":  # the wall time is part of the text body
         sys.stdout.write(_to_text(report, rows, wall))
+        return
+    sys.stdout.write(_to_json(report) + "\n" if cfg.output == "json" else _to_csv(rows))
+    print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -519,25 +509,23 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_sources(file_values, flag_values)
 
         start = time.perf_counter()
-        if args.command == "verify":
-            report, rows, passed = _run_verify(args.target, cfg)
-        elif args.command == "identity":
-            report, rows, passed = _run_identity(args.target, cfg)
-        elif args.command == "spectrum":
-            report, rows, passed = _run_spectrum(args.target, cfg)
-        else:
-            report, rows, passed = _run_eval_series(args, cfg)
+        body, rows, passed = _HANDLERS[args.command](args, cfg)
         wall = time.perf_counter() - start
     except ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    report = {
+        "schema": SCHEMA_VERSION,
+        "command": args.command,
+        "target": getattr(args, "target", ""),
+        "config": cfg.as_dict(),
+        **body,
+        "passed": passed,
+    }
     _emit(report, rows, cfg, wall)
     return 0 if passed else 1
 

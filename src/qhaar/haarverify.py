@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,14 +202,22 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def _integrate(jacobi: JacobiCoeffs, p) -> float:
-    """Integral of p on the Gauss rule of ``jacobi``: exact for coefficients."""
-    coeffs = _as_coeffs(p)
-    if coeffs is None:
-        nodes, weights = gauss_rule(jacobi, CALLABLE_NODES)
-        return float(weights @ np.array([float(p(x)) for x in nodes]))
-    nodes, weights = gauss_rule(jacobi, _poly_degree(coeffs) // 2 + 1)
-    return float(weights @ np.polynomial.polynomial.polyval(nodes, coeffs))
+def _gauss_integrals(jacobi: JacobiCoeffs, polys) -> tuple[list[float], int]:
+    """Integrals of each p in ``polys`` on one Gauss rule of ``jacobi``, and its node count.
+
+    The rule has deg // 2 + 1 nodes for the largest degree among the
+    coefficient arrays, so it is exact for every one of them; a callable,
+    which has no degree, asks for CALLABLE_NODES.
+    """
+    coeffs = [_as_coeffs(p) for p in polys]
+    size = max(CALLABLE_NODES if c is None else _poly_degree(c) // 2 + 1 for c in coeffs)
+    nodes, weights = gauss_rule(jacobi, size)
+    values = [
+        float(weights @ (np.array([float(p(x)) for x in nodes]) if c is None
+                         else np.polynomial.polynomial.polyval(nodes, c)))
+        for p, c in zip(polys, coeffs)
+    ]
+    return values, len(nodes)
 
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
@@ -238,18 +247,44 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     )
 
 
+class _Theorem(NamedTuple):
+    """What a theorem pairs: an element for the trace route, a measure for the other."""
+
+    element: str
+    params: SphericalParams | None
+    jacobi: JacobiCoeffs
+    measure_route: str
+
+
+def _theorem(theorem: str, ctx: QContext | None, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
+    """The one place each theorem's pair is written; thm4 alone needs no ``ctx``."""
+    if theorem == "thm4":
+        return _Theorem("cocentral", None, _SEMICIRCLE, "semicircle (Chebyshev U)")
+    if theorem == "thm5":
+        route = f"Jackson q^2-integral over [-1, q^(2*{tau:g})] (big q-Jacobi)"
+        jacobi = _jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
+        return _Theorem("rho_tau_inf", SphericalParams(tau=tau), jacobi, route)
+    if theorem == "thm6":
+        aw = thm6_params(tau, sigma, ctx)
+        masses = sum(len(_mass_ladder(e, aw.ctx.q)) for e in aw.as_tuple())
+        route = f"Askey-Wilson q^2 measure, {masses} mass point(s)"
+        return _Theorem("rho_tau_sigma", SphericalParams(tau, sigma), aw_jacobi(aw), route)
+    route = "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
+    return _Theorem("gamma_star_gamma", None, _jackson_jacobi(0.0, 1.0, ctx), route)
+
+
 def thm4_measure(p) -> float:
     """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
 
     ``p`` is an ascending coefficient array or a continuous function on
     [-1, 1]; the Gauss rule is that of Chebyshev U.
     """
-    return _integrate(_SEMICIRCLE, p)
+    return _gauss_integrals(_theorem("thm4", None).jacobi, [p])[0][0]
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _integrate(_jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx), p)
+    return _gauss_integrals(_theorem("thm5", ctx, tau).jacobi, [p])[0][0]
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -266,12 +301,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _integrate(aw_jacobi(thm6_params(tau, sigma, ctx)), p)
+    return _gauss_integrals(_theorem("thm6", ctx, tau, sigma).jacobi, [p])[0][0]
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _integrate(_jackson_jacobi(0.0, 1.0, ctx), p)
+    return _gauss_integrals(_theorem("gamma", ctx).jacobi, [p])[0][0]
 
 
 def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
@@ -288,34 +323,17 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    ctx = cfg.ctx
-    if theorem == "thm4":
-        name, params, jacobi = "cocentral", None, _SEMICIRCLE
-        measure_route = "semicircle (Chebyshev U)"
-    elif theorem == "thm5":
-        name, params = "rho_tau_inf", SphericalParams(tau=cfg.tau)
-        jacobi = _jackson_jacobi(-1.0, ctx.q ** (2.0 * cfg.tau), ctx)
-        measure_route = f"Jackson q^2-integral over [-1, q^(2*{cfg.tau:g})] (big q-Jacobi)"
-    elif theorem == "thm6":
-        name, params = "rho_tau_sigma", SphericalParams(tau=cfg.tau, sigma=cfg.sigma)
-        aw = thm6_params(cfg.tau, cfg.sigma, ctx)
-        jacobi = aw_jacobi(aw)
-        masses = sum(len(_mass_ladder(e, aw.ctx.q)) for e in aw.as_tuple())
-        measure_route = f"Askey-Wilson q^2 measure, {masses} mass point(s)"
-    else:
-        name, params, jacobi = "gamma_star_gamma", None, _jackson_jacobi(0.0, 1.0, ctx)
-        measure_route = "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
-    nodes, weights = gauss_rule(jacobi, cfg.max_degree // 2 + 1)
-    measure_route += f", Gauss rule of {len(nodes)} node(s)"
-    moments = haar_moments(ctx, name, cfg.max_degree, cfg.N, params, tol=cfg.tol)
+    pair = _theorem(theorem, cfg.ctx, cfg.tau, cfg.sigma)
+    measures, nodes = _gauss_integrals(pair.jacobi, cfg.poly_set)
+    measure_route = f"{pair.measure_route}, Gauss rule of {nodes} node(s)"
+    moments = haar_moments(cfg.ctx, pair.element, cfg.max_degree, cfg.N, pair.params, tol=cfg.tol)
     angles = len(moments)
     grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
     trace_route = f"phase-averaged weighted trace, {grid}, N={cfg.N}"
     rows = tuple(
-        _row(_poly_label(c), c, moment_trace(c, moments),
-             weights @ np.polynomial.polynomial.polyval(nodes, c), cfg.tol,
+        _row(_poly_label(c), c, moment_trace(c, moments), measure, cfg.tol,
              trace_route, measure_route)
-        for c in map(np.asarray, cfg.poly_set)
+        for c, measure in zip(map(np.asarray, cfg.poly_set), measures)
     )
     return VerifyReport(theorem=theorem, config=cfg, rows=rows)
 
@@ -375,9 +393,8 @@ def intermediate_check(
     part2 = aw_integrate(spec2, lambda x: pv(x) * asc_poisson(Q, x, x, a2, b2, ctx2))
     val = w1 * part1 + w2 * part2
     meas = thm6_measure(coeffs, tau, sigma, ctx)
-    trace = haar_trace(
-        ctx, "rho_tau_sigma", coeffs, size, SphericalParams(tau=tau, sigma=sigma), tol=1e-9
-    )
+    pair = _theorem("thm6", ctx, tau, sigma)
+    trace = haar_trace(ctx, pair.element, coeffs, size, pair.params, tol=1e-9)
     scale = max(1.0, abs(meas))
     return IntermediateReport(
         vs_measure=abs(val - meas) / scale,
@@ -586,8 +603,8 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     entries of rho_tau_sigma tend to 1/2, so LAPACK gets the whole matrix.
     """
     masses = aw_masses(thm6_params(tau, sigma, ctx))
-    params = SphericalParams(tau=tau, sigma=sigma)
-    eigs, _ = _band_spectrum(_element_band(ctx, "rho_tau_sigma", params, 0.0, size))
+    pair = _theorem("thm6", ctx, tau, sigma)
+    eigs, _ = _band_spectrum(_element_band(ctx, pair.element, pair.params, 0.0, size))
     return float(max(_support_distance(float(x), masses) for x in eigs))
 
 
@@ -623,13 +640,7 @@ def sigma_limit_check(
     for sigma in sigmas:
         scale = 2.0 * q ** (sigma + tau - 1.0)
         scaled = coeffs * scale ** np.arange(coeffs.shape[0])
-        val = haar_trace(
-            ctx,
-            "rho_tau_sigma",
-            scaled,
-            size,
-            SphericalParams(tau=tau, sigma=sigma),
-            tol=1e-9,
-        )
+        pair = _theorem("thm6", ctx, tau, sigma)
+        val = haar_trace(ctx, pair.element, scaled, size, pair.params, tol=1e-9)
         out.append(abs(val - reference))
     return tuple(out)

@@ -135,19 +135,9 @@ def _cqh_poisson_form(t: float, x: float, y: float) -> Factorials:
 
 
 def cqh_poisson_series(t: float, x: float, y: float, ctx: QContext, n_terms: int) -> float:
-    """Defining sum sum_n t^n H_n(x) H_n(y) / (q;q)_n, truncated at n_terms."""
-    hx, hy = cqh_all(n_terms, np.array([x, y], dtype=float), ctx).T
-    total = 0.0
-    tn = 1.0
-    poch = 1.0
-    qn = 1.0
-    for n in range(n_terms + 1):
-        if n > 0:
-            qn *= ctx.q
-            poch *= 1.0 - qn
-            tn *= t
-        total += tn * hx[n] * hy[n] / poch
-    return total
+    """Defining sum sum_n t^n H_n(x) H_n(y) / (q;q)_n, truncated at n_terms: the
+    Al-Salam-Chihara series at a = b = 0, where its extra factors are exact ones."""
+    return asc_poisson_series(t, x, y, 0.0, 0.0, ctx, n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +336,18 @@ def asc_poisson_series(
     t: float, x: float, y: float, a: float, b: float, ctx: QContext, n_terms: int
 ) -> float:
     """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k) truncated at n_terms."""
-    px, py = asc_all(n_terms, np.array([x, y], dtype=float), a, b, ctx).T
+    # Python floats: the same IEEE operations as numpy scalars, with less overhead
+    px, py = asc_all(n_terms, np.array([x, y], dtype=float), a, b, ctx).T.tolist()
     q = ctx.q
     total = 0.0
     tk = 1.0
     poch = 1.0
     qk = 1.0
-    for k in range(n_terms + 1):
+    for k, (u, v) in enumerate(zip(px, py)):
         if k > 0:
             tk *= t
             poch *= (1.0 - qk) * (1.0 - a * b * qk / q)
-        total += tk * px[k] * py[k] / poch
+        total += tk * u * v / poch
         qk *= q
     return total
 

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from qhaar import QContext, SphericalParams, build_rep, cli, element, qpoch, qsu2rep
 from qhaar.cli import main
+from qhaar.haarverify import VerifyRow
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -184,6 +186,76 @@ class TestTextOutput:
         assert code == 0
         assert "wall_time_s" in out
         assert "passed: true" in out
+
+
+VERIFY_HEADER = [
+    "theorem", "label", "trace_side", "measure_side", "abs_err", "rel_err", "passed",
+    "trace_route", "measure_route",
+]
+# (argv, CSV header, number of rows) for each command's stock invocation
+EVERY_COMMAND = [
+    (("verify", "all", "--trunc-n", "80"), VERIFY_HEADER, 21),
+    (
+        ("identity", "bailey"),
+        ["theta", "residual", "variant_residual", "raw_residual", "passed"],
+        5,
+    ),
+    (("identity", "mass"), ["a", "b", "k", "residual", "passed"], 3),
+    (("identity", "poisson"), ["kind", "t", "x", "y", "a", "b", "residual", "passed"], 20),
+    (("spectrum", "cocentral", "--trunc-n", "80"), ["index", "eigenvalue", "weight"], 81),
+    (
+        ("spectrum", "rho-inf", "--trunc-n", "80"),
+        ["index", "eigenvalue", "weight", "nearest_ladder", "ladder_distance"],
+        81,
+    ),
+    (
+        ("spectrum", "rho-sigma", "--trunc-n", "80"),
+        ["index", "eigenvalue", "weight", "support_distance"],
+        81,
+    ),
+    (("eval-series", "--upper", "8", "--z", "0.0875", "--q", "0.5"), ["value_re", "value_im"], 1),
+]
+COMMAND_IDS = [" ".join(a for a in argv[:2] if a[0] != "-") for argv, _, _ in EVERY_COMMAND]
+
+
+class TestEveryCommandFormats:
+    """Every command reaches CSV and text through the one report envelope."""
+
+    def test_verify_header_follows_verify_row(self, capsys) -> None:
+        code, out, _ = run_cli(capsys, "verify", "thm4", "--trunc-n", "80", "--output", "csv")
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header == ["theorem"] + [f.name for f in fields(VerifyRow) if f.name != "coeffs"]
+        assert header == VERIFY_HEADER
+
+    @pytest.mark.parametrize("argv, header, count", EVERY_COMMAND, ids=COMMAND_IDS)
+    def test_csv(self, capsys, argv, header, count) -> None:
+        code, out, err = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        assert "wall_time_s" in err and "wall_time_s" not in out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == header
+        assert len(rows) == count + 1
+        # the envelope stays out of the row table
+        assert not {"schema", "command", "config"} & set(rows[0])
+        col = rows[0].index("passed") if "passed" in rows[0] else None
+        assert col is None or all(r[col] == "true" for r in rows[1:])
+
+    @pytest.mark.parametrize("argv, header, count", EVERY_COMMAND, ids=COMMAND_IDS)
+    def test_text(self, capsys, argv, header, count) -> None:
+        code, out, _ = run_cli(capsys, *argv, "--output", "text")
+        assert code == 0
+        lines = out.splitlines()
+        command = argv[0] if argv[0] == "eval-series" else " ".join(argv[:2])
+        assert lines[0] == f"command: {command}"
+        assert lines[1].startswith("config: ") and "q=" in lines[1]
+        assert lines[-2] == "passed: true"
+        assert lines[-1].startswith("wall_time_s: ")
+        table = lines[2:-2]
+        if argv[:2] == ("identity", "bailey"):
+            assert table.pop() == "display_form_inconsistent: true"
+        assert table[0].split() == header
+        assert len(table) == count + 1
 
 
 class TestConfigFile:

@@ -719,16 +719,19 @@ class TestIdentityCommands:
             t = float(rng.uniform(-0.8, 0.8))
             x = float(rng.uniform(-0.99, 0.99))
             y = float(rng.uniform(-0.99, 0.99))
-            n_terms = cli._poisson_terms(t)
             if kind == "q-hermite":
                 a = b = 0.0
                 closed = orthopoly.cqh_poisson(t, x, y, ctx)
-                series = orthopoly.cqh_poisson_series(t, x, y, ctx, n_terms)
+                series = orthopoly.cqh_poisson_series(
+                    t, x, y, ctx, cli._poisson_terms(t, a, b, ctx)
+                )
             else:
                 a = float(rng.uniform(-0.95, 0.95))
                 b = float(rng.uniform(-0.95, 0.95))
                 closed = orthopoly.asc_poisson(t, x, y, a, b, ctx)
-                series = orthopoly.asc_poisson_series(t, x, y, a, b, ctx, n_terms)
+                series = orthopoly.asc_poisson_series(
+                    t, x, y, a, b, ctx, cli._poisson_terms(t, a, b, ctx)
+                )
             res = float(abs(series - closed) / (1.0 + abs(closed)))
             rows.append(
                 {"kind": kind, "t": t, "x": x, "y": y, "a": a, "b": b, "residual": res,
@@ -737,6 +740,49 @@ class TestIdentityCommands:
         code, out = self.run(capsys, "poisson", "--q", repr(q), "--seed", str(seed))
         assert out == _identity_stdout("poisson", rows, q=q, seed=seed)
         assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.95, 0.97, 0.99))
+    def test_poisson_q_hermite_rows_pass(self, capsys, q: float) -> None:
+        # a q-Hermite row may fail only where rounding swamps the float series,
+        # its terms summing in absolute value to over tol (1 + |value|) / (10 eps).
+        # Near q = 1 the series needs far more terms than |t| alone asks for
+        # (t = -0.172 at q = 0.95 needs 42, and 26 left 5.1e-5).
+        ctx = QContext(q)
+        code, out = self.run(capsys, "poisson", "--q", repr(q))
+        rows = [r for r in json.loads(out)["rows"] if r["kind"] == "q-hermite"]
+        checked = 0
+        for r in rows:
+            t, x, y = r["t"], r["x"], r["y"]
+            h = orthopoly.cqh_all(3000, np.array([x, y]), ctx)
+            k = np.arange(3001)
+            poch = np.cumprod(np.r_[1.0, 1.0 - q ** k[1:]])
+            sum_abs = float(np.sum(np.abs(t**k * h[:, 0] * h[:, 1] / poch)))
+            closed = orthopoly.cqh_poisson(t, x, y, ctx)
+            if 10.0 * np.finfo(float).eps * sum_abs <= 1e-7 * (1.0 + abs(closed)):
+                assert r["passed"], r
+                checked += 1
+        assert checked >= (10 if q <= 0.97 else 7)
+
+    @pytest.mark.parametrize("q", (0.3, 0.9, 0.97))
+    def test_poisson_terms_bound_the_tail(self, q: float) -> None:
+        # past the count, the absolute terms of the series sum below tail_tol
+        ctx = QContext(q)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            t = float(rng.uniform(-0.8, 0.8))
+            x, y, a, b = (float(v) for v in rng.uniform(-0.95, 0.95, 4))
+            n = cli._poisson_terms(t, a, b, ctx)
+            p = orthopoly.asc_all(4 * n + 400, np.array([x, y]), a, b, ctx)
+            k = np.arange(p.shape[0])
+            poch = np.cumprod(np.r_[1.0, (1.0 - q ** k[1:]) * (1.0 - a * b * q ** k[:-1])])
+            tail = np.abs(t**k * p[:, 0] * p[:, 1] / poch)[n + 1:]
+            assert tail.sum() <= ctx.tail_tol, (t, x, y, a, b, n)
+            assert tail[0] > 0.0
+
+    def test_poisson_terms_refuse_past_max_terms(self) -> None:
+        with pytest.raises(ConvergenceError, match="over 100 terms"):
+            cli._poisson_terms(0.8, 0.0, 0.0, QContext(0.99, max_terms=100))
+        assert cli._poisson_terms(0.0, 0.5, 0.5, QContext(0.9)) == 0
 
     @pytest.mark.parametrize(
         "argv, w87_calls",

@@ -102,6 +102,28 @@ class TestCqhPoisson:
         got = cqh_poisson_series(t, x, y, ctx, 40)
         assert got == pytest.approx(cqh_poisson(t, x, y, ctx), rel=1e-10)
 
+    def test_series_is_the_q_hermite_loop(self) -> None:
+        # the q-Hermite series runs the Al-Salam-Chihara loop at a = b = 0;
+        # the former loop of its own, kept here, gives every bit
+        def hermite_loop(t, x, y, ctx, n_terms):
+            hx, hy = cqh_all(n_terms, np.array([x, y]), ctx).T
+            total, tn, poch, qn = 0.0, 1.0, 1.0, 1.0
+            for n in range(n_terms + 1):
+                if n > 0:
+                    qn *= ctx.q
+                    poch *= 1.0 - qn
+                    tn *= t
+                total += tn * hx[n] * hy[n] / poch
+            return total
+
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            ctx = QContext(float(rng.uniform(0.01, 0.995)))
+            t, x, y = rng.uniform(-0.9, 0.9), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+            n = int(rng.integers(0, 400))
+            got = cqh_poisson_series(t, x, y, ctx, n)
+            assert got.hex() == hermite_loop(t, x, y, ctx, n).hex(), (ctx.q, t, x, y, n)
+
     @given(
         t=st.floats(-0.6, 0.6),
         x=st.floats(-0.95, 0.95),
