@@ -352,7 +352,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     ctx = cfg.context()
     q = cfg.q
     theorem = {"cocentral": "thm4", "rho-inf": "thm5", "rho-sigma": "thm6"}[target]
-    pair = _theorem(theorem, ctx, cfg.tau, cfg.sigma)
+    pair = _theorem(theorem, cfg.tau, cfg.sigma)
     name = pair.element
     eigvals, weights = _band_spectrum(_element_band(ctx, name, pair.params, 0.0, cfg.trunc_n), ctx)
     rows = []

@@ -4,6 +4,8 @@ Three closed forms are checked, each by computing both sides independently:
 the operator side as a phase-averaged weighted trace of p(element) on a
 truncated representation, and the measure side on the Gauss rule of the
 claimed measure's Jacobi matrix, exact for polynomials, masses included.
+Each such rule is memoized once per (measure, size), with read-only arrays,
+in a cache of fixed size that only the measure route reads.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -20,6 +22,7 @@ caches; each side is computed from its own module path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -87,6 +90,10 @@ _THEOREM_ALIASES = {4: "thm4", 5: "thm5", 6: "thm6", "4": "thm4", "5": "thm5", "
 REL_ERR_FLOOR = 1e-6
 
 CALLABLE_NODES = 32  # Gauss rule size for a callable integrand, which has no degree
+
+# Gauss rules kept by _measure_rule: a 13-monomial loop needs 7 of them, and
+# thm4's 7 stay in use while other measures come and go
+RULE_CACHE_SIZE = 128
 
 _SEMICIRCLE = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)  # Chebyshev U
 
@@ -202,22 +209,50 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def _gauss_integrals(jacobi: JacobiCoeffs, polys) -> tuple[list[float], int]:
-    """Integrals of each p in ``polys`` on one Gauss rule of ``jacobi``, and its node count.
+def _gauss_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
+                     polys) -> tuple[list[float], int]:
+    """Integrals of each p in ``polys`` against a theorem's measure, and the rule's node count.
 
-    The rule has deg // 2 + 1 nodes for the largest degree among the
-    coefficient arrays, so it is exact for every one of them; a callable,
-    which has no degree, asks for CALLABLE_NODES.
+    One Gauss rule serves every polynomial: deg // 2 + 1 nodes for the
+    largest degree among the coefficient arrays, so it is exact for every
+    one of them; a callable, which has no degree, asks for CALLABLE_NODES.
+    The rule comes from :func:`_measure_rule`, keyed by only what the
+    measure depends on, so equal measures share one memoized rule.
     """
+    if theorem == "thm4":
+        ctx = None
+    if theorem in ("thm4", "gamma"):
+        tau = 0.0
+    if theorem != "thm6":
+        sigma = 0.0
     coeffs = [_as_coeffs(p) for p in polys]
     size = max(CALLABLE_NODES if c is None else _poly_degree(c) // 2 + 1 for c in coeffs)
-    nodes, weights = gauss_rule(jacobi, size)
+    nodes, weights = _measure_rule(theorem, ctx, tau, sigma, size)
+    xs = nodes.tolist()
     values = [
         float(weights @ (np.array([float(p(x)) for x in nodes]) if c is None
-                         else np.polynomial.polynomial.polyval(nodes, c)))
+                         else _horner(c.tolist(), xs)))
         for p, c in zip(polys, coeffs)
     ]
     return values, len(nodes)
+
+
+def _horner(c: list[float], xs: list[float]) -> np.ndarray:
+    """sum_i c[i] x^i at each x, bit for bit as ``numpy.polynomial.polynomial.polyval``.
+
+    The operations and their order are polyval's, c0 = c[-1] + x*0, then
+    c0 = c[i] + c0*x, each rounded on its own (no fused multiply-add), in
+    Python floats: on the few nodes of a measure rule that skips the tens
+    of microseconds polyval spends on array overhead.
+    """
+    last, rest = c[-1], c[-2::-1]
+    out = []
+    for x in xs:
+        c0 = last + x * 0.0
+        for ci in rest:
+            c0 = ci + c0 * x
+        out.append(c0)
+    return np.array(out)
 
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
@@ -248,43 +283,81 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
 
 
 class _Theorem(NamedTuple):
-    """What a theorem pairs: an element for the trace route, a measure for the other."""
+    """The operator side of a theorem's pair: its element and spherical parameters."""
 
     element: str
     params: SphericalParams | None
-    jacobi: JacobiCoeffs
-    measure_route: str
 
 
-def _theorem(theorem: str, ctx: QContext | None, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
-    """The one place each theorem's pair is written; thm4 alone needs no ``ctx``."""
+def _theorem(theorem: str, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
+    """The element each theorem pairs with its measure (:func:`_measure_jacobi`)."""
     if theorem == "thm4":
-        return _Theorem("cocentral", None, _SEMICIRCLE, "semicircle (Chebyshev U)")
+        return _Theorem("cocentral", None)
     if theorem == "thm5":
-        route = f"Jackson q^2-integral over [-1, q^(2*{tau:g})] (big q-Jacobi)"
-        jacobi = _jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
-        return _Theorem("rho_tau_inf", SphericalParams(tau=tau), jacobi, route)
+        return _Theorem("rho_tau_inf", SphericalParams(tau=tau))
+    if theorem == "thm6":
+        return _Theorem("rho_tau_sigma", SphericalParams(tau, sigma))
+    return _Theorem("gamma_star_gamma", None)
+
+
+def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> JacobiCoeffs:
+    """The one place each theorem's measure is written, as its Jacobi matrix;
+    thm4 alone needs no ``ctx``."""
+    if theorem == "thm4":
+        return _SEMICIRCLE
+    if theorem == "thm5":
+        return _jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
+    if theorem == "thm6":
+        return aw_jacobi(thm6_params(tau, sigma, ctx))
+    return _jackson_jacobi(0.0, 1.0, ctx)
+
+
+def _measure_route(theorem: str, ctx: QContext, tau: float, sigma: float) -> str:
+    """The label :func:`verify` gives the measure side; thm6 counts its mass points."""
+    if theorem == "thm4":
+        return "semicircle (Chebyshev U)"
+    if theorem == "thm5":
+        return f"Jackson q^2-integral over [-1, q^(2*{tau:g})] (big q-Jacobi)"
     if theorem == "thm6":
         aw = thm6_params(tau, sigma, ctx)
         masses = sum(len(_mass_ladder(e, aw.ctx.q)) for e in aw.as_tuple())
-        route = f"Askey-Wilson q^2 measure, {masses} mass point(s)"
-        return _Theorem("rho_tau_sigma", SphericalParams(tau, sigma), aw_jacobi(aw), route)
-    route = "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
-    return _Theorem("gamma_star_gamma", None, _jackson_jacobi(0.0, 1.0, ctx), route)
+        return f"Askey-Wilson q^2 measure, {masses} mass point(s)"
+    return "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _measure_rule(theorem: str, ctx: QContext | None, tau: float, sigma: float,
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``size``-node Gauss rule of a theorem's measure, with read-only arrays.
+
+    Memoized for the RULE_CACHE_SIZE most recently used keys.
+    :func:`_gauss_integrals` sets the arguments a measure does not depend
+    on to None or 0.0 before it asks, so thm4 shares one rule per size
+    across every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau``
+    and ``sigma``.  A Jacobi matrix refused with DomainError is not
+    cached: the next call raises again.  Only the measure route reads
+    this cache.
+    """
+    nodes, weights = gauss_rule(_measure_jacobi(theorem, ctx, tau, sigma), size)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def thm4_measure(p) -> float:
     """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
 
     ``p`` is an ascending coefficient array or a continuous function on
-    [-1, 1]; the Gauss rule is that of Chebyshev U.
+    [-1, 1]; the Gauss rule is that of Chebyshev U.  Like the other three
+    measure functions, it reads the memoized rule of its measure and size
+    (:func:`_measure_rule`), so repeated calls build no rule.
     """
-    return _gauss_integrals(_theorem("thm4", None).jacobi, [p])[0][0]
+    return _gauss_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _gauss_integrals(_theorem("thm5", ctx, tau).jacobi, [p])[0][0]
+    return _gauss_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -301,12 +374,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _gauss_integrals(_theorem("thm6", ctx, tau, sigma).jacobi, [p])[0][0]
+    return _gauss_integrals("thm6", ctx, tau, sigma, [p])[0][0]
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _gauss_integrals(_theorem("gamma", ctx).jacobi, [p])[0][0]
+    return _gauss_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
 
 
 def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
@@ -323,9 +396,10 @@ def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
     theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    pair = _theorem(theorem, cfg.ctx, cfg.tau, cfg.sigma)
-    measures, nodes = _gauss_integrals(pair.jacobi, cfg.poly_set)
-    measure_route = f"{pair.measure_route}, Gauss rule of {nodes} node(s)"
+    pair = _theorem(theorem, cfg.tau, cfg.sigma)
+    measures, nodes = _gauss_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, cfg.poly_set)
+    route = _measure_route(theorem, cfg.ctx, cfg.tau, cfg.sigma)
+    measure_route = f"{route}, Gauss rule of {nodes} node(s)"
     moments = haar_moments(cfg.ctx, pair.element, cfg.max_degree, cfg.N, pair.params, tol=cfg.tol)
     angles = len(moments)
     grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
@@ -393,7 +467,7 @@ def intermediate_check(
     part2 = aw_integrate(spec2, lambda x: pv(x) * asc_poisson(Q, x, x, a2, b2, ctx2))
     val = w1 * part1 + w2 * part2
     meas = thm6_measure(coeffs, tau, sigma, ctx)
-    pair = _theorem("thm6", ctx, tau, sigma)
+    pair = _theorem("thm6", tau, sigma)
     trace = haar_trace(ctx, pair.element, coeffs, size, pair.params, tol=1e-9)
     scale = max(1.0, abs(meas))
     return IntermediateReport(
@@ -603,7 +677,7 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     entries of rho_tau_sigma tend to 1/2, so LAPACK gets the whole matrix.
     """
     masses = aw_masses(thm6_params(tau, sigma, ctx))
-    pair = _theorem("thm6", ctx, tau, sigma)
+    pair = _theorem("thm6", tau, sigma)
     eigs, _ = _band_spectrum(_element_band(ctx, pair.element, pair.params, 0.0, size))
     return float(max(_support_distance(float(x), masses) for x in eigs))
 
@@ -640,7 +714,7 @@ def sigma_limit_check(
     for sigma in sigmas:
         scale = 2.0 * q ** (sigma + tau - 1.0)
         scaled = coeffs * scale ** np.arange(coeffs.shape[0])
-        pair = _theorem("thm6", ctx, tau, sigma)
+        pair = _theorem("thm6", tau, sigma)
         val = haar_trace(ctx, pair.element, scaled, size, pair.params, tol=1e-9)
         out.append(abs(val - reference))
     return tuple(out)

@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhaar import (
+    AWParams,
     ConvergenceError,
     DomainError,
+    JacobiCoeffs,
     QContext,
     SphericalParams,
     TruncationPolicyError,
     VerifyConfig,
     aw_integrate,
+    aw_jacobi,
     aw_measure,
     bailey_check,
     bailey_raw_check,
@@ -28,6 +31,7 @@ from qhaar import (
     cqh_weight,
     element,
     gamma_measure,
+    gauss_rule,
     intermediate_check,
     mass_identity_check,
     monomials,
@@ -254,6 +258,192 @@ class TestGaussRuleMeasures:
         assert haarverify.CALLABLE_NODES == 32
         got = thm6_measure(lambda x: x**40, TAU, 1.5, ctx)
         assert got == pytest.approx(thm6_measure(p, TAU, 1.5, ctx), rel=1e-12)
+
+
+# the bit-identity grid of the memoized measure route, and the rule the
+# measure route used before it had a cache: gauss_rule of the measure's
+# Jacobi matrix, built afresh, with numpy's polyval on its nodes
+BIT_Q = (0.01, 0.05, 0.3, 0.5, 0.9, 0.95, 0.99, 0.995)
+BIT_TAU = (0.0, 0.4, 1.2)
+BIT_SIGMA = (0.3, 1.5)
+CI_EDGE_DRAWS = ((0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953))
+
+
+def _reference_jacobi(theorem: str, ctx, tau: float, sigma: float) -> JacobiCoeffs:
+    if theorem == "thm4":
+        return JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)
+    if theorem == "thm5":
+        return haarverify._jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
+    if theorem == "thm6":
+        return aw_jacobi(thm6_params(tau, sigma, ctx))
+    return haarverify._jackson_jacobi(0.0, 1.0, ctx)
+
+
+def _reference_integrals(theorem: str, ctx, tau: float, sigma: float, polys):
+    """Uncached: one fresh Gauss rule exact for every polynomial, numpy polyval."""
+    coeffs = [None if callable(p) else np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
+    size = max(
+        haarverify.CALLABLE_NODES if c is None else int(max(np.flatnonzero(c), default=0)) // 2 + 1
+        for c in coeffs
+    )
+    nodes, weights = gauss_rule(_reference_jacobi(theorem, ctx, tau, sigma), size)
+    values = [
+        float(weights @ (np.array([float(p(x)) for x in nodes]) if c is None
+                         else np.polynomial.polynomial.polyval(nodes, c)))
+        for p, c in zip(polys, coeffs)
+    ]
+    return values, len(nodes)
+
+
+def _bit_polys() -> list:
+    rng = np.random.default_rng(1616)
+    polys = list(monomials(24))
+    polys += [tuple(rng.uniform(-2.0, 2.0, d + 1)) for d in (0, 3, 9, 17, 24)]
+    return polys + [lambda x: math.exp(x) * math.cos(3.0 * x)]
+
+
+class TestMeasureBitIdentity:
+    """The memoized rule and the scalar Horner loop leave every value's bits alone."""
+
+    @staticmethod
+    def assert_same(theorem: str, measure, ctx, tau: float, sigma: float) -> None:
+        for p in _bit_polys():
+            want = _reference_integrals(theorem, ctx, tau, sigma, [p])[0][0]
+            # twice: the second call reads the cached rule
+            for _ in range(2):
+                got = measure(p)
+                assert got.hex() == want.hex(), (theorem, ctx, tau, sigma, p, got, want)
+
+    def test_thm4(self) -> None:
+        haarverify._measure_rule.cache_clear()
+        self.assert_same("thm4", thm4_measure, None, 0.0, 0.0)
+
+    @pytest.mark.parametrize("q", BIT_Q)
+    def test_jackson_and_askey_wilson(self, q: float) -> None:
+        haarverify._measure_rule.cache_clear()
+        ctx = QContext(q)
+        self.assert_same("gamma", lambda p: gamma_measure(p, ctx), ctx, 0.0, 0.0)
+        for tau in BIT_TAU:
+            self.assert_same("thm5", lambda p: thm5_measure(p, tau, ctx), ctx, tau, 0.0)
+            for sigma in BIT_SIGMA:
+                self.assert_same(
+                    "thm6", lambda p: thm6_measure(p, tau, sigma, ctx), ctx, tau, sigma
+                )
+
+    @pytest.mark.parametrize("q, tau, sigma", CI_EDGE_DRAWS + EDGE_DRAWS)
+    def test_mass_threshold_draws(self, q: float, tau: float, sigma: float) -> None:
+        ctx = QContext(q)
+        self.assert_same("thm6", lambda p: thm6_measure(p, tau, sigma, ctx), ctx, tau, sigma)
+
+    def test_high_degree(self, ctx: QContext) -> None:
+        # degree 66 takes a rule of 34 nodes
+        p = tuple(np.random.default_rng(7).uniform(-1.0, 1.0, 67))
+        for theorem, measure in (
+            ("thm4", lambda: thm4_measure(p)),
+            ("thm5", lambda: thm5_measure(p, TAU, ctx)),
+            ("thm6", lambda: thm6_measure(p, TAU, 1.5, ctx)),
+            ("gamma", lambda: gamma_measure(p, ctx)),
+        ):
+            want = _reference_integrals(theorem, ctx, TAU, 1.5, [p])[0][0]
+            assert measure().hex() == want.hex(), theorem
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "all"], ["verify", "all", "--q", "0.9", "--trunc-n", "200", "--max-degree", "9"]],
+    )
+    def test_verify_stdout(self, monkeypatch, capsys, argv: list) -> None:
+        haarverify._measure_rule.cache_clear()
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        monkeypatch.setattr(haarverify, "_gauss_integrals", _reference_integrals)
+        assert cli.main(argv) == 0
+        assert got == capsys.readouterr().out
+
+
+class TestMeasureRuleCache:
+    """_measure_rule: one read-only Gauss rule per (measure, size), failures not kept."""
+
+    def test_read_only(self, ctx: QContext) -> None:
+        nodes, weights = haarverify._measure_rule("thm6", ctx, TAU, 1.5, 4)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_thm4_shared_across_contexts(self) -> None:
+        haarverify._measure_rule.cache_clear()
+        polys = monomials(6)
+        haarverify._gauss_integrals("thm4", QContext(0.3), 0.4, 1.5, polys)
+        assert haarverify._measure_rule.cache_info().misses == 1
+        haarverify._gauss_integrals("thm4", QContext(0.7), 1.2, 0.6, polys)
+        for p in polys:
+            thm4_measure(p)
+        info = haarverify._measure_rule.cache_info()
+        # degrees 0..6 ask for sizes 1..4; size 4 was built by the first call
+        assert (info.misses, info.currsize) == (4, 4)
+        assert info.hits == 1 + 4
+
+    def test_key_ignores_unused_parameters(self, ctx: QContext) -> None:
+        haarverify._measure_rule.cache_clear()
+        polys = monomials(6)
+        for tau, sigma in ((TAU, 0.6), (TAU, 1.5)):
+            haarverify._gauss_integrals("thm5", ctx, tau, sigma, polys)
+        for tau, sigma in ((0.0, 0.6), (TAU, 1.5), (1.2, 2.5)):
+            haarverify._gauss_integrals("gamma", ctx, tau, sigma, polys)
+        for sigma in (0.6, 1.5):
+            haarverify._gauss_integrals("thm6", ctx, TAU, sigma, polys)
+        info = haarverify._measure_rule.cache_info()
+        # one rule each for thm5 and gamma, two for thm6
+        assert (info.misses, info.hits) == (4, 3)
+
+    def test_verify_and_measure_functions_share_rules(self, ctx: QContext) -> None:
+        haarverify._measure_rule.cache_clear()
+        verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, poly_set=((0.0,) * 6 + (1.0,),)))
+        before = haarverify._measure_rule.cache_info()
+        thm5_measure((0.0,) * 6 + (1.0,), TAU, ctx)
+        after = haarverify._measure_rule.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_monomial_loop_builds_seven_rules(self) -> None:
+        haarverify._measure_rule.cache_clear()
+        ctx = QContext(0.61)
+        for p in monomials(12):
+            thm6_measure(p, TAU, 1.5, ctx)
+        info = haarverify._measure_rule.cache_info()
+        assert (info.misses, info.hits) == (7, 6)
+
+    @pytest.mark.parametrize(
+        "jacobi",
+        [
+            # the refusals of tests/test_spectral.py: a reversed Jackson
+            # interval, and an Askey-Wilson square that overflows
+            lambda: haarverify._jackson_jacobi(2.0, 1.0, QContext(0.5)),
+            lambda: aw_jacobi(AWParams(1e-320, 1e-320, 0.0, 0.0, QContext(0.25))),
+        ],
+    )
+    def test_refusal_not_cached(self, monkeypatch, jacobi) -> None:
+        monkeypatch.setattr(haarverify, "_measure_jacobi", lambda *args: jacobi())
+        haarverify._measure_rule.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="e_0"):
+                haarverify._measure_rule("thm5", QContext(0.5), 0.0, 0.0, 3)
+        info = haarverify._measure_rule.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_public_refusal_not_cached(self) -> None:
+        # q^(2 tau) = 1e209 at tau = -200: e_0^2 = s^2 A_0 C_1 overflows
+        haarverify._measure_rule.cache_clear()
+        ctx = QContext(0.3)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="e_0"):
+                thm5_measure((0.0, 0.0, 1.0), -200.0, ctx)
+        assert haarverify._measure_rule.cache_info().currsize == 0
+
+    def test_operator_route_reads_no_rule(self, ctx: QContext) -> None:
+        haarverify._measure_rule.cache_clear()
+        support_check(TAU, 1.5, ctx, size=60)
+        sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx, size=60)
+        assert cli.main(["spectrum", "rho-sigma", "--trunc-n", "40"]) == 0
+        assert haarverify._measure_rule.cache_info().misses == 0
 
 
 class TestVerify:
