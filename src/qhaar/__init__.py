@@ -61,7 +61,6 @@ from .qsu2rep import (
     element,
     haar_moments,
     haar_trace,
-    haar_trace_samples,
     moment_trace,
     op_D,
     spectral_trace,
@@ -134,7 +133,6 @@ __all__ = [
     "op_D",
     "haar_moments",
     "haar_trace",
-    "haar_trace_samples",
     "moment_trace",
     "EigenBasisEntry",
     "eigen_basis",

@@ -48,7 +48,6 @@ from .orthopoly import (
     _cqh_poisson_form,
     asc_poisson_series,
     aw_masses,
-    cqh_poisson_series,
 )
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
 from .qsu2rep import _band_spectrum, _element_band
@@ -274,11 +273,8 @@ def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
         ).evaluate(ctx)
         kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
         for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
-            n_terms = _poisson_terms(t, a, b, ctx)
-            if kind == "q-hermite":
-                series = cqh_poisson_series(t, x, y, ctx, n_terms)
-            else:
-                series = asc_poisson_series(t, x, y, a, b, ctx, n_terms)
+            # the q-Hermite kernel is the Al-Salam-Chihara one at a = b = 0
+            series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t, a, b, ctx))
             res = float(abs(series - value) / (1.0 + abs(value)))
             rows.append(
                 {

@@ -15,11 +15,11 @@ of the weighted trace with density diag(q^{2p}), scaled by (1 - q^2).
 Everything here works with the leading (size+1)-dimensional block, so the
 last rows of products are boundary-corrupted and get excluded from checks.
 The average is a trapezoid rule, exact on any grid that resolves the
-trace's harmonics, and ``haar_moments`` takes the smallest such grid: the
-traces of the covariant elements (cocentral, gamma_star_gamma,
-rho_tau_inf) do not depend on the angle, so one angle, 0, in real
-arithmetic; those of rho_tau_sigma hold even harmonics up to 2*degree, so
-the least M with lcm(M, 2) > 2*degree.
+trace's harmonics, and ``haar_moments`` always derives the smallest such
+grid from the element and the degree: the traces of the covariant
+elements (cocentral, gamma_star_gamma, rho_tau_inf) do not depend on the
+angle, so one angle, 0, in real arithmetic; those of rho_tau_sigma hold
+even harmonics up to 2*degree, so the least M with lcm(M, 2) > 2*degree.
 
 Both generators are a shift times a diagonal, so every distinguished element
 has at most five nonzero diagonals.  All operator arithmetic here runs in
@@ -54,7 +54,6 @@ Distinguished self-adjoint elements:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +72,6 @@ __all__ = [
     "op_D",
     "haar_moments",
     "haar_trace",
-    "haar_trace_samples",
     "moment_trace",
     "EigenBasisEntry",
     "eigen_basis",
@@ -339,28 +337,25 @@ def haar_moments(
     size: int,
     params: SphericalParams | None = None,
     tol: float = 1e-9,
-    phi_count: int | None = None,
-    phi_offset: float = 0.0,
 ) -> np.ndarray:
     """Weighted moments (1 - q^2) tr(D element^k), k = 0..degree, per phase.
 
-    Returns a complex array of shape (phi_count, degree + 1).  The Haar
-    functional is linear, so every polynomial of degree at most ``degree``
-    has the samples ``moments @ coeffs``.  The grid is ``phi_count``
-    uniform angles starting at ``phi_offset``; by default it is the
-    smallest grid on which their average is exact
-    (:func:`_exact_phase_grid`): one angle for the three covariant
-    elements, whose traces do not depend on it, and the least M with
-    lcm(M, 2) > 2*degree for rho_tau_sigma (7 at degree 6).  A grid of
-    the single angle 0 runs in real arithmetic on the band's real gauge
-    (:meth:`_Band.real_gauge`), which leaves the main diagonal of every
-    power as it is; those moments have an exactly zero imaginary part.
+    Returns a complex array of shape (M, degree + 1).  The Haar functional
+    is linear, so every polynomial of degree at most ``degree`` has the
+    samples ``moments @ coeffs``.  The grid is the M uniform angles from 0
+    of :func:`_exact_phase_grid`, the smallest on which their average is
+    exact: one angle for the three covariant elements, whose traces do not
+    depend on it, and the least M with lcm(M, 2) > 2*degree for
+    rho_tau_sigma (7 at degree 6).  The single angle 0 runs in real
+    arithmetic on the band's real gauge (:meth:`_Band.real_gauge`), which
+    leaves the main diagonal of every power as it is; those moments have
+    an exactly zero imaginary part.
 
     The element is built once in band storage for the whole grid.  Its
     powers E^k = E^{k-1} E stay there up to h = ceil(degree / 2), the
     half-bandwidth growing by the element's reach per power, and each
     later moment is read off the main diagonal of E^h E^{k-h} without
-    forming that product; the cost is O(phi_count * size * degree^2).
+    forming that product; the cost is O(M * size * degree^2).
     The truncation size is checked against the geometric-tail policy at
     the reach of degree-``degree`` powers before any work happens; that
     policy is the only limit on the degree.
@@ -376,16 +371,13 @@ def haar_moments(
             f"{min_truncation(reach * degree, tol, ctx.q)} for {name} at degree {degree} "
             f"(reach {reach}), tol {tol:g}, q {ctx.q:g}"
         ) from None
-    if phi_count is None:
-        phi_count = _exact_phase_grid(name, degree)
-    if phi_count < 1:
-        raise DomainError("phi_count must be positive")
+    points = _exact_phase_grid(name, degree)
     weights = (1.0 - ctx.q**2) * op_D(ctx, size)
-    phi = phi_offset + 2.0 * math.pi * np.arange(phi_count) / phi_count
+    phi = 2.0 * math.pi * np.arange(points) / points
     E = _element_band(ctx, name, params, phi, size)
-    if phi_count == 1 and phi_offset == 0.0:
+    if points == 1:
         E = E.real_gauge()
-    moments = np.zeros((phi_count, degree + 1), dtype=complex)
+    moments = np.zeros((points, degree + 1), dtype=complex)
     moments[:, 0] = weights.sum()
     half = (degree + 1) // 2
     powers = [None, E]
@@ -401,38 +393,15 @@ def haar_moments(
     return moments
 
 
-def haar_trace_samples(
-    ctx: QContext,
-    name: str,
-    coeffs,
-    size: int,
-    params: SphericalParams | None = None,
-    tol: float = 1e-9,
-    phi_count: int | None = None,
-    phi_offset: float = 0.0,
-) -> np.ndarray:
-    """Weighted traces (1 - q^2) tr(D p(element)) at each phase grid point.
+def _exact_phase_grid(name: str, degree: int) -> int:
+    """The smallest uniform phase grid on which degree-``degree`` traces average exactly.
 
-    ``coeffs`` are polynomial coefficients in ascending order; the samples
-    are ``coeffs`` applied to :func:`haar_moments` at the degree of p, so
-    the truncation policy is the one documented there.  This is the view
-    for inspecting per-angle samples, so its default grid is the
-    4*deg(p) + 4 uniform angles starting at ``phi_offset``, not the
-    smallest exact grid that :func:`haar_moments` picks.
-
-    For cocentral, gamma_star_gamma and rho_tau_inf the samples are
-    phase-independent up to roundoff (diagonal phase unitaries carry one
-    angle into another and commute with the trace density).  For
-    rho_tau_sigma the samples genuinely oscillate in 2*phi and only their
-    average is meaningful; the average is still offset-independent because
-    the integrand is a trigonometric polynomial the grid resolves exactly.
+    Only rho_tau_sigma has phase-dependent traces; they hold the harmonics
+    e^{i m phi} for even |m| <= 2*degree, which a trapezoid grid of M points
+    integrates exactly iff lcm(M, 2) > 2*degree.  The least such M is the
+    least odd M > degree.
     """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    deg = _poly_degree(coeffs)
-    if phi_count is None:
-        phi_count = 4 * deg + 4
-    moments = haar_moments(ctx, name, deg, size, params, tol, phi_count, phi_offset)
-    return moments @ coeffs[: deg + 1]
+    return 2 * ((degree + 1) // 2) + 1 if name == "rho_tau_sigma" else 1
 
 
 def moment_trace(coeffs, moments: np.ndarray) -> float:
@@ -440,8 +409,10 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
 
     ``moments`` comes from :func:`haar_moments` at no less than the degree
     of p; a polynomial of higher degree raises DomainError.  The average
-    of a self-adjoint element's traces is real; an imaginary residue means
-    the grid did not resolve it.
+    of a self-adjoint element's traces is real, and that grid resolves
+    every harmonic, so an imaginary residue is rounding in powers that
+    cancel far below their size; one above 1e-8 relative raises
+    ConvergenceError.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
     if coeffs.size > moments.shape[-1]:
@@ -451,7 +422,10 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
         )
     total = complex(np.mean(moments[:, : coeffs.size] @ coeffs))
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
-        raise ConvergenceError(f"phase average left imaginary residue {total.imag:g}")
+        raise ConvergenceError(
+            f"phase average left imaginary residue {total.imag:g}: "
+            "rounding in cancelling powers"
+        )
     return float(total.real)
 
 
@@ -462,45 +436,15 @@ def haar_trace(
     size: int,
     params: SphericalParams | None = None,
     tol: float = 1e-9,
-    phi_count: int | None = None,
 ) -> float:
     """Haar functional of p(element) by phase-averaged weighted trace.
 
     The phase average is a trapezoid rule; the integrand is a trigonometric
-    polynomial of degree at most 2*deg(p), so the default grid (the
-    smallest exact one, see :func:`haar_moments`) integrates it exactly
-    and an explicit grid too coarse for it is refused.
+    polynomial of degree at most 2*deg(p), and the grid of
+    :func:`haar_moments` integrates it exactly.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    deg = _poly_degree(coeffs)
-    _check_phase_grid(name, deg, phi_count)
-    return moment_trace(coeffs, haar_moments(ctx, name, deg, size, params, tol, phi_count))
-
-
-def _resolves(name: str, degree: int, points: int) -> bool:
-    """Whether the mean over ``points`` uniform angles of degree-``degree`` traces is exact.
-
-    Only rho_tau_sigma has phase-dependent traces; they hold the harmonics
-    e^{i m phi} for even |m| <= 2*degree, which a trapezoid grid of M points
-    integrates exactly iff lcm(M, 2) > 2*degree.
-    """
-    return name != "rho_tau_sigma" or math.lcm(points, 2) > 2 * degree
-
-
-def _exact_phase_grid(name: str, degree: int) -> int:
-    """The smallest phase grid on which degree-``degree`` traces average exactly."""
-    return next(m for m in itertools.count(1) if _resolves(name, degree, m))
-
-
-def _check_phase_grid(name: str, degree: int, phi_count: int | None) -> None:
-    """Refuse an explicit grid whose phase average of degree-``degree`` traces is inexact."""
-    if phi_count is None or phi_count < 1:
-        return
-    if not _resolves(name, degree, phi_count):
-        raise DomainError(
-            f"a phase grid of {phi_count} points aliases {name} at degree {degree}; "
-            f"lcm(points, 2) must exceed {2 * degree}"
-        )
+    return moment_trace(coeffs, haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol))
 
 
 def _branch_lambda(branch: int, k: int, tau: float, q: float) -> float:

@@ -25,7 +25,6 @@ from qhaar import (
     element,
     haar_moments,
     haar_trace,
-    haar_trace_samples,
     moment_trace,
     monomials,
     op_D,
@@ -155,40 +154,39 @@ class TestHaarTrace:
         ):
             haar_trace(ctx, "rho_tau_sigma", [0.0] * 6 + [1.0], 20, params, tol=1e-7)
 
-    def test_coarse_phase_grid_refused(self, ctx: QContext) -> None:
-        # lcm(3, 2) = 6 does not exceed 2 * 6: the e^{6 i phi} harmonic aliases
+    def test_coarse_phase_grid_aliases(self, ctx: QContext) -> None:
+        # lcm(3, 2) = 6 does not exceed 2 * 6: on 3 angles the e^{6 i phi}
+        # harmonic of a degree-6 rho_tau_sigma trace aliases onto the mean
         params = SphericalParams(tau=TAU, sigma=SIGMA)
         coeffs = [0.0] * 6 + [1.0]
-        with pytest.raises(DomainError, match="phase grid of 3 points"):
-            haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=3)
-        # the per-angle samples stay available, and their average is off
-        coarse = np.mean(haar_trace_samples(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=3))
+        coarse = np.mean(horner_samples(ctx, "rho_tau_sigma", coeffs, 80, params, 3))
         exact = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params)
         assert abs(coarse.real - exact) > 1e-3 * abs(exact)
         # phase-independent elements are exact on any grid
-        got = haar_trace(ctx, "rho_tau_inf", [0.0] * 6 + [1.0], 80, params, phi_count=3)
-        ref = haar_trace(ctx, "rho_tau_inf", [0.0] * 6 + [1.0], 80, params)
-        assert got == pytest.approx(ref, rel=1e-13)
+        ref = np.mean(horner_samples(ctx, "rho_tau_inf", coeffs, 80, params, 3))
+        got = haar_trace(ctx, "rho_tau_inf", coeffs, 80, params)
+        assert got == pytest.approx(ref.real, rel=1e-13)
 
     def test_smallest_exact_phase_grid_accepted(self, ctx: QContext) -> None:
         # lcm(7, 2) = 14 > 12 integrates every harmonic of a degree-6 trace
         params = SphericalParams(tau=TAU, sigma=SIGMA)
         coeffs = [0.0] * 6 + [1.0]
-        got = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params, phi_count=7)
-        ref = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params)
-        assert got == pytest.approx(ref, rel=1e-13)
+        assert haar_moments(ctx, "rho_tau_sigma", 6, 80, params).shape == (7, 7)
+        ref = np.mean(horner_samples(ctx, "rho_tau_sigma", coeffs, 80, params, 7))
+        got = haar_trace(ctx, "rho_tau_sigma", coeffs, 80, params)
+        assert got == pytest.approx(ref.real, rel=1e-13)
 
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_phase_grid_rule_is_harmonic_aliasing(self, degree: int) -> None:
-        # an M-point trapezoid grid misses the mean of e^{i m phi} iff M divides m
-        for points in range(1, 18):
-            aliased = any(m % points == 0 for m in range(2, 2 * degree + 1, 2))
-            if aliased:
-                with pytest.raises(DomainError):
-                    qsu2rep._check_phase_grid("rho_tau_sigma", degree, points)
-            else:
-                qsu2rep._check_phase_grid("rho_tau_sigma", degree, points)
-            qsu2rep._check_phase_grid("rho_tau_inf", degree, points)
+        # an M-point trapezoid grid misses the mean of e^{i m phi} iff M divides
+        # m; the derived grid is the least M that divides no even m <= 2 * degree
+        exact = [
+            points
+            for points in range(1, 18)
+            if not any(m % points == 0 for m in range(2, 2 * degree + 1, 2))
+        ]
+        assert qsu2rep._exact_phase_grid("rho_tau_sigma", degree) == exact[0]
+        assert qsu2rep._exact_phase_grid("rho_tau_inf", degree) == 1
 
     def test_phase_independence_of_covariant_elements(self, ctx: QContext) -> None:
         params = SphericalParams(tau=TAU)
@@ -197,25 +195,25 @@ class TestHaarTrace:
             ("gamma_star_gamma", None),
             ("rho_tau_inf", params),
         ):
-            s = haar_trace_samples(ctx, name, [0.0, 0.0, 1.0], 80, p)
+            s = horner_samples(ctx, name, [0.0, 0.0, 1.0], 80, p)
             mean = np.mean(s)
             assert np.max(np.abs(s - mean)) < 1e-10 * (1.0 + abs(mean))
+            # the one real angle of haar_moments carries that constant
+            got = haar_trace(ctx, name, [0.0, 0.0, 1.0], 80, p)
+            assert abs(got - mean) < 1e-10 * (1.0 + abs(mean))
 
     def test_two_parameter_element_phase_average_invariance(self, ctx: QContext) -> None:
         # per-angle samples genuinely oscillate; only the average is
         # grid-placement independent
         params = SphericalParams(tau=TAU, sigma=SIGMA)
-        base = haar_trace_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params)
+        base = horner_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params)
         assert np.var(base.real) > 1e-2
         m0 = np.mean(base)
-        m1 = np.mean(
-            haar_trace_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params, phi_offset=0.3)
-        )
-        m2 = np.mean(
-            haar_trace_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params, phi_count=16)
-        )
-        assert abs(m1 - m0) < 1e-10 * (1.0 + abs(m0))
-        assert abs(m2 - m0) < 1e-10 * (1.0 + abs(m0))
+        m1 = np.mean(horner_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params, phi_offset=0.3))
+        m2 = np.mean(horner_samples(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params, 16))
+        m3 = haar_trace(ctx, "rho_tau_sigma", [0.0, 1.0], 80, params)
+        for m in (m1, m2, m3):
+            assert abs(m - m0) < 1e-10 * (1.0 + abs(m0))
 
     @given(
         c1=st.floats(-2, 2),
@@ -463,20 +461,29 @@ class TestSharedMoments:
     @pytest.mark.parametrize("name, params", ELEMENT_CASES)
     @pytest.mark.parametrize("grid", [{}, {"phi_count": 9}, {"phi_offset": 0.37}])
     def test_samples_match_horner(self, q, name, params, grid, rng) -> None:
+        # on its own grid ({}) every per-angle sample matches; any other exact
+        # grid of the reference has the same mean
         ctx = QContext(q)
         for deg in range(7):
             coeffs = rng.uniform(-2.0, 2.0, deg + 1)
             coeffs[-1] = math.copysign(0.5 + abs(coeffs[-1]), coeffs[-1])
-            got = haar_trace_samples(ctx, name, coeffs, 80, params, **grid)
-            ref = horner_samples(ctx, name, coeffs, 80, params, **grid)
-            assert got.shape == ref.shape
+            moments = haar_moments(ctx, name, deg, 80, params)
+            points, offset = grid.get("phi_count", len(moments)), grid.get("phi_offset", 0.0)
+            ref = horner_samples(ctx, name, coeffs, 80, params, points, offset)
+            if grid:
+                got, ref = moment_trace(coeffs, moments), np.mean(ref)
+            else:
+                got = moments @ coeffs
+                assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_trailing_zeros_keep_degree_grid(self, ctx: QContext) -> None:
-        got = haar_trace_samples(ctx, "cocentral", [0.5, -1.0, 2.0, 0.0, 0.0], 60)
-        ref = horner_samples(ctx, "cocentral", [0.5, -1.0, 2.0], 60)
-        assert got.shape == (12,)
-        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        # bit-identical: trailing zeros leave the degree, hence the grid, as it is
+        for name, params in ELEMENT_CASES:
+            got = haar_trace(ctx, name, [0.5, -1.0, 2.0, 0.0, 0.0], 60, params)
+            assert got == haar_trace(ctx, name, [0.5, -1.0, 2.0], 60, params)
+            ref = np.mean(horner_samples(ctx, name, [0.5, -1.0, 2.0], 60, params))
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
     def test_verify_builds_band_element_once(self, ctx: QContext, monkeypatch) -> None:
         calls = []
@@ -529,6 +536,30 @@ def abs_moments(ctx, name, params, degree, size, phi_count):
     return out
 
 
+def dense_moments(ctx, name, params, degree, size, points):
+    """Reference per-angle moments (1 - q^2) tr(D E^k), k = 0..degree, of the
+    dense element on ``points`` uniform angles from 0: dense powers up to
+    h = ceil(degree / 2), and diag(E^h E^{k-h}) past them."""
+    w = (1.0 - ctx.q**2) * op_D(ctx, size)
+    half = (degree + 1) // 2
+    out = np.empty((points, degree + 1), dtype=complex)
+    phi = 2.0 * math.pi * np.arange(points) / points
+    band = qsu2rep._element_band(ctx, name, params, phi, size)
+    for j in range(points):
+        # diagonals that do not depend on the angle carry no angle axis
+        E = qsu2rep._Band({o: v[j] if v.ndim > 1 else v for o, v in band.items()}).dense()
+        powers = [np.eye(size + 1, dtype=complex)]
+        for k in range(1, half + 1):
+            powers.append(powers[-1] @ E)
+        for k in range(degree + 1):
+            if k <= half:
+                diag = np.diagonal(powers[k])
+            else:
+                diag = np.einsum("ij,ji->i", powers[half], powers[k - half])
+            out[j, k] = diag @ w
+    return out
+
+
 def rounding_bound(A, points):
     # k + 1 roundings per entry of the k-th power, plus up to ``points`` in the
     # mean over a grid of that many angles
@@ -540,17 +571,20 @@ class TestExactPhaseGrid:
 
     @pytest.mark.parametrize("name", qsu2rep.ELEMENT_NAMES)
     def test_smallest_grid_check_accepts(self, name) -> None:
-        for degree in range(25):
+        # the closed form is the least M with lcm(M, 2) > 2 * degree
+        def resolves(degree, points):
+            return name != "rho_tau_sigma" or math.lcm(points, 2) > 2 * degree
+
+        for degree in range(300):
             m = qsu2rep._exact_phase_grid(name, degree)
-            qsu2rep._check_phase_grid(name, degree, m)
-            for smaller in range(1, m):
-                with pytest.raises(DomainError):
-                    qsu2rep._check_phase_grid(name, degree, smaller)
+            assert resolves(degree, m)
+            assert not any(resolves(degree, smaller) for smaller in range(1, m))
         assert qsu2rep._exact_phase_grid(name, 6) == (7 if name == "rho_tau_sigma" else 1)
 
     @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.95])
     @pytest.mark.parametrize("name, params", ELEMENT_CASES)
     def test_default_grid_matches_full_grid(self, q, name, params) -> None:
+        # every moment's mean against dense powers on 4 * degree + 4 angles
         ctx = QContext(q)
         for degree in EXACT_GRID_DEGREES:
             size = qsu2rep._ELEMENT_REACH[name] * degree + 30
@@ -559,7 +593,7 @@ class TestExactPhaseGrid:
             if name != "rho_tau_sigma":
                 assert not np.any(got.imag)
             full = 4 * degree + 4
-            ref = haar_moments(ctx, name, degree, size, params, tol=0.5, phi_count=full)
+            ref = dense_moments(ctx, name, params, degree, size, full)
             A = abs_moments(ctx, name, params, degree, size, full)
             assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) <= rounding_bound(A, full))
 
@@ -578,12 +612,6 @@ class TestExactPhaseGrid:
             ref = horner_samples(ctx, name, coeffs, size, params, points, phi_offset=0.37)
             A = abs_moments(ctx, name, params, degree, size, points)
             assert abs(got - np.mean(ref).real) <= np.abs(coeffs) @ rounding_bound(A, points)
-
-    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
-    def test_samples_keep_full_grid(self, ctx: QContext, name, params) -> None:
-        for degree in (0, 1, 6):
-            samples = haar_trace_samples(ctx, name, [0.0] * degree + [1.0], 60, params)
-            assert samples.shape == (4 * degree + 4,)
 
     @pytest.mark.parametrize("size", [3, 40])
     @pytest.mark.parametrize("name, params", ELEMENT_CASES)
