@@ -8,7 +8,7 @@ Subcommands:
     eval-series                         ad-hoc basic hypergeometric sum
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or domain
-error, 3 numerical non-convergence (including truncation-policy trips).
+error, 3 non-convergence or overflow (including truncation-policy trips).
 
 Reports echo the full configuration.  JSON output is byte-deterministic
 for a fixed RunConfig: keys are sorted, floats carry 17 significant
@@ -19,6 +19,7 @@ holds the flattened row table only.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -99,15 +100,21 @@ class RunConfig:
         )
 
 
+# JSON value types per RunConfig field type; a bool, an int to Python, is refused apart
+_CONFIG_TYPES = {"float": (int, float), "int": int, "str": str}
+
+
 def _config_from_sources(file_values: dict, flag_values: dict) -> RunConfig:
     """Apply precedence flags > config file > defaults."""
     merged: dict = {}
     typemap = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"float": float, "int": int, "str": str}
     for key, val in file_values.items():
         if key not in typemap:
             raise DomainError(f"unknown config key {key!r}")
-        merged[key] = casts[typemap[key]](val)
+        kind = typemap[key]
+        if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[kind]):
+            raise DomainError(f"config key {key!r} needs a JSON {kind}, got {val!r}")
+        merged[key] = float(val) if kind == "float" else val
     for key, val in flag_values.items():
         if val is not None:
             merged[key] = val
@@ -398,32 +405,33 @@ def _nearest_ladder(x: float, q: float, tau: float) -> tuple[float, float]:
     return best, dist
 
 
-def _parse_complex_list(raw: str) -> tuple[complex, ...]:
-    if not raw.strip():
-        return ()
+def _parse_complex(token: str) -> complex:
+    """One finite complex number; anything else is refused with DomainError."""
     try:
-        return tuple(complex(tok) for tok in raw.split(",") if tok.strip())
+        value = complex(token)
     except ValueError as exc:
-        raise DomainError(f"cannot parse parameter list {raw!r}") from exc
+        raise DomainError(f"cannot parse argument {token!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"argument {token!r} is not finite")
+    return value
+
+
+def _parse_complex_list(raw: str) -> tuple[complex, ...]:
+    return tuple(_parse_complex(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _run_eval_series(args, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
-    base = cfg.q if args.base is None else args.base
-    ctx = QContext(q=base)
+    ctx = cfg.context()
     upper = _parse_complex_list(args.upper)
     lower = _parse_complex_list(args.lower)
-    try:
-        z = complex(args.z)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse argument {args.z!r}") from exc
-    val = phi_rs(SeriesSpec(upper, lower, z, ctx))
-    val = complex(val)
+    z = _parse_complex(args.z)
+    val = complex(phi_rs(SeriesSpec(upper, lower, z, ctx)))
     rows = [{"value_re": val.real, "value_im": val.imag}]
     body = {
         "upper": [[c.real, c.imag] for c in upper],
         "lower": [[c.real, c.imag] for c in lower],
         "z": [z.real, z.imag],
-        "base": float(base),
+        "base": cfg.q,
         "rows": rows,
     }
     return body, rows, True
@@ -476,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--upper", type=str, default="", help="comma-separated numerator parameters")
     p_eval.add_argument("--lower", type=str, default="", help="comma-separated denominator parameters")
     p_eval.add_argument("--z", type=str, required=True, help="series argument")
-    p_eval.add_argument("--base", type=float, default=None, help="series base (defaults to --q)")
     add_config_flags(p_eval)
 
     return parser
@@ -509,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
         wall = time.perf_counter() - start
     except ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 3
     except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,13 +83,9 @@ __all__ = [
 
 THEOREMS = ("thm4", "thm5", "thm6", "gamma")
 
-_THEOREM_ALIASES = {4: "thm4", 5: "thm5", 6: "thm6", "4": "thm4", "5": "thm5", "6": "thm6"}
-
 # smaller measure values than this make relative error meaningless; the
 # reported rel_err falls back to the absolute error there
 REL_ERR_FLOOR = 1e-6
-
-CALLABLE_NODES = 32  # Gauss rule size for a callable integrand, which has no degree
 
 # Gauss rules kept by _measure_rule: a 13-monomial loop needs 7 of them, and
 # thm4's 7 stay in use while other measures come and go
@@ -131,7 +127,7 @@ class VerifyConfig:
         if not self.poly_set:
             raise DomainError("poly_set must not be empty")
         object.__setattr__(
-            self, "poly_set", tuple(tuple(float(c) for c in p) for p in self.poly_set)
+            self, "poly_set", tuple(tuple(_as_coeffs(p).tolist()) for p in self.poly_set)
         )
 
     @property
@@ -184,9 +180,10 @@ def _poly_label(coeffs: np.ndarray) -> str:
     return f"poly(deg={int(nz[-1])})"
 
 
-def _as_coeffs(p) -> np.ndarray | None:
+def _as_coeffs(p) -> np.ndarray:
+    """``p`` as an ascending coefficient array; a callable is refused."""
     if callable(p):
-        return None
+        raise DomainError("expected polynomial coefficients, got a callable")
     return np.atleast_1d(np.asarray(p, dtype=float))
 
 
@@ -215,9 +212,9 @@ def _gauss_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: floa
 
     One Gauss rule serves every polynomial: deg // 2 + 1 nodes for the
     largest degree among the coefficient arrays, so it is exact for every
-    one of them; a callable, which has no degree, asks for CALLABLE_NODES.
-    The rule comes from :func:`_measure_rule`, keyed by only what the
-    measure depends on, so equal measures share one memoized rule.
+    one of them.  The rule comes from :func:`_measure_rule`, keyed by only
+    what the measure depends on, so equal measures share one memoized rule.
+    An integral that is not finite raises ConvergenceError.
     """
     if theorem == "thm4":
         ctx = None
@@ -226,14 +223,12 @@ def _gauss_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: floa
     if theorem != "thm6":
         sigma = 0.0
     coeffs = [_as_coeffs(p) for p in polys]
-    size = max(CALLABLE_NODES if c is None else _poly_degree(c) // 2 + 1 for c in coeffs)
+    size = max(_poly_degree(c) // 2 + 1 for c in coeffs)
     nodes, weights = _measure_rule(theorem, ctx, tau, sigma, size)
     xs = nodes.tolist()
-    values = [
-        float(weights @ (np.array([float(p(x)) for x in nodes]) if c is None
-                         else _horner(c.tolist(), xs)))
-        for p, c in zip(polys, coeffs)
-    ]
+    values = [float(weights @ _horner(c.tolist(), xs)) for c in coeffs]
+    if not all(map(math.isfinite, values)):
+        raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
     return values, len(nodes)
 
 
@@ -347,8 +342,8 @@ def _measure_rule(theorem: str, ctx: QContext | None, tau: float, sigma: float,
 def thm4_measure(p) -> float:
     """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
 
-    ``p`` is an ascending coefficient array or a continuous function on
-    [-1, 1]; the Gauss rule is that of Chebyshev U.  Like the other three
+    ``p`` is an ascending coefficient array; the Gauss rule is that of
+    Chebyshev U, exact for its degree.  Like the other three
     measure functions, it reads the memoized rule of its measure and size
     (:func:`_measure_rule`), so repeated calls build no rule.
     """
@@ -382,18 +377,17 @@ def gamma_measure(p, ctx: QContext) -> float:
     return _gauss_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
 
 
-def verify(theorem, cfg: VerifyConfig) -> VerifyReport:
+def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
     """Compare trace and measure sides for every polynomial in cfg.poly_set.
 
-    ``theorem`` is one of "thm4", "thm5", "thm6", "gamma" (the integers
-    4, 5, 6 are accepted as aliases).  One pass of :func:`haar_moments`
-    at the largest degree, on its smallest exact phase grid, serves the
-    trace side of every polynomial, one Gauss rule exact at that degree
-    its measure side.  Each row's ``trace_route`` names that grid: one
-    angle in the real gauge for the covariant elements, the least M with
-    lcm(M, 2) > 2*degree angles for rho_tau_sigma.
+    ``theorem`` is one of "thm4", "thm5", "thm6", "gamma".  One pass of
+    :func:`haar_moments` at the largest degree, on its smallest exact phase
+    grid, serves the trace side of every polynomial, one Gauss rule exact
+    at that degree its measure side.  Each row's ``trace_route`` names that
+    grid: one angle in the real gauge for the covariant elements, the least
+    M with lcm(M, 2) > 2*degree angles for rho_tau_sigma.  Neither side
+    returns a number that is not finite: each route raises ConvergenceError.
     """
-    theorem = _THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     pair = _theorem(theorem, cfg.tau, cfg.sigma)
@@ -449,8 +443,6 @@ def intermediate_check(
     Q = q * q
     ctx2 = ctx.squared()
     coeffs = _as_coeffs(p)
-    if coeffs is None:
-        raise DomainError("intermediate_check needs polynomial coefficients")
     pv = _as_callable(coeffs)
     (a1, b1), (a2, b2) = _asc_pair(tau, sigma, q)
     spec1 = aw_measure(AWParams(a1, b1, 0.0, 0.0, ctx2))
@@ -693,25 +685,17 @@ def _support_distance(x: float, masses) -> float:
     return dist
 
 
-def sigma_limit_check(
-    p,
-    tau: float,
-    ctx: QContext,
-    sigmas: tuple[float, ...] = (4.0, 6.0, 8.0),
-    size: int = 160,
-) -> tuple[float, ...]:
-    """Errors |h(p(2 q^{sigma+tau-1} rho_tau_sigma)) - h(p(rho_tau_inf))|.
+def sigma_limit_check(p, tau: float, ctx: QContext, size: int = 160) -> tuple[float, ...]:
+    """Errors |h(p(2 q^{sigma+tau-1} rho_tau_sigma)) - h(p(rho_tau_inf))| at sigma = 4, 6, 8.
 
     The rescaled element converges in norm at rate O(q^sigma), so the
-    returned sequence should decrease geometrically for increasing sigmas.
+    returned sequence should decrease geometrically.
     """
     coeffs = _as_coeffs(p)
-    if coeffs is None:
-        raise DomainError("sigma_limit_check needs polynomial coefficients")
     q = ctx.q
     reference = spectral_trace(ctx, tau, coeffs)
     out = []
-    for sigma in sigmas:
+    for sigma in (4.0, 6.0, 8.0):
         scale = 2.0 * q ** (sigma + tau - 1.0)
         scaled = coeffs * scale ** np.arange(coeffs.shape[0])
         pair = _theorem("thm6", tau, sigma)

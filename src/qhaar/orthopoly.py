@@ -5,7 +5,7 @@ Four interlocking pieces:
 * continuous q-Hermite polynomials, their weight and Poisson kernel;
 * q-Charlier polynomials with the two discrete moment functionals that
   encode the diagonal-operator matrix elements;
-* Al-Salam-Chihara polynomials (series and recurrence forms) with their
+* Al-Salam-Chihara polynomials (by their recurrence) with their
   Poisson kernel in closed very-well-poised form;
 * the Askey-Wilson measure: normalization constant, continuous weight,
   and discrete masses for parameters outside the unit disc, assembled
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qseries import Factorials, QContext, SeriesSpec, phi_rs, qpoch, w87
+from .qseries import Factorials, QContext, SeriesSpec, phi_rs, w87
 from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
@@ -260,33 +260,18 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
 
 
 def asc(n: int, x: float, a: float, b: float, ctx: QContext) -> float:
-    """p_n(x; a, b | q) by the terminating 3phi2 series
+    """Al-Salam-Chihara polynomial p_n(x; a, b | q), defined by the terminating 3phi2
 
-        a^{-n} (ab;q)_n 3phi2(q^{-n}, a e^{i theta}, a e^{-i theta}; ab, 0; q, q).
+        a^{-n} (ab;q)_n 3phi2(q^{-n}, a e^{i theta}, a e^{-i theta}; ab, 0; q, q)
 
-    The terminating series carries terms up to q^{-n(n-1)/2} in magnitude
-    while the sum stays moderate, a cancellation intrinsic to this
-    representation (no summation order avoids it).  The series route is
-    taken only when the forecast roundoff
-
-        eps * q^{-n(n-1)/2} * max(1, |a z|, 1/|a|)^n
-
-    stays safely below the library tolerance; otherwise the value comes
-    from the recurrence, which is stable on [-1, 1] and agrees with the
-    series wherever both are accurate.
+    and evaluated by the recurrence of :func:`asc_all`.  The series carries
+    terms up to q^{-n(n-1)/2} in magnitude against a moderate sum, a
+    cancellation no summation order avoids; the recurrence is stable on
+    [-1, 1] and symmetric in a and b.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if abs(a) < abs(b):
-        a, b = b, a
-    q = ctx.q
-    z = _unit_circle_point(x)
-    amp = max(1.0, abs(a) * abs(z), 1.0 / abs(a)) if a != 0.0 else np.inf
-    if b == 0.0 or q ** (-0.5 * n * (n - 1)) * amp**n > 1e3:
-        return float(asc_all(n, x, a, b, ctx)[n])
-    spec = SeriesSpec((q ** (-n), a * z, a * z.conjugate()), (a * b, 0.0), q, ctx)
-    val = a ** (-n) * qpoch(a * b, ctx, n) * phi_rs(spec)
-    return float(val.real)
+    return float(asc_all(n, x, a, b, ctx)[n])
 
 
 def asc_all(n_max: int, x, a: float, b: float, ctx: QContext) -> np.ndarray:

@@ -22,6 +22,7 @@ serves them all.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,14 +74,14 @@ class QContext:
         return QContext(self.q * self.q, self.tail_tol, self.max_terms)
 
 
-def neg_power_index(value, q: float, rtol: float = TERMINATION_RTOL):
-    """Return n >= 0 such that value == q**-n within relative ``rtol``, else None.
+def neg_power_index(value, q: float):
+    """Return n >= 0 such that value == q**-n within relative TERMINATION_RTOL, else None.
 
     Used both for terminating-series detection (upper parameters) and for
     the divide-by-zero guard on lower parameters.
     """
     if isinstance(value, complex):
-        if abs(value.imag) > rtol * max(abs(value), 1.0):
+        if abs(value.imag) > TERMINATION_RTOL * max(abs(value), 1.0):
             return None
         value = value.real
     if value <= 0.0:
@@ -88,7 +89,7 @@ def neg_power_index(value, q: float, rtol: float = TERMINATION_RTOL):
     n = round(-math.log(value) / math.log(q))
     if n < 0:
         return None
-    if abs(value - q ** (-n)) <= rtol * q ** (-n):
+    if abs(value - q ** (-n)) <= TERMINATION_RTOL * q ** (-n):
         return n
     return None
 
@@ -373,6 +374,7 @@ def _sum_terms(spec: SeriesSpec, a=None):
     times (1 + |a| q^{2k})/|1 - a| with ``a``) is below tail_tol and so is
     the geometric tail B_k R/(1 - R), where R bounds |t_{j+1}/t_j| for all
     j >= k: each factor of R decreases with k once every |b| q^k < 1.
+    A sum that is not finite raises ConvergenceError.
     """
     ctx = spec.base
     q, tol = ctx.q, ctx.tail_tol
@@ -446,6 +448,8 @@ def _sum_terms(spec: SeriesSpec, a=None):
     else:
         name = f"{r}_phi_{s}" if a is None else "8W7"
         raise ConvergenceError(f"{name} did not converge within {ctx.max_terms} terms")
+    if not cmath.isfinite(total):
+        raise ConvergenceError(f"the sum of {spec!r} is not finite")
     return total
 
 

@@ -53,6 +53,7 @@ Distinguished self-adjoint elements:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -412,7 +413,7 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
     of a self-adjoint element's traces is real, and that grid resolves
     every harmonic, so an imaginary residue is rounding in powers that
     cancel far below their size; one above 1e-8 relative raises
-    ConvergenceError.
+    ConvergenceError, and so does an average that is not finite.
     """
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
     if coeffs.size > moments.shape[-1]:
@@ -421,6 +422,8 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
             f"these reach degree {moments.shape[-1] - 1}"
         )
     total = complex(np.mean(moments[:, : coeffs.size] @ coeffs))
+    if not cmath.isfinite(total):
+        raise ConvergenceError(f"phase average {total!r} is not finite: powers left the float range")
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
         raise ConvergenceError(
             f"phase average left imaginary residue {total.imag:g}: "
@@ -490,21 +493,18 @@ def eigvec_components(
     return out
 
 
-def eigvec_poly(
-    n: int, branch: int, k: int, tau: float, ctx: QContext, form: int | None = None
-) -> float:
-    """Single component p_n(lambda) through one of its two 2phi1 forms.
+def eigvec_poly(n: int, branch: int, k: int, tau: float, ctx: QContext) -> float:
+    """Single component p_n(lambda) through the 2phi1 form of its branch.
 
-        form 1:  q^{-n tau} q^{n(n-1)/2} (q^2;q^2)_n^{-1/2}
-                 2phi1(q^{-2n}, q^{2 tau}/lambda; 0; q^2, -q^2 lambda)
-        form 2:  (-q^tau)^n q^{n(n-1)/2} (q^2;q^2)_n^{-1/2}
-                 2phi1(q^{-2n}, -1/lambda; 0; q^2, q^{2-2tau} lambda)
+        branch +1:  q^{-n tau} q^{n(n-1)/2} (q^2;q^2)_n^{-1/2}
+                    2phi1(q^{-2n}, q^{2 tau}/lambda; 0; q^2, -q^2 lambda)
+        branch -1:  (-q^tau)^n q^{n(n-1)/2} (q^2;q^2)_n^{-1/2}
+                    2phi1(q^{-2n}, -1/lambda; 0; q^2, q^{2-2tau} lambda)
 
-    By default the form terminating through its lambda-dependent slot is
-    chosen (1 on the positive branch, 2 on the negative), which is the
-    numerically stable pairing.  The mismatched pairing terminates through
-    q^{-2n} instead and cancels catastrophically, so it is only available
-    for n <= 25; agreement of the two forms is an extended-precision fact.
+    Each form terminates through its lambda-dependent slot on its own
+    branch, which keeps it stable.  Both forms hold on both branches, but
+    the other pairing terminates through q^{-2n} and cancels
+    catastrophically; their agreement is an extended-precision fact.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -512,17 +512,10 @@ def eigvec_poly(
     Q = q * q
     ctx2 = ctx.squared()
     lam = _branch_lambda(branch, k, tau, q)
-    if form is None:
-        form = 1 if branch == 1 else 2
-    if form not in (1, 2):
-        raise DomainError("form must be 1, 2, or None")
-    stable = (form == 1 and branch == 1) or (form == 2 and branch == -1)
-    if not stable and n > 25:
-        raise DomainError("mismatched form/branch pairing is unstable past n = 25")
     pre = q ** (0.5 * n * (n - 1)) / math.sqrt(qpoch(Q, ctx2, n))
     if pre == 0.0:
         return 0.0
-    if form == 1:
+    if branch == 1:
         pre *= q ** (-n * tau)
         spec = SeriesSpec((Q ** (-n), q ** (2 * tau) / lam), (0.0,), -(q**2) * lam, ctx2)
     else:
@@ -670,18 +663,12 @@ def _shift_ops(A: _Band, C: _Band, q: float, t: float) -> tuple[_Band, ...]:
     return al, be, ga, de
 
 
-def verify_structure(
-    ctx: QContext,
-    tau: float,
-    sigma: float,
-    size: int,
-    phi: float = 0.7,
-    k_max: int = 3,
-) -> StructureReport:
+def verify_structure(ctx: QContext, tau: float, sigma: float, size: int) -> StructureReport:
     """Numerically confirm relations, factorization, shifts and recursion."""
     if size < 40:
         raise DomainError("size too small for meaningful boundary margins")
     q = ctx.q
+    phi, k_max = 0.7, 3  # a generic angle, not a gauge's 0; eigenvectors k <= 3
     A, C = _generators(ctx, phi, size)
     Ah, Ch = A.H, C.H
     eye = _Band({0: np.ones(size + 1)})

@@ -57,6 +57,18 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "thm6", "--sigma", "200"), ("verify", "thm6", "--sigma", "1e6"),
+         ("spectrum", "rho-sigma", "--sigma", "1e6"), ("identity", "bailey", "--sigma", "1e6")],
+    )
+    def test_out_of_range_is_three(self, capsys, argv) -> None:
+        # no nan rows and no overflow traceback: the run refuses with exit 3
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ")
+
     def test_policy_trip_is_three(self, capsys) -> None:
         code, _, err = run_cli(capsys, "verify", "thm4", "--q", "0.99", "--trunc-n", "50")
         assert code == 3
@@ -282,6 +294,26 @@ class TestConfigFile:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"q": "abc"}, {"trunc_n": 170.9}, {"trunc_n": "80"}, {"tol": True},
+         {"max_degree": False}, {"output": 1}, {"tau": None}, {"sigma": [1.5]}],
+    )
+    def test_wrong_value_type_is_two(self, capsys, tmp_path, values) -> None:
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "verify", "thm4", "--config", str(cfile))
+        assert code == 2 and out == ""
+        (key,) = values
+        assert err.startswith("error: ") and repr(key) in err
+
+    def test_int_accepted_for_float(self, capsys, tmp_path) -> None:
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"tau": 1, "trunc_n": 80}))
+        code, out, _ = run_cli(capsys, "verify", "thm5", "--config", str(cfile))
+        assert code == 0
+        assert json.loads(out)["config"]["tau"] == 1.0
+
 
 class TestIdentity:
     def test_bailey_flags_display_form(self, capsys) -> None:
@@ -448,3 +480,18 @@ class TestEvalSeries:
     def test_bad_argument_is_two(self, capsys) -> None:
         code, _, _ = run_cli(capsys, "eval-series", "--z", "zap")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--upper", "1e400", "--z", "0.1"), ("--z", "nan"), ("--z", "inf"),
+         ("--lower", "0.3,-inf", "--z", "0.1"), ("--upper", "nanj", "--z", "0.1")],
+    )
+    def test_non_finite_argument_is_two(self, capsys, argv) -> None:
+        code, out, err = run_cli(capsys, "eval-series", *argv)
+        assert code == 2 and out == ""
+        assert "not finite" in err
+
+    def test_base_is_q(self, capsys) -> None:
+        code, out, _ = run_cli(capsys, "eval-series", "--z", "0.1", "--q", "0.3")
+        assert code == 0
+        assert json.loads(out)["base"] == 0.3

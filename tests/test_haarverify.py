@@ -74,15 +74,11 @@ class TestThm4Measure:
             coeffs = [0.0] * d + [1.0]
             assert thm4_measure(coeffs) == pytest.approx(0.0, abs=1e-12)
 
-    def test_callable_matches_coeffs(self) -> None:
-        coeffs = [0.3, -1.0, 0.0, 2.0]
-        fn = lambda x: 0.3 - x + 2.0 * x**3
-        assert thm4_measure(fn) == pytest.approx(thm4_measure(coeffs), abs=1e-12)
-
     @given(x0=st.floats(-1, 1))
     @settings(max_examples=20, deadline=None)
     def test_odd_function_vanishes(self, x0: float) -> None:
-        got = thm4_measure(lambda x: math.sin(3.0 * x) + x0 * x**3)
+        # sin(3x) through x^7, plus x0 x^3
+        got = thm4_measure([0.0, 3.0, 0.0, x0 - 4.5, 0.0, 2.025, 0.0, -0.43392857142857144])
         assert got == pytest.approx(0.0, abs=1e-10)
 
 
@@ -251,13 +247,22 @@ class TestGaussRuleMeasures:
         thm6_measure(p, TAU, 1.5, ctx)
         gamma_measure(p, ctx)
 
-    def test_callable_rule_size(self, ctx: QContext) -> None:
-        # a callable is integrated on CALLABLE_NODES nodes: exact through
-        # degree 2 * 32 - 1, so x^40 matches its coefficient form
-        p = (0.0,) * 40 + (1.0,)
-        assert haarverify.CALLABLE_NODES == 32
-        got = thm6_measure(lambda x: x**40, TAU, 1.5, ctx)
-        assert got == pytest.approx(thm6_measure(p, TAU, 1.5, ctx), rel=1e-12)
+    def test_non_finite_integral_refused(self, ctx: QContext) -> None:
+        # at sigma = 200 the thm6 mass points sit near q^-200, and x^6 overflows
+        with pytest.raises(ConvergenceError, match="not finite"):
+            thm6_measure((0.0,) * 6 + (1.0,), TAU, 200.0, ctx)
+
+    @pytest.mark.parametrize("integrand", [abs, math.cos, lambda x: x * x])
+    def test_callable_refused(self, ctx: QContext, integrand) -> None:
+        # a callable has no degree, so no Gauss rule is exact for it
+        for measure in (
+            lambda: thm4_measure(integrand),
+            lambda: thm5_measure(integrand, TAU, ctx),
+            lambda: thm6_measure(integrand, TAU, 1.5, ctx),
+            lambda: gamma_measure(integrand, ctx),
+        ):
+            with pytest.raises(DomainError, match="callable"):
+                measure()
 
 
 # the bit-identity grid of the memoized measure route, and the rule the
@@ -281,25 +286,17 @@ def _reference_jacobi(theorem: str, ctx, tau: float, sigma: float) -> JacobiCoef
 
 def _reference_integrals(theorem: str, ctx, tau: float, sigma: float, polys):
     """Uncached: one fresh Gauss rule exact for every polynomial, numpy polyval."""
-    coeffs = [None if callable(p) else np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
-    size = max(
-        haarverify.CALLABLE_NODES if c is None else int(max(np.flatnonzero(c), default=0)) // 2 + 1
-        for c in coeffs
-    )
+    coeffs = [np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
+    size = max(int(max(np.flatnonzero(c), default=0)) // 2 + 1 for c in coeffs)
     nodes, weights = gauss_rule(_reference_jacobi(theorem, ctx, tau, sigma), size)
-    values = [
-        float(weights @ (np.array([float(p(x)) for x in nodes]) if c is None
-                         else np.polynomial.polynomial.polyval(nodes, c)))
-        for p, c in zip(polys, coeffs)
-    ]
+    values = [float(weights @ np.polynomial.polynomial.polyval(nodes, c)) for c in coeffs]
     return values, len(nodes)
 
 
 def _bit_polys() -> list:
     rng = np.random.default_rng(1616)
     polys = list(monomials(24))
-    polys += [tuple(rng.uniform(-2.0, 2.0, d + 1)) for d in (0, 3, 9, 17, 24)]
-    return polys + [lambda x: math.exp(x) * math.cos(3.0 * x)]
+    return polys + [tuple(rng.uniform(-2.0, 2.0, d + 1)) for d in (0, 3, 9, 17, 24)]
 
 
 class TestMeasureBitIdentity:
@@ -494,12 +491,18 @@ class TestVerify:
             assert report.all_passed and report.max_rel_err < 1e-12, theorem
             assert report.rows[-1].label == "x^24"
 
-    def test_aliases(self, ctx: QContext) -> None:
+    @pytest.mark.parametrize("theorem", [4, "5", 6, "thm7"])
+    def test_unknown_theorem_refused(self, ctx: QContext, theorem) -> None:
         cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((1.0,),))
-        assert verify(4, cfg).theorem == "thm4"
-        assert verify("5", cfg).theorem == "thm5"
         with pytest.raises(DomainError):
-            verify("thm7", cfg)
+            verify(theorem, cfg)
+
+    def test_non_finite_side_refused(self) -> None:
+        # at sigma = 200 the thm6 element and measure leave the float range;
+        # the rows must not carry nan or inf
+        cfg = VerifyConfig(ctx=QContext(0.5), tau=TAU, sigma=200.0, N=160)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            verify("thm6", cfg)
 
     def test_routes_recorded(self, ctx: QContext) -> None:
         cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((0.0, 1.0),))
@@ -533,6 +536,8 @@ class TestVerifyConfig:
             VerifyConfig(ctx=ctx, tol=0.0)
         with pytest.raises(DomainError):
             VerifyConfig(ctx=ctx, poly_set=())
+        with pytest.raises(DomainError, match="callable"):
+            VerifyConfig(ctx=ctx, poly_set=((1.0,), abs))
 
     def test_truncation_policy_trip(self) -> None:
         # q close to 1 demands hundreds of basis states for degree 6; the

@@ -260,30 +260,24 @@ class TestAsc:
             assert asc(12, x, a, b, ctx) == pytest.approx(p, rel=1e-9, abs=1e-9)
 
     def test_against_mpmath(self, ctx2: QContext) -> None:
-        # basic hypergeometric sum; the terms reach ~1e33 against an O(1)
-        # result at n=12, so the reference needs well beyond double precision
-        def ref(n: int, x, a, b) -> float:
-            with mp.workdps(140):
-                Q = mp.mpf(1) / 4
-                z = x + mp.sqrt(mp.mpf(x) ** 2 - 1) if abs(x) > 1 else mp.mpc(x, mp.sqrt(1 - mp.mpf(x) ** 2))
-                tot, term = mp.mpc(0), mp.mpc(1)
-                for j in range(n + 1):
-                    tot += term
-                    term *= (1 - Q ** (j - n)) * (1 - a * z * Q**j) * (1 - (a / z) * Q**j)
-                    term /= (1 - Q ** (j + 1)) * (1 - a * b * Q**j)
-                    term *= Q
-                pre = mp.mpf(1)
-                for i in range(n):
-                    pre *= 1 - a * b * Q**i
-                return float(tot.real * pre / mp.mpf(a) ** n)
-
+        # the defining 3phi2 at base 1/4: its terms reach ~1e33 against an
+        # O(1) result at n=12, so the reference needs well beyond double precision
         for n in (3, 8, 12):
             for x in (0.6, -0.95, 1.2009763571708807):
                 got = asc(n, x, 0.23325824788420185, -1.8660659830736148, ctx2)
                 assert got == pytest.approx(
-                    ref(n, x, mp.mpf("0.23325824788420185"), mp.mpf("-1.8660659830736148")),
-                    rel=1e-11,
+                    mp_asc(n, x, 0.23325824788420185, -1.8660659830736148, ctx2.q), rel=1e-11
                 )
+
+    @pytest.mark.parametrize("x", [0.64, -0.3, 0.97])
+    @pytest.mark.parametrize("a, b", [(0.8, -0.82), (0.5, 0.3), (-0.7, 0.2), (0.1, 0.0)])
+    def test_near_one(self, x: float, a: float, b: float) -> None:
+        # at q = 0.9 every degree through 13 holds to 1e-13 of max(1, |p_n|);
+        # at (10, 0.64, 0.8, -0.82) the terminating series is off by 1e-8
+        ctx = QContext(0.9)
+        for n in range(14):
+            want = mp_asc(n, x, a, b, ctx.q)
+            assert abs(asc(n, x, a, b, ctx) - want) <= 1e-13 * max(1.0, abs(want)), n
 
     def test_orthonormal_ttr_both_branch_parameterizations(self, ctx: QContext, ctx2: QContext) -> None:
         # 2x h_n = a_n h_{n+1} + b_n h_n + a_{n-1} h_{n-1} with
@@ -304,6 +298,26 @@ class TestAsc:
                 for n in range(1, 10):
                     resid = 2 * x * h[n] - (am(n) * h[n + 1] + bm(n) * h[n] + am(n - 1) * h[n - 1])
                     assert abs(resid) < 1e-10
+
+
+def mp_asc(n: int, x: float, a: float, b: float, q: float) -> float:
+    """p_n(x; a, b | q) by its defining terminating 3phi2, in 140-digit arithmetic:
+
+        a^{-n} (ab;q)_n 3phi2(q^{-n}, a e^{i theta}, a e^{-i theta}; ab, 0; q, q).
+    """
+    with mp.workdps(140):
+        Q, a, b = mp.mpf(q), mp.mpf(a), mp.mpf(b)
+        z = x + mp.sqrt(mp.mpf(x) ** 2 - 1) if abs(x) > 1 else mp.mpc(x, mp.sqrt(1 - mp.mpf(x) ** 2))
+        tot, term = mp.mpc(0), mp.mpc(1)
+        for j in range(n + 1):
+            tot += term
+            term *= (1 - Q ** (j - n)) * (1 - a * z * Q**j) * (1 - (a / z) * Q**j)
+            term /= (1 - Q ** (j + 1)) * (1 - a * b * Q**j)
+            term *= Q
+        pre = mp.mpf(1)
+        for i in range(n):
+            pre *= 1 - a * b * Q**i
+        return float(tot.real * pre / a**n)
 
 
 class TestAwMeasure:

@@ -294,6 +294,11 @@ class TestPhiRs:
         with pytest.raises(ConvergenceError):
             phi_rs(spec)
 
+    def test_non_finite_sum_raises(self, ctx: QContext) -> None:
+        # four terminating terms with finite parameters whose sum leaves the float range
+        with pytest.raises(ConvergenceError, match="not finite"):
+            phi_rs(SeriesSpec((8.0,), (), 1e300, ctx))
+
 
 def reference_phi_rs(spec: SeriesSpec):
     """The r_phi_s loop as first written: the ratio bound every term."""
