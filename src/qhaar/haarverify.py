@@ -4,8 +4,9 @@ Three closed forms are checked, each by computing both sides independently:
 the operator side as a phase-averaged weighted trace of p(element) on a
 truncated representation, and the measure side on the Gauss rule of the
 claimed measure's Jacobi matrix, exact for polynomials, masses included.
-Each such rule is memoized once per (measure, size), with read-only arrays,
-in a cache of fixed size that only the measure route reads.
+Each measure's Jacobi matrix is memoized with the recurrence entries it has
+grown, and each rule once per (measure, size) with read-only arrays, in
+caches of fixed size that only the measure route reads.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -50,6 +51,7 @@ from .qseries import Factorials, QContext, w87
 from .qsu2rep import (
     SphericalParams,
     _band_spectrum,
+    _check_power_range,
     _element_band,
     _poly_degree,
     haar_moments,
@@ -88,7 +90,8 @@ THEOREMS = ("thm4", "thm5", "thm6", "gamma")
 REL_ERR_FLOOR = 1e-6
 
 # Gauss rules kept by _measure_rule: a 13-monomial loop needs 7 of them, and
-# thm4's 7 stay in use while other measures come and go
+# thm4's 7 stay in use while other measures come and go; _measure_jacobi
+# keeps as many measures
 RULE_CACHE_SIZE = 128
 
 _SEMICIRCLE = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)  # Chebyshev U
@@ -261,10 +264,13 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     c = near / far
     s = far / Q
 
+    # shared as in aw_jacobi: each of A(n) and C(n) is computed once
+    @functools.cache
     def A(n: int) -> float:
         num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
         return num / ((1 - Q ** (2 * n + 1)) * (1 - Q ** (2 * n + 2)))
 
+    @functools.cache
     def C(n: int) -> float:
         if n == 0:
             return 0.0
@@ -295,12 +301,20 @@ def _theorem(theorem: str, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
     return _Theorem("gamma_star_gamma", None)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> JacobiCoeffs:
     """The one place each theorem's measure is written, as its Jacobi matrix;
-    thm4 alone needs no ``ctx``."""
+    thm4 alone needs no ``ctx``.
+
+    Memoized on the key of :func:`_measure_rule` without its size, for the
+    RULE_CACHE_SIZE most recently used measures: the rules of every size
+    read one matrix, which evaluates each recurrence entry once
+    (:class:`JacobiCoeffs`).  A builder that raises caches nothing.
+    """
     if theorem == "thm4":
         return _SEMICIRCLE
     if theorem == "thm5":
+        _check_power_range(ctx.q, 2.0 * tau, tau=tau)
         return _jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
     if theorem == "thm6":
         return aw_jacobi(thm6_params(tau, sigma, ctx))
@@ -325,7 +339,10 @@ def _measure_rule(theorem: str, ctx: QContext | None, tau: float, sigma: float,
                   size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``size``-node Gauss rule of a theorem's measure, with read-only arrays.
 
-    Memoized for the RULE_CACHE_SIZE most recently used keys.
+    Memoized for the RULE_CACHE_SIZE most recently used keys.  A miss
+    diagonalizes the leading block of the measure's memoized Jacobi matrix
+    (:func:`_measure_jacobi`), so a new size evaluates only the recurrence
+    entries no smaller rule has reached.
     :func:`_gauss_integrals` sets the arguments a measure does not depend
     on to None or 0.0 before it asks, so thm4 shares one rule per size
     across every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau``
@@ -356,8 +373,13 @@ def thm5_measure(p, tau: float, ctx: QContext) -> float:
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
-    """Askey-Wilson parameter quadruple attached to rho_tau_sigma, base q^2."""
+    """Askey-Wilson parameter quadruple attached to rho_tau_sigma, base q^2.
+
+    A tau or sigma whose powers of q leave the float range raises
+    ConvergenceError, as it does wherever the parameters enter.
+    """
     q = ctx.q
+    _check_power_range(q, 1.0 - abs(sigma) - abs(tau), tau=tau, sigma=sigma)
     return AWParams(
         a=-(q ** (sigma + tau + 1.0)),
         b=-(q ** (1.0 - sigma - tau)),
@@ -426,6 +448,12 @@ class IntermediateReport:
 
 
 def _asc_pair(tau: float, sigma: float, q: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Al-Salam-Chihara parameter pairs of the two kernels.
+
+    Their callers also weight the kernels by q^(2 tau) and q^(-2 tau); the
+    range check covers those powers too.
+    """
+    _check_power_range(q, min(1.0 - abs(sigma) - abs(tau), -2.0 * abs(tau)), tau=tau, sigma=sigma)
     a1 = q ** (1.0 + sigma - tau)
     b1 = -(q ** (1.0 - sigma - tau))
     a2 = q ** (1.0 - sigma + tau)
@@ -488,6 +516,7 @@ def bailey_raw_check(theta, tau: float, sigma: float, ctx: QContext):
     as an array of its shape, all factorials from one ``qpoch`` call; each
     equals the scalar call at that angle bit for bit.
     """
+    _check_power_range(ctx.q, min(2.0 - 2.0 * tau, 1.0 - abs(sigma) - tau), tau=tau, sigma=sigma)
     form = Factorials.join([_bailey_raw_form(t, tau, sigma, ctx) for t in _angles(theta)])
     return _shaped(form.evaluate(ctx.squared()), np.shape(theta))
 

@@ -607,10 +607,13 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     Q = params.ctx.q
     abcd = a * b * c * d
 
+    # diag(n) and offdiag(n) share A(n), diag(n + 1) and offdiag(n) share C(n + 1)
+    @functools.cache
     def A(n: int) -> float:
         num = (1 - a * b * Q**n) * (1 - a * c * Q**n) * (1 - a * d * Q**n) * (1 - abcd * Q ** (n - 1))
         return num / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
 
+    @functools.cache
     def C(n: int) -> float:
         if n == 0:
             return 0.0

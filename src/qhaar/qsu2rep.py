@@ -56,6 +56,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,19 @@ class SphericalParams:
             raise DomainError("sigma must be finite or None")
 
 
+def _check_power_range(q: float, lowest: float, **params: float) -> None:
+    """Refuse ``params`` whose closed forms take q^lowest past the float range.
+
+    ``lowest`` is the lowest exponent at which a caller's closed forms take
+    a power of q, in Python floats, which raise OverflowError past
+    ln(float max) / |ln q|.  This raises ConvergenceError, naming the
+    parameters, before any such power is formed.
+    """
+    if lowest * math.log(q) > math.log(sys.float_info.max):
+        named = ", ".join(f"{name} = {value!r}" for name, value in params.items())
+        raise ConvergenceError(f"q^{lowest:g} at {named} leaves the float range at q = {q!r}")
+
+
 @dataclass(frozen=True)
 class TruncRep:
     """Truncated generator matrices at a fixed phase angle."""
@@ -141,14 +155,27 @@ def build_rep(ctx: QContext, phi: float, size: int) -> TruncRep:
 _QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
 
 
+def _shift(v: np.ndarray, s: int) -> np.ndarray:
+    """``v`` moved ``s`` places down its last axis: out[..., i] = v[..., i + s], 0 past either end."""
+    if s == 0:
+        return v
+    out = np.zeros_like(v)
+    if s > 0:
+        out[..., :-s] = v[..., s:]
+    else:
+        out[..., -s:] = v[..., :s]
+    return out
+
+
 class _Band(dict):
     """Truncated (size+1)-square matrices stored by diagonals.
 
     ``band[o][..., i]`` is ``M[i, i + o]``, exactly zero where ``i + o``
     leaves 0..size; a leading axis, where present, holds one matrix per
-    phase angle and broadcasts.  Those zeros let the shifts below wrap
-    around, and make products sum over the indices 0..size only, so they
-    equal the truncated dense products, boundary rows included.
+    phase angle and broadcasts.  Those zeros, and the zeros :func:`_shift`
+    brings in past the ends, make products sum over the indices 0..size
+    only, so they equal the truncated dense products, boundary rows
+    included.
     """
 
     def __add__(self, other: _Band) -> _Band:
@@ -166,21 +193,21 @@ class _Band(dict):
     def __matmul__(self, other: _Band | np.ndarray) -> _Band | np.ndarray:
         if not isinstance(other, _Band):
             # (Mv)[i] collects M[i, i + o] v[i + o]
-            return sum(x * np.roll(other, -o, axis=-1) for o, x in self.items())
+            return sum(x * _shift(other, o) for o, x in self.items())
         # (XY)[i, i + a + b] collects X[i, i + a] Y[i + a, i + a + b]
         out = _Band()
         for a, x in self.items():
             for b, y in other.items():
                 c = a + b
                 if abs(c) < x.shape[-1]:
-                    term = x * np.roll(y, -a, axis=-1)
+                    term = x * _shift(y, a)
                     out[c] = out[c] + term if c in out else term
         return out
 
     @property
     def H(self) -> _Band:
         # M*[i, i - o] = conj(M[i - o, i])
-        return _Band({-o: np.roll(v.conj(), o, axis=-1) for o, v in self.items()})
+        return _Band({-o: _shift(v.conj(), -o) for o, v in self.items()})
 
     def dense(self) -> np.ndarray:
         """The matrix of a band at a single angle."""
@@ -195,7 +222,7 @@ class _Band(dict):
     def diag_of_product(self, other: _Band) -> np.ndarray | None:
         """Main diagonal of ``self @ other`` without forming the product; None if it has none."""
         # (XY)[i, i] collects X[i, i + a] Y[i + a, i]
-        terms = [x * np.roll(other[-a], -a, axis=-1) for a, x in self.items() if -a in other]
+        terms = [x * _shift(other[-a], a) for a, x in self.items() if -a in other]
         return sum(terms) if terms else None
 
     def real_gauge(self) -> _Band:
@@ -295,11 +322,13 @@ def _element_band(
         if params is None:
             raise DomainError("rho_tau_inf needs SphericalParams")
         t = params.tau
+        _check_power_range(q, min(t, 2.0 * t), tau=t)
         M = 1j * q**t * (Ah @ C - Ch @ A) - (1.0 - q ** (2 * t)) * (Ch @ C)
     elif name == "rho_tau_sigma":
         if params is None or params.sigma is None:
             raise DomainError("rho_tau_sigma needs SphericalParams with sigma")
         t, s = params.tau, params.sigma
+        _check_power_range(q, -max(abs(t), abs(s)), tau=t, sigma=s)
         ts = q**-s - q**s
         tt = q**-t - q**t
         M = 0.5 * (
@@ -359,7 +388,9 @@ def haar_moments(
     forming that product; the cost is O(M * size * degree^2).
     The truncation size is checked against the geometric-tail policy at
     the reach of degree-``degree`` powers before any work happens; that
-    policy is the only limit on the degree.
+    policy is the only limit on the degree.  Powers that leave the float
+    range raise ConvergenceError once, on the finished moments, without a
+    numpy RuntimeWarning.
     """
     if name not in ELEMENT_NAMES:
         raise DomainError(f"unknown element {name!r}")
@@ -381,16 +412,23 @@ def haar_moments(
     moments = np.zeros((points, degree + 1), dtype=complex)
     moments[:, 0] = weights.sum()
     half = (degree + 1) // 2
-    powers = [None, E]
-    for k in range(2, half + 1):
-        powers.append(powers[-1] @ E)
-    for k in range(1, degree + 1):
-        if k <= half:
-            diag = powers[k].get(0)
-        else:
-            diag = powers[half].diag_of_product(powers[k - half])
-        if diag is not None:  # odd powers of cocentral have no main diagonal
-            moments[:, k] = diag @ weights
+    # powers that leave the float range are refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [None, E]
+        for k in range(2, half + 1):
+            powers.append(powers[-1] @ E)
+        for k in range(1, degree + 1):
+            if k <= half:
+                diag = powers[k].get(0)
+            else:
+                diag = powers[half].diag_of_product(powers[k - half])
+            if diag is not None:  # odd powers of cocentral have no main diagonal
+                moments[:, k] = diag @ weights
+    if not np.isfinite(moments).all():
+        raise ConvergenceError(
+            f"moments of {name} through degree {degree} are not finite: "
+            "powers left the float range"
+        )
     return moments
 
 
@@ -613,6 +651,7 @@ def spectral_trace(ctx: QContext, tau: float, coeffs, tol: float = 1e-12) -> flo
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     q = ctx.q
+    _check_power_range(q, 2.0 * tau, tau=tau)
     Q = q * q
     pval = np.polynomial.polynomial.polyval
     scale = max(1.0, float(np.max(np.abs(coeffs))))

@@ -11,7 +11,7 @@ discrete masses of the measure included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,24 +34,45 @@ class JacobiCoeffs:
     ``diag(m)`` is the (m, m) entry and ``offdiag(m)`` the (m, m+1) entry,
     both for m >= 0.  Off-diagonal entries must be nonzero so that the
     matrix is irreducible and the eigenvalues of any truncation are simple.
+
+    The entries are evaluated once each: :meth:`arrays` keeps those it has
+    computed and grows them only by the indices it has not reached.  Each
+    growth swaps in a new pair of tuples, so concurrent callers at worst
+    compute an entry twice and never see a torn pair.  A call that raises,
+    or finds a zero off-diagonal, keeps nothing it computed, so the next
+    call raises again.
     """
 
     diag: Callable[[int], float]
     offdiag: Callable[[int], float]
+    _entries: tuple[tuple[float, ...], tuple[float, ...]] = field(
+        default=((), ()), init=False, repr=False, compare=False
+    )
 
     def arrays(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the leading ``size`` x ``size`` block."""
         if size < 1:
             raise DomainError("truncation size must be at least 1")
-        d = np.array([float(self.diag(m)) for m in range(size)])
-        e = np.array([float(self.offdiag(m)) for m in range(size - 1)])
-        if size > 1 and np.any(e == 0.0):
-            raise DomainError("off-diagonal entries must be nonzero")
-        return d, e
+        d, e = self._entries
+        if len(d) < size:
+            d += tuple(float(self.diag(m)) for m in range(len(d), size))
+            grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
+            if 0.0 in grown:
+                raise DomainError("off-diagonal entries must be nonzero")
+            e += grown
+            object.__setattr__(self, "_entries", (d, e))
+        return np.array(d[:size]), np.array(e[: size - 1])
 
     def dense(self, size: int) -> np.ndarray:
+        """The leading ``size`` x ``size`` block, bit for bit the sum of its three diagonals."""
         d, e = self.arrays(size)
-        return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        out = np.zeros((size, size))
+        flat = out.reshape(-1)
+        # + 0.0 turns -0.0 into +0.0, as adding the zero off-diagonal matrices does
+        flat[:: size + 1] = d + 0.0
+        flat[1 :: size + 1] = e
+        flat[size :: size + 1] = e
+        return out
 
 
 def _offdiag_sqrt(e2: float, m: int) -> float:

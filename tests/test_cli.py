@@ -62,10 +62,11 @@ class TestExitCodes:
         [("verify", "thm6", "--sigma", "200"), ("verify", "thm6", "--sigma", "1e6"),
          ("spectrum", "rho-sigma", "--sigma", "1e6"), ("identity", "bailey", "--sigma", "1e6")],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_is_three(self, capsys, argv) -> None:
-        # no nan rows and no overflow traceback: the run refuses with exit 3
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, *argv)
+        # no nan rows, no overflow traceback and no numpy warning: the run
+        # refuses with exit 3
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error: ")
 

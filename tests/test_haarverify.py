@@ -5,6 +5,7 @@ import cmath
 import collections
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +358,72 @@ class TestMeasureBitIdentity:
         assert got == capsys.readouterr().out
 
 
+class TestMeasureJacobiCache:
+    """_measure_jacobi: one Jacobi matrix per measure, its entries grown, not rebuilt."""
+
+    @pytest.mark.parametrize("q", BIT_Q)
+    def test_dense_is_three_diagonal_sum(self, q: float) -> None:
+        ctx = QContext(q)
+        cases = [("thm4", None, 0.0, 0.0), ("gamma", ctx, 0.0, 0.0)]
+        for tau in BIT_TAU:
+            cases.append(("thm5", ctx, tau, 0.0))
+            cases += [("thm6", ctx, tau, sigma) for sigma in BIT_SIGMA]
+        for case in cases:
+            jacobi = haarverify._measure_jacobi(*case)
+            for size in (1, 2, 3, 4, 7, 13, 34):
+                d, e = jacobi.arrays(size)
+                want = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                assert jacobi.dense(size).tobytes() == want.tobytes(), (case, size)
+
+    def test_sizes_share_one_matrix(self, ctx: QContext) -> None:
+        haarverify._measure_rule.cache_clear()
+        haarverify._measure_jacobi.cache_clear()
+        for p in monomials(12):
+            thm6_measure(p, TAU, 1.5, ctx)
+        info = haarverify._measure_jacobi.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
+
+
+class TestPowerRange:
+    """A tau or sigma whose powers of q overflow is refused, not an OverflowError."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda ctx: thm6_params(0.4, 1e6, ctx), "sigma = 1000000.0"),
+            (lambda ctx: bailey_check(0.3, 0.4, 1e6, ctx), "sigma = 1000000.0"),
+            (lambda ctx: bailey_raw_check(0.3, 0.4, 1e6, ctx), "sigma = 1000000.0"),
+            (lambda ctx: support_check(0.4, 1e6, ctx), "sigma = 1000000.0"),
+            (lambda ctx: thm5_measure([0, 1], -1e6, ctx), "tau = -1000000.0"),
+            (lambda ctx: thm6_measure([0, 1], -1e6, 1.5, ctx), "tau = -1000000.0"),
+            (lambda ctx: intermediate_check([0, 1], 0.4, 1e6, ctx), "sigma = 1000000.0"),
+            (lambda ctx: sigma_limit_check([0, 1], -1e6, ctx), "tau = -1000000.0"),
+        ],
+    )
+    def test_refused_naming_parameter(self, ctx: QContext, call, named: str) -> None:
+        with pytest.raises(ConvergenceError, match=f"{named}.* float range"):
+            call(ctx)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.97])
+    def test_refuses_where_power_overflows(self, q: float) -> None:
+        # the check and Python's float power agree one unit either side of
+        # the edge exponent -ln(float max) / |ln q|
+        edge = math.log(sys.float_info.max) / math.log(q)
+        for x in (edge - 1.0, edge + 1.0):
+            try:
+                q**x
+                overflows = False
+            except OverflowError:
+                overflows = True
+            try:
+                qsu2rep._check_power_range(q, x, tau=x)
+                refused = False
+            except ConvergenceError:
+                refused = True
+            assert overflows == refused, (q, x)
+
+
 class TestMeasureRuleCache:
     """_measure_rule: one read-only Gauss rule per (measure, size), failures not kept."""
 
@@ -497,11 +564,12 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify(theorem, cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_side_refused(self) -> None:
         # at sigma = 200 the thm6 element and measure leave the float range;
         # the rows must not carry nan or inf
         cfg = VerifyConfig(ctx=QContext(0.5), tau=TAU, sigma=200.0, N=160)
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(ConvergenceError, match="not finite"):
             verify("thm6", cfg)
 
     def test_routes_recorded(self, ctx: QContext) -> None:

@@ -319,6 +319,37 @@ class TestBandElement:
         assert got.shape == (n,)
         assert np.max(np.abs(got - band.dense() @ v)) <= 1e-14
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_shift_is_roll_with_zeros_brought_in(self, shape, rng) -> None:
+        v = rng.normal(size=shape)
+        i = np.arange(shape[-1])
+        for s in range(-7, 8):
+            want = np.where((i + s >= 0) & (i + s < shape[-1]), np.roll(v, -s, axis=-1), 0.0)
+            assert np.array_equal(qsu2rep._shift(v, s), want), s
+
+    @pytest.mark.parametrize("name, params", ELEMENT_CASES)
+    def test_products_keep_rolled_values(self, ctx: QContext, name, params) -> None:
+        # the wrapped positions of np.roll only ever met a zero entry, so the
+        # slice shifts leave every product, adjoint and diagonal as it was
+        def roll_matmul(x_band, y_band):
+            out = {}
+            for a, x in x_band.items():
+                for b, y in y_band.items():
+                    if abs(a + b) < x.shape[-1]:
+                        term = x * np.roll(y, -a, axis=-1)
+                        out[a + b] = out[a + b] + term if a + b in out else term
+            return out
+
+        E = qsu2rep._element_band(ctx, name, params, np.array([0.0, 0.9, 2.5]), 30)
+        E2 = E @ E
+        want = roll_matmul(E, E)
+        assert sorted(E2) == sorted(want)
+        for o in want:
+            assert np.array_equal(E2[o], want[o]), o
+        for o, v in E.H.items():
+            assert np.array_equal(v, np.roll(E[-o].conj(), -o, axis=-1)), o
+        assert np.array_equal(E2.diag_of_product(E2), roll_matmul(E2, E2)[0])
+
 
 def cluster_sums(eigvals: np.ndarray, weights: np.ndarray, gap: float = 1e-9) -> np.ndarray:
     """Weights summed over runs of ascending eigenvalues closer than ``gap`` (relative)."""
@@ -458,12 +489,22 @@ class TestBandSpectrum:
 class TestSharedMoments:
     """The one-pass moment route against a per-polynomial Horner reference."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_average_refused(self, ctx: QContext) -> None:
         # at sigma = 200 rho_tau_sigma has entries near q^-200, and its
         # sixth power leaves the float range
         params = SphericalParams(TAU, 200.0)
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(ConvergenceError, match="not finite"):
             haar_trace(ctx, "rho_tau_sigma", (0.0,) * 6 + (1.0,), 160, params)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degree", [6, 7])
+    def test_overflowing_powers_refused_without_warning(self, ctx: QContext, degree: int) -> None:
+        # the powers overflow inside numpy; haar_moments refuses them once,
+        # on the finished moments, and numpy warns about nothing
+        params = SphericalParams(TAU, 200.0)
+        with pytest.raises(ConvergenceError, match="moments of rho_tau_sigma .* not finite"):
+            haar_moments(ctx, "rho_tau_sigma", degree, 160, params)
 
     @pytest.mark.parametrize("q", [0.5, 0.8])
     @pytest.mark.parametrize("name, params", ELEMENT_CASES)

@@ -1,6 +1,8 @@
 """Truncated Jacobi operators: Gauss rules, builders, truncation policy."""
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import math
 
 import numpy as np
@@ -68,6 +70,79 @@ class TestTruncate:
         coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: float(m))
         with pytest.raises(DomainError):
             coeffs.arrays(3)
+
+
+class TestMemoizedEntries:
+    """JacobiCoeffs evaluates each recurrence entry once and keeps nothing that failed."""
+
+    @staticmethod
+    def counting() -> tuple[JacobiCoeffs, collections.Counter]:
+        calls = collections.Counter()
+
+        def diag(m: int) -> float:
+            calls["diag", m] += 1
+            return 0.25 * m
+
+        def offdiag(m: int) -> float:
+            calls["offdiag", m] += 1
+            return 1.0 + m
+
+        return JacobiCoeffs(diag=diag, offdiag=offdiag), calls
+
+    def test_each_index_evaluated_once(self) -> None:
+        coeffs, calls = self.counting()
+        for size in (*range(1, 8), 3):
+            d, e = coeffs.arrays(size)
+            assert d.tolist() == [0.25 * m for m in range(size)]
+            assert e.tolist() == [1.0 + m for m in range(size - 1)]
+        assert set(calls.values()) == {1}
+        assert sorted(calls) == sorted(
+            [("diag", m) for m in range(7)] + [("offdiag", m) for m in range(6)]
+        )
+
+    def test_arrays_are_fresh_copies(self) -> None:
+        coeffs, _ = self.counting()
+        d, e = coeffs.arrays(4)
+        d[0] = e[0] = 7.0
+        assert coeffs.arrays(4)[0][0] == 0.0 and coeffs.arrays(4)[1][0] == 1.0
+
+    def test_threads_get_fresh_build(self, ctx2: QContext) -> None:
+        params = AWParams(0.3, -0.6, 0.5, 0.1, ctx2)
+        shared = aw_jacobi(params)
+        sizes = [int(n) for n in np.random.default_rng(19).integers(1, 30, 64)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(shared.arrays, sizes))
+        for size, (d, e) in zip(sizes, got):
+            want_d, want_e = aw_jacobi(params).arrays(size)
+            assert d.tobytes().hex() == want_d.tobytes().hex()
+            assert e.tobytes().hex() == want_e.tobytes().hex()
+
+    def test_raising_entry_raises_again(self) -> None:
+        def offdiag(m: int) -> float:
+            if m == 4:
+                raise ZeroDivisionError("e_4")
+            return 0.5
+
+        coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=offdiag)
+        assert coeffs.arrays(3)[1].tolist() == [0.5, 0.5]
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="e_4"):
+                coeffs.arrays(7)
+        assert coeffs.arrays(5)[1].tolist() == [0.5] * 4
+
+    def test_zero_offdiagonal_refused_again(self) -> None:
+        coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: float(m - 2))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="nonzero"):
+                coeffs.arrays(4)
+        assert coeffs.arrays(2)[1].tolist() == [-2.0]
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_dense_turns_negative_zero_diagonal_positive(self, size: int) -> None:
+        coeffs = JacobiCoeffs(diag=lambda m: -0.0, offdiag=lambda m: -0.5)
+        d, e = coeffs.arrays(size)
+        want = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        assert coeffs.dense(size).tobytes() == want.tobytes()
 
 
 class TestSpectralData:
