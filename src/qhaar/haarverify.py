@@ -47,11 +47,10 @@ from .orthopoly import (
     aw_masses,
     aw_measure,
 )
-from .qseries import Factorials, QContext, w87
+from .qseries import Factorials, QContext, _check_power_range
 from .qsu2rep import (
     SphericalParams,
     _band_spectrum,
-    _check_power_range,
     _element_band,
     _poly_degree,
     haar_moments,
@@ -264,7 +263,7 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     c = near / far
     s = far / Q
 
-    # shared as in aw_jacobi: each of A(n) and C(n) is computed once
+    # shared as in aw_jacobi: each of A(n) and C(n) is computed once per growth
     @functools.cache
     def A(n: int) -> float:
         num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
@@ -280,6 +279,7 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     return JacobiCoeffs(
         diag=lambda n: s * (1 - A(n) - C(n)),
         offdiag=lambda n: _offdiag_sqrt(s * s * A(n) * C(n + 1), n),
+        caches=(A, C),
     )
 
 
@@ -549,20 +549,19 @@ def _bailey_raw_form(theta: float, tau: float, sigma: float, ctx: QContext) -> F
         a * Q / (e * f),
     )
 
-    def assemble(vals: np.ndarray) -> float:
+    def assemble(vals: np.ndarray, sums: list) -> float:
         vals = iter(vals.tolist())
-        term1 = w87(a, b, c, d, e, f, ctx2, Q) / next(vals)
+        term1 = sums[0] / next(vals)
         den = math.prod(islice(vals, len(lower)), start=1.0)
         pref = math.prod(islice(vals, len(upper)), start=1.0) / (den * next(vals))
-        term2 = (
-            pref
-            * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
-            / next(vals)
-        )
+        term2 = pref * sums[1] / next(vals)
         rhs = math.prod(vals, start=1.0) / den
         return abs(term1 + term2 - rhs) / abs(rhs)
 
-    return Factorials([b / a, *lower, *upper, b * b * Q / a, a / b, *rhs_upper], assemble)
+    # both 8W7 sums in base q^2, the base the form is evaluated in
+    series = [(a, b, c, d, e, f, Q), (b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, Q)]
+    params = [b / a, *lower, *upper, b * b * Q / a, a / b, *rhs_upper]
+    return Factorials(params, assemble, series=series)
 
 
 def bailey_check(theta, tau: float, sigma: float, ctx: QContext):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qseries import Factorials, QContext, SeriesSpec, phi_rs, w87
+from .qseries import Factorials, QContext, SeriesSpec, _check_power_range, phi_rs
 from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
@@ -200,6 +200,9 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
     """
     ctx = functional.ctx
     q = ctx.q
+    if functional.kind == "L":
+        # each node's weight takes one more factor q^{2 tau}
+        _check_power_range(q, 2.0 * functional.tau, tau=functional.tau)
     fn = _as_callable(p)
     fn2 = None if p2 is None else _as_callable(p2)
     cutoff = 0.01 * ctx.tail_tol
@@ -320,19 +323,28 @@ def asc_orthonormal(n_max: int, x, s: float, t: float, ctx: QContext) -> np.ndar
 def asc_poisson_series(
     t: float, x: float, y: float, a: float, b: float, ctx: QContext, n_terms: int
 ) -> float:
-    """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k) truncated at n_terms."""
-    # Python floats: the same IEEE operations as numpy scalars, with less overhead
-    px, py = asc_all(n_terms, np.array([x, y], dtype=float), a, b, ctx).T.tolist()
+    """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k) truncated at n_terms.
+
+    One loop in Python floats runs the recurrence of :func:`asc_all` at both
+    points and the sum: the factor (1 - q^k)(1 - ab q^{k-1}) of (q, ab; q)_k
+    is also the recurrence coefficient of step k, so it is formed once.
+    """
     q = ctx.q
-    total = 0.0
+    x2, y2, s, ab = 2.0 * float(x), 2.0 * float(y), a + b, a * b
+    u_prev, u = 1.0, x2 - s  # p_0(x), p_1(x)
+    v_prev, v = 1.0, y2 - s
+    total = 1.0  # the k = 0 term
     tk = 1.0
     poch = 1.0
-    qk = 1.0
-    for k, (u, v) in enumerate(zip(px, py)):
-        if k > 0:
-            tk *= t
-            poch *= (1.0 - qk) * (1.0 - a * b * qk / q)
+    qk = q
+    for _ in range(n_terms):
+        tk *= t
+        c = (1.0 - ab * qk / q) * (1.0 - qk)
+        poch *= c
         total += tk * u * v / poch
+        sq = s * qk
+        u_prev, u = u, (x2 - sq) * u - c * u_prev
+        v_prev, v = v, (y2 - sq) * v - c * v_prev
         qk *= q
     return total
 
@@ -411,7 +423,7 @@ def _asc_poisson_form(
         z1 = _unit_circle_point(x)
         z2 = _unit_circle_point(y)
 
-        def continuous(vals: np.ndarray) -> float:
+        def continuous(vals: np.ndarray, sums: list) -> float:
             vals = vals.tolist()
             num = 1.0 + 0.0j
             for v in vals[:5]:
@@ -419,13 +431,13 @@ def _asc_poisson_form(
             den = vals[5]
             for v in vals[6:]:
                 den *= v
-            val = num / den * w87(a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, ctx, t)
-            return float(val.real)
+            return float((num / den * sums[0]).real)
 
         return Factorials(
             [a * t * z1, a * t / z1, b * t * z2, b * t / z2, t + 0.0j,
              a * b * t + 0.0j, t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)],
             continuous,
+            series=[(a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, t)],
         )
 
     # discrete regime: locate x among the masses of a or b
@@ -449,26 +461,18 @@ def _asc_mass_point_form(t: float, k: int, e: float, other: float, ctx: QContext
     """Poisson kernel at the k-th discrete mass of parameter e, t != q."""
     q = ctx.q
 
-    def assemble(vals: np.ndarray) -> float:
+    def assemble(vals: np.ndarray, sums: list) -> float:
         p1, p2, n1, n2, d1, d2 = vals.real.tolist()
         pref, num, den = p1 * p2, n1 * n2, d1 * d2
-        w = w87(
-            e * other * t / q,
-            t,
-            e * other * q**k,
-            other * q ** (-k) / e,
-            q ** (-k),
-            e * e * q**k,
-            ctx,
-            t,
-        )
-        return float((pref * num / den * w).real)
+        return float((pref * num / den * sums[0]).real)
 
+    numer = (t, e * other * q**k, other * q ** (-k) / e, q ** (-k), e * e * q**k)
     return Factorials(
         [e * e * q**k * t, t * q ** (-k), e * other * t * q**k,
          other * t * q ** (-k) / e, e * other * t, t * q ** (-2 * k) / (e * e)],
         assemble,
         [k, k] + [math.inf] * 4,
+        [(e * other * t / q, *numer, t)],
     )
 
 
@@ -624,6 +628,7 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     return JacobiCoeffs(
         diag=lambda n: 0.5 * (a + 1.0 / a - A(n) - C(n)),
         offdiag=lambda n: _offdiag_sqrt(0.25 * A(n) * C(n + 1), n),
+        caches=(A, C),
     )
 
 

@@ -56,13 +56,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationPolicyError
-from .qseries import QContext, SeriesSpec, phi_rs, qpoch
+from .qseries import QContext, SeriesSpec, _check_power_range, phi_rs, qpoch
 from .spectral import check_truncation, min_truncation
 
 __all__ = [
@@ -113,19 +112,6 @@ class SphericalParams:
             raise DomainError("tau must be finite")
         if self.sigma is not None and not math.isfinite(self.sigma):
             raise DomainError("sigma must be finite or None")
-
-
-def _check_power_range(q: float, lowest: float, **params: float) -> None:
-    """Refuse ``params`` whose closed forms take q^lowest past the float range.
-
-    ``lowest`` is the lowest exponent at which a caller's closed forms take
-    a power of q, in Python floats, which raise OverflowError past
-    ln(float max) / |ln q|.  This raises ConvergenceError, naming the
-    parameters, before any such power is formed.
-    """
-    if lowest * math.log(q) > math.log(sys.float_info.max):
-        named = ", ".join(f"{name} = {value!r}" for name, value in params.items())
-        raise ConvergenceError(f"q^{lowest:g} at {named} leaves the float range at q = {q!r}")
 
 
 @dataclass(frozen=True)
@@ -488,11 +474,18 @@ def haar_trace(
     return moment_trace(coeffs, haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol))
 
 
-def _branch_lambda(branch: int, k: int, tau: float, q: float) -> float:
+def _branch_lambda(branch: int, k: int, tau: float, q: float, lowest: float = math.inf) -> float:
+    """The eigenvalue q^{2 tau + 2k} (branch +1) or -q^{2k} (branch -1).
+
+    Every eigenvector formula takes tau in here, so this is where a tau is
+    refused whose powers of q leave the float range: the eigenvalue's own,
+    or the caller's, whose lowest exponent is ``lowest``.
+    """
     if branch not in (1, -1):
         raise DomainError("branch must be +1 or -1")
     if k < 0:
         raise DomainError("k must be nonnegative")
+    _check_power_range(q, min(lowest, 2 * tau + 2 * k if branch == 1 else 2 * k), tau=tau)
     return q ** (2 * tau + 2 * k) if branch == 1 else -(q ** (2 * k))
 
 
@@ -509,7 +502,7 @@ def eigvec_components(
     """
     q = ctx.q
     Q = q * q
-    lam = _branch_lambda(branch, k, tau, q)
+    lam = _branch_lambda(branch, k, tau, q, -tau if branch == 1 else min(tau, 2 - 2 * tau))
     Z = -(q**2) * lam if branch == 1 else q ** (2 - 2 * tau) * lam
     # prefactors up to the first exact zero; every later one is 0 as well
     pres = []
@@ -549,10 +542,13 @@ def eigvec_poly(n: int, branch: int, k: int, tau: float, ctx: QContext) -> float
     q = ctx.q
     Q = q * q
     ctx2 = ctx.squared()
-    lam = _branch_lambda(branch, k, tau, q)
     pre = q ** (0.5 * n * (n - 1)) / math.sqrt(qpoch(Q, ctx2, n))
     if pre == 0.0:
+        # the component is 0, and no power of tau below is formed
+        _branch_lambda(branch, k, tau, q)
         return 0.0
+    lowest = min(-n * tau, 2 * tau) if branch == 1 else min(tau, n * tau, 2 - 2 * tau)
+    lam = _branch_lambda(branch, k, tau, q, lowest)
     if branch == 1:
         pre *= q ** (-n * tau)
         spec = SeriesSpec((Q ** (-n), q ** (2 * tau) / lam), (0.0,), -(q**2) * lam, ctx2)
@@ -565,7 +561,8 @@ def eigvec_poly(n: int, branch: int, k: int, tau: float, ctx: QContext) -> float
 def eigvec_norm_sq(branch: int, k: int, tau: float, ctx: QContext) -> float:
     """Closed form of sum_n p_n(lambda)^2 for the rho_tau_inf eigenvector."""
     q = ctx.q
-    _branch_lambda(branch, k, tau, q)
+    lowest = min(2 + 2 * tau, -2 * tau) if branch == 1 else min(2 - 2 * tau, 2 * tau)
+    _branch_lambda(branch, k, tau, q, lowest)
     if branch == 1:
         params = (q * q, -(q ** (2 + 2 * tau)), -(q ** (-2 * tau)))
     else:
@@ -628,7 +625,7 @@ def d_coeff(ctx: QContext, tau: float, branch1: int, k1: int, branch2: int, k2: 
     eigenvectors; the phases cancel, so it does not depend on the angle.
     """
     q = ctx.q
-    _branch_lambda(branch1, k1, tau, q)
+    _branch_lambda(branch1, k1, tau, q, min(2 - 2 * tau, 2 + 2 * tau))
     _branch_lambda(branch2, k2, tau, q)
     if (branch1 == branch2 and k1 < k2) or branch1 > branch2:
         # same branch: larger k first; mixed: (negative, positive) order

@@ -41,10 +41,15 @@ class JacobiCoeffs:
     compute an entry twice and never see a torn pair.  A call that raises,
     or finds a zero off-diagonal, keeps nothing it computed, so the next
     call raises again.
+
+    ``caches`` are the ``functools.cache`` functions behind ``diag`` and
+    ``offdiag`` that let a growth compute each shared term once; they are
+    cleared after each growth, whose entries keep what they held.
     """
 
     diag: Callable[[int], float]
     offdiag: Callable[[int], float]
+    caches: tuple = field(default=(), repr=False, compare=False)
     _entries: tuple[tuple[float, ...], tuple[float, ...]] = field(
         default=((), ()), init=False, repr=False, compare=False
     )
@@ -55,8 +60,12 @@ class JacobiCoeffs:
             raise DomainError("truncation size must be at least 1")
         d, e = self._entries
         if len(d) < size:
-            d += tuple(float(self.diag(m)) for m in range(len(d), size))
-            grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
+            try:
+                d += tuple(float(self.diag(m)) for m in range(len(d), size))
+                grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
+            finally:
+                for cached in self.caches:
+                    cached.cache_clear()
             if 0.0 in grown:
                 raise DomainError("off-diagonal entries must be nonzero")
             e += grown

@@ -17,6 +17,7 @@ from qhaar import (
     ConvergenceError,
     DomainError,
     JacobiCoeffs,
+    MomentFunctional,
     QContext,
     SphericalParams,
     TruncationPolicyError,
@@ -30,11 +31,16 @@ from qhaar import (
     build_rep,
     cqh_poisson,
     cqh_weight,
+    d_coeff,
+    eigen_basis,
+    eigvec_norm_sq,
+    eigvec_poly,
     element,
     gamma_measure,
     gauss_rule,
     intermediate_check,
     mass_identity_check,
+    moment_apply,
     monomials,
     q_integral,
     qpoch,
@@ -383,6 +389,15 @@ class TestMeasureJacobiCache:
         info = haarverify._measure_jacobi.cache_info()
         assert (info.misses, info.hits) == (1, 6)
 
+    @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
+    def test_term_caches_released_after_each_growth(self, theorem: str, ctx: QContext) -> None:
+        jacobi = haarverify._measure_jacobi(theorem, ctx, TAU, 1.5)
+        fresh = haarverify._measure_jacobi.__wrapped__(theorem, ctx, TAU, 1.5)
+        assert len(jacobi.caches) == 2
+        for size in (3, 7, 5, 9):
+            assert jacobi.arrays(size)[0].tobytes() == fresh.arrays(size)[0].tobytes()
+            assert [c.cache_info().currsize for c in jacobi.caches] == [0, 0]
+
 
 class TestPowerRange:
     """A tau or sigma whose powers of q overflow is refused, not an OverflowError."""
@@ -399,11 +414,26 @@ class TestPowerRange:
             (lambda ctx: thm6_measure([0, 1], -1e6, 1.5, ctx), "tau = -1000000.0"),
             (lambda ctx: intermediate_check([0, 1], 0.4, 1e6, ctx), "sigma = 1000000.0"),
             (lambda ctx: sigma_limit_check([0, 1], -1e6, ctx), "tau = -1000000.0"),
+            # the eigenvector route and the L functional, each where tau enters
+            (lambda ctx: eigvec_norm_sq(1, 0, -1e6, ctx), "tau = -1000000.0"),
+            (lambda ctx: eigen_basis(ctx, -1e6, 40, 3), "tau = -1000000.0"),
+            (lambda ctx: d_coeff(ctx, 1e6, 1, 0, -1, 0), "tau = 1000000.0"),
+            (lambda ctx: eigvec_poly(3, 1, 0, 1e6, ctx), "tau = 1000000.0"),
+            (lambda ctx: moment_apply(MomentFunctional("L", ctx, -1e6), [0, 1]), "tau = -1000000.0"),
         ],
     )
     def test_refused_naming_parameter(self, ctx: QContext, call, named: str) -> None:
         with pytest.raises(ConvergenceError, match=f"{named}.* float range"):
             call(ctx)
+
+    def test_eigvec_poly_checks_only_the_powers_it_forms(self, ctx: QContext) -> None:
+        # past the underflow of q^{n(n-1)/2} the component is 0 and q^{-n tau}
+        # is never formed, so tau = 10 is accepted at n = 200 (q^{-2000} would
+        # overflow); at n = 3 the same tau takes q^{-30}
+        assert eigvec_poly(200, 1, 0, 10.0, ctx) == 0.0
+        assert eigvec_poly(3, 1, 0, 10.0, ctx) != 0.0
+        with pytest.raises(ConvergenceError, match="tau = 400.0"):
+            eigvec_poly(3, 1, 0, 400.0, ctx)
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.97])
     def test_refuses_where_power_overflows(self, q: float) -> None:
@@ -1048,7 +1078,7 @@ class TestIdentityCommands:
         assert cli._poisson_terms(0.0, 0.5, 0.5, QContext(0.9)) == 0
 
     @pytest.mark.parametrize(
-        "argv, w87_calls",
+        "argv, w87_lanes",
         [
             (("bailey",), 4 * len(BAILEY_THETAS)),
             (("bailey", "--q", "0.9", "--tau", "0.3", "--sigma", "0.7047"), 4 * len(BAILEY_THETAS)),
@@ -1058,25 +1088,25 @@ class TestIdentityCommands:
             (("poisson", "--q", "0.9", "--seed", "3"), 10),
         ],
     )
-    def test_one_qpoch_call_per_command(self, capsys, monkeypatch, argv, w87_calls: int) -> None:
-        calls = collections.Counter()
+    def test_one_qpoch_call_per_command(self, capsys, monkeypatch, argv, w87_lanes: int) -> None:
+        # one qpoch call, and one array w87 call holding every 8W7 series
+        qpoch_calls, lanes = [], []
+        real_qpoch, real_w87 = qseries.qpoch, qseries.w87
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def qpoch(*args, **kwargs):
+            qpoch_calls.append(args)
+            return real_qpoch(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def w87(*args, **kwargs):
+            lanes.append(np.broadcast(*args[:6], args[7]).size)
+            return real_w87(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(qseries, "qpoch")
-        for module in (orthopoly, haarverify):
-            counted(module, "w87")
+        monkeypatch.setattr(qseries, "qpoch", qpoch)
+        monkeypatch.setattr(qseries, "w87", w87)
         code, out = self.run(capsys, *argv)
         assert code in (0, 1) and out
-        assert calls["qpoch"] == 1
-        assert calls["w87"] == w87_calls
+        assert len(qpoch_calls) == 1
+        assert lanes == ([w87_lanes] if w87_lanes else [])
 
     @pytest.mark.parametrize("q", ["0.99", "0.995"])
     def test_mass_near_one_refused(self, capsys, q: str) -> None:

@@ -640,7 +640,7 @@ class TestBatchedKernels:
         den = qpoch(a * b * t + 0.0j, ctx2)
         for w in (t * z1 * z2, t * z1 / z2, t * z2 / z1, t / (z1 * z2)):
             den *= qpoch(w, ctx2)
-        w87_val = orthopoly.w87(a * b * t / ctx2.q, t, b * z1, b / z1, a * z2, a / z2, ctx2, t)
+        w87_val = qseries.w87(a * b * t / ctx2.q, t, b * z1, b / z1, a * z2, a / z2, ctx2, t)
         want = float((num / den * w87_val).real)
         assert asc_poisson(t, x, y, a, b, ctx2).hex() == want.hex()
 

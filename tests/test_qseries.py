@@ -22,6 +22,7 @@ from qhaar import (
     qpoch_prod,
     w87,
 )
+from qhaar import orthopoly, qseries
 from qhaar.qseries import Factorials, neg_power_index
 
 mp.mp.dps = 40
@@ -132,6 +133,31 @@ class TestFactorials:
         # combine receives the values in order
         total = Factorials.join([real, empty], lambda x, y: x + y)
         assert self.value(total, ctx) == want[0] + 1.0
+
+    def test_series_batched_by_argument_types(self, monkeypatch) -> None:
+        # two complex-argument kernels and one all-float mass-point kernel:
+        # one array w87 call per pattern of float and complex arguments, and
+        # every value as the form evaluated alone
+        ctx = QContext(0.5)
+        x0 = (1.6 + 1 / 1.6) / 2  # the k = 0 mass point of a = 1.6
+        forms = [
+            orthopoly._asc_poisson_form(0.25, 0.3, -0.2, 0.4, -0.3, ctx),
+            orthopoly._asc_poisson_form(0.2, x0, x0, 1.6, 0.3, ctx),
+            orthopoly._asc_poisson_form(-0.6, 0.9, 0.1, -0.7, 0.5, ctx),
+        ]
+        want = [f.evaluate(ctx) for f in forms]
+        batches = []
+        real_w87 = qseries.w87
+
+        def counting(*args):
+            batches.append(np.broadcast(*args[:6], args[7]).size)
+            return real_w87(*args)
+
+        monkeypatch.setattr(qseries, "w87", counting)
+        joined = Factorials.join(forms)
+        assert len(joined.series) == 3
+        assert [v.hex() for v in joined.evaluate(ctx)] == [v.hex() for v in want]
+        assert sorted(batches) == [1, 2]
 
     def test_nested_join_and_no_forms(self) -> None:
         ctx = QContext(0.4)
@@ -459,12 +485,13 @@ class TestW87:
 
     def test_hex_identical_to_reference_loop(self, rng: np.random.Generator) -> None:
         cases = []
-        # Poisson-kernel shapes: 8W7(abt/q; t, b z1, b/z1, a z2, a/z2; q, t)
+        # Poisson-kernel shapes: 8W7(abt/q; t, b z1, b/z1, a z2, a/z2; q, t), in
+        # Python floats and complexes (w87 reads numpy scalars as those)
         for q in (0.09, 0.25, 0.5, 0.81, 0.9025):
             for _ in range(12):
-                a, b = rng.uniform(-0.9, 0.9, 2)
-                t = rng.uniform(-0.8, 0.8)
-                z1, z2 = np.exp(1j * rng.uniform(0.0, math.pi, 2))
+                a, b = rng.uniform(-0.9, 0.9, 2).tolist()
+                t = float(rng.uniform(-0.8, 0.8))
+                z1, z2 = np.exp(1j * rng.uniform(0.0, math.pi, 2)).tolist()
                 cases.append((q, (a * b * t / q, t, b * z1, b / z1, a * z2, a / z2), t))
         # terminating through a = q^-2 and through b = q^-3
         cases.append((0.5, (0.5**-2, 0.3, -0.2, 0.1 + 0.2j, 0.1 - 0.2j, 0.4), 0.7))
@@ -503,6 +530,74 @@ class TestW87:
                         z,
                     )
                     assert abs(got) <= 1e-9
+
+
+class TestW87Batch:
+    """An array w87 call sums every series in one batch, each bit for bit as
+    a call of its own and as the scalar reference loop."""
+
+    @staticmethod
+    def poisson_lanes(q: float, rng: np.random.Generator, ts) -> list[tuple]:
+        lanes = []
+        for t in ts:
+            a, b = rng.uniform(-0.9, 0.9, 2).tolist()
+            z1, z2 = np.exp(1j * rng.uniform(0.0, math.pi, 2)).tolist()
+            lanes.append((a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, t))
+        return lanes
+
+    @staticmethod
+    def check_batch(lanes: list[tuple], ctx: QContext) -> np.ndarray:
+        *params, z = (np.array(col) for col in zip(*lanes))
+        got = w87(*params, ctx, z)
+        assert got.shape == (len(lanes),)
+        for lane, value in zip(lanes, got.tolist()):
+            alone = w87(*lane[:6], ctx, lane[6])
+            assert type(alone) is complex
+            want = hex_of(reference_w87(*lane[:6], ctx, lane[6]))
+            assert hex_of(value) == hex_of(alone) == want, lane
+        return got
+
+    @pytest.mark.parametrize("q", [0.09, 0.5, 0.9025, 0.99])
+    def test_lanes_of_very_different_length(self, q: float, rng: np.random.Generator) -> None:
+        # 1 to several hundred terms; at q = 0.99 the |t| = 0.95 lane runs
+        # through several blocks of _BLOCK // lanes terms
+        ts = [1e-9, -0.02, 0.3, -0.55, 0.8, -0.95, 0.95, 0.7]
+        self.check_batch(self.poisson_lanes(q, rng, ts), QContext(q))
+
+    def test_terminating_and_real_lanes(self) -> None:
+        # every slot a float: the sums' zero imaginary parts must match too;
+        # lanes end through a = q^-2, through b = q^-3 (with |z| > 1, where
+        # the tail test never holds), or by the tail test
+        q = 0.5
+        lanes = [
+            (q**-2, 0.3, -0.2, 0.1, 0.15, 0.4, 0.7),
+            (0.2, q**-3, -0.25, 0.15, 0.12, -0.2, -0.35),
+            (0.2, q**-3, -0.25, 0.15, 0.12, -0.2, 2.5),
+            (0.2, 0.3, -0.25, 0.15, 0.12, -0.2, -0.35),
+            (0.9, 0.02, 0.3, -0.4, 0.5, 0.35, 1e-9),
+            (-0.6, 0.5, 0.25, -0.35, 0.1, 0.2, 0.9),
+        ]
+        got = self.check_batch(lanes, QContext(q))
+        assert [hex_of(v)[1] for v in got.tolist()] == ["0x0.0p+0"] * len(lanes)
+
+    def test_scalar_arguments_broadcast(self, ctx: QContext) -> None:
+        b = np.array([[0.3], [-0.2]])
+        got = w87(0.2, b, -0.25, 0.15, 0.12, -0.2, ctx, [0.35, -0.5, 0.1])
+        assert got.shape == (2, 3) and got.dtype == complex
+        for i, j in np.ndindex(2, 3):
+            want = w87(0.2, float(b[i, 0]), -0.25, 0.15, 0.12, -0.2, ctx, [0.35, -0.5, 0.1][j])
+            assert hex_of(got[i, j]) == hex_of(want)
+
+    def test_divergent_lane_refuses_the_batch(self, rng: np.random.Generator) -> None:
+        ctx = QContext(0.8853)
+        lanes = self.poisson_lanes(0.8853, rng, [0.3, -0.5])
+        # |z| > 1: the terms grow until a modulus overflows with both parts finite
+        lanes.append((-0.0156, -0.5777 - 0.6945j, 0.7550 + 0j, 0.4916 + 0.2663j, -0.2477 + 0j,
+                      -0.2698 - 0.3682j, -0.7869 - 0.7192j))
+        lanes = [(complex(l[0]), complex(l[1]), *l[2:6], complex(l[6])) for l in lanes]
+        *params, z = (np.array(col) for col in zip(*lanes))
+        with pytest.raises(ConvergenceError, match="8W7"):
+            w87(*params, ctx, z)
 
 
 class TestQIntegral:
