@@ -34,21 +34,18 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .orthopoly import (
     AWParams,
-    _as_callable,
     _asc_mass_poisson_tq_form,
     _asc_poisson_form,
     _aw_h0_form,
     _aw_mass_weight_form,
     _aw_theta_weight_form,
     _mass_ladder,
-    asc_poisson,
-    aw_integrate,
     aw_jacobi,
     aw_masses,
-    aw_measure,
 )
 from .qseries import Factorials, QContext, _check_power_range
 from .qsu2rep import (
+    _ELEMENT_REACH,
     SphericalParams,
     _band_spectrum,
     _element_band,
@@ -58,7 +55,7 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
-from .spectral import JacobiCoeffs, _offdiag_sqrt, gauss_rule
+from .spectral import JacobiCoeffs, _offdiag_sqrt, _poly_diag, gauss_rule, min_truncation
 
 __all__ = [
     "VerifyConfig",
@@ -92,6 +89,8 @@ REL_ERR_FLOOR = 1e-6
 # thm4's 7 stay in use while other measures come and go; _measure_jacobi
 # keeps as many measures
 RULE_CACHE_SIZE = 128
+
+_TAIL_TOL = 1e-17  # truncation tail of the self-sized traces, below their rounding
 
 _SEMICIRCLE = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)  # Chebyshev U
 
@@ -434,9 +433,10 @@ class IntermediateReport:
 
     The functional of p(rho_tau_sigma) is rewritten as a weighted pair of
     integrals of p(x) P_{q^2}(x, x) against the two Al-Salam-Chihara
-    orthogonality measures; that value is compared against the assembled
-    Askey-Wilson measure route (``vs_measure``) and the operator trace
-    route (``vs_trace``), both relative to max(1, |measure|).
+    orthogonality measures, each a weighted Jacobi trace (see
+    :func:`intermediate_check`); that value is compared against the
+    assembled Askey-Wilson measure route (``vs_measure``) and the operator
+    trace route (``vs_trace``), both relative to max(1, |measure|).
     ``support_separation`` is the smallest distance between discrete mass
     points of the two kernels' measures (infinity when either has none);
     the rewriting needs these supports disjoint.
@@ -461,34 +461,39 @@ def _asc_pair(tau: float, sigma: float, q: float) -> tuple[tuple[float, float], 
     return (a1, b1), (a2, b2)
 
 
-def intermediate_check(
-    p, tau: float, sigma: float, ctx: QContext, size: int = 200
-) -> IntermediateReport:
-    """Check the kernel-pair expression of the thm6 functional on one polynomial."""
+def _thm6_trace(coeffs: np.ndarray, tau: float, sigma: float, ctx: QContext) -> float:
+    """:func:`haar_trace` of p(rho_tau_sigma) at the least size whose tail meets _TAIL_TOL."""
+    pair = _theorem("thm6", tau, sigma)
+    size = min_truncation(_ELEMENT_REACH[pair.element] * _poly_degree(coeffs), _TAIL_TOL, ctx.q)
+    return haar_trace(ctx, pair.element, coeffs, size, pair.params, tol=_TAIL_TOL)
+
+
+def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> IntermediateReport:
+    """Check the kernel-pair expression of the thm6 functional on one polynomial.
+
+    By the kernel's defining series each integral is sum_n Q^n [p(J)]_{nn},
+    Q = q^2, over its measure's Jacobi matrix J (``aw_jacobi``): no
+    quadrature, and no closed-form kernel (``identity poisson`` checks that).
+    J and the trace route's element are truncated where their tails
+    Q^(N - reach * degree) fall below _TAIL_TOL, reach 1 for J.
+    """
     if tau == 0.0:
         raise DomainError("tau = 0 makes a printed prefactor of this identity singular")
     q = ctx.q
     Q = q * q
-    ctx2 = ctx.squared()
     coeffs = _as_coeffs(p)
-    pv = _as_callable(coeffs)
-    (a1, b1), (a2, b2) = _asc_pair(tau, sigma, q)
-    spec1 = aw_measure(AWParams(a1, b1, 0.0, 0.0, ctx2))
-    spec2 = aw_measure(AWParams(a2, b2, 0.0, 0.0, ctx2))
-    if spec1.masses and spec2.masses:
-        sep = min(abs(x1 - x2) for x1, _ in spec1.masses for x2, _ in spec2.masses)
-    else:
-        sep = math.inf
+    measures = [AWParams(a, b, 0.0, 0.0, ctx.squared()) for a, b in _asc_pair(tau, sigma, q)]
+    masses1, masses2 = map(aw_masses, measures)
+    sep = min((abs(x1 - x2) for x1, _ in masses1 for x2, _ in masses2), default=math.inf)
     if sep < 1e-10:
         raise DomainError("mass supports of the two kernel measures collide")
+    size = min_truncation(_poly_degree(coeffs), _TAIL_TOL, q)
+    parts = [Q ** np.arange(size) @ _poly_diag(aw_jacobi(m), coeffs, size) for m in measures]
     w1 = (1.0 - Q) / (1.0 + q ** (2.0 * tau))
     w2 = (1.0 - Q) / (1.0 + q ** (-2.0 * tau))
-    part1 = aw_integrate(spec1, lambda x: pv(x) * asc_poisson(Q, x, x, a1, b1, ctx2))
-    part2 = aw_integrate(spec2, lambda x: pv(x) * asc_poisson(Q, x, x, a2, b2, ctx2))
-    val = w1 * part1 + w2 * part2
+    val = float(w1 * parts[0] + w2 * parts[1])
     meas = thm6_measure(coeffs, tau, sigma, ctx)
-    pair = _theorem("thm6", tau, sigma)
-    trace = haar_trace(ctx, pair.element, coeffs, size, pair.params, tol=1e-9)
+    trace = _thm6_trace(coeffs, tau, sigma, ctx)
     scale = max(1.0, abs(meas))
     return IntermediateReport(
         vs_measure=abs(val - meas) / scale,
@@ -713,20 +718,19 @@ def _support_distance(x: float, masses) -> float:
     return dist
 
 
-def sigma_limit_check(p, tau: float, ctx: QContext, size: int = 160) -> tuple[float, ...]:
+def sigma_limit_check(p, tau: float, ctx: QContext) -> tuple[float, ...]:
     """Errors |h(p(2 q^{sigma+tau-1} rho_tau_sigma)) - h(p(rho_tau_inf))| at sigma = 4, 6, 8.
 
     The rescaled element converges in norm at rate O(q^sigma), so the
-    returned sequence should decrease geometrically.
+    returned sequence should decrease geometrically.  Each trace takes the
+    least size whose tail meets _TAIL_TOL at rho_tau_sigma's reach.
     """
     coeffs = _as_coeffs(p)
     q = ctx.q
-    reference = spectral_trace(ctx, tau, coeffs)
+    reference = float(spectral_trace(ctx, tau, coeffs))
     out = []
     for sigma in (4.0, 6.0, 8.0):
         scale = 2.0 * q ** (sigma + tau - 1.0)
         scaled = coeffs * scale ** np.arange(coeffs.shape[0])
-        pair = _theorem("thm6", tau, sigma)
-        val = haar_trace(ctx, pair.element, scaled, size, pair.params, tol=1e-9)
-        out.append(abs(val - reference))
+        out.append(abs(_thm6_trace(scaled, tau, sigma, ctx) - reference))
     return tuple(out)

@@ -641,10 +641,6 @@ class MeasureSpec:
     sum_i theta_weights[i] * f(cos(theta_nodes[i])) ~ (2 pi h0)^{-1}
     int_0^pi f(cos theta) w(cos theta) d theta.  ``masses`` holds
     (x_k, normalized weight) pairs.  Total mass is 1 within 1e-9.
-
-    Frozen, and the specs :func:`aw_measure` returns have read-only
-    arrays: it memoizes them, handing one spec to every caller with the
-    same parameters.
     """
 
     params: AWParams
@@ -655,21 +651,9 @@ class MeasureSpec:
     total_mass: float = 1.0
 
 
-@functools.lru_cache(maxsize=32)
-def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only, built once per size.
-
-    Each rule is an n x n eigenproblem and depends on nothing but n.
-    """
-    t, wt = np.polynomial.legendre.leggauss(n_nodes)
-    t.setflags(write=False)
-    wt.setflags(write=False)
-    return t, wt
-
-
 def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
     """Gauss-Legendre rule in theta for (2 pi h0)^{-1} int_0^pi . w d theta."""
-    t, wt = _leggauss(n_nodes)
+    t, wt = np.polynomial.legendre.leggauss(n_nodes)
     theta = 0.5 * math.pi * (t + 1.0)
     a, b, c, d = params.as_tuple()
     wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
@@ -694,7 +678,6 @@ def aw_masses(params: AWParams) -> tuple:
     return Factorials.join([_aw_h0_form(*vals, params.ctx), *forms], normalize).evaluate(params.ctx)
 
 
-@functools.lru_cache(maxsize=2)
 def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10) -> MeasureSpec:
     """Build the normalized Askey-Wilson measure for the given parameters.
 
@@ -702,14 +685,6 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
     stabilizes within ``mass_tol``; construction fails if the final total
     strays from 1 by more than 1e-9 (a strong joint check on h0, the
     weight, and the mass formula).
-
-    Memoized for the two most recently used ``(params, start_nodes,
-    mass_tol)``: a repeated call with the same parameters returns the same
-    frozen spec with read-only arrays, so a run of integrals over one
-    measure, or over the pair of measures one identity alternates between
-    (``intermediate_check``), builds each once.  ``params`` carries its
-    QContext, so a different q, ``tail_tol`` or ``max_terms`` is a
-    different key.
     """
     h0 = aw_h0(*params.as_tuple(), params.ctx)
     masses = aw_masses(params)
@@ -725,8 +700,6 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
                 raise ConvergenceError(
                     f"total mass {total!r} deviates from 1 beyond 1e-9"
                 )
-            theta.setflags(write=False)
-            weights.setflags(write=False)
             return MeasureSpec(params, h0, masses, theta, weights, total)
         prev = total
         n *= 2
@@ -734,24 +707,20 @@ def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10)
 
 
 def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> float:
-    """Integrate a function (or coefficient sequence) against the measure.
+    """Integrate a polynomial, given by its ascending coefficients, against the measure.
 
-    A coefficient sequence is evaluated at all nodes, and at all mass
-    points, in one vectorized ``polyval`` call; a callable is called once
-    per point.  With ``refine_check`` set, the continuous part is
+    The polynomial is evaluated at all nodes, and at all mass points, in
+    one vectorized ``polyval`` call; a callable is refused with
+    DomainError.  With ``refine_check`` set, the continuous part is
     re-evaluated on a doubled node set and a ConvergenceError is raised if
     the two values disagree by more than the given amount.
     """
     if callable(f):
+        raise DomainError("expected polynomial coefficients, got a callable")
+    coeffs = np.asarray(f, dtype=float)
 
-        def evaluate(x: np.ndarray) -> np.ndarray:
-            return np.array([f(float(v)) for v in x])
-
-    else:
-        coeffs = np.asarray(f, dtype=float)
-
-        def evaluate(x: np.ndarray) -> np.ndarray:
-            return np.polynomial.polynomial.polyval(x, coeffs)
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        return np.polynomial.polynomial.polyval(x, coeffs)
 
     def continuous(theta: np.ndarray, weights: np.ndarray) -> float:
         return float(np.dot(weights, evaluate(np.cos(theta))))

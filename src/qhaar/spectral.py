@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, TruncationPolicyError
+from .errors import ConvergenceError, DomainError, TruncationPolicyError
 
 __all__ = [
     "JacobiCoeffs",
@@ -95,6 +95,31 @@ def gauss_rule(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights (summing to 1) of the n-point Gauss rule of ``coeffs``."""
     nodes, vecs = np.linalg.eigh(coeffs.dense(n))
     return nodes, vecs[0] ** 2
+
+
+def _poly_diag(jacobi: JacobiCoeffs, coeffs, size: int) -> np.ndarray:
+    """Main diagonal of p(J), ascending ``coeffs``, for the leading ``size`` x ``size`` block J.
+
+    Horner's rule B <- c I + J B in band storage, row w + o of a
+    (2w + 1, size) array holding B[i, i + o] (zero past either end), costs
+    O(size * degree^2).  Entries that leave the float range raise
+    ConvergenceError.
+    """
+    d, e = jacobi.arrays(size)
+    band = np.full((1, size), float(coeffs[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs[-2::-1]:
+            # (JB)[i, i + o] = e[i-1] B[i-1, i+o] + d[i] B[i, i+o] + e[i] B[i+1, i+o]
+            grown = np.zeros((band.shape[0] + 2, size))
+            grown[1:-1] = d * band
+            grown[:-2, 1:] += e * band[:, :-1]
+            grown[2:, :-1] += e * band[:, 1:]
+            grown[band.shape[0] // 2 + 1] += c
+            band = grown
+    diag = band[band.shape[0] // 2]
+    if not np.isfinite(diag).all():
+        raise ConvergenceError("diagonal of p(J) is not finite: powers left the float range")
+    return diag
 
 
 def orthonormal_polys(coeffs: JacobiCoeffs, n_max: int, x: np.ndarray) -> np.ndarray:

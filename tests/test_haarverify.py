@@ -143,31 +143,6 @@ class TestThm6Measure:
         assert weights[-1.200976] == pytest.approx(0.30184977235412247, rel=1e-9)
         assert weights[1.002403] == pytest.approx(0.0314835609792108, rel=1e-9)
 
-    def test_one_build_per_parameter_set(self, monkeypatch, ctx: QContext) -> None:
-        builds = []
-        rules = collections.Counter()
-        real_h0 = orthopoly.aw_h0
-        real_leggauss = np.polynomial.legendre.leggauss
-
-        def counting_h0(*args):
-            builds.append(args)
-            return real_h0(*args)
-
-        def counting_leggauss(n):
-            rules[n] += 1
-            return real_leggauss(n)
-
-        monkeypatch.setattr(orthopoly, "aw_h0", counting_h0)
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-        orthopoly.aw_measure.cache_clear()
-        orthopoly._leggauss.cache_clear()
-        for sigma in (0.6, 1.5):
-            for p in monomials(12):
-                aw_integrate(aw_measure(thm6_params(TAU, sigma, ctx)), p)
-        # one measure per (tau, sigma); each rule size is computed once
-        assert len(builds) == 2
-        assert rules and max(rules.values()) == 1
-
     def test_normalized(self, ctx: QContext) -> None:
         for sigma in (0.6, 1.5):
             assert thm6_measure([1.0], TAU, sigma, ctx) == pytest.approx(1.0, abs=1e-10)
@@ -229,21 +204,12 @@ class TestGaussRuleMeasures:
             route = verify("thm6", cfg).rows[0].measure_route
             assert f"measure, {count} mass point(s)," in route, (q, tau, sigma, route)
 
-    def test_verify_leaves_aw_measure_cache(self, ctx: QContext) -> None:
-        orthopoly.aw_measure.cache_clear()
-        aw_measure(thm6_params(TAU, 0.6, ctx))
-        before = orthopoly.aw_measure.cache_info()
-        verify("thm6", VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=120))
-        assert orthopoly.aw_measure.cache_info() == before
-
     def test_no_measure_builder_called(self, monkeypatch, ctx: QContext) -> None:
         def refuse(*args, **kwargs):
             raise AssertionError("measure builder called")
 
         monkeypatch.setattr(orthopoly, "aw_measure", refuse)
-        monkeypatch.setattr(haarverify, "aw_measure", refuse)
         monkeypatch.setattr(qseries, "q_integral", refuse)
-        monkeypatch.setattr(orthopoly, "_leggauss", refuse)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         cfg = VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=120, tol=1e-6)
         for theorem in ("thm4", "thm5", "thm6", "gamma"):
@@ -535,7 +501,7 @@ class TestMeasureRuleCache:
     def test_operator_route_reads_no_rule(self, ctx: QContext) -> None:
         haarverify._measure_rule.cache_clear()
         support_check(TAU, 1.5, ctx, size=60)
-        sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx, size=60)
+        sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx)
         assert cli.main(["spectrum", "rho-sigma", "--trunc-n", "40"]) == 0
         assert haarverify._measure_rule.cache_info().misses == 0
 
@@ -669,12 +635,32 @@ class TestIntermediate:
             assert rep.vs_trace < 1e-9
             assert rep.support_separation == pytest.approx(2.2033795842074308, rel=1e-6)
 
-    def test_builds_each_kernel_measure_once(self, ctx: QContext) -> None:
-        # the two kernel measures alternate in every call and share the cache
-        orthopoly.aw_measure.cache_clear()
+    # q up to 0.99, and at q = 0.9, tau = 0.3 sigmas whose distance kappa
+    # to a mass threshold falls from 5e-4 to 1e-7 (a2 = 1 exactly at 1.3)
+    GRID = [(q, TAU, s) for q in (0.3, 0.5, 0.9, 0.95, 0.98, 0.99) for s in (0.6, 1.5)] + [
+        (0.9, 0.3, s) for s in (0.7047, 0.70438, 1.30028, 1.3)
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q, tau, sigma", GRID)
+    def test_grid_through_degree_12(self, q: float, tau: float, sigma: float) -> None:
+        ctx = QContext(q)
+        for coeffs in monomials(12):
+            rep = intermediate_check(coeffs, tau, sigma, ctx)
+            assert rep.vs_measure <= 1e-13, (coeffs, rep)
+            assert rep.vs_trace <= 1e-9, (coeffs, rep)
+
+    def test_no_quadrature_or_closed_kernel(self, monkeypatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature rule or closed-form kernel reached")
+
+        for name in ("aw_measure", "aw_integrate", "asc_poisson", "_asc_poisson_form"):
+            monkeypatch.setattr(orthopoly, name, refuse)
+        monkeypatch.setattr(haarverify, "_asc_poisson_form", refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         for coeffs in monomials(6):
-            intermediate_check(coeffs, TAU, 1.5, ctx)
-        assert orthopoly.aw_measure.cache_info().misses == 2
+            rep = intermediate_check(coeffs, 0.3, 0.7047, QContext(0.9))
+            assert rep.vs_measure <= 1e-13
 
     def test_tau_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
@@ -1163,8 +1149,6 @@ class TestSupport:
             raise AssertionError("quadrature rule built")
 
         monkeypatch.setattr(orthopoly, "aw_measure", refuse)
-        monkeypatch.setattr(haarverify, "aw_measure", refuse)
-        monkeypatch.setattr(orthopoly, "_leggauss", refuse)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         assert support_check(0.3, 0.704744424783136, QContext(0.9), size=160) == want
         argv = ["spectrum", "rho-sigma", "--q", "0.9", "--tau", "0.3", "--sigma", "0.7047"]
@@ -1181,6 +1165,12 @@ class TestSigmaLimit:
         errs = sigma_limit_check([0.0, 1.0], TAU, ctx)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-4
+
+    @pytest.mark.parametrize("q", [0.95, 0.99])
+    def test_sizes_itself_near_one(self, q: float) -> None:
+        errs = sigma_limit_check([0.0, 0.0, 1.0], TAU, QContext(q))
+        assert all(type(e) is float for e in errs)
+        assert errs[0] > errs[1] > errs[2]
 
     def test_needs_coefficients(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):

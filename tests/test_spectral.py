@@ -27,7 +27,7 @@ from qhaar import (
 )
 from qhaar.haarverify import _jackson_jacobi
 from qhaar.qsu2rep import SphericalParams, build_rep, element
-from qhaar.spectral import _offdiag_sqrt
+from qhaar.spectral import _offdiag_sqrt, _poly_diag
 
 
 def cocentral_coeffs(ctx: QContext) -> JacobiCoeffs:
@@ -170,13 +170,13 @@ class TestSpectralData:
         spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
         for m in range(5):
             got = float((weights * nodes**m).sum())
-            want = aw_integrate(spec, lambda x: x**m)
+            want = aw_integrate(spec, (0.0,) * m + (1.0,))
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_even_moments_closed_values(self, ctx2: QContext) -> None:
         spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
-        assert aw_integrate(spec, lambda x: x * x) == pytest.approx(3 / 16, abs=1e-13)
-        assert aw_integrate(spec, lambda x: x**4) == pytest.approx(81 / 1024, abs=1e-13)
+        assert aw_integrate(spec, (0.0, 0.0, 1.0)) == pytest.approx(3 / 16, abs=1e-13)
+        assert aw_integrate(spec, (0.0, 0.0, 0.0, 0.0, 1.0)) == pytest.approx(81 / 1024, abs=1e-13)
 
     def test_spectral_theorem_functional_calculus(self, ctx: QContext) -> None:
         # <f(T) e0, e0> = sum_j w_j f(x_j) for analytic f
@@ -237,6 +237,30 @@ class TestSpectralData:
                     assert got == pytest.approx(want, abs=1e-14)
                 else:
                     assert abs(got - want) > 1e-6
+
+
+class TestPolyDiag:
+    """The band Horner diagonal of p(J) against the dense matrix polynomial."""
+
+    @pytest.mark.parametrize("size", [3, 20])
+    def test_matches_dense_horner(self, ctx: QContext, ctx2: QContext, size: int) -> None:
+        rng = np.random.default_rng(7)
+        jacobis = (cocentral_coeffs(ctx), aw_jacobi(AWParams(1.5, -0.3, 0.2, 0.1, ctx2)))
+        for jacobi in jacobis:
+            J = jacobi.dense(size)
+            for degree in (0, 1, 2, 5, 9):
+                coeffs = rng.standard_normal(degree + 1)
+                want = np.zeros((size, size))
+                for c in coeffs[::-1]:
+                    want = c * np.eye(size) + J @ want
+                got = _poly_diag(jacobi, coeffs, size)
+                np.testing.assert_allclose(got, np.diag(want), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused(self) -> None:
+        jacobi = JacobiCoeffs(diag=lambda m: 1e200, offdiag=lambda m: 1.0)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            _poly_diag(jacobi, (0.0, 0.0, 1.0), 4)
 
 
 class TestJacobiBuilders:
