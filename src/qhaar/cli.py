@@ -36,7 +36,7 @@ from .errors import ConvergenceError, DomainError
 from .haarverify import (
     VerifyConfig,
     VerifyRow,
-    _support_distance,
+    _support_distances,
     _theorem,
     bailey_variant_residuals,
     mass_identity_check,
@@ -137,11 +137,46 @@ def _dict_json(obj: dict) -> str:
 
 
 def _list_json(obj) -> str:
+    rows = _rows_json(obj)
+    if rows is not None:
+        return rows
     return "[" + ",".join(_to_json(v) for v in obj) + "]"
 
 
 # reports repeat a few dozen key names in every row
 _json_key = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
+
+
+def _column_json(col: list) -> list[str]:
+    """``_to_json`` of each value of a column; a column of floats formats each value once."""
+    if set(map(type, col)) == {float}:
+        out = [format(v, ".17g") for v in col]
+        # only nan and +-inf end in a letter; _fmt_float quotes them
+        return [s if s[-1] not in "nf" else _fmt_float(v) for s, v in zip(out, col)]
+    return list(map(_to_json, col))
+
+
+# shorter lists, such as a verify report's seven rows, encode faster value by value
+_COLUMN_MIN_ROWS = 9
+
+
+def _rows_json(rows: list) -> str | None:
+    """A list of _COLUMN_MIN_ROWS or more dicts with one nonempty key set, encoded by column.
+
+    The bytes are those of ``_to_json`` on each row: one ``%`` template per
+    row, built from the sorted keys, filled from the encoded columns.  Any
+    other list gives None.
+    """
+    if len(rows) < _COLUMN_MIN_ROWS or type(rows[0]) is not dict or not rows[0]:
+        return None
+    keys = rows[0].keys()
+    if any(type(row) is not dict or row.keys() != keys for row in rows):
+        return None
+    names = sorted(keys)
+    template = "{" + ",".join(_json_key(k).replace("%", "%%") + ":%s" for k in names) + "}"
+    columns = [_column_json([row[name] for row in rows]) for name in names]
+    return "[" + ",".join(template % values for values in zip(*columns)) + "]"
+
 
 # exact built-in types, looked up before the isinstance chain below
 _JSON_BY_TYPE = {
@@ -346,32 +381,36 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     LAPACK sees only the coupled head of the band: rho-inf entries carry
     g and decay like q^n, so past n ~ 37 / ln(1/q) each index is its own
     eigenpair (M[n, n], e_n) up to a perturbation of 2-norm eps * max|M|.
-    cocentral and rho-sigma never decouple and get the full matrix.
+    rho-sigma never decouples and gets the full matrix.  cocentral couples
+    only indices of opposite parity, so its spectrum comes from one SVD of
+    the even-odd block, about half the order: eigenvalues in pairs -s, s
+    and, for an odd order, one exact 0, printed as ``0``.  Its eigenvalues
+    and weights differ from a full ``eigh``'s in their last bits.
     rho-inf rows name the nearest ladder point, rho-sigma rows the
     distance to the Askey-Wilson support, whose mass points come from
     ``aw_masses`` alone (no quadrature rule is built) and are listed in
     the report.
     """
     ctx = cfg.context()
-    q = cfg.q
     theorem = {"cocentral": "thm4", "rho-inf": "thm5", "rho-sigma": "thm6"}[target]
     pair = _theorem(theorem, cfg.tau, cfg.sigma)
     name = pair.element
     eigvals, weights = _band_spectrum(_element_band(ctx, name, pair.params, 0.0, cfg.trunc_n), ctx)
-    rows = []
-    masses = aw_masses(thm6_params(cfg.tau, cfg.sigma, ctx)) if name == "rho_tau_sigma" else ()
-    for i, (x, w) in enumerate(zip(eigvals, weights)):
-        row = {"index": i, "eigenvalue": float(x), "weight": float(w)}
-        if name == "rho_tau_inf":
-            ladder, dist = _nearest_ladder(float(x), q, cfg.tau)
-            row["nearest_ladder"] = ladder
-            row["ladder_distance"] = dist
-        elif name == "rho_tau_sigma":
-            row["support_distance"] = _support_distance(float(x), masses)
-        rows.append(row)
+    xs = eigvals.tolist()
+    rows = [
+        {"index": i, "eigenvalue": x, "weight": w}
+        for i, (x, w) in enumerate(zip(xs, weights.tolist()))
+    ]
     body: dict = {"rows": rows}
-    if masses:
-        body["mass_points"] = [{"x": xm, "weight": wm} for xm, wm in masses]
+    if name == "rho_tau_inf":
+        for row, x in zip(rows, xs):
+            row["nearest_ladder"], row["ladder_distance"] = _nearest_ladder(x, cfg.q, cfg.tau)
+    elif name == "rho_tau_sigma":
+        masses = aw_masses(thm6_params(cfg.tau, cfg.sigma, ctx))
+        for row, dist in zip(rows, _support_distances(eigvals, masses).tolist()):
+            row["support_distance"] = dist
+        if masses:
+            body["mass_points"] = [{"x": xm, "weight": wm} for xm, wm in masses]
     return body, rows, True
 
 

@@ -320,6 +320,18 @@ def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float
     return _jackson_jacobi(0.0, 1.0, ctx)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _kernel_jacobi(params: AWParams) -> JacobiCoeffs:
+    """``aw_jacobi`` of a kernel measure of :func:`intermediate_check`, memoized.
+
+    Kept as :func:`_measure_jacobi` keeps the theorems' measures, for the
+    RULE_CACHE_SIZE most recently used parameter sets, so a loop of checks
+    over polynomials grows one matrix per kernel (:class:`JacobiCoeffs`)
+    and evaluates each recurrence entry once.
+    """
+    return aw_jacobi(params)
+
+
 def _measure_route(theorem: str, ctx: QContext, tau: float, sigma: float) -> str:
     """The label :func:`verify` gives the measure side; thm6 counts its mass points."""
     if theorem == "thm4":
@@ -472,7 +484,8 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     """Check the kernel-pair expression of the thm6 functional on one polynomial.
 
     By the kernel's defining series each integral is sum_n Q^n [p(J)]_{nn},
-    Q = q^2, over its measure's Jacobi matrix J (``aw_jacobi``): no
+    Q = q^2, over its measure's Jacobi matrix J (``aw_jacobi``, memoized in
+    :func:`_kernel_jacobi`): no
     quadrature, and no closed-form kernel (``identity poisson`` checks that).
     J and the trace route's element are truncated where their tails
     Q^(N - reach * degree) fall below _TAIL_TOL, reach 1 for J.
@@ -488,7 +501,7 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     if sep < 1e-10:
         raise DomainError("mass supports of the two kernel measures collide")
     size = min_truncation(_poly_degree(coeffs), _TAIL_TOL, q)
-    parts = [Q ** np.arange(size) @ _poly_diag(aw_jacobi(m), coeffs, size) for m in measures]
+    parts = [Q ** np.arange(size) @ _poly_diag(_kernel_jacobi(m), coeffs, size) for m in measures]
     w1 = (1.0 - Q) / (1.0 + q ** (2.0 * tau))
     w2 = (1.0 - Q) / (1.0 + q ** (-2.0 * tau))
     val = float(w1 * parts[0] + w2 * parts[1])
@@ -704,17 +717,18 @@ def support_check(tau: float, sigma: float, ctx: QContext, size: int = 200) -> f
     masses = aw_masses(thm6_params(tau, sigma, ctx))
     pair = _theorem("thm6", tau, sigma)
     eigs, _ = _band_spectrum(_element_band(ctx, pair.element, pair.params, 0.0, size))
-    return float(max(_support_distance(float(x), masses) for x in eigs))
+    return float(np.max(_support_distances(eigs, masses)))
 
 
-def _support_distance(x: float, masses) -> float:
-    """Distance from x to [-1, 1] together with the mass points of ``masses``.
+def _support_distances(xs: np.ndarray, masses) -> np.ndarray:
+    """Distance from each of ``xs`` to [-1, 1] together with the mass points of ``masses``.
 
     ``masses`` holds the (point, weight) pairs of an Askey-Wilson measure.
+    max(|x| - 1, 0), then min with each |x - x_m| in turn.
     """
-    dist = max(abs(x) - 1.0, 0.0)
+    dist = np.maximum(np.abs(xs) - 1.0, 0.0)
     for xm, _ in masses:
-        dist = min(dist, abs(x - xm))
+        dist = np.minimum(dist, np.abs(xs - xm))
     return dist
 
 

@@ -34,7 +34,10 @@ matrix through diag(c^n), c = 1 or i, and LAPACK sees only the leading
 block of that gauge that carries an entry above eps * max|M| / (number of
 diagonals).  Past it the band is diagonal to working precision (entries
 carrying g decay like q^n), so each later index is its own eigenpair, and
-what is dropped has 2-norm at most eps * max|M|.
+what is dropped has 2-norm at most eps * max|M|.  A band that stores only
+odd-offset diagonals (cocentral, never decoupling) is chiral: it couples
+even indices to odd ones only, and LAPACK gets one SVD of its even-odd
+block, about half the order, in place of the whole eigenproblem.
 
 Distinguished self-adjoint elements:
 
@@ -253,13 +256,18 @@ def _band_spectrum(M: _Band, ctx: QContext | None = None) -> tuple[np.ndarray, n
     The weight of a unit eigenvector v is (1 - q^2) sum_n q^{2n} v_n^2.  The
     coupled size m is one plus the largest index touched by an entry with
     |entry| > eps * max|M| / (number of diagonals), read from the diagonals.
-    LAPACK (``eigh`` with weights, ``eigvalsh`` without) gets the leading
-    m x m block of the real gauge (``_Band.real_dense``).  Every index
-    n >= m is the eigenpair (M[n, n], e_n) with weight (1 - q^2) q^{2n}.
-    The dropped entries E satisfy ||E||_2 <= eps * max|M|, so the split adds
-    no error beyond LAPACK's own backward-error bound.  Head and tail merge
-    by a stable sort.  When nothing decouples (m is the whole order) it is
-    the same LAPACK call on the same matrix as a full diagonalization.
+    LAPACK gets the leading m x m block of the real gauge
+    (``_Band.real_dense``).  Every index n >= m is the eigenpair (M[n, n], e_n)
+    with weight (1 - q^2) q^{2n}.  The dropped entries E satisfy
+    ||E||_2 <= eps * max|M|, so the split adds no error beyond LAPACK's own
+    backward-error bound.  Head and tail merge by a stable sort.
+
+    A band that stores only odd-offset diagonals (cocentral) couples each
+    index to indices of the other parity only, and its head goes to
+    :func:`_chiral_spectrum`, one SVD of half the order.  Every other head
+    goes to ``eigh`` with weights and ``eigvalsh`` without; when nothing
+    decouples (m is the whole order) that is the same LAPACK call on the
+    same matrix as a full diagonalization.
     """
     n = next(iter(M.values())).shape[-1]
     mags = {o: np.abs(v) for o, v in M.items()}
@@ -271,15 +279,46 @@ def _band_spectrum(M: _Band, ctx: QContext | None = None) -> tuple[np.ndarray, n
             m = max(m, int(big[-1]) + max(o, 0) + 1)
     head = M.real_dense(m)
     tail = M[0].real[m:] if 0 in M else np.zeros(n - m)
-    if ctx is None:
-        return np.sort(np.concatenate((np.linalg.eigvalsh(head), tail)), kind="stable"), None
-    vals, vecs = np.linalg.eigh(head)
-    dens = op_D(ctx, n - 1)
-    q = ctx.q
-    weights = (1.0 - q * q) * np.concatenate(((vecs**2).T @ dens[:m], dens[m:]))
+    dens = None if ctx is None else op_D(ctx, n - 1)
+    if all(o % 2 for o in M):
+        vals, weights = _chiral_spectrum(head, dens)
+    elif dens is None:
+        vals, weights = np.linalg.eigvalsh(head), None
+    else:
+        vals, vecs = np.linalg.eigh(head)
+        weights = (vecs**2).T @ dens[:m]
     vals = np.concatenate((vals, tail))
+    if weights is None:
+        return np.sort(vals, kind="stable"), None
+    q = ctx.q
+    weights = (1.0 - q * q) * np.concatenate((weights, dens[m:]))
     order = np.argsort(vals, kind="stable")
     return vals[order], weights[order]
+
+
+def _chiral_spectrum(
+    head: np.ndarray, dens: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues, and given ``dens`` their sums dens @ v^2, of a chiral symmetric matrix.
+
+    ``head`` couples only indices of opposite parity, so in even/odd order
+    it is [[0, B], [B^T, 0]] with B = head[0::2, 1::2], ceil(m/2) x floor(m/2).
+    From B = U diag(s) V^T (Golub & Van Loan, Matrix Computations, 8.6) its
+    eigenpairs are +-s_i with vectors (u_i, +-v_i) / sqrt(2) on the even and
+    odd indices, both of sum (dens_even @ u_i^2 + dens_odd @ v_i^2) / 2,
+    and for odd m one more, the exact 0 with U's last column on the even
+    indices.  The values come as -s, the zero mode, s: unsorted.
+    """
+    B = head[0::2, 1::2]
+    if dens is None:
+        s, weights = np.linalg.svd(B, compute_uv=False), None
+    else:
+        U, s, Vh = np.linalg.svd(B)
+        m = head.shape[0]
+        even = dens[0:m:2] @ U**2
+        pair = 0.5 * (even[: s.size] + Vh**2 @ dens[1:m:2])
+        weights = np.concatenate((pair, even[s.size :], pair))
+    return np.concatenate((-s, np.zeros(B.shape[0] - s.size), s)), weights
 
 
 def _generators(ctx: QContext, phi: float | np.ndarray, size: int) -> tuple[_Band, _Band]:

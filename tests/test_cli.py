@@ -176,6 +176,63 @@ class TestJsonFastPath:
         assert cli._to_json(report) == reference_to_json(report)
 
 
+ROW_LISTS = [
+    [{"x": v, "n": i, "ok": i % 2 == 0, "s": f"r{i}"} for i, v in enumerate(
+        [0.1, -0.0, 1e-300, 5e-324, -1e20, math.nan, math.inf, -math.inf, 2.5, 1.0, 1e16]
+    )],
+    [{"k": 2**70, "big%": -7, "é \"q\" %s": "\u2203 %d"}] * 9,
+    [{"np": np.float64(0.5), "f32": np.float32(0.1), "i": np.int64(3), "b": np.bool_(True)}] * 10,
+    [{"mixed": 1.5}, {"mixed": 2}, {"mixed": True}, {"mixed": None}] * 3,
+    [{"nested": {"z": 1.0, "y": [1, 2.5]}, "l": [math.nan], "t": (0.1,)}] * 12,
+    [{"a": float(i) / 7.0, "b": i} for i in range(9)],
+]
+
+# lists the column path leaves to the per-value one: short, or not one key set
+PER_VALUE_LISTS = [rows[:8] for rows in ROW_LISTS] + [
+    [{"a": 1.0}] * 9 + [{"a": 1.0, "b": 2}],
+    [{"a": 1.0}] * 9 + [{"b": 1.0}],
+    [{}] * 9,
+    [{"a": 1.0}] * 9 + [[1.0]],
+    [TestJsonFastPath.Row(a=1.0)] * 9,
+    [1.0] * 9,
+    [],
+]
+
+
+class TestRowEncoder:
+    @pytest.mark.parametrize("rows", ROW_LISTS)
+    def test_columns_give_the_per_value_bytes(self, rows) -> None:
+        assert cli._rows_json(rows) is not None
+        assert cli._to_json(rows) == reference_to_json(rows)
+        assert cli._to_json({"rows": rows}) == reference_to_json({"rows": rows})
+
+    @pytest.mark.parametrize("rows", PER_VALUE_LISTS)
+    def test_other_lists_per_value(self, rows) -> None:
+        assert cli._rows_json(rows) is None
+        assert cli._to_json(rows) == reference_to_json(rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all"),
+            ("verify", "thm4"),
+            ("verify", "thm6"),
+            ("identity", "bailey"),
+            ("identity", "poisson"),
+            ("identity", "mass"),
+            ("spectrum", "rho-inf"),
+            ("spectrum", "rho-sigma"),
+            ("spectrum", "rho-sigma", "--q", "0.9", "--tau", "0.3", "--sigma", "0.7047"),
+            ("spectrum", "cocentral", "--trunc-n", "161"),
+        ],
+    )
+    def test_stdout_of_the_per_value_path(self, capsys, monkeypatch, argv) -> None:
+        code, out, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_rows_json", lambda rows: None)
+        assert run_cli(capsys, *argv)[:2] == (code, out)
+        assert out == reference_to_json(json.loads(out)) + "\n"
+
+
 class TestCsvOutput:
     def test_thm5_rows_and_closed_form(self, capsys, ctx: QContext) -> None:
         code, out, _ = run_cli(

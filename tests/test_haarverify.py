@@ -6,6 +6,7 @@ import collections
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qhaar import (
     VerifyConfig,
     aw_integrate,
     aw_jacobi,
+    aw_masses,
     aw_measure,
     bailey_check,
     bailey_raw_check,
@@ -662,6 +664,28 @@ class TestIntermediate:
             rep = intermediate_check(coeffs, 0.3, 0.7047, QContext(0.9))
             assert rep.vs_measure <= 1e-13
 
+    def test_kernel_matrices_grow_once(self) -> None:
+        ctx = QContext(0.95)
+        polys = monomials(6)
+        haarverify._kernel_jacobi.cache_clear()
+        first = intermediate_check(polys[3], TAU, 0.6, ctx)
+        kernels = [
+            haarverify._kernel_jacobi(AWParams(a, b, 0.0, 0.0, ctx.squared()))
+            for a, b in haarverify._asc_pair(TAU, 0.6, ctx.q)
+        ]
+        assert haarverify._kernel_jacobi.cache_info().misses == 2
+        intermediate_check(polys[6], TAU, 0.6, ctx)
+        grown = [k._entries for k in kernels]
+        # a second monomial of no higher degree computes no recurrence entry
+        again = intermediate_check(polys[5], TAU, 0.6, ctx)
+        assert all(k._entries is g for k, g in zip(kernels, grown))
+        assert haarverify._kernel_jacobi.cache_info().misses == 2
+        # a prefix of the grown matrices is the matrix a fresh build gives
+        haarverify._kernel_jacobi.cache_clear()
+        for p, want in ((polys[5], again), (polys[3], first)):
+            got = intermediate_check(p, TAU, 0.6, ctx)
+            assert [float.hex(v) for v in astuple(got)] == [float.hex(v) for v in astuple(want)]
+
     def test_tau_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
             intermediate_check([0.0, 1.0], 0.0, 0.6, ctx)
@@ -1158,6 +1182,20 @@ class TestSupport:
     def test_size_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
             support_check(TAU, 1.5, ctx, size=0)
+
+    def test_distances_are_the_scalar_ones(self, ctx: QContext) -> None:
+        masses = aw_masses(thm6_params(TAU, 1.5, ctx))
+        assert len(masses) == 2
+        rng = np.random.default_rng(1114)
+        xs = np.concatenate((
+            rng.uniform(-1.5, 1.5, 200),
+            [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)],
+            [xm for xm, _ in masses],
+        ))
+        want = [min([max(abs(x) - 1.0, 0.0)] + [abs(x - xm) for xm, _ in masses]) for x in xs.tolist()]
+        got = haarverify._support_distances(xs, masses)
+        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want]
+        assert haarverify._support_distances(xs, ()).tolist() == [max(abs(x) - 1.0, 0.0) for x in xs]
 
 
 class TestSigmaLimit:

@@ -412,20 +412,31 @@ def full_spectrum(band, ctx: QContext, size: int):
     return S, lam, (1.0 - ctx.q * ctx.q) * ((vecs**2).T @ op_D(ctx, size))
 
 
-def recorded_spectrum(monkeypatch, band, ctx=None):
-    """``_band_spectrum`` of a band, with the shapes of the matrices LAPACK got."""
-    shapes = []
+def recorded_calls(monkeypatch, band, ctx=None):
+    """``_band_spectrum`` of a band, with the LAPACK routines it called and their matrix shapes."""
+    calls = []
     with monkeypatch.context() as patch:
-        for fn_name in ("eigh", "eigvalsh"):
+        for fn_name in ("eigh", "eigvalsh", "svd"):
             real = getattr(np.linalg, fn_name)
 
-            def recording(a, *args, real=real, **kwargs):
-                shapes.append(a.shape)
+            def recording(a, *args, real=real, fn_name=fn_name, **kwargs):
+                calls.append((fn_name, a.shape))
                 return real(a, *args, **kwargs)
 
             patch.setattr(np.linalg, fn_name, recording)
         vals, weights = qsu2rep._band_spectrum(band, ctx)
-    return vals, weights, shapes
+    return vals, weights, calls
+
+
+def recorded_spectrum(monkeypatch, band, ctx=None):
+    """``_band_spectrum`` of a band, with the shapes of the matrices LAPACK got."""
+    vals, weights, calls = recorded_calls(monkeypatch, band, ctx)
+    return vals, weights, [shape for _, shape in calls]
+
+
+def chiral_values(s: np.ndarray, order: int) -> np.ndarray:
+    """Ascending -s, the zero modes and s of a chiral matrix of ``order`` from the singular values s."""
+    return np.sort(np.concatenate((-s, np.zeros(order - 2 * s.size), s)), kind="stable")
 
 
 class TestBandSpectrum:
@@ -472,6 +483,19 @@ class TestBandSpectrum:
         params = SphericalParams(tau, 1.5) if name == "rho_tau_sigma" else None
         band = qsu2rep._element_band(ctx, name, params, 0.0, size)
         S, lam, w = full_spectrum(band, ctx, size)
+        if name == "cocentral":
+            # nothing decouples: the one LAPACK call is the SVD of the whole
+            # even-odd block, bit for bit a direct call on that block
+            block = S[0::2, 1::2]
+            got, weights, calls = recorded_calls(monkeypatch, band, ctx)
+            assert calls == [("svd", block.shape)]
+            assert got.tobytes() == chiral_values(np.linalg.svd(block)[1], size + 1).tobytes()
+            assert np.max(np.abs(weights - w)) <= 1e-14
+            got, none, calls = recorded_calls(monkeypatch, band)
+            assert calls == [("svd", block.shape)] and none is None
+            want = chiral_values(np.linalg.svd(block, compute_uv=False), size + 1)
+            assert got.tobytes() == want.tobytes()
+            return
         got, weights, shapes = recorded_spectrum(monkeypatch, band, ctx)
         assert shapes == [(size + 1, size + 1)]
         assert got.tobytes() == lam.tobytes() and weights.tobytes() == w.tobytes()
@@ -484,6 +508,57 @@ class TestBandSpectrum:
         vals, weights = qsu2rep._band_spectrum(band, QContext(0.5))
         assert vals.tolist() == [0.0] * 5
         assert weights.tolist() == w_tail(QContext(0.5), 4).tolist()
+
+
+class TestChiralSplit:
+    """cocentral stores only the diagonals +-1, so its spectrum is one SVD of half the order."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, 161, 480])
+    def test_against_full_eigh(self, monkeypatch, q, size) -> None:
+        ctx = QContext(q)
+        band = qsu2rep._element_band(ctx, "cocentral", None, 0.0, size)
+        S, lam, w = full_spectrum(band, ctx, size)
+        got, weights, calls = recorded_calls(monkeypatch, band, ctx)
+        order = size + 1
+        assert calls == [("svd", ((order + 1) // 2, order // 2))]
+        assert got.shape == weights.shape == (order,)
+        assert np.all(np.diff(got) >= 0.0)
+        # +-s pairs, bitwise negated and of equal weight, around one exact +0.0 for odd order
+        pairs = order // 2
+        neg, pos = got[:pairs], got[order - pairs :][::-1]
+        assert (-neg).tobytes() == pos.tobytes() and np.all(pos > 0.0)
+        assert weights[:pairs].tobytes() == weights[order - pairs :][::-1].tobytes()
+        zeros = got[pairs : order - pairs]
+        assert zeros.tolist() == [0.0] * (order % 2) and not np.any(np.signbit(zeros))
+        # SVD and eigh differ by their roundoff: 13 eps max|M| at q = 0.5, N = 40
+        eps, peak = np.finfo(float).eps, float(np.max(np.abs(S)))
+        assert np.max(np.abs(got - lam)) <= 16 * eps * peak
+        assert np.max(np.abs(weights - w)) <= 1e-14
+        assert abs(weights.sum() - (1.0 - q ** (2 * order))) <= 1e-13
+
+    @pytest.mark.parametrize("size", [1, 2, 161])
+    def test_values_alone(self, monkeypatch, size) -> None:
+        band = qsu2rep._element_band(QContext(0.5), "cocentral", None, 0.0, size)
+        got, none, calls = recorded_calls(monkeypatch, band)
+        assert none is None and calls == [("svd", ((size + 2) // 2, (size + 1) // 2))]
+        with_weights, _ = qsu2rep._band_spectrum(band, QContext(0.5))
+        assert np.max(np.abs(got - with_weights)) <= 16 * np.finfo(float).eps
+
+    def test_chosen_by_the_stored_offsets(self, monkeypatch) -> None:
+        # rho_tau_inf at tau = 0 stores an all-zero main diagonal: it keeps eigh
+        ctx = QContext(0.9)
+        band = qsu2rep._element_band(ctx, "rho_tau_inf", SphericalParams(0.0), 0.0, 40)
+        assert not np.any(band[0])
+        _, _, calls = recorded_calls(monkeypatch, band, ctx)
+        assert calls == [("eigh", (41, 41))]
+        # the same band without that diagonal is chiral
+        odd = qsu2rep._Band({o: v for o, v in band.items() if o})
+        got, weights, calls = recorded_calls(monkeypatch, odd, ctx)
+        assert calls == [("svd", (21, 20))]
+        want, w = qsu2rep._band_spectrum(band, ctx)
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+        assert np.max(np.abs(weights - w)) <= 1e-14
 
 
 class TestSharedMoments:
