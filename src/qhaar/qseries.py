@@ -148,32 +148,32 @@ def _q_powers(q: float, n: int) -> np.ndarray:
     return out
 
 
-def _tail_counts(mags: np.ndarray, powers: np.ndarray, threshold: float) -> np.ndarray:
+def _tail_counts(mags: np.ndarray, powers: np.ndarray, threshold: float, q: float) -> np.ndarray:
     """For each magnitude m, the number of leading i with m * powers[i] >= threshold.
 
-    The products fall with i and rise with m, so every count lies between
-    the counts of the smallest and the largest magnitude; only the powers
-    between those two are compared element by element.
+    The products do not rise with i, so the count is the first i where the
+    product falls below threshold.  Logarithms give each count to within a
+    step or so (m = 0 gives 0); the products on either side of it then move
+    it to the exact count.
     """
-    ends = np.array([[mags.min()], [mags.max()]])
-    lo, hi = np.count_nonzero(ends * powers >= threshold, axis=1).tolist()
-    counts = np.full(mags.size, lo, dtype=np.intp)
-    window = powers[lo:hi]
-    cols = min(window.size, _BLOCK)
-    rows = _BLOCK // max(cols, 1)
-    for r0 in range(0, mags.size if cols else 0, rows):
-        col = mags[r0 : r0 + rows, None]
-        for c0 in range(0, window.size, cols):
-            counts[r0 : r0 + rows] += np.count_nonzero(
-                col * window[c0 : c0 + cols] >= threshold, axis=1
-            )
-    return counts
+    span = powers.size
+    guess = np.ceil(np.log(threshold / mags) / math.log(q))
+    counts = np.minimum(np.maximum(guess, 0.0), span).astype(np.intp)
+    while True:
+        short = counts < span
+        short &= mags * powers[np.minimum(counts, span - 1)] >= threshold
+        long = counts > 0
+        long &= mags * powers[counts - long] < threshold
+        if not (np.count_nonzero(short) or np.count_nonzero(long)):
+            return counts
+        counts += short
+        counts -= long
 
 
 def _qpoch_array(a, ctx: QContext, k):
     """:func:`qpoch` on an array: one factor count per element, one power table."""
     a = np.asarray(a)
-    a = a.astype(complex if a.dtype.kind == "c" else float)
+    a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
     q = ctx.q
     if k is None or (np.ndim(k) == 0 and k == math.inf):
         shape, a = a.shape, a.ravel()
@@ -182,41 +182,48 @@ def _qpoch_array(a, ctx: QContext, k):
         n_powers = 0
     else:
         kk = np.asarray(k, dtype=float)
-        if np.any(np.isnan(kk) | (kk < 0) | (np.isfinite(kk) & (kk != np.floor(kk)))):
+        # inf and the integers equal their floor; nan, fractions and negatives fail
+        if not ((kk >= 0.0) & (kk == np.floor(kk))).all():
             raise DomainError(f"k must be a nonnegative integer or inf, got {k!r}")
-        a, kk = np.broadcast_arrays(a, kk)
+        if kk.shape != a.shape:
+            a, kk = np.broadcast_arrays(a, kk)
         shape, a, kk = a.shape, a.ravel(), kk.ravel()
-        infinite = ~np.isfinite(kk)
+        infinite = kk == math.inf
         counts = np.where(infinite, 0.0, kk).astype(np.intp)
         n_powers = int(counts.max(initial=0))
     powers = None
-    if infinite is None or infinite.any():
-        mags = np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
-        if infinite is not None:
-            mags = mags[infinite]
-        threshold = ctx.tail_tol * (1.0 - q)
-        top = float(mags.max(initial=0.0))
-        if not top < threshold:
-            if not math.isfinite(top):
-                _no_tail(top, ctx)
-            # a few spare powers past the largest count; the fallback to
-            # max_terms only runs if rounding defeats them
-            span = min(int((math.log(threshold) - math.log(top)) / math.log(q)) + 4, ctx.max_terms)
-            while True:
-                powers = _q_powers(q, max(span, n_powers))
-                tail = _tail_counts(mags, powers[1 : span + 1], threshold)
-                if tail.max() < span:
-                    break
-                if span == ctx.max_terms:
+    # the count's estimate for m = 0 divides by zero, and the factors past
+    # an element's count may overflow; neither is ever read
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if infinite is None or infinite.any():
+            mags = np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
+            if infinite is not None:
+                mags = mags[infinite]
+            threshold = ctx.tail_tol * (1.0 - q)
+            top = float(mags.max(initial=0.0))
+            if not top < threshold:
+                if not math.isfinite(top):
                     _no_tail(top, ctx)
-                span = ctx.max_terms
-            if infinite is None:
-                counts = tail
-            else:
-                counts[infinite] = tail
-    if powers is None:
-        powers = _q_powers(q, n_powers)
-    return _factor_products(a, counts, powers, pad=infinite is not None).reshape(shape)
+                # a few spare powers past the largest count; the fallback to
+                # max_terms only runs if rounding defeats them
+                span = int((math.log(threshold) - math.log(top)) / math.log(q)) + 4
+                span = min(span, ctx.max_terms)
+                while True:
+                    powers = _q_powers(q, max(span, n_powers))
+                    tail = _tail_counts(mags, powers[1 : span + 1], threshold, q)
+                    if tail.max() < span:
+                        break
+                    if span == ctx.max_terms:
+                        _no_tail(top, ctx)
+                    span = ctx.max_terms
+                if infinite is None:
+                    counts = tail
+                else:
+                    counts[infinite] = tail
+        if powers is None:
+            powers = _q_powers(q, n_powers)
+        # the powers in a's type, as numpy casts them for each product
+        return _factor_products(a, counts, powers.astype(a.dtype, copy=False)).reshape(shape)
 
 
 def _no_tail(mag: float, ctx: QContext):
@@ -226,36 +233,39 @@ def _no_tail(mag: float, ctx: QContext):
     )
 
 
-def _factor_products(a: np.ndarray, counts: np.ndarray, powers: np.ndarray, pad: bool) -> np.ndarray:
+def _factor_products(a: np.ndarray, counts: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """prod_{i < counts[j]} (1 - a[j] q^i) for each j, multiplied in order.
 
     ``powers`` is the table from :func:`_q_powers`.  Rows are cut into
-    blocks of at most _BLOCK entries.  Column 0 of a block holds the
-    running product so far and the next factors follow it;
-    ``multiply.accumulate`` forms the partial products one factor at a time,
-    and each element's value is read at its own count.  With ``pad``,
-    factors past an element's count are set to 1, so a short finite product
-    next to a long one cannot overflow.
+    blocks of at most _BLOCK entries (and columns where one product is
+    longer).  Column 0 of a block holds the running product so far and the
+    next factors follow it; ``multiply.accumulate`` forms the partial
+    products one factor at a time, and each element's value is read at its
+    own count.  The factors past an element's count are never read.  A
+    block that carries a product in never has a single factor: numpy's
+    ``multiply.accumulate`` over a row of two complex numbers is its plain
+    complex multiply, which may fuse operations (it does on x86-64 with
+    numpy 2.4); over three or more it multiplies one pair at a time.
     """
     out = np.ones(a.size, dtype=a.dtype)
-    width = max(1, min(int(counts.max(initial=0)), _BLOCK - 1))
-    rows = _BLOCK // (width + 1)
+    stop = int(counts.max(initial=0))
+    if not stop:
+        return out
+    width = min(stop, _BLOCK - 1)
+    edges = list(range(0, stop, width)) + [stop]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    rows = max(1, _BLOCK // (width + 1))
     for r0 in range(0, a.size, rows):
-        ar, cr = a[r0 : r0 + rows, None], counts[r0 : r0 + rows]
-        res = out[r0 : r0 + rows]
-        stop = int(cr.max())
-        pad_rows = pad and int(cr.min()) < stop
-        for c0 in range(0, stop, width):
-            c1 = min(c0 + width, stop)
+        ar, cr, res = a[r0 : r0 + rows, None], counts[r0 : r0 + rows], out[r0 : r0 + rows]
+        for c0, c1 in zip(edges, edges[1:]):
             # column 0 is 1 - a*0 = 1 in the first block, the carry after it
             blk = np.multiply(ar, powers[c0 : c1 + 1])
             np.subtract(1.0, blk, out=blk)
             if c0:
                 blk[:, 0] = carry
-            if pad_rows:
-                np.copyto(blk[:, 1:], 1.0, where=np.arange(c0, c1) >= cr[:, None])
             np.multiply.accumulate(blk, axis=1, out=blk)
-            if c0 == 0 and c1 == stop:
+            if c1 == stop and not c0:
                 res[:] = blk[np.arange(cr.size), cr]
             else:
                 ends = np.flatnonzero((cr >= c0) & (cr <= c1))
@@ -264,35 +274,45 @@ def _factor_products(a: np.ndarray, counts: np.ndarray, powers: np.ndarray, pad:
     return out
 
 
-@dataclass(frozen=True)
 class Factorials:
     """A closed form split into the q-shifted factorials and 8W7 sums it
     needs and the rule that assembles its value from them.
 
-    ``params`` holds the bases a of the factorials (a;q)_k (raveled to one
-    dimension), ``ks`` their orders (None: all infinite), and ``series`` the
-    arguments (a, b, c, d, e, f, z) of each 8W7 sum, summed in the base the
-    form is evaluated in.  ``assemble`` maps the array of the factorials'
-    values, in the order of ``params``, to the value of the form; a form
-    with series takes the list of their sums, in order, as a second
-    argument.  :meth:`evaluate` alone forms the value: every factorial from
-    one :func:`qpoch` call and every sum from one array :func:`w87` call
-    (one per pattern of float and complex arguments).  Since each element of
-    either call depends on its own arguments alone, the value does not
-    depend on which forms share the calls.
+    A form keeps the bases a of its factorials (a;q)_k, their orders
+    (None: all infinite) and the arguments (a, b, c, d, e, f, z) of each
+    8W7 sum, summed in the base the form is evaluated in, as Python lists,
+    so building and joining forms makes no numpy call; ``params`` and
+    ``ks`` give the first two as arrays.  An array of bases is read
+    raveled, and a scalar order applies to every base.  ``assemble`` maps
+    the array of the factorials' values, in the order of the bases, to the
+    value of the form; a form with series takes the list of their sums, in
+    order, as a second argument.  :meth:`evaluate` alone forms the value:
+    every factorial from one :func:`qpoch` call and every sum from one
+    array :func:`w87` call (one per pattern of argument types).  Since
+    each element of either call depends on its own arguments alone, the
+    value does not depend on which forms share the calls.
     """
 
-    params: np.ndarray
-    assemble: Callable[..., object]
-    ks: np.ndarray | None = None
-    series: tuple = ()
+    __slots__ = ("_params", "_ks", "series", "assemble")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", np.ravel(np.asarray(self.params)))
-        if self.ks is not None:
-            ks = np.broadcast_to(np.asarray(self.ks, dtype=float), self.params.shape)
-            object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "series", tuple(map(tuple, self.series)))
+    def __init__(self, params, assemble: Callable[..., object], ks=None, series=()) -> None:
+        params = params.ravel().tolist() if isinstance(params, np.ndarray) else list(params)
+        if ks is not None and not isinstance(ks, (list, tuple)):
+            ks = np.broadcast_to(np.asarray(ks, dtype=float), (len(params),)).tolist()
+        self._params = params
+        self._ks = None if ks is None else list(ks)
+        self.series = list(series)
+        self.assemble = assemble
+
+    @property
+    def params(self) -> np.ndarray:
+        """The bases of the factorials, as one array."""
+        return np.array(self._params)
+
+    @property
+    def ks(self) -> np.ndarray | None:
+        """The orders of the factorials as a float array, or None: all infinite."""
+        return None if self._ks is None else np.array(self._ks, dtype=float)
 
     def evaluate(self, ctx: QContext):
         """The value of the form, every factorial from one :func:`qpoch` call.
@@ -301,7 +321,7 @@ class Factorials:
         divides by zero: near q = 1 a product of finite factorials underflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            vals = qpoch(self.params, ctx, self.ks)
+            vals = qpoch(self._params, ctx, self._ks)
         if not np.isfinite(vals).all():
             raise ConvergenceError(f"a q-shifted factorial at q={ctx.q!r} is not finite")
         sums = _w87_sums(self.series, ctx)
@@ -321,33 +341,36 @@ class Factorials:
         """One form for all of ``forms``: its value is ``combine`` applied to
         their values in order (by default, the list of them)."""
         forms = list(forms)
-        ends = np.cumsum([f.params.size for f in forms]).tolist()
-        series_ends = np.cumsum([len(f.series) for f in forms]).tolist()
-        params = np.concatenate([f.params for f in forms]) if forms else np.zeros(0)
+        params, series, ends, series_ends = [], [], [], []
+        for f in forms:
+            params += f._params
+            series += f.series
+            ends.append(len(params))
+            series_ends.append(len(series))
         ks = None
-        if any(f.ks is not None for f in forms):
-            ks = np.concatenate(
-                [np.full(f.params.size, math.inf) if f.ks is None else f.ks for f in forms]
-            )
+        if any(f._ks is not None for f in forms):
+            ks = [k for f in forms for k in (f._ks or [math.inf] * len(f._params))]
 
         def assemble(vals: np.ndarray, sums: list = ()):
             parts = zip(forms, [0] + ends, ends, [0] + series_ends, series_ends)
             return combine(*(f._apply(vals[lo:hi], sums[s0:s1]) for f, lo, hi, s0, s1 in parts))
 
-        series = tuple(lane for f in forms for lane in f.series)
         return Factorials(params, assemble, ks, series)
 
 
-def _w87_sums(series: tuple, ctx: QContext) -> list:
+def _w87_sums(series: list, ctx: QContext) -> list:
     """The 8W7 sums of ``series`` in base ``ctx``, in order: one array
-    :func:`w87` call for the series whose arguments are floats and complexes
-    in the same places, so each sum is the one a scalar call gives."""
+    :func:`w87` call for the series whose arguments have the same types in
+    the same places, complex arrays where they are complex and float arrays
+    where they are not, so each sum is the one a scalar call gives."""
     groups: dict[tuple, list[int]] = {}
     for i, args in enumerate(series):
-        groups.setdefault(tuple(isinstance(v, complex) for v in args), []).append(i)
+        groups.setdefault(tuple(map(type, args)), []).append(i)
     sums = [None] * len(series)
-    for lanes in groups.values():
-        *params, z = (np.array(col) for col in zip(*(series[i] for i in lanes)))
+    for types, lanes in groups.items():
+        # the lanes as complex columns, the float ones read back as floats
+        columns = np.array([series[i] for i in lanes], dtype=complex).T
+        *params, z = (col if issubclass(t, complex) else col.real for col, t in zip(columns, types))
         for i, value in zip(lanes, w87(*params, ctx, z).tolist()):
             sums[i] = value
     return sums
@@ -409,25 +432,32 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
     together, one series per element, all summed in one :func:`_sum_terms`
     batch; the result is then a complex array of that shape.  Each element
     is summed as a scalar call with that element as a Python float (real
-    array) or complex (complex array) would be.  A scalar call is a batch of
-    one and returns a Python complex.
+    array) or complex (complex array) would be: the lower parameters
+    q a / p too are formed in CPython's arithmetic.  A scalar call is a
+    batch of one and returns a Python complex.
     """
-    arrays = np.broadcast_arrays(*map(np.asarray, (a, b, c, d, e, f, z)))
-    columns = [x.ravel().tolist() for x in arrays]
-    q = ctx.q
-    lower = [[] for _ in range(5)]
-    for well_poised, *numer, _ in zip(*columns):
-        if well_poised == 1:
-            raise DomainError("w87 requires a != 1")
-        if 0 in numer:
-            raise DomainError("w87 requires b, c, d, e, f != 0: a q / p divides by each")
-        for col, p in zip(lower, numer):
-            col.append(q * well_poised / p)
-    flags = [x.dtype.kind == "c" for x in arrays]
-    size = arrays[0].size
-    upper, z = _Slots.of(columns[:6], size, flags[:6]), _Slots.of(columns[6:], size, flags[6:])
-    sums = _sum_terms(upper, _Slots.of(lower, size), z, ctx, True)
+    arrays = [np.asarray(x) for x in (a, b, c, d, e, f, z)]
+    if len({x.shape for x in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
     shape = arrays[0].shape
+    flags = [x.dtype.kind == "c" for x in arrays]
+    values = np.array(arrays, dtype=complex).reshape(7, -1)
+    re, im = values.real, values.imag
+    # the first series with a = 1 or a zero b, c, d, e or f refuses the batch
+    pole, zero = values[0] == 1.0, (values[1:6] == 0.0).any(axis=0)
+    if pole.any() or zero.any():
+        if pole[np.flatnonzero(pole | zero)[0]]:
+            raise DomainError("w87 requires a != 1")
+        raise DomainError("w87 requires b, c, d, e, f != 0: a q / p divides by each")
+    # q a / p in CPython's order: q widened to complex where a is complex,
+    # then each p, a float widened to (p, +0.0) where it meets a complex
+    # (for a float a and p that quotient is q a / p up to the sign of a zero)
+    with np.errstate(all="ignore"):  # as CPython: inf * 0 is nan, and Re p = 0 divides by Im p
+        qa = _c_mul((ctx.q, None), (re[0], im[0] if flags[0] else None))
+        lower_re, lower_im = _c_div(qa, (re[1:6], im[1:6]))
+    lower = _Slots(lower_re, lower_im, tuple(flags[0] or p for p in flags[1:6]))
+    upper, z = _Slots(re[:6], im[:6], tuple(flags[:6])), _Slots(re[6:], im[6:], tuple(flags[6:]))
+    sums = _sum_terms(upper, lower, z, ctx, True)
     return sums.reshape(shape) if shape else sums.tolist()[0]
 
 
@@ -435,20 +465,19 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
 class _Slots:
     """Parameter slots of a batch of series: real and imaginary parts as
     arrays (slot, series), and which slots hold complex numbers; the others
-    hold Python floats (their imaginary parts are zeros, never read)."""
+    hold Python floats, whose imaginary parts are +0.0."""
 
     re: np.ndarray
     im: np.ndarray
     is_complex: tuple
 
     @staticmethod
-    def of(columns: list, size: int, is_complex=None) -> "_Slots":
-        """Slots from one list of ``size`` values per slot, complex where
-        ``is_complex`` says or, by default, where a value is."""
-        if is_complex is None:
-            is_complex = [any(isinstance(v, complex) for v in col) for col in columns]
+    def of(columns: list, size: int) -> "_Slots":
+        """Slots from one list of ``size`` values per slot, complex where a
+        value is."""
+        is_complex = tuple(any(isinstance(v, complex) for v in col) for col in columns)
         values = np.array(columns, dtype=complex).reshape(len(columns), size)
-        return _Slots(values.real.copy(), values.imag.copy(), tuple(is_complex))
+        return _Slots(values.real, values.imag, is_complex)
 
     @staticmethod
     def stack(*slots: "_Slots") -> "_Slots":
@@ -458,20 +487,16 @@ class _Slots:
             sum((x.is_complex for x in slots), ()),
         )
 
-    def parts(self, j: int, rows) -> tuple:
-        """Slot ``j`` of the series ``rows`` as parts (re, im) of shape (row, 1)."""
-        return self.re[j, rows, None], self.im[j, rows, None] if self.is_complex[j] else None
-
     def value(self, j: int, i: int):
         """Slot ``j`` of series ``i`` as the Python float or complex it stands for."""
         return complex(self.re[j, i], self.im[j, i]) if self.is_complex[j] else float(self.re[j, i])
 
 
-# CPython's complex arithmetic (_Py_c_prod, _Py_c_diff, _Py_c_quot) on
-# float64 arrays of real and imaginary parts, one IEEE operation per C
-# operation: numpy's own complex multiply and divide fuse and reorder them.
-# Parts (re, None) stand for Python floats, which CPython widens to
-# (re, +0.0) where they meet a complex.
+# CPython's complex arithmetic (_Py_c_prod, _Py_c_quot) on float64 arrays
+# of real and imaginary parts, one IEEE operation per C operation: numpy's
+# own complex multiply and divide fuse and reorder them.  Parts (re, None)
+# stand for Python floats, which CPython widens to (re, +0.0) where they
+# meet a complex.
 
 
 def _c_mul(x, y):
@@ -499,15 +524,11 @@ def _c_div(x, y, pre=None):
     re = (xr + xi * ratio) / denom
     im = (xi - xr * ratio) / denom
     if swap is not None:
-        at = np.nonzero(np.broadcast_to(swap, re.shape))
-        xr, xi, yr, yi = (
-            v[at] if np.shape(v) == re.shape else np.broadcast_to(v, re.shape)[at]
-            for v in (xr, xi, yr, yi)
-        )
-        ratio = yr / yi
-        denom = yr * ratio + yi
-        re[at] = (xr * ratio + xi) / denom
-        im[at] = (xi * ratio - xr) / denom
+        with np.errstate(divide="ignore", invalid="ignore"):  # kept only where swapped
+            ratio = yr / yi
+            denom = yr * ratio + yi
+            np.copyto(re, (xr * ratio + xi) / denom, where=swap)
+            np.copyto(im, (xi * ratio - xr) / denom, where=swap)
     return re, im
 
 
@@ -523,81 +544,133 @@ def _divisor(yr, yi) -> tuple:
     return ratio, yr + yi * ratio, swap if swap.any() else None
 
 
-def _c_prod(x, factors: list):
-    """x times each of ``factors`` in order: float products while x and the
-    factors are floats, then ``multiply.accumulate`` over complex numbers,
-    which forms each product as _Py_c_prod does, a float widened to +0.0j."""
-    j = 0
-    while j < len(factors) and x[1] is None and factors[j][1] is None:
-        x = (x[0] * factors[j][0], None)
-        j += 1
-    if j == len(factors):
-        return x
-    tail = factors[j:]
-    chain = np.empty((len(tail) + 1,) + tail[0][0].shape, dtype=complex)
-    chain[0].real, chain[0].imag = x[0], 0.0 if x[1] is None else x[1]
-    if all(im is not None for _, im in tail):
-        chain.real[1:], chain.imag[1:] = [re for re, _ in tail], [im for _, im in tail]
-    else:
-        for row, (re, im) in zip(chain[1:], tail):
-            row.real, row.imag = re, 0.0 if im is None else im
-    product = np.multiply.accumulate(chain, axis=0, out=chain)[-1]
-    return product.real, product.imag
-
-
 def _neg_power_indices(slots: _Slots, q: float) -> np.ndarray:
     """:func:`neg_power_index` of each value of ``slots``, -1 for None, as
-    an array (slot, series).  Only values whose real part lies near some
-    q^-n (far wider than TERMINATION_RTOL) are tested one by one; the rest
-    cannot pass that test."""
-    out = np.full(slots.re.shape, -1, dtype=np.intp)
+    an array (slot, series), or None when every value gives None.  Only
+    values whose real part lies near some q^-n (far wider than
+    TERMINATION_RTOL) are tested one by one; the rest cannot pass that
+    test, and none can while every real part is below 1 (q^0)."""
+    if slots.re.max(initial=0.0) < 1.0 - 1e-9:
+        return None
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and log(-x) are never near
         x = np.log(slots.re) / -math.log(q)
         slack = 1e-9 * (1.0 + np.abs(x)) + 4.0 * TERMINATION_RTOL / -math.log(q)
-        near = (slots.re > 0.0) & (x > -0.5) & (np.abs(x - np.round(x)) <= slack)
+        near = (x > -0.5) & (np.abs(x - np.round(x)) <= slack)
+    out = None
     for j, i in zip(*np.nonzero(near)):
         if (m := neg_power_index(slots.value(j, i), q)) is not None:
+            if out is None:
+                out = np.full(slots.re.shape, -1, dtype=np.intp)
             out[j, i] = m
     return out
 
 
-def _one_minus_times(slots: _Slots, rows, qk: np.ndarray, divisors: bool = False) -> list:
-    """1 - p q^k for the series ``rows`` of each slot, at each q^k of ``qk``,
-    as parts (row, k), the float slots and the complex slots each in one
-    pass.  With ``divisors`` each comes with its :func:`_divisor` (None for
-    a float slot)."""
-    out = [None] * len(slots.is_complex)
-    for is_complex in (False, True):
-        at = [j for j, c in enumerate(slots.is_complex) if c == is_complex]
-        if not at:
-            continue
-        re = slots.re[at][:, rows, None]
-        if not is_complex:
-            x_re = 1.0 - re * qk
-            for n, j in enumerate(at):
-                out[j] = ((x_re[n], None), None)
-            continue
-        im = slots.im[at][:, rows, None]
-        # (re q^k - im 0.0, re 0.0 + im q^k): CPython's product with a float
-        x_re, x_im = 1.0 - (re * qk - im * 0.0), 0.0 - (re * 0.0 + im * qk)
-        if divisors:
-            ratio, denom, swap = _divisor(x_re, x_im)
-            swaps = swap.any(axis=(1, 2)).tolist() if swap is not None else [False] * len(at)
-        for n, j in enumerate(at):
-            pre = (ratio[n], denom[n], swap[n] if swaps[n] else None) if divisors else None
-            out[j] = ((x_re[n], x_im[n]), pre)
-    return out if divisors else [x for x, _ in out]
-
-
-def _rows(arrays: tuple, rows) -> tuple:
-    """The rows ``rows`` of each array of ``arrays`` (None stays None)."""
-    return tuple(None if x is None else x[rows] for x in arrays)
-
-
 _NEVER = np.iinfo(np.intp).max
 
-#: terms of a series tested together for the stop once its bound is below tail_tol
-_STOP_WINDOW = 8
+
+class _Factors:
+    """What forms the factors t_{k+1}/t_k of a batch of series, block by
+    block: the upper slots and z, how many leading upper slots multiply as
+    floats, and the lower slots split into the float ones (``low_re``) and
+    the complex ones (``cplx_re``, ``cplx_im``, the largest |b| of which is
+    ``cplx_top``).  ``offsets`` is None when every lower parameter is
+    finite; otherwise it holds the products by 0.0 that CPython's
+    1.0 - b * q^k adds to a complex b."""
+
+    def __init__(self, upper: _Slots, lower: _Slots, z: _Slots, abs_lower: np.ndarray) -> None:
+        self.upper, self.z = upper, z
+        self.lead = 0
+        if not z.is_complex[0]:
+            while self.lead < len(upper.is_complex) and not upper.is_complex[self.lead]:
+                self.lead += 1
+        self.lower_is_complex = lower.is_complex
+        cplx = list(lower.is_complex)
+        self.low_re = lower.re[[not c for c in cplx]]
+        self.cplx_re, self.cplx_im = lower.re[cplx], lower.im[cplx]
+        self.cplx_top = float(abs_lower[cplx].max(initial=0.0))
+        self.offsets = None
+        if not np.isfinite(abs_lower).all():  # a part is not finite, or |b| overflows
+            with np.errstate(invalid="ignore"):  # inf * 0.0 is nan, as in CPython
+                self.offsets = (self.cplx_im * 0.0, self.cplx_re * 0.0)
+
+    def block(self, rows, qk: np.ndarray, q: float) -> tuple:
+        """The factors of the series ``rows`` at the q^k of ``qk`` as parts
+        (row, k), without the power of q that r_phi_s puts on each term.
+
+        The factor is z, times 1 - a q^k for each upper a, divided by
+        1 - q^{k+1}, divided by 1 - b q^k for each lower b, in that order,
+        in Python floats until the first complex number and then in
+        CPython's complex arithmetic.  Where CPython multiplies by a
+        widened float's +0.0 or adds one, the product or sum is left out:
+        with finite parameters every divisor is a finite nonzero number, so
+        this changes nothing but the sign of a zero, or which of inf and
+        nan a term that is not finite takes, and no sum.  Only the lower
+        parameters, which divide, keep CPython's every step when one of
+        them is not finite.
+        """
+        up = self.upper
+        fr = self.z.re[0, rows, None]
+        fi = self.z.im[0, rows, None] if self.z.is_complex[0] else None
+        lead = self.lead
+        if lead:
+            head = 1.0 - up.re[:lead, rows, None] * qk
+            for j in range(lead):
+                fr = fr * head[j]
+            del head  # each pass's arrays are freed before the next pass's (the heap peak)
+        neg_qk = -qk
+        if lead < len(up.is_complex):
+            ur = 1.0 - up.re[lead:, rows, None] * qk
+            ui = up.im[lead:, rows, None] * neg_qk  # 0.0 - im q^k
+            for j, is_complex in enumerate(up.is_complex[lead:]):
+                if not is_complex:
+                    fr, fi = fr * ur[j], fi * ur[j]
+                elif fi is None:
+                    fr, fi = fr * ur[j], fr * ui[j]
+                else:
+                    fr, fi = fr * ur[j] - fi * ui[j], fr * ui[j] + fi * ur[j]
+            del ur, ui
+        d = 1.0 - q * qk
+        fr, fi = fr / d, None if fi is None else fi / d
+        # 1 - b q^k of the float and of the complex lower slots in one pass
+        # each, the complex ones' divisors in one more, then the divisions
+        # in slot order
+        low = 1.0 - self.low_re[:, rows, None] * qk
+        if self.cplx_re.size:
+            br, bi = self.cplx_re[:, rows, None], self.cplx_im[:, rows, None]
+            if self.offsets is None:
+                yr, yi = 1.0 - br * qk, bi * neg_qk
+                # |Re y| >= |Im y| holds wherever |b| q^k <= 1/4
+                cols = int(np.count_nonzero(self.cplx_top * qk > 0.25))
+            else:
+                off_r, off_i = (x[:, rows, None] for x in self.offsets)
+                yr, yi = 1.0 - (br * qk - off_r), 0.0 - (off_i + bi * qk)
+                cols = qk.size
+            ratio = yi / yr
+            denom = yr + yi * ratio
+            swapped = [False] * len(yr)
+            if cols:
+                swap = ~(np.abs(yr[:, :, :cols]) >= np.abs(yi[:, :, :cols]))
+                swapped = swap.any(axis=(1, 2)).tolist()
+        n_real = n = 0
+        for is_complex in self.lower_is_complex:
+            if not is_complex:
+                y = low[n_real]
+                fr, fi = fr / y, None if fi is None else fi / y
+                n_real += 1
+                continue
+            xr, xi = fr, 0.0 if fi is None else fi
+            fr = (xr + xi * ratio[n]) / denom[n]
+            fi = (xi - xr * ratio[n]) / denom[n]
+            if swapped[n]:
+                # divided through by Im y where |Re y| >= |Im y| fails
+                ys_r, ys_i = yr[n, :, :cols], yi[n, :, :cols]
+                xr, xi = xr[:, :cols], xi[:, :cols] if np.ndim(xi) else xi
+                s = ys_r / ys_i
+                den = ys_r * s + ys_i
+                np.copyto(fr[:, :cols], (xr * s + xi) / den, where=swap[n])
+                np.copyto(fi[:, :cols], (xi * s - xr) / den, where=swap[n])
+            n += 1
+        return fr, fi
 
 
 def _sum_terms(
@@ -619,13 +692,17 @@ def _sum_terms(
     max_terms, or whose sum is not finite, raises ConvergenceError.
 
     The series run together, a block of terms of every unfinished series at
-    a time: the block's factors in CPython's complex arithmetic on split
-    parts (:func:`_c_mul`, :func:`_c_div`, :func:`_c_prod`), its terms as
-    their running product and its partial sums as running sums
-    (``multiply.accumulate`` and ``add.accumulate`` over complex numbers,
+    a time.  A block's factors take a fixed number of array passes
+    (:meth:`_Factors.block`): the upper slots' 1 - a q^k in one (the float
+    ones that lead the product apart), the float and the complex lower
+    slots' in one each and the complex ones' divisors in one more, then the
+    products and the ordered divisions on split real and imaginary parts,
+    in CPython's complex arithmetic.  The terms are the factors' running
+    product and the partial sums running sums (``multiply.accumulate`` and
+    ``add.accumulate`` over complex numbers along a row of at least three,
     one product or sum at a time in order), each series' term and partial
-    sum carried into the next block.  B_k comes from the block; R only
-    where B_k is below tail_tol, in Python floats as a scalar loop forms it.
+    sum carried into the next block.  B_k comes from the block; R from the
+    first k where some B_k is below tail_tol on, as a scalar loop forms it.
     So each sum is bit for bit the one a scalar loop over the series in
     Python floats and complexes gives, and does not depend on the other
     series of the batch.
@@ -639,14 +716,19 @@ def _sum_terms(
     # termination and zero denominators, once for the batch: a series ends
     # after term min n over its upper parameters q^-n; a lower parameter q^-m
     # makes term m+1 divide by zero, fine only if the series stops by term m
-    hits, poles = np.split(_neg_power_indices(_Slots.stack(upper, lower), q), [r])
-    is_open = (hits < 0).all(axis=0)
-    last = np.where(hits < 0, _NEVER, hits).min(axis=0, initial=_NEVER)
-    for j, i in zip(*np.nonzero((poles >= 0) & (is_open | (last > poles)))):
-        raise DomainError(
-            f"lower parameter {lower.value(j, i)!r} equals q^-{poles[j, i]}; series does "
-            "not terminate before the resulting zero denominator"
-        )
+    marks = _neg_power_indices(_Slots.stack(upper, lower), q)
+    all_open = marks is None
+    if all_open:
+        is_open, last = np.ones(n, dtype=bool), np.full(n, _NEVER)
+    else:
+        hits, poles = marks[:r], marks[r:]
+        is_open = (hits < 0).all(axis=0)
+        last = np.where(hits < 0, _NEVER, hits).min(axis=0, initial=_NEVER)
+        for j, i in zip(*np.nonzero((poles >= 0) & (is_open | (last > poles)))):
+            raise DomainError(
+                f"lower parameter {lower.value(j, i)!r} equals q^-{poles[j, i]}; series does "
+                "not terminate before the resulting zero denominator"
+            )
     if e < 0 and is_open.any():
         raise DomainError(
             f"{r}_phi_{s} with r > s+1 has zero radius of convergence unless "
@@ -657,116 +739,132 @@ def _sum_terms(
     # zero imaginary part leaves hypot at |re|)
     abs_z = np.hypot(z.re[0], z.im[0])
     abs_upper, abs_lower = np.hypot(upper.re, upper.im), np.hypot(lower.re, lower.im)
+    factors = _Factors(upper, lower, z, abs_lower)
     if well_poised:
-        a = upper.parts(0, slice(None))
-        one_a = (1.0 - a[0], None if a[1] is None else 0.0 - a[1])
+        # per series, as columns: a, 1 - a with its divisor, |a| and |1 - a|
+        a_re, a_im = upper.re[0, :, None], upper.im[0, :, None] if upper.is_complex[0] else None
+        one_a = (1.0 - a_re, None if a_im is None else 0.0 - a_im)
         over_one_a = _divisor(*one_a)
-        abs_1a = np.hypot(1.0 - upper.re[0], 0.0 - upper.im[0])
+        abs_a, abs_1a = abs_upper[0, :, None], np.hypot(1.0 - a_re, 0.0 - upper.im[0, :, None])
 
-    # the first block holds the terms |z|^k takes to reach tail_tol, and a
-    # quarter more for the growth of the other factors
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.log(tol) / np.log(abs_z[is_open])
-    est = est[np.isfinite(est) & (est > 0.0)]
-    width = int(1.25 * est.max()) + 8 if est.size else _SERIES_CHUNK
-    width = max(1, min(width, _BLOCK // n))
+    # the first block holds the terms |z|^k takes to reach tail_tol for the
+    # largest |z| < 1, and a quarter more for the growth of the other factors
+    open_z = abs_z[is_open]
+    top = float(open_z[open_z < 1.0].max(initial=0.0))
+    est = math.log(tol) / math.log(top) if top > 0.0 else 0.0
+    width = int(1.25 * est) + 8 if est > 0.0 else _SERIES_CHUNK
+    width = max(2, min(width, _BLOCK // max(n, 1)))
 
     out = np.empty(n, dtype=complex)
     alive = np.arange(n)  # the unfinished series
     term = np.ones(n, dtype=complex)
     total = np.zeros(n, dtype=complex)
+    powers = _q_powers(q, width)
+    powers2 = _q_powers(q * q, width) if well_poised else None
     k0 = 0
     with np.errstate(all="ignore"):  # past its stop a series' block is discarded
         while alive.size:
             if k0 >= cap:
                 raise ConvergenceError(f"{name} did not converge within {cap} terms")
-            open_ = is_open[alive]
-            end = cap if open_.any() else min(int(last[alive].max()) + 1, cap)
+            rows = alive if alive.size < n else slice(None)
+            open_ = is_open[rows]
+            any_open = all_open or open_.any()
+            end = cap if any_open else min(int(last[rows].max()) + 1, cap)
             k1 = min(k0 + width, end)
             cols = k1 - k0
-            qk = _q_powers(q, k1)[1 + k0 :]  # q^k by repeated products, as in a loop
+            if k1 >= powers.size:  # q^k by repeated products, as in a loop
+                powers = _q_powers(q, max(k1, 2 * (powers.size - 1)))
+                if well_poised:
+                    powers2 = _q_powers(q * q, powers.size - 1)
+            qk = powers[1 + k0 : 1 + k1]
 
-            factor = _c_prod(z.parts(0, alive), _one_minus_times(upper, alive, qk))
-            factor = _c_div(factor, (1.0 - q * qk, None))
-            for x, pre in _one_minus_times(lower, alive, qk, divisors=True):
-                factor = _c_div(factor, x, pre)
+            fr, fi = factors.block(rows, qk, q)
             if e:
-                factor = _c_mul(factor, (np.array([(-x) ** e for x in qk.tolist()]), None))
+                pw = np.array([(-x) ** e for x in qk.tolist()])
+                fr, fi = fr * pw, None if fi is None else fi * pw
+            # a row of at least three: the last block of a series has one
+            # column only where every series of it stops
             block = np.empty((alive.size, cols + 1), dtype=complex)
             block[:, 0] = term
-            block.real[:, 1:] = factor[0]
-            block.imag[:, 1:] = 0.0 if factor[1] is None else factor[1]
+            block.real[:, 1:] = fr
+            block.imag[:, 1:] = 0.0 if fi is None else fi
             terms = np.multiply.accumulate(block, axis=1, out=block)
             sums = np.empty((alive.size, cols + 1), dtype=complex)
             sums[:, 0] = total
             if well_poised:
-                q2k = _q_powers(q * q, k1)[1 + k0 :]
-                t = (terms.real[:, :cols], terms.imag[:, :cols])
-                a_q2k = _c_mul(_rows(a, alive), (q2k, None))
-                weight = (1.0 - a_q2k[0], None if a_q2k[1] is None else 0.0 - a_q2k[1])
-                t = _c_div(_c_mul(t, weight), _rows(one_a, alive), _rows(over_one_a, alive))
-                sums.real[:, 1:], sums.imag[:, 1:] = t
+                # t (1 - a q^{2k}) / (1 - a), the float parts left out of
+                # CPython's products and quotients as in _Factors.block
+                q2k = powers2[1 + k0 : 1 + k1]
+                tr, ti = terms.real[:, :cols], terms.imag[:, :cols]
+                if a_im is None:
+                    w = 1.0 - a_re[rows] * q2k
+                    np.divide(tr * w, one_a[0][rows], out=sums.real[:, 1:])
+                    np.divide(ti * w, one_a[0][rows], out=sums.imag[:, 1:])
+                else:
+                    wr, wi = 1.0 - a_re[rows] * q2k, a_im[rows] * -q2k
+                    t = (tr * wr - ti * wi, tr * wi + ti * wr)
+                    y = (one_a[0][rows], one_a[1][rows])
+                    pre = tuple(None if x is None else x[rows] for x in over_one_a)
+                    sums.real[:, 1:], sums.imag[:, 1:] = _c_div(t, y, pre)
             else:
                 sums[:, 1:] = terms[:, :cols]
             np.add.accumulate(sums, axis=1, out=sums)
 
             # the column where each series stops: where its terms end, or the
             # first k where the bound and the tail are below tol
-            stop = last[alive] - k0
-            stop[(stop >= cols) | open_] = -1
-            if open_.any():
-                rows = np.flatnonzero(open_)
-                at = alive[rows]
-                bound = np.hypot(terms.real[rows, :cols], terms.imag[rows, :cols])
+            if not all_open:
+                stop = last[rows] - k0
+                stop[stop >= cols] = -1
+            if any_open:
+                bound = np.hypot(terms.real[:, :cols], terms.imag[:, :cols])
                 if well_poised:
-                    bound = bound * ((1.0 + abs_upper[0, at, None] * q2k) / abs_1a[at, None])
-                stop[rows] = _first_stops(bound, at, k0, qk, abs_z, abs_upper, abs_lower, e, q, tol)
+                    bound *= (1.0 + abs_a[rows] * q2k) / abs_1a[rows]
+                found = _first_stops(bound, rows, k0, qk, abs_z, abs_upper, abs_lower, e, q, tol)
+                stop = found if all_open else np.where(open_, found, stop)
             done = stop >= 0
+            if done.all():
+                out[alive] = sums[np.arange(alive.size), stop + 1]
+                break
             out[alive[done]] = sums[done, stop[done] + 1]
             term, total, alive = terms[~done, cols], sums[~done, cols], alive[~done]
-            k0, width = k1, max(1, min(2 * width, _BLOCK // max(alive.size, 1)))
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
+            k0, width = k1, max(2, min(2 * width, _BLOCK // alive.size))
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out))
         raise ConvergenceError(f"the {name} sum of series {int(bad[0])} of the batch is not finite")
     return out
 
 
-def _first_stops(bound, series, k0, qk, abs_z, abs_upper, abs_lower, e, q, tol) -> np.ndarray:
-    """For each row of ``bound`` (B_k of the block of series ``series``,
-    from k = k0), the column of the first k where B_k <= tol and every
-    |b| q^k < 1 and R < 1 and B_k R/(1 - R) <= tol, or -1.  R is formed, in
-    the scalar loop's order, only from where B_k <= tol on: over a window
-    of _STOP_WINDOW such k of each series at a time."""
-    rows, cols = bound.shape
-    stops = np.full(rows, -1)
+def _first_stops(bound, rows, k0, qk, abs_z, abs_upper, abs_lower, e, q, tol) -> np.ndarray:
+    """For each row of ``bound`` (B_k of the block of the series ``rows``
+    of the batch, from k = k0), the column of the first k where B_k <= tol
+    and every |b| q^k < 1 and R < 1 and B_k R/(1 - R) <= tol, or -1.  R is
+    formed as the scalar loop forms it, for every series at once, in one
+    pass over the columns from the first where some B_k <= tol."""
     maybe = bound <= tol
-    pending, start = np.arange(rows), np.zeros(rows, dtype=np.intp)
-    while True:
-        # the first k at or past ``start`` where B_k <= tol
-        later = maybe[pending] & (np.arange(cols) >= start[:, None])
-        start = later.argmax(axis=1)
-        found = later[np.arange(pending.size), start]
-        pending, start = pending[found], start[found]
-        if not pending.size:
-            return stops
-        at = np.minimum(start[:, None] + np.arange(_STOP_WINDOW), cols - 1)
-        lanes, qk_at = series[pending, None], qk[at]
-        small = abs_lower[:, lanes] * qk_at
-        ratio = np.broadcast_to(abs_z[lanes], at.shape)
-        if e:
-            powers = [q ** (k * e) for k in (k0 + at).ravel().tolist()]
-            ratio = ratio * np.reshape(powers, at.shape)
-        # R's factors multiplied, then divided, one at a time in order
-        ratio = np.multiply.reduce(np.concatenate([ratio[None], 1.0 + abs_upper[:, lanes] * qk_at]))
-        dens = [ratio[None], (1.0 - q * qk_at)[None], 1.0 - small]
-        ratio = np.divide.reduce(np.concatenate(dens))
-        b = bound[pending[:, None], at]
-        ok = maybe[pending[:, None], at] & (small < 1.0).all(axis=0)
-        ok &= (ratio < 1.0) & (b * ratio / (1.0 - ratio) <= tol)
-        first = ok.argmax(axis=1)
-        got = ok[np.arange(pending.size), first]
-        stops[pending[got]] = at[got, first[got]]
-        pending, start = pending[~got], start[~got] + _STOP_WINDOW
+    lo = int(maybe.any(axis=0).argmax())
+    if not maybe[:, lo].any():
+        return np.full(len(bound), -1)
+    qk = qk[lo:]
+    # R's factors multiplied, then divided, one at a time in order: |z|
+    # (times q^{ke}) and each 1 + |a| q^k, then 1 - q^{k+1} and each 1 - |b| q^k
+    grow = np.empty((1 + len(abs_upper), len(bound), qk.size))
+    grow[0] = abs_z[rows, None]
+    if e:
+        grow[0] *= [q ** (k * e) for k in range(k0 + lo, k0 + lo + qk.size)]
+    np.add(1.0, np.multiply(abs_upper[:, rows, None], qk, out=grow[1:]), out=grow[1:])
+    ratio = np.multiply.reduce(grow, axis=0)
+    del grow
+    shrink = np.empty((2 + len(abs_lower),) + ratio.shape)
+    shrink[0] = ratio
+    np.subtract(1.0, q * qk, out=shrink[1])
+    small = np.multiply(abs_lower[:, rows, None], qk, out=shrink[2:])  # |b| q^k
+    ok = maybe[:, lo:] & (small < 1.0).all(axis=0)
+    np.subtract(1.0, small, out=small)
+    ratio = np.divide.reduce(shrink, axis=0)
+    ok &= ratio < 1.0
+    ok &= bound[:, lo:] * ratio / (1.0 - ratio) <= tol
+    first = ok.argmax(axis=1)
+    return np.where(ok[np.arange(len(bound)), first], first + lo, -1)
 
 
 def _jackson_zero_to(f: Callable[[float], float], c: float, ctx: QContext):

@@ -1,9 +1,14 @@
 """q-Pochhammer, basic hypergeometric series, and Jackson integration."""
 from __future__ import annotations
 
+import cmath
+import io
+import json
 import math
+import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +27,7 @@ from qhaar import (
     qpoch_prod,
     w87,
 )
-from qhaar import orthopoly, qseries
+from qhaar import cli, haarverify, orthopoly, qseries
 from qhaar.qseries import Factorials, neg_power_index
 
 mp.mp.dps = 40
@@ -225,6 +230,16 @@ class TestArrayQpoch:
             got = qpoch(a, ctx, k)
             assert [hex_of(v) for v in got.tolist()] == scalar_hex(a.tolist(), ctx, [k] * 4)
 
+    def test_carry_into_a_single_factor(self) -> None:
+        # k = 4096 = _BLOCK: the factors after the first 4095 would form a
+        # last block of one factor and the carried product, which numpy
+        # multiplies with fused operations
+        ctx = QContext(0.999)
+        a = 0.05 * np.exp(1j * np.linspace(0.3, 6.0, 8))
+        for k in (4095, 4096, 4097, 8191):
+            got = qpoch(a, ctx, k)
+            assert [hex_of(v) for v in got.tolist()] == scalar_hex(a.tolist(), ctx, [k] * a.size)
+
     def test_shape_and_sequence_input(self, ctx: QContext) -> None:
         grid = np.linspace(-0.9, 0.9, 6).reshape(2, 3)
         got = qpoch(grid, ctx)
@@ -406,6 +421,15 @@ class TestPhiRsReference:
         for spec in self.cases(rng):
             assert hex_of(phi_rs(spec)) == hex_of(reference_phi_rs(spec)), spec
 
+    def test_one_complex_upper_parameter_and_complex_z(self, rng: np.random.Generator) -> None:
+        # 1phi0(a; ; q, z) multiplies two complex numbers per factor, z (1 - a q^k)
+        for q in self.QS:
+            ctx = QContext(q)
+            for _ in range(8):
+                a, z = complex(*rng.uniform(-0.9, 0.9, 2)), complex(*rng.uniform(-0.6, 0.6, 2))
+                spec = SeriesSpec((a,), (), z, ctx)
+                assert hex_of(phi_rs(spec)) == hex_of(reference_phi_rs(spec)), spec
+
     def test_domain_errors_like_reference(self, ctx: QContext) -> None:
         # a lower q^-2 before an upper q^-4 ends the series; a 3phi1 that
         # does not terminate has zero radius of convergence
@@ -505,6 +529,16 @@ class TestW87:
             got = w87(*params, ctx, z)
             assert hex_of(got) == hex_of(reference_w87(*params, ctx, z)), (q, params, z)
 
+    def test_lower_parameter_past_the_float_range(self) -> None:
+        # q a / c = (0, -inf) for c = 1e-320 i: CPython's 1.0 - (q a / c) * 1.0
+        # is (nan, inf), so term 1 and the sum are nan, not the 1 that a
+        # finite real part would give
+        ctx = QContext(0.5)
+        args = (0.5**-2, 0.3, complex(0.0, 1e-320), 0.2 + 0.1j, 0.1, 0.4)
+        assert cmath.isnan(reference_w87(*args, ctx, 0.5))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            w87(*args, ctx, 0.5)
+
     def test_divergent_raises_convergence_error(self) -> None:
         # |z| > 1: the terms grow until a modulus overflows with both parts finite
         params = (-0.0156, -0.5777 - 0.6945j, 0.7550, 0.4916 + 0.2663j, -0.2477, -0.2698 - 0.3682j)
@@ -598,6 +632,124 @@ class TestW87Batch:
         *params, z = (np.array(col) for col in zip(*lanes))
         with pytest.raises(ConvergenceError, match="8W7"):
             w87(*params, ctx, z)
+
+
+class TestIdentityFormsBits:
+    """The joined forms of ``identity bailey|poisson|mass`` and of
+    ``bailey_raw_check`` give the same bits through the batch kernels as
+    with every factorial from the scalar loop ``reference_qpoch`` and every
+    8W7 sum from ``reference_w87``, one at a time."""
+
+    QS = (0.05, 0.3, 0.5, 0.9, 0.93, 0.99)
+
+    @staticmethod
+    def scalar_qpoch(a, ctx: QContext, k=None):
+        a = np.asarray(a)
+        ks = np.broadcast_to(math.inf if k is None else np.asarray(k, dtype=float), a.shape)
+        pairs = zip(a.ravel().tolist(), ks.ravel().tolist())
+        vals = [reference_qpoch(x, ctx, kk) for x, kk in pairs]
+        return np.array(vals, dtype=complex if a.dtype.kind == "c" else float).reshape(a.shape)
+
+    @staticmethod
+    def scalar_w87(a, b, c, d, e, f, ctx: QContext, z):
+        arrays = np.broadcast_arrays(*map(np.asarray, (a, b, c, d, e, f, z)))
+        lanes = zip(*(x.ravel().tolist() for x in arrays))
+        vals = [reference_w87(*lane[:6], ctx, lane[6]) for lane in lanes]
+        return np.array(vals, dtype=complex).reshape(arrays[0].shape)
+
+    @staticmethod
+    def bits(q: float) -> list:
+        """The exit code and the hex of every float in the rows of each
+        command, then the hex of each bailey_raw_check residual (or the
+        error it raises)."""
+        out = []
+        for target in ("bailey", "poisson", "mass"):
+            text = io.StringIO()
+            with redirect_stdout(text), redirect_stderr(io.StringIO()):
+                code = cli.main(["identity", target, "--q", repr(q)])
+            report = json.loads(text.getvalue() or "{}")
+            numbers = [
+                v.hex() for row in report.get("rows", []) for v in row.values() if type(v) is float
+            ]
+            out.append((target, code, numbers))
+        cfg = cli.RunConfig(q=q)
+        try:
+            raw = haarverify.bailey_raw_check(cli.BAILEY_THETAS, cfg.tau, cfg.sigma, QContext(q))
+            out.append([v.hex() for v in raw.tolist()])
+        except (ConvergenceError, DomainError) as exc:
+            out.append(type(exc).__name__)
+        return out
+
+    @pytest.mark.parametrize("q", QS)
+    def test_batch_kernels_match_scalar_loops(self, q: float, monkeypatch) -> None:
+        batch = self.bits(q)
+        monkeypatch.setattr(qseries, "qpoch", self.scalar_qpoch)
+        monkeypatch.setattr(qseries, "w87", self.scalar_w87)
+        assert self.bits(q) == batch
+        # every command printed rows somewhere on the grid
+        assert any(numbers for _, _, numbers in batch[:3])
+
+
+class TestW87Oracle:
+    """w87 against a 40-digit sum of the same series, in the identity
+    commands' argument pattern (a, b and z real, c, d and e, f conjugate
+    pairs): the error stays within K eps sum |t_k|, the rounding of K terms
+    of a float sum (K counts the terms down to 1e-32, at least as many as
+    w87 sums), plus the tail_tol the stopping test leaves out."""
+
+    QS = (0.85, 0.9, 0.95, 0.98)
+
+    @staticmethod
+    def terms(lane: tuple, q: float) -> list:
+        a, b, c, d, e, f, z = (mp.mpmathify(v) for v in lane)
+        q = mp.mpf(q)
+        lower = [q * a / p for p in (b, c, d, e, f)]
+        out, t, k = [], mp.mpf(1), 0
+        while True:
+            out.append(t * (1 - a * q ** (2 * k)) / (1 - a))
+            if k > 8 and abs(out[-1]) < mp.mpf(10) ** -32:
+                return out
+            num = z * (1 - a * q**k)
+            for p in (b, c, d, e, f):
+                num *= 1 - p * q**k
+            den = 1 - q ** (k + 1)
+            for m in lower:
+                den *= 1 - m * q**k
+            t, k = t * num / den, k + 1
+
+    @staticmethod
+    def lanes(q: float, rng: np.random.Generator) -> list[tuple]:
+        lanes = []
+        for _ in range(6):
+            # Poisson kernel: 8W7(abt/q; t, b z1, b/z1, a z2, a/z2; q, t)
+            a, b = rng.uniform(-0.9, 0.9, 2).tolist()
+            t = float(rng.uniform(-0.9, 0.9))
+            z1, z2 = np.exp(1j * rng.uniform(0.0, math.pi, 2)).tolist()
+            lanes.append((a * b * t / q, t, b * z1, b / z1, a * z2, a / z2, t))
+        for n in (1, 2, 3):
+            # near termination: b within 1e-9 of q^-n, so the terms past
+            # k = n carry a factor of about 1e-9 (1 - b q^n, which floats
+            # hold to eps only, so z keeps those terms small); every
+            # |q a / p| < 1
+            c = 0.6 * complex(math.cos(0.4 * n), math.sin(0.4 * n))
+            e = 0.5 * complex(math.cos(1.1 * n), -math.sin(1.1 * n))
+            lanes.append((-0.4, q**-n * (1.0 + 1e-9), c, c.conjugate(), e, e.conjugate(), 0.05))
+        return lanes
+
+    @pytest.mark.parametrize("q", QS)
+    def test_within_rounding_of_the_summed_terms(self, q: float, rng: np.random.Generator) -> None:
+        ctx = QContext(q)
+        lanes = self.lanes(q, rng)
+        *params, z = (np.array(col) for col in zip(*lanes))
+        got = w87(*params, ctx, z).tolist()
+        eps = sys.float_info.epsilon
+        for lane, value in zip(lanes, got):
+            terms = self.terms(lane, q)
+            exact = complex(mp.fsum(terms))
+            scale = float(mp.fsum(abs(t) for t in terms))
+            bound = len(terms) * eps * scale + ctx.tail_tol
+            assert abs(value - exact) <= bound, (lane, value, exact, abs(value - exact) / bound)
+            assert hex_of(value) == hex_of(w87(*lane[:6], ctx, lane[6]))
 
 
 class TestQIntegral:
