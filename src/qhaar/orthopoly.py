@@ -284,8 +284,11 @@ def asc_all(n_max: int, x, a: float, b: float, ctx: QContext) -> np.ndarray:
 
     The result has shape (n_max + 1,) + shape(x).  Each point runs the
     recurrence on Python floats: callers pass one or two points, where a
-    numpy step per term would cost several times more.
+    numpy step per term would cost several times more.  A non-finite a or b
+    raises DomainError.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"asc_all needs finite a and b, got a={a!r}, b={b!r}")
     x = np.asarray(x, dtype=float)
     q = ctx.q
     cols = []

@@ -12,8 +12,8 @@ call is a batch of one.  Callers that need several factorials make one array
 call.  :func:`phi_rs` and :func:`w87` share one term loop, which sums a
 batch of series together (a sum of either is a batch of one); 8W7 is the
 r_phi_s loop with the well-poised weight (1 - a q^{2k})/(1 - a) on each term.
-Both compute in Python float and complex arithmetic: an array argument is
-read element by element as Python numbers.
+Every parameter of either is a complex number, summed in CPython's complex
+arithmetic; a real one gives the bits a loop in Python floats gives.
 
 A closed form that needs factorials is written as a :class:`Factorials`:
 the list of its factorials and 8W7 sums plus the rule that assembles its
@@ -130,6 +130,7 @@ def qpoch(a, ctx: QContext, k=None):
     |a|, or after its own finite k, and multiplies its factors in order
     from i = 0.  A scalar ``a`` with a scalar ``k`` runs as an array of
     one element and comes back as a Python float (complex for complex a).
+    An ``a`` that is not finite raises ConvergenceError, whatever ``k``.
     """
     if isinstance(a, (np.ndarray, list, tuple)) or isinstance(k, (np.ndarray, list, tuple)):
         return _qpoch_array(a, ctx, k)
@@ -191,6 +192,9 @@ def _qpoch_array(a, ctx: QContext, k):
         infinite = kk == math.inf
         counts = np.where(infinite, 0.0, kk).astype(np.intp)
         n_powers = int(counts.max(initial=0))
+    if not np.isfinite(a).all():
+        bad = a[~np.isfinite(a)][0].item()
+        raise ConvergenceError(f"(a;q)_k at q = {q!r} needs a finite a, got {bad!r}")
     powers = None
     # the count's estimate for m = 0 divides by zero, and the factors past
     # an element's count may overflow; neither is ever read
@@ -288,9 +292,9 @@ class Factorials:
     value of the form; a form with series takes the list of their sums, in
     order, as a second argument.  :meth:`evaluate` alone forms the value:
     every factorial from one :func:`qpoch` call and every sum from one
-    array :func:`w87` call (one per pattern of argument types).  Since
-    each element of either call depends on its own arguments alone, the
-    value does not depend on which forms share the calls.
+    array :func:`w87` call, its arguments complex arrays.  Since each
+    element of either call depends on its own arguments alone, the value
+    does not depend on which forms share the calls.
     """
 
     __slots__ = ("_params", "_ks", "series", "assemble")
@@ -359,21 +363,12 @@ class Factorials:
 
 
 def _w87_sums(series: list, ctx: QContext) -> list:
-    """The 8W7 sums of ``series`` in base ``ctx``, in order: one array
-    :func:`w87` call for the series whose arguments have the same types in
-    the same places, complex arrays where they are complex and float arrays
-    where they are not, so each sum is the one a scalar call gives."""
-    groups: dict[tuple, list[int]] = {}
-    for i, args in enumerate(series):
-        groups.setdefault(tuple(map(type, args)), []).append(i)
-    sums = [None] * len(series)
-    for types, lanes in groups.items():
-        # the lanes as complex columns, the float ones read back as floats
-        columns = np.array([series[i] for i in lanes], dtype=complex).T
-        *params, z = (col if issubclass(t, complex) else col.real for col, t in zip(columns, types))
-        for i, value in zip(lanes, w87(*params, ctx, z).tolist()):
-            sums[i] = value
-    return sums
+    """The 8W7 sums of ``series`` in base ``ctx``, in order, from one array
+    :func:`w87` call on the complex columns of their arguments."""
+    if not series:
+        return []
+    *params, z = np.array(series, dtype=complex).T
+    return w87(*params, ctx, z).tolist()
 
 
 def qpoch_prod(params: Sequence, ctx: QContext, k=None):
@@ -410,8 +405,8 @@ def phi_rs(spec: SeriesSpec):
     both the current term and a geometric tail estimate drop below tail_tol.
     The sum is a batch of one of :func:`_sum_terms`.
     """
-    upper, lower = (_Slots.of([[v] for v in vals], 1) for vals in (spec.upper, spec.lower))
-    return _sum_terms(upper, lower, _Slots.of([[spec.z]], 1), spec.base).tolist()[0]
+    upper, lower = (np.array(vals, dtype=complex).reshape(-1, 1) for vals in (spec.upper, spec.lower))
+    return _sum_terms(upper, lower, np.array([spec.z], dtype=complex), spec.base).tolist()[0]
 
 
 def w87(a, b, c, d, e, f, ctx: QContext, z):
@@ -430,17 +425,15 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
 
     Like :func:`qpoch`, the parameters and z may be arrays that broadcast
     together, one series per element, all summed in one :func:`_sum_terms`
-    batch; the result is then a complex array of that shape.  Each element
-    is summed as a scalar call with that element as a Python float (real
-    array) or complex (complex array) would be: the lower parameters
-    q a / p too are formed in CPython's arithmetic.  A scalar call is a
-    batch of one and returns a Python complex.
+    batch; the result is then a complex array of that shape.  Every element
+    is read as a complex number, and the lower parameters q a / p are
+    formed in CPython's complex arithmetic.  A scalar call is a batch of one
+    and returns a Python complex.
     """
     arrays = [np.asarray(x) for x in (a, b, c, d, e, f, z)]
     if len({x.shape for x in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
     shape = arrays[0].shape
-    flags = [x.dtype.kind == "c" for x in arrays]
     values = np.array(arrays, dtype=complex).reshape(7, -1)
     re, im = values.real, values.imag
     # the first series with a = 1 or a zero b, c, d, e or f refuses the batch
@@ -449,81 +442,33 @@ def w87(a, b, c, d, e, f, ctx: QContext, z):
         if pole[np.flatnonzero(pole | zero)[0]]:
             raise DomainError("w87 requires a != 1")
         raise DomainError("w87 requires b, c, d, e, f != 0: a q / p divides by each")
-    # q a / p in CPython's order: q widened to complex where a is complex,
-    # then each p, a float widened to (p, +0.0) where it meets a complex
-    # (for a float a and p that quotient is q a / p up to the sign of a zero)
+    lower = np.empty((5, values.shape[1]), dtype=complex)
+    # q a / p in CPython's order, q widened to (q, +0.0)
     with np.errstate(all="ignore"):  # as CPython: inf * 0 is nan, and Re p = 0 divides by Im p
-        qa = _c_mul((ctx.q, None), (re[0], im[0] if flags[0] else None))
-        lower_re, lower_im = _c_div(qa, (re[1:6], im[1:6]))
-    lower = _Slots(lower_re, lower_im, tuple(flags[0] or p for p in flags[1:6]))
-    upper, z = _Slots(re[:6], im[:6], tuple(flags[:6])), _Slots(re[6:], im[6:], tuple(flags[6:]))
-    sums = _sum_terms(upper, lower, z, ctx, True)
+        qa = (ctx.q * re[0] - 0.0 * im[0], ctx.q * im[0] + 0.0 * re[0])
+        lower.real, lower.imag = _c_div(qa, (re[1:6], im[1:6]))
+    sums = _sum_terms(values[:6], lower, values[6], ctx, True)
     return sums.reshape(shape) if shape else sums.tolist()[0]
 
 
-@dataclass(frozen=True)
-class _Slots:
-    """Parameter slots of a batch of series: real and imaginary parts as
-    arrays (slot, series), and which slots hold complex numbers; the others
-    hold Python floats, whose imaginary parts are +0.0."""
-
-    re: np.ndarray
-    im: np.ndarray
-    is_complex: tuple
-
-    @staticmethod
-    def of(columns: list, size: int) -> "_Slots":
-        """Slots from one list of ``size`` values per slot, complex where a
-        value is."""
-        is_complex = tuple(any(isinstance(v, complex) for v in col) for col in columns)
-        values = np.array(columns, dtype=complex).reshape(len(columns), size)
-        return _Slots(values.real, values.imag, is_complex)
-
-    @staticmethod
-    def stack(*slots: "_Slots") -> "_Slots":
-        return _Slots(
-            np.concatenate([x.re for x in slots]),
-            np.concatenate([x.im for x in slots]),
-            sum((x.is_complex for x in slots), ()),
-        )
-
-    def value(self, j: int, i: int):
-        """Slot ``j`` of series ``i`` as the Python float or complex it stands for."""
-        return complex(self.re[j, i], self.im[j, i]) if self.is_complex[j] else float(self.re[j, i])
+# CPython's complex quotient (_Py_c_quot) on float64 arrays of real and
+# imaginary parts, one IEEE operation per C operation: numpy's own complex
+# divide fuses and reorders them.
 
 
-# CPython's complex arithmetic (_Py_c_prod, _Py_c_quot) on float64 arrays
-# of real and imaginary parts, one IEEE operation per C operation: numpy's
-# own complex multiply and divide fuse and reorder them.  Parts (re, None)
-# stand for Python floats, which CPython widens to (re, +0.0) where they
-# meet a complex.
-
-
-def _c_mul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    if xi is None and yi is None:
-        return xr * yr, None
-    xi = 0.0 if xi is None else xi
-    yi = 0.0 if yi is None else yi
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _c_div(x, y, pre=None):
+def _c_div(x, y):
     """x / y, NaN where CPython raises ZeroDivisionError (y == 0).
 
     y is divided through by its real part, or by its imaginary part where
-    |Re y| >= |Im y| fails (also for a NaN part; never for a float y, whose
-    imaginary part is +0.0); ``pre`` holds :func:`_divisor` of y when it is
-    known.
+    |Re y| >= |Im y| fails (also for a NaN part).
     """
     (xr, xi), (yr, yi) = x, y
-    if xi is None and yi is None:
-        return xr / yr, None
-    xi = 0.0 if xi is None else xi
-    ratio, denom, swap = _divisor(yr, yi) if pre is None else pre
+    ratio = yi / yr
+    denom = yr + yi * ratio
     re = (xr + xi * ratio) / denom
     im = (xi - xr * ratio) / denom
-    if swap is not None:
+    swap = ~(np.abs(yr) >= np.abs(yi))
+    if swap.any():
         with np.errstate(divide="ignore", invalid="ignore"):  # kept only where swapped
             ratio = yr / yi
             denom = yr * ratio + yi
@@ -532,35 +477,24 @@ def _c_div(x, y, pre=None):
     return re, im
 
 
-def _divisor(yr, yi) -> tuple:
-    """What :func:`_c_div` by y needs of y alone: Im y / Re y, the
-    denominator Re y + Im y * that ratio, and where |Re y| >= |Im y| fails
-    (None where it holds throughout, as for a float y)."""
-    if yi is None:
-        ratio = 0.0 / yr
-        return ratio, yr + 0.0 * ratio, None
-    ratio = yi / yr
-    swap = ~(np.abs(yr) >= np.abs(yi))
-    return ratio, yr + yi * ratio, swap if swap.any() else None
-
-
-def _neg_power_indices(slots: _Slots, q: float) -> np.ndarray:
-    """:func:`neg_power_index` of each value of ``slots``, -1 for None, as
-    an array (slot, series), or None when every value gives None.  Only
-    values whose real part lies near some q^-n (far wider than
+def _neg_power_indices(values: np.ndarray, q: float) -> np.ndarray:
+    """:func:`neg_power_index` of each of the complex ``values``, -1 for
+    None, as an array of their shape, or None when every value gives None.
+    Only values whose real part lies near some q^-n (far wider than
     TERMINATION_RTOL) are tested one by one; the rest cannot pass that
     test, and none can while every real part is below 1 (q^0)."""
-    if slots.re.max(initial=0.0) < 1.0 - 1e-9:
+    re = values.real
+    if re.max(initial=0.0) < 1.0 - 1e-9:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and log(-x) are never near
-        x = np.log(slots.re) / -math.log(q)
+        x = np.log(re) / -math.log(q)
         slack = 1e-9 * (1.0 + np.abs(x)) + 4.0 * TERMINATION_RTOL / -math.log(q)
         near = (x > -0.5) & (np.abs(x - np.round(x)) <= slack)
     out = None
     for j, i in zip(*np.nonzero(near)):
-        if (m := neg_power_index(slots.value(j, i), q)) is not None:
+        if (m := neg_power_index(complex(values[j, i]), q)) is not None:
             if out is None:
-                out = np.full(slots.re.shape, -1, dtype=np.intp)
+                out = np.full(values.shape, -1, dtype=np.intp)
             out[j, i] = m
     return out
 
@@ -568,155 +502,115 @@ def _neg_power_indices(slots: _Slots, q: float) -> np.ndarray:
 _NEVER = np.iinfo(np.intp).max
 
 
-class _Factors:
-    """What forms the factors t_{k+1}/t_k of a batch of series, block by
-    block: the upper slots and z, how many leading upper slots multiply as
-    floats, and the lower slots split into the float ones (``low_re``) and
-    the complex ones (``cplx_re``, ``cplx_im``, the largest |b| of which is
-    ``cplx_top``).  ``offsets`` is None when every lower parameter is
-    finite; otherwise it holds the products by 0.0 that CPython's
-    1.0 - b * q^k adds to a complex b."""
+def _factor_block(upper, lower, z, max_lower: float, rows, qk: np.ndarray, q: float) -> tuple:
+    """The factors t_{k+1}/t_k of the series ``rows`` of a batch at the
+    q^k of ``qk`` as parts (row, k), without the power of q that r_phi_s
+    puts on each term; ``max_lower`` is the largest |b| of a lower b.
 
-    def __init__(self, upper: _Slots, lower: _Slots, z: _Slots, abs_lower: np.ndarray) -> None:
-        self.upper, self.z = upper, z
-        self.lead = 0
-        if not z.is_complex[0]:
-            while self.lead < len(upper.is_complex) and not upper.is_complex[self.lead]:
-                self.lead += 1
-        self.lower_is_complex = lower.is_complex
-        cplx = list(lower.is_complex)
-        self.low_re = lower.re[[not c for c in cplx]]
-        self.cplx_re, self.cplx_im = lower.re[cplx], lower.im[cplx]
-        self.cplx_top = float(abs_lower[cplx].max(initial=0.0))
-        self.offsets = None
-        if not np.isfinite(abs_lower).all():  # a part is not finite, or |b| overflows
-            with np.errstate(invalid="ignore"):  # inf * 0.0 is nan, as in CPython
-                self.offsets = (self.cplx_im * 0.0, self.cplx_re * 0.0)
-
-    def block(self, rows, qk: np.ndarray, q: float) -> tuple:
-        """The factors of the series ``rows`` at the q^k of ``qk`` as parts
-        (row, k), without the power of q that r_phi_s puts on each term.
-
-        The factor is z, times 1 - a q^k for each upper a, divided by
-        1 - q^{k+1}, divided by 1 - b q^k for each lower b, in that order,
-        in Python floats until the first complex number and then in
-        CPython's complex arithmetic.  Where CPython multiplies by a
-        widened float's +0.0 or adds one, the product or sum is left out:
-        with finite parameters every divisor is a finite nonzero number, so
-        this changes nothing but the sign of a zero, or which of inf and
-        nan a term that is not finite takes, and no sum.  Only the lower
-        parameters, which divide, keep CPython's every step when one of
-        them is not finite.
-        """
-        up = self.upper
-        fr = self.z.re[0, rows, None]
-        fi = self.z.im[0, rows, None] if self.z.is_complex[0] else None
-        lead = self.lead
-        if lead:
-            head = 1.0 - up.re[:lead, rows, None] * qk
-            for j in range(lead):
-                fr = fr * head[j]
-            del head  # each pass's arrays are freed before the next pass's (the heap peak)
-        neg_qk = -qk
-        if lead < len(up.is_complex):
-            ur = 1.0 - up.re[lead:, rows, None] * qk
-            ui = up.im[lead:, rows, None] * neg_qk  # 0.0 - im q^k
-            for j, is_complex in enumerate(up.is_complex[lead:]):
-                if not is_complex:
-                    fr, fi = fr * ur[j], fi * ur[j]
-                elif fi is None:
-                    fr, fi = fr * ur[j], fr * ui[j]
-                else:
-                    fr, fi = fr * ur[j] - fi * ui[j], fr * ui[j] + fi * ur[j]
-            del ur, ui
-        d = 1.0 - q * qk
-        fr, fi = fr / d, None if fi is None else fi / d
-        # 1 - b q^k of the float and of the complex lower slots in one pass
-        # each, the complex ones' divisors in one more, then the divisions
-        # in slot order
-        low = 1.0 - self.low_re[:, rows, None] * qk
-        if self.cplx_re.size:
-            br, bi = self.cplx_re[:, rows, None], self.cplx_im[:, rows, None]
-            if self.offsets is None:
-                yr, yi = 1.0 - br * qk, bi * neg_qk
-                # |Re y| >= |Im y| holds wherever |b| q^k <= 1/4
-                cols = int(np.count_nonzero(self.cplx_top * qk > 0.25))
-            else:
-                off_r, off_i = (x[:, rows, None] for x in self.offsets)
-                yr, yi = 1.0 - (br * qk - off_r), 0.0 - (off_i + bi * qk)
-                cols = qk.size
-            ratio = yi / yr
-            denom = yr + yi * ratio
-            swapped = [False] * len(yr)
-            if cols:
-                swap = ~(np.abs(yr[:, :, :cols]) >= np.abs(yi[:, :, :cols]))
-                swapped = swap.any(axis=(1, 2)).tolist()
-        n_real = n = 0
-        for is_complex in self.lower_is_complex:
-            if not is_complex:
-                y = low[n_real]
-                fr, fi = fr / y, None if fi is None else fi / y
-                n_real += 1
-                continue
-            xr, xi = fr, 0.0 if fi is None else fi
-            fr = (xr + xi * ratio[n]) / denom[n]
-            fi = (xi - xr * ratio[n]) / denom[n]
-            if swapped[n]:
-                # divided through by Im y where |Re y| >= |Im y| fails
-                ys_r, ys_i = yr[n, :, :cols], yi[n, :, :cols]
-                xr, xi = xr[:, :cols], xi[:, :cols] if np.ndim(xi) else xi
-                s = ys_r / ys_i
-                den = ys_r * s + ys_i
-                np.copyto(fr[:, :cols], (xr * s + xi) / den, where=swap[n])
-                np.copyto(fi[:, :cols], (xi * s - xr) / den, where=swap[n])
-            n += 1
-        return fr, fi
+    The factor is z, times 1 - a q^k for each upper a, divided by
+    1 - q^{k+1}, divided by 1 - b q^k for each lower b, in that order,
+    in CPython's complex arithmetic.  Where CPython multiplies by the
+    +0.0 of a float widened to complex (q^k, 1 - q^{k+1}) or adds one,
+    the product or sum is left out: every lower parameter is finite, so
+    every divisor is a finite nonzero number, and this changes nothing
+    but the sign of a zero, or which of inf and nan a term that is not
+    finite takes, and no sum.
+    """
+    fr, fi = z.real[rows, None], z.imag[rows, None]
+    neg_qk = -qk
+    ur = 1.0 - upper.real[:, rows, None] * qk
+    ui = upper.imag[:, rows, None] * neg_qk  # 0.0 - im q^k
+    for j in range(len(ur)):
+        fr, fi = fr * ur[j] - fi * ui[j], fr * ui[j] + fi * ur[j]
+    del ur, ui  # each pass's arrays are freed before the next pass's (the heap peak)
+    d = 1.0 - q * qk
+    fr, fi = fr / d, fi / d
+    # 1 - b q^k of every lower slot in one pass, their divisors in one
+    # more, then the divisions in slot order
+    yr = 1.0 - lower.real[:, rows, None] * qk
+    yi = lower.imag[:, rows, None] * neg_qk
+    ratio = yi / yr
+    denom = yr + yi * ratio
+    # |Re y| >= |Im y| holds wherever |b| q^k <= 1/4
+    cols = int(np.count_nonzero(max_lower * qk > 0.25))
+    swapped = [False] * len(yr)
+    if cols:
+        swap = ~(np.abs(yr[:, :, :cols]) >= np.abs(yi[:, :, :cols]))
+        swapped = swap.any(axis=(1, 2)).tolist()
+    for n in range(len(yr)):
+        xr, xi = fr, fi
+        fr = (xr + xi * ratio[n]) / denom[n]
+        fi = (xi - xr * ratio[n]) / denom[n]
+        if swapped[n]:
+            # divided through by Im y where |Re y| >= |Im y| fails
+            ys_r, ys_i = yr[n, :, :cols], yi[n, :, :cols]
+            xr, xi = xr[:, :cols], xi[:, :cols]
+            s = ys_r / ys_i
+            den = ys_r * s + ys_i
+            np.copyto(fr[:, :cols], (xr * s + xi) / den, where=swap[n])
+            np.copyto(fi[:, :cols], (xi * s - xr) / den, where=swap[n])
+    return fr, fi
 
 
 def _sum_terms(
-    upper: _Slots, lower: _Slots, z: _Slots, ctx: QContext, well_poised: bool = False
+    upper: np.ndarray, lower: np.ndarray, z: np.ndarray, ctx: QContext, well_poised: bool = False
 ) -> np.ndarray:
-    """The sums of a batch of series sharing base ``ctx``: for each, the sum
-    of its terms t_k, each times (1 - a q^{2k})/(1 - a), a its first upper
-    parameter, when ``well_poised``.
+    """The sums of a batch of series sharing base ``ctx``, their upper and
+    lower parameters complex arrays (slot, series) and their arguments a
+    complex array ``z``: for each, the sum of its terms t_k, each times
+    (1 - a q^{2k})/(1 - a), a its first upper parameter, when
+    ``well_poised``.
 
     For each series t_0 = 1 and t_{k+1} = t_k * factor_k, the factor's
     numerator and denominator multiplied and divided in parameter order.  A
-    series that terminates through an upper parameter q^-n is summed over
-    its n+1 terms; a lower parameter q^-m is refused unless the series stops
-    first.  Otherwise the series stops at the first k where the bound B_k on
-    the k-th summand (|t_k|, times (1 + |a| q^{2k})/|1 - a| when well
-    poised) is below tail_tol and so is the geometric tail B_k R/(1 - R),
-    where R bounds |t_{j+1}/t_j| for all j >= k: each factor of R decreases
-    with k once every |b| q^k < 1.  A series that does not stop within
-    max_terms, or whose sum is not finite, raises ConvergenceError.
+    lower parameter whose modulus is not finite raises ConvergenceError
+    before anything is summed.  A series that terminates through an upper
+    parameter q^-n is summed over its n+1 terms; a lower parameter q^-m is
+    refused unless the series stops first.  Otherwise the series stops at
+    the first k where the bound B_k on the k-th summand (|t_k|, times
+    (1 + |a| q^{2k})/|1 - a| when well poised) is below tail_tol and so is
+    the geometric tail B_k R/(1 - R), where R bounds |t_{j+1}/t_j| for all
+    j >= k: each factor of R decreases with k once every |b| q^k < 1.  A
+    series that does not stop within max_terms, or whose sum is not finite,
+    raises ConvergenceError.
 
     The series run together, a block of terms of every unfinished series at
     a time.  A block's factors take a fixed number of array passes
-    (:meth:`_Factors.block`): the upper slots' 1 - a q^k in one (the float
-    ones that lead the product apart), the float and the complex lower
-    slots' in one each and the complex ones' divisors in one more, then the
-    products and the ordered divisions on split real and imaginary parts,
-    in CPython's complex arithmetic.  The terms are the factors' running
-    product and the partial sums running sums (``multiply.accumulate`` and
+    (:func:`_factor_block`): the upper slots' 1 - a q^k in one, the lower
+    slots' in one and their divisors in one more, then the products and
+    the ordered divisions on split real and imaginary parts, in CPython's
+    complex arithmetic.  The terms are the factors' running product and the
+    partial sums running sums (``multiply.accumulate`` and
     ``add.accumulate`` over complex numbers along a row of at least three,
     one product or sum at a time in order), each series' term and partial
     sum carried into the next block.  B_k comes from the block; R from the
     first k where some B_k is below tail_tol on, as a scalar loop forms it.
     So each sum is bit for bit the one a scalar loop over the series in
-    Python floats and complexes gives, and does not depend on the other
-    series of the batch.
+    Python complexes gives, and does not depend on the other series of the
+    batch.  A series whose parameters are all real keeps zero imaginary
+    parts, and its sum is the one a scalar loop in Python floats gives.
     """
     q, tol, cap = ctx.q, ctx.tail_tol, ctx.max_terms
-    r, s = upper.re.shape[0], lower.re.shape[0]
+    r, s = len(upper), len(lower)
     e = 1 + s - r  # exponent of the (-1)^k q^{k(k-1)/2} factor
     name = "8W7" if well_poised else f"{r}_phi_{s}"
-    n = z.re.shape[1]
+    n = z.size
+
+    # the stopping test's bounds, each as Python's abs() gives it
+    with np.errstate(over="ignore"):  # a modulus past the float range is inf
+        abs_z = np.hypot(z.real, z.imag)
+        abs_upper, abs_lower = np.hypot(upper.real, upper.imag), np.hypot(lower.real, lower.imag)
+    infinite = ~np.isfinite(abs_lower)
+    if infinite.any():
+        j, i = np.argwhere(infinite)[0]
+        raise ConvergenceError(
+            f"{name} lower parameter {complex(lower[j, i])!r} of series {i} is not finite in modulus"
+        )
 
     # termination and zero denominators, once for the batch: a series ends
     # after term min n over its upper parameters q^-n; a lower parameter q^-m
     # makes term m+1 divide by zero, fine only if the series stops by term m
-    marks = _neg_power_indices(_Slots.stack(upper, lower), q)
+    marks = _neg_power_indices(np.concatenate((upper, lower)), q)
     all_open = marks is None
     if all_open:
         is_open, last = np.ones(n, dtype=bool), np.full(n, _NEVER)
@@ -726,7 +620,7 @@ def _sum_terms(
         last = np.where(hits < 0, _NEVER, hits).min(axis=0, initial=_NEVER)
         for j, i in zip(*np.nonzero((poles >= 0) & (is_open | (last > poles)))):
             raise DomainError(
-                f"lower parameter {lower.value(j, i)!r} equals q^-{poles[j, i]}; series does "
+                f"lower parameter {complex(lower[j, i])!r} equals q^-{poles[j, i]}; series does "
                 "not terminate before the resulting zero denominator"
             )
     if e < 0 and is_open.any():
@@ -735,17 +629,12 @@ def _sum_terms(
             "it terminates"
         )
 
-    # the stopping test's bounds, each as Python's abs() gives it (a float's
-    # zero imaginary part leaves hypot at |re|)
-    abs_z = np.hypot(z.re[0], z.im[0])
-    abs_upper, abs_lower = np.hypot(upper.re, upper.im), np.hypot(lower.re, lower.im)
-    factors = _Factors(upper, lower, z, abs_lower)
+    max_lower = float(abs_lower.max(initial=0.0))
     if well_poised:
-        # per series, as columns: a, 1 - a with its divisor, |a| and |1 - a|
-        a_re, a_im = upper.re[0, :, None], upper.im[0, :, None] if upper.is_complex[0] else None
-        one_a = (1.0 - a_re, None if a_im is None else 0.0 - a_im)
-        over_one_a = _divisor(*one_a)
-        abs_a, abs_1a = abs_upper[0, :, None], np.hypot(1.0 - a_re, 0.0 - upper.im[0, :, None])
+        # per series, as columns: a, 1 - a, |a| and |1 - a|
+        a_re, a_im = upper.real[0, :, None], upper.imag[0, :, None]
+        one_a = (1.0 - a_re, 0.0 - a_im)
+        abs_a, abs_1a = abs_upper[0, :, None], np.hypot(*one_a)
 
     # the first block holds the terms |z|^k takes to reach tail_tol for the
     # largest |z| < 1, and a quarter more for the growth of the other factors
@@ -778,34 +667,27 @@ def _sum_terms(
                     powers2 = _q_powers(q * q, powers.size - 1)
             qk = powers[1 + k0 : 1 + k1]
 
-            fr, fi = factors.block(rows, qk, q)
+            fr, fi = _factor_block(upper, lower, z, max_lower, rows, qk, q)
             if e:
                 pw = np.array([(-x) ** e for x in qk.tolist()])
-                fr, fi = fr * pw, None if fi is None else fi * pw
+                fr, fi = fr * pw, fi * pw
             # a row of at least three: the last block of a series has one
             # column only where every series of it stops
             block = np.empty((alive.size, cols + 1), dtype=complex)
             block[:, 0] = term
             block.real[:, 1:] = fr
-            block.imag[:, 1:] = 0.0 if fi is None else fi
+            block.imag[:, 1:] = fi
             terms = np.multiply.accumulate(block, axis=1, out=block)
             sums = np.empty((alive.size, cols + 1), dtype=complex)
             sums[:, 0] = total
             if well_poised:
                 # t (1 - a q^{2k}) / (1 - a), the float parts left out of
-                # CPython's products and quotients as in _Factors.block
+                # CPython's products as in _factor_block
                 q2k = powers2[1 + k0 : 1 + k1]
                 tr, ti = terms.real[:, :cols], terms.imag[:, :cols]
-                if a_im is None:
-                    w = 1.0 - a_re[rows] * q2k
-                    np.divide(tr * w, one_a[0][rows], out=sums.real[:, 1:])
-                    np.divide(ti * w, one_a[0][rows], out=sums.imag[:, 1:])
-                else:
-                    wr, wi = 1.0 - a_re[rows] * q2k, a_im[rows] * -q2k
-                    t = (tr * wr - ti * wi, tr * wi + ti * wr)
-                    y = (one_a[0][rows], one_a[1][rows])
-                    pre = tuple(None if x is None else x[rows] for x in over_one_a)
-                    sums.real[:, 1:], sums.imag[:, 1:] = _c_div(t, y, pre)
+                wr, wi = 1.0 - a_re[rows] * q2k, a_im[rows] * -q2k
+                t = (tr * wr - ti * wi, tr * wi + ti * wr)
+                sums.real[:, 1:], sums.imag[:, 1:] = _c_div(t, (one_a[0][rows], one_a[1][rows]))
             else:
                 sums[:, 1:] = terms[:, :cols]
             np.add.accumulate(sums, axis=1, out=sums)

@@ -139,10 +139,10 @@ class TestFactorials:
         total = Factorials.join([real, empty], lambda x, y: x + y)
         assert self.value(total, ctx) == want[0] + 1.0
 
-    def test_series_batched_by_argument_types(self, monkeypatch) -> None:
-        # two complex-argument kernels and one all-float mass-point kernel:
-        # one array w87 call per pattern of float and complex arguments, and
-        # every value as the form evaluated alone
+    def test_float_and_mixed_series_in_one_w87_call(self, monkeypatch) -> None:
+        # two kernels with complex arguments and one all-float mass-point
+        # kernel: one array w87 call for all three, and every value as the
+        # form evaluated alone
         ctx = QContext(0.5)
         x0 = (1.6 + 1 / 1.6) / 2  # the k = 0 mass point of a = 1.6
         forms = [
@@ -162,7 +162,7 @@ class TestFactorials:
         joined = Factorials.join(forms)
         assert len(joined.series) == 3
         assert [v.hex() for v in joined.evaluate(ctx)] == [v.hex() for v in want]
-        assert sorted(batches) == [1, 2]
+        assert batches == [3]
 
     def test_nested_join_and_no_forms(self) -> None:
         ctx = QContext(0.4)
@@ -539,6 +539,22 @@ class TestW87:
         with pytest.raises(ConvergenceError, match="not finite"):
             w87(*args, ctx, 0.5)
 
+    def test_lower_parameter_not_finite_refused_before_summing(self, monkeypatch) -> None:
+        # q a / b = 0.25 / 1e-320 is inf, q a / (1e-320 i) is (0, -inf); the
+        # same for a lane that terminates (a = q^-2) and for phi_rs
+        ctx = QContext(0.5)
+        monkeypatch.setattr(qseries, "_factor_block", lambda *args: pytest.fail("summed"))
+        calls = [
+            lambda: w87(0.5, 1e-320, 0.3, -0.2, 0.1, 0.4, ctx, 0.5),
+            lambda: w87(0.5, 1e-320j, 0.3, -0.2, 0.1, 0.4, ctx, 0.5),
+            lambda: w87(0.5**-2, 1e-320, 0.3, -0.2, 0.1, 0.4, ctx, 0.5),
+            lambda: phi_rs(SeriesSpec((0.3,), (math.inf,), 0.5, ctx)),
+            lambda: phi_rs(SeriesSpec((0.5**-2,), (0.2, math.nan), 0.5, ctx)),
+        ]
+        for call in calls:
+            with pytest.raises(ConvergenceError, match="lower parameter .* is not finite"):
+                call()
+
     def test_divergent_raises_convergence_error(self) -> None:
         # |z| > 1: the terms grow until a modulus overflows with both parts finite
         params = (-0.0156, -0.5777 - 0.6945j, 0.7550, 0.4916 + 0.2663j, -0.2477, -0.2698 - 0.3682j)
@@ -632,6 +648,73 @@ class TestW87Batch:
         *params, z = (np.array(col) for col in zip(*lanes))
         with pytest.raises(ConvergenceError, match="8W7"):
             w87(*params, ctx, z)
+
+
+class TestRealLanesAsComplex:
+    """A w87 or phi_rs call with real arguments gives the same bits, zero
+    imaginary part included, as the same call with every argument complex."""
+
+    QS = (0.09, 0.3, 0.5, 0.81, 0.95, 0.99)
+
+    @staticmethod
+    def w87_lanes(q: float, rng: np.random.Generator) -> list[tuple]:
+        lanes = []
+        for _ in range(4):
+            a, b, c, d, e, f, z = rng.uniform(-0.9, 0.9, 7).tolist()
+            lanes.append((a, b, c, d, e, f, z))
+            # Poisson-shaped at real points z1, z2 = +-1
+            a, b, t = rng.uniform(-0.9, 0.9, 3).tolist()
+            s1, s2 = rng.choice((-1.0, 1.0), 2).tolist()
+            lanes.append((a * b * t / q, t, b * s1, b * s1, a * s2, a * s2, t))
+            # terminating through a = q^-n or b = q^-n, |z| up to 3
+            n = int(rng.integers(0, 8))
+            a, b, c, d, e, f = rng.uniform(-0.9, 0.9, 6).tolist()
+            z = float(rng.uniform(-3.0, 3.0))
+            lanes.append((q**-n, b, c, d, e, f, z) if n % 2 else (a, q**-n, c, d, e, f, z))
+        return lanes
+
+    @pytest.mark.parametrize("q", QS)
+    def test_w87_and_phi_rs(self, q: float, rng: np.random.Generator) -> None:
+        ctx = QContext(q)
+        for lane in self.w87_lanes(q, rng):
+            as_complex = [complex(v) for v in lane]
+            got = w87(*lane[:6], ctx, lane[6])
+            assert hex_of(got) == hex_of(w87(*as_complex[:6], ctx, as_complex[6])), lane
+            assert hex_of(got)[1] == "0x0.0p+0", lane
+        for r, s in ((2, 1), (3, 2), (1, 1), (1, 0)):
+            upper, lower = rng.uniform(-0.9, 0.9, r).tolist(), rng.uniform(-0.9, 0.9, s).tolist()
+            if rng.integers(2):
+                upper[0] = q ** -int(rng.integers(0, 6))
+            z = float(rng.uniform(-0.9, 0.9))
+            spec = SeriesSpec(upper, lower, z, ctx)
+            cspec = SeriesSpec([complex(v) for v in upper], [complex(v) for v in lower], complex(z), ctx)
+            assert hex_of(phi_rs(spec)) == hex_of(phi_rs(cspec)), spec
+
+
+class TestNonFiniteParameters:
+    """qpoch and the Al-Salam-Chihara recurrence refuse inf and nan with a
+    QHaarError, and warn of nothing on the way."""
+
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 0.999])
+    def test_qpoch_and_asc_raise(self, q: float) -> None:
+        ctx = QContext(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bad in (math.inf, -math.inf, math.nan):
+                for k in (5, 0, None):
+                    with pytest.raises(ConvergenceError):
+                        qpoch(bad, ctx, k)
+                with pytest.raises(ConvergenceError):
+                    qpoch([0.3, bad], ctx, [5, 2])
+                with pytest.raises(ConvergenceError):
+                    Factorials([bad], lambda v: 1.0, 5).evaluate(ctx)
+                for a, b in ((bad, 0.2), (0.2, bad)):
+                    with pytest.raises(DomainError):
+                        orthopoly.asc(5, 0.3, a, b, ctx)
+                    with pytest.raises(DomainError):
+                        orthopoly.asc_all(5, [0.3, -0.4], a, b, ctx)
+                with pytest.raises(DomainError):
+                    orthopoly.asc_orthonormal(5, 0.3, 0.6, bad, ctx)
 
 
 class TestIdentityFormsBits:
