@@ -18,7 +18,7 @@ Layered modules:
 from __future__ import annotations
 
 from .errors import ConvergenceError, DomainError, QHaarError, TruncationPolicyError
-from .qseries import QContext, SeriesSpec, phi_rs, q_integral, qpoch, qpoch_prod, w87
+from .qseries import QContext, SeriesSpec, phi_rs, q_integral, qpoch, w87
 from .spectral import (
     JacobiCoeffs,
     check_truncation,
@@ -99,7 +99,6 @@ __all__ = [
     "SeriesSpec",
     "phi_rs",
     "qpoch",
-    "qpoch_prod",
     "w87",
     "q_integral",
     "JacobiCoeffs",

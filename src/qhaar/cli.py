@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import qseries
 from .errors import ConvergenceError, DomainError
 from .haarverify import (
     VerifyConfig,
@@ -347,14 +348,14 @@ def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
     (a = b = 0: q-Hermite), so term k is at most m_k = |t|^k P_k^2 / (q, |ab|; q)_k.
     The recurrence at x = 1 keeps P_{k+1} / P_k >= 1 nonincreasing, hence also
     rho_k = m_{k+1} / m_k, and the terms past n sum to at most m_n rho_n / (1 - rho_n):
-    the least n taking that below ctx.tail_tol is returned.  log m_n is carried,
+    the least n taking that below TAIL_TOL is returned.  log m_n is carried,
     as m_n passes the float range near q = 1.
     """
-    q, log_tol, at = ctx.q, math.log(ctx.tail_tol), abs(t)
+    q, log_tol, at = ctx.q, math.log(qseries.TAIL_TOL), abs(t)
     s, ab = abs(a) + abs(b), abs(a * b)
     r = 2.0 + s  # P_1 / P_0
     log_m, qn = 0.0, 1.0  # log m_n and q^n
-    for n in range(ctx.max_terms):
+    for n in range(qseries.MAX_TERMS):
         qn1 = qn * q
         c = (1.0 - qn1) * (1.0 - ab * qn)
         rho = at * r * r / c
@@ -367,7 +368,7 @@ def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
         log_m, qn = log_m_next, qn1
         r = 2.0 + s * qn - c / r
     raise ConvergenceError(
-        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {ctx.max_terms} terms at q={q!r}"
+        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {qseries.MAX_TERMS} terms at q={q!r}"
     )
 
 

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import qseries
 from .errors import ConvergenceError, DomainError
 from .qseries import Factorials, QContext, SeriesSpec, _check_power_range, phi_rs
 from .spectral import JacobiCoeffs, _offdiag_sqrt
@@ -187,8 +188,9 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
     """Apply L or M to a polynomial (coefficient sequence) or callable.
 
     The coefficient q^{n(n-1)} decays faster than any polynomial growth of
-    p(q^{-2n}); summation stops once two consecutive terms sit below an
-    internal fraction of tail_tol while decreasing.
+    p(q^{-2n}); summation stops once two consecutive terms sit below
+    TAIL_TOL / 100 while decreasing, or raises ConvergenceError past
+    MAX_TERMS terms.
 
     The weight and the polynomial values separately leave double range long
     before their product does (q^{n(n-1)} underflows near n=34 for q=0.5),
@@ -205,14 +207,14 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
         _check_power_range(q, 2.0 * functional.tau, tau=functional.tau)
     fn = _as_callable(p)
     fn2 = None if p2 is None else _as_callable(p2)
-    cutoff = 0.01 * ctx.tail_tol
+    cutoff = 0.01 * qseries.TAIL_TOL
     # largest node representable: q^{-2n} < overflow threshold
     n_node_cap = int(700.0 / (-2.0 * math.log(q)))
     total = 0.0
     mant, exp = 1.0, 0  # weight = mant * 2^exp
     prev_small = None
     q2n = 1.0  # q^{2n}
-    for n in range(ctx.max_terms):
+    for n in range(qseries.MAX_TERMS):
         if n > n_node_cap:
             raise ConvergenceError(
                 "moment functional nodes exceed double range before convergence"
@@ -255,7 +257,7 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
         mant, de = math.frexp(mant)
         exp += de
         q2n *= q * q
-    raise ConvergenceError("moment functional did not converge within max_terms")
+    raise ConvergenceError(f"moment functional did not converge within {qseries.MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -646,22 +648,10 @@ class MeasureSpec:
     (x_k, normalized weight) pairs.  Total mass is 1 within 1e-9.
     """
 
-    params: AWParams
-    h0: float
     masses: tuple
     theta_nodes: np.ndarray = field(repr=False)
     theta_weights: np.ndarray = field(repr=False)
     total_mass: float = 1.0
-
-
-def _gl_continuous_rule(params: AWParams, h0: float, n_nodes: int):
-    """Gauss-Legendre rule in theta for (2 pi h0)^{-1} int_0^pi . w d theta."""
-    t, wt = np.polynomial.legendre.leggauss(n_nodes)
-    theta = 0.5 * math.pi * (t + 1.0)
-    a, b, c, d = params.as_tuple()
-    wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
-    weights = 0.5 * math.pi * wt * wvals / (2.0 * math.pi * h0)
-    return theta, weights
 
 
 def aw_masses(params: AWParams) -> tuple:
@@ -681,42 +671,44 @@ def aw_masses(params: AWParams) -> tuple:
     return Factorials.join([_aw_h0_form(*vals, params.ctx), *forms], normalize).evaluate(params.ctx)
 
 
-def aw_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10) -> MeasureSpec:
+def aw_measure(params: AWParams) -> MeasureSpec:
     """Build the normalized Askey-Wilson measure for the given parameters.
 
-    The Gauss-Legendre node count doubles until the computed total mass
-    stabilizes within ``mass_tol``; construction fails if the final total
-    strays from 1 by more than 1e-9 (a strong joint check on h0, the
-    weight, and the mass formula).
+    The continuous part is a Gauss-Legendre rule in theta whose node count
+    doubles from 64 until the computed total mass stabilizes within 1e-10;
+    construction fails if the final total strays from 1 by more than 1e-9
+    (a strong joint check on h0, the weight, and the mass formula).
     """
-    h0 = aw_h0(*params.as_tuple(), params.ctx)
+    a, b, c, d = params.as_tuple()
+    h0 = aw_h0(a, b, c, d, params.ctx)
     masses = aw_masses(params)
     mass_sum = sum(w for _, w in masses)
 
-    n = start_nodes
+    n = 64
     prev = None
     while n <= 8192:
-        theta, weights = _gl_continuous_rule(params, h0, n)
+        t, wt = np.polynomial.legendre.leggauss(n)
+        theta = 0.5 * math.pi * (t + 1.0)
+        wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
+        weights = 0.5 * math.pi * wt * wvals / (2.0 * math.pi * h0)
         total = float(np.sum(weights)) + mass_sum
-        if prev is not None and abs(total - prev) <= mass_tol:
+        if prev is not None and abs(total - prev) <= 1e-10:
             if abs(total - 1.0) > 1e-9:
                 raise ConvergenceError(
                     f"total mass {total!r} deviates from 1 beyond 1e-9"
                 )
-            return MeasureSpec(params, h0, masses, theta, weights, total)
+            return MeasureSpec(masses, theta, weights, total)
         prev = total
         n *= 2
     raise ConvergenceError("Gauss-Legendre refinement did not stabilize the total mass")
 
 
-def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> float:
+def aw_integrate(spec: MeasureSpec, f) -> float:
     """Integrate a polynomial, given by its ascending coefficients, against the measure.
 
     The polynomial is evaluated at all nodes, and at all mass points, in
     one vectorized ``polyval`` call; a callable is refused with
-    DomainError.  With ``refine_check`` set, the continuous part is
-    re-evaluated on a doubled node set and a ConvergenceError is raised if
-    the two values disagree by more than the given amount.
+    DomainError.
     """
     if callable(f):
         raise DomainError("expected polynomial coefficients, got a callable")
@@ -725,19 +717,7 @@ def aw_integrate(spec: MeasureSpec, f, refine_check: float | None = None) -> flo
     def evaluate(x: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(x, coeffs)
 
-    def continuous(theta: np.ndarray, weights: np.ndarray) -> float:
-        return float(np.dot(weights, evaluate(np.cos(theta))))
-
-    cont = continuous(spec.theta_nodes, spec.theta_weights)
-    if refine_check is not None:
-        cont2 = continuous(
-            *_gl_continuous_rule(spec.params, spec.h0, 2 * len(spec.theta_nodes))
-        )
-        if abs(cont2 - cont) > refine_check:
-            raise ConvergenceError(
-                f"quadrature not converged: {cont!r} vs {cont2!r} on doubled nodes"
-            )
-        cont = cont2
+    cont = float(np.dot(spec.theta_weights, evaluate(np.cos(spec.theta_nodes))))
     mass_values = evaluate(np.array([x for x, _ in spec.masses], dtype=float))
     disc = sum(w * float(v) for (_, w), v in zip(spec.masses, mass_values))
     return cont + disc

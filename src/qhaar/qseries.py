@@ -3,7 +3,10 @@
 q-shifted factorials, basic hypergeometric sums r_phi_s, the very-well-poised
 8W7 combination, and Jackson q-integrals.  Everything is double precision;
 every infinite sum or product is truncated behind an explicit geometric tail
-bound controlled by ``QContext.tail_tol``.
+bound below :data:`TAIL_TOL`, and a loop that needs more than
+:data:`MAX_TERMS` terms or factors raises ConvergenceError.  These two
+constants are the one truncation policy of the package: every q-series loop
+reads them, in this module and outside it.
 
 Each primitive has one implementation.  :func:`qpoch` works on arrays of
 parameters: each element keeps its own factor count, chosen by its own tail
@@ -35,15 +38,22 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
+    "TAIL_TOL",
+    "MAX_TERMS",
     "QContext",
     "Factorials",
     "SeriesSpec",
     "qpoch",
-    "qpoch_prod",
     "phi_rs",
     "w87",
     "q_integral",
 ]
+
+#: bound on the tail discarded when an infinite sum or product is cut off
+TAIL_TOL = 1e-14
+
+#: the most terms or factors a q-series loop takes before ConvergenceError
+MAX_TERMS = 20000
 
 #: relative tolerance used to decide whether a parameter equals q**-n exactly
 TERMINATION_RTOL = 1e-12
@@ -60,27 +70,21 @@ _SERIES_CHUNK = 32
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q in (0,1) together with the shared truncation policy.
+    """The base q in (0,1) of a computation.
 
-    ``tail_tol`` bounds the tail discarded when an infinite object is cut
-    off; ``max_terms`` aborts runaway summations with ConvergenceError.
+    It holds q alone, so two contexts are equal, and hash alike, exactly
+    when their bases are; the truncation policy is TAIL_TOL and MAX_TERMS.
     """
 
     q: float
-    tail_tol: float = 1e-14
-    max_terms: int = 20000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie strictly inside (0,1), got {self.q!r}")
-        if not self.tail_tol > 0.0:
-            raise DomainError("tail_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
 
     def squared(self) -> "QContext":
-        """Same policy with base q^2 (most operator formulas live there)."""
-        return QContext(self.q * self.q, self.tail_tol, self.max_terms)
+        """The context of base q^2 (most operator formulas live there)."""
+        return QContext(self.q * self.q)
 
 
 def _check_power_range(q: float, lowest: float, **params: float) -> None:
@@ -116,13 +120,15 @@ def neg_power_index(value, q: float):
     return None
 
 
-def qpoch(a, ctx: QContext, k=None):
+def qpoch(a, ctx: QContext, k=math.inf):
     """q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i).
 
-    ``k`` is a nonnegative integer or None/inf for the infinite product.
-    The infinite product stops at the first i with |a| q^i < tail_tol*(1-q);
-    the discarded factors are 1 + eps_i with sum |eps_i| <= |a| q^i / (1-q)
-    < tail_tol, so the relative truncation error is below ~tail_tol.
+    ``k`` is a nonnegative integer or inf (None reads as inf) for the
+    infinite product.  The infinite product stops at the first i with
+    |a| q^i < TAIL_TOL*(1-q); the discarded factors are 1 + eps_i with
+    sum |eps_i| <= |a| q^i / (1-q) < TAIL_TOL, so the relative truncation
+    error is below ~TAIL_TOL.  An infinite product that needs more than
+    MAX_TERMS factors raises ConvergenceError.
 
     ``a`` may be an array (or list), and ``k`` an array of integers and
     infs that broadcasts against it; the result is then an array of that
@@ -132,9 +138,11 @@ def qpoch(a, ctx: QContext, k=None):
     one element and comes back as a Python float (complex for complex a).
     An ``a`` that is not finite raises ConvergenceError, whatever ``k``.
     """
+    if k is None:
+        k = math.inf
     if isinstance(a, (np.ndarray, list, tuple)) or isinstance(k, (np.ndarray, list, tuple)):
         return _qpoch_array(a, ctx, k)
-    return _qpoch_array([a], ctx, k).tolist()[0]
+    return _qpoch_array([a], ctx, [k]).tolist()[0]
 
 
 def _q_powers(q: float, n: int) -> np.ndarray:
@@ -176,22 +184,17 @@ def _qpoch_array(a, ctx: QContext, k):
     a = np.asarray(a)
     a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
     q = ctx.q
-    if k is None or (np.ndim(k) == 0 and k == math.inf):
-        shape, a = a.shape, a.ravel()
-        infinite = None  # every element
-        counts = np.zeros(a.size, dtype=np.intp)
-        n_powers = 0
-    else:
-        kk = np.asarray(k, dtype=float)
-        # inf and the integers equal their floor; nan, fractions and negatives fail
-        if not ((kk >= 0.0) & (kk == np.floor(kk))).all():
-            raise DomainError(f"k must be a nonnegative integer or inf, got {k!r}")
-        if kk.shape != a.shape:
-            a, kk = np.broadcast_arrays(a, kk)
-        shape, a, kk = a.shape, a.ravel(), kk.ravel()
-        infinite = kk == math.inf
-        counts = np.where(infinite, 0.0, kk).astype(np.intp)
-        n_powers = int(counts.max(initial=0))
+    kk = np.asarray(k, dtype=float)
+    # inf and the integers equal their floor; nan, fractions and negatives fail
+    ok = (kk >= 0.0) & (kk == np.floor(kk))
+    if not ok.all():
+        raise DomainError(f"k must be a nonnegative integer or inf, got {kk[~ok][0].item()!r}")
+    if kk.shape != a.shape:
+        a, kk = np.broadcast_arrays(a, kk)
+    shape, a, kk = a.shape, a.ravel(), kk.ravel()
+    infinite = kk == math.inf
+    counts = np.where(infinite, 0.0, kk).astype(np.intp)
+    n_powers = int(counts.max(initial=0))
     if not np.isfinite(a).all():
         bad = a[~np.isfinite(a)][0].item()
         raise ConvergenceError(f"(a;q)_k at q = {q!r} needs a finite a, got {bad!r}")
@@ -199,41 +202,35 @@ def _qpoch_array(a, ctx: QContext, k):
     # the count's estimate for m = 0 divides by zero, and the factors past
     # an element's count may overflow; neither is ever read
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if infinite is None or infinite.any():
-            mags = np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
-            if infinite is not None:
-                mags = mags[infinite]
-            threshold = ctx.tail_tol * (1.0 - q)
+        if infinite.any():
+            mags = (np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a))[infinite]
+            threshold = TAIL_TOL * (1.0 - q)
             top = float(mags.max(initial=0.0))
             if not top < threshold:
                 if not math.isfinite(top):
-                    _no_tail(top, ctx)
+                    _no_tail(top, q)
                 # a few spare powers past the largest count; the fallback to
-                # max_terms only runs if rounding defeats them
+                # MAX_TERMS only runs if rounding defeats them
                 span = int((math.log(threshold) - math.log(top)) / math.log(q)) + 4
-                span = min(span, ctx.max_terms)
+                span = min(span, MAX_TERMS)
                 while True:
                     powers = _q_powers(q, max(span, n_powers))
                     tail = _tail_counts(mags, powers[1 : span + 1], threshold, q)
                     if tail.max() < span:
                         break
-                    if span == ctx.max_terms:
-                        _no_tail(top, ctx)
-                    span = ctx.max_terms
-                if infinite is None:
-                    counts = tail
-                else:
-                    counts[infinite] = tail
+                    if span == MAX_TERMS:
+                        _no_tail(top, q)
+                    span = MAX_TERMS
+                counts[infinite] = tail
         if powers is None:
             powers = _q_powers(q, n_powers)
         # the powers in a's type, as numpy casts them for each product
         return _factor_products(a, counts, powers.astype(a.dtype, copy=False)).reshape(shape)
 
 
-def _no_tail(mag: float, ctx: QContext):
+def _no_tail(mag: float, q: float):
     raise ConvergenceError(
-        f"(a;q)_inf with |a|={mag:.3g}, q={ctx.q} did not reach tail_tol "
-        f"within {ctx.max_terms} factors"
+        f"(a;q)_inf with |a|={mag:.3g}, q={q} did not reach TAIL_TOL within {MAX_TERMS} factors"
     )
 
 
@@ -282,29 +279,27 @@ class Factorials:
     """A closed form split into the q-shifted factorials and 8W7 sums it
     needs and the rule that assembles its value from them.
 
-    A form keeps the bases a of its factorials (a;q)_k, their orders
-    (None: all infinite) and the arguments (a, b, c, d, e, f, z) of each
-    8W7 sum, summed in the base the form is evaluated in, as Python lists,
-    so building and joining forms makes no numpy call; ``params`` and
-    ``ks`` give the first two as arrays.  An array of bases is read
-    raveled, and a scalar order applies to every base.  ``assemble`` maps
-    the array of the factorials' values, in the order of the bases, to the
+    A form keeps the bases a of its factorials (a;q)_k, one order k per
+    base (a scalar order, by default inf, is given to every base) and the
+    arguments (a, b, c, d, e, f, z) of each 8W7 sum, summed in the base the
+    form is evaluated in, as Python lists, so building and joining forms
+    makes no numpy call; ``params`` and ``ks`` give the first two as
+    arrays.  An array of bases is read raveled.  ``assemble`` maps the
+    array of the factorials' values, in the order of the bases, to the
     value of the form; a form with series takes the list of their sums, in
-    order, as a second argument.  :meth:`evaluate` alone forms the value:
-    every factorial from one :func:`qpoch` call and every sum from one
-    array :func:`w87` call, its arguments complex arrays.  Since each
-    element of either call depends on its own arguments alone, the value
-    does not depend on which forms share the calls.
+    order, as a second argument.  :meth:`evaluate` alone forms the value: every
+    factorial from one :func:`qpoch` call and every sum from one array
+    :func:`w87` call, its arguments complex arrays.  Since each element of
+    either call depends on its own arguments alone, the value does not
+    depend on which forms share the calls.
     """
 
     __slots__ = ("_params", "_ks", "series", "assemble")
 
-    def __init__(self, params, assemble: Callable[..., object], ks=None, series=()) -> None:
+    def __init__(self, params, assemble: Callable[..., object], ks=math.inf, series=()) -> None:
         params = params.ravel().tolist() if isinstance(params, np.ndarray) else list(params)
-        if ks is not None and not isinstance(ks, (list, tuple)):
-            ks = np.broadcast_to(np.asarray(ks, dtype=float), (len(params),)).tolist()
         self._params = params
-        self._ks = None if ks is None else list(ks)
+        self._ks = list(ks) if isinstance(ks, (list, tuple)) else [ks] * len(params)
         self.series = list(series)
         self.assemble = assemble
 
@@ -314,9 +309,9 @@ class Factorials:
         return np.array(self._params)
 
     @property
-    def ks(self) -> np.ndarray | None:
-        """The orders of the factorials as a float array, or None: all infinite."""
-        return None if self._ks is None else np.array(self._ks, dtype=float)
+    def ks(self) -> np.ndarray:
+        """The orders of the factorials, as a float array."""
+        return np.array(self._ks, dtype=float)
 
     def evaluate(self, ctx: QContext):
         """The value of the form, every factorial from one :func:`qpoch` call.
@@ -345,15 +340,13 @@ class Factorials:
         """One form for all of ``forms``: its value is ``combine`` applied to
         their values in order (by default, the list of them)."""
         forms = list(forms)
-        params, series, ends, series_ends = [], [], [], []
+        params, ks, series, ends, series_ends = [], [], [], [], []
         for f in forms:
             params += f._params
+            ks += f._ks
             series += f.series
             ends.append(len(params))
             series_ends.append(len(series))
-        ks = None
-        if any(f._ks is not None for f in forms):
-            ks = [k for f in forms for k in (f._ks or [math.inf] * len(f._params))]
 
         def assemble(vals: np.ndarray, sums: list = ()):
             parts = zip(forms, [0] + ends, ends, [0] + series_ends, series_ends)
@@ -369,11 +362,6 @@ def _w87_sums(series: list, ctx: QContext) -> list:
         return []
     *params, z = np.array(series, dtype=complex).T
     return w87(*params, ctx, z).tolist()
-
-
-def qpoch_prod(params: Sequence, ctx: QContext, k=None):
-    """(a1, ..., ar; q)_k, the product of the individual factorials."""
-    return math.prod(qpoch(list(params), ctx, k).tolist(), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -402,7 +390,7 @@ def phi_rs(spec: SeriesSpec):
     Term k carries the usual ((-1)^k q^{k(k-1)/2})^{1+s-r} factor.  A series
     flagged terminating (some upper parameter within 1e-12 relative of q^-n)
     is summed exactly over its n+1 terms; otherwise partial sums run until
-    both the current term and a geometric tail estimate drop below tail_tol.
+    both the current term and a geometric tail estimate drop below TAIL_TOL.
     The sum is a batch of one of :func:`_sum_terms`.
     """
     upper, lower = (np.array(vals, dtype=complex).reshape(-1, 1) for vals in (spec.upper, spec.lower))
@@ -562,16 +550,17 @@ def _sum_terms(
     ``well_poised``.
 
     For each series t_0 = 1 and t_{k+1} = t_k * factor_k, the factor's
-    numerator and denominator multiplied and divided in parameter order.  A
-    lower parameter whose modulus is not finite raises ConvergenceError
+    numerator and denominator multiplied and divided in parameter order.  An
+    upper parameter or argument that is not finite, or a lower parameter
+    whose modulus is not finite, raises ConvergenceError naming its slot
     before anything is summed.  A series that terminates through an upper
     parameter q^-n is summed over its n+1 terms; a lower parameter q^-m is
     refused unless the series stops first.  Otherwise the series stops at
     the first k where the bound B_k on the k-th summand (|t_k|, times
-    (1 + |a| q^{2k})/|1 - a| when well poised) is below tail_tol and so is
+    (1 + |a| q^{2k})/|1 - a| when well poised) is below TAIL_TOL and so is
     the geometric tail B_k R/(1 - R), where R bounds |t_{j+1}/t_j| for all
     j >= k: each factor of R decreases with k once every |b| q^k < 1.  A
-    series that does not stop within max_terms, or whose sum is not finite,
+    series that does not stop within MAX_TERMS, or whose sum is not finite,
     raises ConvergenceError.
 
     The series run together, a block of terms of every unfinished series at
@@ -584,13 +573,13 @@ def _sum_terms(
     ``add.accumulate`` over complex numbers along a row of at least three,
     one product or sum at a time in order), each series' term and partial
     sum carried into the next block.  B_k comes from the block; R from the
-    first k where some B_k is below tail_tol on, as a scalar loop forms it.
+    first k where some B_k is below TAIL_TOL on, as a scalar loop forms it.
     So each sum is bit for bit the one a scalar loop over the series in
     Python complexes gives, and does not depend on the other series of the
     batch.  A series whose parameters are all real keeps zero imaginary
     parts, and its sum is the one a scalar loop in Python floats gives.
     """
-    q, tol, cap = ctx.q, ctx.tail_tol, ctx.max_terms
+    q, tol, cap = ctx.q, TAIL_TOL, MAX_TERMS
     r, s = len(upper), len(lower)
     e = 1 + s - r  # exponent of the (-1)^k q^{k(k-1)/2} factor
     name = "8W7" if well_poised else f"{r}_phi_{s}"
@@ -600,12 +589,14 @@ def _sum_terms(
     with np.errstate(over="ignore"):  # a modulus past the float range is inf
         abs_z = np.hypot(z.real, z.imag)
         abs_upper, abs_lower = np.hypot(upper.real, upper.imag), np.hypot(lower.real, lower.imag)
-    infinite = ~np.isfinite(abs_lower)
-    if infinite.any():
-        j, i = np.argwhere(infinite)[0]
-        raise ConvergenceError(
-            f"{name} lower parameter {complex(lower[j, i])!r} of series {i} is not finite in modulus"
-        )
+    for slot, values, finite in (
+        ("upper parameter", upper, np.isfinite(upper)),
+        ("lower parameter", lower, np.isfinite(abs_lower)),
+        ("argument z", z[None], np.isfinite(z[None])),
+    ):
+        if not finite.all():
+            j, i = np.argwhere(~finite)[0]
+            raise ConvergenceError(f"{name} {slot} {complex(values[j, i])!r} of series {i} is not finite")
 
     # termination and zero denominators, once for the batch: a series ends
     # after term min n over its upper parameters q^-n; a lower parameter q^-m
@@ -636,7 +627,7 @@ def _sum_terms(
         one_a = (1.0 - a_re, 0.0 - a_im)
         abs_a, abs_1a = abs_upper[0, :, None], np.hypot(*one_a)
 
-    # the first block holds the terms |z|^k takes to reach tail_tol for the
+    # the first block holds the terms |z|^k takes to reach TAIL_TOL for the
     # largest |z| < 1, and a quarter more for the growth of the other factors
     open_z = abs_z[is_open]
     top = float(open_z[open_z < 1.0].max(initial=0.0))
@@ -763,19 +754,17 @@ def _jackson_zero_to(f: Callable[[float], float], c: float, ctx: QContext):
     window = []
     total = 0.0
     qk = 1.0
-    for k in range(ctx.max_terms):
+    for k in range(MAX_TERMS):
         val = f(c * qk)
         total += val * qk
         window.append(abs(val))
         if len(window) > 6:
             window.pop(0)
         m_hat = max(max(window), f0)
-        if k >= 5 and abs(c) * m_hat * qk * q <= ctx.tail_tol:
+        if k >= 5 and abs(c) * m_hat * qk * q <= TAIL_TOL:
             return (1.0 - q) * c * total
         qk *= q
-    raise ConvergenceError(
-        f"Jackson q-integral tail did not reach tail_tol within {ctx.max_terms} terms"
-    )
+    raise ConvergenceError(f"Jackson q-integral tail did not reach TAIL_TOL within {MAX_TERMS} terms")
 
 
 def q_integral(f: Callable[[float], float], a: float, b: float, ctx: QContext):

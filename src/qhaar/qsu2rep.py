@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qseries
 from .errors import ConvergenceError, DomainError, TruncationPolicyError
 from .qseries import QContext, SeriesSpec, _check_power_range, phi_rs, qpoch
 from .spectral import check_truncation, min_truncation
@@ -621,23 +622,18 @@ class EigenBasisEntry:
     vector: np.ndarray
 
 
-def eigen_basis(
-    ctx: QContext,
-    tau: float,
-    size: int,
-    k_max: int,
-    phi: float = 0.0,
-    branches: tuple[int, ...] = (1, -1),
-) -> list[EigenBasisEntry]:
-    """Eigenvectors v_lambda = sum_n i^n e^{i n phi} p_n(lambda) e_n.
+def eigen_basis(ctx: QContext, tau: float, size: int, k_max: int) -> list[EigenBasisEntry]:
+    """Eigenvectors v_lambda = sum_n i^n p_n(lambda) e_n at angle 0, branch
+    +1 and then -1, k = 0..k_max on each.
 
-    Components past ``size`` are dropped; for the closed-form ``norm_sq``
-    to describe the truncated vector, size must comfortably exceed the
-    index where components fall below working precision.
+    At angle phi the eigenvector is v_lambda with component n times
+    e^{i n phi}.  Components past ``size`` are dropped; for the closed-form
+    ``norm_sq`` to describe the truncated vector, size must comfortably
+    exceed the index where components fall below working precision.
     """
-    phase = _eigvec_phase(size, phi)
+    phase = _eigvec_phase(size, 0.0)
     out = []
-    for branch in branches:
+    for branch in (1, -1):
         for k in range(k_max + 1):
             out.append(
                 EigenBasisEntry(
@@ -676,7 +672,7 @@ def d_coeff(ctx: QContext, tau: float, branch1: int, k1: int, branch2: int, k2: 
     return math.prod(vals, start=1.0)
 
 
-def spectral_trace(ctx: QContext, tau: float, coeffs, tol: float = 1e-12) -> float:
+def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
     """Haar functional of p(rho_tau_inf) summed over the two spectral ladders.
 
     The diagonal ratios d_coeff / norm_sq collapse to the weights
@@ -684,6 +680,9 @@ def spectral_trace(ctx: QContext, tau: float, coeffs, tol: float = 1e-12) -> flo
 
         (1 - q^2) / (1 + q^{2 tau}) *
             sum_k q^{2k} [ p(-q^{2k}) + q^{2 tau} p(q^{2 tau + 2k}) ].
+
+    The sum stops once a bound on the rest is below TAIL_TOL, or raises
+    ConvergenceError past MAX_TERMS terms.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     q = ctx.q
@@ -701,9 +700,9 @@ def spectral_trace(ctx: QContext, tau: float, coeffs, tol: float = 1e-12) -> flo
         total += term
         qk *= Q
         k += 1
-        if qk * scale * (2.0 + q ** (2 * tau)) / (1.0 - Q) < 0.01 * tol:
+        if qk * scale * (2.0 + q ** (2 * tau)) / (1.0 - Q) < qseries.TAIL_TOL:
             break
-        if k > ctx.max_terms:
+        if k > qseries.MAX_TERMS:
             raise ConvergenceError("spectral ladder sum did not close")
     return (1.0 - Q) / (1.0 + q ** (2 * tau)) * total
 

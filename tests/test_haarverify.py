@@ -46,7 +46,6 @@ from qhaar import (
     monomials,
     q_integral,
     qpoch,
-    qpoch_prod,
     sigma_limit_check,
     support_check,
     thm4_measure,
@@ -852,26 +851,28 @@ def _ref_raw_check(theta, tau, sigma, ctx):
     f = e.conjugate()
     lower = (a * Q / c, a * Q / d, a * Q / e, a * Q / f, b * c / a, b * d / a, b * e / a, b * f / a)
     term1 = w87(a, b, c, d, e, f, ctx2, Q) / qpoch(b / a, ctx2)
-    pref = qpoch_prod(
-        (a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f), ctx2
-    ) / qpoch_prod(lower + (b * b * Q / a,), ctx2)
+    pref = math.prod(
+        qpoch([a * Q, c, d, e, f, b * Q / c, b * Q / d, b * Q / e, b * Q / f], ctx2).tolist()
+    ) / math.prod(qpoch([*lower, b * b * Q / a], ctx2).tolist())
     term2 = (
         pref
         * w87(b * b / a, b, b * c / a, b * d / a, b * e / a, b * f / a, ctx2, Q)
         / qpoch(a / b, ctx2)
     )
-    rhs = qpoch_prod(
-        (
-            a * Q,
-            a * Q / (c * d),
-            a * Q / (c * e),
-            a * Q / (c * f),
-            a * Q / (d * e),
-            a * Q / (d * f),
-            a * Q / (e * f),
-        ),
-        ctx2,
-    ) / qpoch_prod(lower, ctx2)
+    rhs = math.prod(
+        qpoch(
+            [
+                a * Q,
+                a * Q / (c * d),
+                a * Q / (c * e),
+                a * Q / (c * f),
+                a * Q / (d * e),
+                a * Q / (d * f),
+                a * Q / (e * f),
+            ],
+            ctx2,
+        ).tolist()
+    ) / math.prod(qpoch(list(lower), ctx2).tolist())
     return abs(term1 + term2 - rhs) / abs(rhs)
 
 
@@ -1068,7 +1069,7 @@ class TestIdentityCommands:
 
     @pytest.mark.parametrize("q", (0.3, 0.9, 0.97))
     def test_poisson_terms_bound_the_tail(self, q: float) -> None:
-        # past the count, the absolute terms of the series sum below tail_tol
+        # past the count, the absolute terms of the series sum below TAIL_TOL
         ctx = QContext(q)
         rng = np.random.default_rng(31)
         for _ in range(40):
@@ -1079,12 +1080,13 @@ class TestIdentityCommands:
             k = np.arange(p.shape[0])
             poch = np.cumprod(np.r_[1.0, (1.0 - q ** k[1:]) * (1.0 - a * b * q ** k[:-1])])
             tail = np.abs(t**k * p[:, 0] * p[:, 1] / poch)[n + 1:]
-            assert tail.sum() <= ctx.tail_tol, (t, x, y, a, b, n)
+            assert tail.sum() <= qseries.TAIL_TOL, (t, x, y, a, b, n)
             assert tail[0] > 0.0
 
-    def test_poisson_terms_refuse_past_max_terms(self) -> None:
+    def test_poisson_terms_refuse_past_max_terms(self, monkeypatch) -> None:
+        monkeypatch.setattr(qseries, "MAX_TERMS", 100)
         with pytest.raises(ConvergenceError, match="over 100 terms"):
-            cli._poisson_terms(0.8, 0.0, 0.0, QContext(0.99, max_terms=100))
+            cli._poisson_terms(0.8, 0.0, 0.0, QContext(0.99))
         assert cli._poisson_terms(0.0, 0.5, 0.5, QContext(0.9)) == 0
 
     @pytest.mark.parametrize(

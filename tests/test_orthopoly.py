@@ -386,45 +386,26 @@ class TestAwMeasure:
             den *= mp.qp(u * v, q)
         assert aw_h0(a, b, c, d, ctx) == pytest.approx(float(num / den), rel=1e-11)
 
-    def test_refine_check_catches_mismatch(self, ctx2: QContext) -> None:
-        spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
-        # smooth integrand: doubled rule agrees
-        aw_integrate(spec, (0.0, 0.0, 0.0, 0.0, 1.0), refine_check=1e-10)
-
-    def test_refine_check_coefficients_match_callable(self, ctx2: QContext) -> None:
-        # a 16-node rule misses x^30 by about 1e-6 against its doubled rule
-        params = AWParams(0.3, -0.2, 0.0, 0.0, ctx2)
-        spec = aw_measure(params, start_nodes=4, mass_tol=1e-3)
-        assert len(spec.theta_nodes) == 16
-        # the refined value is the doubled rule's, against node-by-node calls
-        theta, weights, masses, _ = reference_measure(params, start_nodes=16, mass_tol=1e-3)
-        assert len(theta) == 32
-        for coeffs in ((0.3, -1.0, 0.5, 2.0), (0.0,) * 30 + (1.0,)):
-            want = reference_integrate(theta, weights, masses, coeffs)
-            assert aw_integrate(spec, coeffs, refine_check=1e-5) == want
-        with pytest.raises(ConvergenceError):
-            aw_integrate(spec, (0.0,) * 30 + (1.0,), refine_check=1e-8)
-
     def test_needs_coefficients(self, ctx2: QContext) -> None:
         spec = aw_measure(AWParams(0.0, 0.0, 0.0, 0.0, ctx2))
         with pytest.raises(DomainError):
             aw_integrate(spec, lambda x: x * x)
 
 
-def reference_measure(params: AWParams, start_nodes: int = 64, mass_tol: float = 1e-10):
+def reference_measure(params: AWParams):
     """aw_measure's doubling loop, written out: numpy leggauss at every level."""
     a, b, c, d = params.as_tuple()
     h0 = aw_h0(a, b, c, d, params.ctx)
     masses = reference_masses(params)
     mass_sum = sum(w for _, w in masses)
-    n, prev = start_nodes, None
+    n, prev = 64, None
     while True:
         t, wt = np.polynomial.legendre.leggauss(n)
         theta = 0.5 * math.pi * (t + 1.0)
         wvals = aw_theta_weight(theta, a, b, c, d, params.ctx)
         weights = 0.5 * math.pi * wt * wvals / (2.0 * math.pi * h0)
         total = float(np.sum(weights)) + mass_sum
-        if prev is not None and abs(total - prev) <= mass_tol:
+        if prev is not None and abs(total - prev) <= 1e-10:
             return theta, weights, masses, total
         prev = total
         n *= 2

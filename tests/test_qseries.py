@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import io
 import json
 import math
@@ -24,10 +25,9 @@ from qhaar import (
     phi_rs,
     q_integral,
     qpoch,
-    qpoch_prod,
     w87,
 )
-from qhaar import cli, haarverify, orthopoly, qseries
+from qhaar import cli, haarverify, orthopoly, qseries, qsu2rep
 from qhaar.qseries import Factorials, neg_power_index
 
 mp.mp.dps = 40
@@ -48,6 +48,15 @@ class TestQContext:
     def test_squared_squares_base(self, ctx: QContext) -> None:
         assert ctx.squared().q == 0.25
 
+    def test_equality_and_hash_follow_q_alone(self) -> None:
+        # contexts are cache keys: equal bases give equal keys
+        assert [f.name for f in dataclasses.fields(QContext)] == ["q"]
+        assert QContext(0.5) == QContext(0.5) and hash(QContext(0.5)) == hash(QContext(0.5))
+        assert QContext(0.5).squared() == QContext(0.25)
+        assert hash(QContext(0.5).squared()) == hash(QContext(0.25))
+        assert QContext(0.5) != QContext(0.3)
+        assert len({QContext(0.5), QContext(0.5), QContext(0.3)}) == 2
+
 
 class TestQPoch:
     def test_empty_product_is_one(self, ctx: QContext) -> None:
@@ -63,7 +72,7 @@ class TestQPoch:
             assert qpoch(a, ctx) == pytest.approx(mp_qpoch(a, 0.5), rel=1e-12)
 
     def test_prod_multiplies(self, ctx: QContext) -> None:
-        got = qpoch_prod((0.3, -0.5, 0.1), ctx, 4)
+        got = math.prod(qpoch([0.3, -0.5, 0.1], ctx, 4))
         want = qpoch(0.3, ctx, 4) * qpoch(-0.5, ctx, 4) * qpoch(0.1, ctx, 4)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -83,7 +92,7 @@ class TestQPoch:
 
 def reference_qpoch(a, ctx: QContext, k=None):
     """(a;q)_k by the scalar loop: one factor at a time, in order from i = 0,
-    the infinite product cut at the first |a| q^i < tail_tol (1 - q)."""
+    the infinite product cut at the first |a| q^i < TAIL_TOL (1 - q)."""
     q = ctx.q
     if k is not None and k != math.inf:
         if k < 0 or k != int(k):
@@ -94,15 +103,15 @@ def reference_qpoch(a, ctx: QContext, k=None):
             out *= 1.0 - a * qi
             qi *= q
         return out
-    threshold = ctx.tail_tol * (1.0 - q)
+    threshold = qseries.TAIL_TOL * (1.0 - q)
     out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
     qi = 1.0
-    for i in range(ctx.max_terms):
+    for i in range(qseries.MAX_TERMS):
         if abs(a) * qi < threshold:
             return out
         out *= 1.0 - a * qi
         qi *= q
-    raise ConvergenceError("reference (a;q)_inf did not reach tail_tol")
+    raise ConvergenceError("reference (a;q)_inf did not reach TAIL_TOL")
 
 
 def hex_of(v) -> tuple[str, str]:
@@ -255,15 +264,16 @@ class TestArrayQpoch:
             got = qpoch([1e150, 0.5], ctx, [2, math.inf])
         assert [hex_of(v) for v in got.tolist()] == scalar_hex([1e150, 0.5], ctx, [2, None])
 
-    def test_convergence_error_like_scalar(self) -> None:
-        ctx = QContext(0.99, max_terms=10)
+    def test_convergence_error_like_scalar(self, monkeypatch) -> None:
+        ctx = QContext(0.99)
+        with pytest.raises(ConvergenceError):
+            qpoch(np.array([0.3, math.nan]), QContext(0.5))
+        monkeypatch.setattr(qseries, "MAX_TERMS", 10)
         with pytest.raises(ConvergenceError):
             qpoch(0.3, ctx)
         with pytest.raises(ConvergenceError):
             qpoch(np.array([0.0, 1e-16, 0.3]), ctx)
-        with pytest.raises(ConvergenceError):
-            qpoch(np.array([0.3, math.nan]), QContext(0.5))
-        # finite products ignore max_terms
+        # finite products ignore MAX_TERMS
         assert qpoch(np.array([0.3]), ctx, 12)[0] == qpoch(0.3, ctx, 12)
 
     def test_bad_k_rejected(self, ctx: QContext) -> None:
@@ -357,7 +367,7 @@ def reference_phi_rs(spec: SeriesSpec):
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     qk = 1.0
-    for k in range(ctx.max_terms):
+    for k in range(qseries.MAX_TERMS):
         total += term
         if n_terms is not None:
             if k + 1 >= n_terms:
@@ -373,8 +383,8 @@ def reference_phi_rs(spec: SeriesSpec):
                     ratio /= 1.0 - abs(b) * qk
                 if (
                     ratio < 1.0
-                    and abs(term) <= ctx.tail_tol
-                    and abs(term) * ratio / (1.0 - ratio) <= ctx.tail_tol
+                    and abs(term) <= qseries.TAIL_TOL
+                    and abs(term) * ratio / (1.0 - ratio) <= qseries.TAIL_TOL
                 ):
                     break
         factor = spec.z
@@ -457,7 +467,7 @@ def reference_w87(a, b, c, d, e, f, ctx: QContext, z):
     u = 1.0 + 0.0j
     qk = 1.0
     q2k = 1.0
-    for k in range(ctx.max_terms):
+    for k in range(qseries.MAX_TERMS):
         total += u * (1.0 - a * q2k) / (1.0 - a)
         if n_terms is not None:
             if k + 1 >= n_terms:
@@ -473,7 +483,7 @@ def reference_w87(a, b, c, d, e, f, ctx: QContext, z):
                     ratio /= 1.0 - abs(p) * qk
                 vbound = (1.0 + abs(a) * q2k) / abs(1.0 - a)
                 tk = abs(u) * vbound
-                if ratio < 1.0 and tk <= ctx.tail_tol and tk * ratio / (1.0 - ratio) <= ctx.tail_tol:
+                if ratio < 1.0 and tk <= qseries.TAIL_TOL and tk * ratio / (1.0 - ratio) <= qseries.TAIL_TOL:
                     break
         factor = z * (1.0 - a * qk)
         for p in numer:
@@ -520,7 +530,7 @@ class TestW87:
         # terminating through a = q^-2 and through b = q^-3
         cases.append((0.5, (0.5**-2, 0.3, -0.2, 0.1 + 0.2j, 0.1 - 0.2j, 0.4), 0.7))
         cases.append((0.5, (0.2, 0.5**-3, -0.25, 0.15, 0.12, -0.2), 0.35))
-        # the term bound drops below tail_tol by k = 2, but q a / b = 22.5 q
+        # the term bound drops below TAIL_TOL by k = 2, but q a / b = 22.5 q
         # keeps the ratio test closed until q^k < 1/22.5 (k = 5 at q = 0.5)
         cases.append((0.5, (0.9, 0.02, 0.3, -0.4, 0.5 + 0.1j, 0.5 - 0.1j), 1e-9))
         cases.append((0.81, (0.6, 0.01, 0.2, 0.3, -0.3, 0.25), 1e-8 + 1e-9j))
@@ -554,6 +564,24 @@ class TestW87:
         for call in calls:
             with pytest.raises(ConvergenceError, match="lower parameter .* is not finite"):
                 call()
+
+    def test_upper_parameter_or_argument_not_finite_refused_before_summing(self, monkeypatch) -> None:
+        # single calls, and batches whose other lanes are finite
+        ctx = QContext(0.5)
+        monkeypatch.setattr(qseries, "_factor_block", lambda *args: pytest.fail("summed"))
+        lower = (0.3, -0.2, 0.1, 0.4)
+        for bad in (math.inf, -math.inf, math.nan):
+            calls = [
+                ("upper parameter", lambda: w87(0.5, bad, *lower, ctx, 0.5)),
+                ("argument", lambda: w87(0.5, 0.2, *lower, ctx, bad)),
+                ("upper parameter", lambda: phi_rs(SeriesSpec((0.3, bad), (0.2,), 0.5, ctx))),
+                ("argument", lambda: phi_rs(SeriesSpec((0.3,), (0.2,), bad, ctx))),
+                ("upper parameter", lambda: w87(0.5, [0.2, bad, -0.1], *lower, ctx, 0.5)),
+                ("argument", lambda: w87(0.5, 0.2, *lower, ctx, [0.5, 0.1, bad])),
+            ]
+            for slot, call in calls:
+                with pytest.raises(ConvergenceError, match=f"{slot} .* is not finite"):
+                    call()
 
     def test_divergent_raises_convergence_error(self) -> None:
         # |z| > 1: the terms grow until a modulus overflows with both parts finite
@@ -717,6 +745,30 @@ class TestNonFiniteParameters:
                     orthopoly.asc_orthonormal(5, 0.3, 0.6, bad, ctx)
 
 
+class TestOneTruncationPolicy:
+    """Every q-series loop reads its term cap from qseries.MAX_TERMS: each
+    runs at the default, and lowering that constant alone makes it raise."""
+
+    LOOPS = {
+        "qpoch": lambda: qpoch(0.3, QContext(0.99)),
+        "sum_terms": lambda: phi_rs(SeriesSpec((0.3,), (0.2,), 0.9, QContext(0.9))),
+        "q_integral": lambda: q_integral(lambda x: x, 0.0, 1.0, QContext(0.9)),
+        "moment_apply": lambda: orthopoly.moment_apply(
+            orthopoly.MomentFunctional("M", QContext(0.9)), [1.0]
+        ),
+        "spectral_trace": lambda: qsu2rep.spectral_trace(QContext(0.9), 0.5, [1.0]),
+        "poisson_terms": lambda: cli._poisson_terms(0.5, 0.3, -0.2, QContext(0.5)),
+    }
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    def test_lowered_max_terms_raises(self, loop: str, monkeypatch) -> None:
+        call = self.LOOPS[loop]
+        call()
+        monkeypatch.setattr(qseries, "MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError):
+            call()
+
+
 class TestIdentityFormsBits:
     """The joined forms of ``identity bailey|poisson|mass`` and of
     ``bailey_raw_check`` give the same bits through the batch kernels as
@@ -778,7 +830,7 @@ class TestW87Oracle:
     commands' argument pattern (a, b and z real, c, d and e, f conjugate
     pairs): the error stays within K eps sum |t_k|, the rounding of K terms
     of a float sum (K counts the terms down to 1e-32, at least as many as
-    w87 sums), plus the tail_tol the stopping test leaves out."""
+    w87 sums), plus the TAIL_TOL the stopping test leaves out."""
 
     QS = (0.85, 0.9, 0.95, 0.98)
 
@@ -830,7 +882,7 @@ class TestW87Oracle:
             terms = self.terms(lane, q)
             exact = complex(mp.fsum(terms))
             scale = float(mp.fsum(abs(t) for t in terms))
-            bound = len(terms) * eps * scale + ctx.tail_tol
+            bound = len(terms) * eps * scale + qseries.TAIL_TOL
             assert abs(value - exact) <= bound, (lane, value, exact, abs(value - exact) / bound)
             assert hex_of(value) == hex_of(w87(*lane[:6], ctx, lane[6]))
 

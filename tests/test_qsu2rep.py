@@ -852,17 +852,19 @@ class TestEigenBasis:
         for phi in (0.0, 0.7):
             rep = build_rep(ctx, phi, 200)
             M = element(rep, "rho_tau_inf", SphericalParams(tau=TAU))
-            for entry in eigen_basis(ctx, TAU, 200, 4, phi=phi):
-                resid = M @ entry.vector - entry.eigenvalue * entry.vector
-                assert float(np.linalg.norm(resid)) < 1e-9 * float(
-                    np.linalg.norm(entry.vector)
-                )
+            # at angle phi, component n of each eigenvector takes e^{i n phi}
+            phase = np.exp(1j * np.arange(201) * phi)
+            for entry in eigen_basis(ctx, TAU, 200, 4):
+                vector = phase * entry.vector
+                resid = M @ vector - entry.eigenvalue * vector
+                assert float(np.linalg.norm(resid)) < 1e-9 * float(np.linalg.norm(vector))
 
     def test_mutual_orthogonality(self, ctx: QContext) -> None:
-        basis = eigen_basis(ctx, TAU, 200, 5, phi=0.7)
+        phase = np.exp(0.7j * np.arange(201))
+        basis = eigen_basis(ctx, TAU, 200, 5)
         for i, ei in enumerate(basis):
             for ej in basis[i + 1 :]:
-                ip = np.vdot(ei.vector, ej.vector)
+                ip = np.vdot(phase * ei.vector, phase * ej.vector)
                 assert abs(ip) < 1e-9 * math.sqrt(ei.norm_sq * ej.norm_sq)
 
     def test_poly_matches_components(self, ctx: QContext) -> None:
@@ -970,8 +972,9 @@ class TestDecomposition:
         rep = build_rep(ctx, 0.0, 200)
         M = element(rep, "rho_tau_inf", SphericalParams(tau=TAU))
         M3 = M @ M @ M
-        neg = [e for e in eigen_basis(ctx, TAU, 200, 3, branches=(-1,))]
-        pos = [e for e in eigen_basis(ctx, TAU, 200, 3, branches=(1,))]
+        basis = eigen_basis(ctx, TAU, 200, 3)
+        neg = [e for e in basis if e.branch == -1]
+        pos = [e for e in basis if e.branch == 1]
         for en in neg:
             for ep in pos:
                 val = np.vdot(ep.vector, M3 @ en.vector)
@@ -983,7 +986,7 @@ class TestDecomposition:
         rep = build_rep(ctx, 0.0, 200)
         R2 = 2.0 * element(rep, "rho_tau_sigma", SphericalParams(tau=TAU, sigma=SIGMA))
         for branch in (1, -1):
-            basis = eigen_basis(ctx, TAU, 200, 9, branches=(branch,))
+            basis = [e for e in eigen_basis(ctx, TAU, 200, 9) if e.branch == branch]
             w = [e.vector / math.sqrt(e.norm_sq) for e in basis]
             for m in range(8):
                 if branch == -1:
