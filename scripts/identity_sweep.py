@@ -10,12 +10,13 @@ import numpy as np
 from qhaar import (
     QContext,
     asc_poisson,
+    asc_poisson_series,
     bailey_variant_residuals,
     cqh_poisson,
+    cqh_poisson_series,
     mass_identity_check,
     sigma_limit_check,
 )
-from qhaar.orthopoly import asc_poisson_series, cqh_poisson_series
 
 
 def bailey_table(ctx: QContext, taus: list[float], sigmas: list[float], points: int) -> None:

@@ -13,153 +13,28 @@ Layered modules:
     haarverify  dual-route verification of the closed-form expressions and
                 the supporting identities
     cli         configuration, dispatch and machine-readable reports
+
+The package exports every name in the ``__all__`` of the modules above but
+``cli``.  The truncation constants are read as ``qseries.TAIL_TOL`` and
+``qseries.MAX_TERMS``.
 """
 
-from __future__ import annotations
-
-from .errors import ConvergenceError, DomainError, QHaarError, TruncationPolicyError
-from .qseries import QContext, SeriesSpec, phi_rs, q_integral, qpoch, w87
-from .spectral import (
-    JacobiCoeffs,
-    check_truncation,
-    gauss_rule,
-    min_truncation,
-    orthonormal_polys,
-)
-from .orthopoly import (
-    AWParams,
-    MeasureSpec,
-    MomentFunctional,
-    asc,
-    asc_all,
-    asc_orthonormal,
-    asc_poisson,
-    aw_h0,
-    aw_integrate,
-    aw_jacobi,
-    aw_masses,
-    aw_measure,
-    cqh,
-    cqh_all,
-    cqh_poisson,
-    cqh_weight,
-    moment_apply,
-    q_charlier,
-)
-from .qsu2rep import (
-    ELEMENT_NAMES,
-    EigenBasisEntry,
-    SphericalParams,
-    StructureReport,
-    TruncRep,
-    build_rep,
-    d_coeff,
-    eigen_basis,
-    eigvec_components,
-    eigvec_norm_sq,
-    eigvec_poly,
-    element,
-    haar_moments,
-    haar_trace,
-    moment_trace,
-    op_D,
-    spectral_trace,
-    verify_structure,
-)
-from .haarverify import (
-    THEOREMS,
-    IntermediateReport,
-    VerifyConfig,
-    VerifyReport,
-    VerifyRow,
-    bailey_check,
-    bailey_raw_check,
-    bailey_variant_residuals,
-    gamma_measure,
-    intermediate_check,
-    mass_identity_check,
-    monomials,
-    sigma_limit_check,
-    support_check,
-    thm4_measure,
-    thm5_measure,
-    thm6_measure,
-    thm6_params,
-    verify,
-)
+from .errors import *  # noqa: F403
+from .qseries import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .orthopoly import *  # noqa: F403
+from .qsu2rep import *  # noqa: F403
+from .haarverify import *  # noqa: F403
+from . import errors, haarverify, orthopoly, qseries, qsu2rep, spectral
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QHaarError",
-    "DomainError",
-    "ConvergenceError",
-    "TruncationPolicyError",
-    "QContext",
-    "SeriesSpec",
-    "phi_rs",
-    "qpoch",
-    "w87",
-    "q_integral",
-    "JacobiCoeffs",
-    "gauss_rule",
-    "orthonormal_polys",
-    "min_truncation",
-    "check_truncation",
-    "AWParams",
-    "MeasureSpec",
-    "MomentFunctional",
-    "moment_apply",
-    "cqh",
-    "cqh_all",
-    "cqh_weight",
-    "cqh_poisson",
-    "q_charlier",
-    "asc",
-    "asc_all",
-    "asc_orthonormal",
-    "asc_poisson",
-    "aw_h0",
-    "aw_jacobi",
-    "aw_masses",
-    "aw_measure",
-    "aw_integrate",
-    "ELEMENT_NAMES",
-    "SphericalParams",
-    "TruncRep",
-    "build_rep",
-    "element",
-    "op_D",
-    "haar_moments",
-    "haar_trace",
-    "moment_trace",
-    "EigenBasisEntry",
-    "eigen_basis",
-    "eigvec_poly",
-    "eigvec_components",
-    "eigvec_norm_sq",
-    "d_coeff",
-    "spectral_trace",
-    "StructureReport",
-    "verify_structure",
-    "THEOREMS",
-    "VerifyConfig",
-    "VerifyRow",
-    "VerifyReport",
-    "IntermediateReport",
-    "monomials",
-    "verify",
-    "thm4_measure",
-    "thm5_measure",
-    "thm6_params",
-    "thm6_measure",
-    "gamma_measure",
-    "intermediate_check",
-    "bailey_check",
-    "bailey_raw_check",
-    "bailey_variant_residuals",
-    "mass_identity_check",
-    "support_check",
-    "sigma_limit_check",
+    *errors.__all__,
+    *qseries.__all__,
+    *spectral.__all__,
+    *orthopoly.__all__,
+    *qsu2rep.__all__,
+    *haarverify.__all__,
     "__version__",
 ]

@@ -29,12 +29,14 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  unused; perfbench patches it
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import qseries
 from .errors import ConvergenceError, DomainError
 from .haarverify import (
+    THEOREMS,
     VerifyConfig,
     VerifyRow,
     _support_distances,
@@ -64,10 +66,12 @@ BAILEY_THETAS = (0.3, 0.9, 1.4, 2.2, 2.9)
 # tau=0.4, sigma=1.5 (a of that quadruple and q^2/ (a b) partner), k=0
 MASS_CASES = ((1.6, 0.3, 0), (2.5, -0.2, 1), (-1.8660659830736148, 0.2332649334213164, 0))
 
+OUTPUT_FORMATS = ("json", "csv", "text")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, serializable run configuration; every field has a CLI flag."""
+    """Flat, serializable run configuration; the parser adds one flag per field, of its type."""
 
     q: float = 0.5
     tau: float = 0.4
@@ -79,10 +83,14 @@ class RunConfig:
     seed: int = 7041
 
     def __post_init__(self) -> None:
-        if self.output not in ("json", "csv", "text"):
-            raise DomainError("output must be json, csv or text")
+        if self.output not in OUTPUT_FORMATS:
+            raise DomainError("output must be %s, %s or %s" % OUTPUT_FORMATS)
         if self.max_degree < 0:
             raise DomainError("max_degree must be nonnegative")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must be finite and positive")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -101,21 +109,23 @@ class RunConfig:
         )
 
 
-# JSON value types per RunConfig field type; a bool, an int to Python, is refused apart
-_CONFIG_TYPES = {"float": (int, float), "int": int, "str": str}
+# each RunConfig field's type, in field order: its flag parses to it, and its
+# config-file value must be a JSON value of it
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _config_from_sources(file_values: dict, flag_values: dict) -> RunConfig:
     """Apply precedence flags > config file > defaults."""
     merged: dict = {}
-    typemap = {f.name: f.type for f in fields(RunConfig)}
     for key, val in file_values.items():
-        if key not in typemap:
+        if key not in _FIELD_TYPES:
             raise DomainError(f"unknown config key {key!r}")
-        kind = typemap[key]
-        if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[kind]):
-            raise DomainError(f"config key {key!r} needs a JSON {kind}, got {val!r}")
-        merged[key] = float(val) if kind == "float" else val
+        kind = _FIELD_TYPES[key]
+        # a float field also takes a JSON integer; a bool, an int to Python, is refused
+        accepted = (int, float) if kind is float else kind
+        if isinstance(val, bool) or not isinstance(val, accepted):
+            raise DomainError(f"config key {key!r} needs a JSON {kind.__name__}, got {val!r}")
+        merged[key] = kind(val)
     for key, val in flag_values.items():
         if val is not None:
             merged[key] = val
@@ -276,64 +286,58 @@ def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     return {"reports": blocks}, flat, all(b["passed"] for b in blocks)
 
 
+def _identity_bailey(cfg: RunConfig, ctx: QContext) -> dict:
+    residuals = bailey_variant_residuals(BAILEY_THETAS, cfg.tau, cfg.sigma, ctx, raw=True)
+    cons, variant, raw = (v.tolist() for v in residuals)
+    rows = [
+        {"theta": theta, "residual": c, "variant_residual": v, "raw_residual": r,
+         "passed": c <= cfg.tol}
+        for theta, c, v, r in zip(BAILEY_THETAS, cons, variant, raw)
+    ]
+    # the two printed prefactor forms cannot both hold; report which
+    # one the numbers support instead of silently picking
+    return {"rows": rows, "display_form_inconsistent": any(v > cfg.tol for v in variant)}
+
+
+def _identity_mass(cfg: RunConfig, ctx: QContext) -> dict:
+    residuals = mass_identity_check(*zip(*MASS_CASES), ctx).tolist()
+    rows = [
+        {"a": a, "b": b, "k": k, "residual": res, "passed": bool(res <= cfg.tol)}
+        for (a, b, k), res in zip(MASS_CASES, residuals)
+    ]
+    return {"rows": rows}
+
+
+def _identity_poisson(cfg: RunConfig, ctx: QContext) -> dict:
+    rng = np.random.default_rng(cfg.seed)
+    hermite = [_poisson_point(rng) + (0.0, 0.0) for _ in range(10)]
+    chihara = [
+        _poisson_point(rng) + (float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)))
+        for _ in range(10)
+    ]
+    closed = Factorials.join(
+        [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
+        + [_asc_poisson_form(*p, ctx) for p in chihara]
+    ).evaluate(ctx)
+    kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
+    rows = []
+    for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
+        # the q-Hermite kernel is the Al-Salam-Chihara one at a = b = 0
+        series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t, a, b, ctx))
+        res = float(abs(series - value) / (1.0 + abs(value)))
+        rows.append({"kind": kind, "t": t, "x": x, "y": y, "a": a, "b": b, "residual": res,
+                     "passed": bool(res <= cfg.tol)})
+    return {"rows": rows}
+
+
+# each identity target's report body, holding its rows; each asks qpoch
+# once, for every angle, case or kernel it checks
+_IDENTITIES = {"bailey": _identity_bailey, "mass": _identity_mass, "poisson": _identity_poisson}
+
+
 def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
-    ctx = cfg.context()
-    rows: list[dict] = []
-    body: dict = {"rows": rows}
-    # each command asks qpoch once, for every angle, case or kernel it checks
-    if target == "bailey":
-        cons, variant, raw = (
-            v.tolist()
-            for v in bailey_variant_residuals(BAILEY_THETAS, cfg.tau, cfg.sigma, ctx, raw=True)
-        )
-        for theta, c, v, r in zip(BAILEY_THETAS, cons, variant, raw):
-            rows.append(
-                {
-                    "theta": theta,
-                    "residual": c,
-                    "variant_residual": v,
-                    "raw_residual": r,
-                    "passed": c <= cfg.tol,
-                }
-            )
-        # the two printed prefactor forms cannot both hold; report which
-        # one the numbers support instead of silently picking
-        body["display_form_inconsistent"] = any(v > cfg.tol for v in variant)
-    elif target == "mass":
-        residuals = mass_identity_check(*zip(*MASS_CASES), ctx).tolist()
-        for (a, b, k), res in zip(MASS_CASES, residuals):
-            rows.append({"a": a, "b": b, "k": k, "residual": res, "passed": bool(res <= cfg.tol)})
-    elif target == "poisson":
-        rng = np.random.default_rng(cfg.seed)
-        hermite = [_poisson_point(rng) + (0.0, 0.0) for _ in range(10)]
-        chihara = [
-            _poisson_point(rng) + (float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)))
-            for _ in range(10)
-        ]
-        closed = Factorials.join(
-            [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
-            + [_asc_poisson_form(*p, ctx) for p in chihara]
-        ).evaluate(ctx)
-        kinds = ["q-hermite"] * len(hermite) + ["al-salam-chihara"] * len(chihara)
-        for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
-            # the q-Hermite kernel is the Al-Salam-Chihara one at a = b = 0
-            series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t, a, b, ctx))
-            res = float(abs(series - value) / (1.0 + abs(value)))
-            rows.append(
-                {
-                    "kind": kind,
-                    "t": t,
-                    "x": x,
-                    "y": y,
-                    "a": a,
-                    "b": b,
-                    "residual": res,
-                    "passed": bool(res <= cfg.tol),
-                }
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown identity {target!r}")
-    return body, rows, all(r["passed"] for r in rows)
+    body = _IDENTITIES[target](cfg, cfg.context())
+    return body, body["rows"], all(r["passed"] for r in body["rows"])
 
 
 def _poisson_point(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -372,6 +376,10 @@ def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
     )
 
 
+# each spectrum target's theorem, whose element it diagonalizes
+_SPECTRUM_THEOREMS = {"cocentral": "thm4", "rho-inf": "thm5", "rho-sigma": "thm6"}
+
+
 def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     """Eigenvalues and trace weights of the element truncated to 0..trunc_n at angle 0.
 
@@ -393,8 +401,7 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     the report.
     """
     ctx = cfg.context()
-    theorem = {"cocentral": "thm4", "rho-inf": "thm5", "rho-sigma": "thm6"}[target]
-    pair = _theorem(theorem, cfg.tau, cfg.sigma)
+    pair = _theorem(_SPECTRUM_THEOREMS[target], cfg.tau, cfg.sigma)
     name = pair.element
     eigvals, weights = _band_spectrum(_element_band(ctx, name, pair.params, 0.0, cfg.trunc_n), ctx)
     xs = eigvals.tolist()
@@ -499,25 +506,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--trunc-n", dest="trunc_n", type=int, default=None)
-        p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--output", choices=("json", "csv", "text"), default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for name, kind in _FIELD_TYPES.items():
+            choices = OUTPUT_FORMATS if name == "output" else None
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, choices=choices,
+                           default=None)
 
     p_verify = sub.add_parser("verify", help="dual-route theorem checks")
-    p_verify.add_argument("target", choices=("thm4", "thm5", "thm6", "gamma", "all"))
+    p_verify.add_argument("target", choices=(*THEOREMS, "all"))
     add_config_flags(p_verify)
 
     p_ident = sub.add_parser("identity", help="standalone identity residuals")
-    p_ident.add_argument("target", choices=("bailey", "mass", "poisson"))
+    p_ident.add_argument("target", choices=tuple(_IDENTITIES))
     add_config_flags(p_ident)
 
     p_spec = sub.add_parser("spectrum", help="truncation spectra and trace weights")
-    p_spec.add_argument("target", choices=("cocentral", "rho-inf", "rho-sigma"))
+    p_spec.add_argument("target", choices=tuple(_SPECTRUM_THEOREMS))
     add_config_flags(p_spec)
 
     p_eval = sub.add_parser("eval-series", help="evaluate a basic hypergeometric series")
@@ -548,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(loaded, dict):
                 raise DomainError("config file must hold a flat JSON object")
             file_values = loaded
-        flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        flag_values = {name: getattr(args, name) for name in _FIELD_TYPES}
         cfg = _config_from_sources(file_values, flag_values)
 
         start = time.perf_counter()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["QHaarError", "DomainError", "ConvergenceError", "TruncationPolicyError"]
+
 
 class QHaarError(Exception):
     """Base class for all package-specific errors."""

@@ -38,8 +38,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "TAIL_TOL",
-    "MAX_TERMS",
     "QContext",
     "Factorials",
     "SeriesSpec",
@@ -48,6 +46,9 @@ __all__ = [
     "w87",
     "q_integral",
 ]
+
+# TAIL_TOL and MAX_TERMS stay out of __all__: every loop reads them from this
+# module at call time, so a copy bound elsewhere would not reach any loop
 
 #: bound on the tail discarded when an infinite sum or product is cut off
 TAIL_TOL = 1e-14

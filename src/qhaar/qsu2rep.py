@@ -89,8 +89,6 @@ __all__ = [
     "verify_structure",
 ]
 
-ELEMENT_NAMES = ("cocentral", "gamma_star_gamma", "rho_tau_inf", "rho_tau_sigma")
-
 # basis-index reach of each element; degree-d polynomials corrupt the last
 # reach*d rows of the truncation
 _ELEMENT_REACH = {
@@ -99,6 +97,8 @@ _ELEMENT_REACH = {
     "rho_tau_inf": 1,
     "rho_tau_sigma": 2,
 }
+
+ELEMENT_NAMES = tuple(_ELEMENT_REACH)
 
 
 @dataclass(frozen=True)

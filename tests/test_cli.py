@@ -70,6 +70,27 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [(("identity", "poisson"), "seed", -1)]
+        + [(("identity", target), "tol", value)
+           for target in ("mass", "bailey") for value in (math.nan, -1.0, 0.0, math.inf)]
+        + [(("spectrum", "rho-inf"), "tol", math.nan)],
+    )
+    def test_bad_seed_or_tol_is_two(self, capsys, tmp_path, source, argv, key, value) -> None:
+        # a negative seed, or a tol that is not finite and positive, is refused
+        # for every command before it runs, whether a flag or the file sets it
+        if source == "flag":
+            extra = ("--" + key, str(value))
+        else:
+            cfile = tmp_path / "run.json"
+            cfile.write_text(json.dumps({key: value}))  # NaN and Infinity load back
+            extra = ("--config", str(cfile))
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_policy_trip_is_three(self, capsys) -> None:
         code, _, err = run_cli(capsys, "verify", "thm4", "--q", "0.99", "--trunc-n", "50")
         assert code == 3
