@@ -6,8 +6,8 @@ Layered modules:
                 poised 8W7, Jackson q-integrals
     orthopoly   continuous q-Hermite, q-Charlier, Al-Salam-Chihara and
                 Askey-Wilson families with their measures and Poisson kernels
-    spectral    three-term recurrences as Jacobi operators, their Gauss
-                rules, truncation policy
+    spectral    three-term recurrences as Jacobi operators, their moments
+                e_0^T J^k e_0, truncation policy
     qsu2rep     truncated generator representations, the weighted phase-trace
                 Haar functional, spherical-type elements and their eigenbases
     haarverify  dual-route verification of the closed-form expressions and

@@ -2,11 +2,11 @@
 
 Three closed forms are checked, each by computing both sides independently:
 the operator side as a phase-averaged weighted trace of p(element) on a
-truncated representation, and the measure side on the Gauss rule of the
-claimed measure's Jacobi matrix, exact for polynomials, masses included.
-Each measure's Jacobi matrix is memoized with the recurrence entries it has
-grown, and each rule once per (measure, size) with read-only arrays, in
-caches of fixed size that only the measure route reads.
+truncated representation, and the measure side as the moments
+e_0^T J^k e_0 of the claimed measure's Jacobi matrix J, exact for
+polynomials, masses included.  Each measure's Jacobi matrix is memoized
+with the recurrence entries it has grown, in a cache of fixed size that
+only the measure route reads.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -47,6 +48,8 @@ from .qseries import Factorials, QContext, _check_power_range
 from .qsu2rep import (
     _ELEMENT_REACH,
     SphericalParams,
+    _Band,
+    _band_moments,
     _band_spectrum,
     _element_band,
     _poly_degree,
@@ -55,7 +58,7 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
-from .spectral import JacobiCoeffs, _offdiag_sqrt, _poly_diag, gauss_rule, min_truncation
+from .spectral import JacobiCoeffs, _jacobi_moments, _offdiag_sqrt, min_truncation
 
 __all__ = [
     "VerifyConfig",
@@ -84,11 +87,6 @@ THEOREMS = ("thm4", "thm5", "thm6", "gamma")
 # smaller measure values than this make relative error meaningless; the
 # reported rel_err falls back to the absolute error there
 REL_ERR_FLOOR = 1e-6
-
-# Gauss rules kept by _measure_rule: a 13-monomial loop needs 7 of them, and
-# thm4's 7 stay in use while other measures come and go; _measure_jacobi
-# keeps as many measures
-RULE_CACHE_SIZE = 128
 
 _TAIL_TOL = 1e-17  # truncation tail of the self-sized traces, below their rounding
 
@@ -182,10 +180,13 @@ def _poly_label(coeffs: np.ndarray) -> str:
 
 
 def _as_coeffs(p) -> np.ndarray:
-    """``p`` as an ascending coefficient array; a callable is refused."""
+    """``p`` as an ascending coefficient array; a callable or an empty list is refused."""
     if callable(p):
         raise DomainError("expected polynomial coefficients, got a callable")
-    return np.atleast_1d(np.asarray(p, dtype=float))
+    coeffs = np.atleast_1d(np.asarray(p, dtype=float))
+    if coeffs.size == 0:
+        raise DomainError("a polynomial needs at least one coefficient")
+    return coeffs
 
 
 def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
@@ -207,15 +208,17 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def _gauss_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
-                     polys) -> tuple[list[float], int]:
-    """Integrals of each p in ``polys`` against a theorem's measure, and the rule's node count.
+def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
+                       polys) -> tuple[list[float], int]:
+    """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
 
-    One Gauss rule serves every polynomial: deg // 2 + 1 nodes for the
-    largest degree among the coefficient arrays, so it is exact for every
-    one of them.  The rule comes from :func:`_measure_rule`, keyed by only
-    what the measure depends on, so equal measures share one memoized rule.
-    An integral that is not finite raises ConvergenceError.
+    One pass of :func:`_jacobi_moments` at the largest degree serves every
+    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats, on the leading
+    deg // 2 + 1 rows of the measure's Jacobi matrix.  That matrix comes
+    from :func:`_measure_jacobi`, asked with the arguments the measure does
+    not depend on set to None or 0.0, so thm4 shares one matrix across
+    every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau`` and
+    ``sigma``.  An integral that is not finite raises ConvergenceError.
     """
     if theorem == "thm4":
         ctx = None
@@ -224,31 +227,12 @@ def _gauss_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: floa
     if theorem != "thm6":
         sigma = 0.0
     coeffs = [_as_coeffs(p) for p in polys]
-    size = max(_poly_degree(c) // 2 + 1 for c in coeffs)
-    nodes, weights = _measure_rule(theorem, ctx, tau, sigma, size)
-    xs = nodes.tolist()
-    values = [float(weights @ _horner(c.tolist(), xs)) for c in coeffs]
+    degree = max(map(_poly_degree, coeffs))
+    moments = _jacobi_moments(_measure_jacobi(theorem, ctx, tau, sigma), degree)
+    values = [sum(map(operator.mul, c.tolist(), moments)) for c in coeffs]
     if not all(map(math.isfinite, values)):
         raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
-    return values, len(nodes)
-
-
-def _horner(c: list[float], xs: list[float]) -> np.ndarray:
-    """sum_i c[i] x^i at each x, bit for bit as ``numpy.polynomial.polynomial.polyval``.
-
-    The operations and their order are polyval's, c0 = c[-1] + x*0, then
-    c0 = c[i] + c0*x, each rounded on its own (no fused multiply-add), in
-    Python floats: on the few nodes of a measure rule that skips the tens
-    of microseconds polyval spends on array overhead.
-    """
-    last, rest = c[-1], c[-2::-1]
-    out = []
-    for x in xs:
-        c0 = last + x * 0.0
-        for ci in rest:
-            c0 = ci + c0 * x
-        out.append(c0)
-    return np.array(out)
+    return values, degree // 2 + 1
 
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
@@ -300,14 +284,13 @@ def _theorem(theorem: str, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
     return _Theorem("gamma_star_gamma", None)
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+@functools.lru_cache(maxsize=128)
 def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> JacobiCoeffs:
     """The one place each theorem's measure is written, as its Jacobi matrix;
     thm4 alone needs no ``ctx``.
 
-    Memoized on the key of :func:`_measure_rule` without its size, for the
-    RULE_CACHE_SIZE most recently used measures: the rules of every size
-    read one matrix, which evaluates each recurrence entry once
+    Memoized for the 128 most recently used measures: the moments of every
+    degree read one matrix, which evaluates each recurrence entry once
     (:class:`JacobiCoeffs`).  A builder that raises caches nothing.
     """
     if theorem == "thm4":
@@ -320,12 +303,12 @@ def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float
     return _jackson_jacobi(0.0, 1.0, ctx)
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+@functools.lru_cache(maxsize=128)
 def _kernel_jacobi(params: AWParams) -> JacobiCoeffs:
     """``aw_jacobi`` of a kernel measure of :func:`intermediate_check`, memoized.
 
     Kept as :func:`_measure_jacobi` keeps the theorems' measures, for the
-    RULE_CACHE_SIZE most recently used parameter sets, so a loop of checks
+    128 most recently used parameter sets, so a loop of checks
     over polynomials grows one matrix per kernel (:class:`JacobiCoeffs`)
     and evaluates each recurrence entry once.
     """
@@ -345,42 +328,21 @@ def _measure_route(theorem: str, ctx: QContext, tau: float, sigma: float) -> str
     return "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def _measure_rule(theorem: str, ctx: QContext | None, tau: float, sigma: float,
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``size``-node Gauss rule of a theorem's measure, with read-only arrays.
-
-    Memoized for the RULE_CACHE_SIZE most recently used keys.  A miss
-    diagonalizes the leading block of the measure's memoized Jacobi matrix
-    (:func:`_measure_jacobi`), so a new size evaluates only the recurrence
-    entries no smaller rule has reached.
-    :func:`_gauss_integrals` sets the arguments a measure does not depend
-    on to None or 0.0 before it asks, so thm4 shares one rule per size
-    across every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau``
-    and ``sigma``.  A Jacobi matrix refused with DomainError is not
-    cached: the next call raises again.  Only the measure route reads
-    this cache.
-    """
-    nodes, weights = gauss_rule(_measure_jacobi(theorem, ctx, tau, sigma), size)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def thm4_measure(p) -> float:
     """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
 
-    ``p`` is an ascending coefficient array; the Gauss rule is that of
-    Chebyshev U, exact for its degree.  Like the other three
-    measure functions, it reads the memoized rule of its measure and size
-    (:func:`_measure_rule`), so repeated calls build no rule.
+    ``p`` is an ascending coefficient array, integrated as
+    sum_k c_k e_0^T J^k e_0 on the Chebyshev U matrix J (diagonal 0,
+    off-diagonal 1/2), so its odd moments are exactly 0.  Like the other
+    three measure functions, it reads the memoized Jacobi matrix of its
+    measure (:func:`_measure_jacobi`).
     """
-    return _gauss_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
+    return _measure_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _gauss_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
+    return _measure_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -402,12 +364,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _gauss_integrals("thm6", ctx, tau, sigma, [p])[0][0]
+    return _measure_integrals("thm6", ctx, tau, sigma, [p])[0][0]
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _gauss_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
+    return _measure_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
 
 
 def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
@@ -415,18 +377,20 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma".  One pass of
     :func:`haar_moments` at the largest degree, on its smallest exact phase
-    grid, serves the trace side of every polynomial, one Gauss rule exact
-    at that degree its measure side.  Each row's ``trace_route`` names that
-    grid: one angle in the real gauge for the covariant elements, the least
-    M with lcm(M, 2) > 2*degree angles for rho_tau_sigma.  Neither side
-    returns a number that is not finite: each route raises ConvergenceError.
+    grid, serves the trace side of every polynomial, one pass of the
+    Jacobi moments e_0^T J^k e_0 through that degree its measure side.
+    Each row's ``trace_route`` names that grid: one angle in the real gauge
+    for the covariant elements, the least M with lcm(M, 2) > 2*degree
+    angles for rho_tau_sigma.  Its ``measure_route`` names the measure and
+    the deg // 2 + 1 Jacobi rows the moments read.  Neither side returns a
+    number that is not finite: each route raises ConvergenceError.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     pair = _theorem(theorem, cfg.tau, cfg.sigma)
-    measures, nodes = _gauss_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, cfg.poly_set)
+    measures, rows = _measure_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, cfg.poly_set)
     route = _measure_route(theorem, cfg.ctx, cfg.tau, cfg.sigma)
-    measure_route = f"{route}, Gauss rule of {nodes} node(s)"
+    measure_route = f"{route}, Jacobi moments on {rows} row(s)"
     moments = haar_moments(cfg.ctx, pair.element, cfg.max_degree, cfg.N, pair.params, tol=cfg.tol)
     angles = len(moments)
     grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
@@ -485,10 +449,13 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
 
     By the kernel's defining series each integral is sum_n Q^n [p(J)]_{nn},
     Q = q^2, over its measure's Jacobi matrix J (``aw_jacobi``, memoized in
-    :func:`_kernel_jacobi`): no
+    :func:`_kernel_jacobi`), read off the band powers of J by
+    ``qsu2rep._band_moments`` as the trace route reads its element's: no
     quadrature, and no closed-form kernel (``identity poisson`` checks that).
     J and the trace route's element are truncated where their tails
-    Q^(N - reach * degree) fall below _TAIL_TOL, reach 1 for J.
+    Q^(N - reach * degree) fall below _TAIL_TOL, reach 1 for J.  A value
+    that leaves the float range raises ConvergenceError, without a numpy
+    RuntimeWarning.
     """
     if tau == 0.0:
         raise DomainError("tau = 0 makes a printed prefactor of this identity singular")
@@ -500,11 +467,20 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     sep = min((abs(x1 - x2) for x1, _ in masses1 for x2, _ in masses2), default=math.inf)
     if sep < 1e-10:
         raise DomainError("mass supports of the two kernel measures collide")
-    size = min_truncation(_poly_degree(coeffs), _TAIL_TOL, q)
-    parts = [Q ** np.arange(size) @ _poly_diag(_kernel_jacobi(m), coeffs, size) for m in measures]
+    degree = _poly_degree(coeffs)
+    size = min_truncation(degree, _TAIL_TOL, q)
+    weights = Q ** np.arange(size)
+    parts = []
+    for m in measures:
+        d, e = _kernel_jacobi(m).arrays(size)
+        J = _Band({-1: np.append(0.0, e), 0: d, 1: np.append(e, 0.0)})
+        parts.append(_band_moments(J, degree, weights, 1)[0].real)
     w1 = (1.0 - Q) / (1.0 + q ** (2.0 * tau))
     w2 = (1.0 - Q) / (1.0 + q ** (-2.0 * tau))
-    val = float(w1 * parts[0] + w2 * parts[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        val = float((w1 * parts[0] + w2 * parts[1]) @ coeffs[: degree + 1])
+    if not math.isfinite(val):
+        raise ConvergenceError(f"kernel-pair value {val!r} is not finite")
     meas = thm6_measure(coeffs, tau, sigma, ctx)
     trace = _thm6_trace(coeffs, tau, sigma, ctx)
     scale = max(1.0, abs(meas))

@@ -407,16 +407,13 @@ def haar_moments(
     leaves the main diagonal of every power as it is; those moments have
     an exactly zero imaginary part.
 
-    The element is built once in band storage for the whole grid.  Its
-    powers E^k = E^{k-1} E stay there up to h = ceil(degree / 2), the
-    half-bandwidth growing by the element's reach per power, and each
-    later moment is read off the main diagonal of E^h E^{k-h} without
-    forming that product; the cost is O(M * size * degree^2).
-    The truncation size is checked against the geometric-tail policy at
-    the reach of degree-``degree`` powers before any work happens; that
-    policy is the only limit on the degree.  Powers that leave the float
-    range raise ConvergenceError once, on the finished moments, without a
-    numpy RuntimeWarning.
+    The element is built once in band storage for the whole grid and its
+    moments come from :func:`_band_moments`.  The truncation size is
+    checked against the geometric-tail policy at the reach of
+    degree-``degree`` powers before any work happens; that policy is the
+    only limit on the degree.  Powers that leave the float range raise
+    ConvergenceError once, on the finished moments, without a numpy
+    RuntimeWarning.
     """
     if name not in ELEMENT_NAMES:
         raise DomainError(f"unknown element {name!r}")
@@ -430,15 +427,33 @@ def haar_moments(
             f"(reach {reach}), tol {tol:g}, q {ctx.q:g}"
         ) from None
     points = _exact_phase_grid(name, degree)
-    weights = (1.0 - ctx.q**2) * op_D(ctx, size)
     phi = 2.0 * math.pi * np.arange(points) / points
     E = _element_band(ctx, name, params, phi, size)
     if points == 1:
         E = E.real_gauge()
-    moments = np.zeros((points, degree + 1), dtype=complex)
+    moments = _band_moments(E, degree, (1.0 - ctx.q**2) * op_D(ctx, size), points)
+    if not np.isfinite(moments).all():
+        raise ConvergenceError(
+            f"moments of {name} through degree {degree} are not finite: "
+            "powers left the float range"
+        )
+    return moments
+
+
+def _band_moments(E: _Band, degree: int, weights: np.ndarray, rows: int) -> np.ndarray:
+    """sum_n weights[n] [E^k]_nn for k = 0..degree, one row per angle of E's leading axis.
+
+    Returns a complex array of shape (``rows``, degree + 1); ``rows`` is 1
+    for a band without that axis.  The powers E^k = E^{k-1} E stay in band
+    storage up to h = ceil(degree / 2), the half-bandwidth growing by E's
+    own per power, and each later moment is read off the main diagonal of
+    E^h E^{k-h} without forming that product; the cost is
+    O(rows * size * degree^2).  Powers that leave the float range leave
+    inf or nan in the moments, for the caller to refuse, and no warning.
+    """
+    moments = np.zeros((rows, degree + 1), dtype=complex)
     moments[:, 0] = weights.sum()
     half = (degree + 1) // 2
-    # powers that leave the float range are refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [None, E]
         for k in range(2, half + 1):
@@ -450,11 +465,6 @@ def haar_moments(
                 diag = powers[half].diag_of_product(powers[k - half])
             if diag is not None:  # odd powers of cocentral have no main diagonal
                 moments[:, k] = diag @ weights
-    if not np.isfinite(moments).all():
-        raise ConvergenceError(
-            f"moments of {name} through degree {degree} are not finite: "
-            "powers left the float range"
-        )
     return moments
 
 

@@ -1,26 +1,24 @@
-"""Gauss rules of truncated symmetric tridiagonal (Jacobi) operators.
+"""Truncated symmetric tridiagonal (Jacobi) operators and their moments.
 
 A measure's orthonormal polynomials satisfy a three-term recurrence, read
-off as a Jacobi matrix.  Diagonalizing its leading n x n block gives the
-n-point Gauss rule (Golub & Welsch, Math. Comp. 23, 1969): the eigenvalues
-are the nodes, the squared first components of the normalized eigenvectors
-the weights, and the rule is exact for polynomials of degree <= 2n - 1,
-discrete masses of the measure included.
+off as a Jacobi matrix J.  The measure's k-th moment is e_0^T J^k e_0
+(Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch. 4), discrete
+masses included, and it reads only the leading k // 2 + 1 rows of J.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, TruncationPolicyError
+from .errors import DomainError, TruncationPolicyError
 
 __all__ = [
     "JacobiCoeffs",
-    "gauss_rule",
     "orthonormal_polys",
     "min_truncation",
     "check_truncation",
@@ -72,17 +70,6 @@ class JacobiCoeffs:
             object.__setattr__(self, "_entries", (d, e))
         return np.array(d[:size]), np.array(e[: size - 1])
 
-    def dense(self, size: int) -> np.ndarray:
-        """The leading ``size`` x ``size`` block, bit for bit the sum of its three diagonals."""
-        d, e = self.arrays(size)
-        out = np.zeros((size, size))
-        flat = out.reshape(-1)
-        # + 0.0 turns -0.0 into +0.0, as adding the zero off-diagonal matrices does
-        flat[:: size + 1] = d + 0.0
-        flat[1 :: size + 1] = e
-        flat[size :: size + 1] = e
-        return out
-
 
 def _offdiag_sqrt(e2: float, m: int) -> float:
     """e_m from e_m^2, refused unless finite and positive as for a positive measure."""
@@ -91,35 +78,26 @@ def _offdiag_sqrt(e2: float, m: int) -> float:
     return math.sqrt(e2)
 
 
-def gauss_rule(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights (summing to 1) of the n-point Gauss rule of ``coeffs``."""
-    nodes, vecs = np.linalg.eigh(coeffs.dense(n))
-    return nodes, vecs[0] ** 2
+def _jacobi_moments(jacobi: JacobiCoeffs, degree: int) -> list[float]:
+    """e_0^T J^k e_0 for k = 0..degree, in Python floats.
 
-
-def _poly_diag(jacobi: JacobiCoeffs, coeffs, size: int) -> np.ndarray:
-    """Main diagonal of p(J), ascending ``coeffs``, for the leading ``size`` x ``size`` block J.
-
-    Horner's rule B <- c I + J B in band storage, row w + o of a
-    (2w + 1, size) array holding B[i, i + o] (zero past either end), costs
-    O(size * degree^2).  Entries that leave the float range raise
-    ConvergenceError.
+    With v = J^j e_0, moment 2j + 1 is v . Jv and moment 2j + 2 is
+    Jv . Jv, J being symmetric: the split E^h E^(k-h) of
+    ``qsu2rep._band_moments`` on the single row e_0.  v lives on rows 0..j,
+    so only the leading degree // 2 + 1 rows of J enter, and a moment's
+    value does not depend on ``degree``.  On so few rows lists skip numpy's
+    per-call overhead, and a power past the float range gives inf or nan
+    without a warning.
     """
-    d, e = jacobi.arrays(size)
-    band = np.full((1, size), float(coeffs[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in coeffs[-2::-1]:
-            # (JB)[i, i + o] = e[i-1] B[i-1, i+o] + d[i] B[i, i+o] + e[i] B[i+1, i+o]
-            grown = np.zeros((band.shape[0] + 2, size))
-            grown[1:-1] = d * band
-            grown[:-2, 1:] += e * band[:, :-1]
-            grown[2:, :-1] += e * band[:, 1:]
-            grown[band.shape[0] // 2 + 1] += c
-            band = grown
-    diag = band[band.shape[0] // 2]
-    if not np.isfinite(diag).all():
-        raise ConvergenceError("diagonal of p(J) is not finite: powers left the float range")
-    return diag
+    d, e = (a.tolist() for a in jacobi.arrays(degree // 2 + 1))
+    below, above = [0.0, *e], [*e, 0.0]  # J[i, i - 1] and J[i, i + 1], zero past the block
+    moments, v = [1.0], [1.0]
+    while len(moments) <= degree:
+        x = [0.0, *v, 0.0, 0.0]  # x[i + 1] = v[i]
+        w = [a * r + b * s + c * t for a, b, c, r, s, t in zip(below, d, above, x, x[1:], x[2:])]
+        moments += [sum(map(operator.mul, v, w)), sum(map(operator.mul, w, w))]
+        v = w
+    return moments[: degree + 1]
 
 
 def orthonormal_polys(coeffs: JacobiCoeffs, n_max: int, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,6 @@ from qhaar import (
     eigvec_poly,
     element,
     gamma_measure,
-    gauss_rule,
     intermediate_check,
     mass_identity_check,
     moment_apply,
@@ -57,6 +57,7 @@ from qhaar import (
 )
 from qhaar import cli, haarverify, orthopoly, qseries, qsu2rep
 from qhaar.cli import BAILEY_THETAS, MASS_CASES
+from qhaar.spectral import _jacobi_moments
 
 TAU = 0.4
 
@@ -81,6 +82,12 @@ class TestThm4Measure:
         for d in (1, 3, 5):
             coeffs = [0.0] * d + [1.0]
             assert thm4_measure(coeffs) == pytest.approx(0.0, abs=1e-12)
+
+    def test_odd_moments_exactly_zero(self) -> None:
+        # the semicircle's Jacobi diagonal is exactly 0, so J^j e_0 and J^(j+1) e_0
+        # never share a nonzero row and every odd moment is a sum of exact zeros
+        for d in range(1, 50, 2):
+            assert thm4_measure([0.0] * d + [1.0]) == 0.0, d
 
     @given(x0=st.floats(-1, 1))
     @settings(max_examples=20, deadline=None)
@@ -149,7 +156,7 @@ class TestThm6Measure:
             assert thm6_measure([1.0], TAU, sigma, ctx) == pytest.approx(1.0, abs=1e-10)
 
 
-# the grid the Gauss-rule measure sides are cross-checked on, plus the two
+# the grid the measure sides are cross-checked on, plus the two
 # draws at distance 5e-4 from a thm6 mass threshold (q = 0.9, tau = 0.3)
 GRID_Q = (0.3, 0.5, 0.7, 0.9, 0.95)
 GRID_TAU = (0.05, 0.4, 1.2)
@@ -228,7 +235,7 @@ class TestGaussRuleMeasures:
 
     @pytest.mark.parametrize("integrand", [abs, math.cos, lambda x: x * x])
     def test_callable_refused(self, ctx: QContext, integrand) -> None:
-        # a callable has no degree, so no Gauss rule is exact for it
+        # a callable has no degree, so no finite sum of moments is exact for it
         for measure in (
             lambda: thm4_measure(integrand),
             lambda: thm5_measure(integrand, TAU, ctx),
@@ -238,123 +245,159 @@ class TestGaussRuleMeasures:
             with pytest.raises(DomainError, match="callable"):
                 measure()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: thm4_measure([]),
+            lambda ctx: thm5_measure([], 0.4, ctx),
+            lambda ctx: verify("thm4", VerifyConfig(ctx, poly_set=((),))),
+            lambda ctx: intermediate_check([], 0.4, 1.5, ctx),
+        ],
+    )
+    def test_empty_coefficients_refused(self, ctx: QContext, call) -> None:
+        with pytest.raises(DomainError, match="at least one coefficient"):
+            call(ctx)
 
-# the bit-identity grid of the memoized measure route, and the rule the
-# measure route used before it had a cache: gauss_rule of the measure's
-# Jacobi matrix, built afresh, with numpy's polyval on its nodes
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: thm6_measure((0.0,) * 300 + (1.0,), 0.4, 2.5, QContext(0.05)),
+            lambda: thm4_measure([0.0, math.inf]),
+            lambda: intermediate_check([0.0, math.inf], 0.4, 1.5, QContext(0.05)),
+            lambda: intermediate_check((0.0,) * 300 + (1.0,), 0.4, 2.5, QContext(0.05)),
+        ],
+    )
+    def test_overflow_refused_without_warning(self, call) -> None:
+        with pytest.raises(ConvergenceError, match="not finite"):
+            call()
+
+
+# the grid of the moment oracle, and the mass-threshold draws of CI
 BIT_Q = (0.01, 0.05, 0.3, 0.5, 0.9, 0.95, 0.99, 0.995)
 BIT_TAU = (0.0, 0.4, 1.2)
 BIT_SIGMA = (0.3, 1.5)
 CI_EDGE_DRAWS = ((0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953))
+EPS = np.finfo(float).eps
 
 
-def _reference_jacobi(theorem: str, ctx, tau: float, sigma: float) -> JacobiCoeffs:
-    if theorem == "thm4":
-        return JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)
-    if theorem == "thm5":
-        return haarverify._jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
-    if theorem == "thm6":
-        return aw_jacobi(thm6_params(tau, sigma, ctx))
-    return haarverify._jackson_jacobi(0.0, 1.0, ctx)
+def _oracle(jacobi: JacobiCoeffs, degree: int) -> tuple[list[float], list[float]]:
+    """e_0^T J^k e_0 and e_0^T |J|^k e_0, k = 0..degree, in 50-digit arithmetic on the float J."""
+    d, e = (a.tolist() for a in jacobi.arrays(degree // 2 + 1))
+    n = len(d)
+    out = []
+    with mpmath.workdps(50):
+        J = mpmath.zeros(n, n)
+        for i in range(n):
+            J[i, i] = mpmath.mpf(d[i])
+        for i in range(n - 1):
+            J[i, i + 1] = J[i + 1, i] = mpmath.mpf(e[i])
+        for M in (J, J.apply(abs)):
+            # e_0^T M^k e_0 = (M^h e_0) . (M^(k-h) e_0), both factors on rows < n
+            powers = [mpmath.matrix([1] + [0] * (n - 1))]
+            for _ in range(degree - degree // 2):
+                powers.append(M * powers[-1])
+            out.append([float(mpmath.fdot(powers[k // 2], powers[k - k // 2]))
+                        for k in range(degree + 1)])
+    return out[0], out[1]
 
 
-def _reference_integrals(theorem: str, ctx, tau: float, sigma: float, polys):
-    """Uncached: one fresh Gauss rule exact for every polynomial, numpy polyval."""
-    coeffs = [np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
-    size = max(int(max(np.flatnonzero(c), default=0)) // 2 + 1 for c in coeffs)
-    nodes, weights = gauss_rule(_reference_jacobi(theorem, ctx, tau, sigma), size)
-    values = [float(weights @ np.polynomial.polynomial.polyval(nodes, c)) for c in coeffs]
-    return values, len(nodes)
+def _assert_oracle(measure, jacobi: JacobiCoeffs, degree: int = 24) -> None:
+    """_jacobi_moments within k eps e_0^T |J|^k e_0 of the 50-digit e_0^T J^k e_0, and
+    measure(x^k) equal to moment k."""
+    got = _jacobi_moments(jacobi, degree)
+    want, scale = _oracle(jacobi, degree)
+    for k in range(degree + 1):
+        assert abs(got[k] - want[k]) <= k * EPS * scale[k], (k, got[k], want[k], scale[k])
+    assert [measure(p) for p in monomials(degree)] == got
 
 
-def _bit_polys() -> list:
-    rng = np.random.default_rng(1616)
-    polys = list(monomials(24))
-    return polys + [tuple(rng.uniform(-2.0, 2.0, d + 1)) for d in (0, 3, 9, 17, 24)]
-
-
-class TestMeasureBitIdentity:
-    """The memoized rule and the scalar Horner loop leave every value's bits alone."""
-
-    @staticmethod
-    def assert_same(theorem: str, measure, ctx, tau: float, sigma: float) -> None:
-        for p in _bit_polys():
-            want = _reference_integrals(theorem, ctx, tau, sigma, [p])[0][0]
-            # twice: the second call reads the cached rule
-            for _ in range(2):
-                got = measure(p)
-                assert got.hex() == want.hex(), (theorem, ctx, tau, sigma, p, got, want)
+class TestJacobiMoments:
+    """The measure sides against e_0^T J^k e_0 in 50 digits on the same float J, k <= 24."""
 
     def test_thm4(self) -> None:
-        haarverify._measure_rule.cache_clear()
-        self.assert_same("thm4", thm4_measure, None, 0.0, 0.0)
+        _assert_oracle(thm4_measure, haarverify._measure_jacobi("thm4", None, 0.0, 0.0))
 
     @pytest.mark.parametrize("q", BIT_Q)
     def test_jackson_and_askey_wilson(self, q: float) -> None:
-        haarverify._measure_rule.cache_clear()
         ctx = QContext(q)
-        self.assert_same("gamma", lambda p: gamma_measure(p, ctx), ctx, 0.0, 0.0)
+        jacobi = haarverify._measure_jacobi
+        _assert_oracle(lambda p: gamma_measure(p, ctx), jacobi("gamma", ctx, 0.0, 0.0))
         for tau in BIT_TAU:
-            self.assert_same("thm5", lambda p: thm5_measure(p, tau, ctx), ctx, tau, 0.0)
+            _assert_oracle(lambda p: thm5_measure(p, tau, ctx), jacobi("thm5", ctx, tau, 0.0))
             for sigma in BIT_SIGMA:
-                self.assert_same(
-                    "thm6", lambda p: thm6_measure(p, tau, sigma, ctx), ctx, tau, sigma
+                _assert_oracle(
+                    lambda p: thm6_measure(p, tau, sigma, ctx), jacobi("thm6", ctx, tau, sigma)
                 )
 
     @pytest.mark.parametrize("q, tau, sigma", CI_EDGE_DRAWS + EDGE_DRAWS)
     def test_mass_threshold_draws(self, q: float, tau: float, sigma: float) -> None:
         ctx = QContext(q)
-        self.assert_same("thm6", lambda p: thm6_measure(p, tau, sigma, ctx), ctx, tau, sigma)
+        _assert_oracle(
+            lambda p: thm6_measure(p, tau, sigma, ctx),
+            haarverify._measure_jacobi("thm6", ctx, tau, sigma),
+        )
 
     def test_high_degree(self, ctx: QContext) -> None:
-        # degree 66 takes a rule of 34 nodes
-        p = tuple(np.random.default_rng(7).uniform(-1.0, 1.0, 67))
+        # degree 66 reads 34 rows; the sum over coefficients adds its own rounding
+        c = np.random.default_rng(7).uniform(-1.0, 1.0, 67)
         for theorem, measure in (
-            ("thm4", lambda: thm4_measure(p)),
-            ("thm5", lambda: thm5_measure(p, TAU, ctx)),
-            ("thm6", lambda: thm6_measure(p, TAU, 1.5, ctx)),
-            ("gamma", lambda: gamma_measure(p, ctx)),
+            ("thm4", lambda: thm4_measure(c)),
+            ("thm5", lambda: thm5_measure(c, TAU, ctx)),
+            ("thm6", lambda: thm6_measure(c, TAU, 1.5, ctx)),
+            ("gamma", lambda: gamma_measure(c, ctx)),
         ):
-            want = _reference_integrals(theorem, ctx, TAU, 1.5, [p])[0][0]
-            assert measure().hex() == want.hex(), theorem
+            want, scale = _oracle(haarverify._measure_jacobi(theorem, ctx, TAU, 1.5), 66)
+            bound = 2 * 66 * EPS * float(np.abs(c) @ scale)
+            assert abs(measure() - float(c @ want)) <= bound, theorem
 
     @pytest.mark.parametrize(
         "argv",
         [["verify", "all"], ["verify", "all", "--q", "0.9", "--trunc-n", "200", "--max-degree", "9"]],
     )
-    def test_verify_stdout(self, monkeypatch, capsys, argv: list) -> None:
-        haarverify._measure_rule.cache_clear()
+    def test_verify_stdout(self, capsys, argv: list) -> None:
+        # each printed row's measure side is its monomial's moment, within the oracle's bound
         assert cli.main(argv) == 0
-        got = capsys.readouterr().out
-        monkeypatch.setattr(haarverify, "_gauss_integrals", _reference_integrals)
-        assert cli.main(argv) == 0
-        assert got == capsys.readouterr().out
+        out = json.loads(capsys.readouterr().out)
+        cfg = out["config"]
+        ctx = QContext(cfg["q"])
+        labels = [haarverify._poly_label(np.asarray(p)) for p in monomials(cfg["max_degree"])]
+        for report in out["reports"]:
+            rows = report["rows"]
+            assert [r["label"] for r in rows] == labels
+            theorem = rows[0]["theorem"]
+            jacobi = haarverify._measure_jacobi(theorem, ctx, cfg["tau"], cfg["sigma"])
+            want, scale = _oracle(jacobi, cfg["max_degree"])
+            for k, row in enumerate(rows):
+                assert abs(row["measure_side"] - want[k]) <= k * EPS * scale[k], (theorem, k, row)
 
 
 class TestMeasureJacobiCache:
     """_measure_jacobi: one Jacobi matrix per measure, its entries grown, not rebuilt."""
 
     @pytest.mark.parametrize("q", BIT_Q)
-    def test_dense_is_three_diagonal_sum(self, q: float) -> None:
+    def test_moments_independent_of_degree(self, q: float) -> None:
+        # a polynomial's value is the same alone (its own degree) and in a
+        # verify batch (the largest degree), which reads more rows
         ctx = QContext(q)
         cases = [("thm4", None, 0.0, 0.0), ("gamma", ctx, 0.0, 0.0)]
         for tau in BIT_TAU:
             cases.append(("thm5", ctx, tau, 0.0))
             cases += [("thm6", ctx, tau, sigma) for sigma in BIT_SIGMA]
         for case in cases:
+            top = _jacobi_moments(haarverify._measure_jacobi.__wrapped__(*case), 66)
             jacobi = haarverify._measure_jacobi(*case)
-            for size in (1, 2, 3, 4, 7, 13, 34):
-                d, e = jacobi.arrays(size)
-                want = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-                assert jacobi.dense(size).tobytes() == want.tobytes(), (case, size)
+            for degree in (0, 1, 2, 3, 6, 13, 24, 66):
+                assert _jacobi_moments(jacobi, degree) == top[: degree + 1], (case, degree)
 
     def test_sizes_share_one_matrix(self, ctx: QContext) -> None:
-        haarverify._measure_rule.cache_clear()
         haarverify._measure_jacobi.cache_clear()
         for p in monomials(12):
             thm6_measure(p, TAU, 1.5, ctx)
         info = haarverify._measure_jacobi.cache_info()
-        assert (info.misses, info.hits) == (1, 6)
+        assert (info.misses, info.hits) == (1, 12)
+        # degree 12 grew the matrix to 7 rows and no further
+        assert len(haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)._entries[0]) == 7
 
     @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
     def test_term_caches_released_after_each_growth(self, theorem: str, ctx: QContext) -> None:
@@ -364,6 +407,69 @@ class TestMeasureJacobiCache:
         for size in (3, 7, 5, 9):
             assert jacobi.arrays(size)[0].tobytes() == fresh.arrays(size)[0].tobytes()
             assert [c.cache_info().currsize for c in jacobi.caches] == [0, 0]
+
+    def test_thm4_shared_across_contexts(self) -> None:
+        haarverify._measure_jacobi.cache_clear()
+        polys = monomials(6)
+        haarverify._measure_integrals("thm4", QContext(0.3), 0.4, 1.5, polys)
+        haarverify._measure_integrals("thm4", QContext(0.7), 1.2, 0.6, polys)
+        for p in polys:
+            thm4_measure(p)
+        info = haarverify._measure_jacobi.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1 + 7, 1)
+
+    def test_key_ignores_unused_parameters(self, ctx: QContext) -> None:
+        haarverify._measure_jacobi.cache_clear()
+        polys = monomials(6)
+        for tau, sigma in ((TAU, 0.6), (TAU, 1.5)):
+            haarverify._measure_integrals("thm5", ctx, tau, sigma, polys)
+        for tau, sigma in ((0.0, 0.6), (TAU, 1.5), (1.2, 2.5)):
+            haarverify._measure_integrals("gamma", ctx, tau, sigma, polys)
+        for sigma in (0.6, 1.5):
+            haarverify._measure_integrals("thm6", ctx, TAU, sigma, polys)
+        info = haarverify._measure_jacobi.cache_info()
+        # one matrix each for thm5 and gamma, two for thm6
+        assert (info.misses, info.hits) == (4, 3)
+
+    def test_verify_and_measure_functions_share_matrix(self, ctx: QContext) -> None:
+        haarverify._measure_jacobi.cache_clear()
+        p = (0.0,) * 6 + (1.0,)
+        row = verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, poly_set=(p,))).rows[0]
+        before = haarverify._measure_jacobi.cache_info()
+        assert thm5_measure(p, TAU, ctx) == row.measure_side
+        after = haarverify._measure_jacobi.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    @pytest.mark.parametrize(
+        "jacobi",
+        [
+            # the refusals of tests/test_spectral.py: a reversed Jackson
+            # interval, and an Askey-Wilson square that overflows
+            lambda: haarverify._jackson_jacobi(2.0, 1.0, QContext(0.5)),
+            lambda: aw_jacobi(AWParams(1e-320, 1e-320, 0.0, 0.0, QContext(0.25))),
+        ],
+    )
+    def test_refusal_raises_again(self, monkeypatch, jacobi) -> None:
+        shared = jacobi()
+        monkeypatch.setattr(haarverify, "_measure_jacobi", lambda *args: shared)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="e_0"):
+                thm5_measure((0.0, 0.0, 1.0), 0.0, QContext(0.5))
+        assert shared._entries == ((), ())
+
+    def test_public_refusal_raises_again(self) -> None:
+        # q^(2 tau) = 1e209 at tau = -200: e_0^2 = s^2 A_0 C_1 overflows
+        ctx = QContext(0.3)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="e_0"):
+                thm5_measure((0.0, 0.0, 1.0), -200.0, ctx)
+
+    def test_operator_route_reads_no_measure(self, ctx: QContext) -> None:
+        haarverify._measure_jacobi.cache_clear()
+        support_check(TAU, 1.5, ctx, size=60)
+        sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx)
+        assert cli.main(["spectrum", "rho-sigma", "--trunc-n", "40"]) == 0
+        assert haarverify._measure_jacobi.cache_info().misses == 0
 
 
 class TestPowerRange:
@@ -419,92 +525,6 @@ class TestPowerRange:
             except ConvergenceError:
                 refused = True
             assert overflows == refused, (q, x)
-
-
-class TestMeasureRuleCache:
-    """_measure_rule: one read-only Gauss rule per (measure, size), failures not kept."""
-
-    def test_read_only(self, ctx: QContext) -> None:
-        nodes, weights = haarverify._measure_rule("thm6", ctx, TAU, 1.5, 4)
-        for arr in (nodes, weights):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-    def test_thm4_shared_across_contexts(self) -> None:
-        haarverify._measure_rule.cache_clear()
-        polys = monomials(6)
-        haarverify._gauss_integrals("thm4", QContext(0.3), 0.4, 1.5, polys)
-        assert haarverify._measure_rule.cache_info().misses == 1
-        haarverify._gauss_integrals("thm4", QContext(0.7), 1.2, 0.6, polys)
-        for p in polys:
-            thm4_measure(p)
-        info = haarverify._measure_rule.cache_info()
-        # degrees 0..6 ask for sizes 1..4; size 4 was built by the first call
-        assert (info.misses, info.currsize) == (4, 4)
-        assert info.hits == 1 + 4
-
-    def test_key_ignores_unused_parameters(self, ctx: QContext) -> None:
-        haarverify._measure_rule.cache_clear()
-        polys = monomials(6)
-        for tau, sigma in ((TAU, 0.6), (TAU, 1.5)):
-            haarverify._gauss_integrals("thm5", ctx, tau, sigma, polys)
-        for tau, sigma in ((0.0, 0.6), (TAU, 1.5), (1.2, 2.5)):
-            haarverify._gauss_integrals("gamma", ctx, tau, sigma, polys)
-        for sigma in (0.6, 1.5):
-            haarverify._gauss_integrals("thm6", ctx, TAU, sigma, polys)
-        info = haarverify._measure_rule.cache_info()
-        # one rule each for thm5 and gamma, two for thm6
-        assert (info.misses, info.hits) == (4, 3)
-
-    def test_verify_and_measure_functions_share_rules(self, ctx: QContext) -> None:
-        haarverify._measure_rule.cache_clear()
-        verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, poly_set=((0.0,) * 6 + (1.0,),)))
-        before = haarverify._measure_rule.cache_info()
-        thm5_measure((0.0,) * 6 + (1.0,), TAU, ctx)
-        after = haarverify._measure_rule.cache_info()
-        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
-
-    def test_monomial_loop_builds_seven_rules(self) -> None:
-        haarverify._measure_rule.cache_clear()
-        ctx = QContext(0.61)
-        for p in monomials(12):
-            thm6_measure(p, TAU, 1.5, ctx)
-        info = haarverify._measure_rule.cache_info()
-        assert (info.misses, info.hits) == (7, 6)
-
-    @pytest.mark.parametrize(
-        "jacobi",
-        [
-            # the refusals of tests/test_spectral.py: a reversed Jackson
-            # interval, and an Askey-Wilson square that overflows
-            lambda: haarverify._jackson_jacobi(2.0, 1.0, QContext(0.5)),
-            lambda: aw_jacobi(AWParams(1e-320, 1e-320, 0.0, 0.0, QContext(0.25))),
-        ],
-    )
-    def test_refusal_not_cached(self, monkeypatch, jacobi) -> None:
-        monkeypatch.setattr(haarverify, "_measure_jacobi", lambda *args: jacobi())
-        haarverify._measure_rule.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DomainError, match="e_0"):
-                haarverify._measure_rule("thm5", QContext(0.5), 0.0, 0.0, 3)
-        info = haarverify._measure_rule.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
-
-    def test_public_refusal_not_cached(self) -> None:
-        # q^(2 tau) = 1e209 at tau = -200: e_0^2 = s^2 A_0 C_1 overflows
-        haarverify._measure_rule.cache_clear()
-        ctx = QContext(0.3)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="e_0"):
-                thm5_measure((0.0, 0.0, 1.0), -200.0, ctx)
-        assert haarverify._measure_rule.cache_info().currsize == 0
-
-    def test_operator_route_reads_no_rule(self, ctx: QContext) -> None:
-        haarverify._measure_rule.cache_clear()
-        support_check(TAU, 1.5, ctx, size=60)
-        sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx)
-        assert cli.main(["spectrum", "rho-sigma", "--trunc-n", "40"]) == 0
-        assert haarverify._measure_rule.cache_info().misses == 0
 
 
 class TestVerify:

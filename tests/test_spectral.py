@@ -1,4 +1,4 @@
-"""Truncated Jacobi operators: Gauss rules, builders, truncation policy."""
+"""Truncated Jacobi operators: moments, Gauss rules, builders, truncation policy."""
 from __future__ import annotations
 
 import collections
@@ -21,13 +21,34 @@ from qhaar import (
     aw_jacobi,
     aw_measure,
     check_truncation,
-    gauss_rule,
     min_truncation,
     orthonormal_polys,
 )
 from qhaar.haarverify import _jackson_jacobi
-from qhaar.qsu2rep import SphericalParams, build_rep, element
-from qhaar.spectral import _offdiag_sqrt, _poly_diag
+from qhaar.qsu2rep import SphericalParams, _Band, _band_moments, build_rep, element
+from qhaar.spectral import _jacobi_moments, _offdiag_sqrt
+
+
+def dense(coeffs: JacobiCoeffs, size: int) -> np.ndarray:
+    """The leading ``size`` x ``size`` block of ``coeffs`` as a dense matrix."""
+    d, e = coeffs.arrays(size)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def gauss_rule(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss rule of ``coeffs`` (Golub-Welsch).
+
+    The eigenvalues of the leading n x n block and the squared first row of
+    its eigenvectors; exact for polynomials of degree <= 2n - 1.
+    """
+    nodes, vecs = np.linalg.eigh(dense(coeffs, n))
+    return nodes, vecs[0] ** 2
+
+
+def jacobi_band(coeffs: JacobiCoeffs, size: int) -> _Band:
+    """The leading ``size`` x ``size`` block of ``coeffs`` in band storage."""
+    d, e = coeffs.arrays(size)
+    return _Band({-1: np.append(0.0, e), 0: d, 1: np.append(e, 0.0)})
 
 
 def cocentral_coeffs(ctx: QContext) -> JacobiCoeffs:
@@ -42,12 +63,12 @@ def cocentral_coeffs(ctx: QContext) -> JacobiCoeffs:
 class TestTruncate:
     def test_one_by_one(self) -> None:
         coeffs = JacobiCoeffs(diag=lambda m: 3.25, offdiag=lambda m: 1.0)
-        m = coeffs.dense(1)
+        m = dense(coeffs, 1)
         assert m.shape == (1, 1)
         assert m[0, 0] == 3.25
 
     def test_two_by_two_cocentral(self, ctx: QContext) -> None:
-        m = cocentral_coeffs(ctx).dense(2)
+        m = dense(cocentral_coeffs(ctx), 2)
         off = 0.5 * math.sqrt(1 - ctx.q**2)
         assert np.allclose(m, [[0.0, off], [off, 0.0]], atol=1e-15)
         assert m[0, 1] == pytest.approx(0.4330127018922193, abs=1e-15)
@@ -62,7 +83,7 @@ class TestTruncate:
     def test_arrays_match_dense(self, ctx: QContext) -> None:
         coeffs = cocentral_coeffs(ctx)
         diag, off = coeffs.arrays(6)
-        m = coeffs.dense(6)
+        m = dense(coeffs, 6)
         assert np.allclose(np.diag(m), diag)
         assert np.allclose(np.diag(m, 1), off)
 
@@ -137,13 +158,6 @@ class TestMemoizedEntries:
                 coeffs.arrays(4)
         assert coeffs.arrays(2)[1].tolist() == [-2.0]
 
-    @pytest.mark.parametrize("size", [1, 2, 5])
-    def test_dense_turns_negative_zero_diagonal_positive(self, size: int) -> None:
-        coeffs = JacobiCoeffs(diag=lambda m: -0.0, offdiag=lambda m: -0.5)
-        d, e = coeffs.arrays(size)
-        want = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        assert coeffs.dense(size).tobytes() == want.tobytes()
-
 
 class TestSpectralData:
     """The Gauss rule of a truncation is its spectral data at e_0."""
@@ -182,7 +196,7 @@ class TestSpectralData:
         # <f(T) e0, e0> = sum_j w_j f(x_j) for analytic f
         coeffs = cocentral_coeffs(ctx)
         size = 30
-        m = coeffs.dense(size)
+        m = dense(coeffs, size)
         nodes, weights = gauss_rule(coeffs, size)
         vals, vecs = np.linalg.eigh(m)
         e0 = np.zeros(size)
@@ -240,27 +254,50 @@ class TestSpectralData:
 
 
 class TestPolyDiag:
-    """The band Horner diagonal of p(J) against the dense matrix polynomial."""
+    """Band moments of J, read one diagonal entry of p(J) at a time, against the dense p(J)."""
 
     @pytest.mark.parametrize("size", [3, 20])
     def test_matches_dense_horner(self, ctx: QContext, ctx2: QContext, size: int) -> None:
         rng = np.random.default_rng(7)
         jacobis = (cocentral_coeffs(ctx), aw_jacobi(AWParams(1.5, -0.3, 0.2, 0.1, ctx2)))
         for jacobi in jacobis:
-            J = jacobi.dense(size)
+            J = dense(jacobi, size)
             for degree in (0, 1, 2, 5, 9):
                 coeffs = rng.standard_normal(degree + 1)
                 want = np.zeros((size, size))
                 for c in coeffs[::-1]:
                     want = c * np.eye(size) + J @ want
-                got = _poly_diag(jacobi, coeffs, size)
+                band = jacobi_band(jacobi, size)
+                # the weight e_n picks [J^k]_nn out of sum_m w_m [J^k]_mm
+                got = [_band_moments(band, degree, w, 1)[0].real @ coeffs for w in np.eye(size)]
                 np.testing.assert_allclose(got, np.diag(want), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused(self) -> None:
-        jacobi = JacobiCoeffs(diag=lambda m: 1e200, offdiag=lambda m: 1.0)
-        with pytest.raises(ConvergenceError, match="not finite"):
-            _poly_diag(jacobi, (0.0, 0.0, 1.0), 4)
+        # the moments come out inf, without a warning, for the caller to refuse
+        band = jacobi_band(JacobiCoeffs(diag=lambda m: 1e200, offdiag=lambda m: 1.0), 4)
+        moments = _band_moments(band, 2, np.ones(4), 1)
+        assert np.isfinite(moments[0, :2]).all() and np.isinf(moments[0, 2])
+
+
+class TestJacobiMoments:
+    """e_0^T J^k e_0 off the leading rows of J, as a Gauss rule of as many nodes gives them."""
+
+    def test_matches_gauss_rule(self, ctx: QContext, ctx2: QContext) -> None:
+        jacobis = (cocentral_coeffs(ctx), aw_jacobi(AWParams(1.5, -0.3, 0.2, 0.1, ctx2)))
+        for jacobi in jacobis:
+            for degree in (0, 1, 2, 5, 9, 24):
+                nodes, weights = gauss_rule(jacobi, degree // 2 + 1)
+                want = [float(weights @ nodes**k) for k in range(degree + 1)]
+                got = _jacobi_moments(jacobi, degree)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 12])
+    def test_reads_leading_rows(self, degree: int) -> None:
+        rows = []
+        jacobi = JacobiCoeffs(diag=lambda m: rows.append(m) or 0.1, offdiag=lambda m: 0.5)
+        _jacobi_moments(jacobi, degree)
+        assert rows == list(range(degree // 2 + 1))
 
 
 class TestJacobiBuilders:
