@@ -396,7 +396,15 @@ class TestMeasureJacobiCache:
             thm6_measure(p, TAU, 1.5, ctx)
         info = haarverify._measure_jacobi.cache_info()
         assert (info.misses, info.hits) == (1, 12)
-        # degree 12 grew the matrix to 7 rows and no further
+
+    def test_monomial_loop_builds_one_matrix(self) -> None:
+        # x^0..x^12 on a new measure: one matrix, grown to 7 rows and no further
+        haarverify._measure_jacobi.cache_clear()
+        ctx = QContext(0.61)
+        for p in monomials(12):
+            thm6_measure(p, TAU, 1.5, ctx)
+        info = haarverify._measure_jacobi.cache_info()
+        assert (info.misses, info.hits) == (1, 12)
         assert len(haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)._entries[0]) == 7
 
     @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
