@@ -240,19 +240,17 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), d_n = s (1 - A_n - C_n),
     e_n^2 = s^2 A_n C_{n+1}, C_0 = 0 (printed 0/0).  The integral is even in x, so the
     endpoint far of larger modulus sets s = far/q^2 and c = near/far: |c| <= 1.
+    As in :func:`aw_jacobi`, the entry memo of :class:`JacobiCoeffs` is the only memo.
     """
     far, near = (lo, hi) if -lo > hi else (hi, lo)
     Q = ctx.q**2
     c = near / far
     s = far / Q
 
-    # shared as in aw_jacobi: each of A(n) and C(n) is computed once per growth
-    @functools.cache
     def A(n: int) -> float:
         num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
         return num / ((1 - Q ** (2 * n + 1)) * (1 - Q ** (2 * n + 2)))
 
-    @functools.cache
     def C(n: int) -> float:
         if n == 0:
             return 0.0
@@ -262,7 +260,6 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     return JacobiCoeffs(
         diag=lambda n: s * (1 - A(n) - C(n)),
         offdiag=lambda n: _offdiag_sqrt(s * s * A(n) * C(n + 1), n),
-        caches=(A, C),
     )
 
 

@@ -24,7 +24,6 @@ checks on the mass-weight formulas.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -609,6 +608,8 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     d_n = (a + 1/a - A_n - C_n) / 2, e_n^2 = A_n C_{n+1} / 4, C_0 = 0 (printed 0/0
     at abcd = q^2).  The parameter of largest modulus plays a, so d_n does not
     cancel a large 1/a (the smallest there costs thm6 2.8e-13 at q = 0.1).
+    A_n and C_n are recomputed where an entry needs them; the returned
+    matrix's entry memo (:class:`JacobiCoeffs`) is the only memo.
     """
     a, b, c, d = sorted(params.as_tuple(), key=abs, reverse=True)
     if a == 0.0:
@@ -616,13 +617,10 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     Q = params.ctx.q
     abcd = a * b * c * d
 
-    # diag(n) and offdiag(n) share A(n), diag(n + 1) and offdiag(n) share C(n + 1)
-    @functools.cache
     def A(n: int) -> float:
         num = (1 - a * b * Q**n) * (1 - a * c * Q**n) * (1 - a * d * Q**n) * (1 - abcd * Q ** (n - 1))
         return num / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
 
-    @functools.cache
     def C(n: int) -> float:
         if n == 0:
             return 0.0
@@ -633,7 +631,6 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     return JacobiCoeffs(
         diag=lambda n: 0.5 * (a + 1.0 / a - A(n) - C(n)),
         offdiag=lambda n: _offdiag_sqrt(0.25 * A(n) * C(n + 1), n),
-        caches=(A, C),
     )
 
 

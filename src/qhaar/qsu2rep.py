@@ -27,8 +27,8 @@ band storage, one diagonal per offset over a scalar angle or a whole vector
 of them: the elements and their powers (formed up to half the degree; each
 higher moment is the main diagonal of a product of two of them), the
 structural checks and the ladder actions on eigenvectors.  ``element``
-densifies the band at one angle and ``build_rep`` keeps the dense generator
-matrices as the public dense view.  The diagonalizing callers go through
+densifies the band at one angle and ``build_rep`` the generator bands, as
+the public dense view.  The diagonalizing callers go through
 ``_band_spectrum``: at angle 0 every element is similar to a real symmetric
 matrix through diag(c^n), c = 1 or i, and LAPACK sees only the leading
 block of that gauge that carries an entry above eps * max|M| / (number of
@@ -130,15 +130,9 @@ class TruncRep:
 
 
 def build_rep(ctx: QContext, phi: float, size: int) -> TruncRep:
-    """Matrices of the two generators on basis states 0..size."""
-    if size < 1:
-        raise DomainError("size must be at least 1")
-    q = ctx.q
-    n = np.arange(size + 1)
-    alpha = np.zeros((size + 1, size + 1), dtype=complex)
-    alpha[n[:-1], n[1:]] = np.sqrt(1.0 - q ** (2 * n[1:]))
-    gamma = np.diag(np.exp(1j * phi) * q**n).astype(complex)
-    return TruncRep(ctx=ctx, phi=phi, size=size, alpha=alpha, gamma=gamma)
+    """Matrices of the two generators on basis states 0..size: :func:`_generators` densified."""
+    A, C = _generators(ctx, phi, size)
+    return TruncRep(ctx=ctx, phi=phi, size=size, alpha=A.dense(), gamma=C.dense())
 
 
 # i^o for o mod 4, exact: complex powers of 1j leave roundoff in the zero parts

@@ -38,16 +38,12 @@ class JacobiCoeffs:
     growth swaps in a new pair of tuples, so concurrent callers at worst
     compute an entry twice and never see a torn pair.  A call that raises,
     or finds a zero off-diagonal, keeps nothing it computed, so the next
-    call raises again.
-
-    ``caches`` are the ``functools.cache`` functions behind ``diag`` and
-    ``offdiag`` that let a growth compute each shared term once; they are
-    cleared after each growth, whose entries keep what they held.
+    call raises again.  This entry memo is the only one: ``diag`` and
+    ``offdiag`` may recompute a term they share.
     """
 
     diag: Callable[[int], float]
     offdiag: Callable[[int], float]
-    caches: tuple = field(default=(), repr=False, compare=False)
     _entries: tuple[tuple[float, ...], tuple[float, ...]] = field(
         default=((), ()), init=False, repr=False, compare=False
     )
@@ -58,12 +54,8 @@ class JacobiCoeffs:
             raise DomainError("truncation size must be at least 1")
         d, e = self._entries
         if len(d) < size:
-            try:
-                d += tuple(float(self.diag(m)) for m in range(len(d), size))
-                grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
-            finally:
-                for cached in self.caches:
-                    cached.cache_clear()
+            d += tuple(float(self.diag(m)) for m in range(len(d), size))
+            grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
             if 0.0 in grown:
                 raise DomainError("off-diagonal entries must be nonzero")
             e += grown

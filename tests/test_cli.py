@@ -17,7 +17,7 @@ import pytest
 
 from qhaar import QContext, SphericalParams, build_rep, cli, element, qpoch, qsu2rep
 from qhaar.cli import main
-from qhaar.haarverify import VerifyRow
+from qhaar.haarverify import VerifyConfig, VerifyRow
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -392,6 +392,13 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "verify", "thm5", "--config", str(cfile))
         assert code == 0
         assert json.loads(out)["config"]["tau"] == 1.0
+
+    def test_defaults_match_library(self) -> None:
+        # RunConfig and VerifyConfig each declare tau, sigma, N, the degree and tol
+        run = cli.RunConfig()
+        got, want = run.verify_config(), VerifyConfig(run.context())
+        for f in fields(VerifyConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestIdentity:

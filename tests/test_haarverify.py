@@ -312,6 +312,117 @@ def _assert_oracle(measure, jacobi: JacobiCoeffs, degree: int = 24) -> None:
     assert [measure(p) for p in monomials(degree)] == got
 
 
+# every recurrence entry below lies within RECURRENCE_C eps of its 50-digit value, d_n
+# scaled by its terms and e_n relatively (worst seen: 25 and 40, thm6 at q = 0.995)
+RECURRENCE_C = 64
+RECURRENCE_ROWS = 24
+# the two tau = 0 thm6 points of ROADMAP's Baseline: verify exits 1 at the first, 3 at the second
+TAU0_BASELINE = ((0.066, 0.0, 2.1), (0.05, 0.0, 2.5))
+
+
+def _aw_entries(params: AWParams) -> list[tuple]:
+    """(d_n, scale of d_n, e_n) of KLS (2010) eq. 14.1.5 in 50 digits, n < RECURRENCE_ROWS.
+
+    d_n = (a + 1/a - A_n - C_n) / 2 and e_n^2 = A_n C_{n+1} / 4 for every
+    ordering of the parameters; a is the one of largest modulus, as the
+    float formula takes it, so the scale (|a| + |1/a| + |A_n| + |C_n|) / 2
+    sums the terms that formula adds.
+    """
+    mpf = mpmath.mpf
+    a, b, c, d = sorted(map(mpf, params.as_tuple()), key=abs, reverse=True)
+    Q = mpf(params.ctx.q)
+    abcd = a * b * c * d
+
+    def A(n: int):
+        num = (1 - a * b * Q**n) * (1 - a * c * Q**n) * (1 - a * d * Q**n) * (1 - abcd * Q ** (n - 1))
+        return num / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
+
+    def C(n: int):
+        if n == 0:
+            return mpf(0)
+        num = a * (1 - Q**n) * (1 - b * c * Q ** (n - 1)) * (1 - b * d * Q ** (n - 1))
+        num *= 1 - c * d * Q ** (n - 1)
+        return num / ((1 - abcd * Q ** (2 * n - 2)) * (1 - abcd * Q ** (2 * n - 1)))
+
+    out = []
+    for n in range(RECURRENCE_ROWS):
+        terms = (a, 1 / a, -A(n), -C(n))
+        out.append((sum(terms) / 2, sum(map(abs, terms)) / 2, mpmath.sqrt(A(n) * C(n + 1) / 4)))
+    return out
+
+
+def _jackson_entries(lo: float, hi: float, q: float) -> list[tuple]:
+    """(d_n, scale of d_n, e_n) of the base-q^2 Jackson integral on [lo, hi], 50 digits.
+
+    Its monic polynomials are big q-Jacobi P_n(x/s; a, b, c; Q) at a = b = 1
+    (KLS 2010, eq. 14.5.3), orthogonal on [c s Q, s Q]: the endpoint of larger
+    modulus is s Q.  Then d_n = s (1 - A_n - C_n), with scale
+    |s| (1 + |A_n| + |C_n|), and e_n^2 = s^2 A_n C_{n+1}.
+    """
+    mpf = mpmath.mpf
+    far, near = (lo, hi) if -lo > hi else (hi, lo)
+    Qf = q**2
+    Q, s, c, a, b = mpf(Qf), mpf(far / Qf), mpf(near / far), mpf(1), mpf(1)
+
+    def A(n: int):
+        num = (1 - a * Q ** (n + 1)) * (1 - a * b * Q ** (n + 1)) * (1 - c * Q ** (n + 1))
+        return num / ((1 - a * b * Q ** (2 * n + 1)) * (1 - a * b * Q ** (2 * n + 2)))
+
+    def C(n: int):
+        if n == 0:
+            return mpf(0)  # printed 0/0 at a = b = 1
+        # -a c Q^(n+1) (1 - Q^n) (1 - a b Q^n / c) (1 - b Q^n), written to allow c = 0
+        num = a * Q ** (n + 1) * (1 - Q**n) * (a * b * Q**n - c) * (1 - b * Q**n)
+        return num / ((1 - a * b * Q ** (2 * n)) * (1 - a * b * Q ** (2 * n + 1)))
+
+    out = []
+    for n in range(RECURRENCE_ROWS):
+        terms = (s, -s * A(n), -s * C(n))
+        out.append((sum(terms), sum(map(abs, terms)), abs(s) * mpmath.sqrt(A(n) * C(n + 1))))
+    return out
+
+
+def _assert_entries(jacobi: JacobiCoeffs, exact: list[tuple]) -> None:
+    d, e = (a.tolist() for a in jacobi.arrays(RECURRENCE_ROWS + 1))
+    for n, (dn, scale, en) in enumerate(exact):
+        assert abs(d[n] - dn) <= RECURRENCE_C * EPS * scale, (n, d[n], dn, scale)
+        assert abs(e[n] - en) <= RECURRENCE_C * EPS * en, (n, e[n], en)
+
+
+def _assert_thm6_entries(q: float, tau: float, sigma: float) -> None:
+    """thm6's Askey-Wilson matrix and the two kernel matrices of intermediate_check."""
+    ctx = QContext(q)
+    params = [thm6_params(tau, sigma, ctx)]
+    params += [AWParams(a, b, 0.0, 0.0, ctx.squared()) for a, b in haarverify._asc_pair(tau, sigma, q)]
+    for p in params:
+        _assert_entries(aw_jacobi(p), _aw_entries(p))
+
+
+class TestRecurrenceOracle:
+    """aw_jacobi and _jackson_jacobi against KLS (14.1.5) and (14.5.3) in 50 digits,
+    on the same float parameters, for n < RECURRENCE_ROWS."""
+
+    @pytest.mark.parametrize("q", BIT_Q)
+    def test_grid(self, q: float) -> None:
+        ctx = QContext(q)
+        with mpmath.workdps(50):
+            _assert_entries(haarverify._jackson_jacobi(0.0, 1.0, ctx), _jackson_entries(0.0, 1.0, q))
+            for tau in BIT_TAU:
+                hi = q ** (2.0 * tau)
+                _assert_entries(haarverify._jackson_jacobi(-1.0, hi, ctx), _jackson_entries(-1.0, hi, q))
+                for sigma in BIT_SIGMA:
+                    _assert_thm6_entries(q, tau, sigma)
+
+    @pytest.mark.parametrize("q, tau, sigma", TAU0_BASELINE)
+    def test_tau_zero_diagonal_is_rounding(self, q: float, tau: float, sigma: float) -> None:
+        # the symmetric measure's exact diagonal is 0, and the float one, up to
+        # a few ulps of a + 1/a, stays within the same absolute bound
+        with mpmath.workdps(50):
+            _assert_thm6_entries(q, tau, sigma)
+            exact = _aw_entries(thm6_params(tau, sigma, QContext(q)))
+            assert all(abs(dn) < 1e-40 for dn, _, _ in exact)
+
+
 class TestJacobiMoments:
     """The measure sides against e_0^T J^k e_0 in 50 digits on the same float J, k <= 24."""
 
@@ -408,13 +519,11 @@ class TestMeasureJacobiCache:
         assert len(haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)._entries[0]) == 7
 
     @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
-    def test_term_caches_released_after_each_growth(self, theorem: str, ctx: QContext) -> None:
+    def test_grown_matrix_matches_fresh(self, theorem: str, ctx: QContext) -> None:
         jacobi = haarverify._measure_jacobi(theorem, ctx, TAU, 1.5)
         fresh = haarverify._measure_jacobi.__wrapped__(theorem, ctx, TAU, 1.5)
-        assert len(jacobi.caches) == 2
         for size in (3, 7, 5, 9):
             assert jacobi.arrays(size)[0].tobytes() == fresh.arrays(size)[0].tobytes()
-            assert [c.cache_info().currsize for c in jacobi.caches] == [0, 0]
 
     def test_thm4_shared_across_contexts(self) -> None:
         haarverify._measure_jacobi.cache_clear()
