@@ -5,8 +5,8 @@ the operator side as a phase-averaged weighted trace of p(element) on a
 truncated representation, and the measure side as the moments
 e_0^T J^k e_0 of the claimed measure's Jacobi matrix J, exact for
 polynomials, masses included.  Each measure's Jacobi matrix is memoized
-with the recurrence entries it has grown, in a cache of fixed size that
-only the measure route reads.
+with the recurrence entries it has grown and the moments it has given, in
+a cache of fixed size that only the measure route reads.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -131,7 +132,7 @@ class VerifyConfig:
 
     @property
     def max_degree(self) -> int:
-        return max(_poly_degree(np.asarray(p)) for p in self.poly_set)
+        return max(map(_poly_degree, self.poly_set))
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,26 @@ def _poly_label(coeffs: np.ndarray) -> str:
 
 
 def _as_coeffs(p) -> np.ndarray:
-    """``p`` as an ascending coefficient array; a callable or an empty list is refused."""
+    """``p`` as an ascending coefficient array of floats; a scalar is one coefficient.
+
+    Anything but real numbers in at most one dimension is refused with
+    DomainError: a callable, a string, None, complex or nested input, and
+    an empty list.  Ints and bools are real numbers.
+    """
     if callable(p):
         raise DomainError("expected polynomial coefficients, got a callable")
-    coeffs = np.atleast_1d(np.asarray(p, dtype=float))
+    try:
+        coeffs = np.asarray(p)
+    except ValueError:  # ragged nesting
+        coeffs = np.empty((0, 0))
+    kind = coeffs.dtype.kind
+    if coeffs.ndim > 1 or not (
+        kind in "biuf" or kind == "O" and all(isinstance(c, numbers.Real) for c in coeffs.flat)
+    ):
+        raise DomainError(f"expected real polynomial coefficients in one dimension, got {p!r:.60}")
     if coeffs.size == 0:
         raise DomainError("a polynomial needs at least one coefficient")
-    return coeffs
+    return np.atleast_1d(coeffs.astype(float, copy=False))
 
 
 def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
@@ -212,13 +226,19 @@ def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: fl
                        polys) -> tuple[list[float], int]:
     """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
 
-    One pass of :func:`_jacobi_moments` at the largest degree serves every
-    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats, on the leading
-    deg // 2 + 1 rows of the measure's Jacobi matrix.  That matrix comes
-    from :func:`_measure_jacobi`, asked with the arguments the measure does
-    not depend on set to None or 0.0, so thm4 shares one matrix across
-    every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau`` and
-    ``sigma``.  An integral that is not finite raises ConvergenceError.
+    The moments e_0^T J^k e_0 through the largest degree serve every
+    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats from the
+    coefficients on, read on the leading deg // 2 + 1 rows of the
+    measure's Jacobi matrix.  That matrix comes from
+    :func:`_measure_jacobi`, asked with the arguments the measure does not
+    depend on set to None or 0.0, so thm4 shares one matrix across every
+    ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau`` and ``sigma``.
+    The matrix keeps the moments it has given (:func:`_jacobi_moments`),
+    so a loop over polynomials makes one pass through its largest degree,
+    with values that do not depend on the order of the loop.  A ``tau`` or
+    ``sigma`` the measure reads that is nan raises DomainError before any
+    matrix is built; an integral that is not finite raises
+    ConvergenceError.
     """
     if theorem == "thm4":
         ctx = None
@@ -226,10 +246,13 @@ def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: fl
         tau = 0.0
     if theorem != "thm6":
         sigma = 0.0
-    coeffs = [_as_coeffs(p) for p in polys]
+    for name, value in (("tau", tau), ("sigma", sigma)):
+        if math.isnan(value):
+            raise DomainError(f"{name} must be a number, got nan")
+    coeffs = [_as_coeffs(p).tolist() for p in polys]
     degree = max(map(_poly_degree, coeffs))
     moments = _jacobi_moments(_measure_jacobi(theorem, ctx, tau, sigma), degree)
-    values = [sum(map(operator.mul, c.tolist(), moments)) for c in coeffs]
+    values = [sum(map(operator.mul, c, moments)) for c in coeffs]
     if not all(map(math.isfinite, values)):
         raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
     return values, degree // 2 + 1
@@ -287,8 +310,9 @@ def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float
     thm4 alone needs no ``ctx``.
 
     Memoized for the 128 most recently used measures: the moments of every
-    degree read one matrix, which evaluates each recurrence entry once
-    (:class:`JacobiCoeffs`).  A builder that raises caches nothing.
+    degree read one matrix, which evaluates each recurrence entry and each
+    moment once (:class:`JacobiCoeffs`).  A builder that raises caches
+    nothing.
     """
     if theorem == "thm4":
         return _SEMICIRCLE

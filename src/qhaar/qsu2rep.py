@@ -375,9 +375,9 @@ def op_D(ctx: QContext, size: int) -> np.ndarray:
     return ctx.q ** (2.0 * np.arange(size + 1))
 
 
-def _poly_degree(coeffs: np.ndarray) -> int:
-    nz = np.nonzero(coeffs)[0]
-    return int(nz[-1]) if nz.size else 0
+def _poly_degree(coeffs) -> int:
+    """Index of the last nonzero coefficient of a 1-D list or array; 0 if there is none."""
+    return next((k for k in range(len(coeffs) - 1, 0, -1) if coeffs[k]), 0)
 
 
 def haar_moments(

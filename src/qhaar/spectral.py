@@ -34,32 +34,41 @@ class JacobiCoeffs:
     matrix is irreducible and the eigenvalues of any truncation are simple.
 
     The entries are evaluated once each: :meth:`arrays` keeps those it has
-    computed and grows them only by the indices it has not reached.  Each
-    growth swaps in a new pair of tuples, so concurrent callers at worst
-    compute an entry twice and never see a torn pair.  A call that raises,
-    or finds a zero off-diagonal, keeps nothing it computed, so the next
-    call raises again.  This entry memo is the only one: ``diag`` and
+    computed and grows them only by the indices it has not reached.  The
+    same memo keeps the moments e_0^T J^k e_0 that :func:`_jacobi_moments`
+    has computed, with the last Krylov vector J^j e_0 it reached, so a
+    larger degree continues that pass.  Each growth swaps in one new tuple
+    of entries, moments and vector, so concurrent callers at worst compute
+    an entry or a moment twice and never see a torn state.  A call that
+    raises, or finds a zero off-diagonal, keeps nothing it computed, so the
+    next call raises again.  This entry memo is the only one: ``diag`` and
     ``offdiag`` may recompute a term they share.
     """
 
     diag: Callable[[int], float]
     offdiag: Callable[[int], float]
-    _entries: tuple[tuple[float, ...], tuple[float, ...]] = field(
-        default=((), ()), init=False, repr=False, compare=False
-    )
+    # (diagonal, off-diagonal, moments 0..k, J^j e_0), each never mutated in place
+    _entries: tuple = field(default=((), (), (), ()), init=False, repr=False, compare=False)
+
+    def _grown(self, size: int) -> tuple:
+        """The memo with entries through the leading ``size`` rows, not yet swapped in."""
+        if size < 1:
+            raise DomainError("truncation size must be at least 1")
+        d, e, moments, v = entries = self._entries
+        if len(d) >= size:
+            return entries
+        d += tuple(float(self.diag(m)) for m in range(len(d), size))
+        grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
+        if 0.0 in grown:
+            raise DomainError("off-diagonal entries must be nonzero")
+        return d, e + grown, moments, v
 
     def arrays(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the leading ``size`` x ``size`` block."""
-        if size < 1:
-            raise DomainError("truncation size must be at least 1")
-        d, e = self._entries
-        if len(d) < size:
-            d += tuple(float(self.diag(m)) for m in range(len(d), size))
-            grown = tuple(float(self.offdiag(m)) for m in range(len(e), size - 1))
-            if 0.0 in grown:
-                raise DomainError("off-diagonal entries must be nonzero")
-            e += grown
-            object.__setattr__(self, "_entries", (d, e))
+        entries = self._grown(size)
+        if entries is not self._entries:
+            object.__setattr__(self, "_entries", entries)
+        d, e = entries[:2]
         return np.array(d[:size]), np.array(e[: size - 1])
 
 
@@ -80,16 +89,33 @@ def _jacobi_moments(jacobi: JacobiCoeffs, degree: int) -> list[float]:
     value does not depend on ``degree``.  On so few rows lists skip numpy's
     per-call overhead, and a power past the float range gives inf or nan
     without a warning.
+
+    The moments are kept in the memo of ``jacobi``: a degree they reach is
+    a slice of them, and a larger one continues the pass from the kept v,
+    so the values do not depend on the order in which degrees are asked.
+    An odd degree's last step has its Jv cut by the row block, so it keeps
+    that step's odd moment and the v before it, and a larger degree
+    repeats the step on more rows.
     """
-    d, e = (a.tolist() for a in jacobi.arrays(degree // 2 + 1))
-    below, above = [0.0, *e], [*e, 0.0]  # J[i, i - 1] and J[i, i + 1], zero past the block
-    moments, v = [1.0], [1.0]
+    moments = jacobi._entries[2]
+    if len(moments) > degree:
+        return list(moments[: degree + 1])
+    d, e, moments, v = jacobi._grown(degree // 2 + 1)
+    if not v:  # the first pass starts at e_0
+        moments, v = (1.0,), (1.0,)
+    block = e[: degree // 2]
+    below, above = [0.0, *block], [*block, 0.0]  # J[i, i - 1] and J[i, i + 1], zero past the block
+    moments = list(moments[: 2 * len(v) - 1])
     while len(moments) <= degree:
         x = [0.0, *v, 0.0, 0.0]  # x[i + 1] = v[i]
         w = [a * r + b * s + c * t for a, b, c, r, s, t in zip(below, d, above, x, x[1:], x[2:])]
         moments += [sum(map(operator.mul, v, w)), sum(map(operator.mul, w, w))]
+        if len(w) == len(v):  # the block cut Jv: its square is not moment 2j + 2
+            break
         v = w
-    return moments[: degree + 1]
+    del moments[degree + 1 :]
+    object.__setattr__(jacobi, "_entries", (d, e, tuple(moments), v))
+    return moments
 
 
 def orthonormal_polys(coeffs: JacobiCoeffs, n_max: int, x: np.ndarray) -> np.ndarray:

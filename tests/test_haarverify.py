@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import cmath
 import collections
+import dataclasses
 import json
 import math
+import random
 import sys
 from dataclasses import astuple
 
@@ -258,6 +260,30 @@ class TestGaussRuleMeasures:
         with pytest.raises(DomainError, match="at least one coefficient"):
             call(ctx)
 
+    MEASURE_CALLS = [
+        lambda p, ctx: thm4_measure(p),
+        lambda p, ctx: thm5_measure(p, TAU, ctx),
+        lambda p, ctx: thm6_measure(p, TAU, 1.5, ctx),
+        lambda p, ctx: gamma_measure(p, ctx),
+        lambda p, ctx: intermediate_check(p, TAU, 1.5, ctx),
+    ]
+
+    @pytest.mark.parametrize("call", MEASURE_CALLS)
+    @pytest.mark.parametrize(
+        "p", [[1j, 1], [[1, 2], [3, 4]], "12", None, [[1.0], 2.0], [1.0, None], [1.0, "2"]]
+    )
+    def test_non_real_coefficients_refused(self, ctx: QContext, call, p) -> None:
+        with pytest.raises(DomainError, match="real polynomial coefficients"):
+            call(p, ctx)
+
+    @pytest.mark.parametrize("call", MEASURE_CALLS)
+    def test_ints_and_bools_accepted(self, ctx: QContext, call) -> None:
+        want = call([1.0, 0.0, 3.0], ctx)
+        assert call([1, 0, 3], ctx) == want
+        assert call([True, False, 3], ctx) == want
+        assert call(np.array([1, 0, 3]), ctx) == want
+
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call",
@@ -271,6 +297,52 @@ class TestGaussRuleMeasures:
     def test_overflow_refused_without_warning(self, call) -> None:
         with pytest.raises(ConvergenceError, match="not finite"):
             call()
+
+
+class TestNanParameters:
+    """A nan tau or sigma the measure reads is refused by name before any matrix is built."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 6])
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda p, ctx: thm5_measure(p, math.nan, ctx), "tau"),
+            (lambda p, ctx: thm6_measure(p, math.nan, 1.5, ctx), "tau"),
+            (lambda p, ctx: thm6_measure(p, TAU, math.nan, ctx), "sigma"),
+            (lambda p, ctx: thm6_measure(p, math.nan, math.nan, ctx), "tau"),
+        ],
+    )
+    def test_refused_with_name(self, ctx: QContext, call, named: str, degree: int) -> None:
+        before = haarverify._measure_jacobi.cache_info()
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^{named} must be a number, got nan$"):
+                call((0.0,) * degree + (1.0,), ctx)
+        after = haarverify._measure_jacobi.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_polynomial_batch_refuses_nan_tau(self, ctx: QContext) -> None:
+        with pytest.raises(DomainError, match="tau must be a number"):
+            haarverify._measure_integrals("thm5", ctx, math.nan, 1.5, monomials(4))
+
+    def test_unread_parameters_ignored(self, ctx: QContext) -> None:
+        # thm4 reads neither, thm5 not sigma, gamma neither: their keys drop them
+        polys = monomials(4)
+        assert haarverify._measure_integrals("thm4", ctx, math.nan, math.nan, polys)[0] == [
+            thm4_measure(p) for p in polys
+        ]
+        assert haarverify._measure_integrals("thm5", ctx, TAU, math.nan, polys)[0] == [
+            thm5_measure(p, TAU, ctx) for p in polys
+        ]
+        assert haarverify._measure_integrals("gamma", ctx, math.nan, math.nan, polys)[0] == [
+            gamma_measure(p, ctx) for p in polys
+        ]
+
+    def test_infinite_parameters_unchanged(self, ctx: QContext) -> None:
+        # q^(2 tau) = 0 at tau = inf: the Jackson interval is [-1, 0]
+        assert thm5_measure([0.0, 1.0], math.inf, ctx) == pytest.approx(-1.0 / (1.0 + ctx.q**2))
+        for tau, sigma in ((TAU, math.inf), (-math.inf, 1.5)):
+            with pytest.raises(ConvergenceError, match="leaves the float range"):
+                thm6_measure([1.0, 1.0], tau, sigma, ctx)
 
 
 # the grid of the moment oracle, and the mass-threshold draws of CI
@@ -501,6 +573,51 @@ class TestMeasureJacobiCache:
             for degree in (0, 1, 2, 3, 6, 13, 24, 66):
                 assert _jacobi_moments(jacobi, degree) == top[: degree + 1], (case, degree)
 
+    @pytest.mark.parametrize("q", BIT_Q)
+    def test_moments_independent_of_order(self, q: float) -> None:
+        # the kept moments, asked in any order, are those of a fresh pass per degree
+        ctx = QContext(q)
+        cases = [("thm4", None, 0.0, 0.0), ("gamma", ctx, 0.0, 0.0)]
+        for tau in BIT_TAU:
+            cases.append(("thm5", ctx, tau, 0.0))
+            cases += [("thm6", ctx, tau, sigma) for sigma in BIT_SIGMA]
+        degrees = list(range(25))
+        orders = (degrees, degrees[::-1], random.Random(q).sample(degrees, len(degrees)))
+
+        def fresh(case: tuple) -> JacobiCoeffs:
+            # a matrix with an empty memo, thm4's included
+            return dataclasses.replace(haarverify._measure_jacobi.__wrapped__(*case))
+
+        for case in cases:
+            want = [[float.hex(m) for m in _jacobi_moments(fresh(case), d)] for d in degrees]
+            for order in orders:
+                jacobi = fresh(case)
+                for d in order:
+                    got = [float.hex(m) for m in _jacobi_moments(jacobi, d)]
+                    assert got == want[d], (case, order[0], d)
+
+    def test_second_loop_adds_no_step(self) -> None:
+        # x^0..x^12 keeps 13 moments on 7 rows; a second loop, in either order,
+        # is answered from them and swaps in nothing
+        haarverify._measure_jacobi.cache_clear()
+        ctx = QContext(0.63)
+        polys = monomials(12)
+        first = [thm6_measure(p, TAU, 1.5, ctx) for p in polys]
+        jacobi = haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)
+        state = jacobi._entries
+        assert [len(part) for part in state] == [7, 6, 13, 7]
+        assert [thm6_measure(p, TAU, 1.5, ctx) for p in polys] == first
+        assert [thm6_measure(p, TAU, 1.5, ctx) for p in polys[::-1]] == first[::-1]
+        assert jacobi._entries is state
+
+    def test_odd_degree_keeps_its_odd_moment(self) -> None:
+        # degree 5 reads 3 rows: its last Jv is cut, so moment 6 is not kept
+        built = haarverify._measure_jacobi.__wrapped__("gamma", QContext(0.5), 0.0, 0.0)
+        jacobi = dataclasses.replace(built)
+        moments = _jacobi_moments(jacobi, 5)
+        d, e, kept, v = jacobi._entries
+        assert (len(d), len(e), list(kept), len(v)) == (3, 2, moments, 3)
+
     def test_sizes_share_one_matrix(self, ctx: QContext) -> None:
         haarverify._measure_jacobi.cache_clear()
         for p in monomials(12):
@@ -572,7 +689,7 @@ class TestMeasureJacobiCache:
         for _ in range(2):
             with pytest.raises(DomainError, match="e_0"):
                 thm5_measure((0.0, 0.0, 1.0), 0.0, QContext(0.5))
-        assert shared._entries == ((), ())
+        assert shared._entries == ((), (), (), ())
 
     def test_public_refusal_raises_again(self) -> None:
         # q^(2 tau) = 1e209 at tau = -200: e_0^2 = s^2 A_0 C_1 overflows

@@ -4,6 +4,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,56 @@ class TestMemoizedEntries:
             want_d, want_e = aw_jacobi(params).arrays(size)
             assert d.tobytes().hex() == want_d.tobytes().hex()
             assert e.tobytes().hex() == want_e.tobytes().hex()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5),  # the semicircle
+            lambda: aw_jacobi(AWParams(0.3, -0.6, 0.5, 0.1, QContext(0.25))),
+        ],
+    )
+    def test_threads_get_same_moments(self, make) -> None:
+        shared = make()
+        degrees = [int(n) for n in np.random.default_rng(23).integers(0, 67, 64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads inside a pass
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda d: _jacobi_moments(shared, d), degrees, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for degree, moments in zip(degrees, got):
+            want = _jacobi_moments(make(), degree)
+            assert [float.hex(m) for m in moments] == [float.hex(m) for m in want], degree
+        # whichever swap came last, the kept state is one pass's: its moments and v agree
+        d, e, moments, v = shared._entries
+        assert 2 * len(v) - 1 <= len(moments) <= 2 * len(v) <= 2 * len(d)
+        assert list(moments) == _jacobi_moments(make(), len(moments) - 1)
+
+    def test_raising_growth_keeps_moments(self) -> None:
+        def offdiag(m: int) -> float:
+            if m == 4:
+                raise ZeroDivisionError("e_4")
+            return 0.5
+
+        coeffs = JacobiCoeffs(diag=lambda m: 0.0, offdiag=offdiag)
+        want = _jacobi_moments(coeffs, 7)
+        state = coeffs._entries
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="e_4"):
+                _jacobi_moments(coeffs, 12)
+        assert coeffs._entries is state
+        assert _jacobi_moments(coeffs, 7) == want
+
+    def test_moments_kept_by_arrays(self) -> None:
+        # growing the entries keeps the moments and the Krylov vector
+        coeffs, calls = self.counting()
+        want = _jacobi_moments(coeffs, 4)
+        moments, v = coeffs._entries[2:]
+        coeffs.arrays(9)
+        assert coeffs._entries[2] is moments and coeffs._entries[3] is v
+        assert _jacobi_moments(coeffs, 4) == want
+        assert set(calls.values()) == {1}
 
     def test_raising_entry_raises_again(self) -> None:
         def offdiag(m: int) -> float:
