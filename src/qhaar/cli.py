@@ -308,13 +308,16 @@ def _identity_mass(cfg: RunConfig, ctx: QContext) -> dict:
     return {"rows": rows}
 
 
+# the half-widths of the uniform draws of identity poisson, in order: (t, x, y)
+# of ten q-Hermite kernels, then (t, x, y, a, b) of ten Al-Salam-Chihara ones;
+# t in (-0.8, 0.8), x and y in (-0.99, 0.99), a and b in (-0.95, 0.95)
+_POISSON_LIMITS = np.array([0.8, 0.99, 0.99] * 10 + [0.8, 0.99, 0.99, 0.95, 0.95] * 10)
+
+
 def _identity_poisson(cfg: RunConfig, ctx: QContext) -> dict:
-    rng = np.random.default_rng(cfg.seed)
-    hermite = [_poisson_point(rng) + (0.0, 0.0) for _ in range(10)]
-    chihara = [
-        _poisson_point(rng) + (float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-0.95, 0.95)))
-        for _ in range(10)
-    ]
+    draws = np.random.default_rng(cfg.seed).uniform(-_POISSON_LIMITS, _POISSON_LIMITS).tolist()
+    hermite = [(*draws[k : k + 3], 0.0, 0.0) for k in range(0, 30, 3)]
+    chihara = [tuple(draws[k : k + 5]) for k in range(30, 80, 5)]
     closed = Factorials.join(
         [_cqh_poisson_form(t, x, y) for t, x, y, _, _ in hermite]
         + [_asc_poisson_form(*p, ctx) for p in chihara]
@@ -338,11 +341,6 @@ _IDENTITIES = {"bailey": _identity_bailey, "mass": _identity_mass, "poisson": _i
 def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     body = _IDENTITIES[target](cfg, cfg.context())
     return body, body["rows"], all(r["passed"] for r in body["rows"])
-
-
-def _poisson_point(rng: np.random.Generator) -> tuple[float, float, float]:
-    """One draw of (t, x, y): t in (-0.8, 0.8), x and y in (-0.99, 0.99)."""
-    return tuple(float(rng.uniform(-lim, lim)) for lim in (0.8, 0.99, 0.99))
 
 
 def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:

@@ -45,7 +45,7 @@ from .orthopoly import (
     aw_jacobi,
     aw_masses,
 )
-from .qseries import Factorials, QContext, _check_power_range
+from .qseries import Factorials, QContext, _check_numbers, _check_power_range
 from .qsu2rep import (
     _ELEMENT_REACH,
     SphericalParams,
@@ -203,6 +203,20 @@ def _as_coeffs(p) -> np.ndarray:
     return np.atleast_1d(coeffs.astype(float, copy=False))
 
 
+def _coeff_list(p):
+    """``p`` as a sequence of floats, as :func:`_as_coeffs` gives it.
+
+    A nonempty tuple or list of Python floats is used as it is, and one of
+    floats and ints with its ints made floats; numpy is asked only for
+    other input.
+    """
+    if type(p) in (tuple, list) and p:
+        kinds = set(map(type, p))
+        if kinds <= {float, int}:
+            return [float(c) for c in p] if int in kinds else p
+    return _as_coeffs(p).tolist()
+
+
 def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
          trace_route: str, measure_route: str) -> VerifyRow:
     trace_side = float(trace_side)
@@ -222,23 +236,14 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
-                       polys) -> tuple[list[float], int]:
-    """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
+def _measure_key(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> tuple:
+    """The arguments of :func:`_measure_jacobi` for a theorem's measure.
 
-    The moments e_0^T J^k e_0 through the largest degree serve every
-    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats from the
-    coefficients on, read on the leading deg // 2 + 1 rows of the
-    measure's Jacobi matrix.  That matrix comes from
-    :func:`_measure_jacobi`, asked with the arguments the measure does not
-    depend on set to None or 0.0, so thm4 shares one matrix across every
-    ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau`` and ``sigma``.
-    The matrix keeps the moments it has given (:func:`_jacobi_moments`),
-    so a loop over polynomials makes one pass through its largest degree,
-    with values that do not depend on the order of the loop.  A ``tau`` or
-    ``sigma`` the measure reads that is nan raises DomainError before any
-    matrix is built; an integral that is not finite raises
-    ConvergenceError.
+    Those the measure does not depend on are set to None or 0.0, so thm4
+    shares one matrix across every ``ctx``, thm5 ignores ``sigma`` and
+    gamma both ``tau`` and ``sigma``.  A ``tau`` or ``sigma`` the measure
+    reads that is nan raises DomainError by name, before any matrix is
+    looked up or built and before the coefficients are read.
     """
     if theorem == "thm4":
         ctx = None
@@ -246,16 +251,43 @@ def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: fl
         tau = 0.0
     if theorem != "thm6":
         sigma = 0.0
-    for name, value in (("tau", tau), ("sigma", sigma)):
-        if math.isnan(value):
-            raise DomainError(f"{name} must be a number, got nan")
-    coeffs = [_as_coeffs(p).tolist() for p in polys]
+    if math.isnan(tau) or math.isnan(sigma):
+        _check_numbers(tau=tau, sigma=sigma)
+    return theorem, ctx, tau, sigma
+
+
+def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
+                       polys) -> tuple[list[float], int]:
+    """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
+
+    The moments e_0^T J^k e_0 through the largest degree serve every
+    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats from the
+    coefficients on (:func:`_coeff_list`), read on the leading
+    deg // 2 + 1 rows of the measure's Jacobi matrix
+    (:func:`_measure_jacobi` at :func:`_measure_key`).  The matrix keeps
+    the moments it has given (:func:`_jacobi_moments`), so later calls on
+    the same measure read them or continue their pass, with values that
+    do not depend on the order of the calls.  An integral that is not
+    finite raises ConvergenceError.
+    """
+    key = _measure_key(theorem, ctx, tau, sigma)
+    coeffs = [_coeff_list(p) for p in polys]
     degree = max(map(_poly_degree, coeffs))
-    moments = _jacobi_moments(_measure_jacobi(theorem, ctx, tau, sigma), degree)
+    moments = _jacobi_moments(_measure_jacobi(*key), degree)
     values = [sum(map(operator.mul, c, moments)) for c in coeffs]
     if not all(map(math.isfinite, values)):
         raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
     return values, degree // 2 + 1
+
+
+def _measure_integral(theorem: str, ctx: QContext | None, tau: float, sigma: float, p) -> float:
+    """``_measure_integrals(theorem, ctx, tau, sigma, [p])[0][0]``, without the batch's lists."""
+    key = _measure_key(theorem, ctx, tau, sigma)
+    c = _coeff_list(p)
+    value = sum(map(operator.mul, c, _jacobi_moments(_measure_jacobi(*key), _poly_degree(c))))
+    if not math.isfinite(value):
+        raise ConvergenceError(f"{theorem} measure integral is not finite: {[value]}")
+    return value
 
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
@@ -358,12 +390,12 @@ def thm4_measure(p) -> float:
     three measure functions, it reads the memoized Jacobi matrix of its
     measure (:func:`_measure_jacobi`).
     """
-    return _measure_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
+    return _measure_integral("thm4", None, 0.0, 0.0, p)
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _measure_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
+    return _measure_integral("thm5", ctx, tau, 0.0, p)
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -385,12 +417,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _measure_integrals("thm6", ctx, tau, sigma, [p])[0][0]
+    return _measure_integral("thm6", ctx, tau, sigma, p)
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _measure_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
+    return _measure_integral("gamma", ctx, 0.0, 0.0, p)
 
 
 def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:

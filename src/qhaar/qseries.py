@@ -88,14 +88,24 @@ class QContext:
         return QContext(self.q * self.q)
 
 
+def _check_numbers(**params: float) -> None:
+    """Refuse a nan among ``params`` with DomainError, naming the first."""
+    for name, value in params.items():
+        if math.isnan(value):
+            raise DomainError(f"{name} must be a number, got nan")
+
+
 def _check_power_range(q: float, lowest: float, **params: float) -> None:
     """Refuse ``params`` whose closed forms take q^lowest past the float range.
 
     ``lowest`` is the lowest exponent at which a caller's closed forms take
     a power of q, in Python floats, which raise OverflowError past
     ln(float max) / |ln q|.  This raises ConvergenceError, naming the
-    parameters, before any such power is formed.
+    parameters, before any such power is formed.  A nan parameter, which
+    no comparison refuses, raises DomainError by name first
+    (:func:`_check_numbers`).
     """
+    _check_numbers(**params)
     if lowest * math.log(q) > math.log(sys.float_info.max):
         named = ", ".join(f"{name} = {value!r}" for name, value in params.items())
         raise ConvergenceError(f"q^{lowest:g} at {named} leaves the float range at q = {q!r}")

@@ -377,7 +377,10 @@ def op_D(ctx: QContext, size: int) -> np.ndarray:
 
 def _poly_degree(coeffs) -> int:
     """Index of the last nonzero coefficient of a 1-D list or array; 0 if there is none."""
-    return next((k for k in range(len(coeffs) - 1, 0, -1) if coeffs[k]), 0)
+    degree = len(coeffs) - 1
+    while degree > 0 and not coeffs[degree]:
+        degree -= 1
+    return degree
 
 
 def haar_moments(

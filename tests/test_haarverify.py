@@ -9,6 +9,8 @@ import math
 import random
 import sys
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -344,6 +346,101 @@ class TestNanParameters:
             with pytest.raises(ConvergenceError, match="leaves the float range"):
                 thm6_measure([1.0, 1.0], tau, sigma, ctx)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda ctx: thm6_params(math.nan, 1.5, ctx), "tau"),
+            (lambda ctx: thm6_params(TAU, math.nan, ctx), "sigma"),
+            (lambda ctx: support_check(math.nan, 1.5, ctx), "tau"),
+            (lambda ctx: bailey_check(0.3, TAU, math.nan, ctx), "sigma"),
+            (lambda ctx: bailey_raw_check(0.3, math.nan, 1.5, ctx), "tau"),
+            (lambda ctx: bailey_variant_residuals(0.3, TAU, math.nan, ctx), "sigma"),
+            (lambda ctx: intermediate_check([0, 1], math.nan, 1.5, ctx), "tau"),
+            (lambda ctx: sigma_limit_check([0, 1], math.nan, ctx), "tau"),
+            (lambda ctx: eigvec_norm_sq(1, 0, math.nan, ctx), "tau"),
+            (lambda ctx: eigen_basis(ctx, math.nan, 40, 3), "tau"),
+            (lambda ctx: d_coeff(ctx, math.nan, 1, 0, -1, 0), "tau"),
+            (lambda ctx: eigvec_poly(3, 1, 0, math.nan, ctx), "tau"),
+            (lambda ctx: moment_apply(MomentFunctional("L", ctx, math.nan), [0, 1]), "tau"),
+            (lambda ctx: qsu2rep.spectral_trace(ctx, math.nan, [0, 1]), "tau"),
+        ],
+    )
+    def test_library_refuses_with_name(self, ctx: QContext, call, named: str) -> None:
+        # the power-range check that every tau and sigma passes refuses nan first
+        with pytest.raises(DomainError, match=f"^{named} must be a number, got nan$"):
+            call(ctx)
+
+    def test_sigma_limit_refuses_before_traces(self, monkeypatch, ctx: QContext) -> None:
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a trace ran")
+
+        monkeypatch.setattr(haarverify, "haar_trace", no_trace)
+        with pytest.raises(DomainError, match="^tau must be a number, got nan$"):
+            sigma_limit_check([0, 1], math.nan, ctx)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: thm6_params(math.inf, 1.5, ctx),
+            lambda ctx: support_check(TAU, -math.inf, ctx),
+            lambda ctx: bailey_check(0.3, TAU, math.inf, ctx),
+            lambda ctx: intermediate_check([0, 1], math.inf, 1.5, ctx),
+            lambda ctx: sigma_limit_check([0, 1], -math.inf, ctx),
+        ],
+    )
+    def test_infinite_library_parameters_unchanged(self, ctx: QContext, call) -> None:
+        with pytest.raises(ConvergenceError, match="leaves the float range"):
+            call(ctx)
+
+
+class TestPlainCoefficients:
+    """Tuples and lists of Python floats and ints skip numpy with _as_coeffs's bits and refusals."""
+
+    PLAIN = [
+        (0.0, 1.0), [0.0, 1.0], (1.0,), [-0.0, 2.5, 0.0], (math.nan, 1.0), [math.inf, -1e-320],
+        (1, 0, 3), [1, 0, 3], [0], [2**53 + 1], [2**64 + 1, -(2**63) - 1], [10**400], (1, 2.5),
+        (True, False), [True, 3], [1.0, True],
+    ]
+    INPUTS = PLAIN + [
+        np.float64(2.0), [np.float64(2.0), 1.0], (np.float32(0.1),), np.int64(3), 2.5, 3, True,
+        np.array([1.0, 2.0]), np.array([1, 2]), np.array([True]), np.array([]),
+        [Fraction(1, 3), 1.0], [Decimal("1")],
+        [[1.0, 2.0]], [[1.0], 2.0], ((1.0,),), [1j, 1], (1.0, 2j), 1j,
+        "12", None, [1.0, None], [1.0, "2"], (), [], len, lambda x: x,
+    ]
+
+    @staticmethod
+    def outcome(convert, p):
+        try:
+            return [float.hex(c) for c in convert(p)]
+        except Exception as exc:  # noqa: BLE001 - the refusal is what is compared
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("p", INPUTS, ids=lambda p: f"{type(p).__name__}:{p!r:.20}")
+    def test_same_bits_and_refusals(self, p) -> None:
+        want = self.outcome(lambda p: haarverify._as_coeffs(p).tolist(), p)
+        assert self.outcome(haarverify._coeff_list, p) == want
+
+    @pytest.mark.parametrize("p", PLAIN, ids=lambda p: f"{type(p).__name__}:{p!r:.20}")
+    def test_measures_match_the_array_route(self, ctx: QContext, p) -> None:
+        # an object array goes through _as_coeffs: the same value, or the same refusal
+        def values(p) -> list:
+            out = []
+            for measure in (
+                lambda p: thm4_measure(p),
+                lambda p: thm5_measure(p, TAU, ctx),
+                lambda p: thm6_measure(p, TAU, 1.5, ctx),
+                lambda p: gamma_measure(p, ctx),
+            ):
+                try:
+                    out.append(float.hex(measure(p)))
+                except Exception as exc:  # noqa: BLE001
+                    out.append((type(exc), str(exc)))
+            return out
+
+        assert values(p) == values(np.array(p, dtype=object))
+
 
 # the grid of the moment oracle, and the mass-threshold draws of CI
 BIT_Q = (0.01, 0.05, 0.3, 0.5, 0.9, 0.95, 0.99, 0.995)
@@ -597,15 +694,16 @@ class TestMeasureJacobiCache:
                     assert got == want[d], (case, order[0], d)
 
     def test_second_loop_adds_no_step(self) -> None:
-        # x^0..x^12 keeps 13 moments on 7 rows; a second loop, in either order,
-        # is answered from them and swaps in nothing
+        # x^0..x^12 keeps 14 moments on 7 rows (x^1 continues the pass 12
+        # degrees ahead, to x^13); a second loop, in either order, is
+        # answered from them and swaps in nothing
         haarverify._measure_jacobi.cache_clear()
         ctx = QContext(0.63)
         polys = monomials(12)
         first = [thm6_measure(p, TAU, 1.5, ctx) for p in polys]
         jacobi = haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)
         state = jacobi._entries
-        assert [len(part) for part in state] == [7, 6, 13, 7]
+        assert [len(part) for part in state] == [7, 6, 14, 7]
         assert [thm6_measure(p, TAU, 1.5, ctx) for p in polys] == first
         assert [thm6_measure(p, TAU, 1.5, ctx) for p in polys[::-1]] == first[::-1]
         assert jacobi._entries is state
@@ -626,7 +724,8 @@ class TestMeasureJacobiCache:
         assert (info.misses, info.hits) == (1, 12)
 
     def test_monomial_loop_builds_one_matrix(self) -> None:
-        # x^0..x^12 on a new measure: one matrix, grown to 7 rows and no further
+        # x^0..x^12 on a new measure: one matrix, grown to 7 rows and no
+        # further, since x^1's read-ahead to x^13 needs no more rows than x^12
         haarverify._measure_jacobi.cache_clear()
         ctx = QContext(0.61)
         for p in monomials(12):
@@ -634,6 +733,33 @@ class TestMeasureJacobiCache:
         info = haarverify._measure_jacobi.cache_info()
         assert (info.misses, info.hits) == (1, 12)
         assert len(haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)._entries[0]) == 7
+
+    @pytest.mark.parametrize("degree, continuations", [(12, 1), (24, 2)])
+    def test_monomial_loop_continues_at_most_twice(
+        self, monkeypatch, degree: int, continuations: int
+    ) -> None:
+        # each ask the kept moments miss grows the memo once: the exact first
+        # ask at x^0, then continuations that read 12 degrees ahead (x^1 to
+        # x^13, and x^14 to x^26)
+        grown = JacobiCoeffs._grown
+        calls = collections.Counter()
+
+        def counting(jacobi, *args):
+            calls[id(jacobi)] += 1
+            return grown(jacobi, *args)
+
+        monkeypatch.setattr(JacobiCoeffs, "_grown", counting)
+        haarverify._measure_jacobi.cache_clear()
+        ctx = QContext(0.7)
+        for measure in (
+            lambda p: thm5_measure(p, TAU, ctx),
+            lambda p: thm6_measure(p, TAU, 1.5, ctx),
+            lambda p: gamma_measure(p, ctx),
+        ):
+            calls.clear()
+            values = [measure(p) for p in monomials(degree)]
+            assert list(calls.values()) == [1 + continuations]
+            assert values == [measure(p) for p in monomials(degree)]
 
     @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
     def test_grown_matrix_matches_fresh(self, theorem: str, ctx: QContext) -> None:

@@ -27,7 +27,7 @@ from qhaar import (
 )
 from qhaar.haarverify import _jackson_jacobi
 from qhaar.qsu2rep import SphericalParams, _Band, _band_moments, build_rep, element
-from qhaar.spectral import _jacobi_moments, _offdiag_sqrt
+from qhaar.spectral import _READ_AHEAD, _jacobi_moments, _offdiag_sqrt
 
 
 def dense(coeffs: JacobiCoeffs, size: int) -> np.ndarray:
@@ -349,6 +349,62 @@ class TestJacobiMoments:
         jacobi = JacobiCoeffs(diag=lambda m: rows.append(m) or 0.1, offdiag=lambda m: 0.5)
         _jacobi_moments(jacobi, degree)
         assert rows == list(range(degree // 2 + 1))
+
+    def test_continuation_reads_ahead(self) -> None:
+        # the first ask reads its own rows; a later miss continues the pass
+        # _READ_AHEAD = 12 degrees past the degree it asks
+        def fresh() -> JacobiCoeffs:
+            return JacobiCoeffs(diag=lambda m: 0.1, offdiag=lambda m: 0.5)
+
+        rows = []
+        jacobi = JacobiCoeffs(diag=lambda m: rows.append(m) or 0.1, offdiag=lambda m: 0.5)
+        assert _READ_AHEAD == 12
+        _jacobi_moments(jacobi, 2)
+        assert rows == [0, 1]
+        assert _jacobi_moments(jacobi, 3) == _jacobi_moments(fresh(), 3)
+        assert rows == list(range(8)) and len(jacobi._entries[2]) == 16
+        assert _jacobi_moments(jacobi, 15) == _jacobi_moments(fresh(), 15)
+        assert rows == list(range(8))
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ("diag", ZeroDivisionError("d_6")),
+            ("diag", DomainError("d_6")),
+            ("offdiag", OverflowError("e_5")),
+            ("offdiag", DomainError("e_5")),
+            ("offdiag", None),  # e_5 = 0
+        ],
+    )
+    def test_refused_entry_ends_read_ahead(self, entry: str, error) -> None:
+        # row 6 (d_6 or e_5) fails past the asked rows: the continuation keeps
+        # rows 0..5 and the moments they give, through x^11; asked, row 6 raises
+        def diag(m: int) -> float:
+            if entry == "diag" and m == 6:
+                raise error
+            return 0.1 * m
+
+        def offdiag(m: int) -> float:
+            if entry == "offdiag" and m == 5:
+                if error is None:
+                    return 0.0
+                raise error
+            return 0.5 + 0.1 * m
+
+        def fresh() -> JacobiCoeffs:
+            return JacobiCoeffs(diag=lambda m: 0.1 * m, offdiag=lambda m: 0.5 + 0.1 * m)
+
+        jacobi = JacobiCoeffs(diag=diag, offdiag=offdiag)
+        _jacobi_moments(jacobi, 0)
+        assert _jacobi_moments(jacobi, 4) == _jacobi_moments(fresh(), 4)
+        state = jacobi._entries
+        d, e, moments, _ = state
+        assert (len(d), len(e), list(moments)) == (6, 5, _jacobi_moments(fresh(), 11))
+        assert _jacobi_moments(jacobi, 11) == list(moments)
+        for _ in range(2):
+            with pytest.raises(type(error) if error else DomainError):
+                _jacobi_moments(jacobi, 12)
+        assert jacobi._entries is state
 
 
 class TestJacobiBuilders:
