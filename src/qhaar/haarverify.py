@@ -236,26 +236,6 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     )
 
 
-def _measure_key(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> tuple:
-    """The arguments of :func:`_measure_jacobi` for a theorem's measure.
-
-    Those the measure does not depend on are set to None or 0.0, so thm4
-    shares one matrix across every ``ctx``, thm5 ignores ``sigma`` and
-    gamma both ``tau`` and ``sigma``.  A ``tau`` or ``sigma`` the measure
-    reads that is nan raises DomainError by name, before any matrix is
-    looked up or built and before the coefficients are read.
-    """
-    if theorem == "thm4":
-        ctx = None
-    if theorem in ("thm4", "gamma"):
-        tau = 0.0
-    if theorem != "thm6":
-        sigma = 0.0
-    if math.isnan(tau) or math.isnan(sigma):
-        _check_numbers(tau=tau, sigma=sigma)
-    return theorem, ctx, tau, sigma
-
-
 def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
                        polys) -> tuple[list[float], int]:
     """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
@@ -263,31 +243,31 @@ def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: fl
     The moments e_0^T J^k e_0 through the largest degree serve every
     polynomial as sum_k c_k e_0^T J^k e_0, in Python floats from the
     coefficients on (:func:`_coeff_list`), read on the leading
-    deg // 2 + 1 rows of the measure's Jacobi matrix
-    (:func:`_measure_jacobi` at :func:`_measure_key`).  The matrix keeps
-    the moments it has given (:func:`_jacobi_moments`), so later calls on
-    the same measure read them or continue their pass, with values that
-    do not depend on the order of the calls.  An integral that is not
-    finite raises ConvergenceError.
+    deg // 2 + 1 rows of the measure's Jacobi matrix.  That matrix comes
+    from :func:`_measure_jacobi`, asked with the arguments the measure
+    does not depend on set to None or 0.0, so thm4 shares one matrix
+    across every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau``
+    and ``sigma``.  The matrix keeps the moments it has given
+    (:func:`_jacobi_moments`), so later calls on the same measure read
+    them or continue their pass, with values that do not depend on the
+    order of the calls.  A ``tau`` or ``sigma`` the measure reads that is
+    nan raises DomainError by name before any matrix is built; an
+    integral that is not finite raises ConvergenceError.
     """
-    key = _measure_key(theorem, ctx, tau, sigma)
+    if theorem == "thm4":
+        ctx = None
+    if theorem in ("thm4", "gamma"):
+        tau = 0.0
+    if theorem != "thm6":
+        sigma = 0.0
+    _check_numbers(tau=tau, sigma=sigma)
     coeffs = [_coeff_list(p) for p in polys]
     degree = max(map(_poly_degree, coeffs))
-    moments = _jacobi_moments(_measure_jacobi(*key), degree)
+    moments = _jacobi_moments(_measure_jacobi(theorem, ctx, tau, sigma), degree)
     values = [sum(map(operator.mul, c, moments)) for c in coeffs]
     if not all(map(math.isfinite, values)):
         raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
     return values, degree // 2 + 1
-
-
-def _measure_integral(theorem: str, ctx: QContext | None, tau: float, sigma: float, p) -> float:
-    """``_measure_integrals(theorem, ctx, tau, sigma, [p])[0][0]``, without the batch's lists."""
-    key = _measure_key(theorem, ctx, tau, sigma)
-    c = _coeff_list(p)
-    value = sum(map(operator.mul, c, _jacobi_moments(_measure_jacobi(*key), _poly_degree(c))))
-    if not math.isfinite(value):
-        raise ConvergenceError(f"{theorem} measure integral is not finite: {[value]}")
-    return value
 
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
@@ -390,12 +370,12 @@ def thm4_measure(p) -> float:
     three measure functions, it reads the memoized Jacobi matrix of its
     measure (:func:`_measure_jacobi`).
     """
-    return _measure_integral("thm4", None, 0.0, 0.0, p)
+    return _measure_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _measure_integral("thm5", ctx, tau, 0.0, p)
+    return _measure_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -417,12 +397,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _measure_integral("thm6", ctx, tau, sigma, p)
+    return _measure_integrals("thm6", ctx, tau, sigma, [p])[0][0]
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _measure_integral("gamma", ctx, 0.0, 0.0, p)
+    return _measure_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
 
 
 def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:

@@ -40,12 +40,13 @@ class JacobiCoeffs:
     larger degree continues that pass.  The first ask for moments reads
     exactly the rows its degree needs; a continued pass reads rows
     _READ_AHEAD degrees further, and only those rows may fail without
-    raising (:meth:`_grown`).  Each growth swaps in one new tuple
-    of entries, moments and vector, so concurrent callers at worst compute
-    an entry or a moment twice and never see a torn state.  A call that
+    raising (:meth:`_grown`).  Each growth swaps in one new tuple of
+    entries, moments and vector, so concurrent callers at worst compute an
+    entry or a moment twice and never see a torn state.  A call that
     raises, or finds a zero off-diagonal in the rows it asks for, keeps
-    nothing it computed, so the next call raises again.  This entry memo is the only one: ``diag`` and
-    ``offdiag`` may recompute a term they share.
+    nothing it computed, so the next call raises again.  This entry memo
+    is the only one: ``diag`` and ``offdiag`` may recompute a term they
+    share.
     """
 
     diag: Callable[[int], float]
@@ -96,10 +97,8 @@ def _offdiag_sqrt(e2: float, m: int) -> float:
     return math.sqrt(e2)
 
 
-# degrees a continued pass of _jacobi_moments computes past the one asked.
-# Of 8, 12, 16 and 24, in-process x^0..x^D loops on new measures ran
-# fastest with 8 at D = 6, 12 at D = 12 (from x^1 it reaches x^13 on the
-# 7 rows x^12 needs) and 24 at D = 24; 12 lost least to the best at any D
+# degrees a continued pass of _jacobi_moments computes past the one asked:
+# an ascending x^0..x^12 loop reaches x^13 from x^1, on the 7 rows x^12 needs
 _READ_AHEAD = 12
 
 
