@@ -140,22 +140,18 @@ def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         # not valid bare JSON; make the condition visible rather than crash
         return '"%s"' % repr(x)
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _dict_json(obj: dict) -> str:
-    return "{" + ",".join(_json_key(k) + ":" + _to_json(v) for k, v in sorted(obj.items())) + "}"
+    return "{" + ",".join(json.dumps(k) + ":" + _to_json(v) for k, v in sorted(obj.items())) + "}"
 
 
-def _list_json(obj) -> str:
+def _list_json(obj: list) -> str:
     rows = _rows_json(obj)
     if rows is not None:
         return rows
-    return "[" + ",".join(_to_json(v) for v in obj) + "]"
-
-
-# reports repeat a few dozen key names in every row
-_json_key = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
+    return "[" + ",".join(map(_to_json, obj)) + "]"
 
 
 def _column_json(col: list) -> list[str]:
@@ -167,62 +163,48 @@ def _column_json(col: list) -> list[str]:
     return list(map(_to_json, col))
 
 
-# shorter lists, such as a verify report's seven rows, encode faster value by value
-_COLUMN_MIN_ROWS = 9
-
-
 def _rows_json(rows: list) -> str | None:
-    """A list of _COLUMN_MIN_ROWS or more dicts with one nonempty key set, encoded by column.
+    """A list of dicts with one nonempty key set, encoded by column.
 
     The bytes are those of ``_to_json`` on each row: one ``%`` template per
     row, built from the sorted keys, filled from the encoded columns.  Any
     other list gives None.
     """
-    if len(rows) < _COLUMN_MIN_ROWS or type(rows[0]) is not dict or not rows[0]:
+    if not rows or type(rows[0]) is not dict or not rows[0]:
         return None
     keys = rows[0].keys()
     if any(type(row) is not dict or row.keys() != keys for row in rows):
         return None
     names = sorted(keys)
-    template = "{" + ",".join(_json_key(k).replace("%", "%%") + ":%s" for k in names) + "}"
+    template = "{" + ",".join(json.dumps(k).replace("%", "%%") + ":%s" for k in names) + "}"
     columns = [_column_json([row[name] for row in rows]) for name in names]
     return "[" + ",".join(template % values for values in zip(*columns)) + "]"
 
 
-# exact built-in types, looked up before the isinstance chain below
+# the encoder of each type a report holds, looked up by exact type: every
+# handler builds its rows from Python values (.tolist(), float(...), bool(...))
 _JSON_BY_TYPE = {
     float: _fmt_float,
     dict: _dict_json,
     list: _list_json,
     bool: lambda b: "true" if b else "false",
     int: str,
+    str: json.dumps,
 }
 
 
 def _to_json(obj) -> str:
     encode = _JSON_BY_TYPE.get(type(obj))
-    if encode is not None:
-        return encode(obj)
-    if isinstance(obj, dict):
-        return _dict_json(obj)
-    if isinstance(obj, (list, tuple)):
-        return _list_json(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+    if encode is None:
+        raise TypeError(f"a report holds no {type(obj).__name__} value: {obj!r:.60}")
+    return encode(obj)
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 

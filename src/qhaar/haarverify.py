@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -49,9 +48,11 @@ from .qseries import Factorials, QContext, _check_numbers, _check_power_range
 from .qsu2rep import (
     _ELEMENT_REACH,
     SphericalParams,
+    _as_coeffs,
     _Band,
     _band_moments,
     _band_spectrum,
+    _coeff_list,
     _element_band,
     _poly_degree,
     haar_moments,
@@ -126,9 +127,7 @@ class VerifyConfig:
             raise DomainError("tol must be positive")
         if not self.poly_set:
             raise DomainError("poly_set must not be empty")
-        object.__setattr__(
-            self, "poly_set", tuple(tuple(_as_coeffs(p).tolist()) for p in self.poly_set)
-        )
+        object.__setattr__(self, "poly_set", tuple(tuple(_coeff_list(p)) for p in self.poly_set))
 
     @property
     def max_degree(self) -> int:
@@ -170,54 +169,17 @@ class VerifyReport:
         return max((r.rel_err for r in self.rows), default=0.0)
 
 
-def _poly_label(coeffs: np.ndarray) -> str:
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
+def _poly_label(coeffs) -> str:
+    nz = [k for k, c in enumerate(coeffs) if c]
+    if not nz:
         return "0"
-    if nz.size == 1 and coeffs[nz[0]] == 1.0:
-        d = int(nz[0])
+    if len(nz) == 1 and coeffs[nz[0]] == 1.0:
+        d = nz[0]
         return "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
-    return f"poly(deg={int(nz[-1])})"
+    return f"poly(deg={nz[-1]})"
 
 
-def _as_coeffs(p) -> np.ndarray:
-    """``p`` as an ascending coefficient array of floats; a scalar is one coefficient.
-
-    Anything but real numbers in at most one dimension is refused with
-    DomainError: a callable, a string, None, complex or nested input, and
-    an empty list.  Ints and bools are real numbers.
-    """
-    if callable(p):
-        raise DomainError("expected polynomial coefficients, got a callable")
-    try:
-        coeffs = np.asarray(p)
-    except ValueError:  # ragged nesting
-        coeffs = np.empty((0, 0))
-    kind = coeffs.dtype.kind
-    if coeffs.ndim > 1 or not (
-        kind in "biuf" or kind == "O" and all(isinstance(c, numbers.Real) for c in coeffs.flat)
-    ):
-        raise DomainError(f"expected real polynomial coefficients in one dimension, got {p!r:.60}")
-    if coeffs.size == 0:
-        raise DomainError("a polynomial needs at least one coefficient")
-    return np.atleast_1d(coeffs.astype(float, copy=False))
-
-
-def _coeff_list(p):
-    """``p`` as a sequence of floats, as :func:`_as_coeffs` gives it.
-
-    A nonempty tuple or list of Python floats is used as it is, and one of
-    floats and ints with its ints made floats; numpy is asked only for
-    other input.
-    """
-    if type(p) in (tuple, list) and p:
-        kinds = set(map(type, p))
-        if kinds <= {float, int}:
-            return [float(c) for c in p] if int in kinds else p
-    return _as_coeffs(p).tolist()
-
-
-def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
+def _row(label: str, coeffs: tuple[float, ...], trace_side: float, measure_side: float, tol: float,
          trace_route: str, measure_route: str) -> VerifyRow:
     trace_side = float(trace_side)
     measure_side = float(measure_side)
@@ -225,7 +187,7 @@ def _row(label: str, coeffs, trace_side: float, measure_side: float, tol: float,
     rel_err = abs_err if abs(measure_side) < REL_ERR_FLOOR else abs_err / abs(measure_side)
     return VerifyRow(
         label=label,
-        coeffs=tuple(float(c) for c in np.atleast_1d(coeffs)),
+        coeffs=coeffs,
         trace_side=trace_side,
         measure_side=measure_side,
         abs_err=abs_err,
@@ -431,7 +393,7 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
     rows = tuple(
         _row(_poly_label(c), c, moment_trace(c, moments), measure, cfg.tol,
              trace_route, measure_route)
-        for c, measure in zip(map(np.asarray, cfg.poly_set), measures)
+        for c, measure in zip(cfg.poly_set, measures)
     )
     return VerifyReport(theorem=theorem, config=cfg, rows=rows)
 

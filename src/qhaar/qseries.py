@@ -134,8 +134,8 @@ def neg_power_index(value, q: float):
 def qpoch(a, ctx: QContext, k=math.inf):
     """q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i).
 
-    ``k`` is a nonnegative integer or inf (None reads as inf) for the
-    infinite product.  The infinite product stops at the first i with
+    ``k`` is a nonnegative integer or inf for the infinite product.
+    The infinite product stops at the first i with
     |a| q^i < TAIL_TOL*(1-q); the discarded factors are 1 + eps_i with
     sum |eps_i| <= |a| q^i / (1-q) < TAIL_TOL, so the relative truncation
     error is below ~TAIL_TOL.  An infinite product that needs more than
@@ -149,8 +149,6 @@ def qpoch(a, ctx: QContext, k=math.inf):
     one element and comes back as a Python float (complex for complex a).
     An ``a`` that is not finite raises ConvergenceError, whatever ``k``.
     """
-    if k is None:
-        k = math.inf
     if isinstance(a, (np.ndarray, list, tuple)) or isinstance(k, (np.ndarray, list, tuple)):
         return _qpoch_array(a, ctx, k)
     return _qpoch_array([a], ctx, [k]).tolist()[0]
@@ -294,9 +292,8 @@ class Factorials:
     base (a scalar order, by default inf, is given to every base) and the
     arguments (a, b, c, d, e, f, z) of each 8W7 sum, summed in the base the
     form is evaluated in, as Python lists, so building and joining forms
-    makes no numpy call; ``params`` and ``ks`` give the first two as
-    arrays.  An array of bases is read raveled.  ``assemble`` maps the
-    array of the factorials' values, in the order of the bases, to the
+    makes no numpy call.  An array of bases is read raveled.  ``assemble``
+    maps the array of the factorials' values, in the order of the bases, to the
     value of the form; a form with series takes the list of their sums, in
     order, as a second argument.  :meth:`evaluate` alone forms the value: every
     factorial from one :func:`qpoch` call and every sum from one array
@@ -313,16 +310,6 @@ class Factorials:
         self._ks = list(ks) if isinstance(ks, (list, tuple)) else [ks] * len(params)
         self.series = list(series)
         self.assemble = assemble
-
-    @property
-    def params(self) -> np.ndarray:
-        """The bases of the factorials, as one array."""
-        return np.array(self._params)
-
-    @property
-    def ks(self) -> np.ndarray:
-        """The orders of the factorials, as a float array."""
-        return np.array(self._ks, dtype=float)
 
     def evaluate(self, ctx: QContext):
         """The value of the form, every factorial from one :func:`qpoch` call.
@@ -387,12 +374,6 @@ class SeriesSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple(self.upper))
         object.__setattr__(self, "lower", tuple(self.lower))
-
-    def terminating_length(self):
-        """Number of nonzero terms (n+1) when some upper parameter is q^-n."""
-        q = self.base.q
-        hits = [n for a in self.upper if (n := neg_power_index(a, q)) is not None]
-        return min(hits) + 1 if hits else None
 
 
 def phi_rs(spec: SeriesSpec):

@@ -59,6 +59,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,6 +384,46 @@ def _poly_degree(coeffs) -> int:
     return degree
 
 
+def _as_coeffs(p) -> np.ndarray:
+    """``p`` as an ascending coefficient array of floats; a scalar is one coefficient.
+
+    Anything but real numbers in at most one dimension is refused with
+    DomainError: a callable, a string, None, complex or nested input, and
+    an empty list.  Ints and bools are real numbers.  This is the one
+    coefficient rule of both routes: :func:`haar_trace`,
+    :func:`moment_trace`, :func:`spectral_trace` and the measure integrals
+    of ``haarverify`` read coefficients through :func:`_coeff_list`.
+    """
+    if callable(p):
+        raise DomainError("expected polynomial coefficients, got a callable")
+    try:
+        coeffs = np.asarray(p)
+    except ValueError:  # ragged nesting
+        coeffs = np.empty((0, 0))
+    kind = coeffs.dtype.kind
+    if coeffs.ndim > 1 or not (
+        kind in "biuf" or kind == "O" and all(isinstance(c, numbers.Real) for c in coeffs.flat)
+    ):
+        raise DomainError(f"expected real polynomial coefficients in one dimension, got {p!r:.60}")
+    if coeffs.size == 0:
+        raise DomainError("a polynomial needs at least one coefficient")
+    return np.atleast_1d(coeffs.astype(float, copy=False))
+
+
+def _coeff_list(p):
+    """``p`` as a sequence of floats, as :func:`_as_coeffs` gives it.
+
+    A nonempty tuple or list of Python floats is used as it is, and one of
+    floats and ints with its ints made floats; numpy is asked only for
+    other input.
+    """
+    if type(p) in (tuple, list) and p:
+        kinds = set(map(type, p))
+        if kinds <= {float, int}:
+            return [float(c) for c in p] if int in kinds else p
+    return _as_coeffs(p).tolist()
+
+
 def haar_moments(
     ctx: QContext,
     name: str,
@@ -486,13 +527,14 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
     cancel far below their size; one above 1e-8 relative raises
     ConvergenceError, and so does an average that is not finite.
     """
-    coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
-    if coeffs.size > moments.shape[-1]:
+    coeffs = _coeff_list(coeffs)
+    degree = _poly_degree(coeffs)
+    if degree >= moments.shape[-1]:
         raise DomainError(
-            f"polynomial of degree {coeffs.size - 1} needs moments to at least that degree; "
+            f"polynomial of degree {degree} needs moments to at least that degree; "
             f"these reach degree {moments.shape[-1] - 1}"
         )
-    total = complex(np.mean(moments[:, : coeffs.size] @ coeffs))
+    total = complex(np.mean(moments[:, : degree + 1] @ coeffs[: degree + 1]))
     if not cmath.isfinite(total):
         raise ConvergenceError(f"phase average {total!r} is not finite: powers left the float range")
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
@@ -517,7 +559,7 @@ def haar_trace(
     polynomial of degree at most 2*deg(p), and the grid of
     :func:`haar_moments` integrates it exactly.
     """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    coeffs = _coeff_list(coeffs)
     return moment_trace(coeffs, haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol))
 
 
@@ -691,7 +733,7 @@ def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
     The sum stops once a bound on the rest is below TAIL_TOL, or raises
     ConvergenceError past MAX_TERMS terms.
     """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    coeffs = np.array(_coeff_list(coeffs))
     q = ctx.q
     _check_power_range(q, 2.0 * tau, tau=tau)
     Q = q * q

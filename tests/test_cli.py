@@ -157,21 +157,22 @@ class TestJsonOutput:
 
 
 def reference_to_json(obj) -> str:
-    """The serializer as an isinstance chain, without the exact-type lookup."""
-    if isinstance(obj, dict):
+    """The report encoding written value by value: sorted keys, floats with
+    17 significant digits and nan and +-inf quoted; only the exact types a
+    report holds."""
+    kind = type(obj)
+    if kind is dict:
         items = sorted(obj.items())
         return "{" + ",".join(f"{json.dumps(k)}:{reference_to_json(v)}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         return "[" + ",".join(reference_to_json(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return cli._fmt_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+    if kind is float:
+        return "%.17g" % obj if math.isfinite(obj) else '"%r"' % obj
+    if kind in (int, str):
+        return json.dumps(obj)
+    raise TypeError(kind.__name__)
 
 
 class TestJsonFastPath:
@@ -180,21 +181,30 @@ class TestJsonFastPath:
 
     def test_mixed_types(self) -> None:
         obj = {
-            "b": [True, False, np.bool_(True), 0, 1, -7, np.int64(3), 2**70],
-            "a": (0.1, -0.0, 1e-300, np.float64(2.5), np.float32(0.1), math.nan, -math.inf),
-            "é \"q\"": None,
+            "b": [True, False, 0, 1, -7, 2**70, -(2**70)],
+            "a": [0.1, -0.0, 1e-300, 5e-324, 2.5, -1e20, math.nan, math.inf, -math.inf],
+            "é \"q\"": "",
             "s": ["x", "\u2203", {"z": 1, "y": [{}, []]}],
-            "row": self.Row(k=1.5, j=[np.float64(-1e20)]),
+            "row": {"k": 1.5, "j": [-1e20]},
         }
         assert cli._to_json(obj) == reference_to_json(obj)
-        # keys that compare equal across types keep their own encoding
-        assert cli._to_json({1: 0}) == reference_to_json({1: 0})
-        assert cli._to_json({True: 0}) == reference_to_json({True: 0})
+        assert json.loads(cli._to_json(obj))["a"][-3:] == ["nan", "inf", "-inf"]
 
     @pytest.mark.parametrize("target", ["cocentral", "rho-inf", "rho-sigma"])
     def test_spectrum_reports(self, target) -> None:
         report, _, _ = cli._run_spectrum(target, cli.RunConfig(trunc_n=120))
         assert cli._to_json(report) == reference_to_json(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(0.5), np.int64(3), np.bool_(True), (0.1,), None, Row(a=1.0), [Row(a=1.0)] * 9],
+        ids=["float64", "int64", "bool_", "tuple", "None", "dict-subclass", "dict-subclass-rows"],
+    )
+    def test_other_types_raise(self, value) -> None:
+        # every handler builds its report from Python values; anything else is a bug
+        for obj in (value, [value], {"v": value}, [{"v": 1.0}, {"v": value}]):
+            with pytest.raises(TypeError):
+                cli._to_json(obj)
 
 
 ROW_LISTS = [
@@ -202,21 +212,31 @@ ROW_LISTS = [
         [0.1, -0.0, 1e-300, 5e-324, -1e20, math.nan, math.inf, -math.inf, 2.5, 1.0, 1e16]
     )],
     [{"k": 2**70, "big%": -7, "é \"q\" %s": "\u2203 %d"}] * 9,
-    [{"np": np.float64(0.5), "f32": np.float32(0.1), "i": np.int64(3), "b": np.bool_(True)}] * 10,
-    [{"mixed": 1.5}, {"mixed": 2}, {"mixed": True}, {"mixed": None}] * 3,
-    [{"nested": {"z": 1.0, "y": [1, 2.5]}, "l": [math.nan], "t": (0.1,)}] * 12,
+    [{"f": float(i) - 4.5, "i": i - 4, "b": i % 3 == 0} for i in range(10)],
+    [{"mixed": 1.5}, {"mixed": 2}, {"mixed": True}, {"mixed": "%s"}] * 3,
+    [{"nested": {"z": 1.0, "y": [1, 2.5]}, "l": [math.nan], "t": [0.1]}] * 12,
     [{"a": float(i) / 7.0, "b": i} for i in range(9)],
+    # one, three and seven rows: eval-series, identity mass and a verify block
+    [{"value_re": -0.0, "value_im": 5e-324}],
+    [{"a": 1.6, "k": 0, "residual": v, "passed": v <= 1e-7} for v in (1e-17, math.inf, -0.0)],
+    [{"label": f"x^{d}", "side": 0.5**d, "n%": 2**70, "route": "100 % of N=%d"} for d in range(7)],
 ]
 
-# lists the column path leaves to the per-value one: short, or not one key set
-PER_VALUE_LISTS = [rows[:8] for rows in ROW_LISTS] + [
+# lists that are not one nonempty key set of dicts go value by value
+PER_VALUE_LISTS = [
     [{"a": 1.0}] * 9 + [{"a": 1.0, "b": 2}],
     [{"a": 1.0}] * 9 + [{"b": 1.0}],
     [{}] * 9,
     [{"a": 1.0}] * 9 + [[1.0]],
-    [TestJsonFastPath.Row(a=1.0)] * 9,
     [1.0] * 9,
     [],
+    [{"a": 1.0}, {"b": 2}],
+    [{"a": 1.0}, {"a": 2.0, "b": 3}],
+    [{}],
+    [[{"a": 1.0}], [{"a": 2.0}]],
+    [0.1, -0.0, 5e-324, math.nan, math.inf, -math.inf, 2**70, True, "%s"],
+    ["a", {"a": 1.0}],
+    [{"a": 1.0}, 1.0],
 ]
 
 

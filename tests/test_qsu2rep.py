@@ -966,6 +966,68 @@ class TestSpectralTrace:
         assert spectral_trace(ctx, TAU, [1.0]) == pytest.approx(1.0, rel=1e-12)
 
 
+# malformed coefficients, refused with DomainError by both routes
+MALFORMED_COEFFS = {
+    "str": "01",
+    "nested": [[0, 1]],
+    "empty": [],
+    "complex": [0, 1j],
+    "None": None,
+    "callable": math.cos,
+}
+
+
+def numpy_moment_trace(coeffs, moments: np.ndarray) -> float:
+    """moment_trace as the numpy cast it replaced: trailing zeros trimmed, no degree check."""
+    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "b")
+    return float(complex(np.mean(moments[:, : c.size] @ c)).real)
+
+
+def spellings(plain: list) -> list:
+    """``plain`` (ints or bools) and its floats, each as a tuple, a list and an array."""
+    floats = [float(v) for v in plain]
+    return [tuple(floats), floats, np.array(floats), tuple(plain), plain, np.array(plain)]
+
+
+class TestOperatorRouteCoefficients:
+    """haar_trace, moment_trace and spectral_trace read coefficients by the
+    measure route's rule: malformed input is refused with DomainError, and
+    every spelling of valid input gives the bits of its float array."""
+
+    PARAMS = SphericalParams(tau=TAU, sigma=SIGMA)
+    POLYS = ([2, 0, -1, 3, 0, 0], [0, 0, 0, 0, 0, 1], [True, False, True, False], [0, 0])
+
+    def routes(self, ctx: QContext, moments: np.ndarray) -> dict:
+        return {
+            "haar_trace": lambda c: haar_trace(ctx, "rho_tau_sigma", c, 80, self.PARAMS),
+            "moment_trace": lambda c: moment_trace(c, moments),
+            "spectral_trace": lambda c: spectral_trace(ctx, TAU, c),
+        }
+
+    @pytest.mark.parametrize("route", ["haar_trace", "moment_trace", "spectral_trace"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_COEFFS))
+    def test_malformed_refused(self, ctx: QContext, route: str, name: str) -> None:
+        moments = haar_moments(ctx, "rho_tau_sigma", 2, 80, self.PARAMS)
+        with pytest.raises(DomainError):
+            self.routes(ctx, moments)[route](MALFORMED_COEFFS[name])
+
+    @pytest.mark.parametrize("values", POLYS, ids=["trailing-zeros", "monomial", "bool", "zero"])
+    def test_spellings_give_the_same_bits(self, ctx: QContext, values: list) -> None:
+        moments = haar_moments(ctx, "rho_tau_sigma", 6, 80, self.PARAMS)
+        routes = self.routes(ctx, moments)
+        degree = qsu2rep._poly_degree(values)
+        want = {
+            "haar_trace": numpy_moment_trace(
+                values, haar_moments(ctx, "rho_tau_sigma", degree, 80, self.PARAMS)
+            ),
+            "moment_trace": numpy_moment_trace(values, moments),
+            "spectral_trace": spectral_trace(ctx, TAU, np.array(values, dtype=float)),
+        }
+        for route, call in routes.items():
+            got = [float(call(c)).hex() for c in spellings(values)]
+            assert got == [float(want[route]).hex()] * 6, route
+
+
 class TestDecomposition:
     def test_polynomial_preserves_blocks(self, ctx: QContext) -> None:
         # p(M) cannot mix the two ladders: <u, M^3 w> stays at roundoff
