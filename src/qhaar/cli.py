@@ -33,7 +33,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import qseries
 from .errors import ConvergenceError, DomainError
 from .haarverify import (
     THEOREMS,
@@ -308,7 +307,7 @@ def _identity_poisson(cfg: RunConfig, ctx: QContext) -> dict:
     rows = []
     for kind, (t, x, y, a, b), value in zip(kinds, hermite + chihara, closed):
         # the q-Hermite kernel is the Al-Salam-Chihara one at a = b = 0
-        series = asc_poisson_series(t, x, y, a, b, ctx, _poisson_terms(t, a, b, ctx))
+        series = asc_poisson_series(t, x, y, a, b, ctx)
         res = float(abs(series - value) / (1.0 + abs(value)))
         rows.append({"kind": kind, "t": t, "x": x, "y": y, "a": a, "b": b, "residual": res,
                      "passed": bool(res <= cfg.tol)})
@@ -323,37 +322,6 @@ _IDENTITIES = {"bailey": _identity_bailey, "mass": _identity_mass, "poisson": _i
 def _run_identity(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     body = _IDENTITIES[target](cfg, cfg.context())
     return body, body["rows"], all(r["passed"] for r in body["rows"])
-
-
-def _poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
-    """Last index the series sum_k t^k p_k(x) p_k(y) / (q, ab; q)_k needs on [-1, 1].
-
-    Its generating function bounds |p_k(x; a, b)| by P_k = p_k(1; -|a|, -|b|)
-    (a = b = 0: q-Hermite), so term k is at most m_k = |t|^k P_k^2 / (q, |ab|; q)_k.
-    The recurrence at x = 1 keeps P_{k+1} / P_k >= 1 nonincreasing, hence also
-    rho_k = m_{k+1} / m_k, and the terms past n sum to at most m_n rho_n / (1 - rho_n):
-    the least n taking that below TAIL_TOL is returned.  log m_n is carried,
-    as m_n passes the float range near q = 1.
-    """
-    q, log_tol, at = ctx.q, math.log(qseries.TAIL_TOL), abs(t)
-    s, ab = abs(a) + abs(b), abs(a * b)
-    r = 2.0 + s  # P_1 / P_0
-    log_m, qn = 0.0, 1.0  # log m_n and q^n
-    for n in range(qseries.MAX_TERMS):
-        qn1 = qn * q
-        c = (1.0 - qn1) * (1.0 - ab * qn)
-        rho = at * r * r / c
-        if rho == 0.0:
-            return n
-        log_m_next = log_m + math.log(rho)
-        # the tail bound is m_{n+1} / (1 - rho_n): test the cheap factor first
-        if log_m_next < log_tol and rho < 1.0 and log_m_next - math.log1p(-rho) < log_tol:
-            return n
-        log_m, qn = log_m_next, qn1
-        r = 2.0 + s * qn - c / r
-    raise ConvergenceError(
-        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {qseries.MAX_TERMS} terms at q={q!r}"
-    )
 
 
 # each spectrum target's theorem, whose element it diagonalizes

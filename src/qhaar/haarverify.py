@@ -44,15 +44,13 @@ from .orthopoly import (
     aw_jacobi,
     aw_masses,
 )
-from .qseries import Factorials, QContext, _check_numbers, _check_power_range
+from .qseries import Factorials, QContext, _as_coeffs, _check_numbers, _check_power_range, _coeff_list
 from .qsu2rep import (
     _ELEMENT_REACH,
     SphericalParams,
-    _as_coeffs,
     _Band,
     _band_moments,
     _band_spectrum,
-    _coeff_list,
     _element_band,
     _poly_degree,
     haar_moments,

@@ -26,13 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import qseries
 from .errors import ConvergenceError, DomainError
-from .qseries import Factorials, QContext, SeriesSpec, _check_power_range, phi_rs
+from .qseries import Factorials, QContext, SeriesSpec, _as_coeffs, _check_power_range, phi_rs
 from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
@@ -134,10 +134,10 @@ def _cqh_poisson_form(t: float, x: float, y: float) -> Factorials:
     )
 
 
-def cqh_poisson_series(t: float, x: float, y: float, ctx: QContext, n_terms: int) -> float:
-    """Defining sum sum_n t^n H_n(x) H_n(y) / (q;q)_n, truncated at n_terms: the
+def cqh_poisson_series(t: float, x: float, y: float, ctx: QContext) -> float:
+    """Defining sum sum_n t^n H_n(x) H_n(y) / (q;q)_n, for x and y in [-1, 1]: the
     Al-Salam-Chihara series at a = b = 0, where its extra factors are exact ones."""
-    return asc_poisson_series(t, x, y, 0.0, 0.0, ctx, n_terms)
+    return asc_poisson_series(t, x, y, 0.0, 0.0, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +176,6 @@ class MomentFunctional:
             raise DomainError("kind 'L' requires tau")
 
 
-def _as_callable(p) -> Callable[[float], float]:
-    if callable(p):
-        return p
-    coeffs = np.asarray(p, dtype=float)
-    return lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
-
-
 def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
     """Apply L or M to a polynomial (coefficient sequence) or callable.
 
@@ -204,8 +197,10 @@ def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
     if functional.kind == "L":
         # each node's weight takes one more factor q^{2 tau}
         _check_power_range(q, 2.0 * functional.tau, tau=functional.tau)
-    fn = _as_callable(p)
-    fn2 = None if p2 is None else _as_callable(p2)
+    # a callable is applied as it is; coefficients are read by the rule of both routes
+    polyval = np.polynomial.polynomial.polyval
+    fn = p if callable(p) else lambda x, c=_as_coeffs(p): float(polyval(x, c))
+    fn2 = p2 if p2 is None or callable(p2) else lambda x, c=_as_coeffs(p2): float(polyval(x, c))
     cutoff = 0.01 * qseries.TAIL_TOL
     # largest node representable: q^{-2n} < overflow threshold
     n_node_cap = int(700.0 / (-2.0 * math.log(q)))
@@ -324,33 +319,61 @@ def asc_orthonormal(n_max: int, x, s: float, t: float, ctx: QContext) -> np.ndar
     return p
 
 
-def asc_poisson_series(
-    t: float, x: float, y: float, a: float, b: float, ctx: QContext, n_terms: int
-) -> float:
-    """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k) truncated at n_terms.
+def asc_poisson_series(t: float, x: float, y: float, a: float, b: float, ctx: QContext) -> float:
+    """Defining sum sum_k t^k p_k(x) p_k(y) / ((q, ab; q)_k), for x and y in [-1, 1].
 
     One loop in Python floats runs the recurrence of :func:`asc_all` at both
     points and the sum: the factor (1 - q^k)(1 - ab q^{k-1}) of (q, ab; q)_k
     is also the recurrence coefficient of step k, so it is formed once.
+
+    The same loop stops at the least n whose tail bound is below TAIL_TOL.
+    On [-1, 1] the generating function bounds |p_k(x; a, b)| by
+    P_k = p_k(1; -|a|, -|b|), so term k is at most m_k = |t|^k P_k^2 / (q, |ab|; q)_k;
+    the recurrence at x = 1 keeps P_{k+1} / P_k >= 1 nonincreasing, hence also
+    rho_k = m_{k+1} / m_k, and the terms past n sum to at most m_n rho_n / (1 - rho_n).
+    log m_n is carried, as m_n passes the float range near q = 1.  x or y off
+    [-1, 1], or |ab| >= 1, raises DomainError; over MAX_TERMS terms, ConvergenceError.
     """
-    q = ctx.q
+    if not (-1.0 <= x <= 1.0 and -1.0 <= y <= 1.0 and abs(a * b) < 1.0):
+        raise DomainError(f"asc_poisson_series needs x and y in [-1, 1] and |ab| < 1, "
+                          f"got x={x!r}, y={y!r}, a={a!r}, b={b!r}")
+    q, log_tol, at = ctx.q, math.log(qseries.TAIL_TOL), abs(t)
     x2, y2, s, ab = 2.0 * float(x), 2.0 * float(y), a + b, a * b
+    s_abs, ab_abs = abs(a) + abs(b), abs(ab)
+    r = 2.0 + s_abs  # P_1 / P_0
+    log_m, qn = 0.0, 1.0  # log m_n and q^n
     u_prev, u = 1.0, x2 - s  # p_0(x), p_1(x)
     v_prev, v = 1.0, y2 - s
-    total = 1.0  # the k = 0 term
-    tk = 1.0
-    poch = 1.0
-    qk = q
-    for _ in range(n_terms):
-        tk *= t
-        c = (1.0 - ab * qk / q) * (1.0 - qk)
-        poch *= c
-        total += tk * u * v / poch
-        sq = s * qk
-        u_prev, u = u, (x2 - sq) * u - c * u_prev
-        v_prev, v = v, (y2 - sq) * v - c * v_prev
-        qk *= q
-    return total
+    total, tk, poch = 1.0, 1.0, 1.0  # the sum through term n, t^n and (q, ab; q)_n
+    # (q, ab; q)_k underflows to zero near q = 1 before the bound stops the loop
+    try:
+        for _ in range(qseries.MAX_TERMS):
+            qn1 = qn * q
+            bound_c = (1.0 - qn1) * (1.0 - ab_abs * qn)
+            rho = at * r * r / bound_c
+            if rho == 0.0:
+                return total
+            log_m_next = log_m + math.log(rho)
+            # the tail bound is m_{n+1} / (1 - rho_n): test the cheap factor first
+            if log_m_next < log_tol and rho < 1.0 and log_m_next - math.log1p(-rho) < log_tol:
+                return total
+            log_m = log_m_next
+            r = 2.0 + s_abs * qn1 - bound_c / r
+            # term k = n + 1; its ab q^{k-1} is ab q^k / q, as the tests' reference rounds it
+            tk *= t
+            c = (1.0 - ab * qn1 / q) * (1.0 - qn1)
+            poch *= c
+            total += tk * u * v / poch
+            sq = s * qn1
+            u_prev, u = u, (x2 - sq) * u - c * u_prev
+            v_prev, v = v, (y2 - sq) * v - c * v_prev
+            qn = qn1
+    except ZeroDivisionError:
+        raise ConvergenceError(f"Poisson series at t={t!r}, a={a!r}, b={b!r}: "
+                               f"(q, ab; q)_k underflows at q={q!r}") from None
+    raise ConvergenceError(
+        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {qseries.MAX_TERMS} terms at q={q!r}"
+    )
 
 
 def _mass_ladder(e: float, q: float) -> range:
@@ -704,12 +727,10 @@ def aw_integrate(spec: MeasureSpec, f) -> float:
     """Integrate a polynomial, given by its ascending coefficients, against the measure.
 
     The polynomial is evaluated at all nodes, and at all mass points, in
-    one vectorized ``polyval`` call; a callable is refused with
-    DomainError.
+    one vectorized ``polyval`` call.  Coefficients are read by the rule of
+    both routes, ``_as_coeffs``, which refuses a callable with DomainError.
     """
-    if callable(f):
-        raise DomainError("expected polynomial coefficients, got a callable")
-    coeffs = np.asarray(f, dtype=float)
+    coeffs = _as_coeffs(f)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(x, coeffs)

@@ -29,6 +29,7 @@ call and one array :func:`w87` call serve them all.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -109,6 +110,45 @@ def _check_power_range(q: float, lowest: float, **params: float) -> None:
     if lowest * math.log(q) > math.log(sys.float_info.max):
         named = ", ".join(f"{name} = {value!r}" for name, value in params.items())
         raise ConvergenceError(f"q^{lowest:g} at {named} leaves the float range at q = {q!r}")
+
+
+def _as_coeffs(p) -> np.ndarray:
+    """``p`` as an ascending coefficient array of floats; a scalar is one coefficient.
+
+    Anything but real numbers in at most one dimension is refused with
+    DomainError: a callable, a string, None, complex or nested input, and
+    an empty list.  Ints and bools are real numbers.  This is the one
+    coefficient rule: the traces of ``qsu2rep``, the measure integrals of
+    ``haarverify``, ``moment_apply`` and ``aw_integrate`` read through it.
+    """
+    if callable(p):
+        raise DomainError("expected polynomial coefficients, got a callable")
+    try:
+        coeffs = np.asarray(p)
+    except ValueError:  # ragged nesting
+        coeffs = np.empty((0, 0))
+    kind = coeffs.dtype.kind
+    if coeffs.ndim > 1 or not (
+        kind in "biuf" or kind == "O" and all(isinstance(c, numbers.Real) for c in coeffs.flat)
+    ):
+        raise DomainError(f"expected real polynomial coefficients in one dimension, got {p!r:.60}")
+    if coeffs.size == 0:
+        raise DomainError("a polynomial needs at least one coefficient")
+    return np.atleast_1d(coeffs.astype(float, copy=False))
+
+
+def _coeff_list(p):
+    """``p`` as a sequence of floats, as :func:`_as_coeffs` gives it.
+
+    A nonempty tuple or list of Python floats is used as it is, and one of
+    floats and ints with its ints made floats; numpy is asked only for
+    other input.
+    """
+    if type(p) in (tuple, list) and p:
+        kinds = set(map(type, p))
+        if kinds <= {float, int}:
+            return [float(c) for c in p] if int in kinds else p
+    return _as_coeffs(p).tolist()
 
 
 def neg_power_index(value, q: float):
@@ -193,7 +233,12 @@ def _qpoch_array(a, ctx: QContext, k):
     a = np.asarray(a)
     a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
     q = ctx.q
-    kk = np.asarray(k, dtype=float)
+    kk = np.asarray(k)
+    # a k that is not a number is named before the float cast makes it nan
+    for v in [] if kk.dtype.kind in "biuf" else kk.ravel().tolist():
+        if not isinstance(v, numbers.Real):
+            raise DomainError(f"k must be a nonnegative integer or inf, got {v!r}")
+    kk = kk.astype(float, copy=False)
     # inf and the integers equal their floor; nan, fractions and negatives fail
     ok = (kk >= 0.0) & (kk == np.floor(kk))
     if not ok.all():

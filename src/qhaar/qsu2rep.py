@@ -59,14 +59,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qseries
 from .errors import ConvergenceError, DomainError, TruncationPolicyError
-from .qseries import QContext, SeriesSpec, _check_power_range, phi_rs, qpoch
+from .qseries import QContext, SeriesSpec, _check_power_range, _coeff_list, phi_rs, qpoch
 from .spectral import check_truncation, min_truncation
 
 __all__ = [
@@ -384,46 +383,6 @@ def _poly_degree(coeffs) -> int:
     return degree
 
 
-def _as_coeffs(p) -> np.ndarray:
-    """``p`` as an ascending coefficient array of floats; a scalar is one coefficient.
-
-    Anything but real numbers in at most one dimension is refused with
-    DomainError: a callable, a string, None, complex or nested input, and
-    an empty list.  Ints and bools are real numbers.  This is the one
-    coefficient rule of both routes: :func:`haar_trace`,
-    :func:`moment_trace`, :func:`spectral_trace` and the measure integrals
-    of ``haarverify`` read coefficients through :func:`_coeff_list`.
-    """
-    if callable(p):
-        raise DomainError("expected polynomial coefficients, got a callable")
-    try:
-        coeffs = np.asarray(p)
-    except ValueError:  # ragged nesting
-        coeffs = np.empty((0, 0))
-    kind = coeffs.dtype.kind
-    if coeffs.ndim > 1 or not (
-        kind in "biuf" or kind == "O" and all(isinstance(c, numbers.Real) for c in coeffs.flat)
-    ):
-        raise DomainError(f"expected real polynomial coefficients in one dimension, got {p!r:.60}")
-    if coeffs.size == 0:
-        raise DomainError("a polynomial needs at least one coefficient")
-    return np.atleast_1d(coeffs.astype(float, copy=False))
-
-
-def _coeff_list(p):
-    """``p`` as a sequence of floats, as :func:`_as_coeffs` gives it.
-
-    A nonempty tuple or list of Python floats is used as it is, and one of
-    floats and ints with its ints made floats; numpy is asked only for
-    other input.
-    """
-    if type(p) in (tuple, list) and p:
-        kinds = set(map(type, p))
-        if kinds <= {float, int}:
-            return [float(c) for c in p] if int in kinds else p
-    return _as_coeffs(p).tolist()
-
-
 def haar_moments(
     ctx: QContext,
     name: str,
@@ -731,9 +690,12 @@ def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
             sum_k q^{2k} [ p(-q^{2k}) + q^{2 tau} p(q^{2 tau + 2k}) ].
 
     The sum stops once a bound on the rest is below TAIL_TOL, or raises
-    ConvergenceError past MAX_TERMS terms.
+    ConvergenceError past MAX_TERMS terms; so does a coefficient that is
+    not finite, as on the other routes.
     """
     coeffs = np.array(_coeff_list(coeffs))
+    if not np.isfinite(coeffs).all():
+        raise ConvergenceError(f"spectral trace coefficients {coeffs.tolist()} are not finite")
     q = ctx.q
     _check_power_range(q, 2.0 * tau, tau=tau)
     Q = q * q
@@ -753,7 +715,7 @@ def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
             break
         if k > qseries.MAX_TERMS:
             raise ConvergenceError("spectral ladder sum did not close")
-    return (1.0 - Q) / (1.0 + q ** (2 * tau)) * total
+    return float((1.0 - Q) / (1.0 + q ** (2 * tau)) * total)
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def test_04_identity_suite() -> None:
         x = float(rng.uniform(-0.99, 0.99))
         y = float(rng.uniform(-0.99, 0.99))
         closed = cqh_poisson(t, x, y, ctx2)
-        series = cqh_poisson_series(t, x, y, ctx2, 220)
+        series = cqh_poisson_series(t, x, y, ctx2)
         assert abs(series - closed) <= 1e-9 * (1.0 + abs(closed))
     for _ in range(10):
         t = float(rng.uniform(-0.8, 0.8))
@@ -169,7 +169,7 @@ def test_04_identity_suite() -> None:
         a = float(rng.uniform(-0.95, 0.95))
         b = float(rng.uniform(-0.95, 0.95))
         closed = asc_poisson(t, x, y, a, b, ctx2)
-        series = asc_poisson_series(t, x, y, a, b, ctx2, 220)
+        series = asc_poisson_series(t, x, y, a, b, ctx2)
         assert abs(series - closed) <= 1e-9 * (1.0 + abs(closed))
 
 

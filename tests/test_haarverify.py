@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import collections
 import dataclasses
+import importlib.util
 import json
 import math
 import random
@@ -11,6 +12,7 @@ import sys
 from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -1284,6 +1286,19 @@ class TestMassIdentity:
             mass_identity_check(a, 0.3, 1, ctx)
         assert mass_identity_check(a, 0.3, 0, ctx) < 1e-9
 
+    def test_sweep_script_walks_the_library_ladder(self, capsys) -> None:
+        # scripts/identity_sweep.py checks the rungs of _mass_ladder and stops
+        # where |a| q^k lands in (1, 1 + MASS_EDGE_TOL], as a = 1.6 at k = 1 does here
+        path = Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"
+        spec = importlib.util.spec_from_file_location("identity_sweep", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        ctx = QContext(0.6250000000000005)
+        assert 1.0 < 1.6 * ctx.q <= 1.0 + orthopoly.MASS_EDGE_TOL
+        sweep.mass_ladder(ctx)
+        rungs = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rungs == ["k=0:", "k=0:", "k=1:", "k=0:", "k=1:"]
+
     def test_cases_batched_like_scalar_calls(self, monkeypatch) -> None:
         calls = []
         real = qseries.qpoch
@@ -1406,16 +1421,12 @@ class TestIdentityCommands:
             if kind == "q-hermite":
                 a = b = 0.0
                 closed = orthopoly.cqh_poisson(t, x, y, ctx)
-                series = orthopoly.cqh_poisson_series(
-                    t, x, y, ctx, cli._poisson_terms(t, a, b, ctx)
-                )
+                series = orthopoly.cqh_poisson_series(t, x, y, ctx)
             else:
                 a = float(rng.uniform(-0.95, 0.95))
                 b = float(rng.uniform(-0.95, 0.95))
                 closed = orthopoly.asc_poisson(t, x, y, a, b, ctx)
-                series = orthopoly.asc_poisson_series(
-                    t, x, y, a, b, ctx, cli._poisson_terms(t, a, b, ctx)
-                )
+                series = orthopoly.asc_poisson_series(t, x, y, a, b, ctx)
             res = float(abs(series - closed) / (1.0 + abs(closed)))
             rows.append(
                 {"kind": kind, "t": t, "x": x, "y": y, "a": a, "b": b, "residual": res,
@@ -1447,15 +1458,32 @@ class TestIdentityCommands:
                 checked += 1
         assert checked >= (10 if q <= 0.97 else 7)
 
+    @staticmethod
+    def poisson_stop(t: float, x: float, y: float, a: float, b: float, ctx: QContext) -> int:
+        """The last index the Poisson series sums: the least n it returns at
+        under a term cap of n + 1, found by bisection on qseries.MAX_TERMS."""
+        lo, hi = 0, qseries.MAX_TERMS - 1
+        with pytest.MonkeyPatch.context() as patch:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                patch.setattr(qseries, "MAX_TERMS", mid + 1)
+                try:
+                    orthopoly.asc_poisson_series(t, x, y, a, b, ctx)
+                except ConvergenceError:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        return lo
+
     @pytest.mark.parametrize("q", (0.3, 0.9, 0.97))
     def test_poisson_terms_bound_the_tail(self, q: float) -> None:
-        # past the count, the absolute terms of the series sum below TAIL_TOL
+        # past the index the series stops at, its absolute terms sum below TAIL_TOL
         ctx = QContext(q)
         rng = np.random.default_rng(31)
         for _ in range(40):
             t = float(rng.uniform(-0.8, 0.8))
             x, y, a, b = (float(v) for v in rng.uniform(-0.95, 0.95, 4))
-            n = cli._poisson_terms(t, a, b, ctx)
+            n = self.poisson_stop(t, x, y, a, b, ctx)
             p = orthopoly.asc_all(4 * n + 400, np.array([x, y]), a, b, ctx)
             k = np.arange(p.shape[0])
             poch = np.cumprod(np.r_[1.0, (1.0 - q ** k[1:]) * (1.0 - a * b * q ** k[:-1])])
@@ -1466,8 +1494,10 @@ class TestIdentityCommands:
     def test_poisson_terms_refuse_past_max_terms(self, monkeypatch) -> None:
         monkeypatch.setattr(qseries, "MAX_TERMS", 100)
         with pytest.raises(ConvergenceError, match="over 100 terms"):
-            cli._poisson_terms(0.8, 0.0, 0.0, QContext(0.99))
-        assert cli._poisson_terms(0.0, 0.5, 0.5, QContext(0.9)) == 0
+            orthopoly.cqh_poisson_series(0.8, 0.3, -0.2, QContext(0.99))
+        # t = 0 stops at the k = 0 term
+        assert orthopoly.asc_poisson_series(0.0, 0.3, -0.2, 0.5, 0.5, QContext(0.9)) == 1.0
+        assert self.poisson_stop(0.0, 0.3, -0.2, 0.5, 0.5, QContext(0.9)) == 0
 
     @pytest.mark.parametrize(
         "argv, w87_lanes",

@@ -47,6 +47,50 @@ from qhaar.orthopoly import (
 mp.mp.dps = 50
 
 
+def reference_poisson_terms(t: float, a: float, b: float, ctx: QContext) -> int:
+    """The former term count of the Poisson series, kept as a reference: the
+    least n whose tail bound m_n rho_n / (1 - rho_n) is below TAIL_TOL (see
+    ``asc_poisson_series``), walked in a loop of its own."""
+    q, log_tol, at = ctx.q, math.log(qseries.TAIL_TOL), abs(t)
+    s, ab = abs(a) + abs(b), abs(a * b)
+    r = 2.0 + s  # P_1 / P_0
+    log_m, qn = 0.0, 1.0  # log m_n and q^n
+    for n in range(qseries.MAX_TERMS):
+        qn1 = qn * q
+        c = (1.0 - qn1) * (1.0 - ab * qn)
+        rho = at * r * r / c
+        if rho == 0.0:
+            return n
+        log_m_next = log_m + math.log(rho)
+        if log_m_next < log_tol and rho < 1.0 and log_m_next - math.log1p(-rho) < log_tol:
+            return n
+        log_m, qn = log_m_next, qn1
+        r = 2.0 + s * qn - c / r
+    raise ConvergenceError(
+        f"Poisson series at t={t!r}, a={a!r}, b={b!r} needs over {qseries.MAX_TERMS} terms at q={q!r}"
+    )
+
+
+def reference_poisson_series(t, x, y, a, b, ctx: QContext, n_terms: int) -> float:
+    """The former Poisson series, kept as a reference: terms 0..n_terms of
+    sum_k t^k p_k(x) p_k(y) / (q, ab; q)_k, with q^k carried as q^k."""
+    q = ctx.q
+    x2, y2, s, ab = 2.0 * float(x), 2.0 * float(y), a + b, a * b
+    u_prev, u = 1.0, x2 - s
+    v_prev, v = 1.0, y2 - s
+    total, tk, poch, qk = 1.0, 1.0, 1.0, q
+    for _ in range(n_terms):
+        tk *= t
+        c = (1.0 - ab * qk / q) * (1.0 - qk)
+        poch *= c
+        total += tk * u * v / poch
+        sq = s * qk
+        u_prev, u = u, (x2 - sq) * u - c * u_prev
+        v_prev, v = v, (y2 - sq) * v - c * v_prev
+        qk *= q
+    return total
+
+
 class TestCqh:
     def test_recurrence_seeds(self, ctx: QContext) -> None:
         assert cqh(0, 0.3, ctx) == 1.0
@@ -98,12 +142,13 @@ class TestCqhPoisson:
 
     def test_series_vs_closed(self, ctx: QContext) -> None:
         t, x, y = 0.25, 0.2, -0.4
-        got = cqh_poisson_series(t, x, y, ctx, 40)
+        got = cqh_poisson_series(t, x, y, ctx)
         assert got == pytest.approx(cqh_poisson(t, x, y, ctx), rel=1e-10)
 
     def test_series_is_the_q_hermite_loop(self) -> None:
         # the q-Hermite series runs the Al-Salam-Chihara loop at a = b = 0;
-        # the former loop of its own, kept here, gives every bit
+        # the former loop of its own, kept here and summed to the former term
+        # count, gives every bit
         def hermite_loop(t, x, y, ctx, n_terms):
             hx, hy = cqh_all(n_terms, np.array([x, y]), ctx).T
             total, tn, poch, qn = 0.0, 1.0, 1.0, 1.0
@@ -118,9 +163,9 @@ class TestCqhPoisson:
         rng = np.random.default_rng(15)
         for _ in range(500):
             ctx = QContext(float(rng.uniform(0.01, 0.995)))
-            t, x, y = rng.uniform(-0.9, 0.9), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-            n = int(rng.integers(0, 400))
-            got = cqh_poisson_series(t, x, y, ctx, n)
+            t, x, y = rng.uniform(-0.9, 0.9), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            n = reference_poisson_terms(t, 0.0, 0.0, ctx)
+            got = cqh_poisson_series(t, x, y, ctx)
             assert got.hex() == hermite_loop(t, x, y, ctx, n).hex(), (ctx.q, t, x, y, n)
 
     @given(
@@ -131,7 +176,7 @@ class TestCqhPoisson:
     @settings(max_examples=30, deadline=None)
     def test_series_closed_agreement_property(self, t: float, x: float, y: float) -> None:
         ctx = QContext(0.5)
-        got = cqh_poisson_series(t, x, y, ctx, 80)
+        got = cqh_poisson_series(t, x, y, ctx)
         assert got == pytest.approx(cqh_poisson(t, x, y, ctx), rel=1e-9, abs=1e-9)
 
 
@@ -234,6 +279,43 @@ class TestMomentFunctional:
             lambda x: q_charlier(15, x, a, ctx2),
         )
         assert math.isfinite(split) and split > 0
+
+
+# malformed coefficients, refused with DomainError by the one coefficient rule
+MALFORMED_COEFFS = ("01", [[0, 1]], [], [0, 1j], None)
+# valid spellings of coefficients: ints, floats, bools, an array and a scalar
+VALID_COEFFS = ((1, 2, 3), [0.5, -1.0, 0.25], np.array([0.0, 1.0]), (True, False, True), 2.0, [0, 0, 1, 0])
+
+
+def former_polynomial(p):
+    """p as the callable the former reading made of it, with np.asarray(p, dtype=float)."""
+    coeffs = np.asarray(p, dtype=float)
+    return lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
+
+
+class TestMomentApplyCoefficients:
+    """moment_apply reads coefficients by the rule of both routes and applies a
+    callable as it is; valid coefficients give the bits of the former reading."""
+
+    @pytest.mark.parametrize("bad", MALFORMED_COEFFS, ids=repr)
+    def test_malformed_refused(self, ctx: QContext, bad) -> None:
+        for functional in (MomentFunctional("L", ctx, 0.4), MomentFunctional("M", ctx)):
+            with pytest.raises(DomainError):
+                moment_apply(functional, bad)
+            if bad is not None:  # p2 = None is the one-factor call
+                with pytest.raises(DomainError):
+                    moment_apply(functional, [0.0, 1.0], bad)
+
+    @pytest.mark.parametrize("p", VALID_COEFFS, ids=repr)
+    def test_valid_coefficients_give_the_former_bits(self, ctx: QContext, p) -> None:
+        for functional in (MomentFunctional("L", ctx, 0.4), MomentFunctional("M", ctx)):
+            want = moment_apply(functional, former_polynomial(p))
+            assert moment_apply(functional, p).hex() == want.hex()
+            want = moment_apply(functional, former_polynomial(p), former_polynomial(p))
+            assert moment_apply(functional, p, p).hex() == want.hex()
+            assert moment_apply(functional, p, math.cos) == moment_apply(
+                functional, former_polynomial(p), math.cos
+            )
 
 
 class TestAsc:
@@ -348,6 +430,23 @@ class TestAwMeasure:
         assert _mass_ladder(1.0 + 0.5 * orthopoly.MASS_EDGE_TOL, 0.5) == range(0)
         assert _mass_ladder(1.0 + 2.0 * orthopoly.MASS_EDGE_TOL, 0.5) == range(1)
         assert _mass_ladder(2.0, 0.5) == range(1)
+
+    def test_integrate_reads_coefficients_by_the_one_rule(self, ctx: QContext) -> None:
+        # malformed coefficients and callables are refused; valid ones give the
+        # bits of the former reading, np.asarray(f, dtype=float)
+        spec = aw_measure(AWParams(1.5, 0.2, 0.0, 0.0, ctx))
+        assert spec.masses
+        for bad in MALFORMED_COEFFS + (math.cos,):
+            with pytest.raises(DomainError):
+                aw_integrate(spec, bad)
+        polyval = np.polynomial.polynomial.polyval
+        nodes = np.cos(spec.theta_nodes)
+        points = np.array([x for x, _ in spec.masses])
+        for p in VALID_COEFFS:
+            c = np.asarray(p, dtype=float)
+            cont = float(np.dot(spec.theta_weights, polyval(nodes, c)))
+            want = cont + sum(w * float(v) for (_, w), v in zip(spec.masses, polyval(points, c)))
+            assert aw_integrate(spec, p).hex() == want.hex(), p
 
     def test_total_mass_normalized_four_params(self, ctx2: QContext) -> None:
         q, tau, sigma = 0.5, 0.4, 0.6
@@ -503,7 +602,7 @@ class TestAscPoisson:
         q, tau, sigma = 0.5, 0.4, 0.6
         a, b = q ** (1 + sigma - tau), -(q ** (1 - sigma - tau))
         t = q * q
-        got = asc_poisson_series(t, 0.1, 0.1, a, b, ctx2, 60)
+        got = asc_poisson_series(t, 0.1, 0.1, a, b, ctx2)
         assert got == pytest.approx(asc_poisson(t, 0.1, 0.1, a, b, ctx2), rel=1e-9)
 
     def test_mass_point_terminating_vs_series(self, ctx2: QContext) -> None:
@@ -541,12 +640,73 @@ class TestAscPoisson:
     def test_series_closed_agreement_property(self, t, x, y, a, b, sa, sb) -> None:
         ctx2 = QContext(0.25)
         a, b = sa * a, sb * b
-        got = asc_poisson_series(t, x, y, a, b, ctx2, 80)
+        got = asc_poisson_series(t, x, y, a, b, ctx2)
         assert got == pytest.approx(asc_poisson(t, x, y, a, b, ctx2), rel=1e-8, abs=1e-8)
 
     def test_degenerate_parameters_rejected(self, ctx2: QContext) -> None:
         with pytest.raises(DomainError):
             asc_poisson(0.3, 0.2, 0.2, 0.0, 0.4, ctx2)
+
+    # the half-widths of the draws of identity poisson: t, x, y, a, b
+    CLI_LIMITS = np.array([0.8, 0.99, 0.99, 0.95, 0.95])
+
+    @pytest.mark.parametrize("q", (0.05, 0.3, 0.5, 0.9, 0.95, 0.99))
+    def test_series_is_the_former_two_step(self, q: float, monkeypatch) -> None:
+        # the one loop stops where the former term count did and sums the former
+        # series to it: the same bits, or the same ConvergenceError message, on
+        # 300 draws of identity poisson's ranges, at the default term cap and at 60
+        ctx = QContext(q)
+        draws = np.random.default_rng(round(1000 * q)).uniform(
+            -self.CLI_LIMITS, self.CLI_LIMITS, (300, 5)
+        ).tolist()
+
+        def outcome(call) -> str:
+            try:
+                return call().hex()
+            except ConvergenceError as exc:
+                return str(exc)
+
+        for cap in (qseries.MAX_TERMS, 60):
+            monkeypatch.setattr(qseries, "MAX_TERMS", cap)
+            refused = 0
+            for t, x, y, a, b in draws:
+                cases = (
+                    (lambda: asc_poisson_series(t, x, y, a, b, ctx), a, b),
+                    (lambda: cqh_poisson_series(t, x, y, ctx), 0.0, 0.0),
+                )
+                for call, a_, b_ in cases:
+                    got = outcome(call)
+                    want = outcome(lambda: reference_poisson_series(
+                        t, x, y, a_, b_, ctx, reference_poisson_terms(t, a_, b_, ctx)
+                    ))
+                    assert got == want, (q, cap, t, x, y, a_, b_)
+                    refused += got.startswith("Poisson series")
+            assert (refused > 0) == (cap == 60), (q, cap, refused)
+
+    def test_series_refuses_off_the_bound(self, ctx2: QContext) -> None:
+        # the tail bound holds for x and y in [-1, 1] and |ab| < 1 only
+        for x, y, a, b in (
+            (1.0 + 1e-12, 0.2, 0.3, 0.2),
+            (0.2, -1.5, 0.3, 0.2),
+            (math.nan, 0.2, 0.3, 0.2),
+            (0.2, math.nan, 0.0, 0.0),
+            (0.2, 0.2, 2.0, 0.5),
+            (0.2, 0.2, -2.0, 0.6),
+            (0.2, 0.2, math.nan, 0.1),
+        ):
+            with pytest.raises(DomainError, match=r"x and y in \[-1, 1\] and \|ab\| < 1"):
+                asc_poisson_series(0.3, x, y, a, b, ctx2)
+        with pytest.raises(DomainError):
+            cqh_poisson_series(0.3, 1.2, 0.0, ctx2)
+        # the ends of [-1, 1] are in, and t = 0 sums the k = 0 term alone
+        assert math.isfinite(asc_poisson_series(0.5, 1.0, -1.0, 0.3, 0.2, ctx2))
+        assert asc_poisson_series(0.0, 1.0, -1.0, 0.3, 0.2, ctx2) == 1.0
+        assert cqh_poisson_series(0.0, 0.4, 0.1, ctx2) == 1.0
+
+    def test_series_underflow_refused(self) -> None:
+        # near q = 1, (q, ab; q)_k underflows before the tail bound stops the sum
+        with pytest.raises(ConvergenceError, match="underflows"):
+            asc_poisson_series(-0.3, 0.9, -0.9, 0.9, 0.9, QContext(0.998))
 
 
 MASS_X0 = (1.6 + 1 / 1.6) / 2  # the k = 0 mass point of a = 1.6
@@ -616,22 +776,25 @@ class TestBatchedKernels:
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in (want / den).tolist()]
 
     def test_poisson_series_match_separate_recurrences(self, ctx2: QContext) -> None:
-        t, x, y, a, b, n = 0.3, 0.2, -0.7, 0.4, -0.25, 50
-        px, py = asc_all(n, x, a, b, ctx2), asc_all(n, y, a, b, ctx2)
-        hx, hy = cqh_all(n, x, ctx2), cqh_all(n, y, ctx2)
-        asc_total = cqh_total = 0.0
-        tk = asc_poch = cqh_poch = 1.0
-        qk = 1.0
-        for k in range(n + 1):
-            if k > 0:
-                tk *= t
-                asc_poch *= (1.0 - qk) * (1.0 - a * b * qk / ctx2.q)
-                cqh_poch *= 1.0 - qk
-            asc_total += tk * px[k] * py[k] / asc_poch
-            cqh_total += tk * hx[k] * hy[k] / cqh_poch
-            qk *= ctx2.q
-        assert asc_poisson_series(t, x, y, a, b, ctx2, n).hex() == float(asc_total).hex()
-        assert cqh_poisson_series(t, x, y, ctx2, n).hex() == float(cqh_total).hex()
+        # each series stops at the former term count of its own parameters
+        t, x, y, a, b = 0.3, 0.2, -0.7, 0.4, -0.25
+        n_asc, n_cqh = reference_poisson_terms(t, a, b, ctx2), reference_poisson_terms(t, 0.0, 0.0, ctx2)
+        assert n_asc != n_cqh
+        px, py = asc_all(n_asc, x, a, b, ctx2), asc_all(n_asc, y, a, b, ctx2)
+        hx, hy = cqh_all(n_cqh, x, ctx2), cqh_all(n_cqh, y, ctx2)
+
+        def separate(n, px, py, ab):
+            total, tk, poch, qk = 0.0, 1.0, 1.0, 1.0
+            for k in range(n + 1):
+                if k > 0:
+                    tk *= t
+                    poch *= (1.0 - qk) * (1.0 - ab * qk / ctx2.q)
+                total += tk * px[k] * py[k] / poch
+                qk *= ctx2.q
+            return float(total)
+
+        assert asc_poisson_series(t, x, y, a, b, ctx2).hex() == separate(n_asc, px, py, a * b).hex()
+        assert cqh_poisson_series(t, x, y, ctx2).hex() == separate(n_cqh, hx, hy, 0.0).hex()
 
     def test_cqh_all_array_matches_scalar(self, ctx: QContext) -> None:
         xs = np.array([-0.9, 0.0, 0.35, 1.0])

@@ -62,6 +62,21 @@ class TestQPoch:
     def test_empty_product_is_one(self, ctx: QContext) -> None:
         assert qpoch(0.3, ctx, 0) == 1.0
 
+    @pytest.mark.parametrize("k, named", [(None, "None"), ("3", "'3'"), ([2, None], "None")])
+    def test_k_not_a_number_is_named(self, ctx: QContext, k, named: str) -> None:
+        # the message names what was passed, not the nan a float cast makes of it
+        with pytest.raises(DomainError, match=f"got {named}$"):
+            qpoch(0.3, ctx, k)
+        with pytest.raises(DomainError, match="got nan$"):
+            qpoch(0.3, ctx, math.nan)
+
+    def test_k_spellings_give_the_same_bits(self, ctx: QContext) -> None:
+        a = [0.3, -0.7, 1.9]
+        want = [v.hex() for v in qpoch(a, ctx, [4.0, 4.0, math.inf]).tolist()]
+        for k in ([4, 4, math.inf], np.array([4, 4, math.inf]), (4.0, 4.0, math.inf)):
+            assert [v.hex() for v in qpoch(a, ctx, k).tolist()] == want
+        assert qpoch(0.3, ctx, 1).hex() == qpoch(0.3, ctx, True).hex() == qpoch(0.3, ctx, np.int64(1)).hex()
+
     def test_finite_against_mpmath(self, ctx: QContext) -> None:
         for a in (0.3, -0.7, 1.9, -2.4):
             for n in (1, 2, 5, 12):
@@ -759,7 +774,7 @@ class TestOneTruncationPolicy:
             orthopoly.MomentFunctional("M", QContext(0.9)), [1.0]
         ),
         "spectral_trace": lambda: qsu2rep.spectral_trace(QContext(0.9), 0.5, [1.0]),
-        "poisson_terms": lambda: cli._poisson_terms(0.5, 0.3, -0.2, QContext(0.5)),
+        "poisson_terms": lambda: orthopoly.asc_poisson_series(0.5, 0.3, -0.4, 0.3, -0.2, QContext(0.5)),
     }
 
     @pytest.mark.parametrize("loop", sorted(LOOPS))

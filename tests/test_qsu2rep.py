@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -964,6 +965,18 @@ class TestSpectralTrace:
 
     def test_unit(self, ctx: QContext) -> None:
         assert spectral_trace(ctx, TAU, [1.0]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_returns_a_python_float(self, ctx: QContext) -> None:
+        assert type(spectral_trace(ctx, TAU, [0.2, -0.5, 0.0, 1.0])) is float
+
+    @pytest.mark.parametrize("coeffs", ([math.nan], [0.0, math.inf], [1.0, -math.inf, 0.0]))
+    def test_non_finite_coefficients_refused(self, ctx: QContext, coeffs: list) -> None:
+        # refused before the ladder sum, as the other routes refuse a value
+        # that is not finite, and without a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match="not finite"):
+                spectral_trace(ctx, TAU, coeffs)
 
 
 # malformed coefficients, refused with DomainError by both routes
