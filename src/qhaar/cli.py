@@ -49,6 +49,7 @@ from .haarverify import (
 from .orthopoly import (
     _asc_poisson_form,
     _cqh_poisson_form,
+    _mass_ladder,
     asc_poisson_series,
     aw_masses,
 )
@@ -281,10 +282,12 @@ def _identity_bailey(cfg: RunConfig, ctx: QContext) -> dict:
 
 
 def _identity_mass(cfg: RunConfig, ctx: QContext) -> dict:
-    residuals = mass_identity_check(*zip(*MASS_CASES), ctx).tolist()
+    # each case at its k, or at the last rung of a's mass ladder where q leaves fewer
+    cases = [(a, b, min(k, len(_mass_ladder(a, ctx.q)) - 1)) for a, b, k in MASS_CASES]
+    residuals = mass_identity_check(*zip(*cases), ctx).tolist()
     rows = [
         {"a": a, "b": b, "k": k, "residual": res, "passed": bool(res <= cfg.tol)}
-        for (a, b, k), res in zip(MASS_CASES, residuals)
+        for (a, b, k), res in zip(cases, residuals)
     ]
     return {"rows": rows}
 
@@ -292,11 +295,67 @@ def _identity_mass(cfg: RunConfig, ctx: QContext) -> dict:
 # the half-widths of the uniform draws of identity poisson, in order: (t, x, y)
 # of ten q-Hermite kernels, then (t, x, y, a, b) of ten Al-Salam-Chihara ones;
 # t in (-0.8, 0.8), x and y in (-0.99, 0.99), a and b in (-0.95, 0.95)
-_POISSON_LIMITS = np.array([0.8, 0.99, 0.99] * 10 + [0.8, 0.99, 0.99, 0.95, 0.95] * 10)
+_POISSON_LIMITS = (0.8, 0.99, 0.99) * 10 + (0.8, 0.99, 0.99, 0.95, 0.95) * 10
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> tuple[list[int], list[int]]:
+    """NumPy's ``SeedSequence(seed)`` (NEP 19): its pool of four 32-bit words,
+    and its ``generate_state(4, np.uint64)``."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for s in range(4):
+        for d in range(4):
+            if d != s:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for word in words[4:]:
+        for d in range(4):
+            pool[d] = mix(pool[d], hashmix(word))
+    h = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    return pool, [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _pcg64(seed: int) -> tuple[int, int]:
+    """NumPy's ``PCG64(seed)`` state and increment, each a 128-bit int."""
+    s0, s1, i0, i1 = _seed_sequence(seed)[1]
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _uniform_draws(seed: int, limits: tuple[float, ...]) -> list[float]:
+    """numpy's ``default_rng(seed).uniform(-limits, limits)``, bit for bit, without numpy.random.
+
+    Each draw steps PCG64 (O'Neill 2014) and takes the top 53 bits of its
+    XSL-RR output as the unit double u, then -L + 2L u.
+    """
+    state, inc = _pcg64(seed)
+    draws = []
+    for lim in limits:
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws.append(-lim + (lim + lim) * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def _identity_poisson(cfg: RunConfig, ctx: QContext) -> dict:
-    draws = np.random.default_rng(cfg.seed).uniform(-_POISSON_LIMITS, _POISSON_LIMITS).tolist()
+    draws = _uniform_draws(cfg.seed, _POISSON_LIMITS)
     hermite = [(*draws[k : k + 3], 0.0, 0.0) for k in range(0, 30, 3)]
     chihara = [tuple(draws[k : k + 5]) for k in range(30, 80, 5)]
     closed = Factorials.join(

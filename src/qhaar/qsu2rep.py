@@ -375,6 +375,14 @@ def op_D(ctx: QContext, size: int) -> np.ndarray:
     return ctx.q ** (2.0 * np.arange(size + 1))
 
 
+def _finite_coeff_list(coeffs, route: str = "trace") -> list:
+    """``coeffs`` through :func:`_coeff_list`; ConvergenceError if one is not finite."""
+    coeffs = _coeff_list(coeffs)
+    if not all(map(math.isfinite, coeffs)):
+        raise ConvergenceError(f"{route} coefficients {coeffs} are not finite")
+    return coeffs
+
+
 def _poly_degree(coeffs) -> int:
     """Index of the last nonzero coefficient of a 1-D list or array; 0 if there is none."""
     degree = len(coeffs) - 1
@@ -484,9 +492,10 @@ def moment_trace(coeffs, moments: np.ndarray) -> float:
     of a self-adjoint element's traces is real, and that grid resolves
     every harmonic, so an imaginary residue is rounding in powers that
     cancel far below their size; one above 1e-8 relative raises
-    ConvergenceError, and so does an average that is not finite.
+    ConvergenceError, and so does a coefficient or an average that is not
+    finite.
     """
-    coeffs = _coeff_list(coeffs)
+    coeffs = _finite_coeff_list(coeffs)
     degree = _poly_degree(coeffs)
     if degree >= moments.shape[-1]:
         raise DomainError(
@@ -516,9 +525,10 @@ def haar_trace(
 
     The phase average is a trapezoid rule; the integrand is a trigonometric
     polynomial of degree at most 2*deg(p), and the grid of
-    :func:`haar_moments` integrates it exactly.
+    :func:`haar_moments` integrates it exactly. A coefficient that is not
+    finite raises ConvergenceError before any element is built.
     """
-    coeffs = _coeff_list(coeffs)
+    coeffs = _finite_coeff_list(coeffs)
     return moment_trace(coeffs, haar_moments(ctx, name, _poly_degree(coeffs), size, params, tol))
 
 
@@ -693,9 +703,7 @@ def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
     ConvergenceError past MAX_TERMS terms; so does a coefficient that is
     not finite, as on the other routes.
     """
-    coeffs = np.array(_coeff_list(coeffs))
-    if not np.isfinite(coeffs).all():
-        raise ConvergenceError(f"spectral trace coefficients {coeffs.tolist()} are not finite")
+    coeffs = np.array(_finite_coeff_list(coeffs, "spectral trace"))
     q = ctx.q
     _check_power_range(q, 2.0 * tau, tau=tau)
     Q = q * q

@@ -41,6 +41,69 @@ class TestImport:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_identity_commands_load_no_numpy_random(self) -> None:
+        # identity poisson draws its rows from cli's own copy of numpy's
+        # stream; loading numpy.random would cost every command its import
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import contextlib, io, sys\n"
+            "from qhaar.cli import main\n"
+            "for target in ('bailey', 'mass', 'poisson'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['identity', target]) == 0, target\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
+
+# seeds at the edges of the seed's 32-bit words: one word, two, three and more
+# than the four of SeedSequence's pool
+EDGE_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**64, 2**70 + 3,
+              2**128 + 17, 2**200 + 1)
+
+
+class TestUniformDraws:
+    """``cli._uniform_draws`` against numpy's ``default_rng(seed).uniform``."""
+
+    def test_equals_numpy_stream(self) -> None:
+        limits = np.array(cli._POISSON_LIMITS)
+        rnd = random.Random(43)
+        seeds = (EDGE_SEEDS + tuple(rnd.randrange(2**31) for _ in range(1500))
+                 + tuple(rnd.randrange(2**64) for _ in range(1500)))
+        for seed in seeds:
+            want = np.random.default_rng(seed).uniform(-limits, limits).tolist()
+            got = cli._uniform_draws(seed, cli._POISSON_LIMITS)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), seed
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + (7041, 99, 2**40))
+    def test_stages_match_numpy(self, seed: int) -> None:
+        seq = np.random.SeedSequence(seed)
+        pool, words = cli._seed_sequence(seed)
+        assert pool == seq.pool.tolist()
+        assert words == seq.generate_state(4, np.uint64).tolist()
+        state = np.random.PCG64(seed).state["state"]
+        assert cli._pcg64(seed) == (state["state"], state["inc"])
+
+    # draws 0, 16, 32, 48 and 64, one at each half-width; pinned so that
+    # every --seed keeps its rows whatever numpy's stream becomes
+    PINNED = {
+        0: ["0x1.c0cbca647ced0p-3", "0x1.702d1fa897f48p-1", "-0x1.71ecb06d6a150p-1",
+            "-0x1.94ab7cd8d0c62p-1", "-0x1.87a8244e5e368p-2"],
+        7041: ["0x1.ebd018a1698c0p-2", "-0x1.41835473e3731p-1", "0x1.cf1d78eb41e98p-3",
+               "0x1.29afeff121414p-1", "0x1.87bcec55dcb5ep-1"],
+        2**64: ["-0x1.4cab214f9f200p-4", "-0x1.2d0c4a9be3f32p-1", "-0x1.d60a44edc66afp-1",
+                "0x1.a3e6fdb9e1150p-3", "-0x1.bd090c6137c9cp-1"],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_draws(self, seed: int) -> None:
+        draws = cli._uniform_draws(seed, cli._POISSON_LIMITS)
+        assert [x.hex() for x in draws[::16]] == self.PINNED[seed]
+
 
 class TestExitCodes:
     def test_pass_is_zero(self, capsys) -> None:

@@ -1408,7 +1408,10 @@ class TestIdentityCommands:
         assert code == (0 if all(r["passed"] for r in rows) else 1)
 
     @pytest.mark.parametrize(
-        "q, seed", [(0.3, 1), (0.5, 7041), (0.5, 99), (0.8, 12345), (0.9, 2026)]
+        "q, seed",
+        [(0.3, 1), (0.5, 7041), (0.5, 99), (0.8, 12345), (0.9, 2026)]
+        # seeds of one, two and three 32-bit words: the rows are numpy's draws for any seed
+        + [(0.5, 0), (0.5, 2**40), (0.5, 2**64 + 1)],
     )
     def test_poisson_stdout(self, capsys, q: float, seed: int) -> None:
         ctx = QContext(q)
@@ -1539,12 +1542,20 @@ class TestIdentityCommands:
         assert captured.out == ""
         assert "non-convergence" in captured.err
 
-    def test_mass_case_named_on_stderr(self, capsys) -> None:
-        code = cli.main(["identity", "mass", "--q", "0.05"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "mass case (a=2.5, b=-0.2, k=1) at q=0.05" in captured.err
+    @pytest.mark.parametrize("q", (0.05, 0.3))
+    def test_mass_k_capped_by_the_ladder(self, capsys, q: float) -> None:
+        # at q <= 0.4, a = 2.5 has one mass point, so its case drops to k = 0
+        code, out = self.run(capsys, "mass", "--q", repr(q))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["a"], r["k"]) for r in rows] == [(a, 0) for a, _, _ in MASS_CASES]
+        cases = [(a, b, 0) for a, b, _ in MASS_CASES]
+        ctx = QContext(q)
+        assert [r["residual"] for r in rows] == [_ref_mass_residual(*c, ctx) for c in cases]
+
+    def test_mass_case_named_in_domain_error(self) -> None:
+        with pytest.raises(DomainError, match=r"mass case \(a=2.5, b=-0.2, k=1\) at q=0.05"):
+            mass_identity_check(2.5, -0.2, 1, QContext(0.05))
 
 
 class TestSupport:

@@ -574,6 +574,19 @@ class TestSharedMoments:
             haar_trace(ctx, "rho_tau_sigma", (0.0,) * 6 + (1.0,), 160, params)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coeffs", ([math.nan], [0.0, math.inf], [1.0, -math.inf, 0.0]))
+    def test_non_finite_coefficients_refused(self, monkeypatch, ctx: QContext, coeffs) -> None:
+        # refused before the matmul, as spectral_trace refuses them, and
+        # without a numpy RuntimeWarning; haar_trace builds no element first
+        moments = haar_moments(ctx, "cocentral", 6, 160)
+        match = r"^trace coefficients \[.*\] are not finite$"
+        with pytest.raises(ConvergenceError, match=match):
+            moment_trace(coeffs, moments)
+        monkeypatch.setattr(qsu2rep, "haar_moments", None)
+        with pytest.raises(ConvergenceError, match=match):
+            haar_trace(ctx, "cocentral", coeffs, 160)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("degree", [6, 7])
     def test_overflowing_powers_refused_without_warning(self, ctx: QContext, degree: int) -> None:
         # the powers overflow inside numpy; haar_moments refuses them once,
