@@ -58,7 +58,7 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
-from .spectral import JacobiCoeffs, _jacobi_moments, _offdiag_sqrt, min_truncation
+from .spectral import JacobiCoeffs, _jacobi_moments, _three_term, min_truncation
 
 __all__ = [
     "VerifyConfig",
@@ -235,7 +235,8 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), d_n = s (1 - A_n - C_n),
     e_n^2 = s^2 A_n C_{n+1}, C_0 = 0 (printed 0/0).  The integral is even in x, so the
     endpoint far of larger modulus sets s = far/q^2 and c = near/far: |c| <= 1.
-    As in :func:`aw_jacobi`, the entry memo of :class:`JacobiCoeffs` is the only memo.
+    As in :func:`aw_jacobi`, ``spectral._three_term`` forms the entries, and the
+    entry memo of :class:`JacobiCoeffs` is the only memo.
     """
     far, near = (lo, hi) if -lo > hi else (hi, lo)
     Q = ctx.q**2
@@ -247,15 +248,10 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
         return num / ((1 - Q ** (2 * n + 1)) * (1 - Q ** (2 * n + 2)))
 
     def C(n: int) -> float:
-        if n == 0:
-            return 0.0
         num = (Q**n - c) * Q ** (n + 1) * (1 - Q**n) ** 2
         return num / ((1 - Q ** (2 * n)) * (1 - Q ** (2 * n + 1)))
 
-    return JacobiCoeffs(
-        diag=lambda n: s * (1 - A(n) - C(n)),
-        offdiag=lambda n: _offdiag_sqrt(s * s * A(n) * C(n + 1), n),
-    )
+    return _three_term(A, C, s, 1.0)
 
 
 class _Theorem(NamedTuple):

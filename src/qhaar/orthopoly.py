@@ -33,7 +33,7 @@ import numpy as np
 from . import qseries
 from .errors import ConvergenceError, DomainError
 from .qseries import Factorials, QContext, SeriesSpec, _as_coeffs, _check_power_range, phi_rs
-from .spectral import JacobiCoeffs, _offdiag_sqrt
+from .spectral import JacobiCoeffs, _three_term
 
 __all__ = [
     "AWParams",
@@ -631,8 +631,9 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     d_n = (a + 1/a - A_n - C_n) / 2, e_n^2 = A_n C_{n+1} / 4, C_0 = 0 (printed 0/0
     at abcd = q^2).  The parameter of largest modulus plays a, so d_n does not
     cancel a large 1/a (the smallest there costs thm6 2.8e-13 at q = 0.1).
-    A_n and C_n are recomputed where an entry needs them; the returned
-    matrix's entry memo (:class:`JacobiCoeffs`) is the only memo.
+    ``spectral._three_term`` forms the entries from A_n and C_n (n >= 1),
+    recomputing them where an entry needs them; the returned matrix's entry
+    memo (:class:`JacobiCoeffs`) is the only memo.
     """
     a, b, c, d = sorted(params.as_tuple(), key=abs, reverse=True)
     if a == 0.0:
@@ -645,16 +646,11 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
         return num / (a * (1 - abcd * Q ** (2 * n - 1)) * (1 - abcd * Q ** (2 * n)))
 
     def C(n: int) -> float:
-        if n == 0:
-            return 0.0
         num = a * (1 - Q**n) * (1 - b * c * Q ** (n - 1)) * (1 - b * d * Q ** (n - 1))
         num *= 1 - c * d * Q ** (n - 1)
         return num / ((1 - abcd * Q ** (2 * n - 2)) * (1 - abcd * Q ** (2 * n - 1)))
 
-    return JacobiCoeffs(
-        diag=lambda n: 0.5 * (a + 1.0 / a - A(n) - C(n)),
-        offdiag=lambda n: _offdiag_sqrt(0.25 * A(n) * C(n + 1), n),
-    )
+    return _three_term(A, C, 0.5, a + 1.0 / a)
 
 
 @dataclass(frozen=True)

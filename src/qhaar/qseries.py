@@ -527,10 +527,10 @@ def _neg_power_indices(values: np.ndarray, q: float) -> np.ndarray:
 _NEVER = np.iinfo(np.intp).max
 
 
-def _factor_block(upper, lower, z, max_lower: float, rows, qk: np.ndarray, q: float) -> tuple:
+def _factor_block(upper, lower, z, rows, qk: np.ndarray, q: float) -> tuple:
     """The factors t_{k+1}/t_k of the series ``rows`` of a batch at the
     q^k of ``qk`` as parts (row, k), without the power of q that r_phi_s
-    puts on each term; ``max_lower`` is the largest |b| of a lower b.
+    puts on each term.
 
     The factor is z, times 1 - a q^k for each upper a, divided by
     1 - q^{k+1}, divided by 1 - b q^k for each lower b, in that order,
@@ -550,30 +550,11 @@ def _factor_block(upper, lower, z, max_lower: float, rows, qk: np.ndarray, q: fl
     del ur, ui  # each pass's arrays are freed before the next pass's (the heap peak)
     d = 1.0 - q * qk
     fr, fi = fr / d, fi / d
-    # 1 - b q^k of every lower slot in one pass, their divisors in one
-    # more, then the divisions in slot order
+    # 1 - b q^k of every lower slot in one pass, then the divisions in slot order
     yr = 1.0 - lower.real[:, rows, None] * qk
     yi = lower.imag[:, rows, None] * neg_qk
-    ratio = yi / yr
-    denom = yr + yi * ratio
-    # |Re y| >= |Im y| holds wherever |b| q^k <= 1/4
-    cols = int(np.count_nonzero(max_lower * qk > 0.25))
-    swapped = [False] * len(yr)
-    if cols:
-        swap = ~(np.abs(yr[:, :, :cols]) >= np.abs(yi[:, :, :cols]))
-        swapped = swap.any(axis=(1, 2)).tolist()
     for n in range(len(yr)):
-        xr, xi = fr, fi
-        fr = (xr + xi * ratio[n]) / denom[n]
-        fi = (xi - xr * ratio[n]) / denom[n]
-        if swapped[n]:
-            # divided through by Im y where |Re y| >= |Im y| fails
-            ys_r, ys_i = yr[n, :, :cols], yi[n, :, :cols]
-            xr, xi = xr[:, :cols], xi[:, :cols]
-            s = ys_r / ys_i
-            den = ys_r * s + ys_i
-            np.copyto(fr[:, :cols], (xr * s + xi) / den, where=swap[n])
-            np.copyto(fi[:, :cols], (xi * s - xr) / den, where=swap[n])
+        fr, fi = _c_div((fr, fi), (yr[n], yi[n]))
     return fr, fi
 
 
@@ -603,9 +584,9 @@ def _sum_terms(
     The series run together, a block of terms of every unfinished series at
     a time.  A block's factors take a fixed number of array passes
     (:func:`_factor_block`): the upper slots' 1 - a q^k in one, the lower
-    slots' in one and their divisors in one more, then the products and
-    the ordered divisions on split real and imaginary parts, in CPython's
-    complex arithmetic.  The terms are the factors' running product and the
+    slots' in one, then the products and the ordered divisions through
+    :func:`_c_div` on split real and imaginary parts, in CPython's complex
+    arithmetic.  The terms are the factors' running product and the
     partial sums running sums (``multiply.accumulate`` and
     ``add.accumulate`` over complex numbers along a row of at least three,
     one product or sum at a time in order), each series' term and partial
@@ -657,7 +638,6 @@ def _sum_terms(
             "it terminates"
         )
 
-    max_lower = float(abs_lower.max(initial=0.0))
     if well_poised:
         # per series, as columns: a, 1 - a, |a| and |1 - a|
         a_re, a_im = upper.real[0, :, None], upper.imag[0, :, None]
@@ -695,7 +675,7 @@ def _sum_terms(
                     powers2 = _q_powers(q * q, powers.size - 1)
             qk = powers[1 + k0 : 1 + k1]
 
-            fr, fi = _factor_block(upper, lower, z, max_lower, rows, qk, q)
+            fr, fi = _factor_block(upper, lower, z, rows, qk, q)
             if e:
                 pw = np.array([(-x) ** e for x in qk.tolist()])
                 fr, fi = fr * pw, fi * pw

@@ -473,6 +473,55 @@ class TestPhiRsReference:
         assert hex_of(phi_rs(spec)) == hex_of(reference_phi_rs(spec))
 
 
+# real and imaginary parts for _c_div: zeros of both signs, ordinary
+# values, subnormals and parts near the top of the float range, so that
+# |Re y| is above, equal to and below |Im y|
+C_DIV_PARTS = (0.0, -0.0, 1.0, -2.5, 0.75, 1 / 3, 3e-310, -5e-324, 1e308, -1.7e308)
+C_DIV_VALUES = np.array([complex(re, im) for re in C_DIV_PARTS for im in C_DIV_PARTS])
+
+
+class TestCDiv:
+    """``qseries._c_div`` against CPython's complex ``/``, bit for bit, in
+    the three shapes its callers pass."""
+
+    @staticmethod
+    def check(x: np.ndarray, y: np.ndarray) -> int:
+        """Compare every quotient; return how many divide by zero."""
+        with np.errstate(all="ignore"):
+            re, im = qseries._c_div((x.real, x.imag), (y.real, y.imag))
+        assert re.shape == im.shape == np.broadcast_shapes(x.shape, y.shape)
+        xs, ys = np.broadcast_arrays(x, y)
+        zeros = 0
+        for a, b, r, i in zip(xs.ravel().tolist(), ys.ravel().tolist(),
+                              re.ravel().tolist(), im.ravel().tolist()):
+            try:
+                want = a / b
+            except ZeroDivisionError:
+                zeros += 1
+                assert math.isnan(r) and math.isnan(i), (a, b)
+            else:
+                assert (r.hex(), i.hex()) == hex_of(want), (a, b)
+        return zeros
+
+    def test_every_pair(self) -> None:
+        # (rows, cols) / (rows, cols), as _factor_block divides by a lower slot
+        n = C_DIV_VALUES.size
+        x = np.broadcast_to(C_DIV_VALUES, (n, n)).copy()
+        y = np.broadcast_to(C_DIV_VALUES[:, None], (n, n)).copy()
+        assert self.check(x, y) == 4 * n  # the four signed zeros of y
+
+    def test_parameter_by_slots(self) -> None:
+        # (N,) / (5, N), as w87 forms q a / p for its five lower slots
+        y = np.stack([np.roll(C_DIV_VALUES, 20 * j + 3) for j in range(5)])
+        assert self.check(C_DIV_VALUES, y) > 0
+
+    def test_block_by_column(self) -> None:
+        # (rows, cols) / (rows, 1), as _sum_terms divides a block by 1 - a
+        n = C_DIV_VALUES.size
+        x = np.broadcast_to(C_DIV_VALUES, (n, n)).copy()
+        assert self.check(x, C_DIV_VALUES[:, None]) == 4 * n
+
+
 def reference_w87(a, b, c, d, e, f, ctx: QContext, z):
     """The 8W7 loop as first written: abs() and the stopping test every term."""
     q = ctx.q

@@ -25,7 +25,7 @@ from qhaar import (
     min_truncation,
     orthonormal_polys,
 )
-from qhaar.haarverify import _jackson_jacobi
+from qhaar.haarverify import _jackson_jacobi, thm6_params
 from qhaar.qsu2rep import SphericalParams, _Band, _band_moments, build_rep, element
 from qhaar.spectral import _READ_AHEAD, _jacobi_moments, _offdiag_sqrt
 
@@ -437,6 +437,45 @@ class TestJacobiBuilders:
         for perm in ((0.1, 0.5, -0.6, 0.3), (-0.6, 0.1, 0.3, 0.5)):
             got = gauss_rule(aw_jacobi(AWParams(*perm, ctx2)), 5)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (
+                lambda: aw_jacobi(thm6_params(0.4, 1.5, QContext(0.5))),
+                (["-0x1.1caca80ed4cf4p-2", "-0x1.0bedcb5940c38p-3", "-0x1.49c2355a28530p-5",
+                  "-0x1.5d01575872680p-7", "-0x1.621cd58074100p-9", "-0x1.6368bbca37c00p-11",
+                  "-0x1.63bc070910000p-13", "-0x1.63d0def8a0000p-15"],
+                 ["0x1.92d5473976b5bp-1", "0x1.2c2660b0f1404p-1", "0x1.0c5330657fd43p-1",
+                  "0x1.032f02e22efb2p-1", "0x1.00cd804ceb7e7p-1", "0x1.00337c84c1cbfp-1",
+                  "0x1.000ce0ea322ebp-1", "0x1.0003385724551p-1"]),
+            ),
+            (
+                lambda: _jackson_jacobi(-1.0, 0.5**0.8, QContext(0.5)),
+                (["-0x1.5cb17286e8f48p-2", "-0x1.482e89e862c73p-3", "-0x1.93ea8259171d9p-5",
+                  "-0x1.ab7dacd1d6badp-7", "-0x1.b1bf33b82fdaap-9", "-0x1.b355bd900fb9bp-11",
+                  "-0x1.b3bbc410628c5p-13", "-0x1.b3d54bf76a269p-15"],
+                 ["0x1.5b230029fc41fp-1", "0x1.7204249802853p-2", "0x1.7f12231589525p-3",
+                  "0x1.82c1a86c7fcdbp-4", "0x1.83b473557ae03p-5", "0x1.83f1958eb6009p-6",
+                  "0x1.8400e518cd39dp-7", "0x1.8404b96b1f33cp-8"]),
+            ),
+            (
+                lambda: _jackson_jacobi(0.0, 1.0, QContext(0.9)),
+                (["0x1.1adf783893180p-1", "0x1.14b4f15385743p-1", "0x1.08e696baa45ebp-1",
+                  "0x1.f0d43168a3c7ep-2", "0x1.c8f73f337ebf7p-2", "0x1.9cdeab642ff70p-2",
+                  "0x1.6f0f4782b0f1cp-2", "0x1.41ae7c1337d72p-2"],
+                 ["0x1.443be7340ef11p-2", "0x1.189a855ac98a7p-2", "0x1.050709a8520b3p-2",
+                  "0x1.e1b7237c8ec5fp-3", "0x1.b5bfefab69631p-3", "0x1.8799e9f833a06p-3",
+                  "0x1.593aae301c0e2p-3", "0x1.2c606d510d168p-3"]),
+            ),
+        ],
+        ids=["thm6", "jackson-thm5", "jackson-gamma"],
+    )
+    def test_leading_entries_pinned(self, build, want) -> None:
+        # the leading (d_n, e_n) of thm6's Askey-Wilson matrix and two
+        # big q-Jacobi (Jackson) matrices, bit for bit as first recorded
+        d, e = build().arrays(9)
+        assert ([x.hex() for x in d[:8].tolist()], [x.hex() for x in e.tolist()]) == want
 
 
 class TestOrthonormalPolys:
