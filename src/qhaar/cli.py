@@ -41,7 +41,6 @@ from .haarverify import (
     _theorem,
     bailey_variant_residuals,
     mass_identity_check,
-    monomials,
     thm6_params,
     verify,
 )
@@ -108,7 +107,7 @@ class RunConfig:
             tau=self.tau,
             sigma=self.sigma,
             N=self.trunc_n,
-            poly_set=monomials(self.max_degree),
+            max_degree=self.max_degree,
             tol=self.tol,
         )
 
@@ -247,7 +246,7 @@ def _to_text(report: dict, rows: list[dict], wall: float) -> str:
 # adds the envelope: schema, command, target, config and passed
 
 # a verify row is its theorem, then the VerifyRow fields in declaration order
-_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow) if f.name != "coeffs")
+_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow))
 
 
 def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:

@@ -104,37 +104,33 @@ def monomials(max_degree: int) -> tuple[tuple[float, ...], ...]:
 class VerifyConfig:
     """Shared knobs for a verification run.
 
-    ``poly_set`` holds ascending coefficient tuples; the default is the
-    monomials through degree 6.  The truncation policy is enforced by the
-    trace route, which knows the element: ``N`` must cover the reach of
-    the largest power, so a too-small ``N`` raises TruncationPolicyError
-    from :func:`verify`, not from construction.
+    :func:`verify` checks the monomials x^0 ... x^max_degree: both sides are
+    linear in the polynomial, so these rows carry every polynomial of that
+    degree.  The truncation policy is enforced by the trace route, which
+    knows the element: ``N`` must cover the reach of the largest power, so
+    a too-small ``N`` raises TruncationPolicyError from :func:`verify`, not
+    from construction.
     """
 
     ctx: QContext
     tau: float = 0.4
     sigma: float = 1.5
     N: int = 160
-    poly_set: tuple[tuple[float, ...], ...] = field(default_factory=lambda: monomials(6))
+    max_degree: int = 6
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise DomainError("N must be positive")
+        if type(self.max_degree) is not int or self.max_degree < 0:
+            raise DomainError(f"max_degree must be a nonnegative int, got {self.max_degree!r}")
         if self.tol <= 0.0:
             raise DomainError("tol must be positive")
-        if not self.poly_set:
-            raise DomainError("poly_set must not be empty")
-        object.__setattr__(self, "poly_set", tuple(tuple(_coeff_list(p)) for p in self.poly_set))
-
-    @property
-    def max_degree(self) -> int:
-        return max(map(_poly_degree, self.poly_set))
 
 
 @dataclass(frozen=True)
 class VerifyRow:
-    """One polynomial, both routes, and the discrepancy.
+    """One monomial, both routes, and the discrepancy.
 
     ``rel_err`` is relative to the measure side unless that is smaller than
     REL_ERR_FLOOR, in which case it equals the absolute error.  The route
@@ -142,7 +138,6 @@ class VerifyRow:
     """
 
     label: str
-    coeffs: tuple[float, ...]
     trace_side: float
     measure_side: float
     abs_err: float
@@ -167,17 +162,11 @@ class VerifyReport:
         return max((r.rel_err for r in self.rows), default=0.0)
 
 
-def _poly_label(coeffs) -> str:
-    nz = [k for k, c in enumerate(coeffs) if c]
-    if not nz:
-        return "0"
-    if len(nz) == 1 and coeffs[nz[0]] == 1.0:
-        d = nz[0]
-        return "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
-    return f"poly(deg={nz[-1]})"
+def _poly_label(degree: int) -> str:
+    return "1" if degree == 0 else ("x" if degree == 1 else f"x^{degree}")
 
 
-def _row(label: str, coeffs: tuple[float, ...], trace_side: float, measure_side: float, tol: float,
+def _row(label: str, trace_side: float, measure_side: float, tol: float,
          trace_route: str, measure_route: str) -> VerifyRow:
     trace_side = float(trace_side)
     measure_side = float(measure_side)
@@ -185,7 +174,6 @@ def _row(label: str, coeffs: tuple[float, ...], trace_side: float, measure_side:
     rel_err = abs_err if abs(measure_side) < REL_ERR_FLOOR else abs_err / abs(measure_side)
     return VerifyRow(
         label=label,
-        coeffs=coeffs,
         trace_side=trace_side,
         measure_side=measure_side,
         abs_err=abs_err,
@@ -362,12 +350,12 @@ def gamma_measure(p, ctx: QContext) -> float:
 
 
 def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
-    """Compare trace and measure sides for every polynomial in cfg.poly_set.
+    """Compare trace and measure sides for x^0 ... x^cfg.max_degree, one row each.
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma".  One pass of
-    :func:`haar_moments` at the largest degree, on its smallest exact phase
-    grid, serves the trace side of every polynomial, one pass of the
-    Jacobi moments e_0^T J^k e_0 through that degree its measure side.
+    :func:`haar_moments` at ``max_degree``, on its smallest exact phase
+    grid, serves the trace side of every row, one pass of the Jacobi
+    moments e_0^T J^k e_0 through that degree its measure side.
     Each row's ``trace_route`` names that grid: one angle in the real gauge
     for the covariant elements, the least M with lcm(M, 2) > 2*degree
     angles for rho_tau_sigma.  Its ``measure_route`` names the measure and
@@ -377,7 +365,8 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     pair = _theorem(theorem, cfg.tau, cfg.sigma)
-    measures, rows = _measure_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, cfg.poly_set)
+    polys = monomials(cfg.max_degree)
+    measures, rows = _measure_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, polys)
     route = _measure_route(theorem, cfg.ctx, cfg.tau, cfg.sigma)
     measure_route = f"{route}, Jacobi moments on {rows} row(s)"
     moments = haar_moments(cfg.ctx, pair.element, cfg.max_degree, cfg.N, pair.params, tol=cfg.tol)
@@ -385,9 +374,8 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
     grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
     trace_route = f"phase-averaged weighted trace, {grid}, N={cfg.N}"
     rows = tuple(
-        _row(_poly_label(c), c, moment_trace(c, moments), measure, cfg.tol,
-             trace_route, measure_route)
-        for c, measure in zip(cfg.poly_set, measures)
+        _row(_poly_label(k), moment_trace(c, moments), measure, cfg.tol, trace_route, measure_route)
+        for k, (c, measure) in enumerate(zip(polys, measures))
     )
     return VerifyReport(theorem=theorem, config=cfg, rows=rows)
 
@@ -486,7 +474,11 @@ def _shaped(values: list, shape: tuple):
 
 
 def _angles(theta) -> list[float]:
-    return np.asarray(theta, dtype=float).ravel().tolist()
+    """``theta`` as a flat list of angles; one that is not finite raises DomainError."""
+    angles = np.asarray(theta, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite, angles)):
+        raise DomainError(f"theta must be finite, got {theta!r}")
+    return angles
 
 
 def bailey_raw_check(theta, tau: float, sigma: float, ctx: QContext):

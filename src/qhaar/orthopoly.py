@@ -151,6 +151,7 @@ def q_charlier(n: int, x: float, a: float, ctx: QContext) -> float:
     if a == 0:
         raise DomainError("a must be nonzero")
     q = ctx.q
+    _check_power_range(q, -n, n=n)
     spec = SeriesSpec((q ** (-n), x), (0.0,), -(q ** (n + 1)) / a, ctx)
     return float(phi_rs(spec).real)
 
@@ -305,6 +306,8 @@ def asc_all(n_max: int, x, a: float, b: float, ctx: QContext) -> np.ndarray:
 def asc_orthonormal(n_max: int, x, s: float, t: float, ctx: QContext) -> np.ndarray:
     """Orthonormal variants h_n(x; s, t | q) = p_n(x; q^{1/2} t/s, -q^{1/2}/(st)) /
     sqrt((q, -q s^{-2}; q)_n)."""
+    if 0.0 in (s * s, s * t):
+        raise DomainError(f"s * s and s * t must be nonzero, got s={s!r}, t={t!r}")
     q = ctx.q
     rq = math.sqrt(q)
     a = rq * t / s
@@ -393,7 +396,11 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
 
         P_k(a;b|q) = (a b q^k, b q / a; q)_inf / ((ab, a^{-2} q^{1-2k}; q)_inf)
                      * (q^{-k}, b q^{-k}/a, a^2 q^k; q)_k * q^k.
+
+    Only |a| > 1 generates discrete masses; any other a raises DomainError.
     """
+    if not abs(a) > 1.0:
+        raise DomainError(f"mass parameter a={a!r} needs |a| > 1")
     return _asc_mass_poisson_tq_form(k, a, b, ctx).evaluate(ctx)
 
 
@@ -525,6 +532,8 @@ class AWParams:
 
     def __post_init__(self) -> None:
         vals = (self.a, self.b, self.c, self.d)
+        if not all(map(math.isfinite, vals)):
+            raise DomainError(f"parameters must be finite, got a, b, c, d = {vals!r}")
         names = "abcd"
         for i in range(4):
             for j in range(i + 1, 4):
@@ -558,13 +567,16 @@ def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext
 
     w = |(e^{2 i theta};q)_inf|^2 / prod_e |(e e^{i theta};q)_inf|^2 for the
     real parameters e in {a,b,c,d}.  A scalar theta runs as an array of
-    one angle, so it gets the same last bits as inside any array.
+    one angle, so it gets the same last bits as inside any array.  A theta
+    that is not finite raises DomainError.
     """
     return _aw_theta_weight_form(theta, a, b, c, d).evaluate(ctx)
 
 
 def _aw_theta_weight_form(theta, a: float, b: float, c: float, d: float) -> Factorials:
     th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        raise DomainError(f"theta must be finite, got {theta!r}")
     z = np.exp(1j * th.reshape(-1))
     rows = np.stack([z * z] + [e * z for e in (a, b, c, d) if e != 0.0])
 
@@ -593,8 +605,11 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     G_p is (-1)^k e^{-k} q^{-k(k+1)/2}; the zero-parameter variants cover
     the Al-Salam-Chihara (two zeros) and q-Hermite (three zeros) cases.
     Includes the (1 - e^2 q^{2k})/(1 - e^2) factor required for the weights
-    to sum correctly.
+    to sum correctly.  An e with |e| <= 1, which generates no mass, raises
+    DomainError.
     """
+    if not abs(e) > 1.0:
+        raise DomainError(f"mass parameter e={e!r} needs |e| > 1")
     return _aw_mass_weight_form(e, others, k, ctx).evaluate(ctx)
 
 

@@ -620,6 +620,7 @@ def _sum_terms(
     # after term min n over its upper parameters q^-n; a lower parameter q^-m
     # makes term m+1 divide by zero, fine only if the series stops by term m
     marks = _neg_power_indices(np.concatenate((upper, lower)), q)
+    # a fast path that pays: with no parameter at a q^-n, no block builds termination arrays
     all_open = marks is None
     if all_open:
         is_open, last = np.ones(n, dtype=bool), np.full(n, _NEVER)
@@ -663,6 +664,7 @@ def _sum_terms(
         while alive.size:
             if k0 >= cap:
                 raise ConvergenceError(f"{name} did not converge within {cap} terms")
+            # a fast path that pays: while every series is alive, rows read views, not copies
             rows = alive if alive.size < n else slice(None)
             open_ = is_open[rows]
             any_open = all_open or open_.any()

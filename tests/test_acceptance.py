@@ -31,7 +31,6 @@ from qhaar import (
     haar_trace,
     mass_identity_check,
     moment_apply,
-    monomials,
     op_D,
     orthonormal_polys,
     q_charlier,
@@ -77,7 +76,7 @@ def gram_under_measure(spec, eval_family) -> np.ndarray:
 def test_01_semicircle_trace_vs_measure() -> None:
     start = time.perf_counter()
     for q in (0.3, 0.5, 0.8):
-        cfg = VerifyConfig(ctx=QContext(q), N=80, poly_set=monomials(6), tol=1e-7)
+        cfg = VerifyConfig(ctx=QContext(q), N=80, max_degree=6, tol=1e-7)
         report = verify("thm4", cfg)
         for row in report.rows:
             assert row.abs_err <= 1e-7 * (1.0 + abs(row.measure_side)), (
@@ -94,7 +93,7 @@ def test_02_two_endpoint_jackson_trace_vs_measure() -> None:
     ctx = QContext(0.5)
     q = ctx.q
     for tau in (0.2, 0.4, 1.0):
-        cfg = VerifyConfig(ctx=ctx, tau=tau, N=160, poly_set=monomials(6), tol=1e-7)
+        cfg = VerifyConfig(ctx=ctx, tau=tau, N=160, max_degree=6, tol=1e-7)
         report = verify("thm5", cfg)
         for row in report.rows:
             assert row.rel_err <= 1e-7, (tau, row.label, row.rel_err)
@@ -111,7 +110,7 @@ def test_03_askey_wilson_trace_vs_measure() -> None:
         spec = aw_measure(thm6_params(tau, sigma, ctx))
         assert len(spec.masses) == n_masses
         cfg = VerifyConfig(
-            ctx=ctx, tau=tau, sigma=sigma, N=200, poly_set=monomials(6), tol=1e-6
+            ctx=ctx, tau=tau, sigma=sigma, N=200, max_degree=6, tol=1e-6
         )
         report = verify("thm6", cfg)
         for row in report.rows:
@@ -271,7 +270,7 @@ def test_06_structural_suite() -> None:
 
 def test_07_diagonal_element_moment_bridge() -> None:
     ctx = QContext(0.5)
-    cfg = VerifyConfig(ctx=ctx, N=80, poly_set=monomials(6), tol=1e-9)
+    cfg = VerifyConfig(ctx=ctx, N=80, max_degree=6, tol=1e-9)
     report = verify("gamma", cfg)
     for row in report.rows:
         assert row.rel_err <= 1e-9, (row.label, row.rel_err)
@@ -282,7 +281,7 @@ def test_08_degree_24_trace_vs_measure() -> None:
     # only the truncation policy limits the degree
     start = time.perf_counter()
     ctx = QContext(0.8)
-    cfg = VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=300, poly_set=monomials(24), tol=1e-7)
+    cfg = VerifyConfig(ctx=ctx, tau=TAU, sigma=1.5, N=300, max_degree=24, tol=1e-7)
     for theorem in ("thm4", "thm5", "thm6", "gamma"):
         report = verify(theorem, cfg)
         assert report.rows[-1].label == "x^24"

@@ -27,6 +27,7 @@ from qhaar import (
     JacobiCoeffs,
     MomentFunctional,
     QContext,
+    QHaarError,
     SphericalParams,
     TruncationPolicyError,
     VerifyConfig,
@@ -214,7 +215,7 @@ class TestGaussRuleMeasures:
         for q, tau, sigma in THM6_GRID:
             ctx = QContext(q)
             count = len(aw_measure(thm6_params(tau, sigma, ctx)).masses)
-            cfg = VerifyConfig(ctx=ctx, tau=tau, sigma=sigma, N=160, poly_set=((1.0,),))
+            cfg = VerifyConfig(ctx=ctx, tau=tau, sigma=sigma, N=160, max_degree=0)
             route = verify("thm6", cfg).rows[0].measure_route
             assert f"measure, {count} mass point(s)," in route, (q, tau, sigma, route)
 
@@ -256,7 +257,6 @@ class TestGaussRuleMeasures:
         [
             lambda ctx: thm4_measure([]),
             lambda ctx: thm5_measure([], 0.4, ctx),
-            lambda ctx: verify("thm4", VerifyConfig(ctx, poly_set=((),))),
             lambda ctx: intermediate_check([], 0.4, 1.5, ctx),
         ],
     )
@@ -643,7 +643,7 @@ class TestJacobiMoments:
         out = json.loads(capsys.readouterr().out)
         cfg = out["config"]
         ctx = QContext(cfg["q"])
-        labels = [haarverify._poly_label(np.asarray(p)) for p in monomials(cfg["max_degree"])]
+        labels = [haarverify._poly_label(k) for k in range(cfg["max_degree"] + 1)]
         for report in out["reports"]:
             rows = report["rows"]
             assert [r["label"] for r in rows] == labels
@@ -796,7 +796,7 @@ class TestMeasureJacobiCache:
     def test_verify_and_measure_functions_share_matrix(self, ctx: QContext) -> None:
         haarverify._measure_jacobi.cache_clear()
         p = (0.0,) * 6 + (1.0,)
-        row = verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, poly_set=(p,))).rows[0]
+        row = verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, max_degree=6)).rows[6]
         before = haarverify._measure_jacobi.cache_info()
         assert thm5_measure(p, TAU, ctx) == row.measure_side
         after = haarverify._measure_jacobi.cache_info()
@@ -931,7 +931,7 @@ class TestVerify:
     @pytest.mark.parametrize("q", [0.3, 0.5])
     def test_degree_24(self, q: float) -> None:
         # only the truncation policy limits the degree
-        cfg = VerifyConfig(ctx=QContext(q), N=80, poly_set=monomials(24))
+        cfg = VerifyConfig(ctx=QContext(q), N=80, max_degree=24)
         for theorem in ("thm4", "thm5", "thm6", "gamma"):
             report = verify(theorem, cfg)
             assert report.all_passed and report.max_rel_err < 1e-12, theorem
@@ -939,7 +939,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("theorem", [4, "5", 6, "thm7"])
     def test_unknown_theorem_refused(self, ctx: QContext, theorem) -> None:
-        cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((1.0,),))
+        cfg = VerifyConfig(ctx=ctx, N=80, max_degree=0)
         with pytest.raises(DomainError):
             verify(theorem, cfg)
 
@@ -952,8 +952,8 @@ class TestVerify:
             verify("thm6", cfg)
 
     def test_routes_recorded(self, ctx: QContext) -> None:
-        cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((0.0, 1.0),))
-        row = verify("thm4", cfg).rows[0]
+        cfg = VerifyConfig(ctx=ctx, N=80, max_degree=1)
+        row = verify("thm4", cfg).rows[1]
         assert row.trace_route == "phase-averaged weighted trace, 1 angle (real gauge), N=80"
         assert "Chebyshev" in row.measure_route
 
@@ -970,7 +970,7 @@ class TestVerify:
         ],
     )
     def test_trace_route_names_the_phase_grid(self, ctx, theorem, degree, grid) -> None:
-        cfg = VerifyConfig(ctx=ctx, N=80, poly_set=monomials(degree))
+        cfg = VerifyConfig(ctx=ctx, N=80, max_degree=degree)
         routes = {r.trace_route for r in verify(theorem, cfg).rows}
         assert routes == {f"phase-averaged weighted trace, {grid}, N=80"}
 
@@ -981,10 +981,6 @@ class TestVerifyConfig:
             VerifyConfig(ctx=ctx, N=0)
         with pytest.raises(DomainError):
             VerifyConfig(ctx=ctx, tol=0.0)
-        with pytest.raises(DomainError):
-            VerifyConfig(ctx=ctx, poly_set=())
-        with pytest.raises(DomainError, match="callable"):
-            VerifyConfig(ctx=ctx, poly_set=((1.0,), abs))
 
     def test_truncation_policy_trip(self) -> None:
         # q close to 1 demands hundreds of basis states for degree 6; the
@@ -999,8 +995,10 @@ class TestVerifyConfig:
         assert report.all_passed
 
     def test_max_degree(self, ctx: QContext) -> None:
-        cfg = VerifyConfig(ctx=ctx, N=80, poly_set=((1.0,), (0.0, 0.0, 3.0)))
-        assert cfg.max_degree == 2
+        # verify checks x^0 ... x^max_degree, so a degree that is not a nonnegative int is refused
+        for bad in (-1, 2.0, True, "6", None):
+            with pytest.raises(DomainError, match="max_degree"):
+                VerifyConfig(ctx=ctx, max_degree=bad)
 
 
 class TestIntermediate:
@@ -1198,6 +1196,23 @@ class TestBailey:
         # raise ZeroDivisionError
         with pytest.raises(ConvergenceError, match="underflow"):
             bailey_raw_check(0.3, TAU, 1000.0, ctx)
+
+    NON_FINITE_THETA = {
+        "bailey_check theta=inf": lambda c: bailey_check(math.inf, TAU, 1.5, c),
+        "bailey_check theta=-inf": lambda c: bailey_check(-math.inf, TAU, 1.5, c),
+        "bailey_check theta=nan": lambda c: bailey_check(math.nan, TAU, 1.5, c),
+        "bailey_variant_residuals theta=inf": lambda c: bailey_variant_residuals(math.inf, TAU, 1.5, c),
+        "bailey_variant_residuals theta=nan": lambda c: bailey_variant_residuals([0.3, math.nan], TAU, 1.5, c),
+        "bailey_variant_residuals raw theta=-inf": lambda c: bailey_variant_residuals(
+            [-math.inf], TAU, 1.5, c, raw=True
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_THETA))
+    def test_non_finite_theta_refused_by_name(self, name: str, ctx: QContext) -> None:
+        with pytest.raises(QHaarError, match="theta must be finite"):
+            self.NON_FINITE_THETA[name](ctx)
 
 def _ref_display_residual(theta, tau, sigma, ctx, second_denom):
     # the kernel-pair identity with every term written out per prefactor

@@ -17,6 +17,7 @@ from qhaar import (
     DomainError,
     MomentFunctional,
     QContext,
+    QHaarError,
     asc,
     asc_all,
     asc_orthonormal,
@@ -819,3 +820,30 @@ class TestGramIdentity:
             v = asc_orthonormal(nm - 1, float(np.cos(th)), s_par, t_par, ctx2)
             acc += w * np.outer(v, v)
         assert np.max(np.abs(acc - np.eye(nm))) < 1e-8
+
+
+class TestRefusedByName:
+    """Inputs outside a closed form's domain raise a QHaarError naming the
+    input, before any float arithmetic can raise or warn."""
+
+    CASES = {
+        "asc_orthonormal s=0": (lambda c: asc_orthonormal(3, 0.2, 0.0, 1.0, c), "s=0.0"),
+        "asc_orthonormal t=0": (lambda c: asc_orthonormal(3, 0.2, 1.0, 0.0, c), "t=0.0"),
+        "asc_mass_poisson_tq a=0": (lambda c: asc_mass_poisson_tq(0, 0.0, 0.3, c), "a=0.0"),
+        "asc_mass_poisson_tq a=1e-320": (lambda c: asc_mass_poisson_tq(0, 1e-320, 0.3, c), "a=1e-320"),
+        "aw_mass_weight e=0": (lambda c: aw_mass_weight(0.0, (0.3, 0.0, 0.0), 0, c), "e=0.0"),
+        "aw_mass_weight e=1e-320": (lambda c: aw_mass_weight(1e-320, (0.3, 0.0, 0.0), 0, c), "e=1e-320"),
+        "q_charlier n=2000": (lambda c: q_charlier(2000, 0.3, 1.0, c), "n = 2000"),
+        "aw_theta_weight theta=inf": (lambda c: aw_theta_weight(math.inf, 0.3, 0.2, 0.0, 0.0, c), "theta"),
+        "aw_theta_weight theta=-inf": (lambda c: aw_theta_weight(-math.inf, 0.3, 0.2, 0.0, 0.0, c), "theta"),
+        "AWParams a=inf": (lambda c: AWParams(math.inf, -0.5, -0.5, -0.5, c), "finite"),
+        "AWParams a=-inf": (lambda c: AWParams(-math.inf, 0.5, 0.5, 0.5, c), "finite"),
+        "AWParams b=nan": (lambda c: AWParams(0.3, math.nan, 0.1, 0.1, c), "finite"),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_refused(self, name: str, ctx: QContext) -> None:
+        call, match = self.CASES[name]
+        with pytest.raises(QHaarError, match=match):
+            call(ctx)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,12 @@ def test_truncation_constants_only_in_qseries(name) -> None:
     # the loops read qseries at call time; a package-level copy would rebind nothing
     assert not hasattr(qhaar, name)
     assert hasattr(qhaar.qseries, name)
+
+
+def test_readme_library_sketch_runs(capsys) -> None:
+    # the README example runs as written, so it cannot go stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(block, {})
+    labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["1", "x", "x^2", "x^3", "x^4", "x^5", "x^6"]

@@ -28,7 +28,6 @@ from qhaar import (
     haar_moments,
     haar_trace,
     moment_trace,
-    monomials,
     op_D,
     qpoch,
     spectral_trace,
@@ -637,7 +636,7 @@ class TestSharedMoments:
 
         for fn_name in ("element", "_element_band"):
             monkeypatch.setattr(qsu2rep, fn_name, counting(fn_name))
-        report = verify("thm6", VerifyConfig(ctx=ctx, poly_set=monomials(6)))
+        report = verify("thm6", VerifyConfig(ctx=ctx, max_degree=6))
         assert report.all_passed
         # one band element serves the whole phase grid; no dense matrix is built
         assert calls == ["_element_band"]
