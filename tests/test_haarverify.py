@@ -257,6 +257,7 @@ class TestGaussRuleMeasures:
         [
             lambda ctx: thm4_measure([]),
             lambda ctx: thm5_measure([], 0.4, ctx),
+            lambda ctx: gamma_measure([], ctx),
             lambda ctx: intermediate_check([], 0.4, 1.5, ctx),
         ],
     )
