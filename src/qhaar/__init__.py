@@ -17,24 +17,40 @@ Layered modules:
 The package exports every name in the ``__all__`` of the modules above but
 ``cli``.  The truncation constants are read as ``qseries.TAIL_TOL`` and
 ``qseries.MAX_TERMS``.
+
+``import qhaar`` loads none of these modules, nor numpy (PEP 562).  The
+first name looked up that the package does not hold yet loads the six
+library modules and binds every name of their ``__all__``, and ``__all__``
+itself, into the package; from then on each is a plain attribute.  A
+submodule's name loads that submodule alone, so ``python -m qhaar``
+loads only what its command runs.
 """
 
-from .errors import *  # noqa: F403
-from .qseries import *  # noqa: F403
-from .spectral import *  # noqa: F403
-from .orthopoly import *  # noqa: F403
-from .qsu2rep import *  # noqa: F403
-from .haarverify import *  # noqa: F403
-from . import errors, haarverify, orthopoly, qseries, qsu2rep, spectral
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *errors.__all__,
-    *qseries.__all__,
-    *spectral.__all__,
-    *orthopoly.__all__,
-    *qsu2rep.__all__,
-    *haarverify.__all__,
-    "__version__",
-]
+_LIBRARY = ("errors", "qseries", "spectral", "orthopoly", "qsu2rep", "haarverify")
+
+
+def __getattr__(name: str):
+    # called only for a name the package does not hold yet
+    if name in _LIBRARY or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    namespace = globals()
+    if "__all__" not in namespace:
+        exported = []
+        for submodule in _LIBRARY:
+            module = importlib.import_module(f"{__name__}.{submodule}")
+            namespace.update((attr, getattr(module, attr)) for attr in module.__all__)
+            exported += module.__all__
+        namespace["__all__"] = [*exported, "__version__"]
+    try:
+        return namespace[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return sorted(globals())

@@ -20,39 +20,20 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import get_type_hints
-
-import numpy as np
+from typing import NamedTuple, get_type_hints
 
 from .errors import ConvergenceError, DomainError
-from .haarverify import (
-    THEOREMS,
-    VerifyConfig,
-    VerifyRow,
-    _support_distances,
-    _theorem,
-    bailey_variant_residuals,
-    mass_identity_check,
-    thm6_params,
-    verify,
-)
-from .orthopoly import (
-    _asc_poisson_form,
-    _cqh_poisson_form,
-    _mass_ladder,
-    asc_poisson_series,
-    aw_masses,
-)
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
-from .qsu2rep import _band_spectrum, _element_band
+
+# Each handler imports the modules it runs, so a command loads only what it
+# runs: eval-series needs qseries alone, identity poisson orthopoly, and the
+# rest haarverify, which loads every library module.
 
 __all__ = ["RunConfig", "main"]
 
@@ -71,11 +52,12 @@ MASS_CASES = ((1.6, 0.3, 0), (2.5, -0.2, 1), (-1.8660659830736148, 0.23326493342
 
 OUTPUT_FORMATS = ("json", "csv", "text")
 
+# haarverify.THEOREMS, and all three thm* at once; written here so that
+# building the parser loads no haarverify
+_VERIFY_TARGETS = ("thm4", "thm5", "thm6", "gamma", "all")
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat, serializable run configuration; the parser adds one flag per field, of its type."""
 
+class _RunConfigFields(NamedTuple):
     q: float = 0.5
     tau: float = 0.4
     sigma: float = 1.5
@@ -85,7 +67,15 @@ class RunConfig:
     output: str = "json"
     seed: int = 7041
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfigFields):
+    """Flat, serializable run configuration; the parser adds one flag per field, of its type."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.output not in OUTPUT_FORMATS:
             raise DomainError("output must be %s, %s or %s" % OUTPUT_FORMATS)
         if self.max_degree < 0:
@@ -94,14 +84,18 @@ class RunConfig:
             raise DomainError("seed must be nonnegative")
         if not 0.0 < self.tol < math.inf:
             raise DomainError("tol must be finite and positive")
+        return self
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def context(self) -> QContext:
         return QContext(q=self.q)
 
-    def verify_config(self) -> VerifyConfig:
+    def verify_config(self):
+        """The ``haarverify.VerifyConfig`` of these settings."""
+        from .haarverify import VerifyConfig
+
         return VerifyConfig(
             ctx=self.context(),
             tau=self.tau,
@@ -212,6 +206,8 @@ def _cell(value) -> str:
 
 
 def _to_csv(rows: list[dict]) -> str:
+    import csv
+
     if not rows:
         return ""
     buf = io.StringIO()
@@ -245,20 +241,16 @@ def _to_text(report: dict, rows: list[dict], wall: float) -> str:
 # subcommand handlers: each returns (report body, flat rows, passed); main
 # adds the envelope: schema, command, target, config and passed
 
-# a verify row is its theorem, then the VerifyRow fields in declaration order
-_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow))
-
-
 def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
+    from .haarverify import verify
+
     vcfg = cfg.verify_config()
     targets = ("thm4", "thm5", "thm6") if target == "all" else (target,)
     flat: list[dict] = []
     blocks = []
     for rep in [verify(t, vcfg) for t in targets]:
-        rows = [
-            {"theorem": rep.theorem, **{c: getattr(r, c) for c in _VERIFY_COLUMNS}}
-            for r in rep.rows
-        ]
+        # a verify row is its theorem, then the VerifyRow fields in declaration order
+        rows = [{"theorem": rep.theorem, **r._asdict()} for r in rep.rows]
         flat.extend(rows)
         blocks.append(
             {
@@ -272,6 +264,8 @@ def _run_verify(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
 
 
 def _identity_bailey(cfg: RunConfig, ctx: QContext) -> dict:
+    from .haarverify import bailey_variant_residuals
+
     residuals = bailey_variant_residuals(BAILEY_THETAS, cfg.tau, cfg.sigma, ctx, raw=True)
     cons, variant, raw = (v.tolist() for v in residuals)
     rows = [
@@ -285,6 +279,9 @@ def _identity_bailey(cfg: RunConfig, ctx: QContext) -> dict:
 
 
 def _identity_mass(cfg: RunConfig, ctx: QContext) -> dict:
+    from .haarverify import mass_identity_check
+    from .orthopoly import _mass_ladder
+
     # each case at its k, or at the last rung of a's mass ladder where q leaves fewer
     cases = [(a, b, min(k, len(_mass_ladder(a, ctx.q)) - 1)) for a, b, k in MASS_CASES]
     residuals = mass_identity_check(*zip(*cases), ctx).tolist()
@@ -358,6 +355,8 @@ def _uniform_draws(seed: int, limits: tuple[float, ...]) -> list[float]:
 
 
 def _identity_poisson(cfg: RunConfig, ctx: QContext) -> dict:
+    from .orthopoly import _asc_poisson_form, _cqh_poisson_form, asc_poisson_series
+
     draws = _uniform_draws(cfg.seed, _POISSON_LIMITS)
     hermite = [(*draws[k : k + 3], 0.0, 0.0) for k in range(0, 30, 3)]
     chihara = [tuple(draws[k : k + 5]) for k in range(30, 80, 5)]
@@ -410,6 +409,10 @@ def _run_spectrum(target: str, cfg: RunConfig) -> tuple[dict, list[dict], bool]:
     ``aw_masses`` alone (no quadrature rule is built) and are listed in
     the report.
     """
+    from .haarverify import _support_distances, _theorem, thm6_params
+    from .orthopoly import aw_masses
+    from .qsu2rep import _band_spectrum, _element_band
+
     ctx = cfg.context()
     pair = _theorem(_SPECTRUM_THEOREMS[target], cfg.tau, cfg.sigma)
     name = pair.element
@@ -522,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None)
 
     p_verify = sub.add_parser("verify", help="dual-route theorem checks")
-    p_verify.add_argument("target", choices=(*THEOREMS, "all"))
+    p_verify.add_argument("target", choices=_VERIFY_TARGETS)
     add_config_flags(p_verify)
 
     p_ident = sub.add_parser("identity", help="standalone identity residuals")

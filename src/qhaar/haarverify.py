@@ -26,7 +26,6 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
@@ -100,8 +99,16 @@ def monomials(max_degree: int) -> tuple[tuple[float, ...], ...]:
     return tuple((0.0,) * d + (1.0,) for d in range(max_degree + 1))
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class _VerifyConfigFields(NamedTuple):
+    ctx: QContext
+    tau: float = 0.4
+    sigma: float = 1.5
+    N: int = 160
+    max_degree: int = 6
+    tol: float = 1e-7
+
+
+class VerifyConfig(_VerifyConfigFields):
     """Shared knobs for a verification run.
 
     :func:`verify` checks the monomials x^0 ... x^max_degree: both sides are
@@ -112,24 +119,21 @@ class VerifyConfig:
     from construction.
     """
 
-    ctx: QContext
-    tau: float = 0.4
-    sigma: float = 1.5
-    N: int = 160
-    max_degree: int = 6
-    tol: float = 1e-7
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "VerifyConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.N < 1:
             raise DomainError("N must be positive")
         if type(self.max_degree) is not int or self.max_degree < 0:
             raise DomainError(f"max_degree must be a nonnegative int, got {self.max_degree!r}")
         if self.tol <= 0.0:
             raise DomainError("tol must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     """One monomial, both routes, and the discrepancy.
 
     ``rel_err`` is relative to the measure side unless that is smaller than
@@ -147,11 +151,10 @@ class VerifyRow:
     measure_route: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     theorem: str
     config: VerifyConfig
-    rows: tuple[VerifyRow, ...] = field(default_factory=tuple)
+    rows: tuple[VerifyRow, ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -380,8 +383,7 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
     return VerifyReport(theorem=theorem, config=cfg, rows=rows)
 
 
-@dataclass(frozen=True)
-class IntermediateReport:
+class IntermediateReport(NamedTuple):
     """Deviations of the diagonal-Poisson-kernel expression for one polynomial.
 
     The functional of p(rho_tau_sigma) is rewritten as a weighted pair of

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,8 +155,13 @@ def q_charlier(n: int, x: float, a: float, ctx: QContext) -> float:
     return float(phi_rs(spec).real)
 
 
-@dataclass(frozen=True)
-class MomentFunctional:
+class _MomentFunctionalFields(NamedTuple):
+    kind: str
+    ctx: QContext
+    tau: float | None = None
+
+
+class MomentFunctional(_MomentFunctionalFields):
     """Discrete moment functional on functions of x.
 
     kind "L":  L(p) = sum_n q^{2 n tau} q^{n(n-1)} / (q^2;q^2)_n * p(q^{-2n})
@@ -166,15 +170,15 @@ class MomentFunctional:
     Both live in base ctx.q (the squares are written out explicitly).
     """
 
-    kind: str
-    ctx: QContext
-    tau: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("L", "M"):
-            raise DomainError(f"kind must be 'L' or 'M', got {self.kind!r}")
-        if self.kind == "L" and self.tau is None:
+    def __new__(cls, kind: str, ctx: QContext, tau: float | None = None) -> "MomentFunctional":
+        if kind not in ("L", "M"):
+            raise DomainError(f"kind must be 'L' or 'M', got {kind!r}")
+        if kind == "L" and tau is None:
             raise DomainError("kind 'L' requires tau")
+        return super().__new__(cls, kind, ctx, tau)
 
 
 def moment_apply(functional: MomentFunctional, p, p2=None) -> float:
@@ -380,9 +384,22 @@ def asc_poisson_series(t: float, x: float, y: float, a: float, b: float, ctx: QC
 
 
 def _mass_ladder(e: float, q: float) -> range:
-    """Indices k of the discrete masses parameter e generates: |e| q^k > 1 + MASS_EDGE_TOL."""
-    k = 0
-    while abs(e) * q**k > 1.0 + MASS_EDGE_TOL:
+    """Indices k of the discrete masses parameter e generates: |e| q^k > 1 + MASS_EDGE_TOL.
+
+    The count starts from a logarithmic estimate two rungs short of the
+    last, once the rung below the start is checked to hold (|e| q^k falls
+    as k grows), so it takes a few steps whatever |e| and q are, and ends
+    where counting from k = 0 does.  An infinite e raises DomainError.
+    """
+    edge = 1.0 + MASS_EDGE_TOL
+    if not abs(e) > edge:  # nan included
+        return range(0)
+    if math.isinf(e):
+        raise DomainError(f"mass parameter e={e!r} must be finite")
+    k = max(int(math.log(abs(e) / edge) / -math.log(q)) - 2, 0)
+    if k and not abs(e) * q ** (k - 1) > edge:
+        k = 0
+    while abs(e) * q**k > edge:
         k += 1
     return range(k)
 
@@ -397,10 +414,11 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
         P_k(a;b|q) = (a b q^k, b q / a; q)_inf / ((ab, a^{-2} q^{1-2k}; q)_inf)
                      * (q^{-k}, b q^{-k}/a, a^2 q^k; q)_k * q^k.
 
-    Only |a| > 1 generates discrete masses; any other a raises DomainError.
+    Only |a| > 1 generates discrete masses, at the k of its mass ladder,
+    |a| q^k > 1 + MASS_EDGE_TOL; any other a or k raises DomainError.
     """
-    if not abs(a) > 1.0:
-        raise DomainError(f"mass parameter a={a!r} needs |a| > 1")
+    if k not in _mass_ladder(a, ctx.q):
+        raise DomainError(f"k={k!r} is off the mass ladder of a={a!r} at q={ctx.q!r}")
     return _asc_mass_poisson_tq_form(k, a, b, ctx).evaluate(ctx)
 
 
@@ -514,8 +532,15 @@ def _asc_mass_point_form(t: float, k: int, e: float, other: float, ctx: QContext
 # Askey-Wilson measure
 
 
-@dataclass(frozen=True)
-class AWParams:
+class _AWParamsFields(NamedTuple):
+    a: float
+    b: float
+    c: float
+    d: float
+    ctx: QContext
+
+
+class AWParams(_AWParamsFields):
     """Real Askey-Wilson parameters with all *signed* pairwise products < 1.
 
     The signed reading matches the positivity condition actually required
@@ -524,14 +549,11 @@ class AWParams:
     harmless.  abcd is also kept away from q^{-2m} (poles of h0).
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    ctx: QContext
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        vals = (self.a, self.b, self.c, self.d)
+    def __new__(cls, a: float, b: float, c: float, d: float, ctx: QContext) -> "AWParams":
+        vals = (a, b, c, d)
         if not all(map(math.isfinite, vals)):
             raise DomainError(f"parameters must be finite, got a, b, c, d = {vals!r}")
         names = "abcd"
@@ -542,6 +564,7 @@ class AWParams:
                     raise DomainError(
                         f"pairwise product {names[i]}{names[j]} = {prod!r} must be < 1"
                     )
+        return super().__new__(cls, a, b, c, d, ctx)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -605,11 +628,12 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     G_p is (-1)^k e^{-k} q^{-k(k+1)/2}; the zero-parameter variants cover
     the Al-Salam-Chihara (two zeros) and q-Hermite (three zeros) cases.
     Includes the (1 - e^2 q^{2k})/(1 - e^2) factor required for the weights
-    to sum correctly.  An e with |e| <= 1, which generates no mass, raises
-    DomainError.
+    to sum correctly.  A k off the mass ladder of e, where |e| q^k >
+    1 + MASS_EDGE_TOL fails, raises DomainError; so does every k of an e
+    with |e| <= 1, which generates no mass.
     """
-    if not abs(e) > 1.0:
-        raise DomainError(f"mass parameter e={e!r} needs |e| > 1")
+    if k not in _mass_ladder(e, ctx.q):
+        raise DomainError(f"k={k!r} is off the mass ladder of e={e!r} at q={ctx.q!r}")
     return _aw_mass_weight_form(e, others, k, ctx).evaluate(ctx)
 
 
@@ -668,8 +692,7 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     return _three_term(A, C, 0.5, a + 1.0 / a)
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     """Quadrature-ready normalized measure: continuous part on (-1,1) plus
     discrete masses at |x| > 1.
 
@@ -680,8 +703,8 @@ class MeasureSpec:
     """
 
     masses: tuple
-    theta_nodes: np.ndarray = field(repr=False)
-    theta_weights: np.ndarray = field(repr=False)
+    theta_nodes: np.ndarray
+    theta_weights: np.ndarray
     total_mass: float = 1.0
 
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,19 +69,24 @@ _BLOCK = 1 << 12
 _SERIES_CHUNK = 32
 
 
-@dataclass(frozen=True)
-class QContext:
+class _QContextFields(NamedTuple):
+    q: float
+
+
+class QContext(_QContextFields):
     """The base q in (0,1) of a computation.
 
     It holds q alone, so two contexts are equal, and hash alike, exactly
     when their bases are; the truncation policy is TAIL_TOL and MAX_TERMS.
     """
 
-    q: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie strictly inside (0,1), got {self.q!r}")
+    def __new__(cls, q: float) -> "QContext":
+        if not 0.0 < q < 1.0:
+            raise DomainError(f"q must lie strictly inside (0,1), got {q!r}")
+        return super().__new__(cls, q)
 
     def squared(self) -> "QContext":
         """The context of base q^2 (most operator formulas live there)."""
@@ -407,18 +411,21 @@ def _w87_sums(series: list, ctx: QContext) -> list:
     return w87(*params, ctx, z).tolist()
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One r_phi_s evaluation: upper/lower parameter tuples, argument, base."""
-
+class _SeriesSpecFields(NamedTuple):
     upper: tuple
     lower: tuple
     z: complex
     base: QContext
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
+
+class SeriesSpec(_SeriesSpecFields):
+    """One r_phi_s evaluation: upper/lower parameter tuples, argument, base."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace makes tuples too
+
+    def __new__(cls, upper, lower, z: complex, base: QContext) -> "SeriesSpec":
+        return super().__new__(cls, tuple(upper), tuple(lower), z, base)
 
 
 def phi_rs(spec: SeriesSpec):

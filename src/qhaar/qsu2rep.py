@@ -59,7 +59,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,25 +101,29 @@ _ELEMENT_REACH = {
 ELEMENT_NAMES = tuple(_ELEMENT_REACH)
 
 
-@dataclass(frozen=True)
-class SphericalParams:
+class _SphericalFields(NamedTuple):
+    tau: float
+    sigma: float | None = None
+
+
+class SphericalParams(_SphericalFields):
     """Parameters (tau, sigma) selecting a spherical-type element.
 
     ``sigma = None`` refers to the limiting element ``rho_tau_inf``.
     """
 
-    tau: float
-    sigma: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tau):
+    def __new__(cls, tau: float, sigma: float | None = None) -> "SphericalParams":
+        if not math.isfinite(tau):
             raise DomainError("tau must be finite")
-        if self.sigma is not None and not math.isfinite(self.sigma):
+        if sigma is not None and not math.isfinite(sigma):
             raise DomainError("sigma must be finite or None")
+        return super().__new__(cls, tau, sigma)
 
 
-@dataclass(frozen=True)
-class TruncRep:
+class TruncRep(NamedTuple):
     """Truncated generator matrices at a fixed phase angle."""
 
     ctx: QContext
@@ -629,8 +633,7 @@ def eigvec_norm_sq(branch: int, k: int, tau: float, ctx: QContext) -> float:
     return math.prod(vals, start=q ** (-2 * k))
 
 
-@dataclass(frozen=True)
-class EigenBasisEntry:
+class EigenBasisEntry(NamedTuple):
     """One rho_tau_inf eigenvector of the truncated representation."""
 
     branch: int
@@ -726,8 +729,7 @@ def spectral_trace(ctx: QContext, tau: float, coeffs) -> float:
     return float((1.0 - Q) / (1.0 + q ** (2 * tau)) * total)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Worst-case deviations of the defining structure on a truncation.
 
     All checks stay away from the boundary rows that truncation corrupts:

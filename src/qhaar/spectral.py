@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class JacobiCoeffs:
     """Coefficient source for a half-infinite symmetric tridiagonal matrix.
 
@@ -46,13 +44,16 @@ class JacobiCoeffs:
     raises, or finds a zero off-diagonal in the rows it asks for, keeps
     nothing it computed, so the next call raises again.  This entry memo
     is the only one: ``diag`` and ``offdiag`` may recompute a term they
-    share.
+    share.  Two matrices are equal only when they are the same object.
     """
 
-    diag: Callable[[int], float]
-    offdiag: Callable[[int], float]
-    # (diagonal, off-diagonal, moments 0..k, J^j e_0), each never mutated in place
-    _entries: tuple = field(default=((), (), (), ()), init=False, repr=False, compare=False)
+    __slots__ = ("diag", "offdiag", "_entries")
+
+    def __init__(self, diag: Callable[[int], float], offdiag: Callable[[int], float]) -> None:
+        self.diag = diag
+        self.offdiag = offdiag
+        # (diagonal, off-diagonal, moments 0..k, J^j e_0), each never mutated in place
+        self._entries = ((), (), (), ())
 
     def _grown(self, size: int, reach: int = 0) -> tuple:
         """The memo with entries through the leading ``size`` rows, not yet swapped in.
@@ -84,8 +85,7 @@ class JacobiCoeffs:
     def arrays(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the leading ``size`` x ``size`` block."""
         entries = self._grown(size)
-        if entries is not self._entries:
-            object.__setattr__(self, "_entries", entries)
+        self._entries = entries
         d, e = entries[:2]
         return np.array(d[:size]), np.array(e[: size - 1])
 
@@ -158,7 +158,7 @@ def _jacobi_moments(jacobi: JacobiCoeffs, degree: int) -> list[float]:
             break
         v = w
     del moments[degree + 1 :]
-    object.__setattr__(jacobi, "_entries", (d, e, tuple(moments), v))
+    jacobi._entries = (d, e, tuple(moments), v)
     return moments[: asked + 1]
 
 

@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,61 +25,58 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-class TestImport:
-    def test_cli_import_loads_no_scipy(self) -> None:
-        # scipy is a test-only dependency; loading it would more than double
-        # the cold-start time of every command
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys, qhaar.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
+# the qhaar modules each command loads: haarverify loads every library module
+EVERY_MODULE = ["qhaar", "qhaar.cli", "qhaar.errors", "qhaar.haarverify", "qhaar.orthopoly",
+                "qhaar.qseries", "qhaar.qsu2rep", "qhaar.spectral"]
+FRESH_COMMANDS = {
+    "verify all": EVERY_MODULE,
+    "verify thm4": EVERY_MODULE,
+    "verify thm5": EVERY_MODULE,
+    "verify thm6": EVERY_MODULE,
+    "verify gamma": EVERY_MODULE,
+    "identity bailey": EVERY_MODULE,
+    "identity mass": EVERY_MODULE,
+    "identity poisson": ["qhaar", "qhaar.cli", "qhaar.errors", "qhaar.orthopoly", "qhaar.qseries",
+                         "qhaar.spectral"],
+    "spectrum cocentral": EVERY_MODULE,
+    "spectrum rho-inf": EVERY_MODULE,
+    "spectrum rho-sigma": EVERY_MODULE,
+    "eval-series --upper 8 --z 0.0875 --q 0.5": ["qhaar", "qhaar.cli", "qhaar.errors", "qhaar.qseries"],
+}
+# no command loads these: no command draws from numpy.random, runs a thread
+# pool or builds a dataclass, and scipy is a test-only dependency; each would
+# cost every command its import
+NEVER_LOADED = ("numpy.random", "concurrent.futures", "dataclasses", "scipy")
 
-    def test_identity_commands_load_no_numpy_random(self) -> None:
-        # identity poisson draws its rows from cli's own copy of numpy's
-        # stream; loading numpy.random would cost every command its import
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import contextlib, io, sys\n"
-            "from qhaar.cli import main\n"
-            "for target in ('bailey', 'mass', 'poisson'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(['identity', target]) == 0, target\n"
-            "print('numpy.random' in sys.modules)"
-        )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "False"
+# runs python -m qhaar with the arguments after -c, then prints its exit code
+# and every module it loaded
+_RUN_AS_MAIN = """
+import contextlib, io, json, runpy, sys
+sys.argv[0] = "qhaar"
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("qhaar", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
 
-    def test_commands_load_no_concurrent_futures(self) -> None:
-        # no command runs a thread pool; importing one would cost every
-        # command its load
+
+class TestFreshInterpreter:
+    """What each command loads, each run as ``python -m qhaar`` in a fresh interpreter."""
+
+    @pytest.mark.parametrize("command", sorted(FRESH_COMMANDS))
+    def test_loads(self, command: str) -> None:
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import contextlib, io, sys\n"
-            "import qhaar.cli\n"
-            "loaded = ['concurrent.futures' in sys.modules]\n"
-            "for argv in (['verify', 'all'], ['identity', 'bailey'], ['identity', 'mass'],\n"
-            "             ['identity', 'poisson'], ['spectrum', 'cocentral'],\n"
-            "             ['spectrum', 'rho-inf'], ['spectrum', 'rho-sigma'],\n"
-            "             ['eval-series', '--upper', '8', '--z', '0.0875', '--q', '0.5']):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert qhaar.cli.main(argv) == 0, argv\n"
-            "    loaded.append('concurrent.futures' in sys.modules)\n"
-            "print(loaded)"
-        )
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", _RUN_AS_MAIN, *command.split()],
+            env=env, capture_output=True, text=True, check=True,
         )
-        assert done.stdout.strip() == str([False] * 9)
+        code, modules = json.loads(done.stdout)
+        assert code == 0, done.stderr
+        assert [m for m in modules if m.split(".")[0] == "qhaar"] == FRESH_COMMANDS[command]
+        assert [m for m in modules if m.startswith(NEVER_LOADED)] == []
 
 
 # seeds at the edges of the seed's 32-bit words: one word, two, three and more
@@ -445,7 +441,7 @@ class TestEveryCommandFormats:
         code, out, _ = run_cli(capsys, "verify", "thm4", "--trunc-n", "80", "--output", "csv")
         assert code == 0
         header = out.splitlines()[0].split(",")
-        assert header == ["theorem"] + [f.name for f in fields(VerifyRow) if f.name != "coeffs"]
+        assert header == ["theorem", *VerifyRow._fields]
         assert header == VERIFY_HEADER
 
     @pytest.mark.parametrize("argv, header, count", EVERY_COMMAND, ids=COMMAND_IDS)
@@ -526,8 +522,8 @@ class TestConfigFile:
         # RunConfig and VerifyConfig each declare tau, sigma, N, the degree and tol
         run = cli.RunConfig()
         got, want = run.verify_config(), VerifyConfig(run.context())
-        for f in fields(VerifyConfig):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for name in VerifyConfig._fields:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 class TestIdentity:
@@ -600,8 +596,8 @@ class TestSpectrum:
 
     def test_complex_band_is_two(self, capsys, monkeypatch) -> None:
         # off angle 0 rho-inf has no real gauge; the command refuses it
-        real = cli._element_band
-        monkeypatch.setattr(cli, "_element_band", lambda *a: real(*a[:3], 0.7, a[4]))
+        real = qsu2rep._element_band
+        monkeypatch.setattr(qsu2rep, "_element_band", lambda *a: real(*a[:3], 0.7, a[4]))
         code, out, err = run_cli(capsys, "spectrum", "rho-inf", "--trunc-n", "40")
         assert code == 2
         assert out == ""

@@ -432,6 +432,30 @@ class TestAwMeasure:
         assert _mass_ladder(1.0 + 2.0 * orthopoly.MASS_EDGE_TOL, 0.5) == range(1)
         assert _mass_ladder(2.0, 0.5) == range(1)
 
+    def test_mass_ladder_counts_as_from_zero(self) -> None:
+        # the logarithmic start ends where counting every rung from k = 0 ends
+        def counted(e: float, q: float) -> range:
+            k = 0
+            while abs(e) * q**k > 1.0 + orthopoly.MASS_EDGE_TOL:
+                k += 1
+            return range(k)
+
+        rng = np.random.default_rng(46)
+        es = [1.5, 2.0, 1 / 0.3, 1e3, -7.25, *(10.0 ** rng.uniform(0, 30, 100))]
+        assert _mass_ladder(1e300, 0.5) == counted(1e300, 0.5)
+        for q in (0.01, 0.3, 0.5, 0.9, 0.99):
+            for e in es:
+                assert _mass_ladder(e, q) == counted(e, q), (e, q)
+                # e at a rung's edge: q^-k (1 + MASS_EDGE_TOL) and its neighbours
+                for k in (1, 5, 40):
+                    edge = q**-k * (1.0 + orthopoly.MASS_EDGE_TOL)
+                    for x in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+                        assert _mass_ladder(x, q) == counted(x, q), (x, q)
+        # a few steps near q = 1, where counting from 0 would take billions
+        assert len(_mass_ladder(1e300, 1.0 - 1e-9)) == pytest.approx(690.8e9, rel=1e-3)
+        with pytest.raises(DomainError, match="finite"):
+            _mass_ladder(-math.inf, 0.5)
+
     def test_integrate_reads_coefficients_by_the_one_rule(self, ctx: QContext) -> None:
         # malformed coefficients and callables are refused; valid ones give the
         # bits of the former reading, np.asarray(f, dtype=float)
@@ -720,7 +744,7 @@ class TestBatchedKernels:
     CASES = {
         "asc_poisson continuous": lambda c: asc_poisson(0.25, 0.3, -0.2, 0.4, -0.3, c),
         "asc_poisson mass point": lambda c: asc_poisson(0.2, MASS_X0, MASS_X0, 1.6, 0.3, c),
-        "asc_mass_poisson_tq": lambda c: asc_mass_poisson_tq(2, 3.0, 0.2, c),
+        "asc_mass_poisson_tq": lambda c: asc_mass_poisson_tq(2, 20.0, 0.03, c),
         "cqh_poisson": lambda c: cqh_poisson(0.4, 0.3, -0.6, c),
         "cqh_weight": lambda c: cqh_weight(0.3, c),
         "aw_h0": lambda c: aw_h0(0.5, -0.4, 0.3, 0.2, c),
@@ -728,7 +752,7 @@ class TestBatchedKernels:
         "aw_theta_weight grid": lambda c: aw_theta_weight(
             np.linspace(0, 3, 7), 0.5, -0.4, 0.3, 0.2, c
         ),
-        "aw_mass_weight": lambda c: aw_mass_weight(2.0, (0.3, 0.0, -0.25), 2, c),
+        "aw_mass_weight": lambda c: aw_mass_weight(20.0, (0.03, 0.0, -0.025), 2, c),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -833,6 +857,9 @@ class TestRefusedByName:
         "asc_mass_poisson_tq a=1e-320": (lambda c: asc_mass_poisson_tq(0, 1e-320, 0.3, c), "a=1e-320"),
         "aw_mass_weight e=0": (lambda c: aw_mass_weight(0.0, (0.3, 0.0, 0.0), 0, c), "e=0.0"),
         "aw_mass_weight e=1e-320": (lambda c: aw_mass_weight(1e-320, (0.3, 0.0, 0.0), 0, c), "e=1e-320"),
+        # k off the ladder of a mass parameter that has one: the old TestBatchedKernels pins
+        "asc_mass_poisson_tq k=2": (lambda c: asc_mass_poisson_tq(2, 3.0, 0.2, c), "k=2 is off"),
+        "aw_mass_weight k=2": (lambda c: aw_mass_weight(2.0, (0.3, 0.0, -0.25), 2, c), "k=2 is off"),
         "q_charlier n=2000": (lambda c: q_charlier(2000, 0.3, 1.0, c), "n = 2000"),
         "aw_theta_weight theta=inf": (lambda c: aw_theta_weight(math.inf, 0.3, 0.2, 0.0, 0.0, c), "theta"),
         "aw_theta_weight theta=-inf": (lambda c: aw_theta_weight(-math.inf, 0.3, 0.2, 0.0, 0.0, c), "theta"),

@@ -1,14 +1,21 @@
-"""Package exports: ``qhaar`` re-exports the ``__all__`` of each library module."""
+"""Package exports: ``qhaar`` re-exports the ``__all__`` of each library module, loaded
+on first use."""
 from __future__ import annotations
 
+import argparse
 import importlib
+import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qhaar
+from qhaar import cli, haarverify
 
 MODULES = ("errors", "qseries", "spectral", "orthopoly", "qsu2rep", "haarverify")
 
@@ -47,3 +54,55 @@ def test_readme_library_sketch_runs(capsys) -> None:
     exec(block, {})
     labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert labels == ["1", "x", "x^2", "x^3", "x^4", "x^5", "x^6"]
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.strip()
+
+
+def test_import_loads_no_submodule_and_no_numpy() -> None:
+    out = _fresh("import sys, qhaar; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('qhaar', 'numpy')))")
+    assert out == "['qhaar']"
+
+
+def test_name_is_bound_after_first_use() -> None:
+    # later lookups are plain attributes, with no __getattr__ call
+    out = _fresh("import qhaar; before = 'thm6_measure' in vars(qhaar); qhaar.thm6_measure; "
+                 "print(before, vars(qhaar)['thm6_measure'] is qhaar.haarverify.thm6_measure)")
+    assert out == "False True"
+
+
+def test_dir_covers_all() -> None:
+    assert set(qhaar.__all__) <= set(dir(qhaar))
+
+
+def test_verify_targets_are_the_theorems_and_all() -> None:
+    # the parser names them without loading haarverify
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    target = next(a for a in commands.choices["verify"]._actions if a.dest == "target")
+    assert tuple(target.choices) == (*haarverify.THEOREMS, "all")
+
+
+@pytest.mark.parametrize("record, change", [
+    (lambda: qhaar.QContext(0.5), {"q": 2.0}),
+    (lambda: qhaar.MomentFunctional("M", qhaar.QContext(0.5)), {"kind": "L"}),
+    (lambda: qhaar.AWParams(0.3, 0.2, 0.0, 0.0, qhaar.QContext(0.5)), {"a": math.inf}),
+    (lambda: qhaar.SphericalParams(0.4, 1.5), {"sigma": math.nan}),
+    (lambda: qhaar.VerifyConfig(qhaar.QContext(0.5)), {"N": 0}),
+    (lambda: cli.RunConfig(), {"seed": -1}),
+], ids=["QContext", "MomentFunctional", "AWParams", "SphericalParams", "VerifyConfig", "RunConfig"])
+def test_replace_runs_the_record_checks(record, change) -> None:
+    with pytest.raises(qhaar.DomainError):
+        record()._replace(**change)
+
+
+def test_series_spec_replace_keeps_tuples() -> None:
+    spec = qhaar.SeriesSpec([0.3], [0.2], 0.5, qhaar.QContext(0.5))._replace(upper=[0.1, 0.4])
+    assert spec.upper == (0.1, 0.4) and spec.lower == (0.2,)

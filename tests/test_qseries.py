@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import io
 import json
 import math
@@ -50,7 +49,7 @@ class TestQContext:
 
     def test_equality_and_hash_follow_q_alone(self) -> None:
         # contexts are cache keys: equal bases give equal keys
-        assert [f.name for f in dataclasses.fields(QContext)] == ["q"]
+        assert QContext._fields == ("q",)
         assert QContext(0.5) == QContext(0.5) and hash(QContext(0.5)) == hash(QContext(0.5))
         assert QContext(0.5).squared() == QContext(0.25)
         assert hash(QContext(0.5).squared()) == hash(QContext(0.25))
