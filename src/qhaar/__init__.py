@@ -23,12 +23,18 @@ first name looked up that the package does not hold yet loads the six
 library modules and binds every name of their ``__all__``, and ``__all__``
 itself, into the package; from then on each is a plain attribute.  A
 submodule's name loads that submodule alone, so ``python -m qhaar``
-loads only what its command runs.
+loads only what its command runs.  ``THEOREMS``, the targets of
+``haarverify.verify``, is held here from the start, so that ``cli`` can
+name them without loading ``haarverify``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+# the targets of haarverify.verify, which re-exports them; written here so
+# that cli's parser names them without loading haarverify
+THEOREMS = ("thm4", "thm5", "thm6", "gamma")
 
 _LIBRARY = ("errors", "qseries", "spectral", "orthopoly", "qsu2rep", "haarverify")
 

@@ -28,6 +28,7 @@ import sys
 import time
 from typing import NamedTuple, get_type_hints
 
+from . import THEOREMS
 from .errors import ConvergenceError, DomainError
 from .qseries import Factorials, QContext, SeriesSpec, phi_rs
 
@@ -51,11 +52,6 @@ BAILEY_THETAS = (0.3, 0.9, 1.4, 2.2, 2.9)
 MASS_CASES = ((1.6, 0.3, 0), (2.5, -0.2, 1), (-1.8660659830736148, 0.2332649334213164, 0))
 
 OUTPUT_FORMATS = ("json", "csv", "text")
-
-# haarverify.THEOREMS, and all three thm* at once; written here so that
-# building the parser loads no haarverify
-_VERIFY_TARGETS = ("thm4", "thm5", "thm6", "gamma", "all")
-
 
 class _RunConfigFields(NamedTuple):
     q: float = 0.5
@@ -525,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None)
 
     p_verify = sub.add_parser("verify", help="dual-route theorem checks")
-    p_verify.add_argument("target", choices=_VERIFY_TARGETS)
+    p_verify.add_argument("target", choices=(*THEOREMS, "all"))
     add_config_flags(p_verify)
 
     p_ident = sub.add_parser("identity", help="standalone identity residuals")

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import THEOREMS
 from .errors import ConvergenceError, DomainError
 from .orthopoly import (
     AWParams,
@@ -81,7 +82,6 @@ __all__ = [
     "sigma_limit_check",
 ]
 
-THEOREMS = ("thm4", "thm5", "thm6", "gamma")
 
 # smaller measure values than this make relative error meaningless; the
 # reported rel_err falls back to the absolute error there

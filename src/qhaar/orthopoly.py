@@ -384,22 +384,9 @@ def asc_poisson_series(t: float, x: float, y: float, a: float, b: float, ctx: QC
 
 
 def _mass_ladder(e: float, q: float) -> range:
-    """Indices k of the discrete masses parameter e generates: |e| q^k > 1 + MASS_EDGE_TOL.
-
-    The count starts from a logarithmic estimate two rungs short of the
-    last, once the rung below the start is checked to hold (|e| q^k falls
-    as k grows), so it takes a few steps whatever |e| and q are, and ends
-    where counting from k = 0 does.  An infinite e raises DomainError.
-    """
-    edge = 1.0 + MASS_EDGE_TOL
-    if not abs(e) > edge:  # nan included
-        return range(0)
-    if math.isinf(e):
-        raise DomainError(f"mass parameter e={e!r} must be finite")
-    k = max(int(math.log(abs(e) / edge) / -math.log(q)) - 2, 0)
-    if k and not abs(e) * q ** (k - 1) > edge:
-        k = 0
-    while abs(e) * q**k > edge:
+    """Indices k of the discrete masses parameter e generates: |e| q^k > 1 + MASS_EDGE_TOL."""
+    k = 0
+    while abs(e) * q**k > 1.0 + MASS_EDGE_TOL:
         k += 1
     return range(k)
 
@@ -417,7 +404,7 @@ def asc_mass_poisson_tq(k: int, a: float, b: float, ctx: QContext) -> float:
     Only |a| > 1 generates discrete masses, at the k of its mass ladder,
     |a| q^k > 1 + MASS_EDGE_TOL; any other a or k raises DomainError.
     """
-    if k not in _mass_ladder(a, ctx.q):
+    if not (k >= 0 and abs(a) * ctx.q**k > 1.0 + MASS_EDGE_TOL):  # k in _mass_ladder(a, q)
         raise DomainError(f"k={k!r} is off the mass ladder of a={a!r} at q={ctx.q!r}")
     return _asc_mass_poisson_tq_form(k, a, b, ctx).evaluate(ctx)
 
@@ -632,7 +619,7 @@ def aw_mass_weight(e: float, others: Sequence[float], k: int, ctx: QContext) -> 
     1 + MASS_EDGE_TOL fails, raises DomainError; so does every k of an e
     with |e| <= 1, which generates no mass.
     """
-    if k not in _mass_ladder(e, ctx.q):
+    if not (k >= 0 and abs(e) * ctx.q**k > 1.0 + MASS_EDGE_TOL):  # k in _mass_ladder(e, q)
         raise DomainError(f"k={k!r} is off the mass ladder of e={e!r} at q={ctx.q!r}")
     return _aw_mass_weight_form(e, others, k, ctx).evaluate(ctx)
 

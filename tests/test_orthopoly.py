@@ -432,29 +432,21 @@ class TestAwMeasure:
         assert _mass_ladder(1.0 + 2.0 * orthopoly.MASS_EDGE_TOL, 0.5) == range(1)
         assert _mass_ladder(2.0, 0.5) == range(1)
 
-    def test_mass_ladder_counts_as_from_zero(self) -> None:
-        # the logarithmic start ends where counting every rung from k = 0 ends
-        def counted(e: float, q: float) -> range:
-            k = 0
-            while abs(e) * q**k > 1.0 + orthopoly.MASS_EDGE_TOL:
-                k += 1
-            return range(k)
-
-        rng = np.random.default_rng(46)
-        es = [1.5, 2.0, 1 / 0.3, 1e3, -7.25, *(10.0 ** rng.uniform(0, 30, 100))]
-        assert _mass_ladder(1e300, 0.5) == counted(1e300, 0.5)
-        for q in (0.01, 0.3, 0.5, 0.9, 0.99):
-            for e in es:
-                assert _mass_ladder(e, q) == counted(e, q), (e, q)
-                # e at a rung's edge: q^-k (1 + MASS_EDGE_TOL) and its neighbours
-                for k in (1, 5, 40):
-                    edge = q**-k * (1.0 + orthopoly.MASS_EDGE_TOL)
-                    for x in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
-                        assert _mass_ladder(x, q) == counted(x, q), (x, q)
-        # a few steps near q = 1, where counting from 0 would take billions
-        assert len(_mass_ladder(1e300, 1.0 - 1e-9)) == pytest.approx(690.8e9, rel=1e-3)
-        with pytest.raises(DomainError, match="finite"):
-            _mass_ladder(-math.inf, 0.5)
+    def test_mass_weights_take_the_ladder_k(self) -> None:
+        # aw_mass_weight and asc_mass_poisson_tq take exactly the k of _mass_ladder
+        for q in (0.25, 0.5):
+            c = QContext(q)
+            for e in (2.5, -2.5, 20.0, 1 / q, 1.0 + 2.0 * orthopoly.MASS_EDGE_TOL, 0.9):
+                for k in range(-1, len(_mass_ladder(e, q)) + 2):
+                    for call in (
+                        lambda: aw_mass_weight(e, (0.03, 0.0, 0.0), k, c),
+                        lambda: asc_mass_poisson_tq(k, e, 0.03, c),
+                    ):
+                        if k in _mass_ladder(e, q):
+                            assert math.isfinite(call()), (e, k, q)
+                        else:
+                            with pytest.raises(DomainError, match="off the mass ladder"):
+                                call()
 
     def test_integrate_reads_coefficients_by_the_one_rule(self, ctx: QContext) -> None:
         # malformed coefficients and callables are refused; valid ones give the
