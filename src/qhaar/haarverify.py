@@ -58,7 +58,7 @@ from .qsu2rep import (
     moment_trace,
     spectral_trace,
 )
-from .spectral import JacobiCoeffs, _jacobi_moments, _three_term, min_truncation
+from .spectral import JacobiCoeffs, _jacobi_moments, _offdiag_sqrt, min_truncation
 
 __all__ = [
     "VerifyConfig",
@@ -223,16 +223,21 @@ def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: fl
 
 def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
     """Jacobi matrix of the normalized base-q^2 Jackson integral on [lo, hi]:
-    big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), d_n = s (1 - A_n - C_n),
-    e_n^2 = s^2 A_n C_{n+1}, C_0 = 0 (printed 0/0).  The integral is even in x, so the
-    endpoint far of larger modulus sets s = far/q^2 and c = near/far: |c| <= 1.
-    As in :func:`aw_jacobi`, ``spectral._three_term`` forms the entries, and the
-    entry memo of :class:`JacobiCoeffs` is the only memo.
+    big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), e_n^2 = s^2 A_n C_{n+1}.
+    The integral is even in x, so the endpoint far of larger modulus sets
+    s = far/q^2 and c = near/far: |c| <= 1.  The diagonal s (1 - A_n - C_n)
+    (C_0 = 0, printed 0/0) is a bracket of size O(q^2) times s, so it is formed
+    as the equal d_n = (lo + hi) Q^n [(1 - Q^n)/(1 + Q^n)
+    + (1 - Q^{n+1})/(1 + Q^{n+1})] / (1 - Q^{2n+1}), Q = q^2, which keeps its
+    relative accuracy as q -> 0.  The entry memo of :class:`JacobiCoeffs` is
+    the only memo.
     """
     far, near = (lo, hi) if -lo > hi else (hi, lo)
     Q = ctx.q**2
     c = near / far
     s = far / Q
+    s2 = s * s
+    ends = lo + hi
 
     def A(n: int) -> float:
         num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
@@ -242,7 +247,11 @@ def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
         num = (Q**n - c) * Q ** (n + 1) * (1 - Q**n) ** 2
         return num / ((1 - Q ** (2 * n)) * (1 - Q ** (2 * n + 1)))
 
-    return _three_term(A, C, s, 1.0)
+    def diag(n: int) -> float:
+        u, v = Q**n, Q ** (n + 1)
+        return ends * u * ((1 - u) / (1 + u) + (1 - v) / (1 + v)) / (1 - Q ** (2 * n + 1))
+
+    return JacobiCoeffs(diag=diag, offdiag=lambda n: _offdiag_sqrt(s2 * A(n) * C(n + 1), n))
 
 
 class _Theorem(NamedTuple):

@@ -32,7 +32,7 @@ import numpy as np
 from . import qseries
 from .errors import ConvergenceError, DomainError
 from .qseries import Factorials, QContext, SeriesSpec, _as_coeffs, _check_power_range, phi_rs
-from .spectral import JacobiCoeffs, _three_term
+from .spectral import JacobiCoeffs, _offdiag_sqrt
 
 __all__ = [
     "AWParams",
@@ -657,9 +657,8 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
     d_n = (a + 1/a - A_n - C_n) / 2, e_n^2 = A_n C_{n+1} / 4, C_0 = 0 (printed 0/0
     at abcd = q^2).  The parameter of largest modulus plays a, so d_n does not
     cancel a large 1/a (the smallest there costs thm6 2.8e-13 at q = 0.1).
-    ``spectral._three_term`` forms the entries from A_n and C_n (n >= 1),
-    recomputing them where an entry needs them; the returned matrix's entry
-    memo (:class:`JacobiCoeffs`) is the only memo.
+    The entries recompute A_n and C_n (n >= 1) where they need them; the
+    returned matrix's entry memo (:class:`JacobiCoeffs`) is the only memo.
     """
     a, b, c, d = sorted(params.as_tuple(), key=abs, reverse=True)
     if a == 0.0:
@@ -676,7 +675,11 @@ def aw_jacobi(params: AWParams) -> JacobiCoeffs:
         num *= 1 - c * d * Q ** (n - 1)
         return num / ((1 - abcd * Q ** (2 * n - 2)) * (1 - abcd * Q ** (2 * n - 1)))
 
-    return _three_term(A, C, 0.5, a + 1.0 / a)
+    shift = a + 1.0 / a
+    return JacobiCoeffs(
+        diag=lambda n: 0.5 * (shift - A(n) - (C(n) if n else 0.0)),
+        offdiag=lambda n: _offdiag_sqrt(0.25 * A(n) * C(n + 1), n),
+    )
 
 
 class MeasureSpec(NamedTuple):

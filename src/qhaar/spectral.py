@@ -97,18 +97,6 @@ def _offdiag_sqrt(e2: float, m: int) -> float:
     return math.sqrt(e2)
 
 
-def _three_term(A: Callable, C: Callable, scale: float, shift: float) -> JacobiCoeffs:
-    """Jacobi matrix of an Askey-scheme family from its recurrence factors
-    (KLS 2010, ch. 14): d_n = scale (shift - A_n - C_n) with C_0 = 0, so
-    ``C`` is asked only for n >= 1, and e_n^2 = scale^2 A_n C_{n+1}.
-    """
-    scale2 = scale * scale
-    return JacobiCoeffs(
-        diag=lambda n: scale * (shift - A(n) - (C(n) if n else 0.0)),
-        offdiag=lambda n: _offdiag_sqrt(scale2 * A(n) * C(n + 1), n),
-    )
-
-
 # degrees a continued pass of _jacobi_moments computes past the one asked:
 # an ascending x^0..x^12 loop reaches x^13 from x^1, on the 7 rows x^12 needs
 _READ_AHEAD = 12

@@ -144,7 +144,6 @@ class TestExitCodes:
         [("verify", "thm6", "--sigma", "200"), ("verify", "thm6", "--sigma", "1e6"),
          ("spectrum", "rho-sigma", "--sigma", "1e6"), ("identity", "bailey", "--sigma", "1e6")],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_is_three(self, capsys, argv) -> None:
         # no nan rows, no overflow traceback and no numpy warning: the run
         # refuses with exit 3
@@ -184,7 +183,7 @@ class TestExitCodes:
         assert "for rho_tau_sigma at degree 6 (reach 2)" in err
 
 
-DOMAIN_QS = ("0.01", "0.05", "0.3", "0.5", "0.9", "0.95", "0.97", "0.99", "0.995")
+DOMAIN_QS = ("1e-9", "1e-5", "0.01", "0.05", "0.3", "0.5", "0.9", "0.95", "0.97", "0.99", "0.995")
 DOMAIN_TARGETS = [("verify", t) for t in ("all", "thm4", "thm5", "thm6", "gamma")] + [
     ("identity", t) for t in ("bailey", "mass", "poisson")] + [
     ("spectrum", t) for t in ("cocentral", "rho-inf", "rho-sigma")]
@@ -615,6 +614,21 @@ class TestSpectrum:
         total = sum(r["weight"] for r in doc["rows"])
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 161, 480])
+    @pytest.mark.parametrize("q", [0.05, 0.99])
+    def test_cocentral_edges(self, capsys, q: float, n: int) -> None:
+        # the spectrum of the truncated cocentral element is symmetric about
+        # 0, holds 0 once when its size is odd, and its weights sum to the
+        # Haar weight 1 - q^{2(n+1)} of its n + 1 basis states
+        code, out, _ = run_cli(capsys, "spectrum", "cocentral", "--q", str(q), "--trunc-n", str(n))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        xs = [r["eigenvalue"] for r in rows]
+        assert len(xs) == n + 1 and xs == [-x for x in reversed(xs)]
+        assert xs.count(0.0) == (n + 1) % 2
+        total = sum(r["weight"] for r in rows)
+        assert abs(total - (1.0 - q ** (2 * (n + 1)))) <= 1e-13, total
+
 
 def scanned_ladder(x: float, q: float, tau: float) -> tuple[float, float]:
     """The former nearest-rung scan over k < 2000, kept as the reference."""
@@ -700,7 +714,7 @@ class TestEvalSeries:
     def test_non_finite_argument_is_two(self, capsys, argv) -> None:
         code, out, err = run_cli(capsys, "eval-series", *argv)
         assert code == 2 and out == ""
-        assert "not finite" in err
+        assert err.startswith("error: ") and "not finite" in err
 
     def test_base_is_q(self, capsys) -> None:
         code, out, _ = run_cli(capsys, "eval-series", "--z", "0.1", "--q", "0.3")

@@ -287,7 +287,6 @@ class TestGaussRuleMeasures:
         assert call(np.array([1, 0, 3]), ctx) == want
 
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call",
         [
@@ -347,7 +346,6 @@ class TestNanParameters:
             with pytest.raises(ConvergenceError, match="leaves the float range"):
                 thm6_measure([1.0, 1.0], tau, sigma, ctx)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call, named",
         [
@@ -443,11 +441,12 @@ class TestPlainCoefficients:
         assert values(p) == values(np.array(p, dtype=object))
 
 
-# the grid of the moment oracle, and the mass-threshold draws of CI
+# the grid of the moment oracle, and the mass-threshold draws (EDGE_DRAWS)
+# rounded to four digits, as the edge commands of tests/test_contract.py pass them
 BIT_Q = (0.01, 0.05, 0.3, 0.5, 0.9, 0.95, 0.99, 0.995)
 BIT_TAU = (0.0, 0.4, 1.2)
 BIT_SIGMA = (0.3, 1.5)
-CI_EDGE_DRAWS = ((0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953))
+ROUNDED_EDGE_DRAWS = ((0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953))
 EPS = np.finfo(float).eps
 
 
@@ -611,7 +610,7 @@ class TestJacobiMoments:
                     lambda p: thm6_measure(p, tau, sigma, ctx), jacobi("thm6", ctx, tau, sigma)
                 )
 
-    @pytest.mark.parametrize("q, tau, sigma", CI_EDGE_DRAWS + EDGE_DRAWS)
+    @pytest.mark.parametrize("q, tau, sigma", ROUNDED_EDGE_DRAWS + EDGE_DRAWS)
     def test_mass_threshold_draws(self, q: float, tau: float, sigma: float) -> None:
         ctx = QContext(q)
         _assert_oracle(
@@ -837,7 +836,6 @@ class TestMeasureJacobiCache:
 class TestPowerRange:
     """A tau or sigma whose powers of q overflow is refused, not an OverflowError."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call, named",
         [
@@ -943,7 +941,6 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify(theorem, cfg)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_side_refused(self) -> None:
         # at sigma = 200 the thm6 element and measure leave the float range;
         # the rows must not carry nan or inf
@@ -1022,7 +1019,6 @@ class TestIntermediate:
         (0.9, 0.3, s) for s in (0.7047, 0.70438, 1.30028, 1.3)
     ]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q, tau, sigma", GRID)
     def test_grid_through_degree_12(self, q: float, tau: float, sigma: float) -> None:
         ctx = QContext(q)
@@ -1208,7 +1204,6 @@ class TestBailey:
         ),
     }
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(NON_FINITE_THETA))
     def test_non_finite_theta_refused_by_name(self, name: str, ctx: QContext) -> None:
         with pytest.raises(QHaarError, match="theta must be finite"):
@@ -1648,6 +1643,12 @@ class TestSigmaLimit:
         assert all(type(e) is float for e in errs)
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("q, tau", [(0.5, TAU), (0.95, TAU), (0.99, TAU), (0.9, 0.3)])
+    def test_finite_at_the_kernel_draws(self, q: float, tau: float) -> None:
+        # the (q, tau) of TestIntermediate's grid points at sigma = 1.5 and 0.7047
+        errs = sigma_limit_check((0.0, 0.0, 1.0), tau, QContext(q))
+        assert all(type(e) is float and math.isfinite(e) for e in errs), errs
+
     def test_needs_coefficients(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
             sigma_limit_check(lambda x: x, TAU, ctx)
@@ -1673,3 +1674,23 @@ class TestGammaMeasure:
             want = (1.0 - Q) / (1.0 - Q ** (m + 1))
             got = gamma_measure([0.0] * m + [1.0], ctx)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestJacksonExactMoments:
+    """The Jackson measures against their moments in exact arithmetic, q from
+    1e-9 to 0.995, on the float q and q^{2 tau} the measures are given."""
+
+    @pytest.mark.parametrize("q", (1e-9, 1e-6, 1e-5, 3e-5, 1e-3) + BIT_Q)
+    def test_relative_error(self, q: float) -> None:
+        # gamma: int_0^1 x^k d_Q x = (1 - Q)/(1 - Q^{k+1}); thm5 on [-1, u]:
+        # (1 - Q)(u^{k+1} + (-1)^k)/((1 - Q^{k+1})(1 + u)), Q = q^2, u = q^{2 tau}
+        ctx, Q = QContext(q), Fraction(q) ** 2
+        for k in range(13):
+            p = [0.0] * k + [1.0]
+            want = (1 - Q) / (1 - Q ** (k + 1))
+            assert abs(Fraction(gamma_measure(p, ctx)) - want) <= Fraction(1e-14) * want, k
+            for tau in BIT_TAU:
+                u = Fraction(q ** (2.0 * tau))
+                want = (1 - Q) * (u ** (k + 1) + (-1) ** k) / ((1 - Q ** (k + 1)) * (1 + u))
+                got = Fraction(thm5_measure(p, tau, ctx))
+                assert abs(got - want) <= Fraction(1e-14) * abs(want), (k, tau)

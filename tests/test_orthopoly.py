@@ -860,7 +860,6 @@ class TestRefusedByName:
         "AWParams b=nan": (lambda c: AWParams(0.3, math.nan, 0.1, 0.1, c), "finite"),
     }
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_refused(self, name: str, ctx: QContext) -> None:
         call, match = self.CASES[name]
