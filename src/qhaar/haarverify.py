@@ -2,11 +2,11 @@
 
 Three closed forms are checked, each by computing both sides independently:
 the operator side as a phase-averaged weighted trace of p(element) on a
-truncated representation, and the measure side as the moments
-e_0^T J^k e_0 of the claimed measure's Jacobi matrix J, exact for
-polynomials, masses included.  Each measure's Jacobi matrix is memoized
-with the recurrence entries it has grown and the moments it has given, in
-a cache of fixed size that only the measure route reads.
+truncated representation, and the measure side as sum_k c_k m_k over the
+claimed measure's moments: in closed form for the semicircle and the
+Jackson integrals, and as e_0^T J^k e_0 of the Askey-Wilson Jacobi matrix J,
+masses included.  J is memoized with the entries it has grown and the
+moments it has given, in a cache of fixed size that only the measure route reads.
 
     thm4   p((a + a*)/2)        against the semicircle law on [-1, 1]
     thm5   p(rho_tau_inf)       against a two-endpoint Jackson integral
@@ -41,7 +41,6 @@ from .orthopoly import (
     _aw_mass_weight_form,
     _aw_theta_weight_form,
     _mass_ladder,
-    aw_jacobi,
     aw_masses,
 )
 from .qseries import Factorials, QContext, _as_coeffs, _check_numbers, _check_power_range, _coeff_list
@@ -88,9 +87,6 @@ __all__ = [
 REL_ERR_FLOOR = 1e-6
 
 _TAIL_TOL = 1e-17  # truncation tail of the self-sized traces, below their rounding
-
-_SEMICIRCLE = JacobiCoeffs(diag=lambda m: 0.0, offdiag=lambda m: 0.5)  # Chebyshev U
-
 
 def monomials(max_degree: int) -> tuple[tuple[float, ...], ...]:
     """Coefficient tuples (ascending) for 1, x, ..., x^max_degree."""
@@ -188,70 +184,49 @@ def _row(label: str, trace_side: float, measure_side: float, tol: float,
 
 
 def _measure_integrals(theorem: str, ctx: QContext | None, tau: float, sigma: float,
-                       polys) -> tuple[list[float], int]:
-    """Integrals of each p in ``polys`` against a theorem's measure, and the Jacobi rows read.
+                       polys) -> list[float]:
+    """Integrals sum_k c_k m_k of each p in ``polys``, in Python floats (:func:`_coeff_list`).
 
-    The moments e_0^T J^k e_0 through the largest degree serve every
-    polynomial as sum_k c_k e_0^T J^k e_0, in Python floats from the
-    coefficients on (:func:`_coeff_list`), read on the leading
-    deg // 2 + 1 rows of the measure's Jacobi matrix.  That matrix comes
-    from :func:`_measure_jacobi`, asked with the arguments the measure
-    does not depend on set to None or 0.0, so thm4 shares one matrix
-    across every ``ctx``, thm5 ignores ``sigma`` and gamma both ``tau``
-    and ``sigma``.  The matrix keeps the moments it has given
-    (:func:`_jacobi_moments`), so later calls on the same measure read
-    them or continue their pass, with values that do not depend on the
-    order of the calls.  A ``tau`` or ``sigma`` the measure reads that is
-    nan raises DomainError by name before any matrix is built; an
-    integral that is not finite raises ConvergenceError.
-    """
-    if theorem == "thm4":
-        ctx = None
-    if theorem in ("thm4", "gamma"):
-        tau = 0.0
-    if theorem != "thm6":
-        sigma = 0.0
-    _check_numbers(tau=tau, sigma=sigma)
+    thm6's moments are e_0^T J^k e_0 on its memoized Jacobi matrix, which keeps them
+    (:func:`_jacobi_moments`) whatever the order of the calls; the others are the paper's
+    integrals (:func:`_closed_moment`), formed only at the k of a nonzero c_k.  A nan ``tau``
+    or ``sigma`` the measure reads raises DomainError by name first, and an integral that is
+    not finite ConvergenceError."""
     coeffs = [_coeff_list(p) for p in polys]
     degree = max(map(_poly_degree, coeffs))
-    moments = _jacobi_moments(_measure_jacobi(theorem, ctx, tau, sigma), degree)
+    if theorem == "thm6":
+        _check_numbers(tau=tau, sigma=sigma)
+        moments = _jacobi_moments(_thm6_jacobi(tau, sigma, ctx), degree)
+    else:
+        if theorem == "thm5":
+            _check_power_range(ctx.q, 2.0 * tau * (degree + 1), tau=tau)
+        moments = [0.0] * (degree + 1)
+        for k in {k for c in coeffs for k, ck in enumerate(c) if ck}:
+            moments[k] = _closed_moment(theorem, ctx, tau, k)
     values = [sum(map(operator.mul, c, moments)) for c in coeffs]
     if not all(map(math.isfinite, values)):
         raise ConvergenceError(f"{theorem} measure integral is not finite: {values}")
-    return values, degree // 2 + 1
+    return values
 
 
-def _jackson_jacobi(lo: float, hi: float, ctx: QContext) -> JacobiCoeffs:
-    """Jacobi matrix of the normalized base-q^2 Jackson integral on [lo, hi]:
-    big q-Jacobi P_n(x/s; 1, 1, c; q^2) (KLS 2010, eq. 14.5.3), e_n^2 = s^2 A_n C_{n+1}.
-    The integral is even in x, so the endpoint far of larger modulus sets
-    s = far/q^2 and c = near/far: |c| <= 1.  The diagonal s (1 - A_n - C_n)
-    (C_0 = 0, printed 0/0) is a bracket of size O(q^2) times s, so it is formed
-    as the equal d_n = (lo + hi) Q^n [(1 - Q^n)/(1 + Q^n)
-    + (1 - Q^{n+1})/(1 + Q^{n+1})] / (1 - Q^{2n+1}), Q = q^2, which keeps its
-    relative accuracy as q -> 0.  The entry memo of :class:`JacobiCoeffs` is
-    the only memo.
+def _closed_moment(theorem: str, ctx: QContext | None, tau: float, k: int) -> float:
+    """Moment k of the semicircle or a base-q^2 Jackson integral, with Q = q^2 and u = q^(2 tau),
+    each 1 - Q^j and u^(k+1) - 1 an expm1 of a multiple of ln q, so that nothing cancels:
+
+        thm4   C_j / 4^j at k = 2j (Catalan), 0 at odd k
+        gamma  (1 - Q) / (1 - Q^(k+1)), over [0, 1]
+        thm5   (1 - Q)(u^(k+1) + (-1)^k) / ((1 - Q^(k+1))(1 + u)), over [-1, u] / (1 + u)
     """
-    far, near = (lo, hi) if -lo > hi else (hi, lo)
-    Q = ctx.q**2
-    c = near / far
-    s = far / Q
-    s2 = s * s
-    ends = lo + hi
-
-    def A(n: int) -> float:
-        num = (1 - Q ** (n + 1)) ** 2 * (1 - c * Q ** (n + 1))
-        return num / ((1 - Q ** (2 * n + 1)) * (1 - Q ** (2 * n + 2)))
-
-    def C(n: int) -> float:
-        num = (Q**n - c) * Q ** (n + 1) * (1 - Q**n) ** 2
-        return num / ((1 - Q ** (2 * n)) * (1 - Q ** (2 * n + 1)))
-
-    def diag(n: int) -> float:
-        u, v = Q**n, Q ** (n + 1)
-        return ends * u * ((1 - u) / (1 + u) + (1 - v) / (1 + v)) / (1 - Q ** (2 * n + 1))
-
-    return JacobiCoeffs(diag=diag, offdiag=lambda n: _offdiag_sqrt(s2 * A(n) * C(n + 1), n))
+    if theorem == "thm4":
+        j = k // 2
+        return 0.0 if k % 2 else math.comb(2 * j, j) / ((j + 1) << (2 * j))
+    log_q = math.log(ctx.q)
+    moment = math.expm1(2.0 * log_q) / math.expm1(2.0 * (k + 1) * log_q)
+    if theorem == "gamma":
+        return moment
+    log_u = 2.0 * tau * (k + 1) * log_q  # the range check's exponent at the top degree
+    ends = math.expm1(log_u) if k % 2 else math.exp(log_u) + 1.0
+    return moment * ends / (1.0 + math.exp(2.0 * tau * log_q))
 
 
 class _Theorem(NamedTuple):
@@ -262,7 +237,7 @@ class _Theorem(NamedTuple):
 
 
 def _theorem(theorem: str, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
-    """The element each theorem pairs with its measure (:func:`_measure_jacobi`)."""
+    """The element each theorem pairs with its measure (:func:`_measure_integrals`)."""
     if theorem == "thm4":
         return _Theorem("cocentral", None)
     if theorem == "thm5":
@@ -273,65 +248,79 @@ def _theorem(theorem: str, tau: float = 0.0, sigma: float = 0.0) -> _Theorem:
 
 
 @functools.lru_cache(maxsize=128)
-def _measure_jacobi(theorem: str, ctx: QContext | None, tau: float, sigma: float) -> JacobiCoeffs:
-    """The one place each theorem's measure is written, as its Jacobi matrix;
-    thm4 alone needs no ``ctx``.
+def _thm6_jacobi(tau: float, sigma: float, ctx: QContext) -> JacobiCoeffs:
+    """Jacobi matrix of thm6's Askey-Wilson measure (KLS 2010, eq. 14.1.5), memoized.
 
-    Memoized for the 128 most recently used measures: the moments of every
-    degree read one matrix, which evaluates each recurrence entry and each
-    moment once (:class:`JacobiCoeffs`).  A builder that raises caches
-    nothing.
+    At :func:`thm6_params`, with Q = q^2, z = Q^(n+1), s = sinh(tau ln q)
+    and t = sinh(sigma ln q), the recurrence reads
+
+        d_n   = -4 q s t Q^n / ((1 + Q^n)(1 + z))
+        e_n^2 = (1 - z)^2 [(1 + z)^2 + 4 z s^2] [(1 + z)^2 + 4 z t^2]
+                / (4 (1 + z)^2 (1 - Q^(2n+1))(1 - Q^(2n+3)))
+
+    Only s t has a sign and each 1 - Q^j is an expm1: d_n is exactly 0 at tau = 0 or
+    sigma = 0, and tau <-> sigma or tau -> -tau acts exactly.  Powers past the float
+    range raise ConvergenceError.
     """
-    if theorem == "thm4":
-        return _SEMICIRCLE
-    if theorem == "thm5":
-        _check_power_range(ctx.q, 2.0 * tau, tau=tau)
-        return _jackson_jacobi(-1.0, ctx.q ** (2.0 * tau), ctx)
-    if theorem == "thm6":
-        return aw_jacobi(thm6_params(tau, sigma, ctx))
-    return _jackson_jacobi(0.0, 1.0, ctx)
+    q = ctx.q
+    lowest = min(1.0 - abs(sigma) - abs(tau), -abs(tau), -abs(sigma))
+    _check_power_range(q, lowest, tau=tau, sigma=sigma)
+    log_Q = 2.0 * math.log(q)
+    s, t = _sinh_log(q, tau), _sinh_log(q, sigma)
+    shift, s2, t2 = -4.0 * (s * t), 4.0 * s * s, 4.0 * t * t
+
+    def offdiag(n: int) -> float:  # each Q^j - 1 an expm1; they come in pairs
+        z = q ** (2 * n + 2)
+        w = (1.0 + z) ** 2
+        num = math.expm1((n + 1) * log_Q) ** 2 * ((w + z * s2) * (w + z * t2))
+        den = 4.0 * w * math.expm1((2 * n + 1) * log_Q) * math.expm1((2 * n + 3) * log_Q)
+        return _offdiag_sqrt(num / den, n)
+
+    return JacobiCoeffs(
+        diag=lambda n: shift * q ** (2 * n + 1) / ((1.0 + q ** (2 * n)) * (1.0 + q ** (2 * n + 2))),
+        offdiag=offdiag,
+    )
+
+
+def _sinh_log(q: float, e: float) -> float:
+    """sinh(e ln q) within a few ulps: from pow where q^e - q^-e does not cancel (|e ln q| > 1)."""
+    x = e * math.log(q)
+    return 0.5 * (q**e - q**-e) if abs(x) > 1.0 else math.sinh(x)
 
 
 @functools.lru_cache(maxsize=128)
-def _kernel_jacobi(params: AWParams) -> JacobiCoeffs:
-    """``aw_jacobi`` of a kernel measure of :func:`intermediate_check`, memoized.
+def _kernel_jacobi(total: float, product: float, ctx: QContext) -> JacobiCoeffs:
+    """Al-Salam-Chihara Jacobi matrix, a + b = ``total``, ab = ``product``, base Q = ``ctx.q``
+    (KLS 2010, §14.8): d_n = (a + b) Q^n / 2, e_n^2 = (1 - Q^(n+1))(1 - ab Q^n) / 4; memoized."""
+    Q, log_Q = ctx.q, math.log(ctx.q)
+    return JacobiCoeffs(
+        diag=lambda n: 0.5 * total * Q**n,
+        offdiag=lambda n: _offdiag_sqrt(-0.25 * math.expm1((n + 1) * log_Q) * (1.0 - product * Q**n), n),
+    )
 
-    Kept as :func:`_measure_jacobi` keeps the theorems' measures, for the
-    128 most recently used parameter sets, so a loop of checks
-    over polynomials grows one matrix per kernel (:class:`JacobiCoeffs`)
-    and evaluates each recurrence entry once.
-    """
-    return aw_jacobi(params)
 
-
-def _measure_route(theorem: str, ctx: QContext, tau: float, sigma: float) -> str:
-    """The label :func:`verify` gives the measure side; thm6 counts its mass points."""
+def _measure_route(theorem: str, ctx: QContext, tau: float, sigma: float, degree: int) -> str:
+    """The label :func:`verify` gives the measure side; thm6 counts its mass points and rows."""
     if theorem == "thm4":
-        return "semicircle (Chebyshev U)"
+        return "semicircle (Chebyshev U), closed-form moments"
     if theorem == "thm5":
-        return f"Jackson q^2-integral over [-1, q^(2*{tau:g})] (big q-Jacobi)"
+        return f"Jackson q^2-integral over [-1, q^(2*{tau:g})], closed-form moments"
     if theorem == "thm6":
-        aw = thm6_params(tau, sigma, ctx)
+        aw, rows = thm6_params(tau, sigma, ctx), degree // 2 + 1
         masses = sum(len(_mass_ladder(e, aw.ctx.q)) for e in aw.as_tuple())
-        return f"Askey-Wilson q^2 measure, {masses} mass point(s)"
-    return "Jackson q^2-integral over [0, 1] (big q-Jacobi)"
+        return f"Askey-Wilson q^2 measure, {masses} mass point(s), Jacobi moments on {rows} row(s)"
+    return "Jackson q^2-integral over [0, 1], closed-form moments"
 
 
 def thm4_measure(p) -> float:
-    """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx.
-
-    ``p`` is an ascending coefficient array, integrated as
-    sum_k c_k e_0^T J^k e_0 on the Chebyshev U matrix J (diagonal 0,
-    off-diagonal 1/2), so its odd moments are exactly 0.  Like the other
-    three measure functions, it reads the memoized Jacobi matrix of its
-    measure (:func:`_measure_jacobi`).
-    """
-    return _measure_integrals("thm4", None, 0.0, 0.0, [p])[0][0]
+    """Semicircle moments (2/pi) int_{-1}^1 p(x) sqrt(1-x^2) dx, ``p`` ascending coefficients;
+    m_2j = C_j / 4^j correctly rounded, and odd moments exactly 0."""
+    return _measure_integrals("thm4", None, 0.0, 0.0, [p])[0]
 
 
 def thm5_measure(p, tau: float, ctx: QContext) -> float:
     """(1 + q^{2 tau})^{-1} times the base-q^2 Jackson integral of p over [-1, q^{2 tau}]."""
-    return _measure_integrals("thm5", ctx, tau, 0.0, [p])[0][0]
+    return _measure_integrals("thm5", ctx, tau, 0.0, [p])[0]
 
 
 def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
@@ -353,12 +342,12 @@ def thm6_params(tau: float, sigma: float, ctx: QContext) -> AWParams:
 
 def thm6_measure(p, tau: float, sigma: float, ctx: QContext) -> float:
     """Integral of p against the Askey-Wilson measure attached to rho_tau_sigma."""
-    return _measure_integrals("thm6", ctx, tau, sigma, [p])[0][0]
+    return _measure_integrals("thm6", ctx, tau, sigma, [p])[0]
 
 
 def gamma_measure(p, ctx: QContext) -> float:
     """Base-q^2 Jackson integral of p over [0, 1]."""
-    return _measure_integrals("gamma", ctx, 0.0, 0.0, [p])[0][0]
+    return _measure_integrals("gamma", ctx, 0.0, 0.0, [p])[0]
 
 
 def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
@@ -366,21 +355,20 @@ def verify(theorem: str, cfg: VerifyConfig) -> VerifyReport:
 
     ``theorem`` is one of "thm4", "thm5", "thm6", "gamma".  One pass of
     :func:`haar_moments` at ``max_degree``, on its smallest exact phase
-    grid, serves the trace side of every row, one pass of the Jacobi
-    moments e_0^T J^k e_0 through that degree its measure side.
+    grid, serves the trace side of every row, and the measure's moments
+    through that degree its measure side (:func:`_measure_integrals`).
     Each row's ``trace_route`` names that grid: one angle in the real gauge
     for the covariant elements, the least M with lcm(M, 2) > 2*degree
     angles for rho_tau_sigma.  Its ``measure_route`` names the measure and
-    the deg // 2 + 1 Jacobi rows the moments read.  Neither side returns a
-    number that is not finite: each route raises ConvergenceError.
+    its moments' source: closed forms, or thm6's deg // 2 + 1 Jacobi rows.
+    Neither side returns a number that is not finite: each raises ConvergenceError.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     pair = _theorem(theorem, cfg.tau, cfg.sigma)
     polys = monomials(cfg.max_degree)
-    measures, rows = _measure_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, polys)
-    route = _measure_route(theorem, cfg.ctx, cfg.tau, cfg.sigma)
-    measure_route = f"{route}, Jacobi moments on {rows} row(s)"
+    measures = _measure_integrals(theorem, cfg.ctx, cfg.tau, cfg.sigma, polys)
+    measure_route = _measure_route(theorem, cfg.ctx, cfg.tau, cfg.sigma, cfg.max_degree)
     moments = haar_moments(cfg.ctx, pair.element, cfg.max_degree, cfg.N, pair.params, tol=cfg.tol)
     angles = len(moments)
     grid = "1 angle (real gauge)" if angles == 1 else f"{angles} angles"
@@ -414,10 +402,11 @@ class IntermediateReport(NamedTuple):
 def _asc_pair(tau: float, sigma: float, q: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """The Al-Salam-Chihara parameter pairs of the two kernels.
 
-    Their callers also weight the kernels by q^(2 tau) and q^(-2 tau); the
-    range check covers those powers too.
+    Their callers also weight the kernels by q^(2 tau) and q^(-2 tau), and
+    form a + b with sinh(sigma ln q); the range check covers those too.
     """
-    _check_power_range(q, min(1.0 - abs(sigma) - abs(tau), -2.0 * abs(tau)), tau=tau, sigma=sigma)
+    lowest = min(1.0 - abs(sigma) - abs(tau), -2.0 * abs(tau), -abs(sigma))
+    _check_power_range(q, lowest, tau=tau, sigma=sigma)
     a1 = q ** (1.0 + sigma - tau)
     b1 = -(q ** (1.0 - sigma - tau))
     a2 = q ** (1.0 - sigma + tau)
@@ -436,9 +425,9 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     """Check the kernel-pair expression of the thm6 functional on one polynomial.
 
     By the kernel's defining series each integral is sum_n Q^n [p(J)]_{nn},
-    Q = q^2, over its measure's Jacobi matrix J (``aw_jacobi``, memoized in
-    :func:`_kernel_jacobi`), read off the band powers of J by
-    ``qsu2rep._band_moments`` as the trace route reads its element's: no
+    Q = q^2, over its measure's Jacobi matrix J (:func:`_kernel_jacobi`),
+    read off the band powers of J by ``qsu2rep._band_moments`` as the
+    trace route reads its element's: no
     quadrature, and no closed-form kernel (``identity poisson`` checks that).
     J and the trace route's element are truncated where their tails
     Q^(N - reach * degree) fall below _TAIL_TOL, reach 1 for J.  A value
@@ -450,8 +439,9 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     q = ctx.q
     Q = q * q
     coeffs = _as_coeffs(p)
-    measures = [AWParams(a, b, 0.0, 0.0, ctx.squared()) for a, b in _asc_pair(tau, sigma, q)]
-    masses1, masses2 = map(aw_masses, measures)
+    pairs = _asc_pair(tau, sigma, q)
+    s = 2.0 * _sinh_log(q, sigma)  # a + b of each pair is 0 exactly at sigma = 0
+    masses1, masses2 = (aw_masses(AWParams(a, b, 0.0, 0.0, ctx.squared())) for a, b in pairs)
     sep = min((abs(x1 - x2) for x1, _ in masses1 for x2, _ in masses2), default=math.inf)
     if sep < 1e-10:
         raise DomainError("mass supports of the two kernel measures collide")
@@ -459,8 +449,8 @@ def intermediate_check(p, tau: float, sigma: float, ctx: QContext) -> Intermedia
     size = min_truncation(degree, _TAIL_TOL, q)
     weights = Q ** np.arange(size)
     parts = []
-    for m in measures:
-        d, e = _kernel_jacobi(m).arrays(size)
+    for (a, b), total in zip(pairs, (q ** (1.0 - tau) * s, -(q ** (1.0 + tau)) * s)):
+        d, e = _kernel_jacobi(total, a * b, ctx.squared()).arrays(size)
         J = _Band({-1: np.append(0.0, e), 0: d, 1: np.append(e, 0.0)})
         parts.append(_band_moments(J, degree, weights, 1)[0].real)
     w1 = (1.0 - Q) / (1.0 + q ** (2.0 * tau))
@@ -651,6 +641,8 @@ def _mass_identity_form(a: float, b: float, k: int, ctx: QContext) -> Factorials
         raise DomainError(f"{case}: need signed ab < 1")
     if k not in _mass_ladder(a, q):
         raise DomainError(f"{case}: index k beyond the mass ladder of a")
+    if b == 0.0:
+        raise DomainError(f"{case}: b = 0 makes q/b, a parameter of the four-parameter side, infinite")
     if q / (a * b) == 1.0:
         raise DomainError(f"{case}: q = ab makes the prefactor 1/(1 - q/(ab)) singular")
 

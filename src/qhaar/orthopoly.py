@@ -285,12 +285,12 @@ def asc_all(n_max: int, x, a: float, b: float, ctx: QContext) -> np.ndarray:
 
     The result has shape (n_max + 1,) + shape(x).  Each point runs the
     recurrence on Python floats: callers pass one or two points, where a
-    numpy step per term would cost several times more.  A non-finite a or b
-    raises DomainError.
+    numpy step per term would cost several times more.  A non-finite a, b
+    or x raises DomainError.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"asc_all needs finite a and b, got a={a!r}, b={b!r}")
     x = np.asarray(x, dtype=float)
+    if not (math.isfinite(a) and math.isfinite(b) and np.isfinite(x).all()):
+        raise DomainError(f"asc_all needs finite a, b and x, got a={a!r}, b={b!r}, x={x.tolist()!r:.40}")
     q = ctx.q
     cols = []
     for xv in x.ravel().tolist():
@@ -578,7 +578,8 @@ def aw_theta_weight(theta, a: float, b: float, c: float, d: float, ctx: QContext
     w = |(e^{2 i theta};q)_inf|^2 / prod_e |(e e^{i theta};q)_inf|^2 for the
     real parameters e in {a,b,c,d}.  A scalar theta runs as an array of
     one angle, so it gets the same last bits as inside any array.  A theta
-    that is not finite raises DomainError.
+    that is not finite raises DomainError, and so does a pole, an angle
+    where some 1 - e q^k e^{i theta} is 0 (at theta = 0 or pi, a 0/0).
     """
     return _aw_theta_weight_form(theta, a, b, c, d).evaluate(ctx)
 
@@ -596,6 +597,9 @@ def _aw_theta_weight_form(theta, a: float, b: float, c: float, d: float) -> Fact
         den = np.ones_like(num)
         for v in vals[1:]:
             den *= np.abs(v) ** 2
+        if not den.all():
+            pole = float(th.flat[np.argmin(den)])
+            raise DomainError(f"theta = {pole!r} is a pole of the weight at a, b, c, d = {a, b, c, d}")
         out = num / den
         return out.reshape(th.shape) if th.shape else float(out[0])
 

@@ -18,6 +18,11 @@ COMMANDS = [
     # thm6 at the two mass-threshold draws, rounded as a user types them
     ("verify thm6 --q 0.9 --tau 0.3 --sigma 0.7047", 0),
     ("verify thm6 --q 0.9 --tau 0.3 --sigma 1.2953", 0),
+    # thm6 at tau = 0 or sigma = 0, where the measure is even and its odd moments are 0
+    ("verify thm6 --q 0.066 --tau 0 --sigma 2.1 --max-degree 12", 0),
+    ("verify thm6 --q 0.01 --tau 2 --sigma 0", 0),
+    # thm5 where u^(degree+1) = q^(2 tau (degree+1)) leaves the float range
+    ("verify thm5 --q 0.3 --tau -200", 3),
     # past the old degree cap, and the empty degree range
     ("verify all --max-degree 24 --trunc-n 80", 0),
     ("verify all --max-degree 0", 0),

@@ -89,8 +89,8 @@ class TestThm4Measure:
             assert thm4_measure(coeffs) == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_moments_exactly_zero(self) -> None:
-        # the semicircle's Jacobi diagonal is exactly 0, so J^j e_0 and J^(j+1) e_0
-        # never share a nonzero row and every odd moment is a sum of exact zeros
+        # the semicircle is even: an odd moment is formed as exactly 0.0, and a
+        # zero coefficient times it adds nothing
         for d in range(1, 50, 2):
             assert thm4_measure([0.0] * d + [1.0]) == 0.0, d
 
@@ -315,11 +315,11 @@ class TestNanParameters:
         ],
     )
     def test_refused_with_name(self, ctx: QContext, call, named: str, degree: int) -> None:
-        before = haarverify._measure_jacobi.cache_info()
+        before = haarverify._thm6_jacobi.cache_info()
         for _ in range(2):
             with pytest.raises(DomainError, match=f"^{named} must be a number, got nan$"):
                 call((0.0,) * degree + (1.0,), ctx)
-        after = haarverify._measure_jacobi.cache_info()
+        after = haarverify._thm6_jacobi.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     def test_polynomial_batch_refuses_nan_tau(self, ctx: QContext) -> None:
@@ -327,15 +327,15 @@ class TestNanParameters:
             haarverify._measure_integrals("thm5", ctx, math.nan, 1.5, monomials(4))
 
     def test_unread_parameters_ignored(self, ctx: QContext) -> None:
-        # thm4 reads neither, thm5 not sigma, gamma neither: their keys drop them
+        # thm4 reads neither, thm5 not sigma, gamma neither
         polys = monomials(4)
-        assert haarverify._measure_integrals("thm4", ctx, math.nan, math.nan, polys)[0] == [
+        assert haarverify._measure_integrals("thm4", ctx, math.nan, math.nan, polys) == [
             thm4_measure(p) for p in polys
         ]
-        assert haarverify._measure_integrals("thm5", ctx, TAU, math.nan, polys)[0] == [
+        assert haarverify._measure_integrals("thm5", ctx, TAU, math.nan, polys) == [
             thm5_measure(p, TAU, ctx) for p in polys
         ]
-        assert haarverify._measure_integrals("gamma", ctx, math.nan, math.nan, polys)[0] == [
+        assert haarverify._measure_integrals("gamma", ctx, math.nan, math.nan, polys) == [
             gamma_measure(p, ctx) for p in polys
         ]
 
@@ -448,27 +448,57 @@ BIT_TAU = (0.0, 0.4, 1.2)
 BIT_SIGMA = (0.3, 1.5)
 ROUNDED_EDGE_DRAWS = ((0.9, 0.3, 0.7047), (0.9, 0.3, 1.2953))
 EPS = np.finfo(float).eps
+# a thm4, thm5 or gamma moment lies within this of its 50-digit value, relatively
+# (worst seen: 4.2e-16, thm5 at q = 0.99, tau = 1e-3 on x^3)
+CLOSED_REL = 1e-15
+
+
+def _closed_truth(theorem: str, q: float, tau: float, k: int):
+    """Moment k of the thm4, thm5 or gamma measure in 50 digits, on the float q and
+    the exact value of the float tau, not on a rounded u = q^{2 tau}."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(50):
+        if theorem == "thm4":
+            j = k // 2
+            return mpf(0) if k % 2 else mpf(math.comb(2 * j, j)) / ((j + 1) * mpf(4) ** j)
+        Q = mpf(q) ** 2
+        moment = (1 - Q) / (1 - Q ** (k + 1))
+        if theorem == "gamma":
+            return moment
+        u = mpf(q) ** (2 * mpf(tau))
+        return moment * (u ** (k + 1) + (-1) ** k) / (1 + u)
+
+
+def _assert_closed(theorem: str, q: float, tau: float, got: list[float]) -> None:
+    """got[k] within CLOSED_REL of moment k, relatively: an exactly-0 moment must be 0.0."""
+    with mpmath.workdps(50):
+        for k, value in enumerate(got):
+            want = _closed_truth(theorem, q, tau, k)
+            assert abs(value - want) <= CLOSED_REL * abs(want), (theorem, q, tau, k, value, want)
+
+
+def _krylov_moments(d: list, e: list, degree: int) -> list:
+    """e_0^T J^k e_0, k = 0..degree, J the tridiagonal matrix of ``d`` and ``e``, in the
+    working precision; e_0^T J^k e_0 = (J^h e_0) . (J^(k-h) e_0), both factors on its rows."""
+    n = len(d)
+    J = mpmath.zeros(n, n)
+    for i in range(n):
+        J[i, i] = mpmath.mpf(d[i])
+    for i in range(n - 1):
+        J[i, i + 1] = J[i + 1, i] = mpmath.mpf(e[i])
+    powers = [mpmath.matrix([1] + [0] * (n - 1))]
+    for _ in range(degree - degree // 2):
+        powers.append(J * powers[-1])
+    return [mpmath.fdot(powers[k // 2], powers[k - k // 2]) for k in range(degree + 1)]
 
 
 def _oracle(jacobi: JacobiCoeffs, degree: int) -> tuple[list[float], list[float]]:
     """e_0^T J^k e_0 and e_0^T |J|^k e_0, k = 0..degree, in 50-digit arithmetic on the float J."""
     d, e = (a.tolist() for a in jacobi.arrays(degree // 2 + 1))
-    n = len(d)
-    out = []
     with mpmath.workdps(50):
-        J = mpmath.zeros(n, n)
-        for i in range(n):
-            J[i, i] = mpmath.mpf(d[i])
-        for i in range(n - 1):
-            J[i, i + 1] = J[i + 1, i] = mpmath.mpf(e[i])
-        for M in (J, J.apply(abs)):
-            # e_0^T M^k e_0 = (M^h e_0) . (M^(k-h) e_0), both factors on rows < n
-            powers = [mpmath.matrix([1] + [0] * (n - 1))]
-            for _ in range(degree - degree // 2):
-                powers.append(M * powers[-1])
-            out.append([float(mpmath.fdot(powers[k // 2], powers[k - k // 2]))
-                        for k in range(degree + 1)])
-    return out[0], out[1]
+        return tuple(
+            [float(m) for m in _krylov_moments(dd, e, degree)] for dd in (d, [abs(x) for x in d])
+        )
 
 
 def _assert_oracle(measure, jacobi: JacobiCoeffs, degree: int = 24) -> None:
@@ -489,17 +519,18 @@ RECURRENCE_ROWS = 24
 TAU0_BASELINE = ((0.066, 0.0, 2.1), (0.05, 0.0, 2.5))
 
 
-def _aw_entries(params: AWParams) -> list[tuple]:
+def _aw_entries(params, Q) -> list[tuple]:
     """(d_n, scale of d_n, e_n) of KLS (2010) eq. 14.1.5 in 50 digits, n < RECURRENCE_ROWS.
 
-    d_n = (a + 1/a - A_n - C_n) / 2 and e_n^2 = A_n C_{n+1} / 4 for every
-    ordering of the parameters; a is the one of largest modulus, as the
-    float formula takes it, so the scale (|a| + |1/a| + |A_n| + |C_n|) / 2
-    sums the terms that formula adds.
+    ``params`` are the four parameters and ``Q`` the base, floats or
+    50-digit numbers.  d_n = (a + 1/a - A_n - C_n) / 2 and
+    e_n^2 = A_n C_{n+1} / 4 for every ordering of the parameters; a is the
+    one of largest modulus, as aw_jacobi takes it, so the scale
+    (|a| + |1/a| + |A_n| + |C_n|) / 2 sums the terms that formula adds.
     """
     mpf = mpmath.mpf
-    a, b, c, d = sorted(map(mpf, params.as_tuple()), key=abs, reverse=True)
-    Q = mpf(params.ctx.q)
+    a, b, c, d = sorted(map(mpf, params), key=abs, reverse=True)
+    Q = mpf(Q)
     abcd = a * b * c * d
 
     def A(n: int):
@@ -520,35 +551,18 @@ def _aw_entries(params: AWParams) -> list[tuple]:
     return out
 
 
-def _jackson_entries(lo: float, hi: float, q: float) -> list[tuple]:
-    """(d_n, scale of d_n, e_n) of the base-q^2 Jackson integral on [lo, hi], 50 digits.
+def _exact_thm6_params(q: float, tau: float, sigma: float) -> tuple:
+    """thm6_params in 50 digits, from the float q and the exact tau and sigma."""
+    q, t, s = map(mpmath.mpf, (q, tau, sigma))
+    return (-(q ** (1 + s + t)), -(q ** (1 - s - t)), q ** (1 + s - t), q ** (1 - s + t))
 
-    Its monic polynomials are big q-Jacobi P_n(x/s; a, b, c; Q) at a = b = 1
-    (KLS 2010, eq. 14.5.3), orthogonal on [c s Q, s Q]: the endpoint of larger
-    modulus is s Q.  Then d_n = s (1 - A_n - C_n), with scale
-    |s| (1 + |A_n| + |C_n|), and e_n^2 = s^2 A_n C_{n+1}.
-    """
-    mpf = mpmath.mpf
-    far, near = (lo, hi) if -lo > hi else (hi, lo)
-    Qf = q**2
-    Q, s, c, a, b = mpf(Qf), mpf(far / Qf), mpf(near / far), mpf(1), mpf(1)
 
-    def A(n: int):
-        num = (1 - a * Q ** (n + 1)) * (1 - a * b * Q ** (n + 1)) * (1 - c * Q ** (n + 1))
-        return num / ((1 - a * b * Q ** (2 * n + 1)) * (1 - a * b * Q ** (2 * n + 2)))
-
-    def C(n: int):
-        if n == 0:
-            return mpf(0)  # printed 0/0 at a = b = 1
-        # -a c Q^(n+1) (1 - Q^n) (1 - a b Q^n / c) (1 - b Q^n), written to allow c = 0
-        num = a * Q ** (n + 1) * (1 - Q**n) * (a * b * Q**n - c) * (1 - b * Q**n)
-        return num / ((1 - a * b * Q ** (2 * n)) * (1 - a * b * Q ** (2 * n + 1)))
-
-    out = []
-    for n in range(RECURRENCE_ROWS):
-        terms = (s, -s * A(n), -s * C(n))
-        out.append((sum(terms), sum(map(abs, terms)), abs(s) * mpmath.sqrt(A(n) * C(n + 1))))
-    return out
+def _kernel_args(tau: float, sigma: float, ctx: QContext) -> list[tuple]:
+    """(a + b, ab, base) of intermediate_check's two kernels, a + b = +/-q^(1 -/+ tau) 2 sinh(sigma ln q)."""
+    q = ctx.q
+    s = 2.0 * haarverify._sinh_log(q, sigma)
+    sums = (q ** (1.0 - tau) * s, -(q ** (1.0 + tau)) * s)
+    return [(total, a * b, ctx.squared()) for (a, b), total in zip(haarverify._asc_pair(tau, sigma, q), sums)]
 
 
 def _assert_entries(jacobi: JacobiCoeffs, exact: list[tuple]) -> None:
@@ -559,84 +573,135 @@ def _assert_entries(jacobi: JacobiCoeffs, exact: list[tuple]) -> None:
 
 
 def _assert_thm6_entries(q: float, tau: float, sigma: float) -> None:
-    """thm6's Askey-Wilson matrix and the two kernel matrices of intermediate_check."""
+    """thm6's matrix and the two kernel matrices of intermediate_check against 50-digit
+    entries from the exact tau and sigma, and aw_jacobi on the same float parameters
+    against 50-digit entries on those parameters."""
     ctx = QContext(q)
+    a, b, c, d = exact = _exact_thm6_params(q, tau, sigma)
+    _assert_entries(haarverify._thm6_jacobi(tau, sigma, ctx), _aw_entries(exact, mpmath.mpf(q) ** 2))
+    # the kernels' pairs (a1, b1) and (a2, b2) are thm6's (c, b) and (d, a)
+    for args, pair in zip(_kernel_args(tau, sigma, ctx), ((c, b), (d, a))):
+        _assert_entries(haarverify._kernel_jacobi(*args), _aw_entries((*pair, 0, 0), args[2].q))
     params = [thm6_params(tau, sigma, ctx)]
     params += [AWParams(a, b, 0.0, 0.0, ctx.squared()) for a, b in haarverify._asc_pair(tau, sigma, q)]
     for p in params:
-        _assert_entries(aw_jacobi(p), _aw_entries(p))
+        _assert_entries(aw_jacobi(p), _aw_entries(p.as_tuple(), p.ctx.q))
 
 
 class TestRecurrenceOracle:
-    """aw_jacobi and _jackson_jacobi against KLS (14.1.5) and (14.5.3) in 50 digits,
-    on the same float parameters, for n < RECURRENCE_ROWS."""
+    """thm6's Jacobi matrix, the kernels' and aw_jacobi against KLS (14.1.5) in 50 digits,
+    for n < RECURRENCE_ROWS."""
 
     @pytest.mark.parametrize("q", BIT_Q)
     def test_grid(self, q: float) -> None:
-        ctx = QContext(q)
         with mpmath.workdps(50):
-            _assert_entries(haarverify._jackson_jacobi(0.0, 1.0, ctx), _jackson_entries(0.0, 1.0, q))
             for tau in BIT_TAU:
-                hi = q ** (2.0 * tau)
-                _assert_entries(haarverify._jackson_jacobi(-1.0, hi, ctx), _jackson_entries(-1.0, hi, q))
                 for sigma in BIT_SIGMA:
                     _assert_thm6_entries(q, tau, sigma)
 
     @pytest.mark.parametrize("q, tau, sigma", TAU0_BASELINE)
     def test_tau_zero_diagonal_is_rounding(self, q: float, tau: float, sigma: float) -> None:
-        # the symmetric measure's exact diagonal is 0, and the float one, up to
-        # a few ulps of a + 1/a, stays within the same absolute bound
+        # the symmetric measure's exact diagonal is 0: thm6's matrix gives exactly 0,
+        # and aw_jacobi, up to a few ulps of a + 1/a, stays within the same absolute bound
         with mpmath.workdps(50):
             _assert_thm6_entries(q, tau, sigma)
-            exact = _aw_entries(thm6_params(tau, sigma, QContext(q)))
+            exact = _aw_entries(_exact_thm6_params(q, tau, sigma), mpmath.mpf(q) ** 2)
             assert all(abs(dn) < 1e-40 for dn, _, _ in exact)
+        d, _ = haarverify._thm6_jacobi(tau, sigma, QContext(q)).arrays(RECURRENCE_ROWS)
+        assert not d.any()
+
+    @pytest.mark.parametrize("q", (1e-3,) + BIT_Q)
+    def test_sinh_log_within_two_ulps(self, q: float) -> None:
+        # sinh(e ln q) against 50 digits on the exact e, either side of the switch at |e ln q| = 1
+        for e in (0.0, 1e-6, 0.3, 0.7, 1.0, 1.5, 2.1, 6.0, -0.4, -2.5, -150.0):
+            if abs(e * math.log(q)) > 700.0:
+                continue
+            got = haarverify._sinh_log(q, e)
+            with mpmath.workdps(50):
+                want = mpmath.sinh(mpmath.mpf(e) * mpmath.log(mpmath.mpf(q)))
+                assert abs(got - want) <= 2 * EPS * abs(want), (e, got, want)
+
+
+# thm6's scaled moment error against the KLS (14.1.5) recurrence, and its grid
+# (worst seen: 2.7e-15, at q = 0.05, tau = sigma = 0.7 on x^10)
+THM6_SCALED = 1e-14
+THM6_Q = (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995)
+THM6_PAIRS = ((0.4, 1.5), (1.0, 0.3), (0.0, 2.1), (2.0, 0.0), (0.7, 0.7), (0.1, 2.4), (1.2, 0.5), (0.0, 0.0))
+
+
+def _kls_moments(q: float, tau: float, sigma: float, degree: int) -> list:
+    """e_0^T J^k e_0 in 60 digits, J the KLS (14.1.5) matrix of the exact thm6 parameters."""
+    with mpmath.workdps(60):
+        entries = _aw_entries(_exact_thm6_params(q, tau, sigma), mpmath.mpf(q) ** 2)[: degree // 2 + 1]
+        d, _, e = zip(*entries)
+        return _krylov_moments(d, e[:-1], degree)
 
 
 class TestJacobiMoments:
-    """The measure sides against e_0^T J^k e_0 in 50 digits on the same float J, k <= 24."""
+    """The measure sides against 50-digit truths: thm6 against e_0^T J^k e_0 on the
+    same float J, and against the KLS recurrence; the others against their closed forms."""
 
     def test_thm4(self) -> None:
-        _assert_oracle(thm4_measure, haarverify._measure_jacobi("thm4", None, 0.0, 0.0))
+        # C_j / 4^j correctly rounded, and every odd moment exactly 0
+        for k in range(67):
+            j = k // 2
+            want = 0.0 if k % 2 else float(Fraction(math.comb(2 * j, j), (j + 1) * 4**j))
+            assert thm4_measure([0.0] * k + [1.0]) == want, k
 
     @pytest.mark.parametrize("q", BIT_Q)
     def test_jackson_and_askey_wilson(self, q: float) -> None:
         ctx = QContext(q)
-        jacobi = haarverify._measure_jacobi
-        _assert_oracle(lambda p: gamma_measure(p, ctx), jacobi("gamma", ctx, 0.0, 0.0))
+        polys = monomials(24)
+        _assert_closed("gamma", q, 0.0, [gamma_measure(p, ctx) for p in polys])
         for tau in BIT_TAU:
-            _assert_oracle(lambda p: thm5_measure(p, tau, ctx), jacobi("thm5", ctx, tau, 0.0))
+            _assert_closed("thm5", q, tau, [thm5_measure(p, tau, ctx) for p in polys])
             for sigma in BIT_SIGMA:
                 _assert_oracle(
-                    lambda p: thm6_measure(p, tau, sigma, ctx), jacobi("thm6", ctx, tau, sigma)
+                    lambda p: thm6_measure(p, tau, sigma, ctx), haarverify._thm6_jacobi(tau, sigma, ctx)
                 )
+
+    @pytest.mark.parametrize("q", THM6_Q)
+    def test_thm6_against_the_recurrence(self, q: float) -> None:
+        # x^1..x^11, each error scaled by max(|m_k|, sqrt|m_{k-1} m_{k+1}|)
+        ctx = QContext(q)
+        for tau, sigma in THM6_PAIRS:
+            want = _kls_moments(q, tau, sigma, 12)
+            got = [thm6_measure(p, tau, sigma, ctx) for p in monomials(12)]
+            with mpmath.workdps(60):
+                for k in range(1, 12):
+                    scale = max(abs(want[k]), mpmath.sqrt(abs(want[k - 1] * want[k + 1])))
+                    assert abs(got[k] - want[k]) <= THM6_SCALED * scale, (tau, sigma, k)
 
     @pytest.mark.parametrize("q, tau, sigma", ROUNDED_EDGE_DRAWS + EDGE_DRAWS)
     def test_mass_threshold_draws(self, q: float, tau: float, sigma: float) -> None:
         ctx = QContext(q)
         _assert_oracle(
-            lambda p: thm6_measure(p, tau, sigma, ctx),
-            haarverify._measure_jacobi("thm6", ctx, tau, sigma),
+            lambda p: thm6_measure(p, tau, sigma, ctx), haarverify._thm6_jacobi(tau, sigma, ctx)
         )
 
     def test_high_degree(self, ctx: QContext) -> None:
-        # degree 66 reads 34 rows; the sum over coefficients adds its own rounding
+        # degree 66 reads 34 of thm6's rows; the sum over coefficients adds its own rounding
         c = np.random.default_rng(7).uniform(-1.0, 1.0, 67)
+        want, scale = _oracle(haarverify._thm6_jacobi(TAU, 1.5, ctx), 66)
+        bound = 2 * 66 * EPS * float(np.abs(c) @ scale)
+        assert abs(thm6_measure(c, TAU, 1.5, ctx) - float(c @ want)) <= bound
         for theorem, measure in (
             ("thm4", lambda: thm4_measure(c)),
             ("thm5", lambda: thm5_measure(c, TAU, ctx)),
-            ("thm6", lambda: thm6_measure(c, TAU, 1.5, ctx)),
             ("gamma", lambda: gamma_measure(c, ctx)),
         ):
-            want, scale = _oracle(haarverify._measure_jacobi(theorem, ctx, TAU, 1.5), 66)
-            bound = 2 * 66 * EPS * float(np.abs(c) @ scale)
-            assert abs(measure() - float(c @ want)) <= bound, theorem
+            with mpmath.workdps(50):
+                moments = [_closed_truth(theorem, ctx.q, TAU, k) for k in range(67)]
+                exact = mpmath.fdot(c.tolist(), moments)
+                bound = 2 * 66 * EPS * mpmath.fdot(np.abs(c).tolist(), [abs(m) for m in moments])
+                assert abs(measure() - exact) <= bound, theorem
 
     @pytest.mark.parametrize(
         "argv",
         [["verify", "all"], ["verify", "all", "--q", "0.9", "--trunc-n", "200", "--max-degree", "9"]],
     )
     def test_verify_stdout(self, capsys, argv: list) -> None:
-        # each printed row's measure side is its monomial's moment, within the oracle's bound
+        # each printed row's measure side is its monomial's moment, within the bounds above
         assert cli.main(argv) == 0
         out = json.loads(capsys.readouterr().out)
         cfg = out["config"]
@@ -646,27 +711,31 @@ class TestJacobiMoments:
             rows = report["rows"]
             assert [r["label"] for r in rows] == labels
             theorem = rows[0]["theorem"]
-            jacobi = haarverify._measure_jacobi(theorem, ctx, cfg["tau"], cfg["sigma"])
+            sides = [row["measure_side"] for row in rows]
+            if theorem != "thm6":
+                _assert_closed(theorem, cfg["q"], cfg["tau"], sides)
+                continue
+            jacobi = haarverify._thm6_jacobi(cfg["tau"], cfg["sigma"], ctx)
             want, scale = _oracle(jacobi, cfg["max_degree"])
-            for k, row in enumerate(rows):
-                assert abs(row["measure_side"] - want[k]) <= k * EPS * scale[k], (theorem, k, row)
+            for k, side in enumerate(sides):
+                assert abs(side - want[k]) <= k * EPS * scale[k], (theorem, k, side)
+
+
+THM6_CASES = [(tau, sigma) for tau in BIT_TAU for sigma in BIT_SIGMA]
 
 
 class TestMeasureJacobiCache:
-    """_measure_jacobi: one Jacobi matrix per measure, its entries grown, not rebuilt."""
+    """_thm6_jacobi: one Jacobi matrix per thm6 measure, its entries grown, not rebuilt;
+    thm4, thm5 and gamma build none."""
 
     @pytest.mark.parametrize("q", BIT_Q)
     def test_moments_independent_of_degree(self, q: float) -> None:
         # a polynomial's value is the same alone (its own degree) and in a
         # verify batch (the largest degree), which reads more rows
         ctx = QContext(q)
-        cases = [("thm4", None, 0.0, 0.0), ("gamma", ctx, 0.0, 0.0)]
-        for tau in BIT_TAU:
-            cases.append(("thm5", ctx, tau, 0.0))
-            cases += [("thm6", ctx, tau, sigma) for sigma in BIT_SIGMA]
-        for case in cases:
-            top = _jacobi_moments(haarverify._measure_jacobi.__wrapped__(*case), 66)
-            jacobi = haarverify._measure_jacobi(*case)
+        for case in THM6_CASES:
+            top = _jacobi_moments(haarverify._thm6_jacobi.__wrapped__(*case, ctx), 66)
+            jacobi = haarverify._thm6_jacobi(*case, ctx)
             for degree in (0, 1, 2, 3, 6, 13, 24, 66):
                 assert _jacobi_moments(jacobi, degree) == top[: degree + 1], (case, degree)
 
@@ -674,19 +743,14 @@ class TestMeasureJacobiCache:
     def test_moments_independent_of_order(self, q: float) -> None:
         # the kept moments, asked in any order, are those of a fresh pass per degree
         ctx = QContext(q)
-        cases = [("thm4", None, 0.0, 0.0), ("gamma", ctx, 0.0, 0.0)]
-        for tau in BIT_TAU:
-            cases.append(("thm5", ctx, tau, 0.0))
-            cases += [("thm6", ctx, tau, sigma) for sigma in BIT_SIGMA]
         degrees = list(range(25))
         orders = (degrees, degrees[::-1], random.Random(q).sample(degrees, len(degrees)))
 
         def fresh(case: tuple) -> JacobiCoeffs:
-            # a matrix with an empty memo, thm4's included
-            built = haarverify._measure_jacobi.__wrapped__(*case)
+            built = haarverify._thm6_jacobi.__wrapped__(*case, ctx)
             return JacobiCoeffs(built.diag, built.offdiag)
 
-        for case in cases:
+        for case in THM6_CASES:
             want = [[float.hex(m) for m in _jacobi_moments(fresh(case), d)] for d in degrees]
             for order in orders:
                 jacobi = fresh(case)
@@ -698,11 +762,11 @@ class TestMeasureJacobiCache:
         # x^0..x^12 keeps 14 moments on 7 rows (x^1 continues the pass 12
         # degrees ahead, to x^13); a second loop, in either order, is
         # answered from them and swaps in nothing
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         ctx = QContext(0.63)
         polys = monomials(12)
         first = [thm6_measure(p, TAU, 1.5, ctx) for p in polys]
-        jacobi = haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)
+        jacobi = haarverify._thm6_jacobi(TAU, 1.5, ctx)
         state = jacobi._entries
         assert [len(part) for part in state] == [7, 6, 14, 7]
         assert [thm6_measure(p, TAU, 1.5, ctx) for p in polys] == first
@@ -711,29 +775,29 @@ class TestMeasureJacobiCache:
 
     def test_odd_degree_keeps_its_odd_moment(self) -> None:
         # degree 5 reads 3 rows: its last Jv is cut, so moment 6 is not kept
-        built = haarverify._measure_jacobi.__wrapped__("gamma", QContext(0.5), 0.0, 0.0)
+        built = haarverify._thm6_jacobi.__wrapped__(TAU, 1.5, QContext(0.5))
         jacobi = JacobiCoeffs(built.diag, built.offdiag)
         moments = _jacobi_moments(jacobi, 5)
         d, e, kept, v = jacobi._entries
         assert (len(d), len(e), list(kept), len(v)) == (3, 2, moments, 3)
 
     def test_sizes_share_one_matrix(self, ctx: QContext) -> None:
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         for p in monomials(12):
             thm6_measure(p, TAU, 1.5, ctx)
-        info = haarverify._measure_jacobi.cache_info()
+        info = haarverify._thm6_jacobi.cache_info()
         assert (info.misses, info.hits) == (1, 12)
 
     def test_monomial_loop_builds_one_matrix(self) -> None:
         # x^0..x^12 on a new measure: one matrix, grown to 7 rows and no
         # further, since x^1's read-ahead to x^13 needs no more rows than x^12
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         ctx = QContext(0.61)
         for p in monomials(12):
             thm6_measure(p, TAU, 1.5, ctx)
-        info = haarverify._measure_jacobi.cache_info()
+        info = haarverify._thm6_jacobi.cache_info()
         assert (info.misses, info.hits) == (1, 12)
-        assert len(haarverify._measure_jacobi("thm6", ctx, TAU, 1.5)._entries[0]) == 7
+        assert len(haarverify._thm6_jacobi(TAU, 1.5, ctx)._entries[0]) == 7
 
     @pytest.mark.parametrize("degree, continuations", [(12, 1), (24, 2)])
     def test_monomial_loop_continues_at_most_twice(
@@ -741,7 +805,7 @@ class TestMeasureJacobiCache:
     ) -> None:
         # each ask the kept moments miss grows the memo once: the exact first
         # ask at x^0, then continuations that read 12 degrees ahead (x^1 to
-        # x^13, and x^14 to x^26)
+        # x^13, and x^14 to x^26); thm5 and gamma grow no matrix
         grown = JacobiCoeffs._grown
         calls = collections.Counter()
 
@@ -750,87 +814,135 @@ class TestMeasureJacobiCache:
             return grown(jacobi, *args)
 
         monkeypatch.setattr(JacobiCoeffs, "_grown", counting)
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         ctx = QContext(0.7)
-        for measure in (
-            lambda p: thm5_measure(p, TAU, ctx),
-            lambda p: thm6_measure(p, TAU, 1.5, ctx),
-            lambda p: gamma_measure(p, ctx),
-        ):
-            calls.clear()
-            values = [measure(p) for p in monomials(degree)]
-            assert list(calls.values()) == [1 + continuations]
-            assert values == [measure(p) for p in monomials(degree)]
+        values = [thm6_measure(p, TAU, 1.5, ctx) for p in monomials(degree)]
+        assert list(calls.values()) == [1 + continuations]
+        assert values == [thm6_measure(p, TAU, 1.5, ctx) for p in monomials(degree)]
+        calls.clear()
+        for p in monomials(degree):
+            thm5_measure(p, TAU, ctx)
+            gamma_measure(p, ctx)
+        assert not calls
 
-    @pytest.mark.parametrize("theorem", ["thm5", "thm6", "gamma"])
-    def test_grown_matrix_matches_fresh(self, theorem: str, ctx: QContext) -> None:
-        jacobi = haarverify._measure_jacobi(theorem, ctx, TAU, 1.5)
-        fresh = haarverify._measure_jacobi.__wrapped__(theorem, ctx, TAU, 1.5)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ctx: haarverify._thm6_jacobi(TAU, 1.5, ctx),
+            lambda ctx: haarverify._kernel_jacobi(*_kernel_args(TAU, 1.5, ctx)[0]),
+        ],
+        ids=["thm6", "kernel"],
+    )
+    def test_grown_matrix_matches_fresh(self, build, ctx: QContext) -> None:
+        jacobi = build(ctx)
+        fresh = JacobiCoeffs(jacobi.diag, jacobi.offdiag)
         for size in (3, 7, 5, 9):
             assert jacobi.arrays(size)[0].tobytes() == fresh.arrays(size)[0].tobytes()
 
     def test_thm4_shared_across_contexts(self) -> None:
-        haarverify._measure_jacobi.cache_clear()
+        # thm4 reads no ctx, tau or sigma, and no measure builds a matrix for it
+        haarverify._thm6_jacobi.cache_clear()
         polys = monomials(6)
-        haarverify._measure_integrals("thm4", QContext(0.3), 0.4, 1.5, polys)
-        haarverify._measure_integrals("thm4", QContext(0.7), 1.2, 0.6, polys)
-        for p in polys:
-            thm4_measure(p)
-        info = haarverify._measure_jacobi.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1 + 7, 1)
+        want = [thm4_measure(p) for p in polys]
+        assert haarverify._measure_integrals("thm4", QContext(0.3), 0.4, 1.5, polys) == want
+        assert haarverify._measure_integrals("thm4", QContext(0.7), 1.2, 0.6, polys) == want
+        assert haarverify._thm6_jacobi.cache_info().currsize == 0
 
     def test_key_ignores_unused_parameters(self, ctx: QContext) -> None:
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         polys = monomials(6)
-        for tau, sigma in ((TAU, 0.6), (TAU, 1.5)):
-            haarverify._measure_integrals("thm5", ctx, tau, sigma, polys)
-        for tau, sigma in ((0.0, 0.6), (TAU, 1.5), (1.2, 2.5)):
+        thm5 = [haarverify._measure_integrals("thm5", ctx, TAU, sigma, polys) for sigma in (0.6, 1.5)]
+        gamma = [
             haarverify._measure_integrals("gamma", ctx, tau, sigma, polys)
-        for sigma in (0.6, 1.5):
+            for tau, sigma in ((0.0, 0.6), (TAU, 1.5), (1.2, 2.5))
+        ]
+        assert thm5[0] == thm5[1] and gamma[0] == gamma[1] == gamma[2]
+        for sigma in (0.6, 1.5, 0.6):
             haarverify._measure_integrals("thm6", ctx, TAU, sigma, polys)
-        info = haarverify._measure_jacobi.cache_info()
-        # one matrix each for thm5 and gamma, two for thm6
-        assert (info.misses, info.hits) == (4, 3)
+        info = haarverify._thm6_jacobi.cache_info()
+        # two matrices for thm6, none for thm5 and gamma
+        assert (info.misses, info.hits) == (2, 1)
 
     def test_verify_and_measure_functions_share_matrix(self, ctx: QContext) -> None:
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         p = (0.0,) * 6 + (1.0,)
-        row = verify("thm5", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, max_degree=6)).rows[6]
-        before = haarverify._measure_jacobi.cache_info()
-        assert thm5_measure(p, TAU, ctx) == row.measure_side
-        after = haarverify._measure_jacobi.cache_info()
+        row = verify("thm6", VerifyConfig(ctx=ctx, tau=TAU, sigma=0.6, N=80, max_degree=6)).rows[6]
+        before = haarverify._thm6_jacobi.cache_info()
+        assert thm6_measure(p, TAU, 0.6, ctx) == row.measure_side
+        after = haarverify._thm6_jacobi.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
     @pytest.mark.parametrize(
         "jacobi",
         [
-            # the refusals of tests/test_spectral.py: a reversed Jackson
-            # interval, and an Askey-Wilson square that overflows
-            lambda: haarverify._jackson_jacobi(2.0, 1.0, QContext(0.5)),
+            # squares that overflow: 4 sinh(tau ln q)^2 at tau = 600, and (as in
+            # tests/test_spectral.py) 1/a for a subnormal Askey-Wilson parameter
+            lambda: haarverify._thm6_jacobi.__wrapped__(600.0, 0.0, QContext(0.5)),
             lambda: aw_jacobi(AWParams(1e-320, 1e-320, 0.0, 0.0, QContext(0.25))),
         ],
     )
     def test_refusal_raises_again(self, monkeypatch, jacobi) -> None:
         shared = jacobi()
-        monkeypatch.setattr(haarverify, "_measure_jacobi", lambda *args: shared)
+        monkeypatch.setattr(haarverify, "_thm6_jacobi", lambda *args: shared)
         for _ in range(2):
             with pytest.raises(DomainError, match="e_0"):
-                thm5_measure((0.0, 0.0, 1.0), 0.0, QContext(0.5))
+                thm6_measure((0.0, 0.0, 1.0), TAU, 1.5, QContext(0.5))
         assert shared._entries == ((), (), (), ())
 
     def test_public_refusal_raises_again(self) -> None:
-        # q^(2 tau) = 1e209 at tau = -200: e_0^2 = s^2 A_0 C_1 overflows
+        # u^3 = q^(6 tau) ~ 1e627 at q = 0.3, tau = -200 leaves the float range
         ctx = QContext(0.3)
         for _ in range(2):
-            with pytest.raises(DomainError, match="e_0"):
+            with pytest.raises(ConvergenceError, match="tau = -200.0 leaves the float range"):
                 thm5_measure((0.0, 0.0, 1.0), -200.0, ctx)
 
     def test_operator_route_reads_no_measure(self, ctx: QContext) -> None:
-        haarverify._measure_jacobi.cache_clear()
+        haarverify._thm6_jacobi.cache_clear()
         support_check(TAU, 1.5, ctx, size=60)
         sigma_limit_check((0.0, 0.0, 1.0), TAU, ctx)
         assert cli.main(["spectrum", "rho-sigma", "--trunc-n", "40"]) == 0
-        assert haarverify._measure_jacobi.cache_info().misses == 0
+        assert haarverify._thm6_jacobi.cache_info().misses == 0
+
+
+SYMMETRY_Q = (0.05, 0.3, 0.5, 0.9)
+SYMMETRY_PAIRS = ((0.4, 1.5), (1.2, 0.3), (0.1, 2.4), (0.7, 0.7), (0.0, 2.1), (2.0, 0.0), (0.0, 0.0))
+
+
+class TestThm6Symmetries:
+    """tau <-> sigma leaves thm6's parameter set unchanged, and tau -> -tau negates it,
+    which reflects the measure by x -> -x: the measure side keeps both exactly.  The
+    trace side builds another element with the same moments."""
+
+    @staticmethod
+    def moments(tau: float, sigma: float, ctx: QContext) -> list[float]:
+        return [thm6_measure(p, tau, sigma, ctx) for p in monomials(12)]
+
+    @pytest.mark.parametrize("q", SYMMETRY_Q)
+    def test_measure_swap_and_reflection(self, q: float) -> None:
+        ctx = QContext(q)
+        for tau, sigma in SYMMETRY_PAIRS:
+            m = self.moments(tau, sigma, ctx)
+            assert self.moments(sigma, tau, ctx) == m, (tau, sigma)
+            assert self.moments(-tau, sigma, ctx) == [(-1.0) ** k * v for k, v in enumerate(m)], (tau, sigma)
+
+    @pytest.mark.parametrize("q", SYMMETRY_Q)
+    def test_odd_moments_exactly_zero_at_tau_or_sigma_zero(self, q: float) -> None:
+        ctx = QContext(q)
+        for tau, sigma in SYMMETRY_PAIRS:
+            if 0.0 in (tau, sigma):
+                assert self.moments(tau, sigma, ctx)[1::2] == [0.0] * 6, (tau, sigma)
+
+    @pytest.mark.parametrize("q", SYMMETRY_Q)
+    def test_trace_swap(self, q: float) -> None:
+        # within 1e-14 max(|v|, 1); ROADMAP's Baseline measured 8.7e-16
+        ctx = QContext(q)
+        for tau, sigma in SYMMETRY_PAIRS[:3]:
+            rows = [
+                verify("thm6", VerifyConfig(ctx=ctx, tau=t, sigma=s, N=160, max_degree=12)).rows
+                for t, s in ((tau, sigma), (sigma, tau))
+            ]
+            for a, b in zip(*rows):
+                assert abs(a.trace_side - b.trace_side) <= 1e-14 * max(abs(a.trace_side), 1.0), (tau, a.label)
 
 
 class TestPowerRange:
@@ -844,6 +956,8 @@ class TestPowerRange:
             (lambda ctx: bailey_raw_check(0.3, 0.4, 1e6, ctx), "sigma = 1000000.0"),
             (lambda ctx: support_check(0.4, 1e6, ctx), "sigma = 1000000.0"),
             (lambda ctx: thm5_measure([0, 1], -1e6, ctx), "tau = -1000000.0"),
+            # u = q^(2 tau) = 2^400 is finite, but u^3 = 2^1200 is not
+            (lambda ctx: thm5_measure([0, 0, 1], -200.0, ctx), "tau = -200.0"),
             (lambda ctx: thm6_measure([0, 1], -1e6, 1.5, ctx), "tau = -1000000.0"),
             (lambda ctx: intermediate_check([0, 1], 0.4, 1e6, ctx), "sigma = 1000000.0"),
             (lambda ctx: sigma_limit_check([0, 1], -1e6, ctx), "tau = -1000000.0"),
@@ -952,7 +1066,12 @@ class TestVerify:
         cfg = VerifyConfig(ctx=ctx, N=80, max_degree=1)
         row = verify("thm4", cfg).rows[1]
         assert row.trace_route == "phase-averaged weighted trace, 1 angle (real gauge), N=80"
-        assert "Chebyshev" in row.measure_route
+        assert row.measure_route == "semicircle (Chebyshev U), closed-form moments"
+        routes = {t: verify(t, cfg).rows[0].measure_route for t in ("thm5", "gamma")}
+        assert routes == {
+            "thm5": f"Jackson q^2-integral over [-1, q^(2*{TAU:g})], closed-form moments",
+            "gamma": "Jackson q^2-integral over [0, 1], closed-form moments",
+        }
 
     @pytest.mark.parametrize(
         "theorem, degree, grid",
@@ -1044,10 +1163,8 @@ class TestIntermediate:
         polys = monomials(6)
         haarverify._kernel_jacobi.cache_clear()
         first = intermediate_check(polys[3], TAU, 0.6, ctx)
-        kernels = [
-            haarverify._kernel_jacobi(AWParams(a, b, 0.0, 0.0, ctx.squared()))
-            for a, b in haarverify._asc_pair(TAU, 0.6, ctx.q)
-        ]
+        # the check's keys, bit for bit: asking for them again builds nothing
+        kernels = [haarverify._kernel_jacobi(*args) for args in _kernel_args(TAU, 0.6, ctx)]
         assert haarverify._kernel_jacobi.cache_info().misses == 2
         intermediate_check(polys[6], TAU, 0.6, ctx)
         grown = [k._entries for k in kernels]
@@ -1060,6 +1177,14 @@ class TestIntermediate:
         for p, want in ((polys[5], again), (polys[3], first)):
             got = intermediate_check(p, TAU, 0.6, ctx)
             assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+    def test_kernel_diagonals_vanish_at_sigma_zero(self, ctx: QContext) -> None:
+        # both kernel measures are even at sigma = 0: a + b is formed as exactly 0
+        for args in _kernel_args(TAU, 0.0, ctx):
+            assert args[0] == 0.0
+            assert not haarverify._kernel_jacobi(*args).arrays(12)[0].any()
+        for p in monomials(6):
+            assert intermediate_check(p, TAU, 0.0, ctx).vs_measure <= 1e-13
 
     def test_tau_zero_rejected(self, ctx: QContext) -> None:
         with pytest.raises(DomainError):
@@ -1677,20 +1802,15 @@ class TestGammaMeasure:
 
 
 class TestJacksonExactMoments:
-    """The Jackson measures against their moments in exact arithmetic, q from
-    1e-9 to 0.995, on the float q and q^{2 tau} the measures are given."""
+    """The Jackson measures against their moments in 50 digits, q from 1e-9 to
+    0.999, on the float q and the exact tau the measures are given."""
 
-    @pytest.mark.parametrize("q", (1e-9, 1e-6, 1e-5, 3e-5, 1e-3) + BIT_Q)
+    @pytest.mark.parametrize("q", (1e-9, 1e-6, 1e-5, 3e-5, 1e-3) + BIT_Q + (0.999,))
     def test_relative_error(self, q: float) -> None:
         # gamma: int_0^1 x^k d_Q x = (1 - Q)/(1 - Q^{k+1}); thm5 on [-1, u]:
         # (1 - Q)(u^{k+1} + (-1)^k)/((1 - Q^{k+1})(1 + u)), Q = q^2, u = q^{2 tau}
-        ctx, Q = QContext(q), Fraction(q) ** 2
-        for k in range(13):
-            p = [0.0] * k + [1.0]
-            want = (1 - Q) / (1 - Q ** (k + 1))
-            assert abs(Fraction(gamma_measure(p, ctx)) - want) <= Fraction(1e-14) * want, k
-            for tau in BIT_TAU:
-                u = Fraction(q ** (2.0 * tau))
-                want = (1 - Q) * (u ** (k + 1) + (-1) ** k) / ((1 - Q ** (k + 1)) * (1 + u))
-                got = Fraction(thm5_measure(p, tau, ctx))
-                assert abs(got - want) <= Fraction(1e-14) * abs(want), (k, tau)
+        ctx = QContext(q)
+        polys = monomials(12)
+        _assert_closed("gamma", q, 0.0, [gamma_measure(p, ctx) for p in polys])
+        for tau in (0.0, 1e-6, 1e-3, 0.4, 1.2):
+            _assert_closed("thm5", q, tau, [thm5_measure(p, tau, ctx) for p in polys])

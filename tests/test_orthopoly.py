@@ -30,6 +30,7 @@ from qhaar import (
     cqh_all,
     cqh_poisson,
     cqh_weight,
+    mass_identity_check,
     moment_apply,
     q_charlier,
     qpoch,
@@ -858,6 +859,14 @@ class TestRefusedByName:
         "AWParams a=inf": (lambda c: AWParams(math.inf, -0.5, -0.5, -0.5, c), "finite"),
         "AWParams a=-inf": (lambda c: AWParams(-math.inf, 0.5, 0.5, 0.5, c), "finite"),
         "AWParams b=nan": (lambda c: AWParams(0.3, math.nan, 0.1, 0.1, c), "finite"),
+        "cqh x=inf": (lambda c: cqh(4, math.inf, c), "x=inf"),
+        # b q^2 = 1 at q = 1e-3: a pole of the weight on theta = 0, where its numerator vanishes
+        "aw_theta_weight pole": (
+            lambda c: aw_theta_weight(0.0, 0.3, 1e6, 0.1, 0.2, QContext(1e-3)), r"theta = 0.0 is a pole"
+        ),
+        "mass_identity_check b=0": (
+            lambda c: mass_identity_check(1e6, 0.0, 1, QContext(1e-3)), "b = 0 makes q/b"
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
